@@ -17,6 +17,14 @@ copy-on-write splices and the columnar message/hop stores bound the
 resident set well below the ~1.1 GB the pre-columnar engine needed, and a
 leak that grows the peak past :data:`RSS_LIMIT_KB_N512` fails the bench
 rather than silently eating the host.
+
+``test_faulted_round_cost`` times the same steady-state round under the
+golden fault mix (the plan of ``tests/integration/simfp._scenario_faults``)
+and records it under its own id, ``BENCH_scaling_faults.json``, with the
+message copies per round beside the time: that mix roughly doubles the
+traffic (delayed and duplicated copies are forwarded again — 33 k → 64 k
+copies/round at n=24), so a faulted round is to be compared with a clean
+one *per message*, not per round.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ import pytest
 
 from repro.config import ProtocolParams
 from repro.core.runner import MaintenanceSimulation
+from repro.faults.plan import FaultPlan, MessageFaults, NodeStall
 from repro.util.benchrec import peak_rss_kb
 
 SIZES = (48, 128, 256, 512, 1024)
@@ -82,3 +91,35 @@ def test_scaling_round_cost(benchmark, quick, record_bench, n, workers):
                 f"peak RSS {rss} KiB exceeds the n=512 budget "
                 f"{RSS_LIMIT_KB_N512} KiB — a retained-generation leak?"
             )
+
+
+def test_faulted_round_cost(benchmark, quick, record_bench):
+    """Seconds per steady-state round under the golden fault mix."""
+    n = 128 if quick else 256
+    params = ProtocolParams(n=n, c=1.2, r=2, delta=3, tau=8, seed=1)
+    plan = FaultPlan(
+        seed=11,
+        messages=(
+            MessageFaults(drop_p=0.04, delay_p=0.05, delay_rounds=2, duplicate_p=0.03),
+        ),
+        stalls=(NodeStall(stall_p=0.02),),
+    )
+    with MaintenanceSimulation(params, faults=plan) as sim:
+        sim.run(2 * (params.lam + 3))  # reach steady state
+        first = sim.round
+
+        def two_rounds():
+            sim.run(2)
+            return sim.round
+
+        benchmark.pedantic(two_rounds, rounds=2 if quick else 3, iterations=1)
+        timed = sim.engine.reports[first:]
+        record_bench(
+            benchmark,
+            "scaling_faults",
+            n=n,
+            rounds=2,
+            workers=1,
+            msgs_per_round=sum(r.metrics.total_sent for r in timed) // len(timed),
+        )
+        assert timed[-1].metrics.faults is not None  # the plan is firing

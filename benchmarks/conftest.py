@@ -68,6 +68,7 @@ def record_bench(quick):
         workers: int | None = None,
         exchange_bytes_pipe: int | None = None,
         exchange_bytes_shm: int | None = None,
+        msgs_per_round: int | None = None,
     ):
         meta = getattr(benchmark, "stats", None)
         if meta is None:  # --benchmark-disable: nothing was timed
@@ -82,6 +83,7 @@ def record_bench(quick):
             workers=workers,
             exchange_bytes_pipe=exchange_bytes_pipe,
             exchange_bytes_shm=exchange_bytes_shm,
+            msgs_per_round=msgs_per_round,
         )
         return append_entry(RESULTS_DIR, bench_id, entry)
 

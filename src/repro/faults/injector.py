@@ -1,8 +1,11 @@
 """Deterministic fault oracle — turns a :class:`FaultPlan` into decisions.
 
 The injector sits at the :meth:`Network.close_send_phase` boundary (the
-network calls :meth:`message_fates` once per frozen receiver) and answers
-the engine's per-node :meth:`stalled` queries during the compute phase.
+network hands :meth:`message_fates_batch` the whole frozen round as
+``(src, dst)`` columns) and answers the engine's per-node :meth:`stalled`
+queries during the compute phase.  :meth:`message_fates` is the one-copy
+oracle of the same schedule: tests compare the batch against it, production
+code calls only the batch.
 
 Every decision is a keyed-BLAKE2b coin over ``(kind, round, sequence, src,
 dst, rule index)`` — the same construction as the position hash in
@@ -18,15 +21,19 @@ still created the edge ``(src, dst)`` in ``E_t`` (the adversary observes the
 send attempt; the environment eats the payload afterwards).
 
 Hot path: one 24-byte digest yields the drop/delay/duplicate coins of one
-(message, rule) pair, and rounds where no message rule is active skip the
-PRF entirely (``message_faults_active`` lets the network keep multicasts
-un-exploded on such rounds).
+(message, rule) pair — the batch draws them in one tight loop and does
+everything else (position cuts, latency bands, duplicate expansion, rate-cap
+running counts) as array operations — and rounds where no message rule is
+active skip the PRF entirely (``message_faults_active`` lets the network
+keep multicasts un-exploded on such rounds).
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
+
+import numpy as np
 
 from repro.faults.plan import (
     AsymmetricPartition,
@@ -46,6 +53,9 @@ _U64 = float(1 << 64)
 
 #: Fate of an undisturbed message: one copy, one round of latency.
 _CLEAN_FATE = (1,)
+
+#: Copies per block of the batch coin loop (bounds its transient memory).
+_COIN_BLOCK = 8192
 
 
 class FaultInjector:
@@ -97,6 +107,35 @@ class FaultInjector:
         h.update(struct.pack("<qqqqq", a, b, c, d, e))
         x, y, z = struct.unpack("<QQQ", h.digest())
         return x / _U64, y / _U64, z / _U64
+
+    def _coins3_batch(
+        self, t: int, seqs: np.ndarray, srcs: np.ndarray, dsts: np.ndarray, rule: int
+    ) -> np.ndarray:
+        """:meth:`_coins3` of the message base over scope columns: ``(m, 3)``.
+
+        Digests are drawn a block at a time so the packed scopes and the
+        digest bytes of a whole round never sit in memory together.
+        """
+        coins = np.empty((seqs.size, 3))
+        clone = self._msg_base.copy
+
+        def digest(off: int) -> bytes:
+            h = clone()
+            h.update(raw[off:off + 40])
+            return h.digest()
+
+        for lo in range(0, seqs.size, _COIN_BLOCK):
+            hi = lo + _COIN_BLOCK
+            scope = np.empty((seqs[lo:hi].size, 5), dtype="<i8")
+            scope[:, 0] = t
+            scope[:, 1] = seqs[lo:hi]
+            scope[:, 2] = srcs[lo:hi]
+            scope[:, 3] = dsts[lo:hi]
+            scope[:, 4] = rule
+            raw = scope.tobytes()
+            digests = b"".join(map(digest, range(0, len(raw), 40)))
+            coins[lo:hi] = np.frombuffer(digests, dtype="<u8").reshape(-1, 3) / _U64
+        return coins
 
     # ------------------------------------------------------------------
     # Round lifecycle
@@ -271,3 +310,89 @@ class FaultInjector:
         if fates == [1]:
             return _CLEAN_FATE
         return tuple(fates)
+
+    def message_fates_batch(
+        self, t: int, srcs: np.ndarray, dsts: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Fates of one whole frozen round, as ``(copy, latency)`` columns.
+
+        Equivalent to :meth:`message_fates` per ``(srcs[i], dsts[i])`` in
+        order — same coins over the same ``(t, seq, src, dst, rule)`` scope,
+        same counters, same ``_seq`` afterwards.  Entry ``j`` of the result
+        is one pending copy: ``copy[j]`` indexes the message it came from
+        (ascending; a dropped message is absent, a duplicated one repeats
+        adjacently) and ``latency[j]`` is its delivery latency in rounds.
+        """
+        m = srcs.size
+        keep = np.ones(m, dtype=bool)
+        extra = np.zeros(m, dtype=np.int64)
+        dups = np.zeros(m, dtype=np.int64)
+        if self._partitions or self._asymmetric or self._latencies:
+            # Rules read positions through their own scalar predicates, once
+            # per distinct node; the per-copy work is a gather.
+            ids, at = np.unique(np.concatenate((srcs, dsts)), return_inverse=True)
+            pos = [self._position(v) for v in ids.tolist()]
+            s_at, d_at = at[:m], at[m:]
+            for cut in self._partitions:
+                inside = np.array([cut.inside(p) for p in pos], dtype=bool)
+                keep &= inside[s_at] == inside[d_at]
+            for cut in self._asymmetric:
+                inside = np.array([cut.inside(p) for p in pos], dtype=bool)
+                keep &= ~inside[s_at] | inside[d_at]
+            for matrix in self._latencies:
+                band = np.array([matrix.band_of(p) for p in pos], dtype=np.int64)
+                extra += np.array(matrix.delays)[band[s_at], band[d_at]]
+        if self._msg_rules:
+            live = np.flatnonzero(keep)
+            seqs = np.arange(self._seq, self._seq + live.size)
+            self._seq += live.size
+            for i, rule in self._msg_rules:
+                coins = self._coins3_batch(t, seqs, srcs[live], dsts[live], i)
+                extra[live[coins[:, 1] < rule.delay_p]] += rule.delay_rounds
+                dups[live[coins[:, 2] < rule.duplicate_p]] += 1
+                passed = coins[:, 0] >= rule.drop_p
+                keep[live[~passed]] = False
+                live = live[passed]
+                seqs = seqs[passed]
+        kept = np.flatnonzero(keep)
+        extra = extra[kept]
+        dups = dups[kept]
+        self._dropped += m - kept.size
+        self._delayed += int(np.count_nonzero(extra))
+        self._duplicated += int(dups.sum())
+        copy = np.repeat(kept, 1 + dups)
+        latency = np.repeat(1 + extra, 1 + dups)
+        if self._ratecaps and copy.size:
+            latency += self._rate_deferrals(srcs[copy])
+        return copy, latency
+
+    def _rate_deferrals(self, srcs: np.ndarray) -> np.ndarray:
+        """Rate-cap deferral per copy: a running count per (rule, source)."""
+        defer = np.zeros(srcs.size, dtype=np.int64)
+        for i, rule in self._ratecaps:
+            if rule.nodes is None:
+                capped = np.arange(srcs.size)
+            else:
+                capped = np.flatnonzero(np.isin(srcs, sorted(rule.nodes)))
+            if not capped.size:
+                continue
+            # Stable sort by source: a copy's rank within its source's run is
+            # how many of that source's copies were filed before it.
+            order = np.argsort(srcs[capped], kind="stable")
+            run = srcs[capped][order]
+            starts = np.flatnonzero(np.r_[True, run[1:] != run[:-1]])
+            sizes = np.diff(np.r_[starts, run.size])
+            nodes = run[starts].tolist()
+            before = [self._cap_counts.get((i, v), 0) for v in nodes]
+            for v, count, size in zip(nodes, before, sizes.tolist()):
+                self._cap_counts[(i, v)] = count + size
+            over = (
+                np.arange(1, run.size + 1)
+                + np.repeat(np.array(before) - starts, sizes)
+                - rule.limit
+            )
+            periods = np.where(over > 0, (over - 1) // rule.limit + 1, 0)
+            at = capped[order]
+            defer[at] = np.maximum(defer[at], periods * rule.defer_rounds)
+        self._deferred += int(np.count_nonzero(defer))
+        return defer

@@ -267,11 +267,12 @@ class Engine:
         self.strict_budget = strict_budget
         self.lifecycle = Lifecycle()
         self.network = Network()
-        if hop_plane and faults is None:
-            # The columnar hop plane assumes every send of a round shares one
-            # delivery fate; any fault plan can delay/duplicate copies across
-            # rounds, which would defeat per-round hop interning — fall back
-            # to the per-copy object path whenever faults are in play.
+        if hop_plane:
+            # Routed hops travel as columns, with or without a fault plan:
+            # fates split a round's copies into per-latency segments and
+            # delivery re-interns the segments due together (see
+            # repro.sim.hopplane).  ``hop_plane=False`` is the per-copy
+            # reference mode the equivalence suite compares against.
             self.network.plane = HopPlane()
         self.fault_plan = faults
         self.faults = (

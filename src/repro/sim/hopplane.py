@@ -25,12 +25,17 @@ copies per logical hop per receiver that is the dominant round cost.
   the columns through :attr:`HopDelivery.cache` and merely gather their row
   subset — instead of once per copy per receiver.
 
-The plane is only mounted when no fault plan is active: fault fates can
-split one round's copies across delivery rounds, which breaks the one-round
-row-interning invariant (a delayed copy must still deduplicate against a
-fresh copy of the same logical hop; see ``Engine.__init__``).  Fault runs
-keep the per-copy object path, whose behaviour the plane is pinned against
-bit-for-bit by the equivalence suite.
+The plane carries fault plans too.  Fates arrive as per-copy columns at
+``close_send_phase``; :meth:`FrozenHopRound.cut` keeps the copies that share
+one delivery latency as a *segment* (dropped copies gone, duplicates
+adjacent, send order kept) and the network queues one segment per latency.
+Rows are interned per round, so the segments due together — a delayed one
+from an earlier round beside this round's undisturbed copies — are first
+:meth:`~FrozenHopRound.merged`: concatenated oldest first with their rows
+re-interned on the same ``(message identity, step)`` key, so a delayed copy
+still deduplicates against a fresh copy of the same logical hop, exactly as
+the per-receiver seen-set of the object path (``hop_plane=False``, the
+reference the equivalence suite compares against) would have it.
 """
 
 from __future__ import annotations
@@ -92,6 +97,12 @@ class FrozenHopRound:
     live plane grew are released immediately, so a pending round (and the
     trace's :class:`~repro.sim.network.EdgeLog`, which shares this object)
     holds 8-byte machine ints instead of Python list slots plus boxed ints.
+
+    ``srcs`` / ``send_rows`` / ``lens`` hold one entry per multicast and
+    ``flat`` one per receiver copy.  A *segment* (:meth:`cut`, :meth:`merged`)
+    is the same thing already expanded: ``send_rows`` is per copy, ``lens``
+    is ``None``, and there are no sources — its edges were logged from the
+    round it was cut from.
     """
 
     __slots__ = ("msgs", "steps", "srcs", "send_rows", "lens", "flat")
@@ -99,22 +110,65 @@ class FrozenHopRound:
     def __init__(
         self,
         msgs: list[object],
-        steps: list[int],
-        srcs: list[int],
-        send_rows: list[int],
-        lens: list[int],
-        flat: list[int],
+        steps: np.ndarray,
+        srcs: np.ndarray | None,
+        send_rows: np.ndarray,
+        lens: np.ndarray | None,
+        flat: np.ndarray,
     ) -> None:
         self.msgs = msgs
-        self.steps = np.array(steps, dtype=np.int32)
-        self.srcs = _freeze_i32(srcs)
-        self.send_rows = _freeze_i32(send_rows)
-        self.lens = _freeze_i32(lens)
-        self.flat = _freeze_i32(flat)
+        self.steps = steps
+        self.srcs = srcs
+        self.send_rows = send_rows
+        self.lens = lens
+        self.flat = flat
 
     def copies(self) -> int:
         """Total receiver copies frozen in this round."""
         return int(self.flat.size)
+
+    def copy_rows(self) -> np.ndarray:
+        """The row id of every receiver copy, in send order."""
+        if self.lens is None:
+            return self.send_rows
+        return np.repeat(self.send_rows, self.lens)
+
+    def cut(self, copies: np.ndarray) -> "FrozenHopRound":
+        """The segment holding ``copies`` only (ascending copy indices; a
+        repeated index is a duplicated copy).  Shares the row columns."""
+        return FrozenHopRound(
+            self.msgs, self.steps, None, self.copy_rows()[copies], None, self.flat[copies]
+        )
+
+    @classmethod
+    def merged(cls, segments: Sequence["FrozenHopRound"]) -> "FrozenHopRound":
+        """One delivery round out of the segments due together, oldest first.
+
+        Each segment numbers its rows within the round that sent it; the
+        rows a segment still uses are re-interned here on the plane's
+        ``(message identity, step)`` key, so copies of one logical hop sent
+        in different rounds share a row and deduplicate per receiver.
+        """
+        plane = HopPlane()
+        rows: list[np.ndarray] = []
+        for seg in segments:
+            seg_rows = seg.copy_rows()
+            used = np.zeros(len(seg.msgs), dtype=bool)
+            used[seg_rows] = True
+            remap = np.zeros(len(seg.msgs), dtype=np.int32)
+            seg_msgs = seg.msgs
+            seg_steps = seg.steps.tolist()
+            for i in np.flatnonzero(used).tolist():
+                remap[i] = plane.intern(seg_msgs[i], seg_steps[i])
+            rows.append(remap[seg_rows])
+        return cls(
+            plane._msgs,
+            _freeze_i32(plane._steps),
+            None,
+            np.concatenate(rows),
+            None,
+            np.concatenate([seg.flat for seg in segments]),
+        )
 
     def edge_columns(self) -> tuple[np.ndarray, np.ndarray]:
         """The round's hop edges as ``(srcs, dsts)`` per-copy id arrays."""
@@ -136,7 +190,7 @@ class FrozenHopRound:
         pre-dedup — it mirrors the legacy inbox length.
         """
         flat = self.flat
-        rows = np.repeat(self.send_rows, self.lens)
+        rows = self.copy_rows()
         order = np.argsort(flat, kind="stable")  # stable: keep send order per dst
         dst_sorted = flat[order]
         row_sorted = rows[order]
@@ -199,18 +253,13 @@ class HopPlane:
         self._lens: list[int] = []
         self._flat: list[int] = []
 
-    def send(self, src: int, msg: object, step: int, dsts: Sequence[int]) -> int:
-        """File one hop multicast; returns the number of copies created.
+    def intern(self, msg: object, step: int) -> int:
+        """The row id of the logical hop ``(msg, step)``, assigned on first use.
 
-        ``dsts`` must be a plain-``int`` sequence (the node hot paths already
-        produce those).  The ``(message identity, step)`` pair is interned to
-        a row id — message objects are shared per logical request with
-        once-only construction, so identity equals the documented msg_id
-        dedup, exactly like the legacy ``Hop`` path.
+        Message objects are shared per logical request with once-only
+        construction, so identity equals the documented msg_id dedup,
+        exactly like the legacy ``Hop`` path.
         """
-        n = len(dsts)
-        if n == 0:
-            return 0
         # Pack (identity, step) into one int: cheaper to hash than a tuple.
         # Steps are bounded by final_step = 2*lam + 2 << 128, so the low
         # 7 bits never collide across message identities.
@@ -223,8 +272,19 @@ class HopPlane:
             self._reg[key] = row
             self._msgs.append(msg)
             self._steps.append(step)
+        return row
+
+    def send(self, src: int, msg: object, step: int, dsts: Sequence[int]) -> int:
+        """File one hop multicast; returns the number of copies created.
+
+        ``dsts`` must be a plain-``int`` sequence (the node hot paths already
+        produce those).
+        """
+        n = len(dsts)
+        if n == 0:
+            return 0
         self._srcs.append(src)
-        self._rows.append(row)
+        self._rows.append(self.intern(msg, step))
         self._lens.append(n)
         self._flat.extend(dsts)
         return n
@@ -314,15 +374,19 @@ class HopPlane:
     def close_round(self) -> FrozenHopRound | None:
         """Freeze this round's hop sends; ``None`` when there were none.
 
-        Row interning is per round by design: all copies of a logical hop
-        are sent and delivered within one round boundary (the plane is never
-        mounted together with fault plans, which are the only source of
-        cross-round copies).
+        Row interning is per round: copies that fault fates spread over
+        several delivery rounds are re-interned when their segments meet
+        (:meth:`FrozenHopRound.merged`).
         """
         if not self._msgs:
             return None
         frozen = FrozenHopRound(
-            self._msgs, self._steps, self._srcs, self._rows, self._lens, self._flat
+            self._msgs,
+            _freeze_i32(self._steps),
+            _freeze_i32(self._srcs),
+            _freeze_i32(self._rows),
+            _freeze_i32(self._lens),
+            _freeze_i32(self._flat),
         )
         self._reset()
         return frozen

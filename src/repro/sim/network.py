@@ -23,15 +23,20 @@ C-level ``tolist`` instead of a per-id generator, delivery shares one
 ``has_pending`` reads a running counter instead of scanning the buckets.
 
 **Fault hook.**  An optional :attr:`Network.fault_hook` (duck-typed to
-:class:`repro.faults.injector.FaultInjector`) is consulted once per frozen
-receiver at ``close_send_phase``: it returns the message's *fates* — a tuple
-of delivery latencies in rounds (``(1,)`` = normal, ``()`` = dropped,
-``(1+k,)`` = delayed, extra entries = duplicates).  The pending queue is a
-set of latency buckets, so delayed copies simply sit in a higher bucket
-until their round comes; churn is still checked at delivery time, so a node
-that leaves while a delayed message is in flight never receives it.  Edges
-are frozen *before* the hook runs — a dropped message still created its
-edge (the adversary observes send attempts, the environment eats payloads).
+:class:`repro.faults.injector.FaultInjector`) is consulted once per round at
+``close_send_phase``: it gets the frozen round as ``(src, dst)`` columns —
+singles, then multicasts, then hop-plane copies, each in send order — and
+returns the round's *fates* as ``(copy, latency)`` columns, one entry per
+pending copy (a dropped message has none, a duplicated one several,
+``latency`` is 1 for normal delivery and ``1 + k`` for a delayed copy).  The
+pending queues are latency buckets: object messages are filed per bucket,
+hop copies as one :meth:`~repro.sim.hopplane.FrozenHopRound.cut` segment
+per bucket, and ``deliver`` merges the hop segments due together so a
+delayed copy deduplicates against a fresh one of the same logical hop.
+Churn is still checked at delivery time, so a node that leaves while a
+delayed message is in flight never receives it.  Edges are frozen *before*
+the hook runs — a dropped message still created its edge (the adversary
+observes send attempts, the environment eats payloads).
 """
 
 from __future__ import annotations
@@ -56,13 +61,21 @@ Inbox = list[tuple[int, object]]
 _BATCH = object()
 
 
+def _pop_due(buckets: dict[int, list]) -> tuple[list, dict[int, list]]:
+    """Take bucket 1 out of latency ``buckets``; the rest move one step closer."""
+    due = buckets.pop(1, [])
+    return due, {k - 1: v for k, v in buckets.items()} if buckets else buckets
+
+
 class FaultHook(Protocol):  # pragma: no cover - typing aid only
     """What the network needs from a fault injector."""
 
     @property
     def message_faults_active(self) -> bool: ...
 
-    def message_fates(self, t: int, src: int, dst: int) -> tuple[int, ...]: ...
+    def message_fates_batch(
+        self, t: int, srcs: np.ndarray, dsts: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]: ...
 
 
 class EdgeLog:
@@ -148,6 +161,11 @@ class EdgeLog:
         self._multis = None
         self._hops = None
 
+    def columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(srcs, dsts)`` id arrays in send order (compacts the log)."""
+        self.compact()
+        return self._srcs, self._dsts
+
     def _materialize(self) -> list[tuple[int, int]]:
         if self._srcs is not None:
             # Compacted: rebuild pairs on demand, never cache them (the whole
@@ -204,9 +222,11 @@ class Network:
         self._sending_multi: list[tuple[int, tuple[int, ...], object]] = []
         # Pending queues, bucketed by delivery countdown: bucket ``k`` is
         # delivered at the ``k``-th next ``deliver`` call (normal traffic
-        # lives in bucket 1; only faults populate higher buckets).
+        # lives in bucket 1; only faults populate higher buckets).  Every
+        # bucket is in chronological send order.
         self._pending: dict[int, list[tuple[int, int, object]]] = {}
         self._pending_multi: dict[int, list[tuple[int, Sequence[int], object]]] = {}
+        self._pending_hops: dict[int, list[FrozenHopRound]] = {}
         self._sent_counts: defaultdict[int, int] = defaultdict(int)
         # Running count of undelivered receiver-copies across the sending
         # lists and every bucket; ``has_pending`` is O(1) because of it.
@@ -215,11 +235,10 @@ class Network:
         #: paper's perfectly reliable synchronous network.
         self.fault_hook: FaultHook | None = None
         #: Optional columnar transport for routed hops (mounted by the engine
-        #: in fault-free runs; see :mod:`repro.sim.hopplane`).  When present,
-        #: protocols send hops via :meth:`send_hops` and receive them as
-        #: shared row arrays (:attr:`hop_delivery`) instead of inbox objects.
+        #: unless ``hop_plane=False``; see :mod:`repro.sim.hopplane`).  When
+        #: present, protocols send hops via :meth:`send_hops` and receive them
+        #: as shared row arrays (:attr:`hop_delivery`) instead of inbox objects.
         self.plane: HopPlane | None = None
-        self._pending_hops: FrozenHopRound | None = None
         #: The hop arrivals of the latest :meth:`deliver` call (or ``None``).
         self.hop_delivery: HopDelivery | None = None
         self._round = 0  # rounds closed so far (the ``t`` passed to the hook)
@@ -341,60 +360,69 @@ class Network:
         """
         hop_round = self.plane.close_round() if self.plane is not None else None
         edges = EdgeLog(self._sending, self._sending_multi, hop_round)
-        if hop_round is not None:
-            if self._pending_hops is not None:  # pragma: no cover - engine bug
-                raise RuntimeError("hop round closed before previous delivery")
-            self._pending_hops = hop_round
         sent = dict(self._sent_counts)
         hook = self.fault_hook
         if hook is None or not hook.message_faults_active:
             self._pending.setdefault(1, []).extend(self._sending)
             self._pending_multi.setdefault(1, []).extend(self._sending_multi)
+            if hop_round is not None:
+                self._pending_hops.setdefault(1, []).append(hop_round)
         else:
-            self._apply_faults(hook)
+            self._apply_faults(hook, edges, hop_round)
         self._sending = []
         self._sending_multi = []
         self._sent_counts = defaultdict(int)
         self._round += 1
         return edges, sent
 
-    def _apply_faults(self, hook: FaultHook) -> None:
-        """File each frozen message into its fate buckets."""
-        t = self._round
-        pending = self._pending
-        pending_multi = self._pending_multi
-        count = 0
-        singles_frozen = 0
-        for src, dst, msg in self._sending:
-            if dst is _BATCH:
-                # Expand in place: each batched single gets its own fates and
-                # lands in the buckets as a plain triple, preserving order.
-                singles_frozen += len(msg)
-                for d2, m2 in msg:
-                    for latency in hook.message_fates(t, src, d2):
-                        pending.setdefault(latency, []).append((src, d2, m2))
-                        count += 1
-                continue
-            singles_frozen += 1
-            for latency in hook.message_fates(t, src, dst):
-                pending.setdefault(latency, []).append((src, dst, msg))
-                count += 1
-        for src, dsts, msg in self._sending_multi:
-            # Group surviving receivers by latency so the shared-payload
-            # multicast structure (and in-bucket receiver order) is kept;
-            # an undisturbed multicast stays one entry in bucket 1.
-            groups: dict[int, list[int]] = {}
-            for dst in dsts:
-                for latency in hook.message_fates(t, src, dst):
-                    groups.setdefault(latency, []).append(dst)
-            for latency, group in groups.items():
-                pending_multi.setdefault(latency, []).append((src, group, msg))
-                count += len(group)
+    def _apply_faults(
+        self, hook: FaultHook, edges: EdgeLog, hop_round: FrozenHopRound | None
+    ) -> None:
+        """File the frozen round into its fate buckets, one latency at a time.
+
+        The hook sees the round as the edge log's columns — singles (batches
+        expanded in place), multicasts, hop copies — and every bucket keeps
+        that order: a multicast stays one shared-payload entry per latency
+        its receivers were given, hop copies one plane segment.
+        """
+        srcs, dsts = edges.columns()
+        copy, latency = hook.message_fates_batch(self._round, srcs, dsts)
+        singles: list[tuple[int, int, object]] = []
+        for entry in self._sending:
+            if entry[1] is _BATCH:
+                src = entry[0]
+                singles.extend([(src, dst, msg) for dst, msg in entry[2]])
+            else:
+                singles.append(entry)
+        multis = self._sending_multi
+        hops_from = srcs.size - (hop_round.copies() if hop_round is not None else 0)
+        # Which multicast each multicast copy belongs to.
+        owner = np.repeat(
+            np.arange(len(multis)),
+            np.fromiter((len(d) for _, d, _ in multis), np.int64, len(multis)),
+        )
+        for lat in np.flatnonzero(np.bincount(latency)).tolist():
+            due = copy[latency == lat]  # ascending, duplicates adjacent
+            a, b = np.searchsorted(due, (len(singles), hops_from)).tolist()
+            if a:
+                self._pending.setdefault(lat, []).extend(
+                    [singles[i] for i in due[:a].tolist()]
+                )
+            if b > a:
+                own = owner[due[a:b] - len(singles)]
+                receivers = dsts[due[a:b]].tolist()
+                cuts = [0, *(np.flatnonzero(own[1:] != own[:-1]) + 1).tolist(), b - a]
+                bucket = self._pending_multi.setdefault(lat, [])
+                for lo, hi in zip(cuts, cuts[1:]):
+                    src, _, msg = multis[own[lo]]
+                    bucket.append((src, receivers[lo:hi], msg))
+            if b < due.size:
+                self._pending_hops.setdefault(lat, []).append(
+                    hop_round.cut(due[b:] - hops_from)
+                )
         # Drops and duplicates change the copy count; re-base the counter on
         # what actually reached the buckets this round.
-        self._pending_count += count - (
-            singles_frozen + sum(len(d) for _, d, _ in self._sending_multi)
-        )
+        self._pending_count += copy.size - srcs.size
 
     def deliver(
         self, alive: frozenset[int] | set[int]
@@ -409,12 +437,9 @@ class Network:
         one multicast share a single ``(sender, payload)`` pair, and the
         no-fault fast path (everything in bucket 1) skips the bucket shift.
         """
-        due = self._pending.pop(1, [])
-        due_multi = self._pending_multi.pop(1, [])
-        if self._pending:
-            self._pending = {k - 1: v for k, v in self._pending.items()}
-        if self._pending_multi:
-            self._pending_multi = {k - 1: v for k, v in self._pending_multi.items()}
+        due, self._pending = _pop_due(self._pending)
+        due_multi, self._pending_multi = _pop_due(self._pending_multi)
+        due_hops, self._pending_hops = _pop_due(self._pending_hops)
         inboxes: defaultdict[int, Inbox] = defaultdict(list)
         inbox_of = inboxes.__getitem__
         delivered = len(due)
@@ -437,10 +462,14 @@ class Network:
         # Every delivery appended exactly one inbox entry, so the received
         # counts are the inbox lengths — no per-message counter updates.
         received = {dst: len(entries) for dst, entries in inboxes.items()}
-        hop_round = self._pending_hops
-        self._pending_hops = None
         self.hop_delivery = None
-        if hop_round is not None:
+        if due_hops:
+            # Segments sent in different rounds number their rows apart;
+            # merging re-interns them so the one-argsort delivery dedups a
+            # delayed copy against a fresh one of the same logical hop.
+            hop_round = (
+                due_hops[0] if len(due_hops) == 1 else FrozenHopRound.merged(due_hops)
+            )
             delivery = hop_round.deliver(alive)
             self._pending_count -= delivery.total
             for dst, count in delivery.counts.items():

@@ -61,8 +61,8 @@ def recording_enabled(label: str | None = None) -> bool:
     return label is not None or os.environ.get(RECORD_ENV) == "1"
 
 #: Required per-entry fields and their types (``label``, ``workers`` and
-#: the per-round ``exchange_bytes_pipe`` / ``exchange_bytes_shm`` counters
-#: are optional; ``workers`` is absent on records that predate the sharded
+#: the per-round ``exchange_bytes_pipe`` / ``exchange_bytes_shm`` /
+#: ``msgs_per_round`` counters are optional; ``workers`` is absent on records that predate the sharded
 #: engine and means 1).
 _ENTRY_FIELDS: dict[str, type | tuple[type, ...]] = {
     "created": str,
@@ -101,12 +101,15 @@ def make_entry(
     workers: int | None = None,
     exchange_bytes_pipe: int | None = None,
     exchange_bytes_shm: int | None = None,
+    msgs_per_round: int | None = None,
 ) -> dict:
     """One schema-valid benchmark entry (RSS sampled at call time).
 
     ``exchange_bytes_pipe`` / ``exchange_bytes_shm`` are *per simulated
     round* (like ``seconds_per_round``): the shard exchange's control-plane
     and shared-memory traffic on sharded runs.  Omitted on serial rows.
+    ``msgs_per_round`` is the message copies sent per timed round, for rows
+    whose cost is to be read per message (fault mixes change the traffic).
     """
     entry = {
         "created": created
@@ -126,6 +129,8 @@ def make_entry(
         entry["exchange_bytes_pipe"] = int(exchange_bytes_pipe)
     if exchange_bytes_shm is not None:
         entry["exchange_bytes_shm"] = int(exchange_bytes_shm)
+    if msgs_per_round is not None:
+        entry["msgs_per_round"] = int(msgs_per_round)
     return entry
 
 
@@ -195,7 +200,7 @@ def _validate_entry(entry: object, where: str) -> None:
         or entry["workers"] < 1
     ):
         raise ValueError(f"{where}: workers must be a positive int")
-    for name in ("exchange_bytes_pipe", "exchange_bytes_shm"):
+    for name in ("exchange_bytes_pipe", "exchange_bytes_shm", "msgs_per_round"):
         if name in entry and (
             not isinstance(entry[name], int)
             or isinstance(entry[name], bool)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import pytest
 
-from .simfp import run_scenario
+from .simfp import SCENARIOS, run_scenario
 
 #: Captured from the seed implementation (before the epoch cache and hop
 #: plane existed).  Any behavioural drift — one extra RNG draw, one
@@ -38,6 +38,28 @@ def test_reference_matches_golden(scenario):
     """With caches disabled the original code paths still run — and agree."""
     fp = run_scenario(scenario, epoch_cache=False, hop_plane=False)
     assert fp == GOLDEN[scenario]
+
+
+@pytest.mark.parametrize(
+    ("scenario", "workers"), [("faults", 1), ("churn_faults", 1), ("faults", 2)]
+)
+def test_fault_scenarios_ride_the_hop_plane(scenario, workers):
+    """Pin the path, not just the digest: a fault plan must not unmount the
+    plane, or the golden and shard-identity fault cells above would pass on
+    the per-copy object path without ever touching the columnar one."""
+    sim = SCENARIOS[scenario][0](workers=workers)
+    try:
+        network = sim.engine.network
+        assert sim.engine.faults is not None and network.plane is not None
+        plane_copies = 0
+        for _ in range(8):
+            sim.engine.run_round()
+            if network.hop_delivery is not None:
+                plane_copies += network.hop_delivery.total
+            assert not any(network._pending_multi.values())  # no hop is an object
+        assert plane_copies > 0
+    finally:
+        sim.close()
 
 
 def test_cache_without_plane_matches_golden():

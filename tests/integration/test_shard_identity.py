@@ -6,8 +6,9 @@ in global node order.  These tests pin that the full-simulation fingerprint
 — per-round metrics, exact edge multisets, churn decisions, every node's
 final state, audits and probe deliveries — is unchanged for every worker
 count, across steady state, churn and message/stall faults (the fault
-scenarios exercise the legacy per-copy hop path and its cross-process
-message re-canonicalisation).
+scenarios replay worker sends into the master's hop plane, where fates cut
+them into per-latency segments — delayed copies lean on the cross-process
+message re-canonicalisation to deduplicate against fresh ones).
 
 The pairs below cover W ∈ {2, 4} against the W=1 reference while keeping
 suite wall-time in check (each sharded run pays per-round pickling; the

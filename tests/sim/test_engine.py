@@ -7,6 +7,7 @@ import pytest
 from repro.adversary.base import Adversary, ChurnDecision, JoinRequest
 from repro.adversary.budget import ChurnViolation
 from repro.config import ProtocolParams
+from repro.faults.plan import FaultPlan, MessageFaults
 from repro.sim.engine import Engine, JoinNotice, NodeContext, NodeProtocol
 
 
@@ -174,6 +175,46 @@ class TestChurnSemantics:
         eng.run(2)
         assert eng.trace.leaves_at(1) == (1,)
         assert eng.trace.joins_at(1) == (16,)
+
+
+class LateChurnAdversary(LeaveOneAdversary):
+    """The same swap one round later — the round a 1-round-late copy lands."""
+
+    def __init__(self):
+        super().__init__()
+        self.active_from = 2
+
+
+class HopSpamProtocol(NodeProtocol):
+    """Node 0 multicasts one hop in round 0 — also to the not-yet-born id 16."""
+
+    def __init__(self, node_id: int, services) -> None:
+        self.hops: list[tuple[int, int]] = []  # (round, rows received)
+
+    def on_round(self, ctx: NodeContext) -> None:
+        if ctx.hops is not None:
+            self.hops.append((ctx.round, len(ctx.hops)))
+        if ctx.round == 0 and ctx.node_id == 0:
+            ctx.send_hops("hop", 0, [1, 2, 16])
+
+
+class TestHopPlaneUnderFaults:
+    def test_plane_is_mounted_with_a_fault_plan(self):
+        plan = FaultPlan(seed=1, messages=(MessageFaults(drop_p=0.5),))
+        assert make_engine(EchoProtocol, faults=plan).network.plane is not None
+        assert make_engine(EchoProtocol, faults=plan, hop_plane=False).network.plane is None
+
+    def test_delayed_copy_skips_leaver_and_joiner_of_its_delivery_round(self):
+        plan = FaultPlan(seed=1, messages=(MessageFaults(delay_p=1.0, delay_rounds=1),))
+        eng = make_engine(HopSpamProtocol, adversary=LateChurnAdversary(), faults=plan)
+        eng.run(2)
+        assert eng.network.has_pending  # all three copies are still in flight
+        eng.run(2)  # round 2: node 1 leaves and 16 joins as the copies land
+        assert 1 not in eng.alive and 16 in eng.alive
+        assert eng.protocol_of(2).hops == [(2, 1)]
+        assert eng.protocol_of(16).hops == []
+        assert not eng.network.has_pending
+        assert eng.reports[0].metrics.faults.delayed == 3
 
 
 class TestSortedAliveCache:

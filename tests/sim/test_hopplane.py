@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from repro.sim.hopplane import HopPlane
+import numpy as np
+
+from repro.sim.hopplane import FrozenHopRound, HopPlane
 
 
 class Msg:
@@ -82,3 +84,46 @@ def test_close_round_resets_interning():
     second = plane.close_round()
     assert first.msgs is not second.msgs
     assert second.copies() == 1
+
+
+def test_cut_keeps_the_named_copies_in_order():
+    plane = HopPlane()
+    m1, m2 = Msg(), Msg()
+    plane.send(1, m1, 0, [10, 11, 12])
+    plane.send(2, m2, 0, [11])
+    frozen = plane.close_round()
+    # Copy 1 dropped, copy 2 duplicated, copy 3 kept.
+    segment = frozen.cut(np.array([0, 2, 2, 3]))
+    assert segment.copies() == 4
+    assert segment.flat.tolist() == [10, 12, 12, 11]
+    assert [frozen.msgs[r] for r in segment.copy_rows().tolist()] == [m1, m1, m1, m2]
+    assert segment.msgs is frozen.msgs  # row columns are shared, not copied
+    delivery = segment.deliver(alive={10, 11, 12})
+    assert delivery.counts == {10: 1, 11: 1, 12: 2}  # the duplicate is counted...
+    assert delivery.rows[12].tolist() == [frozen.msgs.index(m1)]  # ...and deduped
+
+
+def test_merged_reinterns_rows_across_rounds():
+    plane = HopPlane()
+    m1, m2, m3 = Msg(), Msg(), Msg()
+    plane.send(1, m2, 0, [10])
+    plane.send(1, m1, 4, [10, 11])
+    older = plane.close_round()
+    plane.send(2, m1, 4, [10])  # the same logical hop, sent a round later
+    plane.send(2, m1, 5, [10])  # same message, next step: a different hop
+    plane.send(2, m3, 0, [11])
+    newer = plane.close_round()
+    assert older.msgs.index(m1) != newer.msgs.index(m1)  # numbered per round
+
+    late = older.cut(np.array([1, 2]))  # only the (m1, 4) copies were delayed
+    merged = FrozenHopRound.merged([late, newer])
+    hops = list(zip(merged.msgs, merged.steps.tolist()))
+    assert hops == [(m1, 4), (m1, 5), (m3, 0)]  # m2 is not in any due copy
+    assert merged.flat.tolist() == [10, 11, 10, 10, 11]  # oldest segment first
+    delivery = merged.deliver(alive={10, 11})
+    assert delivery.total == 5
+    assert delivery.counts == {10: 3, 11: 2}
+    arrived = {
+        dst: [hops[r] for r in rows.tolist()] for dst, rows in delivery.rows.items()
+    }
+    assert arrived == {10: [(m1, 4), (m1, 5)], 11: [(m1, 4), (m3, 0)]}

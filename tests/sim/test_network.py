@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.sim.hopplane import HopPlane
 from repro.sim.network import Network
 
 
@@ -14,8 +15,12 @@ class StubHook:
         self.fates = fates or {}
         self.message_faults_active = active
 
-    def message_fates(self, t, src, dst):
-        return self.fates.get((src, dst), (1,))
+    def message_fates_batch(self, t, srcs, dsts):
+        pairs = zip(srcs.tolist(), dsts.tolist())
+        fates = [self.fates.get(pair, (1,)) for pair in pairs]
+        copy = [i for i, lats in enumerate(fates) for _ in lats]
+        latency = [lat for lats in fates for lat in lats]
+        return np.array(copy, dtype=np.int64), np.array(latency, dtype=np.int64)
 
 
 class TestSendDeliver:
@@ -188,6 +193,107 @@ class TestFaultHook:
         net.close_send_phase()
         inboxes, _ = net.deliver({2})
         assert inboxes == {2: [(1, "x")]}
+
+
+class Msg:
+    """Stand-in routed message (the plane interns on identity)."""
+
+
+def plane_network(fates=None) -> Network:
+    net = Network()
+    net.plane = HopPlane()
+    net.fault_hook = StubHook(fates)
+    return net
+
+
+def arrived(net: Network) -> dict[int, list[tuple[object, int]]]:
+    """The latest hop delivery as ``receiver -> [(msg, step), ...]``."""
+    delivery = net.hop_delivery
+    if delivery is None:
+        return {}
+    steps = delivery.steps.tolist()
+    return {
+        dst: [(delivery.msgs[r], steps[r]) for r in rows.tolist()]
+        for dst, rows in delivery.rows.items()
+    }
+
+
+class TestHopPlaneFaults:
+    """What fates add to the columnar transport."""
+
+    def test_delayed_copy_arrives_k_rounds_late_and_dedups_with_a_fresh_one(self):
+        net = plane_network({(1, 9): (3,)})  # k = 2 extra rounds
+        m = Msg()
+        net.send_hops(1, m, 4, [8, 9])
+        net.close_send_phase()
+        alive = {1, 2, 8, 9}
+        _, received = net.deliver(alive)  # t+1: only the undisturbed copy
+        assert arrived(net) == {8: [(m, 4)]} and received == {8: 1}
+        net.close_send_phase()
+        net.deliver(alive)  # t+2: nothing due
+        assert net.hop_delivery is None and net.has_pending
+        # The same logical hop is sent again a round before the late copy lands.
+        net.send_hops(2, m, 4, [9])
+        other = Msg()
+        net.send_hops(2, other, 0, [9])
+        net.close_send_phase()
+        _, received = net.deliver(alive)  # t+1+k
+        assert received == {9: 3}  # every copy is counted ...
+        assert arrived(net) == {9: [(m, 4), (other, 0)]}  # ... the hop is seen once
+        assert not net.has_pending
+
+    def test_duplicated_copy_counts_twice_and_is_seen_once(self):
+        net = plane_network({(1, 9): (1, 1)})
+        m = Msg()
+        net.send_hops(1, m, 0, [8, 9])
+        _, sent = net.close_send_phase()
+        assert sent == {1: 2}  # duplication happens in the environment
+        _, received = net.deliver({8, 9})
+        assert net.hop_delivery.counts == {8: 1, 9: 2}
+        assert net.hop_delivery.total == 3
+        assert received == {8: 1, 9: 2}
+        assert arrived(net) == {8: [(m, 0)], 9: [(m, 0)]}
+
+    def test_dropped_copy_keeps_its_edge(self):
+        net = plane_network({(1, 9): ()})
+        net.send_hops(1, Msg(), 0, [8, 9])
+        edges, _ = net.close_send_phase()
+        assert list(edges) == [(1, 8), (1, 9)]
+        net.deliver({8, 9})
+        assert set(net.hop_delivery.rows) == {8}
+        assert not net.has_pending
+
+    def test_receiver_absent_at_the_late_delivery_gets_nothing(self):
+        """Churned out — or not admitted yet: the engine withholds a joining
+        id from the round's receivers — while the copy was in flight."""
+        net = plane_network({(1, 9): (2,)})
+        net.send_hops(1, Msg(), 0, [9])
+        net.close_send_phase()
+        net.deliver({1, 9})
+        _, received = net.deliver({1})
+        assert received == {} and net.hop_delivery.rows == {}
+        assert not net.has_pending  # the copy is spent, not requeued
+
+    def test_copies_are_conserved_across_a_delay_window(self):
+        """sent = delivered + dropped + in flight, for every transport."""
+        net = plane_network(
+            {(1, 5): (), (1, 6): (3,), (1, 7): (1, 2), (2, 5): (2,), (3, 6): ()}
+        )
+        net.send_hops(1, Msg(), 0, [4, 5, 6, 7])  # 1 dropped, 1 late, 1 duplicated
+        net.send(2, 5, "single")
+        net.send_many(3, [5, 6], "multi")
+        assert net._pending_count == 7
+        net.close_send_phase()
+        sent, dropped, duplicated = 7, 2, 1
+        in_flight = sent - dropped + duplicated
+        assert net._pending_count == in_flight
+        delivered = 0
+        for _ in range(3):
+            assert net.has_pending
+            _, received = net.deliver({4, 5, 6, 7})
+            delivered += sum(received.values())
+            assert net._pending_count == in_flight - delivered
+        assert delivered == in_flight and not net.has_pending
 
 
 class TestRoundIsolation:
