@@ -24,7 +24,6 @@ from repro.analysis.proto.engine import (
 )
 from repro.analysis.proto.extract import (
     SEND_APIS,
-    CodecInfo,
     ConstructionSite,
     ConsumerSite,
     DispatchEntry,
@@ -62,7 +61,6 @@ from repro.analysis.proto.spec import (
     DEFAULT_SPEC_NAME,
     PHASES,
     SPEC_SCHEMA,
-    CodecSpec,
     EpochSpec,
     HopSpec,
     MessageSpec,
@@ -78,8 +76,6 @@ __all__ = [
     "ALL_PHASES",
     "ALL_PROTO_RULES",
     "ClassPhases",
-    "CodecInfo",
-    "CodecSpec",
     "ConstructionSite",
     "ConsumerSite",
     "DEFAULT_PROTO_BASELINE_NAME",

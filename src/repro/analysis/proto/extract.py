@@ -29,7 +29,7 @@ Extraction is deliberately syntactic and over-approximate; the rules in
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro.analysis.flow.callgraph import ProjectIndex
@@ -52,7 +52,6 @@ __all__ = [
     "StepWrite",
     "TtlWrite",
     "EpochWrite",
-    "CodecInfo",
 ]
 
 #: Context send APIs whose calls count as wire emission sites.
@@ -61,7 +60,6 @@ SEND_APIS = frozenset(
         "send",
         "send_singles_batch",
         "send_many",
-        "send_many_batch",
         "send_hops",
         "send_hops_batch",
     }
@@ -169,7 +167,7 @@ class SendSite:
 
 @dataclass
 class StepWrite:
-    """A hop step value leaving this function (Hop ctor / step column)."""
+    """A hop step value leaving this function (``send_hops`` arg / step column)."""
 
     module: SourceModule
     qname: str
@@ -202,19 +200,6 @@ class EpochWrite:
     lineno: int
     expr: ast.expr
     bindings: dict[str, ast.expr]
-
-
-@dataclass
-class CodecInfo:
-    """Arities of the exchange pack/unpack pair named by the spec."""
-
-    module: str
-    encoder_found: bool = False
-    decoder_found: bool = False
-    encoder_arities: list[tuple[int, int]] = field(default_factory=list)
-    decoder_params: int = 0
-    decoder_lineno: int = 0
-    source_module: SourceModule | None = None
 
 
 def _is_dataclass_decorated(node: ast.ClassDef) -> bool:
@@ -321,15 +306,12 @@ class ProtocolModel:
         self.epoch_writes: list[EpochWrite] = []
         #: module dotted name -> top-level dataclass names (for P6 coverage).
         self.dataclasses_by_module: dict[str, list[tuple[str, int]]] = {}
-        self.codec: CodecInfo | None = None
 
         for mod in self.modules:
             self._scan_classes(mod)
         self._node_class_names = {nc.name for nc in self.node_classes}
         for mod in self.modules:
             self._scan_module(mod)
-        if spec.codec is not None:
-            self._scan_codec()
 
     # -- pass 1: classes ---------------------------------------------------
 
@@ -438,27 +420,6 @@ class ProtocolModel:
                     bindings=bindings,
                 )
             )
-        # Hop construction: second arg is a step write.
-        if callee == "Hop":
-            step = None
-            if len(call.args) >= 2:
-                step = call.args[1]
-            else:
-                for kw in call.keywords:
-                    if kw.arg == "step":
-                        step = kw.value
-            if step is not None:
-                self.step_writes.append(
-                    StepWrite(
-                        module=mod,
-                        qname=qname,
-                        lineno=call.lineno,
-                        expr=step,
-                        func=func,
-                        cls=cls_node,
-                        bindings=bindings,
-                    )
-                )
         # Routed payload construction — a direct ``make_routed_message``
         # call, or a local ``*routed*`` wrapper that forwards a
         # ``payload`` parameter (resolved over the flow ProjectIndex).
@@ -786,36 +747,6 @@ class ProtocolModel:
                             ),
                         )
                     )
-
-    # -- codec ---------------------------------------------------------------
-
-    def _scan_codec(self) -> None:
-        codec = self.spec.codec
-        assert codec is not None
-        info = CodecInfo(module=codec.module)
-        for mod in self.modules:
-            if mod.module != codec.module:
-                continue
-            info.source_module = mod
-            for cls_ast, func, _qname in _functions_of(mod):
-                if cls_ast is not None:
-                    continue
-                if func.name == codec.encoder:
-                    info.encoder_found = True
-                    for node in ast.walk(func):
-                        if isinstance(node, ast.Return) and isinstance(
-                            node.value, ast.Tuple
-                        ):
-                            info.encoder_arities.append(
-                                (len(node.value.elts), node.lineno)
-                            )
-                if func.name == codec.decoder:
-                    info.decoder_found = True
-                    info.decoder_params = len(
-                        func.args.posonlyargs + func.args.args
-                    )
-                    info.decoder_lineno = func.lineno
-        self.codec = info
 
     # -- summary -------------------------------------------------------------
 

@@ -291,7 +291,7 @@ class PhaseViolationRule(ProtoRule):
 
 
 # ----------------------------------------------------------------------
-# P3 — field agreement: spec <-> dataclass <-> constructor calls <-> codec
+# P3 — field agreement: spec <-> dataclass <-> constructor calls
 # ----------------------------------------------------------------------
 
 
@@ -302,8 +302,7 @@ class FieldDriftRule(ProtoRule):
     code = "P3"
     description = (
         "the spec's field list, the dataclass definition, and every "
-        "constructor call must agree (names, order, required fields); the "
-        "exchange codec's pack/unpack arity must match the spec wire tuple"
+        "constructor call must agree (names, order, required fields)"
     )
     fix_hint = "update the spec and the dataclass together, citing DESIGN.md"
 
@@ -327,7 +326,6 @@ class FieldDriftRule(ProtoRule):
             if impl is None:
                 continue
             yield from self._check_call(site, impl)
-        yield from self._check_codec(ctx)
 
     def _check_call(self, site, impl) -> Iterator[Finding]:
         fields = impl.fields
@@ -364,47 +362,6 @@ class FieldDriftRule(ProtoRule):
                     f"`{site.message}` constructed without required field "
                     f"`{f.name}`",
                 )
-
-    def _check_codec(self, ctx: ProtoContext) -> Iterator[Finding]:
-        info = ctx.model.codec
-        hops = ctx.spec.hops
-        if info is None or hops is None or info.source_module is None:
-            return
-        width = len(hops.wire_tuple)
-        mod = info.source_module
-        codec = ctx.spec.codec
-        assert codec is not None
-        if not info.encoder_found:
-            yield self.finding(
-                mod,
-                1,
-                f"spec codec names `{codec.encoder}` but "
-                f"{codec.module} defines no such function",
-            )
-        if not info.decoder_found:
-            yield self.finding(
-                mod,
-                1,
-                f"spec codec names `{codec.decoder}` but "
-                f"{codec.module} defines no such function",
-            )
-        for arity, lineno in info.encoder_arities:
-            if arity != width:
-                yield self.finding(
-                    mod,
-                    lineno,
-                    f"`{codec.encoder}` packs a {arity}-tuple but the spec "
-                    f"wire tuple has {width} columns "
-                    f"({', '.join(hops.wire_tuple)}) [{hops.anchor}]",
-                )
-        if info.decoder_found and info.decoder_params - 1 != width:
-            yield self.finding(
-                mod,
-                info.decoder_lineno,
-                f"`{codec.decoder}` unpacks {info.decoder_params - 1} wire "
-                f"columns but the spec wire tuple has {width} "
-                f"({', '.join(hops.wire_tuple)}) [{hops.anchor}]",
-            )
 
 
 # ----------------------------------------------------------------------

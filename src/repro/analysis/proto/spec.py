@@ -21,11 +21,8 @@ is optional so fixture corpora can stay minimal):
     Routed-payload tags (``("join", rec)`` style) -> ``{anchor,
     producer_phases}``.
 ``hops``
-    ``{anchor, step_init, bound, wire_tuple}`` — the A_ROUTING step
-    contract (Lemma 9's bounded trajectory).
-``codec``
-    ``{module, encoder, decoder}`` — the exchange functions whose
-    pack/unpack tuple must agree with ``hops.wire_tuple``.
+    ``{anchor, step_init, bound}`` — the A_ROUTING step contract
+    (Lemma 9's bounded trajectory).
 ``epochs``
     ``{anchor, writers: {function-qname-suffix: [allowed exprs]}}`` —
     the only places (and source expressions) allowed to write
@@ -58,7 +55,6 @@ __all__ = [
     "DEFAULT_SPEC_NAME",
     "PHASES",
     "SPEC_SCHEMA",
-    "CodecSpec",
     "EpochSpec",
     "HopSpec",
     "MessageSpec",
@@ -155,16 +151,6 @@ class HopSpec:
     anchor: str
     step_init: int
     bound: str
-    wire_tuple: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class CodecSpec:
-    """The exchange pack/unpack pair that carries hop wire tuples."""
-
-    module: str
-    encoder: str
-    decoder: str
 
 
 @dataclass(frozen=True)
@@ -199,7 +185,6 @@ class ProtocolSpec:
     messages: tuple[MessageSpec, ...]
     payloads: tuple[PayloadSpec, ...] = ()
     hops: HopSpec | None = None
-    codec: CodecSpec | None = None
     epochs: EpochSpec | None = None
     ttl: TtlSpec | None = None
     message_modules: tuple[str, ...] = ()
@@ -292,18 +277,6 @@ class ProtocolSpec:
                 anchor=_require_anchor(h, "hops"),
                 step_init=step_init,
                 bound=str(h.get("bound", "final_step")),
-                wire_tuple=_str_list(
-                    h.get("wire_tuple", []), "hops.wire_tuple"
-                ),
-            )
-        codec = None
-        if "codec" in raw:
-            c = raw["codec"]
-            for key in ("module", "encoder", "decoder"):
-                if not isinstance(c.get(key), str) or not c[key]:
-                    raise LintError(f"protocol-spec: codec.{key} must be a string")
-            codec = CodecSpec(
-                module=c["module"], encoder=c["encoder"], decoder=c["decoder"]
             )
         epochs = None
         if "epochs" in raw:
@@ -342,7 +315,6 @@ class ProtocolSpec:
             messages=tuple(messages),
             payloads=tuple(payloads),
             hops=hops,
-            codec=codec,
             epochs=epochs,
             ttl=ttl,
             message_modules=_str_list(
@@ -387,13 +359,6 @@ class ProtocolSpec:
                 "anchor": self.hops.anchor,
                 "step_init": self.hops.step_init,
                 "bound": self.hops.bound,
-                "wire_tuple": list(self.hops.wire_tuple),
-            }
-        if self.codec:
-            out["codec"] = {
-                "module": self.codec.module,
-                "encoder": self.codec.encoder,
-                "decoder": self.codec.decoder,
             }
         if self.epochs:
             out["epochs"] = {

@@ -30,11 +30,10 @@ def prime_initial_overlay(engine: Engine, constructed: bool = False) -> LDSGraph
     """
     if engine.round != 0:
         raise RuntimeError("the initial overlay must be primed before round 0")
-    cache = engine.services.epoch_cache
-    # Evaluating through the epoch cache (when mounted) pre-warms the shared
-    # epoch-0 table, so the first cutover-free rounds intern their indexes
-    # against an already-populated slab.
-    position = cache.position if cache is not None else engine.services.position_hash.position
+    # Evaluating through the epoch cache pre-warms the shared epoch-0 table,
+    # so the first cutover-free rounds intern their indexes against an
+    # already-populated slab.
+    position = engine.services.epoch_cache.position
     positions = {v: position(v, 0) for v in sorted(engine.alive)}
     graph = LDSGraph(PositionIndex(positions), engine.params)
     if constructed:

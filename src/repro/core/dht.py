@@ -128,12 +128,6 @@ class DHTNode(MaintenanceNode):
     def _maybe_store(self, key: str, value: object) -> None:
         self.store[key] = (key_point(key), value)
 
-    def _in_my_range(self, point: float) -> bool:
-        if self.pos is None:
-            return False
-        gap = abs(self.pos - point)
-        return min(gap, 1.0 - gap) <= self._swarm_radius
-
     def _launch_ops(self, ctx: NodeContext) -> None:
         if self.phase is not Phase.ESTABLISHED:
             return  # retry next round; ops stay queued
@@ -196,7 +190,7 @@ class DHTNode(MaintenanceNode):
         self.store = {
             key: (point, value)
             for key, (point, value) in self.store.items()
-            if self._in_my_range(point)
+            if self._in_swarm(point)
         }
 
     # ------------------------------------------------------------------

@@ -60,7 +60,7 @@ from repro.core.messages import (
     TokenMsg,
 )
 from repro.overlay.positions import PositionIndex
-from repro.routing.messages import Hop, RoutedMessage, make_routed_message
+from repro.routing.messages import RoutedMessage, make_routed_message
 from repro.sim.engine import EngineServices, JoinNotice, NodeContext, NodeProtocol
 from repro.sim.hopplane import HopDelivery
 from repro.util.intervals import wrap
@@ -85,13 +85,12 @@ _PHASE_CODES = {
 
 
 # ----------------------------------------------------------------------
-# Shared per-round hop classification (columnar plane receive path)
+# Shared per-round hop classification
 #
-# With the columnar hop plane each *logical* hop is one row shared by every
-# receiver, so its classification — next step, final test, swarm lookup
-# point, join-record extraction — runs ONCE per round for the whole network
-# (memoised on ``HopDelivery.cache``) instead of once per copy per receiver.
-# Values are exactly what the legacy per-copy inbox loop computes.
+# Each *logical* hop is one hop-plane row shared by every receiver, so its
+# classification — next step, final test, swarm lookup point, join-record
+# extraction — runs ONCE per round for the whole network (memoised on
+# ``HopDelivery.cache``), not once per copy per receiver.
 # ----------------------------------------------------------------------
 
 
@@ -222,15 +221,10 @@ class MaintenanceNode(NodeProtocol):
         self.id = node_id
         self.params: ProtocolParams = services.params
         self.hash = services.position_hash
-        # Engine-shared epoch cache (None = compute everything per node).
-        # ``_pos_of`` is the hash with per-epoch memoisation when available —
-        # identical values either way, the cache is pure memoisation.
+        # Engine-shared epoch cache; ``_pos_of`` is the position hash with
+        # per-epoch memoisation (pure memoisation: same values as the hash).
         self._epoch_cache = services.epoch_cache
-        self._pos_of = (
-            self._epoch_cache.position
-            if self._epoch_cache is not None
-            else services.position_hash.position
-        )
+        self._pos_of = self._epoch_cache.position
         # Hot-path caches (property lookups dominate otherwise: the derived
         # radii recompute ``lam`` on every access).
         self._swarm_radius = services.params.swarm_radius
@@ -303,18 +297,19 @@ class MaintenanceNode(NodeProtocol):
     def _d_members(self) -> PositionIndex:
         """Current-overlay neighbourhood (self included) as a position index.
 
-        With the engine's epoch cache the index is an interned copy-on-write
-        view over the shared epoch-sorted slab — element-identical to the
-        fresh build (record positions are hash-derived by construction), and
-        *object*-identical across nodes with equal neighbourhoods.
+        For an established node the index is an interned copy-on-write view
+        over the epoch cache's shared epoch-sorted slab — element-identical
+        to a fresh build (record positions are hash-derived by construction),
+        and *object*-identical across nodes with equal neighbourhoods.
         """
         if self._d_index is None:
             table = dict(self.d_nbrs)
             if self.pos is not None:
                 table[self.id] = self.pos
-            cache = self._epoch_cache
-            if cache is not None and self.epoch is not None and self.pos is not None:
-                self._d_index = cache.index_for(self.epoch, frozenset(table), table)
+            if self.epoch is not None and self.pos is not None:
+                self._d_index = self._epoch_cache.index_for(
+                    self.epoch, frozenset(table), table
+                )
             else:
                 self._d_index = PositionIndex(table)
         return self._d_index
@@ -381,15 +376,8 @@ class MaintenanceNode(NodeProtocol):
         grants: list[TokenGrant] = []
         notices: list[JoinNotice] = []
         # Exact-type dispatch: one dict probe per message instead of an
-        # isinstance chain (all message classes are final).  Hops — the bulk
-        # of every inbox — dedup right here by (message identity, step):
-        # each logical request is one shared RoutedMessage instance (msg_ids
-        # are constructed exactly once, with per-origin counters), so object
-        # identity equals the documented msg_id dedup without hashing the
-        # nested msg_id tuple per copy.  Even rounds classify surviving hops
-        # straight into forwarding actions; odd rounds keep the deduped hop
-        # list plus the handover lookup points — either way the inbox is
-        # walked exactly once.
+        # isinstance chain (all message classes are final).  Routed hops are
+        # not in the inbox: they arrive as ``ctx.hops`` rows of the hop plane.
         buckets: dict[type, list] = {
             CreateBatch: creates,
             JoinBatch: join_batches,
@@ -398,46 +386,7 @@ class MaintenanceNode(NodeProtocol):
             TokenGrant: grants,
             JoinNotice: notices,
         }
-        even = ctx.round % 2 == 0
-        seen_hops: set[tuple[int, int]] = set()
-        # Each action is (is_final, msg, next_k); finals become the full
-        # target-swarm delivery multicast, the rest mid-route forwards.
-        actions: list[tuple[bool, RoutedMessage, int]] = []
-        points: list[float] = []
-        join_recs: list[JoinRecord] = []
-        hops: list[Hop] = []
-        handover_points: list[float] = []
         for _, msg in ctx.inbox:
-            if msg.__class__ is Hop:
-                m = msg.msg
-                k = msg.step
-                # repro: allow(id-ordering): identity dedup only — the id value
-                # is a set-membership key, never ordered or emitted; duplicate
-                # detection is by object identity by design (same Hop object
-                # fanned out to several receivers).
-                key = (id(m), k)
-                if key in seen_hops:
-                    continue
-                seen_hops.add(key)
-                if even:
-                    if k >= m.final_step:
-                        continue  # defensive: deliveries happen at odd rounds
-                    next_k = k + 1
-                    payload = m.payload
-                    if next_k == m.final_step:
-                        if isinstance(payload, tuple) and payload[0] == "join":
-                            join_recs.append(payload[1])
-                        else:
-                            actions.append((True, m, next_k))
-                            points.append(m.target)
-                    else:
-                        actions.append((False, m, next_k))
-                        points.append(m.trajectory[next_k])
-                else:
-                    hops.append(msg)
-                    if k < m.final_step:
-                        handover_points.append(m.trajectory[k])
-                continue
             bucket = buckets.get(msg.__class__)
             if bucket is not None:
                 bucket.append(msg)
@@ -445,10 +394,10 @@ class MaintenanceNode(NodeProtocol):
         self._absorb_tokens(ctx, token_msgs, grants)
         self._fill_slots(ctx, connects)
 
-        if even:
-            self._even_round(ctx, creates, actions, points, join_recs)
+        if ctx.round % 2 == 0:
+            self._even_round(ctx, creates)
         else:
-            self._odd_round(ctx, join_batches, hops, handover_points)
+            self._odd_round(ctx, join_batches)
 
         # Bootstrap duties are parity-independent: the notice arrives in the
         # join round and must be answered as soon as tokens allow (the
@@ -555,23 +504,14 @@ class MaintenanceNode(NodeProtocol):
     # Even rounds
     # ------------------------------------------------------------------
 
-    def _even_round(
-        self,
-        ctx: NodeContext,
-        creates: list[CreateBatch],
-        actions: list[tuple[bool, RoutedMessage, int]],
-        points: list[float],
-        join_recs: list[JoinRecord],
-    ) -> None:
+    def _even_round(self, ctx: NodeContext, creates: list[CreateBatch]) -> None:
         e = ctx.round // 2
         self._cutover(ctx, e, creates)
         if self.phase is Phase.ESTABLISHED:
             if ctx.hops is not None:
-                plane_recs = self._even_hops_plane(ctx, ctx.hop_delivery, ctx.hops)
-                if plane_recs:
-                    self._rebroadcast_joins(ctx, self._d_members(), plane_recs)
-            if actions or join_recs:
-                self._forward_hops(ctx, actions, points, join_recs)
+                join_recs = self._even_hops_plane(ctx, ctx.hop_delivery, ctx.hops)
+                if join_recs:
+                    self._rebroadcast_joins(ctx, self._d_members(), join_recs)
             self._launch_joins(ctx, e)
             self._emit_tokens(ctx)
             self._launch_queued_probes(ctx)
@@ -610,7 +550,7 @@ class MaintenanceNode(NodeProtocol):
                         records[rec.node] = rec.pos
             # A columnised batch with a different (uniform) epoch adds no
             # keys — exactly what the per-record filter would do.
-        records.pop(self.id, None)  # defensive: equals the legacy filter
+        records.pop(self.id, None)  # defensive: a node is never its own neighbour
         if records:
             if self.phase is not Phase.ESTABLISHED or self.epoch is None:
                 self._first_epoch = e
@@ -633,64 +573,6 @@ class MaintenanceNode(NodeProtocol):
             self._d_index = None
             self.demotions += 1
 
-    def _forward_hops(
-        self,
-        ctx: NodeContext,
-        actions: list[tuple[bool, RoutedMessage, int]],
-        points: list[float],
-        join_recs: list[JoinRecord],
-    ) -> None:
-        """Even-round forwarding: advance each held hop one trajectory step.
-
-        :meth:`on_round` already deduplicated and classified the held hops
-        into ``actions`` (mid-route forwards and full-delivery finals, with
-        their swarm lookup ``points``) and ``join_recs`` (arrived JOINs to
-        rebroadcast).  The swarm lookups batch into one vectorised sweep
-        while every send — and therefore the edge set, inbox order, and rng
-        draw sequence — happens in exactly the order the one-pass loop
-        produced.
-        """
-        index = self._d_members()
-        # Sends, in original hop order (one batched multicast call).
-        # Mid-route picks index straight into the shared id list via the
-        # batched bounds; only finals materialize their member window.
-        if actions:
-            a, b, wr, ids_list, n = self._window_bounds(
-                index, points, self._swarm_radius
-            )
-            my_id = self.id
-            r = self._r
-            rnd = ctx.rng.random
-            batch: list[tuple[tuple[int, ...], object]] = []
-            for i, (is_final, msg, next_k) in enumerate(actions):
-                if a is None:
-                    ai = 0
-                    size = n
-                else:
-                    ai = a[i]
-                    bi = b[i]
-                    size = n - ai + bi if wr[i] else bi - ai
-                if is_final:
-                    if a is None:
-                        members = ids_list
-                    elif wr[i]:
-                        members = ids_list[ai:] + ids_list[:bi]
-                    else:
-                        members = ids_list[ai:bi]
-                    out = Hop(msg, next_k)
-                    batch.append((tuple(w for w in members if w != my_id), out))
-                    # A holder inside the target swarm delivers to itself too.
-                    if self._in_swarm(msg.target):
-                        self._deliver(ctx, msg)
-                elif size:
-                    picks = []
-                    for _ in range(r):
-                        j = ai + int(rnd() * size)
-                        picks.append(ids_list[j - n] if j >= n else ids_list[j])
-                    batch.append((tuple(picks), Hop(msg, next_k)))
-            ctx.send_many_batch(batch)
-        self._rebroadcast_joins(ctx, index, join_recs)
-
     def _rebroadcast_joins(
         self, ctx: NodeContext, index: PositionIndex, join_recs: list[JoinRecord]
     ) -> None:
@@ -699,18 +581,17 @@ class MaintenanceNode(NodeProtocol):
         radius (list arc at rec.pos, two De Bruijn arcs at rec.pos/2 and
         (rec.pos+1)/2 — the order required_neighbor_arcs produced).
 
-        Observation-equivalent restatement of the legacy receiver-keyed
-        append loop: receivers get a :class:`JoinBatch` of their records in
+        Each receiver gets one :class:`JoinBatch` of its records in
         record-arrival order, and the sends go out in the order receivers
-        were *first touched* by the record-major arc sweep — i.e. the
-        ``defaultdict`` insertion order the per-receiver loop produced.
+        are *first touched* by the record-major arc sweep (record by record,
+        list arc then the two De Bruijn arcs).
         """
         if not join_recs:
             return
         # Keep-first dedup by (node, epoch) up front: ``pos`` is the hash of
         # exactly that pair, so duplicates of a key are value-equal records
-        # with identical arc windows — the legacy per-receiver dedup kept
-        # only the first, so later duplicates contribute nothing anywhere.
+        # with identical arc windows — a receiver keeps one record per key,
+        # so later duplicates contribute nothing anywhere.
         recs = join_recs
         if len(recs) > 1:
             by_key: dict[tuple[int, int], JoinRecord] = {}
@@ -763,7 +644,7 @@ class MaintenanceNode(NodeProtocol):
         # (ascending record index — each receiver occurs at most once per
         # record), and puts each receiver's *first* stream occurrence at its
         # segment start — sorting segment starts by that occurrence recovers
-        # the legacy first-touch send order.
+        # the first-touch send order.
         order = np.argsort(wtargets, kind="stable")
         ws = wtargets[order]
         ridx_sorted = ridx[order].tolist()
@@ -782,14 +663,14 @@ class MaintenanceNode(NodeProtocol):
     def _even_hops_plane(
         self, ctx: NodeContext, delivery: HopDelivery, rows: np.ndarray
     ) -> list[JoinRecord]:
-        """Even-round forwarding over shared hop columns (plane receive path).
+        """Even-round forwarding: advance each held hop one trajectory step.
 
-        Behaviour-identical to classifying per-copy ``Hop`` objects and
-        running :meth:`_forward_hops`: rows arrive in legacy inbox order
-        already deduplicated to first occurrences (the plane's delivery pass
-        reproduces the legacy per-receiver seen-set), and the per-action
-        loop below draws rng and files sends in exactly the legacy
-        sequence.  Returns the arrived join records for rebroadcast (in
+        ``rows`` are this node's hops in arrival (global send) order,
+        already deduplicated to first occurrences of each ``(message,
+        step)``.  Mid-route rows go to ``r`` random members of the next
+        trajectory point's swarm, finals to the whole target swarm (a holder
+        inside it delivers to itself too); rng draws and filed sends follow
+        row order.  Returns the arrived join records for rebroadcast (in
         arrival order).
         """
         cache = delivery.cache
@@ -831,7 +712,6 @@ class MaintenanceNode(NodeProtocol):
             my_id = self.id
             r = self._r
             rng = ctx.rng
-            pos = self.pos
 
             # Pass 1 — rng and node state, in row order.  ``_deliver`` runs
             # only where the vectorised predicates say it can matter: a final
@@ -851,9 +731,8 @@ class MaintenanceNode(NodeProtocol):
                 # the ``w != my_id`` filter, ids being unique).
                 ranks_fin = index.ranks_within_many(tgtf, rho, my_id)
                 ranks_l = ranks_fin.tolist()
-                if pos is not None:
-                    gap = np.abs(pos - tgtf)
-                    inswarm = np.minimum(gap, 1.0 - gap) <= rho
+                if self.pos is not None:
+                    inswarm = self._in_swarm(tgtf)
                     fc = fincls[fin_act]
                     touch = inswarm & (fc == 0)
                     ranked = inswarm & (fc == 1)
@@ -943,11 +822,13 @@ class MaintenanceNode(NodeProtocol):
             ctx.count_hop_sends(total)
         return join_recs
 
-    def _in_swarm(self, point: float) -> bool:
+    def _in_swarm(self, point):
+        """Whether ``point`` (a scalar or an array of points) lies within
+        this node's swarm radius on the ring."""
         if self.pos is None:
             return False
-        gap = abs(self.pos - point)
-        return min(gap, 1.0 - gap) <= self._swarm_radius
+        gap = np.abs(self.pos - point)
+        return np.minimum(gap, 1.0 - gap) <= self._swarm_radius
 
     def _launch_joins(self, ctx: NodeContext, e: int) -> None:
         """Launch this cycle's JOIN requests (self + sponsored fresh nodes)."""
@@ -1012,13 +893,7 @@ class MaintenanceNode(NodeProtocol):
     # Odd rounds
     # ------------------------------------------------------------------
 
-    def _odd_round(
-        self,
-        ctx: NodeContext,
-        join_batches: list[JoinBatch],
-        hops: list[Hop],
-        handover_points: list[float],
-    ) -> None:
+    def _odd_round(self, ctx: NodeContext, join_batches: list[JoinBatch]) -> None:
         e_next = ctx.round // 2 + 1
         # 1. Store handover records for the next overlay.
         self.h_records = {}
@@ -1030,50 +905,14 @@ class MaintenanceNode(NodeProtocol):
             return
         if self.h_records:
             table = {v: r.pos for v, r in self.h_records.items()}
-            cache = self._epoch_cache
-            h_index = (
-                cache.index_for(e_next, frozenset(table), table)
-                if cache is not None
-                else PositionIndex(table)
-            )
+            h_index = self._epoch_cache.index_for(e_next, frozenset(table), table)
         else:
             h_index = None
 
-        # 2. Handover in-flight hops + deliver finals.  ``hops`` arrives
-        # deduplicated with its handover lookup points pre-collected by
-        # :meth:`on_round`; batch the lookups, then execute in original hop
-        # order (final deliveries may send and draw rng, so their
-        # interleaving with handovers must not change).  With the columnar
-        # plane the same work runs over shared row columns instead.
+        # 2. Handover in-flight hops + deliver finals.
         hop_index = h_index if h_index is not None else self._d_members()
         if ctx.hops is not None:
             self._odd_hops_plane(ctx, ctx.hop_delivery, ctx.hops, hop_index)
-        if hops:
-            a, b, wr, ids_list, n = self._window_bounds(
-                hop_index, handover_points, self._swarm_radius
-            )
-            r = self._r
-            rnd = ctx.rng.random
-            batch: list[tuple[tuple[int, ...], object]] = []
-            wi = 0
-            for hop in hops:
-                if hop.step >= hop.msg.final_step:
-                    self._deliver(ctx, hop.msg)
-                    continue
-                if a is None:
-                    ai = 0
-                    size = n
-                else:
-                    ai = a[wi]
-                    size = n - ai + b[wi] if wr[wi] else b[wi] - ai
-                wi += 1
-                if size:
-                    picks = []
-                    for _ in range(r):
-                        j = ai + int(rnd() * size)
-                        picks.append(ids_list[j - n] if j >= n else ids_list[j])
-                    batch.append((tuple(picks), hop))
-            ctx.send_many_batch(batch)
 
         # 3. Initial multicasts of this cycle's launches.
         launches = self._pending_launch
@@ -1082,20 +921,12 @@ class MaintenanceNode(NodeProtocol):
             lwins = self._windows(
                 hop_index, [m.trajectory[0] for m in launches], self._swarm_radius
             )
-            if ctx.has_hop_plane:
-                ctx.send_hops_batch(
-                    [
-                        (msg, 0, [w for w in lwins[i] if w != my_id])
-                        for i, msg in enumerate(launches)
-                    ]
-                )
-            else:
-                ctx.send_many_batch(
-                    [
-                        (tuple(w for w in lwins[i] if w != my_id), Hop(msg, 0))
-                        for i, msg in enumerate(launches)
-                    ]
-                )
+            ctx.send_hops_batch(
+                [
+                    (msg, 0, [w for w in lwins[i] if w != my_id])
+                    for i, msg in enumerate(launches)
+                ]
+            )
             launches.clear()
 
         # 4. Matchmaking: introduce next-overlay neighbours to each other.
@@ -1111,11 +942,10 @@ class MaintenanceNode(NodeProtocol):
     ) -> None:
         """Odd-round handover/delivery over shared hop columns.
 
-        Mirrors the legacy odd-round hop loop exactly: rows arrive already
-        deduplicated to first occurrences in arrival order (the plane's
-        delivery pass), batch the handover window bounds over the non-final
-        rows, then walk all rows in order so final deliveries (which may
-        send and draw rng) interleave with handovers unchanged.
+        ``rows`` arrive deduplicated to first occurrences in arrival order.
+        The handover window bounds batch over the non-final rows; rng draws
+        then follow row order, so final deliveries (which may send and draw
+        rng) interleave with the handover picks around them.
         """
         cache = delivery.cache
         cols = cache.get("odd")
@@ -1159,10 +989,10 @@ class MaintenanceNode(NodeProtocol):
         rng = ctx.rng
 
         # Pass 1 — rng and node state, in row order (see _even_hops_plane).
-        # Odd finals always reach ``_deliver`` in the legacy loop, but only
-        # record-class rows and rank-matching tokens do anything — both
-        # predicted here without rng (the rank test uses the *current*
-        # overlay members, not ``hop_index``).
+        # Every odd final is due for ``_deliver``, but only record-class
+        # rows and rank-matching tokens do anything there — both predicted
+        # here without rng (the rank test uses the *current* overlay
+        # members, not ``hop_index``), so the no-op calls are skipped.
         events: list[int] = []
         if fin_pos.size:
             fr = rows_u[fin_pos]
@@ -1287,11 +1117,7 @@ class MaintenanceNode(NodeProtocol):
             # ``JoinRecord(w, h(w, e), e)`` by construction, so the id
             # column determines the whole batch.  Scoped to the round: the
             # target epoch is round-constant.
-            rs = (
-                self._epoch_cache.round_scratch(ctx.round)
-                if self._epoch_cache is not None
-                else None
-            )
+            rs = self._epoch_cache.round_scratch(ctx.round)
             for i, (v, rec) in enumerate(missing):
                 j = 2 * i
                 if fast_ok and margin < rec.pos < 1.0 - margin:
@@ -1300,21 +1126,18 @@ class MaintenanceNode(NodeProtocol):
                     i1, p1, r1 = _arc(da, db_b, dw, j)
                     i2, p2, r2 = _arc(da, db_b, dw, j + 1)
                     nodes = tuple(_exc(ids_l, a0, b0, w0, p) + i1 + i2)
-                    if rs is not None:
-                        gkey = (v, nodes)
-                        shared = rs.get(gkey)
-                        if shared is not None:
-                            batches[v] = shared
-                            continue
+                    gkey = (v, nodes)
+                    shared = rs.get(gkey)
+                    if shared is not None:
+                        batches[v] = shared
+                        continue
                     batch = CreateBatch(
                         tuple(_exc(rl, a0, b0, w0, p) + r1 + r2),
                         nodes,
                         tuple(_exc(pl, a0, b0, w0, p) + p1 + p2),
                         rec.epoch,
                     )
-                    batches[v] = batch
-                    if rs is not None:
-                        rs[gkey] = batch
+                    batches[v] = rs[gkey] = batch
                     continue
                 i0, p0, r0 = _arc(la, lb, lw, i)
                 i1, p1, r1 = _arc(da, db_b, dw, j)

@@ -25,7 +25,6 @@ from repro.faults.health import HealthMonitor
 from repro.faults.plan import FaultPlan
 from repro.core.node import MaintenanceNode, Phase
 from repro.overlay.lds import LDSGraph
-from repro.overlay.positions import PositionIndex
 from repro.sim.engine import Engine, EngineServices
 from repro.sim.profile import PhaseProfiler
 
@@ -81,8 +80,6 @@ class MaintenanceSimulation:
         faults: FaultPlan | None = None,
         health: HealthMonitor | None = None,
         profiler: PhaseProfiler | None = None,
-        epoch_cache: bool = True,
-        hop_plane: bool = True,
         workers: int = 1,
     ) -> None:
         self.params = params
@@ -97,8 +94,6 @@ class MaintenanceSimulation:
             faults=faults,
             health=health,
             profiler=profiler,
-            epoch_cache=epoch_cache,
-            hop_plane=hop_plane,
             workers=workers,
         )
         self.engine.seed_nodes(range(params.n))
@@ -236,13 +231,11 @@ class MaintenanceSimulation:
             v: n for v, n in established.items() if n.epoch == epoch
         }
         positions = {v: n.pos for v, n in members.items()}
-        # Share the epoch cache's interned index when available (same
-        # elements — node positions are hash-derived — without a re-sort).
-        cache = self.engine.services.epoch_cache
-        if cache is not None:
-            index = cache.index_for(epoch, frozenset(positions), positions)
-        else:
-            index = PositionIndex(positions)
+        # Share the epoch cache's interned index (same elements — node
+        # positions are hash-derived — without a re-sort).
+        index = self.engine.services.epoch_cache.index_for(
+            epoch, frozenset(positions), positions
+        )
         truth = LDSGraph(index, self.params)
         missing = 0
         required = 0

@@ -329,7 +329,7 @@ class FaultInjector:
         dups = np.zeros(m, dtype=np.int64)
         if self._partitions or self._asymmetric or self._latencies:
             # Rules read positions through their own scalar predicates, once
-            # per distinct node; the per-copy work is a gather.
+            # per distinct node; each copy then gathers its endpoints' values.
             ids, at = np.unique(np.concatenate((srcs, dsts)), return_inverse=True)
             pos = [self._position(v) for v in ids.tolist()]
             s_at, d_at = at[:m], at[m:]

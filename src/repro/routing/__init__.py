@@ -1,14 +1,13 @@
 """Routing algorithms: A_ROUTING, A_SAMPLING, and the greedy LDG baseline."""
 
 from repro.routing.greedy import GreedyOutcome, GreedyRouter
-from repro.routing.messages import Hop, RoutedMessage, make_routed_message
+from repro.routing.messages import RoutedMessage, make_routed_message
 from repro.routing.sampling import draw_sample_rank, rank_in_swarm, sampling_recipient
 from repro.routing.series import RoutingOutcome, SeriesRouter
 
 __all__ = [
     "GreedyOutcome",
     "GreedyRouter",
-    "Hop",
     "RoutedMessage",
     "RoutingOutcome",
     "SeriesRouter",

@@ -6,10 +6,11 @@ Definition 7 — all forwarding decisions derive from it), an optional sampling
 rank ``Delta`` (set by A_SAMPLING, ``None`` for plain swarm delivery) and an
 application payload.
 
-A :class:`Hop` is what actually travels: the shared message plus the step
-index ``k`` — the hop's recipients are (supposed to be) members of the swarm
-``S(x_k)`` of trajectory point ``x_k``.  Hops are tiny and immutable so a
-multicast can share one instance.
+What actually travels is a *hop*: the shared message plus the step index
+``k`` — the hop's recipients are (supposed to be) members of the swarm
+``S(x_k)`` of trajectory point ``x_k``.  Hops have no object of their own:
+each ``(message, step)`` pair is one row of the columnar hop plane
+(:mod:`repro.sim.hopplane`).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 from repro.overlay.trajectory import trajectory
 
-__all__ = ["RoutedMessage", "Hop", "make_routed_message"]
+__all__ = ["RoutedMessage", "make_routed_message"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -48,47 +49,6 @@ class RoutedMessage:
     def is_sampling(self) -> bool:
         """Whether this request uses A_SAMPLING's rank-Delta delivery rule."""
         return self.sample_rank is not None
-
-
-class Hop:
-    """One in-flight copy: the message at trajectory step ``k``.
-
-    A hand-written slotted class rather than a frozen dataclass: forwarding
-    constructs one ``Hop`` per advanced hop per round, and the frozen
-    ``__init__`` (one ``object.__setattr__`` per field) dominated that loop.
-    Instances are immutable by convention; value equality and hashing match
-    the previous dataclass behaviour.
-    """
-
-    __slots__ = ("msg", "step")
-
-    def __init__(self, msg: RoutedMessage, step: int) -> None:
-        self.msg = msg
-        self.step = step
-
-    def advanced(self) -> "Hop":
-        """The hop for the next trajectory step."""
-        return Hop(self.msg, self.step + 1)
-
-    @property
-    def point(self) -> float:
-        """The trajectory point whose swarm currently holds this hop."""
-        return self.msg.trajectory[self.step]
-
-    @property
-    def at_final_swarm(self) -> bool:
-        return self.step >= self.msg.final_step
-
-    def __eq__(self, other: object):
-        if other.__class__ is Hop:
-            return self.msg == other.msg and self.step == other.step
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.msg, self.step))
-
-    def __repr__(self) -> str:
-        return f"Hop(msg={self.msg!r}, step={self.step!r})"
 
 
 def make_routed_message(

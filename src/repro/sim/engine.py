@@ -34,7 +34,7 @@ from repro.faults.health import DegradationEvent, HealthMonitor
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.sim.epochs import EpochCache
-from repro.sim.hopplane import HopDelivery, HopPlane
+from repro.sim.hopplane import HopDelivery
 from repro.sim.identity import Lifecycle
 from repro.sim.metrics import MetricsCollector, RoundMetrics
 from repro.sim.network import Inbox, Network
@@ -68,25 +68,24 @@ class EngineServices:
 
     ``position_hash`` is the paper's uniform hash ``h(v, epoch)`` known to all
     nodes (but not to the adversary); ``rng`` hands out per-node protocol
-    randomness streams.  ``epoch_cache`` (when the engine enables it) shares
-    memoised hash evaluations and interned position indexes across nodes —
-    pure memoisation, so protocols may use it freely without changing what
-    any node could have computed alone.  ``None`` means every node computes
-    its own state from scratch (the bit-for-bit reference path).
+    randomness streams.  ``epoch_cache`` shares memoised hash evaluations
+    and interned position indexes across nodes — pure memoisation, so
+    protocols may use it freely without changing what any node could have
+    computed alone.
     """
 
     params: ProtocolParams
     rng: RngService
     position_hash: PositionHash
-    epoch_cache: EpochCache | None = None
+    epoch_cache: EpochCache
 
 
 class NodeContext:
     """One node's window onto a single round.
 
-    When the engine's columnar hop plane is mounted, routed hops arrive as
-    ``hops`` (this node's row-id array into the shared ``hop_delivery``
-    columns) instead of inbox objects, and are sent via :meth:`send_hops`.
+    Routed hops are not in ``inbox``: they arrive as ``hops`` (this node's
+    row-id array into the shared ``hop_delivery`` columns, ``None`` when no
+    hop reached it this round) and are sent via :meth:`send_hops`.
     """
 
     __slots__ = (
@@ -144,20 +143,6 @@ class NodeContext:
     def send_many(self, dsts: Sequence[int] | Iterable[int], msg: object) -> None:
         """Send the same message to several nodes."""
         self._network.send_many(self.node_id, dsts, msg)
-
-    def send_many_batch(self, items: list[tuple[tuple[int, ...], object]]) -> None:
-        """Send many multicasts at once (pre-tupled plain-``int`` receivers).
-
-        Order-equivalent to calling :meth:`send_many` per ``(dsts, msg)``
-        item; empty receiver tuples are skipped.  Hot-path helper for the
-        per-hop forwarding loops.
-        """
-        self._network.send_many_batch(self.node_id, items)
-
-    @property
-    def has_hop_plane(self) -> bool:
-        """Whether routed hops travel the columnar plane this run."""
-        return self._network.plane is not None
 
     def send_hops(self, msg: object, step: int, dsts: Sequence[int]) -> None:
         """Multicast one routed hop via the columnar plane (plain-int dsts)."""
@@ -241,8 +226,6 @@ class Engine:
         faults: FaultPlan | None = None,
         health: HealthMonitor | None = None,
         profiler: PhaseProfiler | None = None,
-        epoch_cache: bool = True,
-        hop_plane: bool = True,
         workers: int = 1,
     ) -> None:
         if workers < 1:
@@ -260,20 +243,13 @@ class Engine:
             params=params,
             rng=self.rng_service,
             position_hash=position_hash,
-            epoch_cache=EpochCache(position_hash) if epoch_cache else None,
+            epoch_cache=EpochCache(position_hash),
         )
         self.protocol_factory = protocol_factory
         self.adversary = adversary
         self.strict_budget = strict_budget
         self.lifecycle = Lifecycle()
         self.network = Network()
-        if hop_plane:
-            # Routed hops travel as columns, with or without a fault plan:
-            # fates split a round's copies into per-latency segments and
-            # delivery re-interns the segments due together (see
-            # repro.sim.hopplane).  ``hop_plane=False`` is the per-copy
-            # reference mode the equivalence suite compares against.
-            self.network.plane = HopPlane()
         self.fault_plan = faults
         self.faults = (
             FaultInjector(faults, position_hash=self.services.position_hash)
@@ -391,8 +367,7 @@ class Engine:
             _t0 = clock()
         if self.faults is not None:
             self.faults.begin_round(t)
-        if self.services.epoch_cache is not None:
-            self.services.epoch_cache.begin_round(t)
+        self.services.epoch_cache.begin_round(t)
 
         # 1. Adversary phase.
         decision = ChurnDecision.none()

@@ -12,7 +12,7 @@ counts, and the bulk bytes cross the boundary exactly once, unserialized:
   int arrays into one master-owned slab; each ``RoutedMessage`` is framed
   *once per round* (identity-memoised) no matter how many bands reference
   it, where PR 7 pickled it once per band.  Inboxes become flat
-  ``(sender, frame, step)`` integer triples; the residual control scalars
+  ``(sender, frame)`` integer pairs; the residual control scalars
   (leaves, joins-with-slots, stalls, forwarded calls) ride in one small
   pickled frame per band.
 * **Uplink** (workers -> master): each worker owns one fixed region of a
@@ -21,8 +21,8 @@ counts, and the bulk bytes cross the boundary exactly once, unserialized:
   columns.  The master splices by reading views — no unpickling of bulk
   columns.
 
-**Identity is part of the contract.**  Receiver-side hop dedup and plane
-row interning key on *message object identity* (see ``node.on_round`` and
+**Identity is part of the contract.**  Plane row interning — and with it
+receiver-side hop dedup — keys on *message object identity* (see
 :class:`~repro.sim.hopplane.HopPlane`); the frame encoder/decoder memo
 pair reproduces exactly the sharing structure a per-payload pickle memo
 produced in PR 7, which is what keeps W∈{2,4} fingerprints bit-for-bit
@@ -43,7 +43,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.routing.messages import Hop
 from repro.sim.hopplane import HopDelivery
 from repro.util.arena import (
     ByteArena,
@@ -71,11 +70,10 @@ DOWN_MIN_BYTES = 1 << 20
 UP_BAND_MIN_BYTES = 1 << 19
 
 # Send-log item tags in the uplink metadata stream (mirror _SendLog's
-# "s"/"b"/"m"/"mb" string tags as small ints).
+# "s"/"b"/"m" string tags as small ints).
 _TAG_SINGLE = 0
 _TAG_SINGLES_BATCH = 1
 _TAG_MANY = 2
-_TAG_MANY_BATCH = 3
 
 
 @dataclass
@@ -94,23 +92,6 @@ class ExchangeStats:
     regrows_down: int = 0
     regrows_up: int = 0
     fallback_rounds: int = 0
-
-
-def _msg_key(enc: FrameEncoder, msg: object) -> tuple[int, int, int]:
-    """``(is_hop, frame, step)`` for one send-log or inbox message.
-
-    Hops are encoded *structurally* — the inner ``RoutedMessage`` is framed
-    (shared via the memo) and the step travels as an int — so every decoded
-    copy of a logical hop holds the same message object, which the
-    receiver-side ``(message identity, step)`` dedup requires.
-    """
-    if isinstance(msg, Hop):
-        return (1, enc.encode(msg.msg), msg.step)
-    return (0, enc.encode(msg), -1)
-
-
-def _decode_msg(dec: FrameDecoder, is_hop: int, ref: int, step: int) -> object:
-    return Hop(dec.decode(ref), step) if is_hop else dec.decode(ref)
 
 
 # ----------------------------------------------------------------------
@@ -163,9 +144,9 @@ def encode_downlink_band(
 
     ``control`` is the small non-bulk remainder ``(leaves, joins, stalled,
     calls)`` and travels as one pickled frame.  Inboxes flatten into a
-    ``(node, count)`` header table plus ``(sender, frame, step)`` entry
-    triples; hop-row arrays flatten into a ``(node, count)`` header table
-    plus one concatenated int32 row column.
+    ``(node, count)`` header table plus ``(sender, frame)`` entry pairs;
+    hop-row arrays flatten into a ``(node, count)`` header table plus one
+    concatenated int32 row column.
     """
     control_off = arena.put_bytes(
         pickle.dumps(control, protocol=pickle.HIGHEST_PROTOCOL)
@@ -176,10 +157,8 @@ def encode_downlink_band(
         hdr.append(v)
         hdr.append(len(inbox))
         for sender, msg in inbox:
-            is_hop, ref, step = _msg_key(enc, msg)
             entries.append(sender)
-            entries.append(ref)
-            entries.append((step << 1) | is_hop)
+            entries.append(enc.encode(msg))
     inbox_hdr_off = arena.put_array(np.array(hdr, dtype=np.int64))
     entries_off = arena.put_array(np.array(entries, dtype=np.int64))
     rows_hdr: list[int] = []
@@ -198,7 +177,7 @@ def encode_downlink_band(
         inbox_hdr_off,
         len(inboxes),
         entries_off,
-        len(entries) // 3,
+        len(entries) // 2,
         rows_hdr_off,
         len(rows_hdr) // 2,
         rows_off,
@@ -223,7 +202,7 @@ def decode_downlink_band(
     ) = desc
     control = pickle.loads(read_frame(buf, control_off))
     hdr = read_array(buf, inbox_hdr_off, np.dtype(np.int64), 2 * n_nodes).tolist()
-    ent = read_array(buf, entries_off, np.dtype(np.int64), 3 * n_entries).tolist()
+    ent = read_array(buf, entries_off, np.dtype(np.int64), 2 * n_entries).tolist()
     inboxes: dict[int, list] = {}
     e = 0
     for i in range(n_nodes):
@@ -231,11 +210,8 @@ def decode_downlink_band(
         count = hdr[2 * i + 1]
         inbox = []
         for _ in range(count):
-            sender = ent[e]
-            ref = ent[e + 1]
-            packed = ent[e + 2]
-            e += 3
-            inbox.append((sender, _decode_msg(dec, packed & 1, ref, packed >> 1)))
+            inbox.append((ent[e], dec.decode(ent[e + 1])))
+            e += 2
         inboxes[v] = inbox
     rows_hdr = read_array(
         buf, rows_hdr_off, np.dtype(np.int64), 2 * n_row_nodes
@@ -262,10 +238,10 @@ def encode_uplink(
     """Encode one worker's round output into its uplink region.
 
     ``items``/``marks`` are the :class:`~repro.sim.shard._SendLog` streams;
-    ``plane_pack`` is its ``(msgs, steps, rows, lens, flat)`` hop columns
-    (or ``None``).  Raises :class:`~repro.util.arena.ArenaFull` when the
-    region is too small — the caller then falls back to the pipe for this
-    round and requests a regrow.
+    ``plane_pack`` is its ``(msgs, steps, rows, lens, flat)`` hop columns.
+    Raises :class:`~repro.util.arena.ArenaFull` when the region is too small
+    — the caller then falls back to the pipe for this round and requests a
+    regrow.
     """
     marks_arr = np.array(marks, dtype=np.int64).reshape(-1)
     marks_off = arena.put_array(marks_arr)
@@ -275,51 +251,40 @@ def encode_uplink(
         if tag == "s":
             meta.append(_TAG_SINGLE)
             meta.append(item[1])
-            meta.extend(_msg_key(enc, item[2]))
+            meta.append(enc.encode(item[2]))
         elif tag == "b":
             pairs = item[1]
             meta.append(_TAG_SINGLES_BATCH)
             meta.append(len(pairs))
             for dst, msg in pairs:
                 meta.append(dst)
-                meta.extend(_msg_key(enc, msg))
-        elif tag == "m":
+                meta.append(enc.encode(msg))
+        else:  # "m"
             dsts = item[1]
             meta.append(_TAG_MANY)
             meta.append(len(dsts))
-            meta.extend(_msg_key(enc, item[2]))
+            meta.append(enc.encode(item[2]))
             meta.extend(dsts)
-        else:  # "mb"
-            pairs = item[1]
-            meta.append(_TAG_MANY_BATCH)
-            meta.append(len(pairs))
-            for dsts, msg in pairs:
-                meta.append(len(dsts))
-                meta.extend(_msg_key(enc, msg))
-                meta.extend(dsts)
     meta_off = arena.put_array(np.array(meta, dtype=np.int64))
-    if plane_pack is not None:
-        msgs, steps, rows, lens, flat = plane_pack
-        refs = np.fromiter(
-            (enc.encode(m) for m in msgs), dtype=np.int64, count=len(msgs)
-        )
-        refs_off = arena.put_array(refs)
-        steps_off = arena.put_array(np.array(steps, dtype=np.int32))
-        rows_off = arena.put_array(np.array(rows, dtype=np.int32))
-        lens_off = arena.put_array(np.array(lens, dtype=np.int32))
-        flat_off = arena.put_array(np.array(flat, dtype=np.int32))
-        plane_desc = (
-            refs_off,
-            len(msgs),
-            steps_off,
-            rows_off,
-            lens_off,
-            len(rows),
-            flat_off,
-            len(flat),
-        )
-    else:
-        plane_desc = None
+    msgs, steps, rows, lens, flat = plane_pack
+    refs = np.fromiter(
+        (enc.encode(m) for m in msgs), dtype=np.int64, count=len(msgs)
+    )
+    refs_off = arena.put_array(refs)
+    steps_off = arena.put_array(np.array(steps, dtype=np.int32))
+    rows_off = arena.put_array(np.array(rows, dtype=np.int32))
+    lens_off = arena.put_array(np.array(lens, dtype=np.int32))
+    flat_off = arena.put_array(np.array(flat, dtype=np.int32))
+    plane_desc = (
+        refs_off,
+        len(msgs),
+        steps_off,
+        rows_off,
+        lens_off,
+        len(rows),
+        flat_off,
+        len(flat),
+    )
     return (
         marks_off,
         len(marks),
@@ -346,44 +311,28 @@ def decode_uplink(buf: memoryview, dec: FrameDecoder, desc: tuple) -> tuple:
     while i < meta_len:
         tag = meta[i]
         if tag == _TAG_SINGLE:
-            dst, is_hop, ref, step = meta[i + 1 : i + 5]
-            items.append(("s", dst, _decode_msg(dec, is_hop, ref, step)))
-            i += 5
+            items.append(("s", meta[i + 1], dec.decode(meta[i + 2])))
+            i += 3
         elif tag == _TAG_SINGLES_BATCH:
             count = meta[i + 1]
             i += 2
             pairs = []
             for _ in range(count):
-                dst, is_hop, ref, step = meta[i : i + 4]
-                pairs.append((dst, _decode_msg(dec, is_hop, ref, step)))
-                i += 4
+                pairs.append((meta[i], dec.decode(meta[i + 1])))
+                i += 2
             items.append(("b", pairs))
-        elif tag == _TAG_MANY:
-            count, is_hop, ref, step = meta[i + 1 : i + 5]
-            dsts = tuple(meta[i + 5 : i + 5 + count])
-            items.append(("m", dsts, _decode_msg(dec, is_hop, ref, step)))
-            i += 5 + count
-        else:  # _TAG_MANY_BATCH
-            count = meta[i + 1]
-            i += 2
-            mpairs = []
-            for _ in range(count):
-                ndsts, is_hop, ref, step = meta[i : i + 4]
-                dsts = tuple(meta[i + 4 : i + 4 + ndsts])
-                mpairs.append((dsts, _decode_msg(dec, is_hop, ref, step)))
-                i += 4 + ndsts
-            items.append(("mb", mpairs))
-    if plane_desc is not None:
-        refs_off, n_msgs, steps_off, rows_off, lens_off, n_sends, flat_off, n_flat = (
-            plane_desc
-        )
-        refs = read_array(buf, refs_off, np.dtype(np.int64), n_msgs).tolist()
-        msgs = [dec.decode(ref) for ref in refs]
-        steps = read_array(buf, steps_off, np.dtype(np.int32), n_msgs).tolist()
-        rows = read_array(buf, rows_off, np.dtype(np.int32), n_sends).tolist()
-        lens = read_array(buf, lens_off, np.dtype(np.int32), n_sends).tolist()
-        flat = read_array(buf, flat_off, np.dtype(np.int32), n_flat).tolist()
-        plane_pack = (msgs, steps, rows, lens, flat)
-    else:
-        plane_pack = None
-    return items, marks, plane_pack
+        else:  # _TAG_MANY
+            count, ref = meta[i + 1 : i + 3]
+            dsts = tuple(meta[i + 3 : i + 3 + count])
+            items.append(("m", dsts, dec.decode(ref)))
+            i += 3 + count
+    refs_off, n_msgs, steps_off, rows_off, lens_off, n_sends, flat_off, n_flat = (
+        plane_desc
+    )
+    refs = read_array(buf, refs_off, np.dtype(np.int64), n_msgs).tolist()
+    msgs = [dec.decode(ref) for ref in refs]
+    steps = read_array(buf, steps_off, np.dtype(np.int32), n_msgs).tolist()
+    rows = read_array(buf, rows_off, np.dtype(np.int32), n_sends).tolist()
+    lens = read_array(buf, lens_off, np.dtype(np.int32), n_sends).tolist()
+    flat = read_array(buf, flat_off, np.dtype(np.int32), n_flat).tolist()
+    return items, marks, (msgs, steps, rows, lens, flat)

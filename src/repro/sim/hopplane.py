@@ -3,23 +3,21 @@
 Routed hops are ~90% of all traffic: every holder of a message forwards it to
 ``r`` random swarm members (mid-route) or to the whole target swarm (final
 step), so each *logical* hop — one ``(RoutedMessage, step)`` pair — fans out
-into many receiver copies, and receivers near each other hold almost the same
-hop sets.  The seed implementation shipped each copy as a ``(sender, Hop)``
-inbox tuple and every receiver re-classified every copy in Python; with ~9
-copies per logical hop per receiver that is the dominant round cost.
+into many receiver copies (~9 per logical hop per receiver), and receivers
+near each other hold almost the same hop sets.  One object per copy,
+classified again by every receiver, would be the dominant round cost.
 
-:class:`HopPlane` stores a round's hop traffic in columns instead:
+:class:`HopPlane` therefore stores a round's hop traffic in columns:
 
 * each logical hop is **interned once per round** — the first send of a
   ``(message identity, step)`` pair assigns it a dense row id; the message
   object and step live in per-row columns (one entry per *logical* hop);
 * sends append ``(src, row, receiver-count)`` plus a flat receiver list —
-  no per-copy objects at all;
+  nothing is allocated per copy;
 * at delivery the copies are grouped by receiver with one stable argsort, so
-  each receiver gets a NumPy array of row ids *in exactly the order the
-  copies would have appeared in its legacy inbox* (global send order —
-  multicast delivery order never interleaved with singles, so dropping hops
-  from the object inboxes preserves every observable ordering);
+  each receiver gets a NumPy array of row ids in **global send order**
+  (nodes in sorted id order, each node's sends in issue order).  Hops and
+  inbox messages are separate streams; neither's order depends on the other;
 * per-round classification work (next step, final-step test, lookup point)
   happens **once per logical hop** for the whole network — receivers share
   the columns through :attr:`HopDelivery.cache` and merely gather their row
@@ -33,9 +31,9 @@ Rows are interned per round, so the segments due together — a delayed one
 from an earlier round beside this round's undisturbed copies — are first
 :meth:`~FrozenHopRound.merged`: concatenated oldest first with their rows
 re-interned on the same ``(message identity, step)`` key, so a delayed copy
-still deduplicates against a fresh copy of the same logical hop, exactly as
-the per-receiver seen-set of the object path (``hop_plane=False``, the
-reference the equivalence suite compares against) would have it.
+still deduplicates against a fresh copy of the same logical hop: a receiver
+sees each ``(message identity, step)`` at most once per round, whenever its
+copies were sent.
 """
 
 from __future__ import annotations
@@ -64,12 +62,12 @@ class HopDelivery:
 
     ``msgs``/``steps`` are the shared per-row columns (row id -> logical
     hop); ``rows`` maps each surviving receiver to its row-id array in
-    arrival order, already deduplicated to first occurrences (the same
-    result as the legacy per-receiver ``(message identity, step)`` seen-set,
-    computed in one vectorised pass at delivery).  ``counts`` keeps the
-    pre-dedup copy count per receiver — the legacy inbox length.  ``cache``
-    is scratch space where the protocol layer memoises derived per-row
-    columns so classification runs once per round, not once per receiver.
+    arrival order, already deduplicated to the first occurrence of each
+    ``(message identity, step)`` (one vectorised pass at delivery).
+    ``counts`` keeps the pre-dedup copy count per receiver — what the
+    congestion metrics count as received.  ``cache`` is scratch space where
+    the protocol layer memoises derived per-row columns so classification
+    runs once per round, not once per receiver.
     """
 
     __slots__ = ("msgs", "steps", "rows", "counts", "total", "cache")
@@ -187,7 +185,7 @@ class FrozenHopRound:
         node: the stable sort keeps arrival order inside a segment, and the
         ``(receiver, row)`` unique-index mask keeps exactly the copies a
         per-node ``dict.fromkeys`` would have kept.  ``counts`` stays
-        pre-dedup — it mirrors the legacy inbox length.
+        pre-dedup: every copy that arrived was received.
         """
         flat = self.flat
         rows = self.copy_rows()
@@ -257,8 +255,7 @@ class HopPlane:
         """The row id of the logical hop ``(msg, step)``, assigned on first use.
 
         Message objects are shared per logical request with once-only
-        construction, so identity equals the documented msg_id dedup,
-        exactly like the legacy ``Hop`` path.
+        construction, so identity equals the documented msg_id dedup.
         """
         # Pack (identity, step) into one int: cheaper to hash than a tuple.
         # Steps are bounded by final_step = 2*lam + 2 << 128, so the low

@@ -16,10 +16,14 @@ Multicasts (one payload to many receivers) are first-class: the payload object
 is shared, not copied, which keeps the ``O(log^3 n)``-messages-per-node
 protocol affordable in pure Python while message/edge counts stay exact.
 
-**Hot path.**  ``send_many`` and ``deliver`` dominate large simulations, so
-both avoid per-element Python churn: NumPy id arrays are coerced via a single
-C-level ``tolist`` instead of a per-id generator, delivery shares one
-``(sender, payload)`` pair across all receivers of a multicast, and
+**Routed hops** — the bulk of all traffic — do not travel as objects: nodes
+file them through :meth:`Network.send_hops` into the network's
+:class:`~repro.sim.hopplane.HopPlane` and receive them as shared row arrays
+(:attr:`Network.hop_delivery`).  Copies are counted exactly like object
+sends, so edges, congestion and ``has_pending`` cover both.
+
+**Hot path.**  ``deliver`` avoids per-element Python churn: delivery shares
+one ``(sender, payload)`` pair across all receivers of a multicast, and
 ``has_pending`` reads a running counter instead of scanning the buckets.
 
 **Fault hook.**  An optional :attr:`Network.fault_hook` (duck-typed to
@@ -234,11 +238,10 @@ class Network:
         #: Optional fault injector (see module docstring); ``None`` = the
         #: paper's perfectly reliable synchronous network.
         self.fault_hook: FaultHook | None = None
-        #: Optional columnar transport for routed hops (mounted by the engine
-        #: unless ``hop_plane=False``; see :mod:`repro.sim.hopplane`).  When
-        #: present, protocols send hops via :meth:`send_hops` and receive them
-        #: as shared row arrays (:attr:`hop_delivery`) instead of inbox objects.
-        self.plane: HopPlane | None = None
+        #: Columnar transport for routed hops (:mod:`repro.sim.hopplane`):
+        #: protocols send hops via :meth:`send_hops` and receive them as
+        #: shared row arrays (:attr:`hop_delivery`), never in an inbox.
+        self.plane = HopPlane()
         #: The hop arrivals of the latest :meth:`deliver` call (or ``None``).
         self.hop_delivery: HopDelivery | None = None
         self._round = 0  # rounds closed so far (the ``t`` passed to the hook)
@@ -277,9 +280,7 @@ class Network:
 
         ``dsts`` may be any iterable, including a NumPy id array; receiver
         ids are coerced to plain ``int`` exactly like :meth:`send` so trace
-        edges and inbox keys stay type-consistent across both paths.  The
-        NumPy case converts in one C call (``tolist``) — this is the hottest
-        line of the whole simulator.
+        edges and inbox keys stay type-consistent across both paths.
         """
         if isinstance(dsts, np.ndarray):
             dsts = tuple(dsts.tolist())
@@ -291,35 +292,13 @@ class Network:
         self._sent_counts[src] += len(dsts)
         self._pending_count += len(dsts)
 
-    def send_many_batch(
-        self, src: int, items: list[tuple[tuple[int, ...], object]]
-    ) -> None:
-        """File many multicasts from one sender in one call.
-
-        ``items`` holds ``(receivers, payload)`` pairs whose receivers are
-        already plain-``int`` tuples (the batched node hot paths produce
-        exactly that).  Equivalent to calling :meth:`send_many` per item in
-        order, minus 2 dict updates and an isinstance probe per call — the
-        forwarding loops issue one multicast per held hop, so per-call
-        overhead is the dominant cost at scale.
-        """
-        sending = self._sending_multi
-        total = 0
-        for dsts, msg in items:
-            if dsts:
-                sending.append((src, dsts, msg))
-                total += len(dsts)
-        self._sent_counts[src] += total
-        self._pending_count += total
-
     def send_hops(
         self, src: int, msg: object, step: int, dsts: Sequence[int]
     ) -> None:
         """Multicast one routed hop through the columnar plane.
 
         Counts copies exactly like :meth:`send_many` (edges, congestion and
-        ``has_pending`` stay consistent across both transports); requires a
-        mounted :attr:`plane`.
+        ``has_pending`` stay consistent across both transports).
         """
         n = self.plane.send(src, msg, step, dsts)
         if n:
@@ -358,7 +337,7 @@ class Network:
         lists.  The messages move to the pending buckets for later delivery;
         the fault hook (if any) assigns each receiver its fates here.
         """
-        hop_round = self.plane.close_round() if self.plane is not None else None
+        hop_round = self.plane.close_round()
         edges = EdgeLog(self._sending, self._sending_multi, hop_round)
         sent = dict(self._sent_counts)
         hook = self.fault_hook

@@ -80,7 +80,7 @@ from typing import TYPE_CHECKING, Iterable
 
 from repro.config import env_flag
 from repro.core.nodestore import NodeStore
-from repro.routing.messages import Hop, RoutedMessage
+from repro.routing.messages import RoutedMessage
 from repro.sim import exchange
 from repro.sim.hopplane import HopDelivery, HopPlane
 from repro.util import arena as shmseg
@@ -249,10 +249,10 @@ class _SendLog:
     into plane columns) run unchanged.
     """
 
-    def __init__(self, plane_on: bool) -> None:
+    def __init__(self) -> None:
         self.items: list[tuple] = []
         self.marks: list[tuple[int, int, int]] = []  # (node, items_hi, plane_hi)
-        self.plane = HopPlane() if plane_on else None
+        self.plane = HopPlane()
 
     # Network API used by NodeContext --------------------------------
     def send(self, src: int, dst: int, msg: object) -> None:
@@ -267,10 +267,6 @@ class _SendLog:
         if dsts:
             self.items.append(("m", dsts, msg))
 
-    def send_many_batch(self, src: int, items: list) -> None:
-        if items:
-            self.items.append(("mb", items))
-
     def send_hops(self, src: int, msg: object, step: int, dsts) -> None:
         self.plane.send(src, msg, step, dsts)
 
@@ -281,11 +277,7 @@ class _SendLog:
         pass  # the master re-counts while splicing
 
     def mark(self, node: int) -> None:
-        plane_hi = len(self.plane._srcs) if self.plane is not None else 0
-        self.marks.append((node, len(self.items), plane_hi))
-
-    def plane_pack(self):
-        return self.plane.pack() if self.plane is not None else None
+        self.marks.append((node, len(self.items), len(self.plane._srcs)))
 
 
 # ----------------------------------------------------------------------
@@ -330,9 +322,6 @@ def _worker_main(
     protocols = engine._protocols
     rngs = engine._rngs
     params = engine.params
-    # repro: allow(shard-master-state): read-only feature flag captured at
-    # fork — whether the hop plane exists never changes mid-run
-    plane_on = engine.network.plane is not None
     # Per-shard compute timing reuses the profiler's injectable clock (no
     # direct wall-clock reads here); an unprofiled run measures nothing.
     clock = engine.profiler.clock if engine.profiler is not None else None
@@ -393,13 +382,12 @@ def _worker_main(
             ordered = sorted(owned)
         for v, name, args in calls:
             getattr(protocols[v], name)(*args)
-        if engine.services.epoch_cache is not None:
-            engine.services.epoch_cache.begin_round(t)
+        engine.services.epoch_cache.begin_round(t)
         delivery = None
         if shared is not None:
             msgs, steps = shared
             delivery = HopDelivery(msgs, steps, hop_rows, {}, total=0)
-        log = _SendLog(plane_on)
+        log = _SendLog()
         for v in ordered:
             if v in stalled:
                 continue
@@ -428,7 +416,7 @@ def _worker_main(
         up_enc = FrameEncoder(up_arena)
         try:
             desc = exchange.encode_uplink(
-                up_arena, up_enc, log.items, log.marks, log.plane_pack()
+                up_arena, up_enc, log.items, log.marks, log.plane.pack()
             )
             _worker_send(conn, ("sends", (desc, secs)))
         except ArenaFull as exc:
@@ -438,7 +426,7 @@ def _worker_main(
                 conn,
                 (
                     "sends_pipe",
-                    (log.items, log.marks, log.plane_pack(), secs, exc.needed),
+                    (log.items, log.marks, log.plane.pack(), secs, exc.needed),
                 ),
             )
 
@@ -707,9 +695,6 @@ class ShardRunner:
 
     def _canon_payload(self, msg: object, t: int) -> object:
         """Re-canonicalise routed content so identity-dedup sees one object."""
-        if isinstance(msg, Hop):
-            canon = self._canon_msg(msg.msg, t)
-            return msg if canon is msg.msg else Hop(canon, msg.step)
         if isinstance(msg, RoutedMessage):
             return self._canon_msg(msg, t)
         return msg
@@ -733,11 +718,7 @@ class ShardRunner:
         plane_lo = [0] * self.workers
         flat_offs: list[list[int]] = []
         for items, marks, plane_pack, _secs in results:
-            if plane_pack is not None:
-                lens = plane_pack[3]
-                flat_offs.append(list(accumulate(lens, initial=0)))
-            else:
-                flat_offs.append([0])
+            flat_offs.append(list(accumulate(plane_pack[3], initial=0)))
         for v in ordered:
             if v in stalled:
                 continue
@@ -755,15 +736,10 @@ class ShardRunner:
                         v,
                         [(d, self._canon_payload(m, t)) for d, m in item[1]],
                     )
-                elif tag == "m":
+                else:  # "m"
                     net.send_many(v, item[1], self._canon_payload(item[2], t))
-                else:  # "mb"
-                    net.send_many_batch(
-                        v,
-                        [(d, self._canon_payload(m, t)) for d, m in item[1]],
-                    )
             item_lo[k] = items_hi
-            if plane_pack is not None and plane_hi > plane_lo[k]:
+            if plane_hi > plane_lo[k]:
                 msgs, steps, rows, lens, flat = plane_pack
                 offs = flat_offs[k]
                 for i in range(plane_lo[k], plane_hi):

@@ -1,8 +1,7 @@
 # repro: module(protofix.p3_bad)
 """P3 bad: the dataclass renamed `pos` to `position` without touching
 the spec; one call overflows positionally, one passes the stale field
-name; the codec packs a 4-tuple and unpacks only one wire column
-against the spec's 3-column wire tuple."""
+name."""
 from dataclasses import dataclass
 
 
@@ -22,11 +21,3 @@ def launch(nid, position):
 
 def relaunch(nid):
     return Rec(node=nid, pos=0.0)
-
-
-def _msg_key(msg):
-    return (1, msg, 0, 0)
-
-
-def _decode_msg(is_hop, frame):
-    return frame

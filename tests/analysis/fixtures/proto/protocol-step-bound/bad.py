@@ -14,19 +14,12 @@ class Frame:
     body: int
 
 
-class Hop:
-    def __init__(self, frame, step, final_step):
-        self.frame = frame
-        self.step = step
-        self.final_step = final_step
-
-
 def launch(plane, frame):
-    plane.send_hops(Hop(frame, 1, 3), 1, [1])
+    plane.send_hops(frame, 1, [1])
 
 
-def forward(plane, hop, dsts):
-    plane.send_hops(hop, hop.step + 1, dsts)
+def advance(plane, frame, step, dsts):
+    plane.send_hops(frame, step + 1, dsts)
 
 
 class Node:

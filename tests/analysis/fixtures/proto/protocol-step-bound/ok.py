@@ -16,24 +16,18 @@ class Frame:
     body: int
 
 
-class Hop:
-    def __init__(self, frame, step, final_step):
-        self.frame = frame
-        self.step = step
-        self.final_step = final_step
-
-    def advanced(self):
-        if self.step >= self.final_step:
-            raise ValueError("trajectory exhausted")
-        return Hop(self.frame, self.step + 1, self.final_step)
-
-
 def launch(plane, frame):
-    plane.send_hops(Hop(frame, 0, 3), 0, [1])
+    plane.send_hops(frame, 0, [1])
 
 
-def forward(plane, hop, step, dsts):
-    plane.send_hops(hop, step, dsts)
+def hand_over(plane, frame, step, dsts):
+    plane.send_hops(frame, step, dsts)
+
+
+def advance(plane, frame, step, final_step, dsts):
+    if step >= final_step:
+        raise ValueError("trajectory exhausted")
+    plane.send_hops(frame, step + 1, dsts)
 
 
 class Node:

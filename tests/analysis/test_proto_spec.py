@@ -48,9 +48,7 @@ FULL = {
         "anchor": "a4",
         "step_init": 0,
         "bound": "final_step",
-        "wire_tuple": ["is_hop", "frame", "step"],
     },
-    "codec": {"module": "protofix.codec", "encoder": "pack", "decoder": "unpack"},
     "epochs": {"anchor": "a5", "writers": {"Node._cutover": ["e"]}},
     "ttl": {
         "anchor": "a6",
@@ -67,7 +65,7 @@ def test_minimal_spec_defaults():
     assert ping.kind == "message" and ping.dispatched
     assert ping.producer_phases == PHASES  # null -> all phases
     assert ping.consumer_phases == PHASES
-    assert spec.hops is None and spec.codec is None
+    assert spec.hops is None
     assert spec.epochs is None and spec.ttl is None
     assert spec.message("Ping") is ping
     assert spec.message("Nope") is None
@@ -126,10 +124,6 @@ def test_phase_lists_are_normalised_to_protocol_order():
         (
             lambda d: d.update(hops={"anchor": "a", "step_init": "zero"}),
             "step_init must be an int",
-        ),
-        (
-            lambda d: d.update(codec={"module": "m", "encoder": "e"}),
-            "codec.decoder must be a string",
         ),
         (
             lambda d: d.update(epochs={"anchor": "a", "writers": []}),

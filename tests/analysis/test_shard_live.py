@@ -29,8 +29,8 @@ def test_live_tree_is_clean_under_committed_baseline():
     counts = report.roles.counts()
     assert counts["worker"] >= 5  # _worker_main and its exchange helpers
     assert counts["master"] >= 10  # ShardRunner methods + engine drivers
-    # The two sanctioned fork-time snapshot reads in _worker_main are waived.
-    assert len(report.waived) >= 2
+    # The sanctioned fork-time snapshot read in _worker_main is waived.
+    assert len(report.waived) >= 1
 
 
 def test_live_worker_partition_names_the_real_entry_points():

@@ -7,10 +7,10 @@ import pytest
 from repro.config import ProtocolParams
 from repro.core.messages import CreateBatch, JoinBatch, JoinRecord, TokenGrant
 from repro.core.node import MaintenanceNode, Phase
-from repro.routing.messages import Hop, make_routed_message
-from repro.sim.engine import EngineServices, NodeContext
-from repro.sim.network import Network
-from repro.util.rngs import RngService
+from repro.routing.messages import make_routed_message
+from repro.sim.engine import EngineServices
+
+from .nodectx import make_ctx, make_services
 
 
 @pytest.fixture
@@ -20,27 +20,11 @@ def params() -> ProtocolParams:
 
 @pytest.fixture
 def services(params) -> EngineServices:
-    svc = RngService(params.seed)
-    return EngineServices(params=params, rng=svc, position_hash=svc.position_hash())
-
-
-def ctx_for(node, services, t, inbox):
-    net = Network()
-    return (
-        NodeContext(
-            node_id=node.id,
-            t=t,
-            inbox=inbox,
-            rng=services.rng.node_stream(node.id),
-            params=services.params,
-            joined_round=0,
-            network=net,
-        ),
-        net,
-    )
+    return make_services(params)
 
 
 def make_hop(services, params, step, payload=None, target=0.5, rank=None):
+    """One arriving copy ``(sender, message, step)`` (see ``make_ctx``)."""
     msg = make_routed_message(
         msg_id=("probe", "x", 99),
         origin=99,
@@ -51,7 +35,7 @@ def make_hop(services, params, step, payload=None, target=0.5, rank=None):
         sample_rank=rank,
         payload=payload if payload is not None else ("probe", "x"),
     )
-    return Hop(msg, step)
+    return (2, msg, step)
 
 
 class TestHopEdgeCases:
@@ -59,7 +43,7 @@ class TestHopEdgeCases:
         node = MaintenanceNode(1, services)
         node.phase = Phase.FRESH
         hop = make_hop(services, params, step=2)
-        ctx, net = ctx_for(node, services, 11, [(2, hop)])
+        ctx, net = make_ctx(node, services, 11, [], hops=[hop])
         node.on_round(ctx)
         edges, _ = net.close_send_phase()
         assert edges == []
@@ -72,7 +56,10 @@ class TestHopEdgeCases:
         dense = {i: (i - 2) / 60 for i in range(2, 62)}
         node.prime(epoch=5, pos=0.5, neighbors=dense)
         hop = make_hop(services, params, step=2)
-        ctx, net = ctx_for(node, services, 10, [(2, hop), (3, hop), (4, hop)])
+        _, msg, step = hop
+        ctx, net = make_ctx(
+            node, services, 10, [], hops=[(2, msg, step), (3, msg, step), (4, msg, step)]
+        )
         node.on_round(ctx)
         _, sent = net.close_send_phase()
         # Launches go out next odd round, so all sends here are hop copies.
@@ -82,7 +69,7 @@ class TestHopEdgeCases:
         node = MaintenanceNode(1, services)
         node.prime(epoch=5, pos=0.5, neighbors={2: 0.51})
         hop = make_hop(services, params, step=params.lam + 1)
-        ctx, net = ctx_for(node, services, 10, [(2, hop)])
+        ctx, net = make_ctx(node, services, 10, [], hops=[hop])
         node.on_round(ctx)  # must not raise
         assert node.delivered == []
 
@@ -90,7 +77,7 @@ class TestHopEdgeCases:
         node = MaintenanceNode(1, services)
         node.prime(epoch=5, pos=0.5, neighbors={2: 0.51})
         hop = make_hop(services, params, step=params.lam + 1)
-        ctx, _ = ctx_for(node, services, 11, [(2, hop)])
+        ctx, _ = make_ctx(node, services, 11, [], hops=[hop])
         node.on_round(ctx)
         assert node.delivered and node.delivered[0][0] == ("probe", "x")
 
@@ -101,7 +88,7 @@ class TestHopEdgeCases:
             services, params, step=params.lam + 1, payload=("token", 7),
             target=0.5, rank=10_000,
         )
-        ctx, _ = ctx_for(node, services, 11, [(2, hop)])
+        ctx, _ = make_ctx(node, services, 11, [], hops=[hop])
         node.on_round(ctx)
         assert all(owner != 7 for _, owner in node.tokens)
 
@@ -109,7 +96,7 @@ class TestHopEdgeCases:
         node = MaintenanceNode(1, services)
         node.prime(epoch=5, pos=0.5, neighbors={2: 0.51})
         hop = make_hop(services, params, step=params.lam + 1, payload="mystery")
-        ctx, _ = ctx_for(node, services, 11, [(2, hop)])
+        ctx, _ = make_ctx(node, services, 11, [], hops=[hop])
         node.on_round(ctx)
         assert ("mystery", 11) in node.delivered
 
@@ -124,7 +111,7 @@ class TestRecordEdgeCases:
         # plus self-only implies empty neighbourhood for us; send one real
         # record so the batch is non-trivial.
         recs = (JoinRecord(2, 0.3, e),)
-        ctx, _ = ctx_for(node, services, 2 * e, [(9, CreateBatch(recs))])
+        ctx, _ = make_ctx(node, services, 2 * e, [(9, CreateBatch(recs))])
         node.on_round(ctx)
         assert node.phase is Phase.ESTABLISHED
         assert node.epoch == e
@@ -133,7 +120,7 @@ class TestRecordEdgeCases:
         node = MaintenanceNode(1, services)
         e = params.lam + 6
         recs = (JoinRecord(1, 0.4, e), JoinRecord(2, 0.3, e))
-        ctx, _ = ctx_for(node, services, 2 * e, [(9, CreateBatch(recs))])
+        ctx, _ = make_ctx(node, services, 2 * e, [(9, CreateBatch(recs))])
         node.on_round(ctx)
         assert 1 not in node.d_nbrs and 2 in node.d_nbrs
 
@@ -141,7 +128,7 @@ class TestRecordEdgeCases:
         node = MaintenanceNode(1, services)
         node.phase = Phase.FRESH
         batch = JoinBatch((JoinRecord(7, 0.2, 6),))
-        ctx, net = ctx_for(node, services, 11, [(2, batch)])
+        ctx, net = make_ctx(node, services, 11, [(2, batch)])
         node.on_round(ctx)
         edges, _ = net.close_send_phase()
         assert edges == []  # no matchmaking from outside the overlay
@@ -149,7 +136,7 @@ class TestRecordEdgeCases:
     def test_grant_on_established_node_adds_tokens_only(self, services, params):
         node = MaintenanceNode(1, services)
         node.prime(epoch=5, pos=0.5, neighbors={2: 0.51})
-        ctx, _ = ctx_for(node, services, 11, [(2, TokenGrant((8, 9)))])
+        ctx, _ = make_ctx(node, services, 11, [(2, TokenGrant((8, 9)))])
         node.on_round(ctx)
         assert node.phase is Phase.ESTABLISHED
         assert {o for _, o in node.tokens} >= {8, 9}
@@ -161,7 +148,7 @@ class TestPipelineBookkeeping:
         node = MaintenanceNode(1, services)
         node.prime(epoch=0, pos=0.5, neighbors={2: 0.51})
         node.tokens = [(100, 5), (100, 6), (100, 7)]
-        ctx, net = ctx_for(node, services, 2, [])
+        ctx, net = make_ctx(node, services, 2, [])
         node.on_round(ctx)
         from repro.core.messages import ConnectMsg
 
@@ -178,10 +165,10 @@ class TestPipelineBookkeeping:
         node.phase = Phase.FRESH
         node.tokens = [(1000, 5), (1000, 6), (1000, 7)]
         e = params.lam + 6
-        ctx, _ = ctx_for(node, services, 2 * e, [(9, CreateBatch((JoinRecord(2, 0.3, e),)))])
+        ctx, _ = make_ctx(node, services, 2 * e, [(9, CreateBatch((JoinRecord(2, 0.3, e),)))])
         node.on_round(ctx)
         assert node.phase is Phase.ESTABLISHED
-        ctx, net = ctx_for(node, services, 2 * e + 2, [])
+        ctx, net = make_ctx(node, services, 2 * e + 2, [])
         node.on_round(ctx)
         from repro.core.messages import ConnectMsg
 

@@ -15,9 +15,10 @@ from repro.core.messages import (
     TokenMsg,
 )
 from repro.core.node import TOKEN_TTL, MaintenanceNode, Phase
-from repro.sim.engine import EngineServices, JoinNotice, NodeContext
+from repro.sim.engine import EngineServices, JoinNotice
 from repro.sim.network import Network
-from repro.util.rngs import RngService
+
+from .nodectx import make_ctx, make_services
 
 
 @pytest.fixture
@@ -27,24 +28,7 @@ def params() -> ProtocolParams:
 
 @pytest.fixture
 def services(params) -> EngineServices:
-    svc = RngService(params.seed)
-    return EngineServices(params=params, rng=svc, position_hash=svc.position_hash())
-
-
-def make_ctx(node, services, t, inbox, network=None):
-    net = network if network is not None else Network()
-    return (
-        NodeContext(
-            node_id=node.id,
-            t=t,
-            inbox=inbox,
-            rng=services.rng.node_stream(node.id),
-            params=services.params,
-            joined_round=0,
-            network=net,
-        ),
-        net,
-    )
+    return make_services(params)
 
 
 def sent_messages(net: Network):

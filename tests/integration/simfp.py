@@ -5,8 +5,7 @@ one digest: per-round metrics (sent/received/alive), the exact edge multiset
 ``E_t`` of every round, the churn decisions, every node's final protocol
 state, the structural audit and the probe report.  Two runs with the same
 fingerprint behaved identically at the message level — the digest is the
-contract the cached/vectorised hot paths must honour against the reference
-paths.
+contract every change to the round path must honour.
 
 The golden digests recorded in ``test_equivalence.py`` were captured from
 the pre-epoch-cache code, so any optimisation that changes behaviour (one
@@ -142,8 +141,8 @@ def run_scenario(name: str, **sim_kwargs) -> str:
     """Run one named scenario round by round; returns its fingerprint.
 
     Probes are queued mid-run so final-delivery paths contribute to the
-    digest.  ``sim_kwargs`` forward to :class:`MaintenanceSimulation` (the
-    equivalence tests toggle the cached hot paths on and off here).
+    digest.  ``sim_kwargs`` forward to :class:`MaintenanceSimulation`
+    (``faults=``, ``workers=``).
     """
     builder, total = SCENARIOS[name]
     sim = builder(**sim_kwargs)

@@ -1,13 +1,14 @@
-"""Bit-for-bit equivalence of the cached hot paths against the reference.
+"""Bit-for-bit equivalence of the round path against the seed digests.
 
-The epoch cache (shared per-epoch position tables + interned copy-on-write
-``PositionIndex`` slabs) and the columnar hop plane are pure optimisations:
-every observable of a run — per-round metrics, the exact edge multiset, the
-churn decisions, every node's final state, audits and probe deliveries —
-must be identical with them on (the default) and off.  The golden digests
-below were captured from the pre-optimisation code, so these tests pin the
-optimised paths against the original implementation, not just against each
-other.
+There is one round path: hops ride the columnar hop plane and nodes share
+the epoch cache (per-epoch position tables + interned copy-on-write
+``PositionIndex`` slabs).  Both are pure optimisations over the seed
+implementation, which sent one object per hop copy and had every node
+compute its own state.  The golden digests below were captured from that
+seed code and cover every observable of a run — per-round metrics, the
+exact edge multiset, the churn decisions, every node's final state, audits
+and probe deliveries — so these tests pin today's path against the
+original behaviour, with and without churn and fault plans.
 """
 
 from __future__ import annotations
@@ -29,28 +30,21 @@ GOLDEN = {
 
 @pytest.mark.parametrize("scenario", sorted(GOLDEN))
 def test_optimized_matches_golden(scenario):
-    """Default (cached) configuration reproduces the reference digests."""
+    """The hop plane + epoch cache path reproduces the seed digests."""
     assert run_scenario(scenario) == GOLDEN[scenario]
-
-
-@pytest.mark.parametrize("scenario", ["steady", "churn"])
-def test_reference_matches_golden(scenario):
-    """With caches disabled the original code paths still run — and agree."""
-    fp = run_scenario(scenario, epoch_cache=False, hop_plane=False)
-    assert fp == GOLDEN[scenario]
 
 
 @pytest.mark.parametrize(
     ("scenario", "workers"), [("faults", 1), ("churn_faults", 1), ("faults", 2)]
 )
 def test_fault_scenarios_ride_the_hop_plane(scenario, workers):
-    """Pin the path, not just the digest: a fault plan must not unmount the
-    plane, or the golden and shard-identity fault cells above would pass on
-    the per-copy object path without ever touching the columnar one."""
+    """Pin the path, not just the digest: under a fault plan every hop copy
+    still travels (and is fated) as plane columns, never as a multicast
+    object in the network's pending buckets."""
     sim = SCENARIOS[scenario][0](workers=workers)
     try:
         network = sim.engine.network
-        assert sim.engine.faults is not None and network.plane is not None
+        assert sim.engine.faults is not None
         plane_copies = 0
         for _ in range(8):
             sim.engine.run_round()
@@ -60,11 +54,6 @@ def test_fault_scenarios_ride_the_hop_plane(scenario, workers):
         assert plane_copies > 0
     finally:
         sim.close()
-
-
-def test_cache_without_plane_matches_golden():
-    """The epoch cache alone (legacy transport) is also equivalence-safe."""
-    assert run_scenario("steady", hop_plane=False) == GOLDEN["steady"]
 
 
 def test_trivial_new_rules_match_golden():

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import ProtocolParams
-from repro.routing.messages import Hop, make_routed_message
+from repro.core.node import _even_hop_cols, _odd_hop_cols
+from repro.routing.messages import make_routed_message
 from repro.routing.series import SeriesRouter
+from repro.sim.hopplane import HopDelivery
 
 unit = st.floats(min_value=0.0, max_value=1.0, exclude_max=True, allow_nan=False)
 
@@ -22,13 +24,21 @@ class TestMessageInvariants:
 
     @given(unit, unit)
     def test_hop_advance(self, v, p):
+        """One row per step of one message: handing over (odd) keeps the
+        step at its trajectory point, forwarding (even) advances it by one
+        until the final swarm is reached."""
         msg = make_routed_message("id", 0, v, p, 8, 0)
-        hop = Hop(msg, 0)
-        for k in range(1, msg.final_step + 1):
-            hop = hop.advanced()
-            assert hop.step == k
-            assert hop.point == msg.trajectory[k]
-        assert hop.at_final_swarm
+        steps = np.arange(msg.final_step + 1, dtype=np.int32)
+        delivery = HopDelivery([msg] * steps.size, steps, {}, {}, total=0)
+        final, point, *_ = _odd_hop_cols(delivery)
+        kind, next_point, next_ks, *_ = _even_hop_cols(delivery)
+        for k in range(msg.final_step):
+            assert not final[k] and point[k] == msg.trajectory[k]
+            assert next_ks[k] == k + 1
+            last = k + 1 == msg.final_step
+            assert kind[k] == (2 if last else 3)
+            assert next_point[k] == (msg.target if last else msg.trajectory[k + 1])
+        assert final[msg.final_step] and kind[msg.final_step] == 0
 
     def test_sampling_flag(self):
         plain = make_routed_message("a", 0, 0.1, 0.2, 8, 0)

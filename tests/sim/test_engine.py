@@ -202,7 +202,6 @@ class TestHopPlaneUnderFaults:
     def test_plane_is_mounted_with_a_fault_plan(self):
         plan = FaultPlan(seed=1, messages=(MessageFaults(drop_p=0.5),))
         assert make_engine(EchoProtocol, faults=plan).network.plane is not None
-        assert make_engine(EchoProtocol, faults=plan, hop_plane=False).network.plane is None
 
     def test_delayed_copy_skips_leaver_and_joiner_of_its_delivery_round(self):
         plan = FaultPlan(seed=1, messages=(MessageFaults(delay_p=1.0, delay_rounds=1),))

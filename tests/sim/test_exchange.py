@@ -3,8 +3,8 @@
 The contract under test is *identity-preserving round-trips*: whatever the
 PR 7 pipe payloads carried, the arena encoding must reproduce — including
 the sharing structure (one logical message -> one decoded object per
-process per round) that receiver-side hop dedup and plane-row interning
-key on.
+process per round) that plane-row interning, and with it receiver-side hop
+dedup, keys on.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.routing.messages import Hop, RoutedMessage
+from repro.routing.messages import RoutedMessage
 from repro.sim import exchange
 from repro.sim.hopplane import HopDelivery
 from repro.util.arena import ArenaFull, ByteArena, FrameDecoder, FrameEncoder
@@ -27,6 +27,10 @@ def _msg(i: int, payload: object = None) -> RoutedMessage:
         start_round=4,
         payload=payload,
     )
+
+
+#: An empty ``HopPlane.pack()``: ``(msgs, steps, rows, lens, flat)``.
+NO_HOPS = ([], [], [], [], [])
 
 
 def _codec(nbytes: int = 1 << 16):
@@ -70,7 +74,7 @@ class TestDownlinkBand:
         m = _msg(5, payload=("probe", 9))
         control = ((3, 4), (), (1, 8), [])
         inboxes = {
-            2: [(10, Hop(m, 1)), (11, Hop(m, 1)), (12, "token")],
+            2: [(10, m), (11, m), (12, "token")],
             6: [],
         }
         hop_rows = {2: np.array([0, 3, 5], dtype=np.int32)}
@@ -83,23 +87,12 @@ class TestDownlinkBand:
         assert out_inboxes[6] == []
         senders = [s for s, _m in out_inboxes[2]]
         assert senders == [10, 11, 12]
-        h0, h1 = out_inboxes[2][0][1], out_inboxes[2][1][1]
-        assert isinstance(h0, Hop) and h0.step == 1
-        # the two hop copies share one decoded RoutedMessage — the
-        # receiver-side (identity, step) dedup depends on this
-        assert h0.msg is h1.msg
+        m0, m1 = out_inboxes[2][0][1], out_inboxes[2][1][1]
+        # two references to one RoutedMessage decode to one object —
+        # identity interning on the receiving side depends on this
+        assert m0.msg_id == m.msg_id and m0 is m1
         assert out_inboxes[2][2][1] == "token"
         np.testing.assert_array_equal(out_rows[2], hop_rows[2])
-
-    def test_negative_step_packing(self):
-        # Non-hop entries pack step -1 as (-1 << 1) | 0 == -2; the decode
-        # must shift it back arithmetically, not logically.
-        buf, arena, enc, dec = _codec()
-        desc = exchange.encode_downlink_band(
-            arena, enc, (), {3: [(1, ("plain", 0))]}, None
-        )
-        _c, inboxes, _r = exchange.decode_downlink_band(buf, dec, desc)
-        assert inboxes[3] == [(1, ("plain", 0))]
 
     def test_empty_band(self):
         buf, arena, enc, dec = _codec()
@@ -114,11 +107,11 @@ class TestDownlinkBand:
         # payloads reference the same offset through the shared encoder.
         buf, arena, enc, dec = _codec()
         m = _msg(1)
-        d1 = exchange.encode_downlink_band(arena, enc, (), {0: [(9, Hop(m, 2))]}, None)
-        d2 = exchange.encode_downlink_band(arena, enc, (), {1: [(9, Hop(m, 2))]}, None)
+        d1 = exchange.encode_downlink_band(arena, enc, (), {0: [(9, m)]}, None)
+        d2 = exchange.encode_downlink_band(arena, enc, (), {1: [(9, m)]}, None)
         _, in1, _ = exchange.decode_downlink_band(buf, dec, d1)
         _, in2, _ = exchange.decode_downlink_band(buf, dec, d2)
-        assert in1[0][0][1].msg is in2[1][0][1].msg
+        assert in1[0][0][1] is in2[1][0][1]
 
 
 # ----------------------------------------------------------------------
@@ -131,27 +124,27 @@ class TestUplink:
         buf, arena, enc, dec = _codec()
         m = _msg(2)
         items = [
-            ("s", 4, Hop(m, 1)),
-            ("b", [(5, "grant"), (6, Hop(m, 1))]),
-            ("m", (7, 8, 9), Hop(m, 2)),
-            ("mb", [((1, 2), Hop(m, 2)), ((3,), "ack")]),
+            ("s", 4, m),
+            ("b", [(5, "grant"), (6, m)]),
+            ("m", (7, 8, 9), m),
         ]
         marks = [(4, 2, 1), (5, 0, 0)]
-        desc = exchange.encode_uplink(arena, enc, items, marks, None)
+        pack = ([m, _msg(3), m], [1, 1, 2], [0, 1, 2], [1, 1, 1], [4, 5, 6])
+        desc = exchange.encode_uplink(arena, enc, items, marks, pack)
         out_items, out_marks, plane = exchange.decode_uplink(buf, dec, desc)
-        assert plane is None
         assert out_marks == marks
-        assert [it[0] for it in out_items] == ["s", "b", "m", "mb"]
+        assert [it[0] for it in out_items] == ["s", "b", "m"]
         assert out_items[0][1] == 4
         assert out_items[1][1][0] == (5, "grant")
         assert out_items[2][1] == (7, 8, 9)
-        assert out_items[3][1][1] == ((3,), "ack")
-        # every copy of the logical hop at step 1 shares one message object
-        h_s = out_items[0][2]
-        h_b = out_items[1][1][1][1]
-        h_m = out_items[2][2]
-        assert h_s.msg is h_b.msg is h_m.msg
-        assert out_items[3][1][0][1].msg is h_s.msg  # step 2 too: same frame
+        # every reference to the one message — in any item kind and on any
+        # plane row — decodes to the same object
+        m_s = out_items[0][2]
+        m_b = out_items[1][1][1][1]
+        m_m = out_items[2][2]
+        assert m_s.msg_id == m.msg_id
+        assert m_s is m_b is m_m is plane[0][0] is plane[0][2]
+        assert plane[0][1] is not m_s
 
     def test_plane_pack_roundtrip(self):
         buf, arena, enc, dec = _codec()
@@ -171,8 +164,8 @@ class TestUplink:
 
     def test_empty_round(self):
         buf, arena, enc, dec = _codec()
-        desc = exchange.encode_uplink(arena, enc, [], [], None)
-        assert exchange.decode_uplink(buf, dec, desc) == ([], [], None)
+        desc = exchange.encode_uplink(arena, enc, [], [], NO_HOPS)
+        assert exchange.decode_uplink(buf, dec, desc) == ([], [], NO_HOPS)
 
     def test_overflow_raises_arena_full(self):
         buf = memoryview(bytearray(256))
@@ -180,10 +173,12 @@ class TestUplink:
         enc = FrameEncoder(arena)
         items = [("s", 1, _msg(i, payload="x" * 64)) for i in range(8)]
         with pytest.raises(ArenaFull) as exc:
-            exchange.encode_uplink(arena, enc, items, [(1, 0, 0)], None)
+            exchange.encode_uplink(arena, enc, items, [(1, 0, 0)], NO_HOPS)
         assert exc.value.needed > 256
 
     def test_used_bytes_in_descriptor(self):
         buf, arena, enc, dec = _codec()
-        desc = exchange.encode_uplink(arena, enc, [("s", 1, "msg")], [(1, 1, 0)], None)
+        desc = exchange.encode_uplink(
+            arena, enc, [("s", 1, "msg")], [(1, 1, 0)], NO_HOPS
+        )
         assert desc[-1] == arena.used > 0

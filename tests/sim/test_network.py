@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.sim.hopplane import HopPlane
 from repro.sim.network import Network
 
 
@@ -201,7 +200,6 @@ class Msg:
 
 def plane_network(fates=None) -> Network:
     net = Network()
-    net.plane = HopPlane()
     net.fault_hook = StubHook(fates)
     return net
 
