@@ -20,6 +20,13 @@ All payloads are immutable so multicasts can share one instance.
 Routed payloads (carried inside :class:`repro.routing.messages.RoutedMessage`)
 are tagged tuples: ``("join", JoinRecord)``, ``("token", owner_id)`` and
 ``("probe", probe_id)``.
+
+Every type pickles as ``(class, constructor args)`` through its own
+``__reduce__``: the state hooks ``dataclass(slots=True)`` generates call
+``dataclasses.fields()`` per object, which was the largest single cost of
+the sharded engine's boundary exchange (tens of thousands of records per
+round).  A new field must be added to its class's ``__reduce__`` too — the
+pickle round-trip tests compare every field.
 """
 
 from __future__ import annotations
@@ -46,6 +53,9 @@ class JoinRecord:
     pos: float
     epoch: int
 
+    def __reduce__(self):
+        return JoinRecord, (self.node, self.pos, self.epoch)
+
 
 @dataclass(frozen=True, slots=True)
 class JoinBatch:
@@ -54,6 +64,9 @@ class JoinBatch:
     __protocol__ = True
 
     records: tuple[JoinRecord, ...]
+
+    def __reduce__(self):
+        return JoinBatch, (self.records,)
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,6 +92,9 @@ class CreateBatch:
     )
     epoch: int | None = field(default=None, compare=False, repr=False)
 
+    def __reduce__(self):
+        return CreateBatch, (self.records, self.nodes, self.poses, self.epoch)
+
 
 @dataclass(frozen=True, slots=True)
 class TokenMsg:
@@ -87,6 +103,9 @@ class TokenMsg:
     __protocol__ = True
 
     owner: int
+
+    def __reduce__(self):
+        return TokenMsg, (self.owner,)
 
 
 @dataclass(frozen=True, slots=True)
@@ -97,6 +116,9 @@ class ConnectMsg:
 
     node: int
 
+    def __reduce__(self):
+        return ConnectMsg, (self.node,)
+
 
 @dataclass(frozen=True, slots=True)
 class TokenGrant:
@@ -105,3 +127,6 @@ class TokenGrant:
     __protocol__ = True
 
     tokens: tuple[int, ...]
+
+    def __reduce__(self):
+        return TokenGrant, (self.tokens,)

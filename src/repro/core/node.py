@@ -184,13 +184,14 @@ def _intern_out_rows(
     ``steps`` columns, receiver arrival order comes from the send sequence,
     and dedup is by row *value*.  Interning all of a round's forward keys
     eagerly (in row order) therefore changes no behaviour, but lets every
-    node's forwarding loop file batches with C-level ``list.extend`` instead
-    of paying a dict probe per action.  Rows that end up with zero copies
-    (e.g. every holder's window was empty) simply never reach a receiver.
+    node's forwarding pass look its outgoing rows up with one gather and
+    file them as an ``int32`` array, with no dict probe per action.  Rows
+    that end up with zero copies (e.g. every holder's window was empty)
+    simply never reach a receiver.
     """
-    reg, pmsgs, psteps, _, _, _, _ = ctx.hop_columns()
+    reg, pmsgs, psteps = ctx.hop_registry()
     reg_get = reg.get
-    out = np.full(len(msgs), -1, dtype=np.int64)
+    out = np.full(len(msgs), -1, dtype=np.int32)
     for row in rows_to_intern:
         m = msgs[row]
         k = steps_out[row]
@@ -694,15 +695,12 @@ class MaintenanceNode(NodeProtocol):
             ids32 = sc.get("ids32")
             if ids32 is None:
                 ids32 = sc["ids32"] = index.ids.astype(np.int32)
-            ids_list = index.ids_list
-            n = len(ids_list)
+            n = ids32.size
             rho = self._swarm_radius
             finals_mask = kind[act_rows] == 2
-            full_ring = rho >= 0.5
-            if full_ring:
+            if rho >= 0.5:  # every window is the full ring
                 ai_arr = np.zeros(act_rows.size, dtype=np.int64)
                 size_arr = np.full(act_rows.size, n, dtype=np.int64)
-                b_arr = wr_arr = None
             else:
                 ai_arr, b_arr, wr_arr = index.bounds_many(point[act_rows], rho)
                 size_arr = np.where(wr_arr, n - ai_arr + b_arr, b_arr - ai_arr)
@@ -722,15 +720,13 @@ class MaintenanceNode(NodeProtocol):
             # finals draw in one batched ``random(r*k)`` call (the Generator
             # stream is identical to k*r scalar draws).
             events: list[int] = []
-            ranks_l: list[int] = []
             if fin_idx.size:
                 fin_act = act_rows[fin_idx]
                 tgtf = point[fin_act]
-                # Window rank of this node per final (also pass 2's slice
-                # position: dropping rank ``rk`` from the member window is
-                # the ``w != my_id`` filter, ids being unique).
+                # Window rank of this node per final (also pass 2's gap:
+                # dropping rank ``rk`` from the member window is the
+                # ``w != my_id`` filter, ids being unique).
                 ranks_fin = index.ranks_within_many(tgtf, rho, my_id)
-                ranks_l = ranks_fin.tolist()
                 if self.pos is not None:
                     inswarm = self._in_swarm(tgtf)
                     fc = fincls[fin_act]
@@ -765,61 +761,36 @@ class MaintenanceNode(NodeProtocol):
                 j[j >= n] -= n
                 pick_chunks.append(ids32[j])
 
-            # Pass 2 — filing, in row order (no rng, no node state): mid runs
-            # between finals splice into the plane columns as list slices;
-            # finals multicast their member window (cached per row on
-            # the delivery — the window is index-determined, only the slice
-            # position of self differs per holder) minus self.
-            _, _, _, psrcs, prows, plens, pflat = ctx.hop_columns()
-            picks_l = (
-                np.concatenate(pick_chunks).tolist() if pick_chunks else []
-            )
-            orow_act = out_row[act_rows]
-            orow_mid_l = orow_act[mid_list].tolist()
-            fm = cache.get(("fin_members", index))
-            if fm is None:
-                fm = cache[("fin_members", index)] = {}
-            total = 0
-            mc = 0  # mids filed so far
-            ri = 0  # finals seen so far (ranks_l cursor)
-            fin_l = fin_idx.tolist()
-            act_l = act_rows.tolist()
-            bounds = np.searchsorted(mid_list, fin_idx, side="left").tolist()
-            bounds.append(int(mid_list.size))
-            for fpos, hi in zip(fin_l + [-1], bounds):
-                if hi > mc:
-                    k = hi - mc
-                    psrcs.extend([my_id] * k)
-                    prows.extend(orow_mid_l[mc:hi])
-                    plens.extend([r] * k)
-                    pflat.extend(picks_l[r * mc:r * hi])
-                    total += r * k
-                    mc = hi
-                if fpos >= 0:
-                    row = act_l[fpos]
-                    mem = fm.get(row)
-                    if mem is None:
-                        if full_ring:
-                            mem = ids_list
-                        elif wr_arr[fpos]:
-                            mem = (
-                                ids_list[int(ai_arr[fpos]):]
-                                + ids_list[: int(b_arr[fpos])]
-                            )
-                        else:
-                            mem = ids_list[int(ai_arr[fpos]):int(b_arr[fpos])]
-                        fm[row] = mem
-                    rk = ranks_l[ri]
-                    ri += 1
-                    dsts = mem if rk < 0 else mem[:rk] + mem[rk + 1:]
-                    nd = len(dsts)
-                    if nd:
-                        psrcs.append(my_id)
-                        prows.append(int(orow_act[fpos]))
-                        plens.append(nd)
-                        pflat.extend(dsts)
-                        total += nd
-            ctx.count_hop_sends(total)
+            # Pass 2 — filing, in row order (no rng, no node state), as
+            # arrays.  A mid row sends its ``r`` picks; a final multicasts
+            # its member window — ``size`` ring-consecutive members from
+            # ``ai``, wrapping at ``n`` — minus self, whose window rank is
+            # already known from pass 1.  Rows with nobody to send to
+            # (empty window, or self alone in it) are not filed.
+            lens = np.zeros(act_rows.size, dtype=np.int32)
+            lens[mid_list] = r
+            if fin_idx.size:
+                inside = ranks_fin >= 0
+                lens[fin_idx] = size_arr[fin_idx] - inside
+            ends = np.cumsum(lens)
+            flat = np.empty(int(ends[-1]), dtype=np.int32)
+            if pick_chunks:
+                slots = (ends[mid_list] - r)[:, None] + np.arange(r)
+                flat[slots.ravel()] = np.concatenate(pick_chunks)
+            if fin_idx.size:
+                flen = lens[fin_idx]
+                fend = np.cumsum(flen)
+                # Position of each final copy within its own window, bumped
+                # past self's rank where self sits inside the window.
+                j = np.arange(int(fend[-1])) - np.repeat(fend - flen, flen)
+                j += j >= np.repeat(np.where(inside, ranks_fin, n), flen)
+                member = np.repeat(ai_arr[fin_idx], flen) + j
+                member[member >= n] -= n
+                copies = np.repeat(ends[fin_idx] - fend, flen)
+                copies += np.arange(copies.size)
+                flat[copies] = ids32[member]
+            sent = lens > 0
+            ctx.file_hops(out_row[act_rows[sent]], lens[sent], flat)
         return join_recs
 
     def _in_swarm(self, point):
@@ -1028,15 +999,13 @@ class MaintenanceNode(NodeProtocol):
             pick_chunks.append(ids32[j])
 
         # Pass 2 — filing.  Odd finals file nothing, so the handover copies
-        # go out in one batched extend (mid row order is preserved).
-        k = int(mid_list.size)
-        if k:
-            _, _, _, psrcs, prows, plens, pflat = ctx.hop_columns()
-            psrcs.extend([my_id] * k)
-            prows.extend(out_row[rows_u[mid_list]].tolist())
-            plens.extend([r] * k)
-            pflat.extend(np.concatenate(pick_chunks).tolist())
-            ctx.count_hop_sends(r * k)
+        # go out as one chunk (mid row order is preserved).
+        if mid_list.size:
+            ctx.file_hops(
+                out_row[rows_u[mid_list]],
+                np.full(mid_list.size, r, dtype=np.int32),
+                np.concatenate(pick_chunks),
+            )
 
     def _matchmake(self, ctx: NodeContext, h_index: PositionIndex) -> None:
         """Send each next-overlay node its Definition-5 neighbours (CREATE).

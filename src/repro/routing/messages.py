@@ -45,6 +45,20 @@ class RoutedMessage:
     def __post_init__(self) -> None:
         object.__setattr__(self, "final_step", len(self.trajectory) - 1)
 
+    def __reduce__(self):
+        # Constructor arguments only (``final_step`` is recomputed): the
+        # state hooks ``dataclass(slots=True)`` generates call
+        # ``dataclasses.fields()`` per object — see repro.core.messages.
+        return RoutedMessage, (
+            self.msg_id,
+            self.origin,
+            self.target,
+            self.trajectory,
+            self.start_round,
+            self.sample_rank,
+            self.payload,
+        )
+
     @property
     def is_sampling(self) -> bool:
         """Whether this request uses A_SAMPLING's rank-Delta delivery rule."""

@@ -158,18 +158,19 @@ class NodeContext:
         """
         self._network.send_hops_batch(self.node_id, items)
 
-    def hop_columns(self):
-        """The plane's raw append targets (see :meth:`HopPlane.columns`).
-
-        For fused forwarding loops that intern/append inline instead of
-        paying one call per hop; callers must report their copy total via
-        :meth:`count_hop_sends` afterwards.
-        """
+    def hop_registry(self):
+        """The plane's row-interning state (see :meth:`HopPlane.columns`),
+        for the once-per-round loop that interns every forward key."""
         return self._network.plane.columns()
 
-    def count_hop_sends(self, n: int) -> None:
-        """Account ``n`` copies filed directly through :meth:`hop_columns`."""
-        self._network.count_hop_sends(self.node_id, n)
+    def file_hops(self, rows: np.ndarray, lens: np.ndarray, flat: np.ndarray) -> None:
+        """File this node's forwarded hops as one chunk of ``int32`` arrays.
+
+        ``rows[i]`` (interned through :meth:`hop_registry`) is multicast to
+        the next ``lens[i]`` receivers of ``flat`` — see
+        :meth:`HopPlane.file`.
+        """
+        self._network.file_hops(self.node_id, rows, lens, flat)
 
 
 class NodeProtocol(abc.ABC):

@@ -238,7 +238,9 @@ def encode_uplink(
     """Encode one worker's round output into its uplink region.
 
     ``items``/``marks`` are the :class:`~repro.sim.shard._SendLog` streams;
-    ``plane_pack`` is its ``(msgs, steps, rows, lens, flat)`` hop columns.
+    ``plane_pack`` is its :meth:`~repro.sim.hopplane.HopPlane.pack` — the
+    ``msgs`` list plus ``int32`` ``(steps, rows, lens, flat)`` arrays, which
+    are written to the region as they are.
     Raises :class:`~repro.util.arena.ArenaFull` when the region is too small
     — the caller then falls back to the pipe for this round and requests a
     regrow.
@@ -271,10 +273,10 @@ def encode_uplink(
         (enc.encode(m) for m in msgs), dtype=np.int64, count=len(msgs)
     )
     refs_off = arena.put_array(refs)
-    steps_off = arena.put_array(np.array(steps, dtype=np.int32))
-    rows_off = arena.put_array(np.array(rows, dtype=np.int32))
-    lens_off = arena.put_array(np.array(lens, dtype=np.int32))
-    flat_off = arena.put_array(np.array(flat, dtype=np.int32))
+    steps_off = arena.put_array(steps)
+    rows_off = arena.put_array(rows)
+    lens_off = arena.put_array(lens)
+    flat_off = arena.put_array(flat)
     plane_desc = (
         refs_off,
         len(msgs),
@@ -298,9 +300,10 @@ def encode_uplink(
 def decode_uplink(buf: memoryview, dec: FrameDecoder, desc: tuple) -> tuple:
     """Rebuild ``(items, marks, plane_pack)`` from one worker's descriptor.
 
-    The output shapes match what PR 7's pickled ``("sends", ...)`` payload
-    carried — plain-int lists and per-band object lists — so the master's
-    splice loop consumes them unchanged.
+    ``items`` and ``marks`` come back as the plain lists the worker logged;
+    the plane columns come back as the ``int32`` arrays
+    :meth:`~repro.sim.hopplane.HopPlane.pack` produced, which the master's
+    splice slices per node.
     """
     marks_off, n_marks, meta_off, meta_len, plane_desc, _used = desc
     marks_flat = read_array(buf, marks_off, np.dtype(np.int64), 3 * n_marks)
@@ -331,8 +334,11 @@ def decode_uplink(buf: memoryview, dec: FrameDecoder, desc: tuple) -> tuple:
     )
     refs = read_array(buf, refs_off, np.dtype(np.int64), n_msgs).tolist()
     msgs = [dec.decode(ref) for ref in refs]
-    steps = read_array(buf, steps_off, np.dtype(np.int32), n_msgs).tolist()
-    rows = read_array(buf, rows_off, np.dtype(np.int32), n_sends).tolist()
-    lens = read_array(buf, lens_off, np.dtype(np.int32), n_sends).tolist()
-    flat = read_array(buf, flat_off, np.dtype(np.int32), n_flat).tolist()
+    i32 = np.dtype(np.int32)
+    # Copies, not views: the master files these into its plane, which must
+    # not hold exports of a slab the next regrow unlinks.
+    steps = read_array(buf, steps_off, i32, n_msgs).copy()
+    rows = read_array(buf, rows_off, i32, n_sends).copy()
+    lens = read_array(buf, lens_off, i32, n_sends).copy()
+    flat = read_array(buf, flat_off, i32, n_flat).copy()
     return items, marks, (msgs, steps, rows, lens, flat)

@@ -12,10 +12,14 @@ classified again by every receiver, would be the dominant round cost.
 * each logical hop is **interned once per round** — the first send of a
   ``(message identity, step)`` pair assigns it a dense row id; the message
   object and step live in per-row columns (one entry per *logical* hop);
-* sends append ``(src, row, receiver-count)`` plus a flat receiver list —
-  nothing is allocated per copy;
-* at delivery the copies are grouped by receiver with one stable argsort, so
-  each receiver gets a NumPy array of row ids in **global send order**
+* sends are filed as **chunks of typed arrays**: one :meth:`HopPlane.file`
+  call hands over a sender's ``int32`` ``(rows, lens)`` per multicast plus the
+  flat ``int32`` receiver column, exactly as the node computed them — no
+  copy is ever boxed into a Python int — and closing the round is one
+  ``np.concatenate`` per column;
+* at delivery the copies are grouped by receiver with one stable sort (a
+  radix sort whenever the ids fit 16-bit digits, see :func:`_stable_argsort`),
+  so each receiver gets a NumPy array of row ids in **global send order**
   (nodes in sorted id order, each node's sends in issue order).  Hops and
   inbox messages are separate streams; neither's order depends on the other;
 * per-round classification work (next step, final-step test, lookup point)
@@ -45,16 +49,31 @@ import numpy as np
 __all__ = ["HopPlane", "FrozenHopRound", "HopDelivery"]
 
 
-def _freeze_i32(col: list[int]) -> np.ndarray:
-    """One-shot int32 conversion of a live append column.
+def _freeze_i32(steps: list[int]) -> np.ndarray:
+    """The per-row ``steps`` list as int32 (one entry per *logical* hop)."""
+    return np.array(steps, dtype=np.int32)
 
-    The live plane appends into plain Python lists — extending a list with a
-    list is a pointer memcpy, an order of magnitude cheaper per call than
-    ``array('i').extend``'s per-item ``__index__`` conversions on the hot
-    forwarding paths — and pays the machine-typing cost exactly once here,
-    as a single C-level conversion at freeze time.
+
+def _stable_argsort(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")``, as radix passes where keys allow.
+
+    NumPy's stable sort is an O(N) radix sort for 16-bit keys and a
+    comparison merge sort for wider ones, so non-negative keys below 2**16
+    are narrowed to ``uint16`` and keys below 2**32 take two 16-bit LSD
+    passes (low digit, then high digit, each stable).  Anything else falls
+    through to the plain stable argsort.  Chosen from the data alone.
     """
-    return np.array(col, dtype=np.int32)
+    if keys.size == 0:
+        return np.empty(0, dtype=np.intp)
+    if int(keys.min()) >= 0:
+        top = int(keys.max())
+        if top < 1 << 16:
+            return np.argsort(keys.astype(np.uint16), kind="stable")
+        if top < 1 << 32:
+            low = np.argsort((keys & 0xFFFF).astype(np.uint16), kind="stable")
+            high = (keys >> 16).astype(np.uint16)[low]
+            return low[np.argsort(high, kind="stable")]
+    return np.argsort(keys, kind="stable")
 
 
 class HopDelivery:
@@ -91,10 +110,9 @@ class HopDelivery:
 class FrozenHopRound:
     """The immutable hop traffic of one closed send phase.
 
-    Columns are frozen into NumPy arrays at close time: the append lists the
-    live plane grew are released immediately, so a pending round (and the
-    trace's :class:`~repro.sim.network.EdgeLog`, which shares this object)
-    holds 8-byte machine ints instead of Python list slots plus boxed ints.
+    Every send column is one ``int32`` array — the live plane's chunks,
+    concatenated at close time — shared with the trace's
+    :class:`~repro.sim.network.EdgeLog` while the round is pending.
 
     ``srcs`` / ``send_rows`` / ``lens`` hold one entry per multicast and
     ``flat`` one per receiver copy.  A *segment* (:meth:`cut`, :meth:`merged`)
@@ -178,62 +196,60 @@ class FrozenHopRound:
         return zip(srcs.tolist(), dsts.tolist())
 
     def deliver(self, alive) -> HopDelivery:
-        """Group the copies by surviving receiver (one stable argsort).
+        """Group the copies by surviving receiver (stable radix sorts).
 
         Each receiver's rows are deduplicated to first occurrences here, in
         one vectorised pass for the whole network, instead of per receiving
-        node: the stable sort keeps arrival order inside a segment, and the
-        ``(receiver, row)`` unique-index mask keeps exactly the copies a
-        per-node ``dict.fromkeys`` would have kept.  ``counts`` stays
-        pre-dedup: every copy that arrived was received.
+        node.  The first stable sort groups the copies by receiver and keeps
+        arrival order inside each group; a second stable sort of that
+        arrangement by row puts the copies of one ``(receiver, row)`` pair
+        next to each other, earliest arrival first, so the heads of those
+        runs are exactly the copies a per-node ``dict.fromkeys`` would have
+        kept.  ``counts`` stays pre-dedup: every copy that arrived was
+        received.
         """
         flat = self.flat
-        rows = self.copy_rows()
-        order = np.argsort(flat, kind="stable")  # stable: keep send order per dst
-        dst_sorted = flat[order]
-        row_sorted = rows[order]
-        if dst_sorted.size:
-            starts = np.flatnonzero(np.r_[True, dst_sorted[1:] != dst_sorted[:-1]])
-            ends = np.r_[starts[1:], dst_sorted.size]
-            receivers = dst_sorted[starts].tolist()
-            key = (dst_sorted.astype(np.int64) << 32) | row_sorted
-            uniq, first = np.unique(key, return_index=True)
-            if uniq.size != key.size:
-                mask = np.zeros(key.size, dtype=bool)
-                mask[first] = True
-                row_kept = row_sorted[mask]
-                csum0 = np.r_[0, np.cumsum(mask)]
-                kept_starts = csum0[starts].tolist()
-                kept_ends = csum0[ends].tolist()
-            else:
-                row_kept = row_sorted
-                kept_starts = starts.tolist()
-                kept_ends = ends.tolist()
-            starts_l = starts.tolist()
-            ends_l = ends.tolist()
-        else:
-            receivers = []
-            starts_l = ends_l = kept_starts = kept_ends = []
-            row_kept = row_sorted
+        total = int(flat.size)
         by_dst: dict[int, np.ndarray] = {}
         counts: dict[int, int] = {}
-        for i, dst in enumerate(receivers):
-            if dst in alive:
-                by_dst[dst] = row_kept[kept_starts[i]:kept_ends[i]]
-                counts[dst] = ends_l[i] - starts_l[i]
-        return HopDelivery(
-            self.msgs,
-            self.steps,
-            by_dst,
-            counts,
-            total=int(flat.size),
-        )
+        if total:
+            order = _stable_argsort(flat)  # stable: keep send order per dst
+            dst_sorted = flat[order]
+            row_sorted = self.copy_rows()[order]
+            bounds = np.flatnonzero(
+                np.r_[True, dst_sorted[1:] != dst_sorted[:-1], True]
+            )
+            by_row = _stable_argsort(row_sorted)
+            row2 = row_sorted[by_row]
+            dst2 = dst_sorted[by_row]
+            first = np.empty(total, dtype=bool)
+            first[by_row] = np.r_[
+                True, (row2[1:] != row2[:-1]) | (dst2[1:] != dst2[:-1])
+            ]
+            keep = np.flatnonzero(first)
+            row_kept = row_sorted[keep]
+            kept = np.searchsorted(keep, bounds).tolist()
+            bounds_l = bounds.tolist()
+            for i, dst in enumerate(dst_sorted[bounds[:-1]].tolist()):
+                if dst in alive:
+                    by_dst[dst] = row_kept[kept[i]:kept[i + 1]]
+                    counts[dst] = bounds_l[i + 1] - bounds_l[i]
+        return HopDelivery(self.msgs, self.steps, by_dst, counts, total=total)
 
 
 class HopPlane:
-    """Per-round columnar collector of hop sends (see module docstring)."""
+    """Per-round columnar collector of hop sends (see module docstring).
 
-    __slots__ = ("_reg", "_msgs", "_steps", "_srcs", "_rows", "_lens", "_flat")
+    ``(reg, msgs, steps)`` — one entry per *logical* hop — are the only
+    Python-list state.  The send columns are chunks of ``int32`` arrays, one
+    chunk per :meth:`file` call in global send order: a chunk is one
+    sender's run of multicasts (``rows`` / ``lens``, one entry each) and
+    their receivers (``flat``, one entry per copy).
+    """
+
+    __slots__ = (
+        "_reg", "_msgs", "_steps", "_srcs", "_rows", "_lens", "_flat", "sends"
+    )
 
     def __init__(self) -> None:
         self._reset()
@@ -242,14 +258,13 @@ class HopPlane:
         self._reg: dict[int, int] = {}  # (id(msg) << 7 | step) -> row
         self._msgs: list[object] = []
         self._steps: list[int] = []
-        # Send columns are plain lists while the round is live: list appends
-        # and list-with-list extends are pointer copies (no per-item int
-        # conversion), and the freeze converts each column to int32 once
-        # (see _freeze_i32).
-        self._srcs: list[int] = []
-        self._rows: list[int] = []
-        self._lens: list[int] = []
-        self._flat: list[int] = []
+        self._srcs: list[int] = []  # one sender id per chunk
+        self._rows: list[np.ndarray] = []
+        self._lens: list[np.ndarray] = []
+        self._flat: list[np.ndarray] = []
+        #: Multicasts filed so far this round (the length of the frozen
+        #: ``srcs`` / ``send_rows`` / ``lens`` columns to come).
+        self.sends = 0
 
     def intern(self, msg: object, step: int) -> int:
         """The row id of the logical hop ``(msg, step)``, assigned on first use.
@@ -271,102 +286,87 @@ class HopPlane:
             self._steps.append(step)
         return row
 
-    def send(self, src: int, msg: object, step: int, dsts: Sequence[int]) -> int:
-        """File one hop multicast; returns the number of copies created.
+    def file(
+        self, src: int, rows: np.ndarray, lens: np.ndarray, flat: np.ndarray
+    ) -> int:
+        """File one sender's run of multicasts; returns the copies created.
 
-        ``dsts`` must be a plain-``int`` sequence (the node hot paths already
-        produce those).
+        ``rows[i]`` (an interned row id) goes to the ``lens[i]`` receivers
+        that follow each other in ``flat``; all three are ``int32`` arrays in
+        send order, every ``lens[i]`` positive.  The plane keeps the arrays
+        themselves until the round closes.
         """
-        n = len(dsts)
-        if n == 0:
+        if not rows.size:
             return 0
         self._srcs.append(src)
-        self._rows.append(self.intern(msg, step))
-        self._lens.append(n)
-        self._flat.extend(dsts)
-        return n
+        self._rows.append(rows)
+        self._lens.append(lens)
+        self._flat.append(flat)
+        self.sends += rows.size
+        return int(flat.size)
+
+    def send(self, src: int, msg: object, step: int, dsts: Sequence[int]) -> int:
+        """File one hop multicast; returns the number of copies created."""
+        return self.send_batch(src, [(msg, step, dsts)])
 
     def send_batch(
         self, src: int, items: list[tuple[object, int, Sequence[int]]]
     ) -> int:
-        """File many hop multicasts from one sender in one call.
+        """File many hop multicasts from one sender as one chunk.
 
-        Equivalent to :meth:`send` per ``(msg, step, dsts)`` item in order;
-        the node forwarding loops issue one multicast per held hop, so the
-        per-call overhead this folds away is the dominant remaining cost.
+        ``(msg, step, dsts)`` items are filed in order; empty receiver lists
+        are skipped.  This is the launch path (a handful of fresh requests
+        per node per cycle) — forwarding files arrays through :meth:`file`.
         """
-        reg = self._reg
-        reg_get = reg.get
-        msgs = self._msgs
-        steps = self._steps
-        srcs = self._srcs
-        rows = self._rows
-        lens = self._lens
-        flat = self._flat
-        total = 0
+        rows: list[int] = []
+        lens: list[int] = []
+        flat: list[int] = []
         for msg, step, dsts in items:
-            n = len(dsts)
-            if n == 0:
-                continue
-            # repro: allow(id-ordering): identity interning only — rows are
-            # numbered by first-append order; the id value never orders anything.
-            key = (id(msg) << 7) | step
-            row = reg_get(key)
-            if row is None:
-                row = len(msgs)
-                reg[key] = row
-                msgs.append(msg)
-                steps.append(step)
-            srcs.append(src)
-            rows.append(row)
-            lens.append(n)
-            flat.extend(dsts)
-            total += n
-        return total
+            if len(dsts):
+                rows.append(self.intern(msg, step))
+                lens.append(len(dsts))
+                flat.extend(dsts)
+        return self.file(
+            src,
+            np.array(rows, dtype=np.int32),
+            np.array(lens, dtype=np.int32),
+            np.array(flat, dtype=np.int32),
+        )
 
-    def columns(
-        self,
-    ) -> tuple[
-        dict[int, int],
-        list[object],
-        list[int],
-        list[int],
-        list[int],
-        list[int],
-        list[int],
-    ]:
-        """Low-level append targets ``(reg, msgs, steps, srcs, rows, lens,
-        flat)`` for fused hot loops.
+    def columns(self) -> tuple[dict[int, int], list[object], list[int]]:
+        """The row-interning state ``(reg, msgs, steps)`` for fused loops.
 
-        The protocol forwarding loops run once per held hop per node — the
-        innermost cost of a round — so they intern and append *inline*
-        instead of paying a method call per hop (see :meth:`send` for the
-        semantics they must reproduce: intern on ``id(msg) << 7 | step``,
-        append one ``(src, row, len)`` triple plus the flat receivers, and
-        report the copy total to ``Network.count_hop_sends``).
+        The protocol layer interns a whole round's forward keys in one loop
+        (once per round, network-wide) and does so *inline* instead of
+        paying an :meth:`intern` call per row; it must reproduce the same
+        semantics: key ``id(msg) << 7 | step``, rows numbered by first
+        append.
         """
+        return (self._reg, self._msgs, self._steps)
+
+    def _send_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The chunks filed so far as whole ``(rows, lens, flat)`` columns."""
+        if not self._rows:
+            empty = np.empty(0, dtype=np.int32)
+            return empty, empty, empty
         return (
-            self._reg,
-            self._msgs,
-            self._steps,
-            self._srcs,
-            self._rows,
-            self._lens,
-            self._flat,
+            np.concatenate(self._rows, dtype=np.int32),
+            np.concatenate(self._lens, dtype=np.int32),
+            np.concatenate(self._flat, dtype=np.int32),
         )
 
     def pack(
         self,
-    ) -> tuple[list[object], list[int], list[int], list[int], list[int]]:
-        """The live columns as ``(msgs, steps, rows, lens, flat)``.
+    ) -> tuple[list[object], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The live round as ``(msgs, steps, rows, lens, flat)``.
 
-        This is the shard uplink's transport tuple: the source column is
-        dropped because the master replays each node's plane segment under
-        that node's own id while splicing (:mod:`repro.sim.shard`), and the
-        int columns ride the shared uplink slab as int32 arrays
-        (:mod:`repro.sim.exchange`).
+        This is the shard uplink's transport tuple: every column but
+        ``msgs`` is an ``int32`` array and rides the shared uplink slab as
+        such (:mod:`repro.sim.exchange`).  The source column is dropped
+        because the master replays each node's plane segment under that
+        node's own id while splicing (:mod:`repro.sim.shard`).
         """
-        return (self._msgs, self._steps, self._rows, self._lens, self._flat)
+        return (self._msgs, _freeze_i32(self._steps), *self._send_columns())
 
     def close_round(self) -> FrozenHopRound | None:
         """Freeze this round's hop sends; ``None`` when there were none.
@@ -377,13 +377,13 @@ class HopPlane:
         """
         if not self._msgs:
             return None
+        rows, lens, flat = self._send_columns()
+        srcs = np.repeat(
+            np.array(self._srcs, dtype=np.int32),
+            [chunk.size for chunk in self._rows],
+        )
         frozen = FrozenHopRound(
-            self._msgs,
-            _freeze_i32(self._steps),
-            _freeze_i32(self._srcs),
-            _freeze_i32(self._rows),
-            _freeze_i32(self._lens),
-            _freeze_i32(self._flat),
+            self._msgs, _freeze_i32(self._steps), srcs, rows, lens, flat
         )
         self._reset()
         return frozen

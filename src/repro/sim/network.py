@@ -314,9 +314,12 @@ class Network:
             self._sent_counts[src] += n
             self._pending_count += n
 
-    def count_hop_sends(self, src: int, n: int) -> None:
-        """Account ``n`` copies a fused loop filed directly into the plane
-        (via :meth:`HopPlane.columns`)."""
+    def file_hops(
+        self, src: int, rows: np.ndarray, lens: np.ndarray, flat: np.ndarray
+    ) -> None:
+        """File one sender's forwarded hops as a chunk of ``int32`` arrays
+        (see :meth:`HopPlane.file`); copies count like :meth:`send_hops`."""
+        n = self.plane.file(src, rows, lens, flat)
         if n:
             self._sent_counts[src] += n
             self._pending_count += n

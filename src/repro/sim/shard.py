@@ -75,8 +75,9 @@ import multiprocessing
 import pickle
 import threading
 import types
-from itertools import accumulate
 from typing import TYPE_CHECKING, Iterable
+
+import numpy as np
 
 from repro.config import env_flag
 from repro.core.nodestore import NodeStore
@@ -245,8 +246,8 @@ class _SendLog:
     Tagged items reproduce the issue order per node; per-node marks give
     the master the item / plane-send boundaries it needs to splice the
     global stream in sorted node-id order.  Hop sends go through a local
-    :class:`HopPlane` so the fused forwarding loops (which append straight
-    into plane columns) run unchanged.
+    :class:`HopPlane`, so the forwarding passes intern rows and file their
+    array chunks exactly as they do against the master network.
     """
 
     def __init__(self) -> None:
@@ -273,11 +274,11 @@ class _SendLog:
     def send_hops_batch(self, src: int, items: list) -> None:
         self.plane.send_batch(src, items)
 
-    def count_hop_sends(self, src: int, n: int) -> None:
-        pass  # the master re-counts while splicing
+    def file_hops(self, src: int, rows, lens, flat) -> None:
+        self.plane.file(src, rows, lens, flat)  # the master counts the copies
 
     def mark(self, node: int) -> None:
-        self.marks.append((node, len(self.items), len(self.plane._srcs)))
+        self.marks.append((node, len(self.items), self.plane.sends))
 
 
 # ----------------------------------------------------------------------
@@ -414,9 +415,10 @@ def _worker_main(
             up_shm.buf, band * u_band_bytes, u_band_bytes
         )
         up_enc = FrameEncoder(up_arena)
+        plane_pack = log.plane.pack()
         try:
             desc = exchange.encode_uplink(
-                up_arena, up_enc, log.items, log.marks, log.plane.pack()
+                up_arena, up_enc, log.items, log.marks, plane_pack
             )
             _worker_send(conn, ("sends", (desc, secs)))
         except ArenaFull as exc:
@@ -424,10 +426,7 @@ def _worker_main(
             # slab before the next control message.
             _worker_send(
                 conn,
-                (
-                    "sends_pipe",
-                    (log.items, log.marks, log.plane.pack(), secs, exc.needed),
-                ),
+                ("sends_pipe", (log.items, log.marks, plane_pack, secs, exc.needed)),
             )
 
 
@@ -716,9 +715,23 @@ class ShardRunner:
         cursors = [0] * self.workers
         item_lo = [0] * self.workers
         plane_lo = [0] * self.workers
-        flat_offs: list[list[int]] = []
-        for items, marks, plane_pack, _secs in results:
-            flat_offs.append(list(accumulate(plane_pack[3], initial=0)))
+        # Per worker: its plane rows canonicalised and interned into the
+        # master plane once (worker row -> master row), and the flat offset
+        # of every multicast.
+        remaps: list[np.ndarray] = []
+        flat_offs: list[np.ndarray] = []
+        for _items, _marks, (msgs, steps, _rows, lens, _flat), _secs in results:
+            remaps.append(
+                np.fromiter(
+                    (
+                        net.plane.intern(self._canon_msg(m, t), k)
+                        for m, k in zip(msgs, steps.tolist())
+                    ),
+                    dtype=np.int32,
+                    count=len(msgs),
+                )
+            )
+            flat_offs.append(np.concatenate(([0], np.cumsum(lens))))
         for v in ordered:
             if v in stalled:
                 continue
@@ -739,17 +752,16 @@ class ShardRunner:
                 else:  # "m"
                     net.send_many(v, item[1], self._canon_payload(item[2], t))
             item_lo[k] = items_hi
-            if plane_hi > plane_lo[k]:
-                msgs, steps, rows, lens, flat = plane_pack
+            lo = plane_lo[k]
+            if plane_hi > lo:
+                _msgs, _steps, rows, lens, flat = plane_pack
                 offs = flat_offs[k]
-                for i in range(plane_lo[k], plane_hi):
-                    row = rows[i]
-                    net.send_hops(
-                        v,
-                        self._canon_msg(msgs[row], t),
-                        steps[row],
-                        flat[offs[i]:offs[i + 1]],
-                    )
+                net.file_hops(
+                    v,
+                    remaps[k][rows[lo:plane_hi]],
+                    lens[lo:plane_hi],
+                    flat[offs[lo]:offs[plane_hi]],
+                )
                 plane_lo[k] = plane_hi
 
     # ------------------------------------------------------------------

@@ -14,7 +14,7 @@ import pytest
 
 from repro.routing.messages import RoutedMessage
 from repro.sim import exchange
-from repro.sim.hopplane import HopDelivery
+from repro.sim.hopplane import HopDelivery, HopPlane
 from repro.util.arena import ArenaFull, ByteArena, FrameDecoder, FrameEncoder
 
 
@@ -29,8 +29,21 @@ def _msg(i: int, payload: object = None) -> RoutedMessage:
     )
 
 
-#: An empty ``HopPlane.pack()``: ``(msgs, steps, rows, lens, flat)``.
-NO_HOPS = ([], [], [], [], [])
+def _pack(*sends):
+    """``HopPlane.pack()`` — ``(msgs, steps, rows, lens, flat)``, every column
+    but ``msgs`` an int32 array — of ``(src, msg, step, dsts)`` sends."""
+    plane = HopPlane()
+    for src, msg, step, dsts in sends:
+        plane.send(src, msg, step, dsts)
+    return plane.pack()
+
+
+def _columns(pack):
+    return [col.tolist() for col in pack[1:]]
+
+
+#: An empty ``HopPlane.pack()``.
+NO_HOPS = _pack()
 
 
 def _codec(nbytes: int = 1 << 16):
@@ -129,7 +142,9 @@ class TestUplink:
             ("m", (7, 8, 9), m),
         ]
         marks = [(4, 2, 1), (5, 0, 0)]
-        pack = ([m, _msg(3), m], [1, 1, 2], [0, 1, 2], [1, 1, 1], [4, 5, 6])
+        pack = _pack((4, m, 1, [4]), (4, _msg(3), 1, [5]), (5, m, 2, [6]))
+        assert pack[0][0] is pack[0][2] is m
+        assert _columns(pack) == [[1, 1, 2], [0, 1, 2], [1, 1, 1], [4, 5, 6]]
         desc = exchange.encode_uplink(arena, enc, items, marks, pack)
         out_items, out_marks, plane = exchange.decode_uplink(buf, dec, desc)
         assert out_marks == marks
@@ -149,23 +164,21 @@ class TestUplink:
     def test_plane_pack_roundtrip(self):
         buf, arena, enc, dec = _codec()
         m0, m1 = _msg(0), _msg(1)
-        pack = (
-            [m0, m1],
-            [1, 2],
-            [0, 1],
-            [2, 1],
-            [10, 11, 12],
-        )
+        pack = _pack((3, m0, 1, [10, 11]), (3, m1, 2, [12]))
         desc = exchange.encode_uplink(arena, enc, [], [], pack)
         _items, _marks, out = exchange.decode_uplink(buf, dec, desc)
-        msgs, steps, rows, lens, flat = out
-        assert [m.msg_id for m in msgs] == [m0.msg_id, m1.msg_id]
-        assert (steps, rows, lens, flat) == ([1, 2], [0, 1], [2, 1], [10, 11, 12])
+        assert [m.msg_id for m in out[0]] == [m0.msg_id, m1.msg_id]
+        assert all(col.dtype == np.int32 for col in out[1:])
+        assert _columns(out) == [[1, 2], [0, 1], [2, 1], [10, 11, 12]]
+        # the decoded columns own their memory (no view into the slab)
+        assert not any(np.shares_memory(col, np.asarray(buf)) for col in out[1:])
 
     def test_empty_round(self):
         buf, arena, enc, dec = _codec()
         desc = exchange.encode_uplink(arena, enc, [], [], NO_HOPS)
-        assert exchange.decode_uplink(buf, dec, desc) == ([], [], NO_HOPS)
+        items, marks, out = exchange.decode_uplink(buf, dec, desc)
+        assert (items, marks, out[0]) == ([], [], [])
+        assert _columns(out) == [[], [], [], []]
 
     def test_overflow_raises_arena_full(self):
         buf = memoryview(bytearray(256))

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.sim.hopplane import FrozenHopRound, HopPlane
+from repro.sim.hopplane import FrozenHopRound, HopPlane, _stable_argsort
 
 
 class Msg:
@@ -127,3 +129,170 @@ def test_merged_reinterns_rows_across_rounds():
         dst: [hops[r] for r in rows.tolist()] for dst, rows in delivery.rows.items()
     }
     assert arrived == {10: [(m1, 4), (m1, 5)], 11: [(m1, 4), (m3, 0)]}
+
+
+# ----------------------------------------------------------------------
+# Filing order
+# ----------------------------------------------------------------------
+
+
+def _i32(*values):
+    return np.array(values, dtype=np.int32)
+
+
+def test_interleaved_send_batch_and_file_keep_global_send_order():
+    plane = HopPlane()
+    m1, m2, m3 = Msg(), Msg(), Msg()
+    plane.send(1, m1, 0, [5, 6])
+    r2, r1 = plane.intern(m2, 1), plane.intern(m1, 0)
+    assert plane.file(2, _i32(r2, r1), _i32(1, 2), _i32(7, 8, 9)) == 3
+    assert plane.sends == 3
+    plane.send_batch(3, [(m3, 0, [4]), (m2, 2, []), (m2, 1, [5, 4])])
+    assert plane.file(4, _i32(), _i32(), _i32()) == 0  # an empty chunk is no send
+    plane.send(5, m3, 0, (6,))
+    assert plane.sends == 6
+
+    msgs, steps, rows, lens, flat = plane.pack()
+    frozen = plane.close_round()
+    hops = list(zip(frozen.msgs, frozen.steps.tolist()))
+    assert hops[r1] == (m1, 0) and hops[r2] == (m2, 1) and (m2, 2) not in hops
+    r3 = hops.index((m3, 0))
+    assert frozen.srcs.tolist() == [1, 2, 2, 3, 3, 5]
+    assert frozen.send_rows.tolist() == [r1, r2, r1, r3, r2, r3]
+    assert frozen.lens.tolist() == [2, 1, 2, 1, 2, 1]
+    assert frozen.flat.tolist() == [5, 6, 7, 8, 9, 4, 5, 4, 6]
+    assert list(frozen.iter_edges()) == [
+        (1, 5), (1, 6), (2, 7), (2, 8), (2, 9), (3, 4), (3, 5), (3, 4), (5, 6)
+    ]
+    # pack() is the same round without the source column, as int32 arrays.
+    assert msgs is frozen.msgs
+    for packed, col in zip((steps, rows, lens, flat), (
+        frozen.steps, frozen.send_rows, frozen.lens, frozen.flat
+    )):
+        assert packed.dtype == col.dtype == np.int32
+        assert packed.tolist() == col.tolist()
+    assert plane.sends == 0 and plane.close_round() is None
+
+
+# ----------------------------------------------------------------------
+# Delivery: radix sort and dedup vs oracles
+# ----------------------------------------------------------------------
+
+
+@st.composite
+def key_columns(draw):
+    """Key columns on each side of the 16-bit and 32-bit radix limits."""
+    base, dtype = draw(
+        st.sampled_from(
+            [
+                (0, np.int32),  # < 2**16: one narrowed pass
+                (0, np.int64),
+                (1 << 16, np.int32),  # >= 2**16: two 16-bit passes
+                ((1 << 31) - 300, np.int64),
+                (1 << 32, np.int64),  # >= 2**32: plain stable argsort
+                (-7, np.int64),  # negative keys: plain stable argsort
+            ]
+        )
+    )
+    # A small spread forces ties; the occasional wide one crosses a limit.
+    spread = draw(st.sampled_from([1, 4, 300, 70_000]))
+    offsets = draw(st.lists(st.integers(0, spread - 1), max_size=200))
+    return np.array([base + o for o in offsets], dtype=dtype)
+
+
+@settings(deadline=None, max_examples=200)
+@given(key_columns())
+def test_stable_argsort_equals_numpy_stable_argsort(keys):
+    assert _stable_argsort(keys).tolist() == np.argsort(keys, kind="stable").tolist()
+
+
+def test_stable_argsort_crosses_both_limits_in_one_column():
+    rng = np.random.default_rng(5)
+    for top in (1 << 16, 1 << 32):
+        keys = rng.integers(0, 50, size=5000) * (top // 40)
+        assert keys.max() >= top
+        assert np.array_equal(_stable_argsort(keys), np.argsort(keys, kind="stable"))
+
+
+#: Rows interned ahead of a generated round, so its row ids pass 65,535.
+FILLER = [Msg() for _ in range(66_000)]
+POOL = [Msg() for _ in range(5)]
+
+
+@st.composite
+def sends(draw, dst_base):
+    """One round's ``(src, message index, step, receivers)`` multicasts over
+    a small pool, so logical hops and receivers repeat."""
+    return draw(
+        st.lists(
+            st.tuples(
+                st.integers(1, 4),
+                st.integers(0, len(POOL) - 1),
+                st.integers(0, 2),
+                st.lists(st.integers(dst_base, dst_base + 6), min_size=1, max_size=5),
+            ),
+            min_size=1,
+            max_size=25,
+        )
+    )
+
+
+def _file(round_sends, big):
+    """``(frozen, copies)``: the round through a plane, and its per-copy
+    ``(logical hop, receiver)`` list in send order."""
+    plane = HopPlane()
+    if big:
+        for m in FILLER:
+            plane.intern(m, 0)
+    copies = []
+    for src, mi, step, dsts in round_sends:
+        plane.send(src, POOL[mi], step, dsts)
+        copies.extend(((mi, step), dst) for dst in dsts)
+    return plane.close_round(), copies
+
+
+def _check_delivery(frozen, copies, alive):
+    """``deliver`` against a per-receiver ``dict.fromkeys`` oracle."""
+    arrivals: dict[int, list] = {}
+    for hop, dst in copies:
+        arrivals.setdefault(dst, []).append(hop)
+    delivery = frozen.deliver(alive)
+    steps = frozen.steps.tolist()
+    got = {
+        dst: [(POOL.index(frozen.msgs[r]), steps[r]) for r in rows.tolist()]
+        for dst, rows in delivery.rows.items()
+    }
+    assert got == {
+        dst: list(dict.fromkeys(hops)) for dst, hops in arrivals.items() if dst in alive
+    }
+    assert delivery.counts == {
+        dst: len(hops) for dst, hops in arrivals.items() if dst in alive
+    }
+    assert delivery.total == len(copies)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_deliver_equals_per_receiver_oracle(data):
+    big = data.draw(st.booleans(), label="rows above 65,535")
+    dst_base = data.draw(st.sampled_from([0, 65_533, 1 << 20]), label="receiver base")
+    alive = data.draw(st.sets(st.integers(dst_base, dst_base + 6)), label="alive")
+
+    # A plain round.
+    frozen, copies = _file(data.draw(sends(dst_base)), big)
+    if big:
+        assert frozen.send_rows.min() > 65_535
+    _check_delivery(frozen, copies, alive)
+
+    # A cut segment: some copies dropped, some duplicated, order kept.
+    picked = sorted(
+        data.draw(st.lists(st.integers(0, len(copies) - 1), min_size=1, max_size=40))
+    )
+    segment = frozen.cut(np.array(picked))
+    _check_delivery(segment, [copies[i] for i in picked], alive)
+
+    # That segment, delayed, merged with a fresh round: rows are re-interned,
+    # so a late copy still deduplicates against a fresh one.
+    newer, newer_copies = _file(data.draw(sends(dst_base)), big)
+    merged = FrozenHopRound.merged([segment, newer])
+    _check_delivery(merged, [copies[i] for i in picked] + newer_copies, alive)
