@@ -1,6 +1,8 @@
 """Message types of the maintenance protocol (Listings 3 and 4).
 
-All payloads are immutable so multicasts can share one instance.
+All payloads are immutable so multicasts can share one instance.  Every type
+but :class:`CreateBatch` compares by value; a ``CreateBatch`` is columnar (two
+NumPy arrays) and compares by identity.
 
 * :class:`JoinRecord` — "node ``v`` will sit at position ``pos`` in overlay
   epoch ``epoch``"; the content of a ``JOIN`` message.
@@ -8,7 +10,8 @@ All payloads are immutable so multicasts can share one instance.
   records to the current holders of the three Definition-5 neighbourhoods
   (Listing 3, line 10).  Receivers store them as handover records ``H``.
 * :class:`CreateBatch` — odd-round matchmaking introductions: "these nodes
-  are your neighbours in the next overlay" (Listing 3, ``CREATE``).
+  are your neighbours in the next overlay" (Listing 3, ``CREATE``), as an id
+  column and a position column.
 * :class:`TokenMsg` — a token travelling *directly* (step 3 of A_RANDOM's
   distribution: mature node forwards a sampled token to a connected fresh
   node).  Tokens inside A_ROUTING travel as routed payloads instead.
@@ -31,7 +34,9 @@ pickle round-trip tests compare every field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = [
     "JoinRecord",
@@ -69,31 +74,29 @@ class JoinBatch:
         return JoinBatch, (self.records,)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class CreateBatch:
-    """Introductions: the receiver's neighbours in the records' epoch.
+    """Introductions: the receiver's neighbours in overlay ``epoch``.
 
-    ``nodes``/``poses``/``epoch`` are optional producer-side projections of
-    ``records`` (column views plus the records' shared epoch).  They carry no
-    information of their own — equality and hashing stay on ``records`` — and
-    let the receiver ingest a batch with one C-level ``zip`` update instead
-    of touching every record object.  Producers that set them MUST keep them
-    exact projections; consumers MUST fall back to ``records`` when absent.
+    Columnar: neighbour ``i`` is node ``nodes[i]`` (``int32``) at position
+    ``poses[i]`` (``float64``) — ``h(nodes[i], epoch)`` by construction, so
+    the same id carries the same position in every batch of one epoch.  The
+    producer cuts both columns as *views* out of one flat array pair per
+    handover index, which every batch of that index shares; a pickled batch
+    carries its own slice only.  Do not write to the columns.
+
+    Batches compare and hash by identity (``eq=False``): senders that share
+    a handover index send the same object, and receivers deduplicate on it.
     """
 
     __protocol__ = True
 
-    records: tuple[JoinRecord, ...]
-    nodes: tuple[int, ...] | None = field(
-        default=None, compare=False, repr=False
-    )
-    poses: tuple[float, ...] | None = field(
-        default=None, compare=False, repr=False
-    )
-    epoch: int | None = field(default=None, compare=False, repr=False)
+    nodes: np.ndarray
+    poses: np.ndarray
+    epoch: int
 
     def __reduce__(self):
-        return CreateBatch, (self.records, self.nodes, self.poses, self.epoch)
+        return CreateBatch, (self.nodes, self.poses, self.epoch)
 
 
 @dataclass(frozen=True, slots=True)

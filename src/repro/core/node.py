@@ -33,6 +33,15 @@ routed ``JOIN`` carrying the position for epoch ``s + lam + 2``:
   probes are recorded, tokens pass the A_SAMPLING rank test and are then
   kept or forwarded to a random slot-registered fresh node.
 
+**Matchmaking and cutover.**  The handover records ``H`` a node stores at an
+odd round are interned as one position index per distinct member set.  The
+CREATE plan — one columnar :class:`CreateBatch` per member of ``H`` — is a
+pure function of that index and the global radii, so it is computed once per
+index as one array computation and every node holding the same ``H`` sends
+the same batch objects; each node sends in its own ``h_records`` arrival
+order.  At cutover the new ``d_nbrs`` lists the introduced ids in inbox order,
+then batch column order, each id at its first occurrence.
+
 **Bootstrap.**  Before the first join wave lands (epochs ``< lam+2``) there
 are no handover records; nodes stay in the primed ``D_0`` and hand hops over
 within it.  This matches the paper's "nodes perform nothing in the odd
@@ -209,6 +218,16 @@ def _intern_out_rows(
     return out
 
 
+def _ids32(index: PositionIndex) -> np.ndarray:
+    """``index.ids`` as ``int32`` (the dtype of every filed receiver column),
+    converted once per index."""
+    sc = index.scratch
+    ids32 = sc.get("ids32")
+    if ids32 is None:
+        ids32 = sc["ids32"] = index.ids.astype(np.int32)
+    return ids32  # type: ignore[return-value]
+
+
 # How many rounds a token stays usable.  The paper discards unused tokens
 # every round; we keep them for two 2-round cycles so the pipeline tolerates
 # parity offsets (a constant-factor relaxation, see DESIGN.md §5).
@@ -318,28 +337,6 @@ class MaintenanceNode(NodeProtocol):
     def _swarm_from(self, index: PositionIndex, point: float):
         """Member ids of ``S(point)`` in the given index (ndarray view)."""
         return index.ids_within(point, self._swarm_radius)
-
-    @staticmethod
-    def _window_bounds(
-        index: PositionIndex, points: list[float], radius: float
-    ) -> tuple[list[int] | None, list[int] | None, list[bool] | None, list[int], int]:
-        """Batched window bounds without materializing the member lists.
-
-        Returns ``(a, b, wrapped, ids_list, n)``; window ``i`` covers
-        ``ids_list[a[i]:b[i]]`` (or ``ids_list[a[i]:] + ids_list[:b[i]]``
-        when wrapped).  ``a is None`` signals the full-ring case (radius
-        >= 0.5): every window is all of ``ids_list``.  Random-pick loops
-        index straight into ``ids_list`` with these bounds, skipping the
-        per-window list allocation of :meth:`_windows`.
-        """
-        ids_list = index.ids_list
-        n = len(ids_list)
-        if radius >= 0.5:
-            return None, None, None, ids_list, n
-        a, b, wrapped = index.bounds_many(
-            np.fromiter(points, dtype=np.float64, count=len(points)), radius
-        )
-        return a.tolist(), b.tolist(), wrapped.tolist(), ids_list, n
 
     @staticmethod
     def _windows(
@@ -526,12 +523,20 @@ class MaintenanceNode(NodeProtocol):
         self.slots = [None] * (2 * self.params.delta_eff)
 
     def _cutover(self, ctx: NodeContext, e: int, creates: list[CreateBatch]) -> None:
-        # CREATE batches are memoised per interned h_index, so senders that
-        # share an index send the *same object* — identity-dedup them (a
-        # repeat adds no new keys, and duplicate keys across batches carry
-        # the identical hash-derived position).  Our own id never appears:
-        # the single producer pops the target id from its batch.
-        records: dict[int, float] = {}
+        """Install the epoch-``e`` neighbourhood the CREATE batches introduce.
+
+        ``d_nbrs`` lists the introduced ids in first-occurrence order over
+        the inbox (arrival order) and, within a batch, column order — the
+        order is observable: ``_serve_pending_grants`` shuffles it.  Batches
+        of another epoch add nothing, and neither does a repeat of the same
+        batch *object* (senders sharing a handover index send one object).
+        An id met in several batches carries the identical hash-derived
+        position in each.  When no neighbour is introduced — no batch, or
+        only empty ones — nothing is installed: the node keeps its state
+        during bootstrap and demotes itself once cutovers are due.
+        """
+        ids_cols: list[np.ndarray] = []
+        pos_cols: list[np.ndarray] = []
         seen: set[int] = set()
         for batch in creates:
             # repro: allow(id-ordering): identity dedup only — the id value
@@ -540,18 +545,22 @@ class MaintenanceNode(NodeProtocol):
             if bid in seen:
                 continue
             seen.add(bid)
-            if batch.nodes is not None and batch.epoch == e:
-                # Producer-side columns: one C-level update per batch.  The
-                # zip pairs are exactly the (rec.node, rec.pos) loop below —
-                # same first-occurrence key order, same last-write values.
-                records.update(zip(batch.nodes, batch.poses))
-            elif batch.epoch is None:
-                for rec in batch.records:
-                    if rec.epoch == e:
-                        records[rec.node] = rec.pos
-            # A columnised batch with a different (uniform) epoch adds no
-            # keys — exactly what the per-record filter would do.
-        records.pop(self.id, None)  # defensive: a node is never its own neighbour
+            if batch.epoch == e and batch.nodes.size:
+                ids_cols.append(batch.nodes)
+                pos_cols.append(batch.poses)
+        records: dict[int, float] = {}
+        if ids_cols:
+            ids = np.concatenate(ids_cols)
+            poses = np.concatenate(pos_cols)
+            # First occurrence of each id: scatter the entry numbers back to
+            # front, so the earliest write to a slot lands last.
+            entry = np.arange(ids.size)
+            first = np.empty(int(ids.max()) + 1, dtype=np.intp)
+            first[ids[::-1]] = entry[::-1]
+            # A node is never its own neighbour (defensive: the producer
+            # masks the target's own slot).
+            keep = (first[ids] == entry) & (ids != self.id)
+            records = dict(zip(ids[keep].tolist(), poses[keep].tolist()))
         if records:
             if self.phase is not Phase.ESTABLISHED or self.epoch is None:
                 self._first_epoch = e
@@ -691,10 +700,7 @@ class MaintenanceNode(NodeProtocol):
                     ctx, delivery.msgs, fwd, next_ks
                 )
             index = self._d_members()
-            sc = index.scratch
-            ids32 = sc.get("ids32")
-            if ids32 is None:
-                ids32 = sc["ids32"] = index.ids.astype(np.int32)
+            ids32 = _ids32(index)
             n = ids32.size
             rho = self._swarm_radius
             finals_mask = kind[act_rows] == 2
@@ -868,8 +874,8 @@ class MaintenanceNode(NodeProtocol):
         e_next = ctx.round // 2 + 1
         # 1. Store handover records for the next overlay.
         self.h_records = {}
-        for batch in join_batches:
-            for rec in batch.records:
+        for jb in join_batches:
+            for rec in jb.records:
                 if rec.epoch == e_next:
                     self.h_records[rec.node] = rec
         if self.phase is not Phase.ESTABLISHED:
@@ -902,7 +908,7 @@ class MaintenanceNode(NodeProtocol):
 
         # 4. Matchmaking: introduce next-overlay neighbours to each other.
         if h_index is not None:
-            self._matchmake(ctx, h_index)
+            self._matchmake(ctx, h_index, e_next)
 
     def _odd_hops_plane(
         self,
@@ -932,10 +938,7 @@ class MaintenanceNode(NodeProtocol):
             out_row = cache["out_odd"] = _intern_out_rows(
                 ctx, delivery.msgs, np.flatnonzero(~final).tolist(), steps
             )
-        sc = hop_index.scratch
-        ids32 = sc.get("ids32")
-        if ids32 is None:
-            ids32 = sc["ids32"] = hop_index.ids.astype(np.int32)
+        ids32 = _ids32(hop_index)
         n = ids32.size
         rho = self._swarm_radius
         if h_pos.size:
@@ -1007,123 +1010,79 @@ class MaintenanceNode(NodeProtocol):
                 np.concatenate(pick_chunks),
             )
 
-    def _matchmake(self, ctx: NodeContext, h_index: PositionIndex) -> None:
+    def _matchmake(self, ctx: NodeContext, h_index: PositionIndex, e_next: int) -> None:
         """Send each next-overlay node its Definition-5 neighbours (CREATE).
 
-        The batch for a target ``v`` is a pure function of the (epoch-
-        interned) ``h_index``: the arc members come from the index, and the
-        records they resolve to are ``JoinRecord(w, h_index position, e)``
-        for every member ``w`` — identical at every node sharing the index.
-        The batches are therefore memoised on the index itself and computed
-        once network-wide; each node still *sends* them in its own
-        ``h_records`` arrival order, exactly as before.  The three
-        ``required_neighbor_arcs`` lookups per record batch into one
-        :meth:`_windows` sweep per radius; records deduplicate on node ids
-        (id -> record is injective) to spare dataclass hashing.
+        The batch for a target is a pure function of the epoch-interned
+        ``h_index`` (members, their hash-derived positions) and the global
+        radii, so the whole plan — one batch per member — is built once per
+        index and kept on ``h_index.scratch``; nodes sharing the index send
+        the same batch objects.  Every node sends one batch per record it
+        holds, in ``h_records`` arrival order.  A target alone in its arcs
+        gets an empty batch, which introduces nobody (see :meth:`_cutover`).
         """
-        items = list(self.h_records.items())
         sc = h_index.scratch
-        batches: dict[int, CreateBatch] = sc.setdefault(
-            "create_batches", {}
-        )  # type: ignore[assignment]
-        missing = [(v, rec) for v, rec in items if v not in batches]
-        if missing:
-            # Index ids resolve to the same record values at every node
-            # (h_index is built exactly from h_records), so the slot-aligned
-            # record list is itself a pure function of the index.
-            rl: list[JoinRecord] | None = sc.get("h_rec_list")  # type: ignore[assignment]
-            if rl is None:
-                h_records = self.h_records
-                rl = sc["h_rec_list"] = [h_records[w] for w in h_index.ids_list]
-            pl: list[float] | None = sc.get("h_pos_list")  # type: ignore[assignment]
-            if pl is None:
-                pl = sc["h_pos_list"] = [r.pos for r in rl]
-            la, lb, lw, ids_l, _n = self._window_bounds(
-                h_index, [rec.pos for _, rec in missing], self._list_radius
-            )
-            db_points: list[float] = []
-            for _, rec in missing:
-                db_points.append(wrap(rec.pos / 2.0))
-                db_points.append(wrap((rec.pos + 1.0) / 2.0))
-            da, db_b, dw = self._window_bounds(h_index, db_points, self._db_radius)[:3]
+        batches: dict[int, CreateBatch] | None = sc.get("create_batches")  # type: ignore[assignment]
+        if batches is None:
+            batches = sc["create_batches"] = self._create_batches(h_index, e_next)
+        ctx.send_singles_batch([(v, batches[v]) for v in self.h_records])
 
-            def _arc(a, b, wr, j):
-                # One arc as parallel (ids, poses, records) ring slices.
-                if a is None:
-                    return ids_l, pl, rl
-                a0, b0 = a[j], b[j]
-                if wr[j]:
-                    return (
-                        ids_l[a0:] + ids_l[:b0],
-                        pl[a0:] + pl[:b0],
-                        rl[a0:] + rl[:b0],
-                    )
-                return ids_l[a0:b0], pl[a0:b0], rl[a0:b0]
+    def _create_batches(
+        self, h_index: PositionIndex, e_next: int
+    ) -> dict[int, CreateBatch]:
+        """The CREATE plan of one handover index: member id -> its batch.
 
-            # Disjoint-arc fast path: the arc centers are pos, pos/2 and
-            # (pos+1)/2 — the De Bruijn pair sits exactly antipodal, and the
-            # list arc clears both whenever pos keeps a circle distance of
-            # more than (list+db radius) from each, i.e. for
-            # 2*(r_l + r_d) < pos < 1 - 2*(r_l + r_d).  Disjoint position
-            # intervals share no members, and v itself sits at the list-arc
-            # center, so first-occurrence dedup is the identity and the
-            # batch is plain slices with v's own slot excised.
-            def _exc(seq, a0, b0, w, p):
-                # The list arc with slot ``p`` (the target's own) excised.
-                if w:
-                    if p >= a0:
-                        return seq[a0:p] + seq[p + 1:] + seq[:b0]
-                    return seq[a0:] + seq[:p] + seq[p + 1:b0]
-                return seq[a0:p] + seq[p + 1:b0]
-
-            slots = h_index.slot_map
-            margin = 2.0 * (self._list_radius + self._db_radius)
-            fast_ok = la is not None and da is not None and self._db_radius < 0.25
-            # Cross-index batch memo, keyed on the arc ids themselves: two
-            # producers with different H sets (hence different interned
-            # indexes) still build the identical batch for ``v`` whenever
-            # their arcs around ``v`` agree — record values are
-            # ``JoinRecord(w, h(w, e), e)`` by construction, so the id
-            # column determines the whole batch.  Scoped to the round: the
-            # target epoch is round-constant.
-            rs = self._epoch_cache.round_scratch(ctx.round)
-            for i, (v, rec) in enumerate(missing):
-                j = 2 * i
-                if fast_ok and margin < rec.pos < 1.0 - margin:
-                    p = slots[v]
-                    a0, b0, w0 = la[i], lb[i], lw[i]
-                    i1, p1, r1 = _arc(da, db_b, dw, j)
-                    i2, p2, r2 = _arc(da, db_b, dw, j + 1)
-                    nodes = tuple(_exc(ids_l, a0, b0, w0, p) + i1 + i2)
-                    gkey = (v, nodes)
-                    shared = rs.get(gkey)
-                    if shared is not None:
-                        batches[v] = shared
-                        continue
-                    batch = CreateBatch(
-                        tuple(_exc(rl, a0, b0, w0, p) + r1 + r2),
-                        nodes,
-                        tuple(_exc(pl, a0, b0, w0, p) + p1 + p2),
-                        rec.epoch,
-                    )
-                    batches[v] = rs[gkey] = batch
-                    continue
-                i0, p0, r0 = _arc(la, lb, lw, i)
-                i1, p1, r1 = _arc(da, db_b, dw, j)
-                i2, p2, r2 = _arc(da, db_b, dw, j + 1)
-                # dict(zip(...)) keeps first-occurrence key order; duplicate
-                # keys overwrite with the identical slot record, so values()
-                # equals the first-occurrence id dedup resolved to records.
-                ids = i0 + i1 + i2
-                d = dict(zip(ids, r0 + r1 + r2))
-                dp = dict(zip(ids, p0 + p1 + p2))
-                d.pop(v, None)
-                dp.pop(v, None)
-                batches[v] = CreateBatch(
-                    tuple(d.values()), tuple(d), tuple(dp.values()), rec.epoch
-                )
-        # An empty batch still signals the cutover to v.
-        ctx.send_singles_batch([(v, batches[v]) for v, _rec in items])
+        For the member in ring slot ``t`` at position ``p`` the batch lists
+        the members of the list arc around ``p`` and of the two De Bruijn
+        arcs around ``p/2`` and ``(p+1)/2`` — the ``required_neighbor_arcs``
+        order — each arc in ring order from its counter-clockwise end, every
+        member once at its first occurrence, ``t`` itself left out.  All
+        ``n_h`` batches are computed together: every arc is a ring segment
+        ``(start, length)``, the segments expand to one flat slot column, and
+        each batch is a pair of views into the gathered id/position columns.
+        """
+        pos = h_index.sorted_positions
+        n = pos.size
+        ids32 = _ids32(h_index)
+        # Segment (start, length) per target and arc, target-major.
+        start = np.zeros((n, 3), dtype=np.intp)
+        length = np.full((n, 3), n, dtype=np.intp)  # radius >= 0.5: the ring
+        if self._list_radius < 0.5:
+            a, b, wrapped = h_index.bounds_many(pos, self._list_radius)
+            start[:, 0] = a
+            length[:, 0] = np.where(wrapped, n - a + b, b - a)
+        if self._db_radius < 0.5:
+            # The arc centres ``wrap(p / 2)`` and ``wrap((p + 1) / 2)``.
+            centers = np.stack((pos / 2.0, (pos + 1.0) / 2.0), axis=1).ravel()
+            centers -= np.floor(centers)
+            centers[centers >= 1.0] = 0.0
+            a, b, wrapped = h_index.bounds_many(centers, self._db_radius)
+            start[:, 1:] = a.reshape(n, 2)
+            length[:, 1:] = np.where(wrapped, n - a + b, b - a).reshape(n, 2)
+        target = np.repeat(np.arange(n), length.sum(axis=1))
+        start = start.ravel()
+        length = length.ravel()
+        # Ring slots of every arc entry, in batch order.
+        ends = np.cumsum(length)
+        entry = np.arange(int(ends[-1]))
+        slot = entry - np.repeat(ends - length, length) + np.repeat(start, length)
+        slot[slot >= n] -= n
+        # First occurrence of a slot inside its target: scatter the entry
+        # numbers back to front, so the earliest write to a key lands last.
+        key = target * n + slot
+        first = np.empty(n * n, dtype=np.intp)
+        first[key[::-1]] = entry[::-1]
+        keep = (first[key] == entry) & (slot != target)
+        slot = slot[keep]
+        flat_nodes = ids32[slot]
+        flat_poses = pos[slot]
+        offs = np.cumsum(np.bincount(target[keep], minlength=n)).tolist()
+        batches: dict[int, CreateBatch] = {}
+        lo = 0
+        for v, hi in zip(h_index.ids_list, offs):
+            batches[v] = CreateBatch(flat_nodes[lo:hi], flat_poses[lo:hi], e_next)
+            lo = hi
+        return batches
 
     # ------------------------------------------------------------------
     # Final deliveries

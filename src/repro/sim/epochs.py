@@ -52,8 +52,6 @@ class EpochCache:
         "_slab_sizes",
         "_interned",
         "_floor",
-        "_round_scratch",
-        "_round_scratch_t",
     )
 
     def __init__(self, position_hash: PositionHash) -> None:
@@ -63,8 +61,6 @@ class EpochCache:
         self._slab_sizes: dict[int, int] = {}
         self._interned: dict[int, dict[frozenset[int], PositionIndex]] = {}
         self._floor = -(10**9)  # epochs below this are pruned
-        self._round_scratch: dict[object, object] = {}
-        self._round_scratch_t: int | None = None
 
     # ------------------------------------------------------------------
     # Memoised position hash
@@ -178,20 +174,6 @@ class EpochCache:
         for store in (self._tables, self._slabs, self._slab_sizes, self._interned):
             for e in [e for e in store if e < floor]:
                 del store[e]
-
-    def round_scratch(self, t: int) -> dict[object, object]:
-        """Memo space shared by all nodes within round ``t`` only.
-
-        Cleared on the first call of each round; for caching derived views of
-        objects that are themselves shared across nodes within one round
-        (e.g. the memoised CREATE batches).  Callers must only store values
-        that are a pure function of the keyed object plus round-constant
-        parameters, never per-node state.
-        """
-        if t != self._round_scratch_t:
-            self._round_scratch_t = t
-            self._round_scratch = {}
-        return self._round_scratch
 
     def drop_ids(self, epoch: int, ids: Iterable[int]) -> None:
         """Forget specific ids for one epoch (test/maintenance hook)."""

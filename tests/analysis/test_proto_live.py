@@ -57,7 +57,7 @@ def test_live_tree_is_clean_under_committed_spec(shared):
     # The committed spec covers the full implemented protocol.
     assert report.protocol["messages"] == 7
     assert report.protocol["dispatch_entries"] == 6
-    assert report.protocol["constructions"] >= 9
+    assert report.protocol["constructions"] >= 8
     assert len(report.spec.messages) == report.protocol["messages"]
 
 

@@ -8,7 +8,10 @@ hops — filed through a :class:`HopPlane`, frozen and delivered exactly as
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.config import ProtocolParams
+from repro.core.messages import CreateBatch
 from repro.sim.engine import EngineServices, NodeContext
 from repro.sim.epochs import EpochCache
 from repro.sim.hopplane import HopPlane
@@ -24,6 +27,16 @@ def make_services(params: ProtocolParams) -> EngineServices:
         rng=svc,
         position_hash=position_hash,
         epoch_cache=EpochCache(position_hash),
+    )
+
+
+def create_batch(entries, epoch: int) -> CreateBatch:
+    """A :class:`CreateBatch` introducing ``(node, pos)`` ``entries`` at ``epoch``."""
+    entries = list(entries)
+    return CreateBatch(
+        np.array([v for v, _ in entries], dtype=np.int32),
+        np.array([p for _, p in entries], dtype=np.float64),
+        epoch,
     )
 
 

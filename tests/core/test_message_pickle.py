@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.core import messages
@@ -31,7 +32,9 @@ RECS = (JoinRecord(3, 0.25, 9), JoinRecord(4, 0.75, 9))
 SAMPLES = [
     RECS[0],
     JoinBatch(RECS),
-    CreateBatch(RECS, nodes=(3, 4), poses=(0.25, 0.75), epoch=9),
+    CreateBatch(
+        np.array([3, 70_000], dtype=np.int32), np.array([0.25, 0.75]), epoch=9
+    ),
     TokenMsg(7),
     ConnectMsg(8),
     TokenGrant((1, 2, 3)),
@@ -49,6 +52,22 @@ SAMPLES = [
 ]
 
 PROTOCOLS = range(2, pickle.HIGHEST_PROTOCOL + 1)
+
+
+def same_field(a, b) -> bool:
+    """Field equality; array columns also have to agree in dtype."""
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and a.dtype == b.dtype and np.array_equal(a, b)
+    return a == b
+
+
+def same(a, b) -> bool:
+    """Value equality of two messages (``CreateBatch`` itself compares by
+    identity, so it is compared column by column)."""
+    return type(a) is type(b) and all(
+        same_field(getattr(a, f.name), getattr(b, f.name))
+        for f in dataclasses.fields(a)
+    )
 
 
 def test_samples_cover_every_protocol_type():
@@ -69,10 +88,9 @@ def test_samples_cover_every_protocol_type():
 @pytest.mark.parametrize("sample", SAMPLES, ids=lambda s: type(s).__name__)
 def test_round_trip_keeps_every_field(sample, protocol):
     out = pickle.loads(pickle.dumps(sample, protocol))
-    assert type(out) is type(sample) and out == sample and out is not sample
-    # Field by field: CreateBatch's column projections are compare=False.
+    assert same(out, sample) and out is not sample
     for f in dataclasses.fields(sample):
-        assert getattr(out, f.name) == getattr(sample, f.name), f.name
+        assert same_field(getattr(out, f.name), getattr(sample, f.name)), f.name
 
 
 @pytest.mark.parametrize("sample", SAMPLES, ids=lambda s: type(s).__name__)
@@ -81,7 +99,7 @@ def test_slotted_types_reduce_to_constructor_args(sample):
         pytest.skip("not slotted: default pickling never calls dataclasses.fields()")
     cls, args = sample.__reduce__()
     assert cls is type(sample)
-    assert cls(*args) == sample
+    assert same(cls(*args), sample)
 
 
 def test_routed_message_final_step_is_recomputed():
@@ -101,12 +119,28 @@ def test_one_decoded_object_per_shared_reference(sample):
         pickle.dumps([sample, sample, (sample,), twin], pickle.HIGHEST_PROTOCOL)
     )
     assert a is b is c
-    assert d == a and d is not a
+    assert same(d, a) and d is not a
 
 
 def test_shared_records_inside_messages_stay_shared():
-    batch, create, rec = pickle.loads(
-        pickle.dumps((JoinBatch(RECS), CreateBatch(RECS), RECS[0]))
+    batch, twin, rec = pickle.loads(
+        pickle.dumps((JoinBatch(RECS), JoinBatch(RECS), RECS[0]))
     )
-    assert batch.records is create.records
+    assert batch.records is twin.records
     assert batch.records[0] is rec
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_pickled_create_batch_view_carries_only_its_slice(protocol):
+    # The producer cuts every batch of one handover index out of one flat
+    # array pair; a worker-bound batch must not drag that pair along.
+    def pickled_size(flat_len: int) -> int:
+        nodes = np.arange(flat_len, dtype=np.int32)
+        poses = np.full(flat_len, 0.25)
+        batch = CreateBatch(nodes[5:9], poses[5:9], 9)
+        assert np.shares_memory(batch.nodes, nodes)
+        assert np.shares_memory(batch.poses, poses)
+        assert same(pickle.loads(pickle.dumps(batch, protocol)), batch)
+        return len(pickle.dumps(batch, protocol))
+
+    assert pickled_size(100_000) == pickled_size(16)

@@ -5,12 +5,12 @@ from __future__ import annotations
 import pytest
 
 from repro.config import ProtocolParams
-from repro.core.messages import CreateBatch, JoinBatch, JoinRecord, TokenGrant
+from repro.core.messages import JoinBatch, JoinRecord, TokenGrant
 from repro.core.node import MaintenanceNode, Phase
 from repro.routing.messages import make_routed_message
 from repro.sim.engine import EngineServices
 
-from .nodectx import make_ctx, make_services
+from .nodectx import create_batch, make_ctx, make_services
 
 
 @pytest.fixture
@@ -103,15 +103,13 @@ class TestHopEdgeCases:
 
 class TestRecordEdgeCases:
     def test_empty_create_batch_still_cuts_over(self, services, params):
-        """An empty batch signals the cutover even with no neighbours yet."""
+        """One introduced neighbour is enough to cut over.  (A batch with no
+        entries introduces nobody: see ``TestAllEmptyCreateInbox``.)"""
         node = MaintenanceNode(1, services)
         node.phase = Phase.FRESH
         e = params.lam + 6
-        # CreateBatch with one record of the right epoch for another node
-        # plus self-only implies empty neighbourhood for us; send one real
-        # record so the batch is non-trivial.
-        recs = (JoinRecord(2, 0.3, e),)
-        ctx, _ = make_ctx(node, services, 2 * e, [(9, CreateBatch(recs))])
+        batch = create_batch([(2, 0.3)], e)
+        ctx, _ = make_ctx(node, services, 2 * e, [(9, batch)])
         node.on_round(ctx)
         assert node.phase is Phase.ESTABLISHED
         assert node.epoch == e
@@ -119,8 +117,8 @@ class TestRecordEdgeCases:
     def test_own_record_excluded_from_neighbors(self, services, params):
         node = MaintenanceNode(1, services)
         e = params.lam + 6
-        recs = (JoinRecord(1, 0.4, e), JoinRecord(2, 0.3, e))
-        ctx, _ = make_ctx(node, services, 2 * e, [(9, CreateBatch(recs))])
+        batch = create_batch([(1, 0.4), (2, 0.3)], e)
+        ctx, _ = make_ctx(node, services, 2 * e, [(9, batch)])
         node.on_round(ctx)
         assert 1 not in node.d_nbrs and 2 in node.d_nbrs
 
@@ -140,6 +138,42 @@ class TestRecordEdgeCases:
         node.on_round(ctx)
         assert node.phase is Phase.ESTABLISHED
         assert {o for _, o in node.tokens} >= {8, 9}
+
+
+class TestAllEmptyCreateInbox:
+    """CREATE batches without entries introduce nobody, so an inbox of only
+    such batches is handled like one without any batch."""
+
+    def empty_inbox(self, e):
+        return [(9, create_batch([], e)), (10, create_batch([], e))]
+
+    def test_demotes_once_cutovers_are_due(self, services, params):
+        node = MaintenanceNode(1, services)
+        node.prime(epoch=0, pos=0.5, neighbors={2: 0.51})
+        e = params.lam + 2
+        ctx, _ = make_ctx(node, services, 2 * e, self.empty_inbox(e))
+        node.on_round(ctx)
+        assert node.phase is Phase.FRESH
+        assert node.demotions == 1
+        assert node.epoch is None and node.d_nbrs == {}
+
+    def test_changes_nothing_during_bootstrap(self, services, params):
+        node = MaintenanceNode(1, services)
+        node.prime(epoch=0, pos=0.5, neighbors={2: 0.51})
+        e = params.lam + 1
+        ctx, _ = make_ctx(node, services, 2 * e, self.empty_inbox(e))
+        node.on_round(ctx)
+        assert node.phase is Phase.ESTABLISHED
+        assert node.epoch == 0 and node.d_nbrs == {2: 0.51}
+        assert node.demotions == 0
+
+    def test_fresh_node_stays_fresh(self, services, params):
+        node = MaintenanceNode(1, services)
+        node.phase = Phase.FRESH
+        e = params.lam + 6
+        ctx, _ = make_ctx(node, services, 2 * e, self.empty_inbox(e))
+        node.on_round(ctx)
+        assert node.phase is Phase.FRESH and node.epoch is None
 
 
 class TestPipelineBookkeeping:
@@ -165,7 +199,7 @@ class TestPipelineBookkeeping:
         node.phase = Phase.FRESH
         node.tokens = [(1000, 5), (1000, 6), (1000, 7)]
         e = params.lam + 6
-        ctx, _ = make_ctx(node, services, 2 * e, [(9, CreateBatch((JoinRecord(2, 0.3, e),)))])
+        ctx, _ = make_ctx(node, services, 2 * e, [(9, create_batch([(2, 0.3)], e))])
         node.on_round(ctx)
         assert node.phase is Phase.ESTABLISHED
         ctx, net = make_ctx(node, services, 2 * e + 2, [])

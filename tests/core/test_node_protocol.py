@@ -8,7 +8,6 @@ import pytest
 from repro.config import ProtocolParams
 from repro.core.messages import (
     ConnectMsg,
-    CreateBatch,
     JoinBatch,
     JoinRecord,
     TokenGrant,
@@ -18,7 +17,7 @@ from repro.core.node import TOKEN_TTL, MaintenanceNode, Phase
 from repro.sim.engine import EngineServices, JoinNotice
 from repro.sim.network import Network
 
-from .nodectx import make_ctx, make_services
+from .nodectx import create_batch, make_ctx, make_services
 
 
 @pytest.fixture
@@ -64,8 +63,8 @@ class TestPhases:
         node = MaintenanceNode(1, services)
         node.phase = Phase.FRESH
         e = params.lam + 5
-        recs = tuple(JoinRecord(10 + i, 0.1 * i, e) for i in range(3))
-        ctx, _ = make_ctx(node, services, 2 * e, [(2, CreateBatch(recs))])
+        batch = create_batch([(10 + i, 0.1 * i) for i in range(3)], e)
+        ctx, _ = make_ctx(node, services, 2 * e, [(2, batch)])
         node.on_round(ctx)
         assert node.phase is Phase.ESTABLISHED
         assert node.epoch == e
@@ -93,8 +92,8 @@ class TestPhases:
     def test_stale_epoch_records_ignored(self, services, params):
         node = MaintenanceNode(1, services)
         e = params.lam + 5
-        recs = (JoinRecord(10, 0.4, e - 1),)  # wrong epoch
-        ctx, _ = make_ctx(node, services, 2 * e, [(2, CreateBatch(recs))])
+        batch = create_batch([(10, 0.4)], e - 1)  # wrong epoch
+        ctx, _ = make_ctx(node, services, 2 * e, [(2, batch)])
         node.on_round(ctx)
         assert node.phase is Phase.NEW
 
