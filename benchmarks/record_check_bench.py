@@ -1,18 +1,19 @@
-"""Gate + wall-time record for the four-engine ``repro check`` umbrella.
+"""Gate + wall-time record for ``repro check`` (full rule set, one process).
 
-The umbrella sits on the inner loop (pre-commit, CI gate), so its cost is
-a perf budget like any simulation phase and its history is tracked in the
-same committed BENCH format that guards the round engine
-(``benchmarks/results/BENCH_check_umbrella.json``).  ``n`` is the number
-of analysed source files, ``rounds`` is 1 (one whole-tree pass), and
-``seconds_per_round`` is the umbrella's wall-time — the cost of lint +
-flow + shard-check + proto-check off one shared parse.
+The gate sits on the inner loop (pre-commit, CI), so its cost is a perf
+budget like any simulation phase and its history is tracked in the same
+committed BENCH format that guards the round engine
+(``benchmarks/results/BENCH_check_umbrella.json`` — the id predates the
+single engine and is kept so the history stays in one file).  ``n`` is the
+number of analysed source files, ``rounds`` is 1 (one whole-tree pass), and
+``seconds_per_round`` is the wall-time of one ``python -m repro check``
+process: interpreter start, one parse, all 24 rules.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/record_check_bench.py [--label TAG]
 
-The umbrella's exit code is propagated, so this doubles as the gate.
+The exit code of ``repro check`` is propagated, so this doubles as the gate.
 Following :mod:`repro.util.benchrec` convention, the entry is persisted
 only on explicit intent — a ``--label`` or ``REPRO_BENCH_RECORD=1`` —
 so casual local runs never grow the committed history.

@@ -45,10 +45,10 @@ class AdversaryView:
         state_lateness: int,
         budget_remaining: int | None = None,
     ) -> None:
-        # The lateness bounds are keyword-only on purpose: `repro flow`
-        # recognises this constructor as the one sanitizer that may carry
-        # live state across the wall, and only when both keywords are
-        # spelled out at the call site.
+        # The lateness bounds are keyword-only on purpose: `repro check`
+        # (rule F1) recognises this constructor as the one sanitizer that
+        # may carry live state across the wall, and only when both keywords
+        # are spelled out at the call site.
         if topology_lateness < 0 or state_lateness < 0:
             raise ValueError("lateness values must be non-negative")
         self.round = t

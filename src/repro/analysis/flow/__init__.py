@@ -1,9 +1,9 @@
-"""``repro.analysis.flow`` — interprocedural information-flow analysis.
+"""``repro.analysis.flow`` — interprocedural information-flow rules (F1–F2).
 
-Where the linter (:mod:`repro.analysis.lint`) checks what a single
+Where the per-module rules (:mod:`repro.analysis.lint`) check what a single
 expression *looks like*, this package checks where values *go*: a
-project-wide taint analysis with per-function summaries, guarding the
-two invariants with declarative **source → sanitizer → sink** policies:
+project-wide taint analysis with per-function summaries, guarding two
+invariants with declarative **source → sanitizer → sink** policies:
 
 1. **F1 lateness** — live engine state reaches the adversary only
    through an :class:`~repro.adversary.view.AdversaryView` built with
@@ -12,79 +12,7 @@ two invariants with declarative **source → sanitizer → sink** policies:
 2. **F2 determinism** — wall-clock, environment, and global-RNG values
    never reach fingerprint-feeding state, interprocedurally.
 
-Run it as ``repro flow`` (see ``docs/ANALYSIS.md``), or from code::
-
-    from repro.analysis.flow import run_flow
-    report = run_flow(root=repo_root)   # defaults: src/repro, all policies
-    assert report.ok, report.format_text()
-
-Findings share the linter's waiver syntax (``# repro: allow(flow-…): …``)
-and baseline format (``flow-baseline.json``).
+:mod:`.callgraph` indexes functions and resolves calls (shared with the S
+and P families), :mod:`.summaries` runs the fixpoint, :mod:`.policies`
+declares the two policies, which are their own ``repro check`` rules.
 """
-
-from repro.analysis.flow.callgraph import FunctionInfo, ProjectIndex
-from repro.analysis.flow.engine import (
-    DEFAULT_FLOW_BASELINE_NAME,
-    DEFAULT_MAX_DEPTH,
-    FlowReport,
-    run_flow,
-)
-from repro.analysis.flow.policies import (
-    ALL_POLICIES,
-    DETERMINISM,
-    LATENESS,
-    LIVE_SOURCE_PACKAGES,
-    LIVE_STATE_ATTRS,
-    SANITIZER_NAME,
-    SANITIZER_REQUIRED_KWARGS,
-    FlowError,
-    Policy,
-    dotted_source_label,
-    policy_table,
-    resolve_policies,
-)
-from repro.analysis.flow.summaries import FunctionAnalyzer, ParamSink, Summary
-from repro.analysis.flow.taint import (
-    EMPTY,
-    PARAM_LABEL,
-    Tag,
-    Taint,
-    is_param,
-    labels_of,
-    param_index,
-    param_tag,
-    real_tags,
-)
-
-__all__ = [
-    "ALL_POLICIES",
-    "DEFAULT_FLOW_BASELINE_NAME",
-    "DEFAULT_MAX_DEPTH",
-    "DETERMINISM",
-    "EMPTY",
-    "FlowError",
-    "FlowReport",
-    "FunctionAnalyzer",
-    "FunctionInfo",
-    "LATENESS",
-    "LIVE_SOURCE_PACKAGES",
-    "LIVE_STATE_ATTRS",
-    "PARAM_LABEL",
-    "ParamSink",
-    "Policy",
-    "ProjectIndex",
-    "SANITIZER_NAME",
-    "SANITIZER_REQUIRED_KWARGS",
-    "Summary",
-    "Tag",
-    "Taint",
-    "dotted_source_label",
-    "is_param",
-    "labels_of",
-    "param_index",
-    "param_tag",
-    "policy_table",
-    "real_tags",
-    "resolve_policies",
-    "run_flow",
-]

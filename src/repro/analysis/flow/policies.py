@@ -4,7 +4,9 @@ A :class:`Policy` names the taint labels it tracks, the packages in which
 its sinks are armed, and the modules exempt from it.  The *mechanics* —
 how sources are recognised, how taint propagates, how sanitizers strip
 labels — live in :mod:`~repro.analysis.flow.summaries`; this module is
-the single place that says **what** each policy means:
+the single place that says **what** each policy means.  A policy is also
+its own ``repro check`` rule: ``check`` picks its findings out of the one
+project-wide fixpoint both policies share.
 
 **F1 ``flow-lateness``** — the paper's security argument (Section 2,
 Lemmas 3-4) is void the moment the adversary touches state fresher than
@@ -24,16 +26,20 @@ stores into object state inside the fingerprint-feeding packages.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterator
 
+from repro.analysis.lint.engine import Rule
+from repro.analysis.lint.findings import Finding
 from repro.analysis.lint.rules_determinism import (
     _NUMPY_GLOBAL,
     _WALLCLOCK,
     FINGERPRINT_PACKAGES,
 )
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.analysis.check import CheckContext
+
 __all__ = [
-    "FlowError",
     "Policy",
     "LATENESS",
     "DETERMINISM",
@@ -43,29 +49,27 @@ __all__ = [
     "SANITIZER_NAME",
     "SANITIZER_REQUIRED_KWARGS",
     "dotted_source_label",
-    "resolve_policies",
-    "policy_table",
 ]
 
 
-class FlowError(Exception):
-    """Invalid flow invocation (unknown policy, bad path, ...)."""
-
-
 @dataclass(frozen=True)
-class Policy:
-    """One source→sanitizer→sink check, identified like a lint rule."""
+class Policy(Rule):
+    """One source→sanitizer→sink check, identified (and run) like any rule."""
 
-    id: str
-    code: str
-    description: str
-    fix_hint: str
+    # Defaults only because the ``Rule`` base already gives the first four one.
+    id: str = ""
+    code: str = ""
+    description: str = ""
+    fix_hint: str = ""
     #: Taint labels this policy acts on when they reach one of its sinks.
-    labels: frozenset
+    labels: frozenset = frozenset()
     #: Packages in which this policy's sinks are armed.
-    sink_packages: tuple
+    sink_packages: tuple = ()
     #: Modules whose sink hits are suppressed (documented design holes).
     exempt_modules: tuple = ()
+
+    def check(self, ctx: CheckContext) -> Iterator[Finding]:
+        return (f for f in ctx.flow.findings if f.rule == self.id)
 
     def armed_in(self, module: str) -> bool:
         if module in self.exempt_modules:
@@ -151,36 +155,3 @@ DETERMINISM = Policy(
 
 #: Every shipped policy, in code order.
 ALL_POLICIES: tuple = (LATENESS, DETERMINISM)
-
-
-def resolve_policies(spec: str | Iterable[str] | None) -> tuple:
-    """Policies selected by a comma/space separated list of ids or codes."""
-    if spec is None:
-        return ALL_POLICIES
-    if isinstance(spec, str):
-        wanted = [s for chunk in spec.split(",") for s in chunk.split()]
-    else:
-        wanted = list(spec)
-    wanted = [w.strip().lower() for w in wanted if w.strip()]
-    if not wanted:
-        return ALL_POLICIES
-    by_key = {p.id: p for p in ALL_POLICIES}
-    by_key.update({p.code.lower(): p for p in ALL_POLICIES})
-    selected: list = []
-    for key in wanted:
-        policy = by_key.get(key)
-        if policy is None:
-            known = ", ".join(f"{p.code}/{p.id}" for p in ALL_POLICIES)
-            raise FlowError(f"unknown policy {key!r}; known policies: {known}")
-        if policy not in selected:
-            selected.append(policy)
-    return tuple(selected)
-
-
-def policy_table() -> str:
-    """A plain-text table of every policy (for ``repro flow --list-policies``)."""
-    width = max(len(p.id) for p in ALL_POLICIES)
-    lines = []
-    for policy in ALL_POLICIES:
-        lines.append(f"{policy.code:>4}  {policy.id:<{width}}  {policy.description}")
-    return "\n".join(lines)

@@ -11,10 +11,11 @@ mapping local names to taint sets.  The walk produces a
 * ``param_sinks`` — parameter indices that reach a policy sink inside
   the function (directly or through further calls).
 
-Summaries are computed to a fixpoint over the project call graph: a call
-to an analysed function substitutes the actual argument taints into the
-callee's current summary, so taint is tracked through any chain of
-helpers up to the configured propagation depth.
+Summaries are computed to a fixpoint over the project call graph
+(:func:`analyze_project`): a call to an analysed function substitutes the
+actual argument taints into the callee's current summary, so taint is
+tracked through any chain of helpers up to :data:`MAX_DEPTH` calls long.
+Both policies ride the same fixpoint; rules F1/F2 each filter its findings.
 
 Soundness is deliberately bounded (this is a tripwire, not a proof
 system): loop bodies are interpreted twice (enough for one back-edge of
@@ -31,6 +32,9 @@ from typing import TYPE_CHECKING
 
 from repro.analysis.flow.callgraph import FunctionInfo, ProjectIndex
 from repro.analysis.flow.policies import (
+    ALL_POLICIES,
+    DETERMINISM,
+    LATENESS,
     LIVE_SOURCE_PACKAGES,
     LIVE_STATE_ATTRS,
     SANITIZER_NAME,
@@ -51,7 +55,20 @@ from repro.analysis.lint.findings import Finding
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.lint.engine import SourceModule
 
-__all__ = ["ParamSink", "Summary", "FunctionAnalyzer"]
+__all__ = [
+    "MAX_DEPTH",
+    "FlowFacts",
+    "FunctionAnalyzer",
+    "ParamSink",
+    "Summary",
+    "analyze_project",
+]
+
+#: Bound on summary-propagation passes, i.e. the longest helper chain taint
+#: is tracked through (the live tree converges in 5).
+MAX_DEPTH = 8
+
+_POLICY_BY_ID = {p.id: p for p in ALL_POLICIES}
 
 #: Labels that survive the AdversaryView sanitizer (it clamps *lateness*;
 #: it does not launder determinism taint).
@@ -101,7 +118,6 @@ class FunctionAnalyzer:
         index: ProjectIndex,
         summaries: dict,
         info: FunctionInfo,
-        policies: tuple,
         collect: bool,
     ) -> None:
         self.index = index
@@ -109,10 +125,6 @@ class FunctionAnalyzer:
         self.info = info
         self.mod: "SourceModule" = info.module
         self.relpath = self.mod.relpath
-        self.policies = policies
-        self._by_id = {p.id: p for p in policies}
-        self.lateness = self._by_id.get("flow-lateness")
-        self.determinism = self._by_id.get("flow-determinism")
         self.collect = collect
         self.env: dict[str, frozenset] = {}
         self.adversary_vars: set[str] = set()
@@ -217,20 +229,19 @@ class FunctionAnalyzer:
     def _check_store(self, target: ast.expr, taint: frozenset) -> None:
         """Sink checks for an attribute/subscript store."""
         if (
-            self.lateness is not None
-            and self.lateness.armed_in(self.mod.module)
+            LATENESS.armed_in(self.mod.module)
             and isinstance(target, ast.Attribute)
             and self._is_adversary_expr(target.value)
         ):
             self.sink(
-                self.lateness,
+                LATENESS,
                 taint,
                 f"adversary object state `{_short(target)}`",
                 target,
             )
-        if self.determinism is not None and self.determinism.armed_in(self.mod.module):
+        if DETERMINISM.armed_in(self.mod.module):
             self.sink(
-                self.determinism,
+                DETERMINISM,
                 taint,
                 f"fingerprint-feeding state `{_short(target)}`",
                 target,
@@ -384,16 +395,12 @@ class FunctionAnalyzer:
         return EMPTY
 
     def _live_attr_tags(self, attr: str, detail: str, line: int) -> frozenset:
-        if (
-            self.lateness is not None
-            and attr in LIVE_STATE_ATTRS
-            and self.mod.in_packages(LIVE_SOURCE_PACKAGES)
-        ):
+        if attr in LIVE_STATE_ATTRS and self.mod.in_packages(LIVE_SOURCE_PACKAGES):
             return frozenset({Tag("live-state", detail, self.relpath, line)})
         return EMPTY
 
     def _dotted_tags(self, dotted: str | None, line: int) -> frozenset:
-        if dotted is None or self.determinism is None:
+        if dotted is None:
             return EMPTY
         label = dotted_source_label(dotted)
         if label is None:
@@ -461,14 +468,12 @@ class FunctionAnalyzer:
         # The decide() sink: every argument of an adversary decision call.
         if isinstance(func, ast.Attribute) and func.attr == "decide":
             self.eval(func.value)
-            armed = self.lateness is not None and self.lateness.armed_in(
-                self.mod.module
-            )
+            armed = LATENESS.armed_in(self.mod.module)
             for arg in list(call.args) + [kw.value for kw in call.keywords]:
                 taint = self.eval(arg)
                 if armed:
                     self.sink(
-                        self.lateness,
+                        LATENESS,
                         taint,
                         f"adversary decide() argument `{_short(arg)}`",
                         call,
@@ -520,7 +525,40 @@ class FunctionAnalyzer:
             taint = arg_taints.get(ps.index)
             if not taint:
                 continue
-            policy = self._by_id.get(ps.policy)
-            if policy is not None:
-                self._apply_param_sink(policy, taint, ps, call)
+            self._apply_param_sink(_POLICY_BY_ID[ps.policy], taint, ps, call)
         return frozenset(result)
+
+
+@dataclass(frozen=True)
+class FlowFacts:
+    """What one project-wide fixpoint produced (shared by rules F1 and F2)."""
+
+    passes: int
+    findings: tuple
+
+
+def analyze_project(index: ProjectIndex) -> FlowFacts:
+    """Summaries to a fixpoint (or :data:`MAX_DEPTH`), then one reporting pass."""
+    order = sorted(index.functions)
+    summaries: dict[str, Summary] = {}
+    passes = 0
+    for _ in range(MAX_DEPTH):
+        passes += 1
+        changed = False
+        for qname in order:
+            summary = FunctionAnalyzer(
+                index, summaries, index.functions[qname], collect=False
+            ).run()
+            if summaries.get(qname) != summary:
+                summaries[qname] = summary
+                changed = True
+        if not changed:
+            break
+    findings: list[Finding] = []
+    for qname in order:
+        analyzer = FunctionAnalyzer(
+            index, summaries, index.functions[qname], collect=True
+        )
+        analyzer.run()
+        findings.extend(analyzer.findings)
+    return FlowFacts(passes=passes, findings=tuple(findings))

@@ -1,70 +1,14 @@
-"""``repro.analysis.lint`` — the determinism & lateness linter.
+"""``repro.analysis.lint`` — per-module determinism & lateness rules, and the
+value types every ``repro check`` rule family shares.
 
-An AST-based static-analysis pass that machine-checks the simulator's two
-load-bearing invariants before a simulation ever runs:
+* :mod:`.engine` — :class:`~.engine.SourceModule` (one parsed file) and the
+  :class:`~.engine.Rule` / :class:`~.engine.ModuleRule` plugin base;
+* :mod:`.findings`, :mod:`.waivers`, :mod:`.baseline`, :mod:`.fix` — the
+  finding value object, ``# repro: allow(<rule>): why`` parsing, the
+  committed ``check-baseline.json`` format, and ``--fix``;
+* :mod:`.rules_determinism` (D1–D5), :mod:`.rules_lateness` (L1–L3),
+  :mod:`.rules_exports` (X1), :mod:`.rules_waivers` (W1–W2).
 
-1. **Determinism** — a run is a pure function of its seed (no global RNG
-   state, wall clocks, hash-order iteration, ``id()`` keys, or environment
-   reads in the packages that feed the golden fingerprints);
-2. **Lateness** — adversary code can reach world state only through the
-   :class:`~repro.adversary.view.AdversaryView` choke point, and the
-   engine hands it nothing fresher.
-
-Run it as ``repro lint`` (see ``docs/ANALYSIS.md``), or from code::
-
-    from repro.analysis.lint import run_lint
-    report = run_lint(root=repo_root)   # defaults: src/repro, all rules
-    assert report.ok, report.format_text()
-
-Findings can be waived inline (``# repro: allow(<rule>): <why>``) or
-grandfathered in the committed ``lint-baseline.json``.
+The rules are registered and run by :mod:`repro.analysis.check`
+(``repro check``, see ``docs/ANALYSIS.md``).
 """
-
-from repro.analysis.lint.baseline import (
-    BASELINE_SCHEMA,
-    DEFAULT_BASELINE_NAME,
-    Baseline,
-    write_baseline,
-)
-from repro.analysis.lint.engine import (
-    LintContext,
-    LintError,
-    LintReport,
-    Rule,
-    SourceModule,
-    run_lint,
-)
-from repro.analysis.lint.findings import SEVERITIES, Finding
-from repro.analysis.lint.fix import fix_unused_waivers
-from repro.analysis.lint.registry import ALL_RULES, resolve_rules, rule_table
-from repro.analysis.lint.waivers import (
-    FLOW_RULE_PREFIX,
-    PROTO_RULE_PREFIX,
-    SHARD_RULE_PREFIX,
-    Waiver,
-    scan_directives,
-)
-
-__all__ = [
-    "ALL_RULES",
-    "BASELINE_SCHEMA",
-    "Baseline",
-    "DEFAULT_BASELINE_NAME",
-    "FLOW_RULE_PREFIX",
-    "Finding",
-    "LintContext",
-    "LintError",
-    "LintReport",
-    "PROTO_RULE_PREFIX",
-    "Rule",
-    "SEVERITIES",
-    "SHARD_RULE_PREFIX",
-    "SourceModule",
-    "Waiver",
-    "fix_unused_waivers",
-    "resolve_rules",
-    "rule_table",
-    "run_lint",
-    "scan_directives",
-    "write_baseline",
-]

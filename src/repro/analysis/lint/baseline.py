@@ -1,6 +1,7 @@
 """The committed findings baseline (grandfathered violations).
 
-The baseline is a small JSON file committed at the repository root::
+The baseline is a small JSON file (``check-baseline.json``) committed at the
+repository root::
 
     {
       "schema": 1,
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import Iterable
 
 from repro.analysis.lint.findings import Finding
 
@@ -30,7 +32,7 @@ __all__ = ["BASELINE_SCHEMA", "DEFAULT_BASELINE_NAME", "Baseline", "write_baseli
 BASELINE_SCHEMA = 1
 
 #: File name looked up at the repository root by default.
-DEFAULT_BASELINE_NAME = "lint-baseline.json"
+DEFAULT_BASELINE_NAME = "check-baseline.json"
 
 _KEY_FIELDS = ("path", "rule", "message")
 
@@ -41,6 +43,8 @@ class Baseline:
     def __init__(self, entries: list[dict] | None = None) -> None:
         self.entries = list(entries or [])
         for i, entry in enumerate(self.entries):
+            if not isinstance(entry, dict):
+                raise ValueError(f"baseline entry {i}: not an object")
             for name in _KEY_FIELDS:
                 if not isinstance(entry.get(name), str) or not entry[name]:
                     raise ValueError(f"baseline entry {i}: missing field {name!r}")
@@ -86,16 +90,24 @@ class Baseline:
 
 
 def write_baseline(
-    path: Path | str, findings: list[Finding], notes: dict[tuple[str, str, str], str] | None = None
+    path: Path | str,
+    findings: list[Finding],
+    notes: dict[tuple[str, str, str], str] | None = None,
+    keep: Iterable[dict] = (),
 ) -> Path:
-    """Write a baseline covering ``findings`` (sorted, deterministic output)."""
-    entries = []
+    """Write a baseline covering ``findings`` (sorted, deterministic output).
+
+    ``keep`` are existing entries carried over verbatim — those of rules
+    that did not run, which this run can neither confirm nor retire.
+    """
+    entries = [dict(entry) for entry in keep]
     for finding in sorted(findings):
         entry = {"path": finding.path, "rule": finding.rule, "message": finding.message}
         note = (notes or {}).get(finding.baseline_key())
         if note:
             entry["note"] = note
         entries.append(entry)
+    entries.sort(key=lambda e: (e["path"], e["rule"], e["message"]))
     payload = {"schema": BASELINE_SCHEMA, "findings": entries}
     path = Path(path)
     path.write_text(json.dumps(payload, indent=2) + "\n")

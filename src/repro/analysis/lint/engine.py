@@ -1,13 +1,11 @@
-"""Rule engine of the repro linter.
+"""The plugin surface of ``repro check``: parsed modules and the rule base.
 
-The engine is deliberately boring: it parses every file once with
-:mod:`ast`, hands each :class:`SourceModule` to every applicable
-:class:`Rule`, matches inline waivers, applies the committed baseline, and
-returns a :class:`LintReport`.  All the judgement lives in the rules
-(:mod:`~repro.analysis.lint.rules_determinism`,
-:mod:`~repro.analysis.lint.rules_lateness`,
-:mod:`~repro.analysis.lint.rules_exports`,
-:mod:`~repro.analysis.lint.rules_waivers`).
+Every rule family (:mod:`~repro.analysis.lint` D/L/X/W,
+:mod:`~repro.analysis.flow` F, :mod:`~repro.analysis.shard` S,
+:mod:`~repro.analysis.proto` P) is written against the types in this
+module; the engine that runs them, matches waivers, applies the
+baseline and reports lives in :mod:`repro.analysis.check`, which imports
+the rule modules — so the base they subclass sits here, below both.
 
 Rules see *syntax*, not types: they are heuristics tuned so the invariants
 they guard (bit-for-bit determinism; the adversary's lateness wall) cannot
@@ -20,31 +18,20 @@ from __future__ import annotations
 
 import abc
 import ast
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
-from repro.analysis.lint.baseline import Baseline
 from repro.analysis.lint.findings import Finding
 from repro.analysis.lint.waivers import scan_directives
-from repro.analysis.source_cache import SourceCache, collect_py_files
 
-__all__ = [
-    "LintError",
-    "SourceModule",
-    "LintContext",
-    "Rule",
-    "LintReport",
-    "run_lint",
-]
+if TYPE_CHECKING:  # pragma: no cover - cycle guard (check imports the rules)
+    from repro.analysis.check import CheckContext
 
-#: Rules whose findings can never be waived inline (waiving the waiver
-#: checker would defeat the point).
-NON_WAIVABLE = frozenset({"waiver-justification", "unused-waiver", "parse-error"})
+__all__ = ["LintError", "SourceModule", "Rule", "ModuleRule"]
 
 
 class LintError(Exception):
-    """Invalid linter invocation (unknown rule, bad path, ...)."""
+    """Invalid invocation: unknown rule, bad path, unreadable baseline or spec."""
 
 
 def _derive_module(relpath: str) -> str:
@@ -146,41 +133,6 @@ class SourceModule:
         )
 
 
-class LintContext:
-    """Cross-file services available to rules (sibling ``__all__`` lookups).
-
-    Lookups go through a :class:`SourceCache`, so files the main lint loop
-    already parsed are never parsed a second time by a rule pass.
-    """
-
-    def __init__(self, root: Path, cache: SourceCache | None = None) -> None:
-        self.root = root
-        self.cache = cache if cache is not None else SourceCache(root)
-        self._exports: dict[Path, list[str] | None] = {}
-
-    def module_exports(self, path: Path) -> list[str] | None:
-        """The literal ``__all__`` of a file, or ``None`` if absent/unreadable."""
-        path = path.resolve()
-        if path not in self._exports:
-            result: list[str] | None = None
-            mod = self.cache.try_module(path)
-            if mod is not None:
-                for node in mod.tree.body:
-                    if isinstance(node, ast.Assign) and any(
-                        isinstance(t, ast.Name) and t.id == "__all__"
-                        for t in node.targets
-                    ):
-                        if isinstance(node.value, (ast.List, ast.Tuple)):
-                            elts = node.value.elts
-                            if all(
-                                isinstance(e, ast.Constant) and isinstance(e.value, str)
-                                for e in elts
-                            ):
-                                result = [e.value for e in elts]
-            self._exports[path] = result
-        return self._exports[path]
-
-
 class Rule(abc.ABC):
     """One named check.  Subclasses set the class attributes and ``check``."""
 
@@ -193,23 +145,21 @@ class Rule(abc.ABC):
     #: (needed by ``unused-waiver``).
     post_waiver: bool = False
 
-    def applies_to(self, mod: SourceModule) -> bool:
-        return True
-
     @abc.abstractmethod
-    def check(self, mod: SourceModule, ctx: LintContext) -> Iterator[Finding]:
-        """Yield findings for one module."""
+    def check(self, ctx: "CheckContext") -> Iterator[Finding]:
+        """Yield findings over the whole project."""
 
     def finding(
         self,
-        mod: SourceModule,
+        mod: SourceModule | str,
         where: ast.AST | int,
         message: str,
         fix_hint: str | None = None,
     ) -> Finding:
+        """A finding of this rule in ``mod`` (or at a bare path, e.g. the spec)."""
         line = where if isinstance(where, int) else getattr(where, "lineno", 0)
         return Finding(
-            path=mod.relpath,
+            path=mod if isinstance(mod, str) else mod.relpath,
             line=line,
             rule=self.id,
             message=message,
@@ -218,151 +168,17 @@ class Rule(abc.ABC):
         )
 
 
-@dataclass
-class LintReport:
-    """Everything one lint run produced."""
+class ModuleRule(Rule):
+    """A rule that judges one module at a time (families D, L, X, W)."""
 
-    root: Path
-    files: int
-    findings: list[Finding] = field(default_factory=list)
-    waived: list[Finding] = field(default_factory=list)
-    baselined: list[Finding] = field(default_factory=list)
-    stale_baseline: list[dict] = field(default_factory=list)
+    def applies_to(self, mod: SourceModule) -> bool:
+        return True
 
-    @property
-    def ok(self) -> bool:
-        return not self.findings
+    @abc.abstractmethod
+    def check_module(self, mod: SourceModule, ctx: "CheckContext") -> Iterator[Finding]:
+        """Yield findings for one module."""
 
-    def to_dict(self) -> dict:
-        return {
-            "version": 1,
-            "root": str(self.root),
-            "files": self.files,
-            "counts": {
-                "active": len(self.findings),
-                "waived": len(self.waived),
-                "baselined": len(self.baselined),
-                "stale_baseline": len(self.stale_baseline),
-            },
-            "findings": [f.to_dict() for f in self.findings],
-            "waived": [f.to_dict() for f in self.waived],
-            "baselined": [f.to_dict() for f in self.baselined],
-            "stale_baseline": self.stale_baseline,
-        }
-
-    def format_text(self) -> str:
-        out: list[str] = []
-        for f in self.findings:
-            out.append(f.format())
-            if f.fix_hint:
-                out.append(f"    fix: {f.fix_hint}")
-        for entry in self.stale_baseline:
-            out.append(
-                f"stale baseline entry: {entry['path']} [{entry['rule']}] "
-                "no longer matches anything — remove it"
-            )
-        out.append(
-            f"{self.files} file(s): {len(self.findings)} finding(s), "
-            f"{len(self.waived)} waived, {len(self.baselined)} baselined"
-        )
-        return "\n".join(out)
-
-
-def _collect_files(paths: Iterable[Path]) -> list[Path]:
-    try:
-        return collect_py_files(paths)
-    except FileNotFoundError as exc:
-        raise LintError(str(exc)) from None
-
-
-def run_lint(
-    paths: Iterable[Path | str] | None = None,
-    *,
-    root: Path | str | None = None,
-    rules: Iterable[Rule] | None = None,
-    baseline: Path | str | Baseline | None = None,
-    cache: SourceCache | None = None,
-) -> LintReport:
-    """Run the linter and return a :class:`LintReport`.
-
-    ``paths`` defaults to ``<root>/src/repro``; ``root`` defaults to the
-    current directory.  ``baseline`` may be a path (missing file = empty
-    baseline), a loaded :class:`Baseline`, or ``None`` for no baseline.
-    ``cache`` is an optional shared :class:`SourceCache` — pass the same
-    instance to :func:`repro.analysis.flow.run_flow` and each file is
-    parsed once for both tools.
-    """
-    if rules is None:
-        from repro.analysis.lint.registry import ALL_RULES
-
-        rules = ALL_RULES
-    rules = tuple(rules)
-    root = Path(root) if root is not None else Path.cwd()
-    root = root.resolve()
-    targets = [Path(p) for p in paths] if paths is not None else [root / "src" / "repro"]
-    files = _collect_files(targets)
-    if cache is None:
-        cache = SourceCache(root)
-    ctx = LintContext(root, cache)
-
-    pre = [r for r in rules if not r.post_waiver]
-    post = [r for r in rules if r.post_waiver]
-    active: list[Finding] = []
-    waived: list[Finding] = []
-    for path in files:
-        try:
-            mod = cache.module(path)
-        except SyntaxError as exc:
-            try:
-                rel = path.relative_to(root).as_posix()
-            except ValueError:
-                rel = path.as_posix()
-            active.append(
-                Finding(
-                    path=rel,
-                    line=exc.lineno or 0,
-                    rule="parse-error",
-                    message=f"file does not parse: {exc.msg}",
-                )
-            )
-            continue
-        raw: list[Finding] = []
-        for rule in pre:
-            if rule.applies_to(mod):
-                raw.extend(rule.check(mod, ctx))
-        # Waiver matching: a justified waiver absorbs every finding of its
-        # rule on its target line.  Modules can come from a shared cache, so
-        # the mutable `used` flags are reset for this run.
-        for w in mod.waivers:
-            w.used = False
-        live_waivers = [w for w in mod.waivers if w.justified]
-        for f in raw:
-            matched = False
-            if f.rule not in NON_WAIVABLE:
-                for w in live_waivers:
-                    if w.rule == f.rule and w.target_line == f.line:
-                        w.used = True
-                        matched = True
-            (waived if matched else active).append(f)
-        for rule in post:
-            if rule.applies_to(mod):
-                active.extend(rule.check(mod, ctx))
-
-    active.sort()
-    waived.sort()
-    if baseline is None:
-        base = Baseline([])
-    elif isinstance(baseline, Baseline):
-        base = baseline
-    else:
-        base = Baseline.load(baseline)
-    final, baselined, stale = base.partition(active)
-    return LintReport(
-        root=root,
-        files=len(files),
-        findings=final,
-        waived=waived,
-        baselined=baselined,
-        stale_baseline=stale,
-    )
-
+    def check(self, ctx: "CheckContext") -> Iterator[Finding]:
+        for mod in ctx.modules:
+            if self.applies_to(mod):
+                yield from self.check_module(mod, ctx)

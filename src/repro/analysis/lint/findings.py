@@ -1,4 +1,4 @@
-"""The findings model of the repro linter.
+"""The findings model of ``repro check``.
 
 A :class:`Finding` is one rule violation at one source location.  Findings
 are value objects: two findings with the same ``(path, rule, message)``

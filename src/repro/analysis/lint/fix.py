@@ -1,9 +1,10 @@
-"""``repro lint --fix``: delete stale waiver comments automatically.
+"""``repro check --fix``: delete stale waiver comments automatically.
 
-The only finding the linter can fix mechanically without judgement is W2
+The only finding the engine can fix mechanically without judgement is W2
 (``unused-waiver``): the waiver comment matches no finding, so the safe
-fix *is* the fix hint — delete the comment.  Everything else the linter
-reports needs a human.
+fix *is* the fix hint — delete the comment.  Everything else it reports
+needs a human.  W2 audits a waiver only if its rule ran, so a ``--rules``
+subset never deletes the live waivers of the rules it left out.
 
 The edit is surgical and byte-exact outside the removed comments:
 
@@ -12,8 +13,8 @@ The edit is surgical and byte-exact outside the removed comments:
 * a **trailing** waiver comment is stripped from the end of its line,
   along with the whitespace that separated it from the code;
 * newline style, surrounding lines, and every other comment — including
-  ``# repro: module(...)`` directives and ``flow-*`` waivers, which the
-  linter does not audit — are untouched.
+  ``# repro: module(...)`` directives and the waivers of rules that did
+  not run — are untouched.
 
 Comment positions come from :mod:`tokenize` (the same scan the waiver
 parser uses), so waiver-shaped text inside string literals is never
@@ -25,7 +26,8 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable
 
-from repro.analysis.lint.engine import Rule, run_lint
+from repro.analysis.check import run_check
+from repro.analysis.lint.engine import Rule
 from repro.analysis.lint.waivers import _WAIVER_RE, _comment_tokens
 from repro.analysis.source_cache import SourceCache
 
@@ -63,11 +65,11 @@ def fix_unused_waivers(
 ) -> dict[str, int]:
     """Delete every stale waiver W2 reports; return ``{relpath: removed}``.
 
-    Runs the linter without a baseline first (a baselined W2 finding is
+    Runs the check without a baseline first (a baselined W2 finding is
     still a stale comment), rewrites each flagged file, and invalidates
     the rewritten files in ``cache`` so later runs re-parse them.
     """
-    report = run_lint(paths, root=root, rules=rules, baseline=None, cache=cache)
+    report = run_check(paths, root=root, rules=rules, baseline=None, cache=cache)
     by_path: dict[str, set[int]] = {}
     for f in report.findings:
         if f.rule == "unused-waiver":

@@ -11,10 +11,13 @@ reads — before a simulation ever runs.
 from __future__ import annotations
 
 import ast
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-from repro.analysis.lint.engine import LintContext, Rule, SourceModule
+from repro.analysis.lint.engine import ModuleRule, SourceModule
 from repro.analysis.lint.findings import Finding
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.analysis.check import CheckContext
 
 __all__ = [
     "FINGERPRINT_PACKAGES",
@@ -94,7 +97,7 @@ _WALLCLOCK = frozenset(
 _TIME_FN_NAMES = frozenset(n.split(".", 1)[1] for n in _WALLCLOCK if n.startswith("time."))
 
 
-class GlobalRandomRule(Rule):
+class GlobalRandomRule(ModuleRule):
     """D1 — all randomness must flow through ``repro.util.rngs`` streams."""
 
     id = "global-random"
@@ -108,7 +111,7 @@ class GlobalRandomRule(Rule):
     def applies_to(self, mod: SourceModule) -> bool:
         return mod.module != "repro.util.rngs"
 
-    def check(self, mod: SourceModule, ctx: LintContext) -> Iterator[Finding]:
+    def check_module(self, mod: SourceModule, ctx: CheckContext) -> Iterator[Finding]:
         for node in ast.walk(mod.tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
@@ -142,7 +145,7 @@ class GlobalRandomRule(Rule):
                     )
 
 
-class WallClockRule(Rule):
+class WallClockRule(ModuleRule):
     """D2 — no wall-clock reads; simulated time is the only time."""
 
     id = "wallclock"
@@ -156,7 +159,7 @@ class WallClockRule(Rule):
         "metadata only, waive with `# repro: allow(wallclock): <why>`"
     )
 
-    def check(self, mod: SourceModule, ctx: LintContext) -> Iterator[Finding]:
+    def check_module(self, mod: SourceModule, ctx: CheckContext) -> Iterator[Finding]:
         for node in ast.walk(mod.tree):
             if isinstance(node, ast.ImportFrom):
                 if mod.resolve_import_from(node) == "time":
@@ -192,7 +195,7 @@ _ORDER_SENSITIVE_CALLS = frozenset(
 _ORDER_SENSITIVE_METHODS = frozenset({"fromiter", "join", "extend"})
 
 
-class UnorderedIterationRule(Rule):
+class UnorderedIterationRule(ModuleRule):
     """D3 — no iteration over hash-ordered collections in fingerprint code."""
 
     id = "unordered-iteration"
@@ -211,7 +214,7 @@ class UnorderedIterationRule(Rule):
     def applies_to(self, mod: SourceModule) -> bool:
         return mod.in_packages(FINGERPRINT_PACKAGES)
 
-    def check(self, mod: SourceModule, ctx: LintContext) -> Iterator[Finding]:
+    def check_module(self, mod: SourceModule, ctx: CheckContext) -> Iterator[Finding]:
         for node in ast.walk(mod.tree):
             sites: list[ast.expr] = []
             if isinstance(node, ast.For):
@@ -238,7 +241,7 @@ class UnorderedIterationRule(Rule):
                     )
 
 
-class IdOrderingRule(Rule):
+class IdOrderingRule(ModuleRule):
     """D4 — no ``id()``-derived keys or ordering in fingerprint code."""
 
     id = "id-ordering"
@@ -255,7 +258,7 @@ class IdOrderingRule(Rule):
     def applies_to(self, mod: SourceModule) -> bool:
         return mod.in_packages(FINGERPRINT_PACKAGES)
 
-    def check(self, mod: SourceModule, ctx: LintContext) -> Iterator[Finding]:
+    def check_module(self, mod: SourceModule, ctx: CheckContext) -> Iterator[Finding]:
         for node in ast.walk(mod.tree):
             if (
                 isinstance(node, ast.Call)
@@ -268,7 +271,7 @@ class IdOrderingRule(Rule):
                 )
 
 
-class EnvReadRule(Rule):
+class EnvReadRule(ModuleRule):
     """D5 — configuration comes from ``ProtocolParams``, not the environment."""
 
     id = "env-read"
@@ -284,7 +287,7 @@ class EnvReadRule(Rule):
     def applies_to(self, mod: SourceModule) -> bool:
         return mod.module not in self._ALLOWED
 
-    def check(self, mod: SourceModule, ctx: LintContext) -> Iterator[Finding]:
+    def check_module(self, mod: SourceModule, ctx: CheckContext) -> Iterator[Finding]:
         for node in ast.walk(mod.tree):
             if isinstance(node, ast.ImportFrom):
                 if mod.resolve_import_from(node) == "os":

@@ -12,10 +12,13 @@ a legitimate API choice).
 from __future__ import annotations
 
 import ast
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-from repro.analysis.lint.engine import LintContext, Rule, SourceModule
+from repro.analysis.lint.engine import ModuleRule, SourceModule
 from repro.analysis.lint.findings import Finding
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.analysis.check import CheckContext
 
 __all__ = ["AllDriftRule"]
 
@@ -54,7 +57,7 @@ def _bound_names(tree: ast.Module) -> set[str]:
     return bound
 
 
-class AllDriftRule(Rule):
+class AllDriftRule(ModuleRule):
     """X1 — package ``__init__`` re-exports stay in sync with child ``__all__``."""
 
     id = "all-drift"
@@ -72,7 +75,7 @@ class AllDriftRule(Rule):
     def applies_to(self, mod: SourceModule) -> bool:
         return mod.is_init and mod.module.startswith("repro")
 
-    def check(self, mod: SourceModule, ctx: LintContext) -> Iterator[Finding]:
+    def check_module(self, mod: SourceModule, ctx: CheckContext) -> Iterator[Finding]:
         pkg_all = _literal_all(mod.tree)
         bound = _bound_names(mod.tree)
         child_imports: dict[str, tuple[ast.ImportFrom, list[str]]] = {}
@@ -101,7 +104,8 @@ class AllDriftRule(Rule):
             )
 
         for child, (node, names) in sorted(child_imports.items()):
-            child_all = ctx.module_exports(mod.path.parent / f"{child}.py")
+            child_mod = ctx.cache.try_module(mod.path.parent / f"{child}.py")
+            child_all = _literal_all(child_mod.tree) if child_mod is not None else None
             if child_all is not None:
                 for name in names:
                     if name not in child_all:

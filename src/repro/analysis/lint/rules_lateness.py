@@ -18,10 +18,13 @@ rules make the wall machine-checked:
 from __future__ import annotations
 
 import ast
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-from repro.analysis.lint.engine import LintContext, Rule, SourceModule
+from repro.analysis.lint.engine import ModuleRule, SourceModule
 from repro.analysis.lint.findings import Finding
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.analysis.check import CheckContext
 
 __all__ = [
     "AdversaryImportRule",
@@ -47,7 +50,7 @@ def _is_type_checking_test(node: ast.expr) -> bool:
     return False
 
 
-class AdversaryImportRule(Rule):
+class AdversaryImportRule(ModuleRule):
     """L1 — adversary modules import sim internals only under TYPE_CHECKING."""
 
     id = "adversary-import"
@@ -64,7 +67,7 @@ class AdversaryImportRule(Rule):
     def applies_to(self, mod: SourceModule) -> bool:
         return mod.in_packages(("repro.adversary",))
 
-    def check(self, mod: SourceModule, ctx: LintContext) -> Iterator[Finding]:
+    def check_module(self, mod: SourceModule, ctx: CheckContext) -> Iterator[Finding]:
         yield from self._walk(mod, mod.tree, guarded=False)
 
     def _walk(
@@ -96,7 +99,7 @@ class AdversaryImportRule(Rule):
             yield from self._walk(mod, child, guarded)
 
 
-class ViewInternalsRule(Rule):
+class ViewInternalsRule(ModuleRule):
     """L2 — adversary strategies use only the public AdversaryView API."""
 
     id = "view-internals"
@@ -111,7 +114,7 @@ class ViewInternalsRule(Rule):
     def applies_to(self, mod: SourceModule) -> bool:
         return mod.in_packages(("repro.adversary",)) and mod.module != "repro.adversary.view"
 
-    def check(self, mod: SourceModule, ctx: LintContext) -> Iterator[Finding]:
+    def check_module(self, mod: SourceModule, ctx: CheckContext) -> Iterator[Finding]:
         for node in ast.walk(mod.tree):
             if not isinstance(node, ast.Attribute):
                 continue
@@ -128,7 +131,7 @@ class ViewInternalsRule(Rule):
             )
 
 
-class LiveStateRule(Rule):
+class LiveStateRule(ModuleRule):
     """L3 — the engine hands the adversary views, never live state."""
 
     id = "live-state-to-adversary"
@@ -146,7 +149,7 @@ class LiveStateRule(Rule):
     def applies_to(self, mod: SourceModule) -> bool:
         return mod.in_packages(("repro.sim", "repro.core"))
 
-    def check(self, mod: SourceModule, ctx: LintContext) -> Iterator[Finding]:
+    def check_module(self, mod: SourceModule, ctx: CheckContext) -> Iterator[Finding]:
         for node in ast.walk(mod.tree):
             if not isinstance(node, ast.Call):
                 continue

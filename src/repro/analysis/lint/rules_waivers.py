@@ -6,20 +6,18 @@ hole small, explained, and current.  Neither rule can itself be waived.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-from repro.analysis.lint.engine import LintContext, Rule, SourceModule
+from repro.analysis.lint.engine import ModuleRule, SourceModule
 from repro.analysis.lint.findings import Finding
-from repro.analysis.lint.waivers import (
-    FLOW_RULE_PREFIX,
-    PROTO_RULE_PREFIX,
-    SHARD_RULE_PREFIX,
-)
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.analysis.check import CheckContext
 
 __all__ = ["WaiverJustificationRule", "UnusedWaiverRule"]
 
 
-class WaiverJustificationRule(Rule):
+class WaiverJustificationRule(ModuleRule):
     """W1 — every waiver carries a justification (or it waives nothing)."""
 
     id = "waiver-justification"
@@ -30,7 +28,7 @@ class WaiverJustificationRule(Rule):
     )
     fix_hint = "write `# repro: allow(<rule>): <why this is safe here>`"
 
-    def check(self, mod: SourceModule, ctx: LintContext) -> Iterator[Finding]:
+    def check_module(self, mod: SourceModule, ctx: CheckContext) -> Iterator[Finding]:
         for waiver in mod.waivers:
             if not waiver.justified:
                 yield self.finding(
@@ -40,7 +38,7 @@ class WaiverJustificationRule(Rule):
                 )
 
 
-class UnusedWaiverRule(Rule):
+class UnusedWaiverRule(ModuleRule):
     """W2 — a waiver that matches no finding is stale and must be removed."""
 
     id = "unused-waiver"
@@ -52,14 +50,10 @@ class UnusedWaiverRule(Rule):
     )
     fix_hint = "delete the waiver comment (or move it next to the code it excuses)"
 
-    def check(self, mod: SourceModule, ctx: LintContext) -> Iterator[Finding]:
+    def check_module(self, mod: SourceModule, ctx: CheckContext) -> Iterator[Finding]:
         for waiver in mod.waivers:
-            if waiver.rule.startswith(
-                (FLOW_RULE_PREFIX, SHARD_RULE_PREFIX, PROTO_RULE_PREFIX)
-            ):
-                # flow-* / shard-* / proto-* waivers are matched (and
-                # staleness-checked) by `repro flow` / `repro shard-check` /
-                # `repro proto-check`, which see findings this linter cannot.
+            if waiver.rule in ctx.deselected:
+                # A rule that did not run cannot prove its waivers stale.
                 continue
             if waiver.justified and not waiver.used:
                 yield self.finding(

@@ -26,29 +26,7 @@ import re
 import tokenize
 from dataclasses import dataclass, field
 
-__all__ = [
-    "FLOW_RULE_PREFIX",
-    "PROTO_RULE_PREFIX",
-    "SHARD_RULE_PREFIX",
-    "Waiver",
-    "scan_directives",
-]
-
-#: Waivers for rules with this prefix belong to the information-flow
-#: analysis (``repro flow``); the linter's W2 staleness check skips them
-#: and the flow engine audits them instead.
-FLOW_RULE_PREFIX = "flow-"
-
-#: Waivers for rules with this prefix belong to the shard analyzer
-#: (``repro shard-check``); like flow waivers, W2 skips them and the
-#: shard engine audits their staleness itself.
-SHARD_RULE_PREFIX = "shard-"
-
-#: Waivers for rules with this prefix belong to the protocol analyzer
-#: (``repro proto-check``, rules ``protocol-*``); like flow and shard
-#: waivers, W2 skips them and the proto engine audits their staleness
-#: itself.
-PROTO_RULE_PREFIX = "protocol-"
+__all__ = ["Waiver", "scan_directives"]
 
 _WAIVER_RE = re.compile(r"#\s*repro:\s*allow\(\s*([A-Za-z0-9_-]+)\s*\)\s*:?\s*(.*)$")
 _MODULE_RE = re.compile(r"#\s*repro:\s*module\(\s*([A-Za-z0-9_.]+)\s*\)")

@@ -1,8 +1,8 @@
 """Extraction: recover the *implemented* protocol from the AST.
 
-This is the evidence side of ``repro proto-check``.  It walks the parsed
-project (the same :class:`SourceModule` set and flow
-:class:`~repro.analysis.flow.callgraph.ProjectIndex` the other engines
+This is the evidence side of the P rules.  It walks the parsed project
+(the same :class:`SourceModule` set and
+:class:`~repro.analysis.flow.callgraph.ProjectIndex` the F and S rules
 share) and builds a :class:`ProtocolModel`:
 
 * the **message registry** — classes carrying a ``__protocol__`` marker,

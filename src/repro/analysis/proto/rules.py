@@ -4,81 +4,36 @@ Each rule compares one aspect of the extracted
 :class:`~repro.analysis.proto.extract.ProtocolModel` (the *implemented*
 protocol) against the committed
 :class:`~repro.analysis.proto.spec.ProtocolSpec` (the *paper's*
-contract).  Like the other engines' rules these are syntactic and
+contract).  Like the other families these are syntactic and
 deliberately over-approximate on the evidence side, but every finding
 names the spec clause (and its PAPER.md/DESIGN.md anchor) it violates —
 a proto finding is an argument, not a style nit.
 
-Findings reuse the linter's :class:`~repro.analysis.lint.findings.Finding`
-value object, the ``# repro: allow(protocol-…): why`` waiver syntax, and
-the shared baseline format.
+Rules read the extracted model and the spec off the
+:class:`~repro.analysis.check.CheckContext` (``ctx.protocol`` / ``ctx.spec``).
 """
 
 from __future__ import annotations
 
-import abc
 import ast
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
-from repro.analysis.lint.engine import SourceModule
+from repro.analysis.lint.engine import Rule
 from repro.analysis.lint.findings import Finding
-from repro.analysis.proto.extract import ProtocolModel, StepWrite
-from repro.analysis.proto.spec import PHASES, ProtocolSpec, norm_expr
+from repro.analysis.proto.extract import StepWrite
+from repro.analysis.proto.spec import PHASES, norm_expr
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.analysis.check import CheckContext
 
 __all__ = [
-    "ALL_PROTO_RULES",
-    "ProtoContext",
-    "ProtoRule",
     "UnhandledMessageRule",
     "PhaseViolationRule",
     "FieldDriftRule",
     "StepBoundRule",
     "EpochMonotoneRule",
     "SpecCoverageRule",
-    "resolve_proto_rules",
-    "proto_rule_table",
 ]
-
-
-@dataclass
-class ProtoContext:
-    """Everything a proto rule can see: the model and the spec."""
-
-    model: ProtocolModel
-    spec: ProtocolSpec
-
-
-class ProtoRule(abc.ABC):
-    """One protocol contract check; mirrors the lint ``Rule`` surface."""
-
-    id: str = ""
-    code: str = ""
-    description: str = ""
-    fix_hint: str = ""
-    severity: str = "error"
-
-    @abc.abstractmethod
-    def check(self, ctx: ProtoContext) -> Iterator[Finding]:
-        """Yield findings over the whole project."""
-
-    def finding(
-        self,
-        mod: SourceModule | str,
-        where: ast.AST | int,
-        message: str,
-        fix_hint: str | None = None,
-    ) -> Finding:
-        line = where if isinstance(where, int) else getattr(where, "lineno", 0)
-        path = mod if isinstance(mod, str) else mod.relpath
-        return Finding(
-            path=path,
-            line=line,
-            rule=self.id,
-            message=message,
-            severity=self.severity,
-            fix_hint=self.fix_hint if fix_hint is None else fix_hint,
-        )
 
 
 # ----------------------------------------------------------------------
@@ -154,7 +109,7 @@ def _mentions_self(expr: ast.expr) -> bool:
 # ----------------------------------------------------------------------
 
 
-class UnhandledMessageRule(ProtoRule):
+class UnhandledMessageRule(Rule):
     """P1 — constructed messages must be dispatched; dispatch must be live."""
 
     id = "protocol-unhandled-message"
@@ -169,11 +124,11 @@ class UnhandledMessageRule(ProtoRule):
         "or delete the dead entry"
     )
 
-    def check(self, ctx: ProtoContext) -> Iterator[Finding]:
-        handled = {d.message for d in ctx.model.dispatch}
-        constructed = {c.message for c in ctx.model.constructions}
+    def check(self, ctx: CheckContext) -> Iterator[Finding]:
+        handled = {d.message for d in ctx.protocol.dispatch}
+        constructed = {c.message for c in ctx.protocol.constructions}
         reported: set[tuple[str, str, int]] = set()
-        for site in ctx.model.constructions:
+        for site in ctx.protocol.constructions:
             entry = ctx.spec.message(site.message)
             if entry is not None and not entry.dispatched:
                 continue  # records ride inside other messages
@@ -189,7 +144,7 @@ class UnhandledMessageRule(ProtoRule):
                 f"`{site.message}` is constructed here but no node "
                 "dispatches it (no dispatch-dict entry or on_* handler)",
             )
-        for entry in ctx.model.dispatch:
+        for entry in ctx.protocol.dispatch:
             if entry.message not in constructed:
                 yield self.finding(
                     entry.module,
@@ -198,10 +153,10 @@ class UnhandledMessageRule(ProtoRule):
                     "nothing constructs that message",
                 )
         # Routed payload tags: emitted tags must be tested somewhere.
-        tested = {t.tag for t in ctx.model.payload_checks}
-        emitted = {p.tag for p in ctx.model.payload_sites}
+        tested = {t.tag for t in ctx.protocol.payload_checks}
+        emitted = {p.tag for p in ctx.protocol.payload_sites}
         seen_tags: set[tuple[str, str, int]] = set()
-        for site in ctx.model.payload_sites:
+        for site in ctx.protocol.payload_sites:
             if site.tag in tested:
                 continue
             key = (site.module.relpath, site.tag, site.lineno)
@@ -214,7 +169,7 @@ class UnhandledMessageRule(ProtoRule):
                 f'routed payload tag "{site.tag}" is emitted here but '
                 "never tested at any delivery site",
             )
-        for check in ctx.model.payload_checks:
+        for check in ctx.protocol.payload_checks:
             if check.tag not in emitted:
                 yield self.finding(
                     check.module,
@@ -229,7 +184,7 @@ class UnhandledMessageRule(ProtoRule):
 # ----------------------------------------------------------------------
 
 
-class PhaseViolationRule(ProtoRule):
+class PhaseViolationRule(Rule):
     """P2 — sends/handles happen only in the spec'd lifecycle phases."""
 
     id = "protocol-phase-violation"
@@ -245,8 +200,8 @@ class PhaseViolationRule(ProtoRule):
         "spec with a DESIGN.md citation"
     )
 
-    def check(self, ctx: ProtoContext) -> Iterator[Finding]:
-        for site in ctx.model.constructions:
+    def check(self, ctx: CheckContext) -> Iterator[Finding]:
+        for site in ctx.protocol.constructions:
             entry = ctx.spec.message(site.message)
             if entry is None or site.phases is None or not site.phases:
                 continue
@@ -261,7 +216,7 @@ class PhaseViolationRule(ProtoRule):
                     f"producers only in {_fmt_phases(allowed)} "
                     f"[{entry.anchor}]",
                 )
-        for site in ctx.model.payload_sites:
+        for site in ctx.protocol.payload_sites:
             entry = ctx.spec.payload(site.tag)
             if entry is None or site.phases is None or not site.phases:
                 continue
@@ -274,7 +229,7 @@ class PhaseViolationRule(ProtoRule):
                     f"{_fmt_phases(site.phases)} but the spec allows "
                     f"{_fmt_phases(allowed)} [{entry.anchor}]",
                 )
-        for consumer in ctx.model.consumers:
+        for consumer in ctx.protocol.consumers:
             entry = ctx.spec.message(consumer.message)
             if entry is None or not consumer.phases:
                 continue
@@ -295,7 +250,7 @@ class PhaseViolationRule(ProtoRule):
 # ----------------------------------------------------------------------
 
 
-class FieldDriftRule(ProtoRule):
+class FieldDriftRule(Rule):
     """P3 — spec fields, dataclass fields and constructor calls agree."""
 
     id = "protocol-field-drift"
@@ -306,9 +261,9 @@ class FieldDriftRule(ProtoRule):
     )
     fix_hint = "update the spec and the dataclass together, citing DESIGN.md"
 
-    def check(self, ctx: ProtoContext) -> Iterator[Finding]:
-        for name in sorted(ctx.model.registry):
-            impl = ctx.model.registry[name]
+    def check(self, ctx: CheckContext) -> Iterator[Finding]:
+        for name in sorted(ctx.protocol.registry):
+            impl = ctx.protocol.registry[name]
             entry = ctx.spec.message(name)
             if entry is None:
                 continue  # P6's business
@@ -321,8 +276,8 @@ class FieldDriftRule(ProtoRule):
                     f"drift from the spec ({', '.join(entry.fields) or 'none'}) "
                     f"[{entry.anchor}]",
                 )
-        for site in ctx.model.constructions:
-            impl = ctx.model.registry.get(site.message)
+        for site in ctx.protocol.constructions:
+            impl = ctx.protocol.registry.get(site.message)
             if impl is None:
                 continue
             yield from self._check_call(site, impl)
@@ -369,7 +324,7 @@ class FieldDriftRule(ProtoRule):
 # ----------------------------------------------------------------------
 
 
-class StepBoundRule(ProtoRule):
+class StepBoundRule(Rule):
     """P4 — hop steps and TTL stamps come only from bounded expressions."""
 
     id = "protocol-step-bound"
@@ -384,16 +339,16 @@ class StepBoundRule(ProtoRule):
         "TTLs from a spec'd expiry expression"
     )
 
-    def check(self, ctx: ProtoContext) -> Iterator[Finding]:
+    def check(self, ctx: CheckContext) -> Iterator[Finding]:
         hops = ctx.spec.hops
         if hops is not None:
-            for sw in ctx.model.step_writes:
+            for sw in ctx.protocol.step_writes:
                 message = self._classify(sw, hops.step_init, hops.bound)
                 if message is not None:
                     yield self.finding(sw.module, sw.lineno, message)
         ttl = ctx.spec.ttl
         if ttl is not None:
-            for tw in ctx.model.ttl_writes:
+            for tw in ctx.protocol.ttl_writes:
                 expr = _deref(tw.expr, tw.bindings)
                 text = norm_expr(expr)
                 if text in ttl.sources or norm_expr(tw.expr) in ttl.sources:
@@ -459,7 +414,7 @@ class StepBoundRule(ProtoRule):
 # ----------------------------------------------------------------------
 
 
-class EpochMonotoneRule(ProtoRule):
+class EpochMonotoneRule(Rule):
     """P5 — ``self.epoch`` (and message epoch fields) use spec'd sources."""
 
     id = "protocol-epoch-monotone"
@@ -474,10 +429,10 @@ class EpochMonotoneRule(ProtoRule):
         "spec with a DESIGN.md citation"
     )
 
-    def check(self, ctx: ProtoContext) -> Iterator[Finding]:
+    def check(self, ctx: CheckContext) -> Iterator[Finding]:
         epochs = ctx.spec.epochs
         if epochs is not None:
-            for ew in ctx.model.epoch_writes:
+            for ew in ctx.protocol.epoch_writes:
                 expr = _deref(ew.expr, ew.bindings)
                 if isinstance(expr, ast.Constant) and expr.value is None:
                     continue
@@ -500,9 +455,9 @@ class EpochMonotoneRule(ProtoRule):
                         f"allows only ({', '.join(allowed)}) here "
                         f"[{epochs.anchor}]",
                     )
-        for site in ctx.model.constructions:
+        for site in ctx.protocol.constructions:
             entry = ctx.spec.message(site.message)
-            impl = ctx.model.registry.get(site.message)
+            impl = ctx.protocol.registry.get(site.message)
             if entry is None or impl is None or not entry.epoch_field_sources:
                 continue
             arg = self._epoch_arg(site.call, [f.name for f in impl.fields])
@@ -541,7 +496,7 @@ class EpochMonotoneRule(ProtoRule):
 # ----------------------------------------------------------------------
 
 
-class SpecCoverageRule(ProtoRule):
+class SpecCoverageRule(Rule):
     """P6 — the spec and the implementation cover each other exactly."""
 
     id = "protocol-spec-coverage"
@@ -557,9 +512,9 @@ class SpecCoverageRule(ProtoRule):
         "mark/remove the unregistered class"
     )
 
-    def check(self, ctx: ProtoContext) -> Iterator[Finding]:
+    def check(self, ctx: CheckContext) -> Iterator[Finding]:
         spec = ctx.spec
-        model = ctx.model
+        model = ctx.protocol
         for entry in spec.messages:
             if entry.name not in model.registry:
                 yield self.finding(
@@ -611,52 +566,3 @@ class SpecCoverageRule(ProtoRule):
                     f'spec covers payload "{payload.tag}" but nothing emits '
                     f"it [{payload.anchor}]",
                 )
-
-
-# ----------------------------------------------------------------------
-# Registry
-# ----------------------------------------------------------------------
-
-ALL_PROTO_RULES: tuple[ProtoRule, ...] = (
-    UnhandledMessageRule(),
-    PhaseViolationRule(),
-    FieldDriftRule(),
-    StepBoundRule(),
-    EpochMonotoneRule(),
-    SpecCoverageRule(),
-)
-
-
-def resolve_proto_rules(spec: str | Iterable[str] | None) -> tuple[ProtoRule, ...]:
-    """Rules selected by a comma/space separated list of ids or codes."""
-    from repro.analysis.lint.engine import LintError
-
-    if spec is None:
-        return ALL_PROTO_RULES
-    if isinstance(spec, str):
-        wanted = [s for chunk in spec.split(",") for s in chunk.split()]
-    else:
-        wanted = list(spec)
-    wanted = [w.strip().lower() for w in wanted if w.strip()]
-    if not wanted:
-        return ALL_PROTO_RULES
-    by_key = {r.id: r for r in ALL_PROTO_RULES}
-    by_key.update({r.code.lower(): r for r in ALL_PROTO_RULES})
-    selected: list[ProtoRule] = []
-    for key in wanted:
-        rule = by_key.get(key)
-        if rule is None:
-            known = ", ".join(f"{r.code}/{r.id}" for r in ALL_PROTO_RULES)
-            raise LintError(f"unknown proto rule {key!r}; known rules: {known}")
-        if rule not in selected:
-            selected.append(rule)
-    return tuple(selected)
-
-
-def proto_rule_table() -> str:
-    """Plain-text rule table for ``repro proto-check --list-rules``."""
-    width = max(len(r.id) for r in ALL_PROTO_RULES)
-    lines = []
-    for rule in ALL_PROTO_RULES:
-        lines.append(f"{rule.code:>4}  {rule.id:<{width}}  {rule.description}")
-    return "\n".join(lines)

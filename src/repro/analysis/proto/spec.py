@@ -382,9 +382,9 @@ def load_spec(path: Path | str) -> ProtocolSpec:
         raw = json.loads(path.read_text())
     except FileNotFoundError:
         raise LintError(
-            f"no protocol spec at {path} (commit one, or pass --spec)"
+            f"no protocol spec at {path} (the P rules need one; commit it)"
         ) from None
-    except json.JSONDecodeError as exc:
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, not JSON
         raise LintError(f"protocol-spec: {path} is not valid JSON: {exc}") from None
     return ProtocolSpec.from_dict(raw, relpath=path.name)
 

@@ -1,6 +1,6 @@
-"""SARIF 2.1.0 emission shared by ``repro lint`` and ``repro flow``.
+"""SARIF 2.1.0 emission for ``repro check``.
 
-Both tools produce the same :class:`~repro.analysis.lint.findings.Finding`
+Every rule family produces the same :class:`~repro.analysis.lint.findings.Finding`
 value objects, so one emitter covers them: :func:`sarif_report` renders a
 finding list as a single-run SARIF log that GitHub code scanning accepts
 (``github/codeql-action/upload-sarif``), turning every finding into an

@@ -1,17 +1,14 @@
-"""``repro.analysis.shard`` — process-role & shared-memory ownership analyzer.
+"""``repro.analysis.shard`` — process-role & shared-memory ownership rules (S1–S5).
 
-The third static-analysis engine, alongside the linter
-(:mod:`repro.analysis.lint`) and the flow analysis
-(:mod:`repro.analysis.flow`).  Where those guard determinism and the
-lateness wall, this one guards the *multi-process* safety contract of the
-sharded round engine (:mod:`repro.sim.shard`):
+Guards the *multi-process* safety contract of the sharded round engine
+(:mod:`repro.sim.shard`):
 
-1. infer a **process role** — master-only / worker-only / shared — for
-   every function, by seeding known entry points (``_worker_main``-style
-   worker bodies; ``ShardRunner`` methods and ``Engine.run``/
-   ``Engine.run_round`` on the master side) and propagating over the flow
-   call graph (:class:`~repro.analysis.flow.callgraph.ProjectIndex`);
-2. check declarative rules against those roles:
+1. :mod:`.roles` infers a **process role** — master-only / worker-only /
+   shared — for every function, by seeding known entry points
+   (``_worker_main``-style worker bodies; ``ShardRunner`` methods and
+   ``Engine.run``/``Engine.run_round`` on the master side) and propagating
+   over the call graph (:class:`~repro.analysis.flow.callgraph.ProjectIndex`);
+2. :mod:`.rules` checks declarative rules against those roles:
 
    ====  ========================  ==================================================
    S1    shard-band-ownership      workers never allocate NodeStore slots or write
@@ -23,66 +20,6 @@ sharded round engine (:mod:`repro.sim.shard`):
                                    worker code
    ====  ========================  ==================================================
 
-Run it as ``repro shard-check`` (see ``docs/ANALYSIS.md``), or from code::
-
-    from repro.analysis.shard import run_shard_check
-    report = run_shard_check(root=repo_root)  # defaults: src/repro, all rules
-    assert report.ok, report.format_text()
-
-Findings share the linter's waiver syntax (``# repro: allow(shard-…): …``)
-and baseline format (``shard-baseline.json``).
+The rules are registered and run by :mod:`repro.analysis.check`
+(``repro check --rules S``, see ``docs/ANALYSIS.md``).
 """
-
-from repro.analysis.shard.engine import (
-    DEFAULT_SHARD_BASELINE_NAME,
-    ShardReport,
-    run_shard_check,
-)
-from repro.analysis.shard.roles import (
-    MASTER,
-    MASTER_ENTRY_CLASSES,
-    MASTER_ENTRY_SUFFIXES,
-    SHARED,
-    WORKER,
-    WORKER_ENTRY_NAMES,
-    RoleMap,
-    call_edges,
-    infer_roles,
-)
-from repro.analysis.shard.rules import (
-    ALL_SHARD_RULES,
-    BandOwnershipRule,
-    BoundaryTypeRule,
-    ForkHygieneRule,
-    MasterStateRule,
-    SegmentLifecycleRule,
-    ShardContext,
-    ShardRule,
-    resolve_shard_rules,
-    shard_rule_table,
-)
-
-__all__ = [
-    "ALL_SHARD_RULES",
-    "BandOwnershipRule",
-    "BoundaryTypeRule",
-    "DEFAULT_SHARD_BASELINE_NAME",
-    "ForkHygieneRule",
-    "MASTER",
-    "MASTER_ENTRY_CLASSES",
-    "MASTER_ENTRY_SUFFIXES",
-    "MasterStateRule",
-    "RoleMap",
-    "SHARED",
-    "SegmentLifecycleRule",
-    "ShardContext",
-    "ShardReport",
-    "ShardRule",
-    "WORKER",
-    "WORKER_ENTRY_NAMES",
-    "call_edges",
-    "infer_roles",
-    "resolve_shard_rules",
-    "run_shard_check",
-    "shard_rule_table",
-]

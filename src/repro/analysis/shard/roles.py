@@ -21,7 +21,7 @@ analysis uses, :class:`~repro.analysis.flow.callgraph.ProjectIndex`): a
 function reachable only from worker seeds is **worker**-role, only from
 master seeds **master**-role, from both **shared**.  Unresolvable calls
 (arbitrary receivers, builtins, third-party code) deliberately stop
-propagation — same tripwire semantics as the flow engine: what the graph
+propagation — same tripwire semantics as the flow analysis: what the graph
 cannot see, the rules do not claim to check.
 
 Passing a worker entry point as a ``Process`` *target* is a name load,

@@ -7,87 +7,43 @@ roles (:mod:`repro.analysis.shard.roles`).  Like the lint rules these are
 band membership of individual ids is a runtime property and is covered by
 the ``REPRO_SHARD_SANITIZE=1`` asserts instead, not by S1.
 
-Rules receive a :class:`ShardContext` (index + roles) and walk whole
-functions, so one rule can correlate acquisitions and releases across the
-methods of a class (S4).  Findings reuse the linter's
-:class:`~repro.analysis.lint.findings.Finding` value object, the
-``# repro: allow(shard-…): why`` waiver syntax, and the shared baseline
-format.
+Rules read the shared call graph and role map off the
+:class:`~repro.analysis.check.CheckContext` (``ctx.index`` / ``ctx.roles``)
+and walk whole functions, so one rule can correlate acquisitions and
+releases across the methods of a class (S4).
 """
 
 from __future__ import annotations
 
-import abc
 import ast
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
-from repro.analysis.flow.callgraph import FunctionInfo, ProjectIndex
-from repro.analysis.lint.engine import SourceModule
+from repro.analysis.flow.callgraph import FunctionInfo
+from repro.analysis.lint.engine import Rule, SourceModule
 from repro.analysis.lint.findings import Finding
-from repro.analysis.shard.roles import RoleMap
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.analysis.check import CheckContext
 
 __all__ = [
-    "ALL_SHARD_RULES",
-    "ShardContext",
-    "ShardRule",
     "BandOwnershipRule",
     "BoundaryTypeRule",
     "MasterStateRule",
     "SegmentLifecycleRule",
     "ForkHygieneRule",
-    "resolve_shard_rules",
-    "shard_rule_table",
 ]
 
 
-@dataclass
-class ShardContext:
-    """Everything a shard rule can see: the call graph and the role map."""
-
-    index: ProjectIndex
-    roles: RoleMap
-
-    def functions(self) -> Iterable[FunctionInfo]:
-        for qname in sorted(self.index.functions):
-            yield self.index.functions[qname]
-
-    def worker_functions(self) -> Iterable[FunctionInfo]:
-        """Functions that run *exclusively* in worker processes."""
-        for info in self.functions():
-            if self.roles.worker_only(info.qname):
-                yield info
+def _functions(ctx: CheckContext) -> Iterable[FunctionInfo]:
+    for qname in sorted(ctx.index.functions):
+        yield ctx.index.functions[qname]
 
 
-class ShardRule(abc.ABC):
-    """One shard safety check; mirrors the lint ``Rule`` surface."""
-
-    id: str = ""
-    code: str = ""
-    description: str = ""
-    fix_hint: str = ""
-    severity: str = "error"
-
-    @abc.abstractmethod
-    def check(self, ctx: ShardContext) -> Iterator[Finding]:
-        """Yield findings over the whole project."""
-
-    def finding(
-        self,
-        mod: SourceModule,
-        where: ast.AST | int,
-        message: str,
-        fix_hint: str | None = None,
-    ) -> Finding:
-        line = where if isinstance(where, int) else getattr(where, "lineno", 0)
-        return Finding(
-            path=mod.relpath,
-            line=line,
-            rule=self.id,
-            message=message,
-            severity=self.severity,
-            fix_hint=self.fix_hint if fix_hint is None else fix_hint,
-        )
+def _worker_functions(ctx: CheckContext) -> Iterable[FunctionInfo]:
+    """Functions that run *exclusively* in worker processes."""
+    for info in _functions(ctx):
+        if ctx.roles.worker_only(info.qname):
+            yield info
 
 
 # ----------------------------------------------------------------------
@@ -148,7 +104,7 @@ STORE_OWNER_ONLY = ("ensure", "retire", "init_fixed_views")
 STORE_COLUMNS = ("phase", "epoch", "pos")
 
 
-class BandOwnershipRule(ShardRule):
+class BandOwnershipRule(Rule):
     """S1 — workers publish through the NodeStore API, never allocate."""
 
     id = "shard-band-ownership"
@@ -164,8 +120,8 @@ class BandOwnershipRule(ShardRule):
         "master-allocated slot, or move the call to the master side"
     )
 
-    def check(self, ctx: ShardContext) -> Iterator[Finding]:
-        for info in ctx.worker_functions():
+    def check(self, ctx: CheckContext) -> Iterator[Finding]:
+        for info in _worker_functions(ctx):
             mod = info.module
             for node in ast.walk(info.node):
                 if (
@@ -229,7 +185,7 @@ _BANNED_CTORS = {
 }
 
 
-class BoundaryTypeRule(ShardRule):
+class BoundaryTypeRule(Rule):
     """S2 — only codec-approved values reach pipe/frame-encode sinks."""
 
     id = "shard-boundary-types"
@@ -245,8 +201,8 @@ class BoundaryTypeRule(ShardRule):
         "boundary; reconstruct callables and views on the far side"
     )
 
-    def check(self, ctx: ShardContext) -> Iterator[Finding]:
-        for info in ctx.functions():
+    def check(self, ctx: CheckContext) -> Iterator[Finding]:
+        for info in _functions(ctx):
             mod = info.module
             banned_names = self._banned_bindings(info.node)
             for node in ast.walk(info.node):
@@ -358,7 +314,7 @@ MASTER_ONLY_ATTRS = frozenset(
 _MASTER_ONLY_CTOR_PREFIXES = ("repro.adversary.", "repro.faults.health")
 
 
-class MasterStateRule(ShardRule):
+class MasterStateRule(Rule):
     """S3 — worker-role code never touches master-only state."""
 
     id = "shard-master-state"
@@ -375,8 +331,8 @@ class MasterStateRule(ShardRule):
         "fork-time snapshot), or move the access to the master side"
     )
 
-    def check(self, ctx: ShardContext) -> Iterator[Finding]:
-        for info in ctx.worker_functions():
+    def check(self, ctx: CheckContext) -> Iterator[Finding]:
+        for info in _worker_functions(ctx):
             mod = info.module
             for node in ast.walk(info.node):
                 if (
@@ -415,7 +371,7 @@ _RELEASE_FUNCS = ("destroy_segment", "close_segment")
 _RELEASE_METHODS = ("close", "unlink")
 
 
-class SegmentLifecycleRule(ShardRule):
+class SegmentLifecycleRule(Rule):
     """S4 — every acquired segment reaches a destroy/close."""
 
     id = "shard-segment-lifecycle"
@@ -431,12 +387,12 @@ class SegmentLifecycleRule(ShardRule):
         "owning class), and copy buffer contents out before destroying"
     )
 
-    def check(self, ctx: ShardContext) -> Iterator[Finding]:
+    def check(self, ctx: CheckContext) -> Iterator[Finding]:
         # (module, cls) -> attr -> (SourceModule, lineno) of the acquisition.
         class_acquired: dict[tuple, dict[str, tuple]] = {}
         # (module, cls) -> attrs released by some method of the class.
         class_released: dict[tuple, set[str]] = {}
-        for info in ctx.functions():
+        for info in _functions(ctx):
             yield from self._check_function(
                 info, class_acquired, class_released
             )
@@ -623,7 +579,7 @@ _NONDET_RNG = ("os.urandom",)
 _NONDET_RNG_PREFIXES = ("secrets.",)
 
 
-class ForkHygieneRule(ShardRule):
+class ForkHygieneRule(Rule):
     """S5 — no module-global mutation or un-reseeded RNG in workers."""
 
     id = "shard-fork-hygiene"
@@ -640,9 +596,9 @@ class ForkHygieneRule(ShardRule):
         "RngService streams forked with the engine snapshot"
     )
 
-    def check(self, ctx: ShardContext) -> Iterator[Finding]:
+    def check(self, ctx: CheckContext) -> Iterator[Finding]:
         module_globals: dict[str, set[str]] = {}
-        for info in ctx.worker_functions():
+        for info in _worker_functions(ctx):
             mod = info.module
             if mod.module not in module_globals:
                 module_globals[mod.module] = self._top_level_names(mod)
@@ -732,51 +688,3 @@ class ForkHygieneRule(ShardRule):
             ):
                 names.add(node.target.id)
         return names
-
-
-# ----------------------------------------------------------------------
-# Registry
-# ----------------------------------------------------------------------
-
-ALL_SHARD_RULES: tuple[ShardRule, ...] = (
-    BandOwnershipRule(),
-    BoundaryTypeRule(),
-    MasterStateRule(),
-    SegmentLifecycleRule(),
-    ForkHygieneRule(),
-)
-
-
-def resolve_shard_rules(spec: str | Iterable[str] | None) -> tuple[ShardRule, ...]:
-    """Rules selected by a comma/space separated list of ids or codes."""
-    from repro.analysis.lint.engine import LintError
-
-    if spec is None:
-        return ALL_SHARD_RULES
-    if isinstance(spec, str):
-        wanted = [s for chunk in spec.split(",") for s in chunk.split()]
-    else:
-        wanted = list(spec)
-    wanted = [w.strip().lower() for w in wanted if w.strip()]
-    if not wanted:
-        return ALL_SHARD_RULES
-    by_key = {r.id: r for r in ALL_SHARD_RULES}
-    by_key.update({r.code.lower(): r for r in ALL_SHARD_RULES})
-    selected: list[ShardRule] = []
-    for key in wanted:
-        rule = by_key.get(key)
-        if rule is None:
-            known = ", ".join(f"{r.code}/{r.id}" for r in ALL_SHARD_RULES)
-            raise LintError(f"unknown shard rule {key!r}; known rules: {known}")
-        if rule not in selected:
-            selected.append(rule)
-    return tuple(selected)
-
-
-def shard_rule_table() -> str:
-    """Plain-text rule table for ``repro shard-check --list-rules``."""
-    width = max(len(r.id) for r in ALL_SHARD_RULES)
-    lines = []
-    for rule in ALL_SHARD_RULES:
-        lines.append(f"{rule.code:>4}  {rule.id:<{width}}  {rule.description}")
-    return "\n".join(lines)

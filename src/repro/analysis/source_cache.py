@@ -1,12 +1,11 @@
 """Shared per-file parse cache for the static-analysis tools.
 
-``repro lint`` and ``repro flow`` both need every file parsed into a
-:class:`~repro.analysis.lint.engine.SourceModule` (source text, AST,
-directives, import map).  Parsing dominates their runtime, so a single
-:class:`SourceCache` instance can be threaded through both runs — each
-file is then read and parsed exactly once, including the sibling
-``__init__`` lookups the X1 rule performs (which used to re-parse files
-the main lint loop had already parsed).
+Every rule of ``repro check`` reads files as
+:class:`~repro.analysis.lint.engine.SourceModule` objects (source text,
+AST, directives, import map).  Parsing is a large share of the runtime, so
+one :class:`SourceCache` serves a whole run — and can be threaded through
+several runs — with each file read and parsed exactly once, including the
+sibling ``__init__`` lookups the X1 rule performs.
 
 The cache is keyed by resolved path and also memoizes *failures*: a file
 that does not parse raises the same :class:`SyntaxError` on every lookup
@@ -28,7 +27,7 @@ def collect_py_files(paths: Iterable[Path | str]) -> list[Path]:
     """Every ``.py`` file under ``paths`` (files kept, dirs walked), deduped.
 
     Raises :class:`FileNotFoundError` for a path that does not exist — the
-    callers (lint / flow) translate that into their own usage error.
+    caller (:func:`~repro.analysis.check.run_check`) translates that into its usage error.
     """
     files: list[Path] = []
     seen: set[Path] = set()
@@ -80,5 +79,5 @@ class SourceCache:
             return None
 
     def invalidate(self, path: Path | str) -> None:
-        """Drop one entry, e.g. after ``repro lint --fix`` rewrote the file."""
+        """Drop one entry, e.g. after ``repro check --fix`` rewrote the file."""
         self._modules.pop(Path(path).resolve(), None)

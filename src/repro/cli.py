@@ -36,37 +36,17 @@ Commands
     network size) from ``benchmarks/results/BENCH_scaling.json``; refresh
     it with ``pytest benchmarks/bench_scaling.py --benchmark-only --full``
     under ``REPRO_BENCH_RECORD=1``.
-``lint [--format text|json|sarif] [--rules R,...] [--paths P ...] [--fix]``
-    Run the determinism & lateness linter (see ``docs/ANALYSIS.md``) over
-    ``src/repro``; exits non-zero on any finding that is neither waived
-    inline nor grandfathered in the committed ``lint-baseline.json``.
-    ``--list-rules`` prints the rule table, ``--update-baseline`` rewrites
-    the baseline from the current findings, ``--fix`` deletes the stale
-    waiver comments W2 reports before linting.
-``flow [--format text|json|sarif] [--policies F,...] [--max-depth N]``
-    Run the interprocedural information-flow analysis (policies F1
-    lateness / F2 determinism, see ``docs/ANALYSIS.md``) over
-    ``src/repro``; exits non-zero on any finding that is neither waived
-    (``# repro: allow(flow-...): why``) nor in ``flow-baseline.json``.
-    ``--list-policies`` prints the policy table.
-``shard-check [--format text|json|sarif] [--rules S,...]``
-    Run the process-role & shared-memory ownership analyzer for the
-    sharded engine (rules S1–S5, see ``docs/ANALYSIS.md``) over
-    ``src/repro``; exits non-zero on any finding that is neither waived
-    (``# repro: allow(shard-...): why``) nor in ``shard-baseline.json``.
-    ``--list-rules`` prints the rule table.
-``proto-check [--format text|json|sarif] [--rules P,...] [--spec PATH]``
-    Run the protocol state-machine & message-contract analyzer (rules
-    P1–P6, see ``docs/ANALYSIS.md``) over ``src/repro``, checking the
-    extracted protocol against the declarative ``protocol-spec.json``;
-    exits non-zero on any finding that is neither waived
-    (``# repro: allow(protocol-...): why``) nor in ``proto-baseline.json``.
-    ``--list-rules`` prints the rule table.
-``check [--format text|json|sarif] [--paths P ...]``
-    Umbrella: run lint + flow + shard-check + proto-check off one shared
-    parse and one call-graph build, with a combined exit code;
-    ``--format sarif`` merges all four tools into one multi-run SARIF
-    document.
+``check [--rules R,...] [--paths P ...] [--format text|json|sarif] [--fix]``
+    Run the static-analysis gate (see ``docs/ANALYSIS.md``) over
+    ``src/repro``: 24 rules in seven families — determinism D1–D5,
+    lateness L1–L3, exports X1, waiver hygiene W1–W2, information flow
+    F1–F2, shard safety S1–S5, protocol contract P1–P6 — off one parse.
+    Exits non-zero on any finding that is neither waived inline
+    (``# repro: allow(<rule>): why``) nor grandfathered in the committed
+    ``check-baseline.json`` (``--baseline P`` / ``--no-baseline`` /
+    ``--update-baseline``).  ``--rules`` takes ids, codes (``S3``) or
+    family letters (``P``); ``--list-rules`` prints the rule table;
+    ``--fix`` deletes the stale waiver comments W2 reports, then checks.
 """
 
 from __future__ import annotations
@@ -392,250 +372,54 @@ def _repo_root():
     return pkg.parents[1] if pkg.parent.name == "src" else Path.cwd()
 
 
-def _rule_meta(rules) -> dict:
-    """SARIF rule metadata for any rule/policy tuple (shared shape)."""
-    return {
-        r.id: {
-            "description": r.description,
-            "help": r.fix_hint,
-            "level": getattr(r, "severity", "error"),
-        }
-        for r in rules
-    }
+def _cmd_check(args: argparse.Namespace) -> int:
+    """The static-analysis gate: 0 clean, 1 findings, 2 usage error."""
+    import json
+    from pathlib import Path
 
+    from repro.analysis.check import load_baseline, resolve_rules, rule_table, run_check
+    from repro.analysis.lint.baseline import DEFAULT_BASELINE_NAME, write_baseline
+    from repro.analysis.lint.engine import LintError
+    from repro.analysis.lint.fix import fix_unused_waivers
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.analysis.common import run_engine_command
-    from repro.analysis.lint import (
-        DEFAULT_BASELINE_NAME,
-        fix_unused_waivers,
-        resolve_rules,
-        rule_table,
-        run_lint,
-    )
-
-    def pre(rules, paths):
+    root = _repo_root()
+    paths = [Path(p) for p in args.paths] if args.paths else None
+    baseline = Path(args.baseline) if args.baseline else root / DEFAULT_BASELINE_NAME
+    try:
+        rules = resolve_rules(args.rules)
+        if args.list_rules:
+            print(rule_table(rules))
+            return 0
         if args.fix:
-            fixed = fix_unused_waivers(paths, root=_repo_root(), rules=rules)
+            fixed = fix_unused_waivers(paths, root=root, rules=rules)
             for relpath, count in sorted(fixed.items()):
                 print(f"fixed {relpath}: removed {count} stale waiver(s)")
             if not fixed:
                 print("nothing to fix: no stale waivers")
-
-    return run_engine_command(
-        args,
-        name="lint",
-        tool_name="repro-lint",
-        root=_repo_root(),
-        default_baseline_name=DEFAULT_BASELINE_NAME,
-        resolve=resolve_rules,
-        table=rule_table,
-        runner=run_lint,
-        rule_meta=_rule_meta,
-        pre=pre,
-    )
-
-
-def _cmd_flow(args: argparse.Namespace) -> int:
-    from repro.analysis.common import run_engine_command
-    from repro.analysis.flow import (
-        DEFAULT_FLOW_BASELINE_NAME,
-        FlowError,
-        policy_table,
-        resolve_policies,
-        run_flow,
-    )
-
-    def runner(paths, *, root, rules, baseline):
-        return run_flow(
-            paths,
-            root=root,
-            policies=rules,
-            baseline=baseline,
-            max_depth=args.max_depth,
-        )
-
-    return run_engine_command(
-        args,
-        name="flow",
-        tool_name="repro-flow",
-        root=_repo_root(),
-        default_baseline_name=DEFAULT_FLOW_BASELINE_NAME,
-        resolve=resolve_policies,
-        table=policy_table,
-        runner=runner,
-        rule_meta=_rule_meta,
-        errors=(FlowError,),
-    )
-
-
-def _cmd_shard_check(args: argparse.Namespace) -> int:
-    from repro.analysis.common import run_engine_command
-    from repro.analysis.shard import (
-        DEFAULT_SHARD_BASELINE_NAME,
-        resolve_shard_rules,
-        run_shard_check,
-        shard_rule_table,
-    )
-
-    return run_engine_command(
-        args,
-        name="shard-check",
-        tool_name="repro-shard",
-        root=_repo_root(),
-        default_baseline_name=DEFAULT_SHARD_BASELINE_NAME,
-        resolve=resolve_shard_rules,
-        table=shard_rule_table,
-        runner=run_shard_check,
-        rule_meta=_rule_meta,
-    )
-
-
-def _cmd_proto_check(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from repro.analysis.common import run_engine_command
-    from repro.analysis.proto import (
-        DEFAULT_PROTO_BASELINE_NAME,
-        proto_rule_table,
-        resolve_proto_rules,
-        run_proto_check,
-    )
-
-    def runner(paths, *, root, rules, baseline):
-        return run_proto_check(
+        if args.update_baseline:
+            # Entries of rules that did not run are carried over untouched.
+            old = load_baseline(baseline)
+            report = run_check(paths, root=root, rules=rules, baseline=None)
+            kept = [e for e in old.entries if e["rule"] in report.context.deselected]
+            write_baseline(baseline, report.findings, keep=kept)
+            print(f"wrote {baseline} ({len(report.findings) + len(kept)} entries)")
+            return 0
+        report = run_check(
             paths,
             root=root,
             rules=rules,
-            baseline=baseline,
-            spec=Path(args.spec) if args.spec else None,
+            baseline=None if args.no_baseline else baseline,
         )
-
-    return run_engine_command(
-        args,
-        name="proto-check",
-        tool_name="repro-proto",
-        root=_repo_root(),
-        default_baseline_name=DEFAULT_PROTO_BASELINE_NAME,
-        resolve=resolve_proto_rules,
-        table=proto_rule_table,
-        runner=runner,
-        rule_meta=_rule_meta,
-    )
-
-
-def _cmd_check(args: argparse.Namespace) -> int:
-    """Umbrella: lint + flow + shard-check + proto-check, one parse."""
-    import json
-    from pathlib import Path
-
-    from repro.analysis.flow import (
-        DEFAULT_FLOW_BASELINE_NAME,
-        ALL_POLICIES,
-        FlowError,
-        ProjectIndex,
-        run_flow,
-    )
-    from repro.analysis.lint import ALL_RULES, DEFAULT_BASELINE_NAME, LintError, run_lint
-    from repro.analysis.proto import (
-        ALL_PROTO_RULES,
-        DEFAULT_PROTO_BASELINE_NAME,
-        run_proto_check,
-    )
-    from repro.analysis.shard import (
-        ALL_SHARD_RULES,
-        DEFAULT_SHARD_BASELINE_NAME,
-        run_shard_check,
-    )
-    from repro.analysis.source_cache import SourceCache, collect_py_files
-
-    root = _repo_root()
-    paths = [Path(p) for p in args.paths] if args.paths else None
-    targets = paths if paths is not None else [root / "src" / "repro"]
-    cache = SourceCache(root)
-    try:
-        # One parse of the whole target set, one call graph; the four
-        # engines then share both instead of re-doing the expensive work.
-        files = collect_py_files(targets)
-        modules = []
-        for path in files:
-            mod = cache.try_module(path)
-            if mod is not None:
-                modules.append(mod)
-        index = ProjectIndex(modules)
-        lint_report = run_lint(
-            paths, root=root, baseline=root / DEFAULT_BASELINE_NAME, cache=cache
-        )
-        flow_report = run_flow(
-            paths,
-            root=root,
-            baseline=root / DEFAULT_FLOW_BASELINE_NAME,
-            cache=cache,
-            index=index,
-        )
-        shard_report = run_shard_check(
-            paths,
-            root=root,
-            baseline=root / DEFAULT_SHARD_BASELINE_NAME,
-            cache=cache,
-            index=index,
-        )
-        proto_report = run_proto_check(
-            paths,
-            root=root,
-            baseline=root / DEFAULT_PROTO_BASELINE_NAME,
-            cache=cache,
-            index=index,
-        )
-    except (LintError, FlowError, FileNotFoundError) as exc:
+    except LintError as exc:
         print(f"check: {exc}")
         return 2
-    reports = {
-        "lint": lint_report,
-        "flow": flow_report,
-        "shard": shard_report,
-        "proto": proto_report,
-    }
-    ok = all(r.ok for r in reports.values())
     if args.format == "json":
-        payload = {"version": 1, "ok": ok}
-        payload.update({key: r.to_dict() for key, r in reports.items()})
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(report.to_dict(), indent=2))
     elif args.format == "sarif":
-        from repro.analysis.sarif import sarif_report
-
-        tools = (
-            ("repro-lint", lint_report, ALL_RULES),
-            ("repro-flow", flow_report, ALL_POLICIES),
-            ("repro-shard", shard_report, ALL_SHARD_RULES),
-            ("repro-proto", proto_report, ALL_PROTO_RULES),
-        )
-        docs = [
-            sarif_report(
-                report.findings,
-                tool_name=tool,
-                rule_meta=_rule_meta(rules),
-                root=root,
-            )
-            for tool, report, rules in tools
-        ]
-        merged = {
-            "$schema": docs[0]["$schema"],
-            "version": docs[0]["version"],
-            "runs": [run for doc in docs for run in doc["runs"]],
-        }
-        print(json.dumps(merged, indent=2))
+        print(json.dumps(report.to_sarif(), indent=2))
     else:
-        for title, report in (
-            ("lint", lint_report),
-            ("flow", flow_report),
-            ("shard-check", shard_report),
-            ("proto-check", proto_report),
-        ):
-            print(f"== {title} ==")
-            print(report.format_text())
-        print(f"check: {'ok' if ok else 'FAIL'} (parsed {cache.parses} file(s) once)")
-    return 0 if ok else 1
+        print(report.format_text())
+    return 0 if report.ok else 1
 
 
 def _cmd_params(args: argparse.Namespace) -> int:
@@ -745,81 +529,15 @@ def main(argv: list[str] | None = None) -> int:
         help="BENCH_scaling.json path (default: %(default)s)",
     )
 
-    from repro.analysis.common import add_engine_arguments
-
-    p_lint = sub.add_parser(
-        "lint", help="determinism & lateness linter (docs/ANALYSIS.md)"
-    )
-    add_engine_arguments(
-        p_lint,
-        default_baseline_name="lint-baseline.json",
-        rules_help="only run these rules (ids like `wallclock` or codes like D2)",
-    )
-    p_lint.add_argument(
-        "--fix",
-        action="store_true",
-        help="delete the stale waiver comments W2 reports, then lint",
-    )
-
-    p_flow = sub.add_parser(
-        "flow", help="interprocedural information-flow analysis (docs/ANALYSIS.md)"
-    )
-    add_engine_arguments(
-        p_flow,
-        default_baseline_name="flow-baseline.json",
-        rules_flags=("--policies", "--rules"),
-        rules_metavar="P[,P...]",
-        rules_help="only run these policies (ids like `flow-lateness` or codes like F1)",
-        list_flags=("--list-policies", "--list-rules"),
-        list_help="print the policy table and exit",
-    )
-    p_flow.add_argument(
-        "--max-depth",
-        type=int,
-        default=8,
-        metavar="N",
-        help="summary-propagation passes, i.e. max helper-chain length "
-        "taint is tracked through (default: %(default)s)",
-    )
-
-    p_shard = sub.add_parser(
-        "shard-check",
-        help="process-role & shared-memory ownership analyzer (docs/ANALYSIS.md)",
-    )
-    add_engine_arguments(
-        p_shard,
-        default_baseline_name="shard-baseline.json",
-        rules_metavar="S[,S...]",
-        rules_help="only run these rules (ids like `shard-band-ownership` or codes like S1)",
-    )
-
-    p_proto = sub.add_parser(
-        "proto-check",
-        help="protocol state-machine & message-contract analyzer (docs/ANALYSIS.md)",
-    )
-    add_engine_arguments(
-        p_proto,
-        default_baseline_name="proto-baseline.json",
-        rules_metavar="P[,P...]",
-        rules_help="only run these rules (ids like `protocol-phase-violation` "
-        "or codes like P2)",
-    )
-    p_proto.add_argument(
-        "--spec",
-        default=None,
-        metavar="PATH",
-        help="protocol spec file (default: protocol-spec.json at the repo root)",
-    )
-
     p_check = sub.add_parser(
-        "check",
-        help="umbrella: lint + flow + shard-check + proto-check off one shared parse",
+        "check", help="static-analysis gate: 24 rules, one parse (docs/ANALYSIS.md)"
     )
     p_check.add_argument(
-        "--format",
-        choices=["text", "json", "sarif"],
-        default="text",
-        help="output format (`sarif` merges all four tools into one document)",
+        "--rules",
+        default=None,
+        metavar="R[,R...]",
+        help="only run these rules: ids (`wallclock`), codes (`S3`) or family "
+        "letters (D L X W F S P)",
     )
     p_check.add_argument(
         "--paths",
@@ -827,6 +545,31 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         metavar="PATH",
         help="files/directories to analyse (default: src/repro)",
+    )
+    p_check.add_argument(
+        "--format", choices=["text", "json", "sarif"], default="text", help="output format"
+    )
+    p_check.add_argument(
+        "--baseline",
+        default=None,
+        metavar="PATH",
+        help="baseline file (default: check-baseline.json at the repo root)",
+    )
+    p_check.add_argument(
+        "--no-baseline", action="store_true", help="ignore the baseline file"
+    )
+    p_check.add_argument(
+        "--update-baseline",
+        action="store_true",
+        help="rewrite the baseline from the current findings and exit 0",
+    )
+    p_check.add_argument(
+        "--list-rules", action="store_true", help="print the rule table and exit"
+    )
+    p_check.add_argument(
+        "--fix",
+        action="store_true",
+        help="delete the stale waiver comments W2 reports, then check",
     )
 
     p_par = sub.add_parser("params", help="show derived parameters for n")
@@ -846,10 +589,6 @@ def main(argv: list[str] | None = None) -> int:
         "profile": _cmd_profile,
         "sweep": _cmd_sweep,
         "scale": _cmd_scale,
-        "lint": _cmd_lint,
-        "flow": _cmd_flow,
-        "shard-check": _cmd_shard_check,
-        "proto-check": _cmd_proto_check,
         "check": _cmd_check,
     }
     return handlers[args.command](args)

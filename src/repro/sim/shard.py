@@ -98,7 +98,7 @@ def _dumps(obj: object) -> bytes:
 
 
 # ----------------------------------------------------------------------
-# Runtime sanitizer (the dynamic sibling of `repro shard-check`)
+# Runtime sanitizer (the dynamic sibling of `repro check --rules S`)
 # ----------------------------------------------------------------------
 
 #: ``REPRO_SHARD_SANITIZE=1`` arms band-ownership write asserts and

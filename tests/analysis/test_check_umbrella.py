@@ -1,13 +1,10 @@
-"""The ``repro check`` umbrella: four engines, one parse, one call graph."""
+"""``repro check`` on the live tree: one report, one SARIF run, one exit code."""
 
 import json
 import textwrap
 
-from repro.analysis.flow import ProjectIndex, run_flow
-from repro.analysis.lint import run_lint
-from repro.analysis.proto import run_proto_check
+from repro.analysis.check import ALL_RULES, run_check
 from repro.analysis.sarif import validate_sarif
-from repro.analysis.shard import run_shard_check
 from repro.analysis.source_cache import SourceCache, collect_py_files
 
 TINY_SPEC = {
@@ -49,29 +46,13 @@ def test_four_engines_share_one_parse_and_one_graph(tmp_path):
     )
     cache = SourceCache(tmp_path)
     files = collect_py_files([tmp_path])
-    index = ProjectIndex([m for m in map(cache.try_module, files) if m])
-    parses = cache.parses
-    assert parses == len(files)
-
-    lint = run_lint([tmp_path], root=tmp_path, baseline=None, cache=cache)
-    flow = run_flow(
-        [tmp_path], root=tmp_path, baseline=None, cache=cache, index=index
-    )
-    shard = run_shard_check(
-        [tmp_path], root=tmp_path, baseline=None, cache=cache, index=index
-    )
-    proto = run_proto_check(
-        [tmp_path],
-        root=tmp_path,
-        baseline=None,
-        cache=cache,
-        index=index,
-        spec=TINY_SPEC,
-    )
-    # No engine re-parsed anything the shared cache already held.
-    assert cache.parses == parses
-    assert lint.ok and flow.ok and shard.ok and proto.ok
-    assert shard.roles.worker_only("a._worker_main")
+    report = run_check([tmp_path], root=tmp_path, baseline=None, cache=cache, spec=TINY_SPEC)
+    # All seven families ran off one parse per file and one call graph
+    # (the build count itself is pinned in test_check_engine).
+    assert cache.parses == len(files)
+    assert report.ok and report.rules == ALL_RULES
+    assert report.context.roles.worker_only("a._worker_main")
+    assert report.context.protocol.index is report.context.index
 
 
 def test_cli_check_emits_one_merged_sarif_document(capsys):
@@ -80,9 +61,10 @@ def test_cli_check_emits_one_merged_sarif_document(capsys):
     code = main(["check", "--format", "sarif"])
     doc = json.loads(capsys.readouterr().out)
     assert code == 0
-    validate_sarif(doc)
-    names = [run["tool"]["driver"]["name"] for run in doc["runs"]]
-    assert names == ["repro-lint", "repro-flow", "repro-shard", "repro-proto"]
+    assert validate_sarif(doc) == []
+    (run,) = doc["runs"]
+    assert run["tool"]["driver"]["name"] == "repro-check"
+    assert [r["id"] for r in run["tool"]["driver"]["rules"]] == [r.id for r in ALL_RULES]
 
 
 def test_cli_check_json_combines_all_four_reports(capsys):
@@ -91,12 +73,12 @@ def test_cli_check_json_combines_all_four_reports(capsys):
     code = main(["check", "--format", "json"])
     payload = json.loads(capsys.readouterr().out)
     assert code == 0
-    assert payload["ok"] is True
-    for key in ("lint", "flow", "shard", "proto"):
-        assert payload[key]["counts"]["active"] == 0
-    assert payload["shard"]["roles"]["worker"] >= 5
-    assert payload["proto"]["protocol"]["messages"] == 7
-    assert payload["proto"]["protocol"]["dispatch_entries"] == 6
+    assert payload["version"] == 2 and payload["ok"] is True
+    assert payload["counts"]["active"] == 0 and payload["findings"] == []
+    assert payload["rules"] == [r.id for r in ALL_RULES]
+    # One facts block where there were four reports (the live counts are
+    # pinned once, in test_check_engine's live verdict).
+    assert set(payload["facts"]) == {"functions", "passes", "roles", "spec", "protocol"}
 
 
 def test_cli_check_fails_on_injected_defect(tmp_path, capsys):
@@ -114,5 +96,4 @@ def test_cli_check_fails_on_injected_defect(tmp_path, capsys):
     code = main(["check", "--paths", str(bad)])
     out = capsys.readouterr().out
     assert code == 1
-    assert "== shard-check ==" in out
-    assert "shard-master-state" in out
+    assert "w.py:3: [shard-master-state]" in out

@@ -1,19 +1,25 @@
-"""Unit tests of the flow engine: summaries, sanitizer, waivers, CLI."""
+"""The flow rules (F1/F2) through ``repro check``: summaries, sanitizer, waivers, CLI."""
 
 import json
 import textwrap
 
 import pytest
 
-from repro.analysis.flow import (
-    ALL_POLICIES,
-    LATENESS,
-    FlowError,
-    resolve_policies,
-    run_flow,
-)
-from repro.analysis.lint import Baseline, run_lint, write_baseline
+from repro.analysis.check import resolve_rules, run_check
+from repro.analysis.flow import summaries
+from repro.analysis.flow.policies import ALL_POLICIES, LATENESS
+from repro.analysis.lint.baseline import Baseline, write_baseline
+from repro.analysis.lint.engine import LintError
 from repro.cli import main
+
+#: F1 + F2, plus the stale-waiver audit (what `repro flow` ran).
+FLOW = resolve_rules("F,W2")
+FLOW_ARGS = ["check", "--rules", "F,W2"]
+
+
+def check_flow(paths, **kwargs):
+    kwargs.setdefault("rules", FLOW)
+    return run_check(paths, **kwargs)
 
 ARM = "# repro: module(repro.sim.flowtest)\n"
 
@@ -51,25 +57,28 @@ CHAIN = """
 
 def test_taint_tracks_through_a_helper_chain(tmp_path):
     _tree(tmp_path, CHAIN)
-    report = run_flow([tmp_path], root=tmp_path, baseline=None)
+    report = check_flow([tmp_path], root=tmp_path, baseline=None)
     assert [f.rule for f in report.findings] == ["flow-determinism"]
     assert "`time.perf_counter`" in report.findings[0].message
     # Converged before the depth bound.
-    assert report.passes < 8
-    assert report.functions == 4
+    assert report.facts["passes"] < summaries.MAX_DEPTH
+    assert report.facts["functions"] == 4
 
 
-def test_max_depth_bounds_the_chain_length(tmp_path):
+def test_max_depth_bounds_the_chain_length(tmp_path, monkeypatch):
     # Two passes are not enough to push the clock through a -> b -> c.
     _tree(tmp_path, CHAIN)
-    report = run_flow([tmp_path], root=tmp_path, baseline=None, max_depth=2)
+    monkeypatch.setattr(summaries, "MAX_DEPTH", 2)
+    report = check_flow([tmp_path], root=tmp_path, baseline=None)
     assert report.ok
-    assert report.passes == 2
+    assert report.facts["passes"] == 2
 
 
 def test_max_depth_must_be_positive(tmp_path):
-    with pytest.raises(FlowError):
-        run_flow([tmp_path], root=tmp_path, max_depth=0)
+    # The bound is a module constant now, not an argument anyone can get wrong.
+    assert summaries.MAX_DEPTH >= 1
+    with pytest.raises(TypeError):
+        run_check([tmp_path], root=tmp_path, max_depth=0)
 
 
 # -- the sanitizer ------------------------------------------------------
@@ -89,7 +98,7 @@ def test_view_without_both_lateness_keywords_is_not_a_sanitizer(tmp_path):
                 return self.adversary.decide(view)
         """,
     )
-    report = run_flow([tmp_path], root=tmp_path, baseline=None)
+    report = check_flow([tmp_path], root=tmp_path, baseline=None)
     assert [f.rule for f in report.findings] == ["flow-lateness"]
 
 
@@ -107,7 +116,7 @@ def test_view_with_both_lateness_keywords_launders_live_state(tmp_path):
                 return self.adversary.decide(view)
         """,
     )
-    report = run_flow([tmp_path], root=tmp_path, baseline=None)
+    report = check_flow([tmp_path], root=tmp_path, baseline=None)
     assert report.ok, [f.format() for f in report.findings]
 
 
@@ -124,7 +133,7 @@ def test_store_onto_adversary_handle_is_a_sink(tmp_path):
                 adv.hint = self.trace
         """,
     )
-    report = run_flow([tmp_path], root=tmp_path, baseline=None)
+    report = check_flow([tmp_path], root=tmp_path, baseline=None)
     assert [f.rule for f in report.findings] == ["flow-lateness"]
     assert "adversary object state `adv.hint`" in report.findings[0].message
 
@@ -139,7 +148,7 @@ def test_getattr_on_self_is_a_live_state_source(tmp_path):
                 return self.adversary.decide(snap)
         """,
     )
-    report = run_flow([tmp_path], root=tmp_path, baseline=None)
+    report = check_flow([tmp_path], root=tmp_path, baseline=None)
     assert [f.rule for f in report.findings] == ["flow-lateness"]
 
 
@@ -156,7 +165,7 @@ def test_property_loads_resolve_to_the_property_function(tmp_path):
                 return self.adversary.decide(self.snapshot)
         """,
     )
-    report = run_flow([tmp_path], root=tmp_path, baseline=None)
+    report = check_flow([tmp_path], root=tmp_path, baseline=None)
     assert [f.rule for f in report.findings] == ["flow-lateness"]
 
 
@@ -171,7 +180,7 @@ def test_unarmed_module_reports_nothing(tmp_path):
         """,
         header="# repro: module(elsewhere.tool)\n",
     )
-    report = run_flow([tmp_path], root=tmp_path, baseline=None)
+    report = check_flow([tmp_path], root=tmp_path, baseline=None)
     assert report.ok
 
 
@@ -191,7 +200,7 @@ def test_flow_waiver_absorbs_its_finding(tmp_path):
         tmp_path,
         LEAK.format(trailer="  # repro: allow(flow-lateness): exercised by tests"),
     )
-    report = run_flow([tmp_path], root=tmp_path, baseline=None)
+    report = check_flow([tmp_path], root=tmp_path, baseline=None)
     assert report.ok
     assert [f.rule for f in report.waived] == ["flow-lateness"]
 
@@ -203,17 +212,17 @@ def test_stale_flow_waiver_is_reported_by_flow_not_lint(tmp_path):
         X = 1  # repro: allow(flow-lateness): nothing here any more
         """,
     )
-    flow = run_flow([path], root=tmp_path, baseline=None)
+    flow = check_flow([path], root=tmp_path, baseline=None)
     assert [f.rule for f in flow.findings] == ["unused-waiver"]
-    # The linter's W2 leaves flow-* waivers alone; only `repro flow` can
-    # know whether they match a finding.
-    lint = run_lint([path], root=tmp_path, baseline=None)
+    # A run without the flow rules leaves flow-* waivers alone: only a run
+    # that produced the flow findings can know whether they match one.
+    lint = run_check([path], root=tmp_path, rules=resolve_rules("D,L,X,W"), baseline=None)
     assert lint.ok, [f.format() for f in lint.findings]
 
 
 def test_unjustified_flow_waiver_is_inert(tmp_path):
     _tree(tmp_path, LEAK.format(trailer="  # repro: allow(flow-lateness)"))
-    report = run_flow([tmp_path], root=tmp_path, baseline=None)
+    report = check_flow([tmp_path], root=tmp_path, baseline=None)
     assert [f.rule for f in report.findings] == ["flow-lateness"]
 
 
@@ -222,11 +231,11 @@ def test_unjustified_flow_waiver_is_inert(tmp_path):
 
 def test_baseline_round_trip(tmp_path):
     _tree(tmp_path, LEAK.format(trailer=""))
-    first = run_flow([tmp_path], root=tmp_path, baseline=None)
+    first = check_flow([tmp_path], root=tmp_path, baseline=None)
     assert not first.ok
     baseline_path = tmp_path / "flow-baseline.json"
     write_baseline(baseline_path, first.findings)
-    second = run_flow([tmp_path], root=tmp_path, baseline=baseline_path)
+    second = check_flow([tmp_path], root=tmp_path, baseline=baseline_path)
     assert second.ok
     assert len(second.baselined) == len(first.findings)
     assert not second.stale_baseline
@@ -237,7 +246,7 @@ def test_stale_baseline_entries_are_reported(tmp_path):
     base = Baseline(
         [{"path": "mod.py", "rule": "flow-lateness", "message": "long gone"}]
     )
-    report = run_flow([tmp_path], root=tmp_path, baseline=base)
+    report = check_flow([tmp_path], root=tmp_path, baseline=base)
     assert report.ok
     assert report.stale_baseline == [
         {"path": "mod.py", "rule": "flow-lateness", "message": "long gone"}
@@ -249,21 +258,21 @@ def test_stale_baseline_entries_are_reported(tmp_path):
 
 def test_unparsable_file_is_a_parse_error_finding(tmp_path):
     _tree(tmp_path, "def broken(:\n")
-    report = run_flow([tmp_path], root=tmp_path, baseline=None)
+    report = check_flow([tmp_path], root=tmp_path, baseline=None)
     assert [f.rule for f in report.findings] == ["parse-error"]
 
 
 def test_missing_path_raises(tmp_path):
-    with pytest.raises(FlowError):
-        run_flow([tmp_path / "nope"], root=tmp_path)
+    with pytest.raises(LintError):
+        check_flow([tmp_path / "nope"], root=tmp_path)
 
 
-def test_resolve_policies_by_id_code_and_error():
-    assert resolve_policies(None) == ALL_POLICIES
-    assert resolve_policies("F1") == (LATENESS,)
-    assert resolve_policies("flow-lateness,f1") == (LATENESS,)
-    with pytest.raises(FlowError):
-        resolve_policies("F9")
+def test_resolve_flow_rules_by_id_code_and_error():
+    assert resolve_rules("F") == ALL_POLICIES
+    assert resolve_rules("F1") == (LATENESS,)
+    assert resolve_rules("flow-lateness,f1") == (LATENESS,)
+    with pytest.raises(LintError):
+        resolve_rules("F9")
 
 
 def test_policy_selection_limits_findings(tmp_path):
@@ -279,13 +288,13 @@ def test_policy_selection_limits_findings(tmp_path):
                 return self.adversary.decide(self.trace.edges)
         """,
     )
-    full = run_flow([tmp_path], root=tmp_path, baseline=None)
+    full = check_flow([tmp_path], root=tmp_path, baseline=None)
     assert sorted({f.rule for f in full.findings}) == [
         "flow-determinism",
         "flow-lateness",
     ]
-    only_f1 = run_flow(
-        [tmp_path], root=tmp_path, baseline=None, policies=resolve_policies("F1")
+    only_f1 = check_flow(
+        [tmp_path], root=tmp_path, baseline=None, rules=resolve_rules("F1")
     )
     assert {f.rule for f in only_f1.findings} == {"flow-lateness"}
 
@@ -294,30 +303,32 @@ def test_policy_selection_limits_findings(tmp_path):
 
 
 def test_cli_list_policies(capsys):
-    assert main(["flow", "--list-policies"]) == 0
+    assert main(["check", "--list-rules", "--rules", "F"]) == 0
     out = capsys.readouterr().out
     assert "flow-lateness" in out and "flow-determinism" in out
+    assert len(out.splitlines()) == 2
 
 
 def test_cli_exit_codes(tmp_path, capsys):
     bad = _tree(tmp_path, LEAK.format(trailer=""))
-    assert main(["flow", "--paths", str(bad), "--no-baseline"]) == 1
+    assert main(FLOW_ARGS + ["--paths", str(bad), "--no-baseline"]) == 1
     capsys.readouterr()
     ok = _tree(tmp_path, "X = 1\n", name="ok.py")
-    assert main(["flow", "--paths", str(ok), "--no-baseline"]) == 0
+    assert main(FLOW_ARGS + ["--paths", str(ok), "--no-baseline"]) == 0
     capsys.readouterr()
-    assert main(["flow", "--paths", str(tmp_path / "missing.py")]) == 2
+    assert main(FLOW_ARGS + ["--paths", str(tmp_path / "missing.py")]) == 2
     capsys.readouterr()
-    assert main(["flow", "--policies", "F9"]) == 2
+    assert main(["check", "--rules", "F9"]) == 2
 
 
 def test_cli_json_format(tmp_path, capsys):
     bad = _tree(tmp_path, LEAK.format(trailer=""))
-    assert main(["flow", "--paths", str(bad), "--no-baseline", "--format=json"]) == 1
+    args = ["check", "--rules", "F", "--paths", str(bad), "--no-baseline", "--format=json"]
+    assert main(args) == 1
     data = json.loads(capsys.readouterr().out)
     assert data["counts"]["active"] == 1
     assert data["findings"][0]["rule"] == "flow-lateness"
-    assert data["policies"] == ["flow-lateness", "flow-determinism"]
+    assert data["rules"] == ["flow-lateness", "flow-determinism"]
 
 
 def test_cli_update_baseline(tmp_path, capsys):
@@ -326,7 +337,7 @@ def test_cli_update_baseline(tmp_path, capsys):
     assert (
         main(
             [
-                "flow",
+                *FLOW_ARGS,
                 "--paths",
                 str(bad),
                 "--baseline",
@@ -338,14 +349,17 @@ def test_cli_update_baseline(tmp_path, capsys):
     )
     capsys.readouterr()
     assert baseline.exists()
-    assert main(["flow", "--paths", str(bad), "--baseline", str(baseline)]) == 0
+    assert main(FLOW_ARGS + ["--paths", str(bad), "--baseline", str(baseline)]) == 0
 
 
-def test_cli_max_depth(tmp_path, capsys):
+def test_cli_max_depth(tmp_path, capsys, monkeypatch):
     _tree(tmp_path, CHAIN)
-    assert main(["flow", "--paths", str(tmp_path), "--no-baseline"]) == 1
+    args = FLOW_ARGS + ["--paths", str(tmp_path), "--no-baseline"]
+    assert main(args) == 1
     capsys.readouterr()
-    assert (
-        main(["flow", "--paths", str(tmp_path), "--no-baseline", "--max-depth", "2"])
-        == 0
-    )
+    # The bound is not a flag any more ...
+    with pytest.raises(SystemExit):
+        main(args + ["--max-depth", "2"])
+    # ... but it still bounds: two passes lose the three-helper chain.
+    monkeypatch.setattr(summaries, "MAX_DEPTH", 2)
+    assert main(args) == 0

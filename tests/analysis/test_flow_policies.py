@@ -2,19 +2,23 @@
 
 The bad fixtures are chosen to be *invisible to the syntactic linter* —
 aliasing, helper indirection, ``getattr`` smuggling — so this file also
-pins down the headline capability: ``repro flow`` catches what
-``repro lint`` structurally cannot.
+pins down the headline capability: the F rules catch what the per-module
+D/L rules structurally cannot.
 """
 
 from pathlib import Path
 
 import pytest
 
-from repro.analysis.flow import ALL_POLICIES, run_flow
-from repro.analysis.lint import run_lint
+from repro.analysis.check import resolve_rules, run_check
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures" / "flow"
-POLICY_IDS = [policy.id for policy in ALL_POLICIES]
+FLOW = resolve_rules("F,W2")
+POLICY_IDS = [policy.id for policy in resolve_rules("F")]
+
+
+def check_flow(paths, **kwargs):
+    return run_check(paths, rules=FLOW, **kwargs)
 
 
 def test_every_policy_has_a_fixture_pair():
@@ -29,13 +33,13 @@ def test_every_policy_has_a_fixture_pair():
 
 @pytest.mark.parametrize("policy_id", POLICY_IDS)
 def test_ok_fixture_is_clean(policy_id):
-    report = run_flow([FIXTURES / policy_id / "ok.py"], root=FIXTURES, baseline=None)
+    report = check_flow([FIXTURES / policy_id / "ok.py"], root=FIXTURES, baseline=None)
     assert report.ok, [f.format() for f in report.findings]
 
 
 @pytest.mark.parametrize("policy_id", POLICY_IDS)
 def test_bad_fixture_triggers_its_policy(policy_id):
-    report = run_flow([FIXTURES / policy_id / "bad.py"], root=FIXTURES, baseline=None)
+    report = check_flow([FIXTURES / policy_id / "bad.py"], root=FIXTURES, baseline=None)
     hits = [f for f in report.findings if f.rule == policy_id]
     assert hits, f"no {policy_id} finding in {[f.format() for f in report.findings]}"
     for f in hits:
@@ -43,7 +47,7 @@ def test_bad_fixture_triggers_its_policy(policy_id):
 
 
 def test_lateness_bad_fixture_catches_alias_and_helper_indirection():
-    report = run_flow(
+    report = check_flow(
         [FIXTURES / "flow-lateness" / "bad.py"], root=FIXTURES, baseline=None
     )
     messages = [f.message for f in report.findings]
@@ -57,7 +61,7 @@ def test_lateness_bad_fixture_catches_alias_and_helper_indirection():
 
 
 def test_determinism_bad_fixture_catches_getattr_smuggle():
-    report = run_flow(
+    report = check_flow(
         [FIXTURES / "flow-determinism" / "bad.py"], root=FIXTURES, baseline=None
     )
     assert len(report.findings) == 1
@@ -71,5 +75,10 @@ def test_determinism_bad_fixture_catches_getattr_smuggle():
 def test_syntactic_linter_is_blind_to_the_flow_bad_fixtures(policy_id):
     # The whole point of the interprocedural pass: these leaks produce no
     # lint finding at all.
-    report = run_lint([FIXTURES / policy_id / "bad.py"], root=FIXTURES, baseline=None)
+    report = run_check(
+        [FIXTURES / policy_id / "bad.py"],
+        root=FIXTURES,
+        rules=resolve_rules("D,L,X,W"),
+        baseline=None,
+    )
     assert report.ok, [f.format() for f in report.findings]

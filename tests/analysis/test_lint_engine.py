@@ -1,21 +1,19 @@
-"""Unit tests for the lint engine: directives, baseline, registry, CLI."""
+"""Directives, the finding/baseline value types, and the D/L/X/W rules on the CLI."""
 
 import json
 from pathlib import Path
 
 import pytest
 
-from repro.analysis.lint import (
-    Baseline,
-    Finding,
-    LintError,
-    resolve_rules,
-    run_lint,
-    scan_directives,
-    write_baseline,
-)
-from repro.analysis.lint.registry import ALL_RULES
+from repro.analysis.check import ALL_RULES, resolve_rules, run_check
+from repro.analysis.lint.baseline import Baseline, write_baseline
+from repro.analysis.lint.engine import LintError
+from repro.analysis.lint.findings import Finding
+from repro.analysis.lint.waivers import scan_directives
 from repro.cli import main
+
+#: The per-module families (what `repro lint` ran before `repro check`).
+LINT = resolve_rules("D,L,X,W")
 
 
 # ----------------------------------------------------------------------
@@ -151,7 +149,7 @@ def test_waiver_cannot_waive_the_waiver_rules(tmp_path):
         "# repro: allow(wallclock)\n"
         "x = 1\n"
     )
-    report = run_lint([target], root=tmp_path, baseline=None)
+    report = run_check([target], root=tmp_path, rules=LINT, baseline=None)
     rules = sorted(f.rule for f in report.findings)
     # The bare waiver is reported and the meta-waiver absorbing it is itself
     # stale (it matched nothing), so both waiver rules fire.
@@ -161,14 +159,14 @@ def test_waiver_cannot_waive_the_waiver_rules(tmp_path):
 def test_syntax_error_becomes_parse_error_finding(tmp_path):
     target = tmp_path / "broken.py"
     target.write_text("def f(:\n")
-    report = run_lint([target], root=tmp_path, baseline=None)
+    report = run_check([target], root=tmp_path, rules=LINT, baseline=None)
     assert [f.rule for f in report.findings] == ["parse-error"]
     assert not report.ok
 
 
-def test_run_lint_rejects_missing_paths(tmp_path):
+def test_run_check_rejects_missing_paths(tmp_path):
     with pytest.raises(LintError):
-        run_lint([tmp_path / "nope"], root=tmp_path, baseline=None)
+        run_check([tmp_path / "nope"], root=tmp_path, rules=LINT, baseline=None)
 
 
 # ----------------------------------------------------------------------
@@ -178,17 +176,18 @@ def test_run_lint_rejects_missing_paths(tmp_path):
 BAD_FIXTURE = str(
     Path(__file__).resolve().parent / "fixtures" / "lint" / "wallclock" / "bad.py"
 )
+LINT_BAD = ["check", "--rules", "D,L,X,W", "--paths", BAD_FIXTURE, "--no-baseline"]
 
 
 def test_cli_list_rules(capsys):
-    assert main(["lint", "--list-rules"]) == 0
+    assert main(["check", "--list-rules"]) == 0
     out = capsys.readouterr().out
     for rule in ALL_RULES:
         assert rule.id in out
 
 
 def test_cli_json_output_on_bad_fixture(capsys):
-    code = main(["lint", "--paths", BAD_FIXTURE, "--no-baseline", "--format", "json"])
+    code = main(LINT_BAD + ["--format", "json"])
     payload = json.loads(capsys.readouterr().out)
     assert code == 1
     assert payload["counts"]["active"] == len(payload["findings"]) > 0
@@ -196,14 +195,14 @@ def test_cli_json_output_on_bad_fixture(capsys):
 
 
 def test_cli_text_output_mentions_fix_hint(capsys):
-    assert main(["lint", "--paths", BAD_FIXTURE, "--no-baseline"]) == 1
+    assert main(LINT_BAD) == 1
     assert "fix:" in capsys.readouterr().out
 
 
 def test_cli_rule_filter_can_mask_findings(capsys):
     # Filtering to an unrelated rule hides the wallclock findings.
-    assert main(["lint", "--paths", BAD_FIXTURE, "--no-baseline", "--rules", "D4"]) == 0
+    assert main(["check", "--paths", BAD_FIXTURE, "--no-baseline", "--rules", "D4"]) == 0
 
 
 def test_cli_unknown_rule_is_usage_error(capsys):
-    assert main(["lint", "--rules", "bogus"]) == 2
+    assert main(["check", "--rules", "bogus"]) == 2

@@ -1,9 +1,14 @@
-"""``repro lint --fix``: stale waivers are deleted, everything else is kept."""
+"""``repro check --fix``: stale waivers are deleted, everything else is kept."""
 
 import textwrap
 
-from repro.analysis.lint import fix_unused_waivers, run_lint
+from repro.analysis.check import resolve_rules, run_check
+from repro.analysis.lint.fix import fix_unused_waivers
 from repro.cli import main
+
+#: The flow-lateness waiver in CONTENT belongs to a rule these runs leave
+#: out, so nothing here may judge (or delete) it.
+LINT = resolve_rules("D,L,X,W")
 
 CONTENT = textwrap.dedent(
     """\
@@ -14,7 +19,7 @@ CONTENT = textwrap.dedent(
     y = 1  # repro: allow(wallclock): stale trailing waiver
     # repro: allow(id-ordering): stale standalone waiver
     z = 2
-    q = 3  # repro: allow(flow-lateness): owned by repro flow, not the linter
+    q = 3  # repro: allow(flow-lateness): its rule is not selected here
     s = "# repro: allow(wallclock): waiver-shaped string, not a comment"
     """
 )
@@ -27,7 +32,7 @@ EXPECTED = textwrap.dedent(
     t0 = time.perf_counter()  # repro: allow(wallclock): measured on purpose
     y = 1
     z = 2
-    q = 3  # repro: allow(flow-lateness): owned by repro flow, not the linter
+    q = 3  # repro: allow(flow-lateness): its rule is not selected here
     s = "# repro: allow(wallclock): waiver-shaped string, not a comment"
     """
 )
@@ -36,7 +41,7 @@ EXPECTED = textwrap.dedent(
 def test_fix_deletes_exactly_the_stale_waivers(tmp_path):
     path = tmp_path / "mod.py"
     path.write_text(CONTENT)
-    fixed = fix_unused_waivers([path], root=tmp_path)
+    fixed = fix_unused_waivers([path], root=tmp_path, rules=LINT)
     assert fixed == {"mod.py": 2}
     assert path.read_text() == EXPECTED
 
@@ -44,10 +49,10 @@ def test_fix_deletes_exactly_the_stale_waivers(tmp_path):
 def test_fix_round_trip_leaves_no_w2_findings(tmp_path):
     path = tmp_path / "mod.py"
     path.write_text(CONTENT)
-    before = run_lint([path], root=tmp_path, baseline=None)
+    before = run_check([path], root=tmp_path, rules=LINT, baseline=None)
     assert [f.rule for f in before.findings] == ["unused-waiver", "unused-waiver"]
-    fix_unused_waivers([path], root=tmp_path)
-    after = run_lint([path], root=tmp_path, baseline=None)
+    fix_unused_waivers([path], root=tmp_path, rules=LINT)
+    after = run_check([path], root=tmp_path, rules=LINT, baseline=None)
     assert after.ok, [f.format() for f in after.findings]
     # The used waiver still absorbs its finding.
     assert [f.rule for f in after.waived] == ["wallclock"]
@@ -56,8 +61,8 @@ def test_fix_round_trip_leaves_no_w2_findings(tmp_path):
 def test_fix_is_idempotent_and_reports_nothing_on_clean_trees(tmp_path):
     path = tmp_path / "mod.py"
     path.write_text(CONTENT)
-    assert fix_unused_waivers([path], root=tmp_path)
-    assert fix_unused_waivers([path], root=tmp_path) == {}
+    assert fix_unused_waivers([path], root=tmp_path, rules=LINT)
+    assert fix_unused_waivers([path], root=tmp_path, rules=LINT) == {}
     assert path.read_text() == EXPECTED
 
 
@@ -67,7 +72,7 @@ def test_fix_invalidates_a_shared_cache(tmp_path):
     path = tmp_path / "mod.py"
     path.write_text(CONTENT)
     cache = SourceCache(tmp_path)
-    fix_unused_waivers([path], root=tmp_path, cache=cache)
+    fix_unused_waivers([path], root=tmp_path, rules=LINT, cache=cache)
     # A fresh parse through the same cache sees the rewritten file.
     assert len(cache.module(path).waivers) == 2
 
@@ -75,9 +80,10 @@ def test_fix_invalidates_a_shared_cache(tmp_path):
 def test_cli_fix_flag(tmp_path, capsys):
     path = tmp_path / "mod.py"
     path.write_text(CONTENT)
-    assert main(["lint", "--fix", "--paths", str(path), "--no-baseline"]) == 0
+    fix = ["check", "--rules", "D,L,X,W", "--fix", "--paths", str(path), "--no-baseline"]
+    assert main(fix) == 0
     out = capsys.readouterr().out
     assert "removed 2 stale waiver(s)" in out
     assert path.read_text() == EXPECTED
-    assert main(["lint", "--fix", "--paths", str(path), "--no-baseline"]) == 0
+    assert main(fix) == 0
     assert "nothing to fix" in capsys.readouterr().out

@@ -1,22 +1,17 @@
-"""The linter gates the live tree: clean with the committed baseline."""
-
-from pathlib import Path
+"""The per-module rules (D/L/X/W) gate the live tree: clean with the committed baseline."""
 
 import pytest
 
-import repro
-from repro.analysis.lint import run_lint
-from repro.analysis.lint.registry import ALL_RULES
+from repro.analysis.check import resolve_rules, run_check
 from repro.cli import main
 
-REPO_ROOT = Path(repro.__file__).resolve().parents[2]
-SRC = REPO_ROOT / "src" / "repro"
-BASELINE = REPO_ROOT / "lint-baseline.json"
-FIXTURES = Path(__file__).resolve().parent / "fixtures" / "lint"
+from .paths import BASELINE, REPO_ROOT, SRC, fixture_variant
+
+LINT = resolve_rules("D,L,X,W")
 
 
-def test_live_tree_is_clean_under_committed_baseline():
-    report = run_lint([SRC], root=REPO_ROOT, baseline=BASELINE)
+def test_live_tree_is_clean_under_committed_baseline(live_cache):
+    report = run_check([SRC], root=REPO_ROOT, rules=LINT, baseline=BASELINE, cache=live_cache)
     assert report.ok, "\n" + "\n".join(f.format() for f in report.findings)
     # The baseline only ever shrinks: every committed entry still matches.
     assert not report.stale_baseline, report.stale_baseline
@@ -25,19 +20,19 @@ def test_live_tree_is_clean_under_committed_baseline():
 
 
 def test_cli_gate_passes_on_live_tree():
-    assert main(["lint"]) == 0
+    assert main(["check", "--rules", "D,L,X,W"]) == 0
 
 
-@pytest.mark.parametrize("rule_id", [r.id for r in ALL_RULES])
-def test_injected_bad_fixture_fails_the_gate(rule_id):
-    bad = FIXTURES / rule_id / "bad.py"
-    if not bad.exists():
-        bad = FIXTURES / rule_id / "bad_pkg"
-    report = run_lint([SRC, bad], root=REPO_ROOT, baseline=BASELINE)
+@pytest.mark.parametrize("rule_id", [r.id for r in LINT])
+def test_injected_bad_fixture_fails_the_gate(rule_id, live_cache):
+    bad = fixture_variant("lint", rule_id, "bad")
+    report = run_check(
+        [SRC, bad], root=REPO_ROOT, rules=LINT, baseline=BASELINE, cache=live_cache
+    )
     assert not report.ok
     assert any(f.rule == rule_id for f in report.findings)
 
 
 def test_injected_bad_fixture_fails_the_cli_gate():
-    bad = str(FIXTURES / "id-ordering" / "bad.py")
-    assert main(["lint", "--paths", bad, "--no-baseline"]) == 1
+    bad = str(fixture_variant("lint", "id-ordering", "bad"))
+    assert main(["check", "--rules", "D,L,X,W", "--paths", bad, "--no-baseline"]) == 1

@@ -1,20 +1,20 @@
-"""Corpus driver: every rule has a passing and a failing fixture."""
+"""Corpus driver: every D/L/X/W rule has a passing and a failing fixture."""
 
 from pathlib import Path
 
 import pytest
 
-from repro.analysis.lint import run_lint
-from repro.analysis.lint.registry import ALL_RULES
+from repro.analysis.check import resolve_rules, run_check
+
+from .paths import fixture_variant
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures" / "lint"
-RULE_IDS = [rule.id for rule in ALL_RULES]
+LINT = resolve_rules("D,L,X,W")
+RULE_IDS = [rule.id for rule in LINT]
 
 
 def _variant(rule_id: str, kind: str) -> Path:
-    """The ``ok``/``bad`` fixture for a rule (plain file or package dir)."""
-    single = FIXTURES / rule_id / f"{kind}.py"
-    return single if single.exists() else FIXTURES / rule_id / f"{kind}_pkg"
+    return fixture_variant("lint", rule_id, kind)
 
 
 def test_every_rule_has_a_fixture_pair():
@@ -27,13 +27,13 @@ def test_every_rule_has_a_fixture_pair():
 
 @pytest.mark.parametrize("rule_id", RULE_IDS)
 def test_ok_fixture_is_clean(rule_id):
-    report = run_lint([_variant(rule_id, "ok")], root=FIXTURES, baseline=None)
+    report = run_check([_variant(rule_id, "ok")], root=FIXTURES, rules=LINT, baseline=None)
     assert report.ok, [f.format() for f in report.findings]
 
 
 @pytest.mark.parametrize("rule_id", RULE_IDS)
 def test_bad_fixture_triggers_its_rule(rule_id):
-    report = run_lint([_variant(rule_id, "bad")], root=FIXTURES, baseline=None)
+    report = run_check([_variant(rule_id, "bad")], root=FIXTURES, rules=LINT, baseline=None)
     hits = [f for f in report.findings if f.rule == rule_id]
     assert hits, f"no {rule_id} finding in {[f.format() for f in report.findings]}"
     for f in hits:
@@ -41,7 +41,7 @@ def test_bad_fixture_triggers_its_rule(rule_id):
 
 
 def test_all_drift_bad_package_exercises_all_four_checks():
-    report = run_lint([_variant("all-drift", "bad")], root=FIXTURES, baseline=None)
+    report = run_check([_variant("all-drift", "bad")], root=FIXTURES, rules=LINT, baseline=None)
     messages = " | ".join(f.message for f in report.findings)
     assert "`hidden` from `one`, which does not declare it" in messages
     assert "declares `beta`, which is not re-exported" in messages
@@ -50,8 +50,8 @@ def test_all_drift_bad_package_exercises_all_four_checks():
 
 
 def test_waived_findings_are_reported_separately():
-    report = run_lint(
-        [FIXTURES / "unused-waiver" / "ok.py"], root=FIXTURES, baseline=None
+    report = run_check(
+        [FIXTURES / "unused-waiver" / "ok.py"], root=FIXTURES, rules=LINT, baseline=None
     )
     assert report.ok
     assert [f.rule for f in report.waived] == ["wallclock"]

@@ -1,18 +1,24 @@
-"""Engine mechanics for ``repro proto-check``: waivers, baseline, SARIF, CLI."""
+"""The protocol rules (P1–P6) through ``repro check``: waivers, baseline, SARIF, CLI."""
 
 import json
 import textwrap
 
 import pytest
 
-from repro.analysis.lint import Baseline, LintError, write_baseline
-from repro.analysis.proto import (
-    ALL_PROTO_RULES,
-    proto_rule_table,
-    resolve_proto_rules,
-    run_proto_check,
-)
-from repro.analysis.sarif import sarif_report, validate_sarif
+from repro.analysis.check import resolve_rules, rule_table, run_check
+from repro.analysis.lint.baseline import Baseline, write_baseline
+from repro.analysis.lint.engine import LintError
+from repro.analysis.sarif import validate_sarif
+
+ALL_PROTO_RULES = resolve_rules("P")
+#: P1–P6 plus the stale-waiver audit (what `repro proto-check` ran).
+PROTO = resolve_rules("P,W2")
+PROTO_ARGS = ["check", "--rules", "P,W2"]
+
+
+def check_proto(paths, **kwargs):
+    kwargs.setdefault("rules", PROTO)
+    return run_check(paths, **kwargs)
 
 SPEC = {
     "schema": 1,
@@ -45,23 +51,25 @@ def _write(tmp_path, source, name="w.py"):
     return path
 
 
-def _spec_file(tmp_path):
-    path = tmp_path / "spec.json"
-    path.write_text(json.dumps(SPEC))
-    return path
+@pytest.fixture
+def cli_root(tmp_path, monkeypatch):
+    """The CLI reads `<root>/protocol-spec.json`; make ``tmp_path`` that root."""
+    monkeypatch.setattr("repro.cli._repo_root", lambda: tmp_path)
+    (tmp_path / "protocol-spec.json").write_text(json.dumps(SPEC))
+    return tmp_path
 
 
 def test_finding_reported_with_location_and_hint(tmp_path):
     _write(tmp_path, BAD_SRC)
-    report = run_proto_check([tmp_path], root=tmp_path, baseline=None, spec=SPEC)
+    report = check_proto([tmp_path], root=tmp_path, baseline=None, spec=SPEC)
     assert not report.ok
     (finding,) = report.findings
     assert finding.rule == "protocol-unhandled-message"
     assert finding.path == "w.py"
     assert finding.line == 13
     assert "`Ping`" in finding.message and "dispatches" in finding.message
-    assert report.protocol["messages"] == 1
-    assert report.protocol["constructions"] == 1
+    assert report.facts["protocol"]["messages"] == 1
+    assert report.facts["protocol"]["constructions"] == 1
 
 
 def test_justified_waiver_suppresses_and_counts(tmp_path):
@@ -83,7 +91,7 @@ def test_justified_waiver_suppresses_and_counts(tmp_path):
             ctx.send(0, Ping(data=1))
         """,
     )
-    report = run_proto_check([tmp_path], root=tmp_path, baseline=None, spec=SPEC)
+    report = check_proto([tmp_path], root=tmp_path, baseline=None, spec=SPEC)
     assert report.ok
     assert len(report.waived) == 1
     assert report.waived[0].rule == "protocol-unhandled-message"
@@ -108,7 +116,7 @@ def test_unjustified_waiver_is_inert(tmp_path):
             ctx.send(0, Ping(data=1))
         """,
     )
-    report = run_proto_check([tmp_path], root=tmp_path, baseline=None, spec=SPEC)
+    report = check_proto([tmp_path], root=tmp_path, baseline=None, spec=SPEC)
     assert not report.ok  # the finding survives; W1 reports the bare waiver
 
 
@@ -131,14 +139,14 @@ def test_stale_proto_waiver_is_reported_here_not_by_lint(tmp_path):
             return ctx
         """,
     )
-    report = run_proto_check([tmp_path], root=tmp_path, baseline=None, spec=SPEC)
+    report = check_proto([tmp_path], root=tmp_path, baseline=None, spec=SPEC)
     stale = [f for f in report.findings if f.rule == "unused-waiver"]
     assert len(stale) == 1
     assert "protocol-unhandled-message" in stale[0].message
 
-    from repro.analysis.lint import run_lint
-
-    lint_report = run_lint([path], root=tmp_path, baseline=None)
+    lint_report = run_check(
+        [path], root=tmp_path, rules=resolve_rules("D,L,X,W"), baseline=None
+    )
     assert not any(f.rule == "unused-waiver" for f in lint_report.findings)
 
 
@@ -161,10 +169,10 @@ def test_stale_waiver_not_flagged_when_its_rule_is_deselected(tmp_path):
             return ctx
         """,
     )
-    report = run_proto_check(
+    report = check_proto(
         [tmp_path],
         root=tmp_path,
-        rules=resolve_proto_rules("P3"),
+        rules=resolve_rules("P3,W2"),
         baseline=None,
         spec=SPEC,
     )
@@ -173,11 +181,11 @@ def test_stale_waiver_not_flagged_when_its_rule_is_deselected(tmp_path):
 
 def test_baseline_round_trip_and_staleness(tmp_path):
     _write(tmp_path, BAD_SRC)
-    first = run_proto_check([tmp_path], root=tmp_path, baseline=None, spec=SPEC)
+    first = check_proto([tmp_path], root=tmp_path, baseline=None, spec=SPEC)
     baseline_path = tmp_path / "proto-baseline.json"
     write_baseline(baseline_path, first.findings)
 
-    second = run_proto_check(
+    second = check_proto(
         [tmp_path], root=tmp_path, baseline=baseline_path, spec=SPEC
     )
     assert second.ok
@@ -197,7 +205,7 @@ def test_baseline_round_trip_and_staleness(tmp_path):
             data: int
         """,
     )
-    third = run_proto_check(
+    third = check_proto(
         [tmp_path], root=tmp_path, baseline=baseline_path, spec=SPEC
     )
     assert third.ok
@@ -207,7 +215,7 @@ def test_baseline_round_trip_and_staleness(tmp_path):
 
 def test_baseline_object_accepted(tmp_path):
     _write(tmp_path, BAD_SRC)
-    report = run_proto_check(
+    report = check_proto(
         [tmp_path], root=tmp_path, baseline=Baseline([]), spec=SPEC
     )
     assert not report.ok
@@ -215,13 +223,13 @@ def test_baseline_object_accepted(tmp_path):
 
 def test_parse_error_becomes_finding(tmp_path):
     _write(tmp_path, "def broken(:\n", name="broken.py")
-    report = run_proto_check([tmp_path], root=tmp_path, baseline=None, spec=SPEC)
+    report = check_proto([tmp_path], root=tmp_path, baseline=None, spec=SPEC)
     assert any(f.rule == "parse-error" for f in report.findings)
 
 
 def test_missing_path_raises_lint_error(tmp_path):
     with pytest.raises(LintError, match="no such path"):
-        run_proto_check(
+        check_proto(
             [tmp_path / "absent"], root=tmp_path, baseline=None, spec=SPEC
         )
 
@@ -229,35 +237,35 @@ def test_missing_path_raises_lint_error(tmp_path):
 def test_missing_default_spec_raises_lint_error(tmp_path):
     _write(tmp_path, BAD_SRC)
     with pytest.raises(LintError, match="no protocol spec at"):
-        run_proto_check([tmp_path], root=tmp_path, baseline=None)
+        check_proto([tmp_path], root=tmp_path, baseline=None)
 
 
 def test_resolve_rules_by_id_code_and_rejection():
-    assert resolve_proto_rules(None) == ALL_PROTO_RULES
-    (p2,) = resolve_proto_rules("P2")
+    assert [r.code for r in ALL_PROTO_RULES] == ["P1", "P2", "P3", "P4", "P5", "P6"]
+    (p2,) = resolve_rules("P2")
     assert p2.id == "protocol-phase-violation"
-    pair = resolve_proto_rules("protocol-unhandled-message,P6")
+    pair = resolve_rules("protocol-unhandled-message,P6")
     assert tuple(r.code for r in pair) == ("P1", "P6")
-    with pytest.raises(LintError, match="unknown proto rule"):
-        resolve_proto_rules("P9")
+    with pytest.raises(LintError, match="unknown rule"):
+        resolve_rules("P9")
 
 
 def test_rule_table_lists_every_rule():
-    table = proto_rule_table()
+    table = rule_table(ALL_PROTO_RULES)
     for rule in ALL_PROTO_RULES:
         assert rule.code in table and rule.id in table
 
 
 def test_report_dict_and_text_expose_protocol_counts(tmp_path):
     _write(tmp_path, BAD_SRC)
-    report = run_proto_check([tmp_path], root=tmp_path, baseline=None, spec=SPEC)
+    report = check_proto([tmp_path], root=tmp_path, baseline=None, spec=SPEC)
     payload = report.to_dict()
-    assert payload["spec"] == {
+    assert payload["facts"]["spec"] == {
         "relpath": "protocol-spec.json",
         "messages": 1,
         "payloads": 0,
     }
-    assert payload["protocol"]["messages"] == 1
+    assert payload["facts"]["protocol"]["messages"] == 1
     assert payload["counts"]["active"] == 1
     text = report.format_text()
     assert "1 message type(s)" in text
@@ -266,32 +274,26 @@ def test_report_dict_and_text_expose_protocol_counts(tmp_path):
 
 def test_findings_serialize_to_valid_sarif(tmp_path):
     _write(tmp_path, BAD_SRC)
-    report = run_proto_check([tmp_path], root=tmp_path, baseline=None, spec=SPEC)
-    meta = {
-        r.id: {"description": r.description, "help": r.fix_hint, "level": r.severity}
-        for r in ALL_PROTO_RULES
-    }
-    doc = sarif_report(
-        report.findings, tool_name="repro-proto", rule_meta=meta, root=tmp_path
-    )
-    validate_sarif(doc)
+    report = check_proto([tmp_path], root=tmp_path, baseline=None, spec=SPEC)
+    doc = report.to_sarif()
+    assert validate_sarif(doc) == []
     (run,) = doc["runs"]
-    assert run["tool"]["driver"]["name"] == "repro-proto"
+    assert run["tool"]["driver"]["name"] == "repro-check"
+    assert [r["id"] for r in run["tool"]["driver"]["rules"]] == [r.id for r in PROTO]
     assert run["results"][0]["ruleId"] == "protocol-unhandled-message"
 
 
-def test_cli_proto_check_list_rules_and_json(tmp_path, capsys):
+def test_cli_proto_check_list_rules_and_json(cli_root, capsys):
     from repro.cli import main
 
-    assert main(["proto-check", "--list-rules"]) == 0
+    assert main(["check", "--list-rules", "--rules", "P"]) == 0
     out = capsys.readouterr().out
     assert "protocol-phase-violation" in out
 
-    _write(tmp_path, BAD_SRC)
-    spec = _spec_file(tmp_path)
+    _write(cli_root, BAD_SRC)
     code = main(
-        ["proto-check", "--paths", str(tmp_path / "w.py"), "--no-baseline",
-         "--spec", str(spec), "--format", "json"]
+        [*PROTO_ARGS, "--paths", str(cli_root / "w.py"), "--no-baseline",
+         "--format", "json"]
     )
     assert code == 1
     payload = json.loads(capsys.readouterr().out)
@@ -299,37 +301,33 @@ def test_cli_proto_check_list_rules_and_json(tmp_path, capsys):
     assert payload["findings"][0]["rule"] == "protocol-unhandled-message"
 
 
-def test_cli_bad_spec_is_a_usage_error(tmp_path, capsys):
+def test_cli_bad_spec_is_a_usage_error(cli_root, capsys):
     from repro.cli import main
 
-    _write(tmp_path, BAD_SRC)
-    code = main(
-        ["proto-check", "--paths", str(tmp_path / "w.py"), "--no-baseline",
-         "--spec", str(tmp_path / "absent.json")]
-    )
+    _write(cli_root, BAD_SRC)
+    (cli_root / "protocol-spec.json").unlink()
+    code = main([*PROTO_ARGS, "--paths", str(cli_root / "w.py"), "--no-baseline"])
     assert code == 2
     assert "no protocol spec at" in capsys.readouterr().out
 
 
-def test_cli_update_baseline_then_clean(tmp_path, capsys):
+def test_cli_update_baseline_then_clean(cli_root, capsys):
     from repro.cli import main
 
-    _write(tmp_path, BAD_SRC)
-    spec = _spec_file(tmp_path)
-    baseline = tmp_path / "proto-baseline.json"
+    _write(cli_root, BAD_SRC)
+    baseline = cli_root / "proto-baseline.json"
     assert (
         main(
-            ["proto-check", "--paths", str(tmp_path / "w.py"),
-             "--spec", str(spec), "--baseline", str(baseline),
-             "--update-baseline"]
+            [*PROTO_ARGS, "--paths", str(cli_root / "w.py"),
+             "--baseline", str(baseline), "--update-baseline"]
         )
         == 0
     )
     capsys.readouterr()
     assert (
         main(
-            ["proto-check", "--paths", str(tmp_path / "w.py"),
-             "--spec", str(spec), "--baseline", str(baseline)]
+            [*PROTO_ARGS, "--paths", str(cli_root / "w.py"),
+             "--baseline", str(baseline)]
         )
         == 0
     )

@@ -2,8 +2,9 @@
 
 import textwrap
 
-from repro.analysis.flow import ProjectIndex
-from repro.analysis.proto import ProtocolModel, ProtocolSpec
+from repro.analysis.flow.callgraph import ProjectIndex
+from repro.analysis.proto.extract import ProtocolModel
+from repro.analysis.proto.spec import ProtocolSpec
 from repro.analysis.source_cache import SourceCache, collect_py_files
 
 BASE_SPEC = {

@@ -12,16 +12,18 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.proto import ALL_PROTO_RULES, run_proto_check
+from repro.analysis.check import resolve_rules, run_check
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures" / "proto"
-RULE_IDS = [rule.id for rule in ALL_PROTO_RULES]
+PROTO = resolve_rules("P,W2")
+RULE_IDS = [rule.id for rule in resolve_rules("P")]
 
 
 def _run(rule_id, name):
-    return run_proto_check(
+    return run_check(
         [FIXTURES / rule_id / name],
         root=FIXTURES,
+        rules=PROTO,
         baseline=None,
         spec=FIXTURES / rule_id / "spec.json",
     )
@@ -40,7 +42,7 @@ def test_every_rule_has_a_fixture_pair():
 
 @pytest.mark.parametrize("rule_id", RULE_IDS)
 def test_fixture_spec_is_valid(rule_id):
-    from repro.analysis.proto import ProtocolSpec
+    from repro.analysis.proto.spec import ProtocolSpec
 
     raw = json.loads((FIXTURES / rule_id / "spec.json").read_text())
     spec = ProtocolSpec.from_dict(raw)

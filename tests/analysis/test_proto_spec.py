@@ -4,8 +4,8 @@ import json
 
 import pytest
 
-from repro.analysis.lint import LintError
-from repro.analysis.proto import (
+from repro.analysis.lint.engine import LintError
+from repro.analysis.proto.spec import (
     PHASES,
     ProtocolSpec,
     contract_markdown,

@@ -1,12 +1,10 @@
-"""SARIF 2.1.0 emission: shared by lint and flow, structurally validated."""
+"""SARIF 2.1.0 emission: one emitter for every rule family, structurally validated."""
 
 import json
 from pathlib import Path
 
-from repro.analysis.flow import run_flow
-from repro.analysis.lint import run_lint
+from repro.analysis.check import ALL_RULES, resolve_rules, run_check
 from repro.analysis.lint.findings import Finding
-from repro.analysis.lint.registry import ALL_RULES
 from repro.analysis.sarif import (
     SARIF_SCHEMA_URI,
     SARIF_VERSION,
@@ -20,8 +18,11 @@ FLOW_FIXTURES = Path(__file__).resolve().parent / "fixtures" / "flow"
 
 
 def test_lint_findings_render_as_valid_sarif():
-    report = run_lint(
-        [LINT_FIXTURES / "wallclock" / "bad.py"], root=LINT_FIXTURES, baseline=None
+    report = run_check(
+        [LINT_FIXTURES / "wallclock" / "bad.py"],
+        root=LINT_FIXTURES,
+        rules=resolve_rules("D,L,X,W"),
+        baseline=None,
     )
     assert report.findings
     meta = {r.id: {"description": r.description, "help": r.fix_hint} for r in ALL_RULES}
@@ -41,8 +42,11 @@ def test_lint_findings_render_as_valid_sarif():
 
 
 def test_flow_findings_render_as_valid_sarif():
-    report = run_flow(
-        [FLOW_FIXTURES / "flow-lateness" / "bad.py"], root=FLOW_FIXTURES, baseline=None
+    report = run_check(
+        [FLOW_FIXTURES / "flow-lateness" / "bad.py"],
+        root=FLOW_FIXTURES,
+        rules=resolve_rules("F"),
+        baseline=None,
     )
     assert report.findings
     doc = sarif_report(report.findings, tool_name="repro-flow", root=FLOW_FIXTURES)
@@ -97,20 +101,22 @@ def test_validator_rejects_broken_documents():
 
 
 def test_cli_sarif_output_validates_for_both_tools(capsys):
-    assert main(["lint", "--format=sarif"]) == 0
+    assert main(["check", "--rules", "D,L,X,W", "--format=sarif"]) == 0
     lint_doc = json.loads(capsys.readouterr().out)
     assert validate_sarif(lint_doc) == []
-    assert len(lint_doc["runs"][0]["tool"]["driver"]["rules"]) == len(ALL_RULES)
+    assert len(lint_doc["runs"][0]["tool"]["driver"]["rules"]) == 11
 
-    assert main(["flow", "--format=sarif"]) == 0
+    assert main(["check", "--rules", "F", "--format=sarif"]) == 0
     flow_doc = json.loads(capsys.readouterr().out)
     assert validate_sarif(flow_doc) == []
-    assert flow_doc["runs"][0]["tool"]["driver"]["name"] == "repro-flow"
+    assert flow_doc["runs"][0]["tool"]["driver"]["name"] == "repro-check"
+    assert len(flow_doc["runs"][0]["tool"]["driver"]["rules"]) == 2
 
 
 def test_cli_sarif_output_carries_findings_on_failure(tmp_path, capsys):
     bad = FLOW_FIXTURES / "flow-determinism" / "bad.py"
-    assert main(["flow", "--paths", str(bad), "--no-baseline", "--format=sarif"]) == 1
+    args = ["check", "--rules", "F", "--paths", str(bad), "--no-baseline", "--format=sarif"]
+    assert main(args) == 1
     doc = json.loads(capsys.readouterr().out)
     assert validate_sarif(doc) == []
     assert [r["ruleId"] for r in doc["runs"][0]["results"]] == ["flow-determinism"]

@@ -4,7 +4,7 @@ import textwrap
 
 from repro.analysis.flow.callgraph import ProjectIndex
 from repro.analysis.lint.engine import SourceModule
-from repro.analysis.shard import MASTER, SHARED, WORKER, infer_roles
+from repro.analysis.shard.roles import MASTER, SHARED, WORKER, infer_roles
 
 
 def _index(tmp_path, source, name="m.py"):

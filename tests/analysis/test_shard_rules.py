@@ -11,10 +11,15 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.shard import ALL_SHARD_RULES, run_shard_check
+from repro.analysis.check import resolve_rules, run_check
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures" / "shard"
-RULE_IDS = [rule.id for rule in ALL_SHARD_RULES]
+SHARD = resolve_rules("S,W2")
+RULE_IDS = [rule.id for rule in resolve_rules("S")]
+
+
+def check_shard(paths, **kwargs):
+    return run_check(paths, rules=SHARD, **kwargs)
 
 
 def test_every_rule_has_a_fixture_pair():
@@ -29,7 +34,7 @@ def test_every_rule_has_a_fixture_pair():
 
 @pytest.mark.parametrize("rule_id", RULE_IDS)
 def test_ok_fixture_is_clean(rule_id):
-    report = run_shard_check(
+    report = check_shard(
         [FIXTURES / rule_id / "ok.py"], root=FIXTURES, baseline=None
     )
     assert report.ok, [f.format() for f in report.findings]
@@ -37,7 +42,7 @@ def test_ok_fixture_is_clean(rule_id):
 
 @pytest.mark.parametrize("rule_id", RULE_IDS)
 def test_bad_fixture_triggers_its_rule(rule_id):
-    report = run_shard_check(
+    report = check_shard(
         [FIXTURES / rule_id / "bad.py"], root=FIXTURES, baseline=None
     )
     hits = [f for f in report.findings if f.rule == rule_id]
@@ -47,7 +52,7 @@ def test_bad_fixture_triggers_its_rule(rule_id):
 
 
 def test_band_ownership_bad_names_both_defect_shapes():
-    report = run_shard_check(
+    report = check_shard(
         [FIXTURES / "shard-band-ownership" / "bad.py"],
         root=FIXTURES,
         baseline=None,
@@ -59,7 +64,7 @@ def test_band_ownership_bad_names_both_defect_shapes():
 
 
 def test_boundary_types_bad_catches_lambda_and_buffer_view():
-    report = run_shard_check(
+    report = check_shard(
         [FIXTURES / "shard-boundary-types" / "bad.py"],
         root=FIXTURES,
         baseline=None,
@@ -70,7 +75,7 @@ def test_boundary_types_bad_catches_lambda_and_buffer_view():
 
 
 def test_segment_lifecycle_bad_flags_local_and_class_leak():
-    report = run_shard_check(
+    report = check_shard(
         [FIXTURES / "shard-segment-lifecycle" / "bad.py"],
         root=FIXTURES,
         baseline=None,
@@ -81,7 +86,7 @@ def test_segment_lifecycle_bad_flags_local_and_class_leak():
 
 
 def test_fork_hygiene_bad_flags_global_rng_and_write():
-    report = run_shard_check(
+    report = check_shard(
         [FIXTURES / "shard-fork-hygiene" / "bad.py"],
         root=FIXTURES,
         baseline=None,

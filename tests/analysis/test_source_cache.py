@@ -1,12 +1,13 @@
-"""The shared parse cache: one parse per file across lint + flow."""
+"""The shared parse cache: one parse per file, across rule families and runs."""
 
 import pytest
 
-from repro.analysis.flow import run_flow
-from repro.analysis.lint import run_lint
+from repro.analysis.check import resolve_rules, run_check
 from repro.analysis.source_cache import SourceCache, collect_py_files
 
 ARM = "# repro: module(repro.sim.cached)\n"
+LINT = resolve_rules("D,L,X,W")
+FLOW = resolve_rules("F")
 
 
 def _populate(tmp_path, n=3):
@@ -18,8 +19,8 @@ def _populate(tmp_path, n=3):
 def test_lint_and_flow_share_one_parse_per_file(tmp_path):
     _populate(tmp_path)
     cache = SourceCache(tmp_path)
-    lint = run_lint([tmp_path], root=tmp_path, baseline=None, cache=cache)
-    flow = run_flow([tmp_path], root=tmp_path, baseline=None, cache=cache)
+    lint = run_check([tmp_path], root=tmp_path, rules=LINT, baseline=None, cache=cache)
+    flow = run_check([tmp_path], root=tmp_path, rules=FLOW, baseline=None, cache=cache)
     assert lint.files == flow.files == 3
     assert cache.parses == 3
 
@@ -27,8 +28,8 @@ def test_lint_and_flow_share_one_parse_per_file(tmp_path):
 def test_unshared_runs_parse_twice(tmp_path):
     _populate(tmp_path)
     c1, c2 = SourceCache(tmp_path), SourceCache(tmp_path)
-    run_lint([tmp_path], root=tmp_path, baseline=None, cache=c1)
-    run_flow([tmp_path], root=tmp_path, baseline=None, cache=c2)
+    run_check([tmp_path], root=tmp_path, rules=LINT, baseline=None, cache=c1)
+    run_check([tmp_path], root=tmp_path, rules=FLOW, baseline=None, cache=c2)
     assert c1.parses == 3 and c2.parses == 3
 
 
@@ -42,7 +43,7 @@ def test_x1_sibling_lookups_reuse_the_main_loop_parses(tmp_path):
         'from pkg.one import alpha\n\n__all__ = ["alpha"]\n'
     )
     cache = SourceCache(tmp_path)
-    report = run_lint([pkg], root=tmp_path, baseline=None, cache=cache)
+    report = run_check([pkg], root=tmp_path, rules=LINT, baseline=None, cache=cache)
     assert report.ok, [f.format() for f in report.findings]
     assert cache.parses == 2
 

@@ -1,6 +1,6 @@
 """Runtime shard sanitizer: codec and band-ownership asserts.
 
-The static analyzer (``repro shard-check``) proves structural properties;
+The static analyzer (``repro check --rules S``) proves structural properties;
 these asserts cover the runtime residue — *which ids* a worker touches and
 *which values* actually cross the pipe.  Armed via ``REPRO_SHARD_SANITIZE=1``
 (or a monkeypatched ``shard._SANITIZE``, which forked workers inherit — the
