@@ -25,14 +25,21 @@ message copies per round beside the time: that mix roughly doubles the
 traffic (delayed and duplicated copies are forwarded again — 33 k → 64 k
 copies/round at n=24), so a faulted round is to be compared with a clean
 one *per message*, not per round.
+
+``test_monitored_round_cost`` times it with the two readers of the graph
+trace attached — a :class:`HealthMonitor` and a ``DegreeTargetAdversary`` —
+and records ``BENCH_scaling_health.json``: what every monitored, chaos,
+scenario and topology-reading-adversary run pays on top of a plain round.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.adversary.swarm_wipe import DegreeTargetAdversary
 from repro.config import ProtocolParams
 from repro.core.runner import MaintenanceSimulation
+from repro.faults.health import HealthMonitor
 from repro.faults.plan import FaultPlan, MessageFaults, NodeStall
 from repro.util.benchrec import peak_rss_kb
 
@@ -123,3 +130,37 @@ def test_faulted_round_cost(benchmark, quick, record_bench):
             msgs_per_round=sum(r.metrics.total_sent for r in timed) // len(timed),
         )
         assert timed[-1].metrics.faults is not None  # the plan is firing
+
+
+def test_monitored_round_cost(benchmark, quick, record_bench):
+    """Seconds per steady-state round with both readers of ``E_t`` attached:
+    a :class:`HealthMonitor` (connectivity audit over two rounds of edges)
+    and a topology-reading adversary (``degree_table`` every round)."""
+    n = 128 if quick else 256
+    params = ProtocolParams(n=n, c=1.2, r=2, delta=3, tau=8, seed=1)
+    adversary = DegreeTargetAdversary(params, seed=2, top=6, topology_lateness=2)
+    monitor = HealthMonitor(params)
+    with MaintenanceSimulation(
+        params, adversary, strict_budget=False, health=monitor
+    ) as sim:
+        # Steady state, and past the adversary's quiet bootstrap phase so
+        # every timed round pays for both readers.
+        sim.run(max(2 * (params.lam + 3), adversary.active_from))
+        first = sim.round
+
+        def two_rounds():
+            sim.run(2)
+            return sim.round
+
+        benchmark.pedantic(two_rounds, rounds=2 if quick else 3, iterations=1)
+        timed = sim.engine.reports[first:]
+        record_bench(
+            benchmark,
+            "scaling_health",
+            n=n,
+            rounds=2,
+            workers=1,
+            msgs_per_round=sum(r.metrics.total_sent for r in timed) // len(timed),
+        )
+        assert monitor.rounds_observed == sim.round  # the audit ran every round
+        assert any(r.decision.leaves for r in timed)  # the adversary is reading

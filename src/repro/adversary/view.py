@@ -23,6 +23,7 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - avoids a sim <-> adversary import cycle
     from repro.sim.identity import Lifecycle
+    from repro.sim.network import EdgeLog
     from repro.sim.trace import GraphTrace
 
 __all__ = ["LatenessViolation", "AdversaryView"]
@@ -96,7 +97,7 @@ class AdversaryView:
                 f"round {s} not visible at round {self.round}"
             )
 
-    def edges_at(self, s: int) -> list[tuple[int, int]]:
+    def edges_at(self, s: int) -> EdgeLog | list[tuple[int, int]]:
         """``E_s`` if visible and still in the trace buffer, else empty."""
         self._check_topology(s)
         return self._trace.edges_at(s) or []
@@ -113,8 +114,5 @@ class AdversaryView:
     def degree_table(self, s: int) -> dict[int, int]:
         """Per-node message-degree in round ``s`` (if visible)."""
         self._check_topology(s)
-        degrees: dict[int, int] = {}
-        for src, dst in self._trace.edges_at(s) or []:
-            degrees[src] = degrees.get(src, 0) + 1
-            degrees[dst] = degrees.get(dst, 0) + 1
-        return degrees
+        edges = self._trace.edges_at(s)
+        return edges.degrees() if edges is not None else {}

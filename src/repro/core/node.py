@@ -180,44 +180,6 @@ def _odd_hop_cols(delivery: HopDelivery):
     return final, point, steps, fincls, srank, tgt
 
 
-def _intern_out_rows(
-    ctx: NodeContext,
-    msgs: list,
-    rows_to_intern: list[int],
-    steps_out: list[int],
-) -> np.ndarray:
-    """Assign outgoing plane rows to every forwardable hop, once per round.
-
-    The plane numbers rows by first-append order, and nothing observable
-    depends on the numbering — rows are opaque labels into the ``msgs`` /
-    ``steps`` columns, receiver arrival order comes from the send sequence,
-    and dedup is by row *value*.  Interning all of a round's forward keys
-    eagerly (in row order) therefore changes no behaviour, but lets every
-    node's forwarding pass look its outgoing rows up with one gather and
-    file them as an ``int32`` array, with no dict probe per action.  Rows
-    that end up with zero copies (e.g. every holder's window was empty)
-    simply never reach a receiver.
-    """
-    reg, pmsgs, psteps = ctx.hop_registry()
-    reg_get = reg.get
-    out = np.full(len(msgs), -1, dtype=np.int32)
-    for row in rows_to_intern:
-        m = msgs[row]
-        k = steps_out[row]
-        # repro: allow(id-ordering): identity interning only — rows are
-        # numbered by first-append order; the id value never orders anything
-        # (mirrors HopPlane.send semantics).
-        key = (id(m) << 7) | k
-        rw = reg_get(key)
-        if rw is None:
-            rw = len(pmsgs)
-            reg[key] = rw
-            pmsgs.append(m)
-            psteps.append(k)
-        out[row] = rw
-    return out
-
-
 def _ids32(index: PositionIndex) -> np.ndarray:
     """``index.ids`` as ``int32`` (the dtype of every filed receiver column),
     converted once per index."""
@@ -696,8 +658,8 @@ class MaintenanceNode(NodeProtocol):
             out_row = cache.get("out_even")
             if out_row is None:
                 fwd = np.flatnonzero(kind >= 2).tolist()
-                out_row = cache["out_even"] = _intern_out_rows(
-                    ctx, delivery.msgs, fwd, next_ks
+                out_row = cache["out_even"] = ctx.intern_hops(
+                    delivery.msgs, fwd, next_ks
                 )
             index = self._d_members()
             ids32 = _ids32(index)
@@ -935,8 +897,8 @@ class MaintenanceNode(NodeProtocol):
         fin_pos = np.flatnonzero(fl)
         out_row = cache.get("out_odd")
         if out_row is None:
-            out_row = cache["out_odd"] = _intern_out_rows(
-                ctx, delivery.msgs, np.flatnonzero(~final).tolist(), steps
+            out_row = cache["out_odd"] = ctx.intern_hops(
+                delivery.msgs, np.flatnonzero(~final).tolist(), steps
             )
         ids32 = _ids32(hop_index)
         n = ids32.size

@@ -74,7 +74,6 @@ class MaintenanceSimulation:
         adversary: Adversary | None = None,
         *,
         strict_budget: bool = True,
-        trace_depth: int = 8,
         distributed_bootstrap: bool = False,
         node_cls: type[MaintenanceNode] = MaintenanceNode,
         faults: FaultPlan | None = None,
@@ -90,7 +89,6 @@ class MaintenanceSimulation:
             lambda v, services: node_cls(v, services),
             adversary=adversary,
             strict_budget=strict_budget,
-            trace_depth=trace_depth,
             faults=faults,
             health=health,
             profiler=profiler,

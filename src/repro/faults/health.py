@@ -230,16 +230,12 @@ class HealthMonitor:
         if len(mature) < 2:
             return []
         knows: dict[int, set[int]] = {v: set() for v in mature}
-        any_edges = False
         for rnd in (t - 1, t):
             edges = engine.trace.edges_at(rnd)
-            if not edges:
-                continue
-            for src, dst in edges:
-                if src in mature and dst in mature:
-                    knows[src].add(dst)
-                    any_edges = True
-        if not any_edges:
+            if edges is not None:
+                for v, w in edges.pairs_among(mature):
+                    knows[v].add(w)
+        if not any(knows.values()):
             # A fully silent window is no evidence of a partition (e.g. the
             # very first round, before any protocol message exists).
             return []

@@ -25,7 +25,7 @@ Hot path: one 24-byte digest yields the drop/delay/duplicate coins of one
 everything else (position cuts, latency bands, duplicate expansion, rate-cap
 running counts) as array operations — and rounds where no message rule is
 active skip the PRF entirely (``message_faults_active`` lets the network
-keep multicasts un-exploded on such rounds).
+queue such a round whole, without a fates call).
 """
 
 from __future__ import annotations

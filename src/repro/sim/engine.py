@@ -158,15 +158,17 @@ class NodeContext:
         """
         self._network.send_hops_batch(self.node_id, items)
 
-    def hop_registry(self):
-        """The plane's row-interning state (see :meth:`HopPlane.columns`),
-        for the once-per-round loop that interns every forward key."""
-        return self._network.plane.columns()
+    def intern_hops(
+        self, msgs: list[object], rows: list[int], steps: list[int]
+    ) -> np.ndarray:
+        """Plane rows for a whole round's forward keys, interned once (see
+        :meth:`HopPlane.intern_rows`)."""
+        return self._network.plane.intern_rows(msgs, rows, steps)
 
     def file_hops(self, rows: np.ndarray, lens: np.ndarray, flat: np.ndarray) -> None:
         """File this node's forwarded hops as one chunk of ``int32`` arrays.
 
-        ``rows[i]`` (interned through :meth:`hop_registry`) is multicast to
+        ``rows[i]`` (interned through :meth:`intern_hops`) is multicast to
         the next ``lens[i]`` receivers of ``flat`` — see
         :meth:`HopPlane.file`.
         """
@@ -221,7 +223,6 @@ class Engine:
         protocol_factory: ProtocolFactory,
         adversary: Adversary | None = None,
         *,
-        trace_depth: int = 16,
         strict_budget: bool = True,
         join_min_age: int = 2,
         faults: FaultPlan | None = None,
@@ -263,7 +264,7 @@ class Engine:
         #: Optional per-phase wall-time profiler; ``None`` (the default)
         #: skips every timing statement in :meth:`run_round`.
         self.profiler = profiler
-        self.trace = GraphTrace(edge_depth=trace_depth)
+        self.trace = GraphTrace()
         self.metrics = MetricsCollector()
         self.ledger = ChurnLedger(params, join_min_age=join_min_age)
         self.round = 0

@@ -16,10 +16,10 @@ counts, and the bulk bytes cross the boundary exactly once, unserialized:
   (leaves, joins-with-slots, stalls, forwarded calls) ride in one small
   pickled frame per band.
 * **Uplink** (workers -> master): each worker owns one fixed region of a
-  second slab and writes its send log as an integer metadata stream plus
-  framed message objects, its per-node marks, and its local hop-plane
-  columns.  The master splices by reading views — no unpickling of bulk
-  columns.
+  second slab and writes its send log as columns — the object lane as two
+  flat ``int64`` arrays (receiver, message frame offset) beside the framed
+  message objects, its per-node marks, and its local hop-plane columns.
+  The master splices by reading views — no unpickling of bulk columns.
 
 **Identity is part of the contract.**  Plane row interning — and with it
 receiver-side hop dedup — keys on *message object identity* (see
@@ -69,12 +69,6 @@ DOWN_MIN_BYTES = 1 << 20
 #: Initial per-worker uplink region size; regrown on worker overflow.
 UP_BAND_MIN_BYTES = 1 << 19
 
-# Send-log item tags in the uplink metadata stream (mirror _SendLog's
-# "s"/"b"/"m" string tags as small ints).
-_TAG_SINGLE = 0
-_TAG_SINGLES_BATCH = 1
-_TAG_MANY = 2
-
 
 @dataclass
 class ExchangeStats:
@@ -92,6 +86,11 @@ class ExchangeStats:
     regrows_down: int = 0
     regrows_up: int = 0
     fallback_rounds: int = 0
+
+
+def _frame_refs(enc: FrameEncoder, msgs: list[object]) -> np.ndarray:
+    """One frame offset per message (``int64``); repeats share a frame."""
+    return np.fromiter((enc.encode(m) for m in msgs), dtype=np.int64, count=len(msgs))
 
 
 # ----------------------------------------------------------------------
@@ -113,10 +112,7 @@ def encode_downlink_shared(
     steps = np.ascontiguousarray(hop_delivery.steps, dtype=np.int32)
     steps_off = arena.put_array(steps)
     msgs = hop_delivery.msgs
-    refs = np.fromiter(
-        (enc.encode(m) for m in msgs), dtype=np.int64, count=len(msgs)
-    )
-    refs_off = arena.put_array(refs)
+    refs_off = arena.put_array(_frame_refs(enc, msgs))
     return (steps_off, refs_off, len(msgs))
 
 
@@ -233,53 +229,39 @@ def decode_downlink_band(
 
 
 def encode_uplink(
-    arena: ByteArena, enc: FrameEncoder, items: list, marks: list, plane_pack
+    arena: ByteArena,
+    enc: FrameEncoder,
+    dsts: list[int],
+    msgs: list[object],
+    marks: list,
+    plane_pack,
 ) -> tuple:
     """Encode one worker's round output into its uplink region.
 
-    ``items``/``marks`` are the :class:`~repro.sim.shard._SendLog` streams;
-    ``plane_pack`` is its :meth:`~repro.sim.hopplane.HopPlane.pack` — the
-    ``msgs`` list plus ``int32`` ``(steps, rows, lens, flat)`` arrays, which
-    are written to the region as they are.
+    ``dsts``/``msgs``/``marks`` are the :class:`~repro.sim.shard._SendLog`
+    columns: the object lane travels as two flat ``int64`` arrays — the
+    receiver of every send and the frame offset of its message (a message
+    sent many times is framed once) — and the marks as ``(node, sends_hi,
+    plane_hi)`` triples.  ``plane_pack`` is the log's
+    :meth:`~repro.sim.hopplane.HopPlane.pack` — the ``msgs`` list plus
+    ``int32`` ``(steps, rows, lens, flat)`` arrays, which are written to the
+    region as they are.
     Raises :class:`~repro.util.arena.ArenaFull` when the region is too small
     — the caller then falls back to the pipe for this round and requests a
     regrow.
     """
-    marks_arr = np.array(marks, dtype=np.int64).reshape(-1)
-    marks_off = arena.put_array(marks_arr)
-    meta: list[int] = []
-    for item in items:
-        tag = item[0]
-        if tag == "s":
-            meta.append(_TAG_SINGLE)
-            meta.append(item[1])
-            meta.append(enc.encode(item[2]))
-        elif tag == "b":
-            pairs = item[1]
-            meta.append(_TAG_SINGLES_BATCH)
-            meta.append(len(pairs))
-            for dst, msg in pairs:
-                meta.append(dst)
-                meta.append(enc.encode(msg))
-        else:  # "m"
-            dsts = item[1]
-            meta.append(_TAG_MANY)
-            meta.append(len(dsts))
-            meta.append(enc.encode(item[2]))
-            meta.extend(dsts)
-    meta_off = arena.put_array(np.array(meta, dtype=np.int64))
-    msgs, steps, rows, lens, flat = plane_pack
-    refs = np.fromiter(
-        (enc.encode(m) for m in msgs), dtype=np.int64, count=len(msgs)
-    )
-    refs_off = arena.put_array(refs)
+    marks_off = arena.put_array(np.array(marks, dtype=np.int64).reshape(-1))
+    dsts_off = arena.put_array(np.array(dsts, dtype=np.int64))
+    sent_off = arena.put_array(_frame_refs(enc, msgs))
+    hop_msgs, steps, rows, lens, flat = plane_pack
+    refs_off = arena.put_array(_frame_refs(enc, hop_msgs))
     steps_off = arena.put_array(steps)
     rows_off = arena.put_array(rows)
     lens_off = arena.put_array(lens)
     flat_off = arena.put_array(flat)
     plane_desc = (
         refs_off,
-        len(msgs),
+        len(hop_msgs),
         steps_off,
         rows_off,
         lens_off,
@@ -290,55 +272,37 @@ def encode_uplink(
     return (
         marks_off,
         len(marks),
-        meta_off,
-        len(meta),
+        dsts_off,
+        sent_off,
+        len(dsts),
         plane_desc,
         arena.used,
     )
 
 
 def decode_uplink(buf: memoryview, dec: FrameDecoder, desc: tuple) -> tuple:
-    """Rebuild ``(items, marks, plane_pack)`` from one worker's descriptor.
+    """Rebuild ``(dsts, msgs, marks, plane_pack)`` from one worker's descriptor.
 
-    ``items`` and ``marks`` come back as the plain lists the worker logged;
-    the plane columns come back as the ``int32`` arrays
+    The object-lane columns and marks come back as the plain lists the
+    worker logged; the plane columns come back as the ``int32`` arrays
     :meth:`~repro.sim.hopplane.HopPlane.pack` produced, which the master's
     splice slices per node.
     """
-    marks_off, n_marks, meta_off, meta_len, plane_desc, _used = desc
-    marks_flat = read_array(buf, marks_off, np.dtype(np.int64), 3 * n_marks)
+    marks_off, n_marks, dsts_off, sent_off, n_sends, plane_desc, _used = desc
+    i64 = np.dtype(np.int64)
+    marks_flat = read_array(buf, marks_off, i64, 3 * n_marks)
     marks = [tuple(row) for row in marks_flat.reshape(-1, 3).tolist()]
-    meta = read_array(buf, meta_off, np.dtype(np.int64), meta_len).tolist()
-    items: list[tuple] = []
-    i = 0
-    while i < meta_len:
-        tag = meta[i]
-        if tag == _TAG_SINGLE:
-            items.append(("s", meta[i + 1], dec.decode(meta[i + 2])))
-            i += 3
-        elif tag == _TAG_SINGLES_BATCH:
-            count = meta[i + 1]
-            i += 2
-            pairs = []
-            for _ in range(count):
-                pairs.append((meta[i], dec.decode(meta[i + 1])))
-                i += 2
-            items.append(("b", pairs))
-        else:  # _TAG_MANY
-            count, ref = meta[i + 1 : i + 3]
-            dsts = tuple(meta[i + 3 : i + 3 + count])
-            items.append(("m", dsts, dec.decode(ref)))
-            i += 3 + count
-    refs_off, n_msgs, steps_off, rows_off, lens_off, n_sends, flat_off, n_flat = (
+    dsts = read_array(buf, dsts_off, i64, n_sends).tolist()
+    msgs = [dec.decode(ref) for ref in read_array(buf, sent_off, i64, n_sends).tolist()]
+    refs_off, n_msgs, steps_off, rows_off, lens_off, n_rows, flat_off, n_flat = (
         plane_desc
     )
-    refs = read_array(buf, refs_off, np.dtype(np.int64), n_msgs).tolist()
-    msgs = [dec.decode(ref) for ref in refs]
+    hop_msgs = [dec.decode(ref) for ref in read_array(buf, refs_off, i64, n_msgs).tolist()]
     i32 = np.dtype(np.int32)
     # Copies, not views: the master files these into its plane, which must
     # not hold exports of a slab the next regrow unlinks.
     steps = read_array(buf, steps_off, i32, n_msgs).copy()
-    rows = read_array(buf, rows_off, i32, n_sends).copy()
-    lens = read_array(buf, lens_off, i32, n_sends).copy()
+    rows = read_array(buf, rows_off, i32, n_rows).copy()
+    lens = read_array(buf, lens_off, i32, n_rows).copy()
     flat = read_array(buf, flat_off, i32, n_flat).copy()
-    return items, marks, (msgs, steps, rows, lens, flat)
+    return dsts, msgs, marks, (hop_msgs, steps, rows, lens, flat)

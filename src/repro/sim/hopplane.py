@@ -111,8 +111,8 @@ class FrozenHopRound:
     """The immutable hop traffic of one closed send phase.
 
     Every send column is one ``int32`` array — the live plane's chunks,
-    concatenated at close time — shared with the trace's
-    :class:`~repro.sim.network.EdgeLog` while the round is pending.
+    concatenated at close time; :meth:`edge_columns` is what the round's
+    :class:`~repro.sim.network.EdgeLog` copies its hop edges from.
 
     ``srcs`` / ``send_rows`` / ``lens`` hold one entry per multicast and
     ``flat`` one per receiver copy.  A *segment* (:meth:`cut`, :meth:`merged`)
@@ -189,11 +189,6 @@ class FrozenHopRound:
     def edge_columns(self) -> tuple[np.ndarray, np.ndarray]:
         """The round's hop edges as ``(srcs, dsts)`` per-copy id arrays."""
         return np.repeat(self.srcs, self.lens), self.flat
-
-    def iter_edges(self):
-        """Yield ``(src, dst)`` per copy, in send order (EdgeLog expansion)."""
-        srcs, dsts = self.edge_columns()
-        return zip(srcs.tolist(), dsts.tolist())
 
     def deliver(self, alive) -> HopDelivery:
         """Group the copies by surviving receiver (stable radix sorts).
@@ -286,6 +281,25 @@ class HopPlane:
             self._steps.append(step)
         return row
 
+    def intern_rows(
+        self, msgs: list[object], rows: list[int], steps: list[int]
+    ) -> np.ndarray:
+        """Intern ``(msgs[row], steps[row])`` for every ``row`` of ``rows``.
+
+        Returns an ``int32`` array as long as ``msgs`` holding the assigned
+        row id at each listed position and ``-1`` elsewhere — the gather
+        table of a whole round's forward keys, built once per round, so
+        every node's forwarding pass looks its outgoing rows up with one
+        gather.  Interning eagerly changes nothing observable: rows are
+        opaque labels into the ``msgs`` / ``steps`` columns, arrival order
+        comes from the send sequence, and a row no copy ends up using never
+        reaches a receiver.
+        """
+        out = np.full(len(msgs), -1, dtype=np.int32)
+        intern = self.intern
+        out[rows] = [intern(msgs[row], steps[row]) for row in rows]
+        return out
+
     def file(
         self, src: int, rows: np.ndarray, lens: np.ndarray, flat: np.ndarray
     ) -> int:
@@ -332,17 +346,6 @@ class HopPlane:
             np.array(lens, dtype=np.int32),
             np.array(flat, dtype=np.int32),
         )
-
-    def columns(self) -> tuple[dict[int, int], list[object], list[int]]:
-        """The row-interning state ``(reg, msgs, steps)`` for fused loops.
-
-        The protocol layer interns a whole round's forward keys in one loop
-        (once per round, network-wide) and does so *inline* instead of
-        paying an :meth:`intern` call per row; it must reproduce the same
-        semantics: key ``id(msg) << 7 | step``, rows numbered by first
-        append.
-        """
-        return (self._reg, self._msgs, self._steps)
 
     def _send_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The chunks filed so far as whole ``(rows, lens, flat)`` columns."""

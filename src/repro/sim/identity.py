@@ -39,6 +39,11 @@ class Lifecycle:
 
     records: dict[int, NodeRecord] = field(default_factory=dict)
     _alive: set[int] = field(default_factory=set)
+    # The frozen copy handed out by ``alive``; dropped on every change so
+    # churn-free rounds share one object.
+    _frozen: frozenset[int] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def add(self, node_id: int, joined_round: int) -> NodeRecord:
         if node_id in self.records:
@@ -46,6 +51,7 @@ class Lifecycle:
         rec = NodeRecord(node_id, joined_round)
         self.records[node_id] = rec
         self._alive.add(node_id)
+        self._frozen = None
         return rec
 
     def remove(self, node_id: int, left_round: int) -> None:
@@ -54,11 +60,14 @@ class Lifecycle:
             raise KeyError(f"node {node_id} is not alive")
         rec.left_round = left_round
         self._alive.discard(node_id)
+        self._frozen = None
 
     @property
     def alive(self) -> frozenset[int]:
-        """Ids of currently alive nodes."""
-        return frozenset(self._alive)
+        """Ids of currently alive nodes (one object until the next change)."""
+        if self._frozen is None:
+            self._frozen = frozenset(self._alive)
+        return self._frozen
 
     def __len__(self) -> int:
         return len(self._alive)

@@ -32,11 +32,11 @@ Determinism argument (pinned by the workers∈{1,2,4} identity suite):
 * **Ownership is static per node** — a node's protocol object and rng
   stream live in exactly one worker from spawn to death, so its state and
   randomness evolve exactly as in the single-process engine.
-* **Send order** — the master network's per-category send lists are rebuilt
-  by walking nodes in global sorted id order and replaying each node's
-  sends in issue order; that equals the single-process order, because the
-  single-process loop *is* "nodes in sorted id order, sends in issue
-  order".
+* **Send order** — the master network's two lanes (object columns, hop
+  plane) are rebuilt by walking nodes in global sorted id order and
+  replaying each node's sends in issue order; that equals the
+  single-process order, because the single-process loop *is* "nodes in
+  sorted id order, sends in issue order".
 * **Message identity** — receiver-side dedup is by ``(message identity,
   step)``.  Frame encoding across the process boundary memoises by object
   identity and decodes with a per-offset memo (:mod:`repro.util.arena`),
@@ -243,30 +243,32 @@ class ShardSlab:
 class _SendLog:
     """Network-API-compatible collector for one worker's compute phase.
 
-    Tagged items reproduce the issue order per node; per-node marks give
-    the master the item / plane-send boundaries it needs to splice the
-    global stream in sorted node-id order.  Hop sends go through a local
-    :class:`HopPlane`, so the forwarding passes intern rows and file their
-    array chunks exactly as they do against the master network.
+    Mirrors the master network's two lanes: object sends append to the
+    ``(dsts, msgs)`` columns in issue order (the sender is whoever the next
+    mark names), hop sends go through a local :class:`HopPlane`, so the
+    forwarding passes intern rows and file their array chunks exactly as
+    they do against the master network.  Per-node marks give the master the
+    column / plane-send boundaries it needs to splice the global stream in
+    sorted node-id order.
     """
 
     def __init__(self) -> None:
-        self.items: list[tuple] = []
-        self.marks: list[tuple[int, int, int]] = []  # (node, items_hi, plane_hi)
+        self.dsts: list[int] = []
+        self.msgs: list[object] = []
+        self.marks: list[tuple[int, int, int]] = []  # (node, sends_hi, plane_hi)
         self.plane = HopPlane()
 
     # Network API used by NodeContext --------------------------------
     def send(self, src: int, dst: int, msg: object) -> None:
-        self.items.append(("s", dst, msg))
+        self.dsts.append(int(dst))
+        self.msgs.append(msg)
 
     def send_singles_batch(self, src: int, items: list) -> None:
-        if items:
-            self.items.append(("b", items))
+        self.dsts.extend([dst for dst, _ in items])
+        self.msgs.extend([msg for _, msg in items])
 
     def send_many(self, src: int, dsts, msg: object) -> None:
-        dsts = tuple(dsts)
-        if dsts:
-            self.items.append(("m", dsts, msg))
+        self.send_singles_batch(src, [(int(dst), msg) for dst in dsts])
 
     def send_hops(self, src: int, msg: object, step: int, dsts) -> None:
         self.plane.send(src, msg, step, dsts)
@@ -278,7 +280,7 @@ class _SendLog:
         self.plane.file(src, rows, lens, flat)  # the master counts the copies
 
     def mark(self, node: int) -> None:
-        self.marks.append((node, len(self.items), self.plane.sends))
+        self.marks.append((node, len(self.dsts), self.plane.sends))
 
 
 # ----------------------------------------------------------------------
@@ -418,7 +420,7 @@ def _worker_main(
         plane_pack = log.plane.pack()
         try:
             desc = exchange.encode_uplink(
-                up_arena, up_enc, log.items, log.marks, plane_pack
+                up_arena, up_enc, log.dsts, log.msgs, log.marks, plane_pack
             )
             _worker_send(conn, ("sends", (desc, secs)))
         except ArenaFull as exc:
@@ -426,7 +428,10 @@ def _worker_main(
             # slab before the next control message.
             _worker_send(
                 conn,
-                ("sends_pipe", (log.items, log.marks, plane_pack, secs, exc.needed)),
+                (
+                    "sends_pipe",
+                    (log.dsts, log.msgs, log.marks, plane_pack, secs, exc.needed),
+                ),
             )
 
 
@@ -637,17 +642,14 @@ class ShardRunner:
             kind, payload = self._recv_obj(conn)
             if kind == "sends":
                 desc, secs = payload
-                items, marks, plane_pack = exchange.decode_uplink(
-                    self._up_shm.buf, up_dec, desc
-                )
+                sends = exchange.decode_uplink(self._up_shm.buf, up_dec, desc)
                 self.stats.bytes_shm += desc[-1]
-                results.append((items, marks, plane_pack, secs))
             else:
                 assert kind == "sends_pipe"
-                items, marks, plane_pack, secs, need = payload
+                *sends, secs, need = payload
                 self.stats.fallback_rounds += 1
                 need_up = max(need_up, need)
-                results.append((items, marks, plane_pack, secs))
+            results.append((*sends, secs))
         if need_up:
             self._up_grow_to = max(2 * self._up_band_bytes, 2 * need_up)
         self.stats.rounds += 1
@@ -655,7 +657,7 @@ class ShardRunner:
             self.stats.bytes_pipe - pipe0,
             self.stats.bytes_shm - shm0,
         )
-        self.last_shard_seconds = tuple(r[3] for r in results)
+        self.last_shard_seconds = tuple(r[-1] for r in results)
         self._splice(t, ordered, stalled, results)
         self._prune_canon(t)
         engine._gathered_round = -1  # master protocol snapshots are stale now
@@ -713,14 +715,14 @@ class ShardRunner:
         sorted node-id order (the reference engine's observable order)."""
         net = self.engine.network
         cursors = [0] * self.workers
-        item_lo = [0] * self.workers
+        send_lo = [0] * self.workers
         plane_lo = [0] * self.workers
         # Per worker: its plane rows canonicalised and interned into the
         # master plane once (worker row -> master row), and the flat offset
         # of every multicast.
         remaps: list[np.ndarray] = []
         flat_offs: list[np.ndarray] = []
-        for _items, _marks, (msgs, steps, _rows, lens, _flat), _secs in results:
+        for _, _, _, (msgs, steps, _rows, lens, _flat), _secs in results:
             remaps.append(
                 np.fromiter(
                     (
@@ -736,22 +738,19 @@ class ShardRunner:
             if v in stalled:
                 continue
             k = self.band(v)
-            items, marks, plane_pack, _secs = results[k]
-            node, items_hi, plane_hi = marks[cursors[k]]
+            dsts, msgs, marks, plane_pack, _secs = results[k]
+            node, sends_hi, plane_hi = marks[cursors[k]]
             assert node == v, f"shard stream misaligned: {node} != {v}"
             cursors[k] += 1
-            for item in items[item_lo[k]:items_hi]:
-                tag = item[0]
-                if tag == "s":
-                    net.send(v, item[1], self._canon_payload(item[2], t))
-                elif tag == "b":
-                    net.send_singles_batch(
-                        v,
-                        [(d, self._canon_payload(m, t)) for d, m in item[1]],
-                    )
-                else:  # "m"
-                    net.send_many(v, item[1], self._canon_payload(item[2], t))
-            item_lo[k] = items_hi
+            sent = slice(send_lo[k], sends_hi)
+            net.send_singles_batch(
+                v,
+                [
+                    (dst, self._canon_payload(msg, t))
+                    for dst, msg in zip(dsts[sent], msgs[sent])
+                ],
+            )
+            send_lo[k] = sends_hi
             lo = plane_lo[k]
             if plane_hi > lo:
                 _msgs, _steps, rows, lens, flat = plane_pack

@@ -2,12 +2,14 @@
 
 The trace stores, per round ``t``:
 
-* the directed edge list ``E_t`` (who messaged whom), kept in a bounded ring
-  buffer because only the most recent ``depth`` rounds are ever consulted
-  (the adversary needs ``G_{t-a}`` with small ``a``; audits need a couple of
+* the directed edge set ``E_t`` (who messaged whom) as an
+  :class:`~repro.sim.network.EdgeLog`, kept in a bounded ring buffer because
+  only the most recent ``edge_depth`` rounds are ever consulted (the
+  adversary needs ``G_{t-a}`` with small ``a``; audits need a couple of
   rounds of history);
-* the alive set ``V_t`` (small, kept for the whole run);
-* join/leave events.
+* the alive set ``V_t`` (kept for the whole run; churn-free rounds share one
+  frozenset);
+* join/leave events (kept for the whole run).
 
 Access control (who may see which round) is *not* enforced here — that is the
 job of :class:`repro.adversary.view.AdversaryView`, which wraps a trace and
@@ -17,18 +19,25 @@ clamps queries to the lateness bounds.
 from __future__ import annotations
 
 from collections import OrderedDict
+from typing import Iterable
+
+from repro.sim.network import EdgeLog
 
 __all__ = ["GraphTrace"]
 
 
 class GraphTrace:
-    """Bounded-memory recorder of the evolving communication graph."""
+    """Recorder of the evolving communication graph.
 
-    def __init__(self, edge_depth: int = 16) -> None:
+    What is bounded is ``E_t`` — by far the largest part — to the newest
+    ``edge_depth`` rounds; ``V_t``, joins and leaves grow with the run.
+    """
+
+    def __init__(self, edge_depth: int = 8) -> None:
         if edge_depth < 1:
             raise ValueError(f"edge_depth must be positive, got {edge_depth}")
         self.edge_depth = edge_depth
-        self._edges: OrderedDict[int, list[tuple[int, int]]] = OrderedDict()
+        self._edges: OrderedDict[int, EdgeLog] = OrderedDict()
         self._alive: dict[int, frozenset[int]] = {}
         self._joins: dict[int, tuple[int, ...]] = {}
         self._leaves: dict[int, tuple[int, ...]] = {}
@@ -42,7 +51,7 @@ class GraphTrace:
     def record(
         self,
         t: int,
-        edges: list[tuple[int, int]],
+        edges: EdgeLog | Iterable[tuple[int, int]],
         alive: frozenset[int],
         joins: tuple[int, ...] = (),
         leaves: tuple[int, ...] = (),
@@ -52,12 +61,8 @@ class GraphTrace:
             raise ValueError(
                 f"rounds must be recorded consecutively; got {t} after {self._last_round}"
             )
-        # An EdgeLog is compacted to id arrays on entry: the trace keeps
-        # ``edge_depth`` rounds alive, and holding the frozen send lists (or
-        # a list of pair tuples) that long dominates peak RSS at scale.
-        compact = getattr(edges, "compact", None)
-        if compact is not None:
-            compact()
+        if not isinstance(edges, EdgeLog):
+            edges = EdgeLog.from_pairs(edges)
         self._edges[t] = edges
         while len(self._edges) > self.edge_depth:
             self._edges.popitem(last=False)
@@ -70,7 +75,7 @@ class GraphTrace:
     # Queries
     # ------------------------------------------------------------------
 
-    def edges_at(self, t: int) -> list[tuple[int, int]] | None:
+    def edges_at(self, t: int) -> EdgeLog | None:
         """``E_t``, or ``None`` if that round was evicted or never recorded."""
         return self._edges.get(t)
 
@@ -94,19 +99,9 @@ class GraphTrace:
     def out_neighbors_at(self, t: int, v: int) -> set[int]:
         """Nodes ``v`` sent to in round ``t`` (empty if unknown/evicted)."""
         edges = self._edges.get(t)
-        if edges is None:
-            return set()
-        return {dst for src, dst in edges if src == v}
+        return edges.out_neighbors(v) if edges is not None else set()
 
     def contacts_of(self, t: int, v: int) -> set[int]:
         """All nodes that communicated with ``v`` in round ``t`` (either way)."""
         edges = self._edges.get(t)
-        if edges is None:
-            return set()
-        out: set[int] = set()
-        for src, dst in edges:
-            if src == v:
-                out.add(dst)
-            elif dst == v:
-                out.add(src)
-        return out
+        return edges.contacts_of(v) if edges is not None else set()

@@ -56,6 +56,31 @@ class TestLateness:
             view.degree_table(2)
 
 
+    def test_degree_table_on_a_live_round_keeps_the_per_copy_key_order(self):
+        """``DegreeTargetAdversary`` ranks with a stable sort, so the table's
+        key order — first appearance in the copy stream — is behaviour."""
+        from repro.config import ProtocolParams
+        from repro.core.runner import MaintenanceSimulation
+
+        params = ProtocolParams(
+            n=24, c=1.2, r=2, delta=3, tau=8, seed=5, alpha=0.25, kappa=1.25
+        )
+        with MaintenanceSimulation(params) as sim:
+            sim.run(2 * (params.lam + 3))
+            eng = sim.engine
+            view = AdversaryView(
+                eng.round, eng.trace, eng.lifecycle, topology_lateness=2, state_lateness=100
+            )
+            for s in (eng.round - 2, eng.round - 3):  # one round of each parity
+                expected: dict[int, int] = {}
+                for src, dst in view.edges_at(s):
+                    expected[src] = expected.get(src, 0) + 1
+                    expected[dst] = expected.get(dst, 0) + 1
+                assert len(expected) == params.n and sum(expected.values()) > 10_000
+                assert list(view.degree_table(s).items()) == list(expected.items())
+        assert view.degree_table(-1) == {}  # never recorded
+
+
 class TestPopulationKnowledge:
     def test_alive_and_ages(self, world):
         tr, lc = world

@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.connectivity import components
 from repro.config import ProtocolParams
-from repro.faults.health import HealthMonitor
+from repro.core.runner import MaintenanceSimulation
+from repro.faults.health import DegradationEvent, HealthMonitor
+from repro.scenarios.registry import get_scenario
+from repro.scenarios.spec import build_adversary, build_params, materialize_plan
 from repro.sim.engine import Engine, NodeContext, NodeProtocol
 
 
@@ -107,6 +111,87 @@ class TestConnectivityAudit:
     def test_every_skips_intermediate_rounds(self):
         monitor, _ = run_monitored(TwoIslandsProtocol, rounds=4, every=2)
         assert [e.round for e in monitor.events] == [0, 2]
+
+
+def reference_connectivity(engine: Engine, t: int) -> list[DegradationEvent]:
+    """The connectivity audit as a walk over every copy of two rounds — the
+    oracle the column queries of ``_audit_connectivity`` must reproduce."""
+    mature = {
+        v
+        for v in engine.alive
+        if t - engine.lifecycle.joined_round(v) >= HealthMonitor.MATURITY_AGE
+    }
+    if len(mature) < 2:
+        return []
+    knows: dict[int, set[int]] = {v: set() for v in mature}
+    any_edges = False
+    for rnd in (t - 1, t):
+        for src, dst in engine.trace.edges_at(rnd) or []:
+            if src in mature and dst in mature:
+                knows[src].add(dst)
+                any_edges = True
+    comps = components(knows)
+    if not any_edges or len(comps) <= 1:
+        return []
+    sizes = sorted((len(c) for c in comps), reverse=True)
+    return [
+        DegradationEvent(
+            round=t,
+            kind="disconnected",
+            severity="critical",
+            detail=(
+                f"communication graph split into {len(comps)} components "
+                f"(sizes {sizes[:5]}{'...' if len(sizes) > 5 else ''})"
+            ),
+        )
+    ]
+
+
+class TestConnectivityOracle:
+    @pytest.mark.parametrize(
+        ("protocol_cls", "degraded"),
+        [(TwoIslandsProtocol, True), (RingProtocol, False), (SilentProtocol, False)],
+    )
+    def test_toy_protocols_match_the_per_copy_reference(self, protocol_cls, degraded):
+        params = ProtocolParams(n=16, seed=1, alpha=0.25)
+        monitor = HealthMonitor(params)
+        eng = Engine(params, lambda v, s: protocol_cls(v, s))
+        eng.seed_nodes(range(16))
+        for t in range(3):
+            eng.run_round()
+            events = monitor._audit_connectivity(eng, t)
+            assert events == reference_connectivity(eng, t)
+            assert bool(events) == degraded
+
+    def test_scenario_with_churn_matches_the_per_copy_reference(self):
+        """A registry scenario: churn (immature nodes masked out, ids past the
+        seed population) under loss.  Its graph stays connected — a dropped
+        copy keeps its edge — so the masked pair set is compared as well."""
+        scenario = get_scenario("churn-loss")
+        params = build_params(scenario, 3)
+        monitor = HealthMonitor(params)
+        with MaintenanceSimulation(
+            params,
+            build_adversary(scenario, params, 3),
+            strict_budget=False,
+            faults=materialize_plan(scenario, params, 3),
+        ) as sim:
+            eng = sim.engine
+            masked = 0
+            for t in range(params.bootstrap_rounds + 16):
+                eng.run_round()
+                assert monitor._audit_connectivity(eng, t) == reference_connectivity(
+                    eng, t
+                )
+                mature = {
+                    v for v in eng.alive if t - eng.lifecycle.joined_round(v) >= 2
+                }
+                masked += len(eng.alive - mature)
+                edges = eng.trace.edges_at(t)
+                assert set(edges.pairs_among(mature)) == {
+                    (s, d) for s, d in edges if s in mature and d in mature
+                }
+            assert masked > 0  # some round audited around a newcomer
 
 
 class TestStructuralAudits:

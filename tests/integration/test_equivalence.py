@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.routing.messages import RoutedMessage
+
 from .simfp import SCENARIOS, run_scenario
 
 #: Captured from the seed implementation (before the epoch cache and hop
@@ -39,7 +41,7 @@ def test_optimized_matches_golden(scenario):
 )
 def test_fault_scenarios_ride_the_hop_plane(scenario, workers):
     """Pin the path, not just the digest: under a fault plan every hop copy
-    still travels (and is fated) as plane columns, never as a multicast
+    still travels (and is fated) as plane columns, never as a message
     object in the network's pending buckets."""
     sim = SCENARIOS[scenario][0](workers=workers)
     try:
@@ -50,7 +52,12 @@ def test_fault_scenarios_ride_the_hop_plane(scenario, workers):
             sim.engine.run_round()
             if network.hop_delivery is not None:
                 plane_copies += network.hop_delivery.total
-            assert not any(network._pending_multi.values())  # no hop is an object
+            assert not any(  # no hop is an object
+                isinstance(msg, RoutedMessage)
+                for segments in network._pending.values()
+                for _srcs, _dsts, msgs in segments
+                for msg in msgs
+            )
         assert plane_copies > 0
     finally:
         sim.close()

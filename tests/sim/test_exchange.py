@@ -134,39 +134,45 @@ class TestDownlinkBand:
 
 class TestUplink:
     def test_all_item_tags_roundtrip(self):
+        """The column log of a single, a batch and a multicast (every send
+        call files into the same ``(dsts, msgs)`` columns)."""
+        from repro.sim.shard import _SendLog
+
         buf, arena, enc, dec = _codec()
         m = _msg(2)
-        items = [
-            ("s", 4, m),
-            ("b", [(5, "grant"), (6, m)]),
-            ("m", (7, 8, 9), m),
-        ]
-        marks = [(4, 2, 1), (5, 0, 0)]
+        log = _SendLog()
+        log.send(4, np.int64(4), m)
+        log.send_singles_batch(4, [(5, "grant"), (6, m)])
+        log.mark(4)
+        log.send_many(5, (7, 8, 9), m)
+        log.send_singles_batch(5, [])
+        log.mark(5)
+        assert log.dsts == [4, 5, 6, 7, 8, 9]
+        assert all(type(d) is int for d in log.dsts)
+        assert log.marks == [(4, 3, 0), (5, 6, 0)]
+        marks = [(4, 3, 1), (5, 6, 2)]
         pack = _pack((4, m, 1, [4]), (4, _msg(3), 1, [5]), (5, m, 2, [6]))
         assert pack[0][0] is pack[0][2] is m
         assert _columns(pack) == [[1, 1, 2], [0, 1, 2], [1, 1, 1], [4, 5, 6]]
-        desc = exchange.encode_uplink(arena, enc, items, marks, pack)
-        out_items, out_marks, plane = exchange.decode_uplink(buf, dec, desc)
+        desc = exchange.encode_uplink(arena, enc, log.dsts, log.msgs, marks, pack)
+        out_dsts, out_msgs, out_marks, plane = exchange.decode_uplink(buf, dec, desc)
         assert out_marks == marks
-        assert [it[0] for it in out_items] == ["s", "b", "m"]
-        assert out_items[0][1] == 4
-        assert out_items[1][1][0] == (5, "grant")
-        assert out_items[2][1] == (7, 8, 9)
-        # every reference to the one message — in any item kind and on any
+        assert out_dsts == log.dsts and all(type(d) is int for d in out_dsts)
+        assert out_msgs[1] == "grant"
+        # every reference to the one message — from any send call and on any
         # plane row — decodes to the same object
-        m_s = out_items[0][2]
-        m_b = out_items[1][1][1][1]
-        m_m = out_items[2][2]
+        m_s, _, m_b, *m_m = out_msgs
         assert m_s.msg_id == m.msg_id
-        assert m_s is m_b is m_m is plane[0][0] is plane[0][2]
+        assert m_s is m_b is plane[0][0] is plane[0][2]
+        assert all(copy is m_s for copy in m_m) and len(m_m) == 3
         assert plane[0][1] is not m_s
 
     def test_plane_pack_roundtrip(self):
         buf, arena, enc, dec = _codec()
         m0, m1 = _msg(0), _msg(1)
         pack = _pack((3, m0, 1, [10, 11]), (3, m1, 2, [12]))
-        desc = exchange.encode_uplink(arena, enc, [], [], pack)
-        _items, _marks, out = exchange.decode_uplink(buf, dec, desc)
+        desc = exchange.encode_uplink(arena, enc, [], [], [], pack)
+        *_sends, out = exchange.decode_uplink(buf, dec, desc)
         assert [m.msg_id for m in out[0]] == [m0.msg_id, m1.msg_id]
         assert all(col.dtype == np.int32 for col in out[1:])
         assert _columns(out) == [[1, 2], [0, 1], [2, 1], [10, 11, 12]]
@@ -175,23 +181,21 @@ class TestUplink:
 
     def test_empty_round(self):
         buf, arena, enc, dec = _codec()
-        desc = exchange.encode_uplink(arena, enc, [], [], NO_HOPS)
-        items, marks, out = exchange.decode_uplink(buf, dec, desc)
-        assert (items, marks, out[0]) == ([], [], [])
+        desc = exchange.encode_uplink(arena, enc, [], [], [], NO_HOPS)
+        dsts, msgs, marks, out = exchange.decode_uplink(buf, dec, desc)
+        assert (dsts, msgs, marks, out[0]) == ([], [], [], [])
         assert _columns(out) == [[], [], [], []]
 
     def test_overflow_raises_arena_full(self):
         buf = memoryview(bytearray(256))
         arena = ByteArena(buf)
         enc = FrameEncoder(arena)
-        items = [("s", 1, _msg(i, payload="x" * 64)) for i in range(8)]
+        msgs = [_msg(i, payload="x" * 64) for i in range(8)]
         with pytest.raises(ArenaFull) as exc:
-            exchange.encode_uplink(arena, enc, items, [(1, 0, 0)], NO_HOPS)
+            exchange.encode_uplink(arena, enc, [1] * 8, msgs, [(1, 8, 0)], NO_HOPS)
         assert exc.value.needed > 256
 
     def test_used_bytes_in_descriptor(self):
         buf, arena, enc, dec = _codec()
-        desc = exchange.encode_uplink(
-            arena, enc, [("s", 1, "msg")], [(1, 1, 0)], NO_HOPS
-        )
+        desc = exchange.encode_uplink(arena, enc, [1], ["msg"], [(1, 1, 0)], NO_HOPS)
         assert desc[-1] == arena.used > 0

@@ -13,6 +13,13 @@ class Msg:
     """Stand-in routed message (identity is what the plane interns on)."""
 
 
+def _edges(frozen: FrozenHopRound) -> list[tuple[int, int]]:
+    """``edge_columns()`` — per-copy ``int32`` ``(srcs, dsts)`` — as pairs."""
+    srcs, dsts = frozen.edge_columns()
+    assert srcs.dtype == dsts.dtype == np.int32
+    return list(zip(srcs.tolist(), dsts.tolist()))
+
+
 def test_interns_one_row_per_logical_hop():
     plane = HopPlane()
     m = Msg()
@@ -22,7 +29,25 @@ def test_interns_one_row_per_logical_hop():
     frozen = plane.close_round()
     assert len(frozen.msgs) == 2
     assert frozen.copies() == 5
-    assert list(frozen.iter_edges()) == [(1, 2), (1, 3), (4, 3), (4, 5), (4, 2)]
+    assert _edges(frozen) == [(1, 2), (1, 3), (4, 3), (4, 5), (4, 2)]
+
+
+def test_intern_rows_is_intern_per_listed_row():
+    plane = HopPlane()
+    m1, m2 = Msg(), Msg()
+    plane.send(1, m2, 3, [9])  # (m2, 3) already holds row 0
+    msgs, steps = [m1, m2, m1, m2], [0, 3, 0, 5]
+    out = plane.intern_rows(msgs, [3, 0, 1, 2], steps)
+    assert out.dtype == np.int32
+    # Rows are numbered in the order listed; position 2 repeats position 0's
+    # key and shares its row; the key the earlier send interned is reused.
+    assert out.tolist() == [2, 0, 2, 1]
+    assert plane.intern(m2, 5) == 1 and plane.intern(m1, 0) == 2
+    partial = plane.intern_rows(msgs, [1], steps)
+    assert partial.tolist() == [-1, 0, -1, -1]  # unlisted positions stay -1
+    assert plane.intern_rows(msgs, [], steps).tolist() == [-1] * 4
+    frozen = plane.close_round()
+    assert list(zip(frozen.msgs, frozen.steps.tolist())) == [(m2, 3), (m2, 5), (m1, 0)]
 
 
 def test_send_batch_equals_individual_sends():
@@ -161,7 +186,7 @@ def test_interleaved_send_batch_and_file_keep_global_send_order():
     assert frozen.send_rows.tolist() == [r1, r2, r1, r3, r2, r3]
     assert frozen.lens.tolist() == [2, 1, 2, 1, 2, 1]
     assert frozen.flat.tolist() == [5, 6, 7, 8, 9, 4, 5, 4, 6]
-    assert list(frozen.iter_edges()) == [
+    assert _edges(frozen) == [
         (1, 5), (1, 6), (2, 7), (2, 8), (2, 9), (3, 4), (3, 5), (3, 4), (5, 6)
     ]
     # pack() is the same round without the source column, as int32 arrays.

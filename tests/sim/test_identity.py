@@ -34,6 +34,23 @@ class TestLifecycle:
         assert 1 not in lc
         assert len(lc) == 1
 
+    def test_alive_is_one_object_until_the_population_changes(self):
+        lc = Lifecycle()
+        lc.add(1, 0)
+        lc.add(2, 0)
+        first = lc.alive
+        assert first == frozenset({1, 2}) and lc.alive is first
+        lc.add(3, 1)
+        grown = lc.alive
+        assert grown == frozenset({1, 2, 3}) and grown is not first
+        assert first == frozenset({1, 2})  # an earlier read is a snapshot
+        lc.remove(1, 2)
+        assert lc.alive == frozenset({2, 3}) and lc.alive is not grown
+        assert lc.alive is lc.alive
+        with pytest.raises(KeyError):
+            lc.remove(1, 3)  # a rejected change leaves the population alone
+        assert lc.alive == frozenset({2, 3})
+
     def test_ids_immutable(self):
         lc = Lifecycle()
         lc.add(1, 0)

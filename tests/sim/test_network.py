@@ -99,6 +99,62 @@ class TestMulticast:
         assert inboxes == {3: [(1, "m")]}
 
 
+class TestObjectLaneOrder:
+    """One object lane: every send call appends to the same columns."""
+
+    @staticmethod
+    def interleave(net: Network, payload: object) -> list[tuple[int, int, object]]:
+        """Two senders alternate between the three send calls; returns the
+        ``(src, dst, msg)`` copies in the order they were issued."""
+        net.send(1, 9, "a")
+        net.send_many(2, [9, 8, 7], payload)
+        net.send_hops(2, Msg(), 0, [9, 5])
+        net.send_singles_batch(1, [(8, "b"), (9, "c")])
+        net.send(2, 9, "d")
+        net.send_many(1, np.array([9, 8]), "e")
+        net.send_hops(1, Msg(), 0, [6])
+        net.send_singles_batch(2, [(9, "f")])
+        return [
+            (1, 9, "a"),
+            (2, 9, payload), (2, 8, payload), (2, 7, payload),
+            (1, 8, "b"), (1, 9, "c"),
+            (2, 9, "d"),
+            (1, 9, "e"), (1, 8, "e"),
+            (2, 9, "f"),
+        ]  # fmt: skip
+
+    def test_inbox_and_edge_order_is_global_issue_order(self):
+        net = Network()
+        issued = self.interleave(net, {"k": 1})
+        edges, sent = net.close_send_phase()
+        # Object lane in issue order, then the hop copies in send order.
+        assert edges == [(s, d) for s, d, _ in issued] + [(2, 9), (2, 5), (1, 6)]
+        assert sent == {1: 6, 2: 7}
+        inboxes, received = net.deliver({5, 6, 7, 8, 9})
+        for dst in (7, 8, 9):
+            assert inboxes[dst] == [(s, m) for s, d, m in issued if d == dst]
+        assert received == {9: 7, 8: 3, 7: 1, 5: 1, 6: 1}  # hop copies counted too
+        assert not net.has_pending
+
+    def test_fated_copies_keep_issue_order_and_share_the_multicast_payload(self):
+        net = Network()
+        # The multicast is split over two latencies, one copy dropped; a
+        # single is late as well and must queue *behind* the multicast copy
+        # issued before it.
+        net.fault_hook = StubHook({(2, 8): (2,), (2, 7): (), (1, 8): (2, 2)})
+        payload = {"k": 1}
+        issued = self.interleave(net, payload)
+        net.close_send_phase()
+        first, _ = net.deliver({7, 8, 9})
+        assert first == {9: [(s, m) for s, d, m in issued if d == 9]}
+        second, _ = net.deliver({7, 8, 9})
+        assert second == {
+            8: [(2, payload), (1, "b"), (1, "b"), (1, "e"), (1, "e")]
+        }
+        assert second[8][0][1] is first[9][1][1] is payload
+        assert not net.has_pending
+
+
 class TestIdCoercion:
     def test_send_many_coerces_numpy_ids(self):
         """NumPy ids must not leak into trace edges (type-consistent with send)."""
