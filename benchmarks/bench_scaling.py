@@ -12,11 +12,11 @@ scale`` renders the recorded curve — including the per-n speedup of the
 sharded rows against the serial ones and the ``exch MB/round`` column —
 as a table.
 
-The n=512 serial point also asserts a peak-RSS ceiling: the epoch-slab
-copy-on-write splices and the columnar message/hop stores bound the
-resident set well below the ~1.1 GB the pre-columnar engine needed, and a
-leak that grows the peak past :data:`RSS_LIMIT_KB_N512` fails the bench
-rather than silently eating the host.
+The n=512 serial point also asserts a peak-RSS ceiling: nothing per-copy
+outlives its round (the trace keeps reduced edge logs, the CREATE plans live
+on a per-round scratch), so a leak that grows the peak past
+:data:`RSS_LIMIT_KB_N512` fails the bench rather than silently eating the
+host.
 
 ``test_faulted_round_cost`` times the same steady-state round under the
 golden fault mix (the plan of ``tests/integration/simfp._scenario_faults``)
@@ -47,13 +47,14 @@ SIZES = (48, 128, 256, 512, 1024)
 WORKER_COUNTS = (1, 2, 4)
 QUICK_POINTS = ((48, 1), (128, 1))
 
-#: Peak-RSS budget for the n=512 serial measurement, in KiB.  The committed
-#: history peaked around 1.1 GB before the columnar stores; the current
-#: engine peaks around 0.83 GB on the dev host (measured identically at the
-#: PR 7 tree — the earlier 768 MiB figure undershot the real steady-state
-#: peak), so 960 MiB catches a regression of the retained-generation kind
-#: while absorbing allocator jitter.
-RSS_LIMIT_KB_N512 = 960 * 1024
+#: Peak-RSS budget for the n=512 serial measurement, in KiB.  The run peaks
+#: around 0.4 GB on the dev host: the graph trace retains each round as
+#: distinct pairs with multiplicities and the CREATE plans die with their
+#: round, so nothing per-copy is live for longer than a round.  480 MiB
+#: catches a regression of the retained-generation kind (8 rounds of
+#: per-copy edge columns alone are +0.16 GB) while absorbing allocator
+#: jitter.
+RSS_LIMIT_KB_N512 = 480 * 1024
 
 
 @pytest.mark.parametrize("workers", WORKER_COUNTS)

@@ -575,10 +575,11 @@ class MaintenanceNode(NodeProtocol):
                 recs = list(by_key.values())
         # A record's receiver set is a pure function of the (interned) index
         # and the key — memoise the deduped, first-occurrence-ordered target
-        # ids on the index itself, unfiltered (my_id differs per node).
-        tcache: dict[tuple[int, int], np.ndarray] = index.scratch.setdefault(
-            "join_targets", {}
-        )  # type: ignore[assignment]
+        # ids for the round (join records are rebroadcast in the round they
+        # arrive and never again), unfiltered (my_id differs per node).
+        tcache: dict[tuple[int, int], np.ndarray] = self._epoch_cache.round_memo(
+            index, "join_targets"
+        )
         missing = [rec for rec in recs if (rec.node, rec.epoch) not in tcache]
         if missing:
             list_wins = self._windows(
@@ -978,15 +979,19 @@ class MaintenanceNode(NodeProtocol):
         The batch for a target is a pure function of the epoch-interned
         ``h_index`` (members, their hash-derived positions) and the global
         radii, so the whole plan — one batch per member — is built once per
-        index and kept on ``h_index.scratch``; nodes sharing the index send
-        the same batch objects.  Every node sends one batch per record it
+        index and round; nodes sharing the index send the same batch
+        objects.  The plan is sent in this round only and is large, so it
+        lives on the epoch cache's per-round scratch and dies with the round
+        (the batches themselves live on in their receivers' inboxes until
+        the cutover reads them).  Every node sends one batch per record it
         holds, in ``h_records`` arrival order.  A target alone in its arcs
         gets an empty batch, which introduces nobody (see :meth:`_cutover`).
         """
-        sc = h_index.scratch
-        batches: dict[int, CreateBatch] | None = sc.get("create_batches")  # type: ignore[assignment]
-        if batches is None:
-            batches = sc["create_batches"] = self._create_batches(h_index, e_next)
+        batches: dict[int, CreateBatch] = self._epoch_cache.round_memo(
+            h_index, "create_batches"
+        )
+        if not batches:
+            batches.update(self._create_batches(h_index, e_next))
         ctx.send_singles_batch([(v, batches[v]) for v in self.h_records])
 
     def _create_batches(

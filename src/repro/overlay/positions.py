@@ -111,10 +111,12 @@ class PositionIndex:
 
         Interned indexes are shared across every node with the same member
         set (see ``EpochCache.index_for``), so values derived purely from
-        the positions in this index — window member tuples, per-target
-        record batches — can be computed once and reused network-wide.
-        Callers must only store data that is a pure function of the index
-        contents (plus globally fixed parameters), never per-node state.
+        the positions in this index and worth keeping for its whole life
+        (the ``int32`` id column) can be computed once and reused
+        network-wide.  Callers must only store data that is a pure function
+        of the index contents (plus globally fixed parameters), never
+        per-node state; memos read in one round only belong on
+        ``EpochCache.round_memo`` instead, which the next round drops.
         """
         scratch = self._scratch
         if scratch is None:

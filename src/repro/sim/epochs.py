@@ -29,6 +29,15 @@ keeps:
 
 Tables more than one epoch behind the engine's clock are pruned each round;
 indexes already handed to nodes survive via the nodes' own references.
+
+Beside the per-epoch state there is one **per-round scratch**
+(:meth:`EpochCache.round_memo`): memo space for values derived from an
+interned index that are only ever read in the round that computes them —
+the CREATE plan of a handover index (odd rounds) and the join-rebroadcast
+target ids per index (even rounds).  Both are large (kept as long as their
+index, the plans alone are a quarter of the live heap) and dead one round
+later, so :meth:`EpochCache.begin_round` drops the scratch whole;
+what lives as long as an index stays on ``PositionIndex.scratch``.
 """
 
 from __future__ import annotations
@@ -52,6 +61,7 @@ class EpochCache:
         "_slab_sizes",
         "_interned",
         "_floor",
+        "_round",
     )
 
     def __init__(self, position_hash: PositionHash) -> None:
@@ -61,6 +71,7 @@ class EpochCache:
         self._slab_sizes: dict[int, int] = {}
         self._interned: dict[int, dict[frozenset[int], PositionIndex]] = {}
         self._floor = -(10**9)  # epochs below this are pruned
+        self._round: dict[tuple[PositionIndex, str], dict] = {}
 
     # ------------------------------------------------------------------
     # Memoised position hash
@@ -158,8 +169,21 @@ class EpochCache:
     # Lifecycle
     # ------------------------------------------------------------------
 
+    def round_memo(self, index: PositionIndex, purpose: str) -> dict:
+        """This round's memo dict for ``(index, purpose)``, empty on first use.
+
+        Shared by every node holding the same interned ``index`` within one
+        round and dropped by the next :meth:`begin_round`.  Callers must
+        only store values that are a pure function of the index contents
+        plus round-constant parameters, never per-node state.  The key is
+        the index object itself (interned indexes hash by identity), which
+        also keeps it alive for the round.
+        """
+        return self._round.setdefault((index, purpose), {})
+
     def begin_round(self, t: int) -> None:
-        """Advance the engine clock: prune state for epochs that ended.
+        """Advance the engine clock: drop the per-round scratch and prune
+        state for epochs that ended.
 
         Overlay ``D_e`` is current during rounds ``2e`` and ``2e + 1``; once
         the engine enters epoch ``e`` no node will ever build an index for an
@@ -167,6 +191,7 @@ class EpochCache:
         so everything older is dropped.  Indexes nodes still hold stay alive
         through their own references.
         """
+        self._round = {}
         floor = t // 2
         if floor <= self._floor:
             return

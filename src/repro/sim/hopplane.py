@@ -211,6 +211,7 @@ class FrozenHopRound:
             order = _stable_argsort(flat)  # stable: keep send order per dst
             dst_sorted = flat[order]
             row_sorted = self.copy_rows()[order]
+            del order  # the largest temporary; this method sets the peak RSS
             bounds = np.flatnonzero(
                 np.r_[True, dst_sorted[1:] != dst_sorted[:-1], True]
             )

@@ -27,8 +27,11 @@ lanes are counted alike, so edges, congestion and ``has_pending`` cover both.
 **One** ``E_t``.  ``close_send_phase`` freezes the round's edges once, as an
 :class:`EdgeLog`: the ``(src, dst)`` of every copy as two ``int32`` columns
 in send order — the object lane, then the hop copies.  That pair is what the
-fault hook draws fates over, what the graph trace retains and what every
-reader (adversary view, health monitor, fingerprints) queries.
+fault hook draws fates over.  The graph trace retains the same log
+*reduced* (:meth:`EdgeLog.reduced`: one row per distinct pair in
+first-occurrence order, with its copy count), and every reader (adversary
+view, health monitor, fingerprints) queries that; the per-copy columns die
+with the round.
 
 **Fault hook.**  An optional :attr:`Network.fault_hook` (duck-typed to
 :class:`repro.faults.injector.FaultInjector`) is consulted once per round at
@@ -82,33 +85,127 @@ class FaultHook(Protocol):  # pragma: no cover - typing aid only
     ) -> tuple[np.ndarray, np.ndarray]: ...
 
 
-class EdgeLog:
-    """The edge set ``E_t`` of one round: every ``(src, dst)`` copy, in send
-    order, as two frozen ``int32`` columns.
+#: Floor of the dense-table budget in :meth:`EdgeLog.reduced`: a round may
+#: always spend this many cells, however few copies it has.
+_TABLE_FLOOR = 1 << 16
+#: Copies keyed per pass over the table (1 MB of keys): the temporaries of a
+#: pass then come out of the allocator's warm pool instead of fresh pages.
+_CHUNK = 1 << 17
 
-    This class is the only place that knows the layout.  It reads like an
-    immutable list of plain-``int`` pairs (``len``, iteration, indexing,
-    ``in``, ``==`` against a list — each computed from the columns on demand
-    and never cached: the trace retains several rounds, and a list of pair
-    tuples per round would dominate peak RSS at scale), and answers the
-    readers' questions as array operations.  Node ids are non-negative.
+
+class EdgeLog:
+    """The edge set ``E_t`` of one round as frozen ``int32`` columns.
+
+    A log comes in one of two shapes of the same layout.  Fresh from
+    :meth:`Network.close_send_phase` it holds one ``(src, dst)`` row per
+    *copy*, in send order — what the fault hook draws fates over.
+    :meth:`reduced` is what the graph trace retains: one row per *distinct*
+    pair, in order of first occurrence, plus an ``int32`` multiplicity
+    column — a round has far more copies than edges (Lemma 24 puts
+    Θ(log³ n) copies on every node; 45 : 1 at n=128).
+
+    This class is the only place that knows the layout, and both shapes read
+    alike: an immutable list of plain-``int`` pairs that speaks in *copies*
+    (``len`` is the copy count and iteration yields a pair once per copy —
+    a reduced log groups the copies of a pair at its first occurrence;
+    indexing, ``in``, ``==`` against a list or another log; each computed
+    from the columns on demand and never cached: the trace retains several
+    rounds, and a list of pair tuples per round would dominate peak RSS at
+    scale), and the readers' questions are array operations over the rows.
+    Node ids are non-negative.
     """
 
-    __slots__ = ("_srcs", "_dsts")
+    __slots__ = ("_srcs", "_dsts", "_counts")
 
-    def __init__(self, srcs: np.ndarray, dsts: np.ndarray) -> None:
+    def __init__(
+        self, srcs: np.ndarray, dsts: np.ndarray, counts: np.ndarray | None = None
+    ) -> None:
         self._srcs = srcs
         self._dsts = dsts
+        self._counts = counts  # copies per row; ``None``: one copy each
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "EdgeLog":
-        """The log of a hand-written ``(src, dst)`` sequence."""
+        """The per-copy log of a hand-written ``(src, dst)`` sequence."""
         arr = np.array(list(pairs), dtype=np.int32).reshape(-1, 2)
         return cls(np.ascontiguousarray(arr[:, 0]), np.ascontiguousarray(arr[:, 1]))
 
     def columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(srcs, dsts)`` id arrays in send order."""
+        """The ``(srcs, dsts)`` rows as stored: one per copy in send order,
+        or one per distinct pair in first-occurrence order once reduced."""
         return self._srcs, self._dsts
+
+    @property
+    def counts(self) -> np.ndarray | None:
+        """Copies per row of a reduced log; ``None`` on a per-copy log."""
+        return self._counts
+
+    def reduced(self) -> "EdgeLog":
+        """This log as distinct pairs with multiplicities (``self`` if it
+        already is one).
+
+        O(copies), no sort over them: the pairs are counted in a dense
+        ``m × m`` table (``m`` = largest id + 1) with ``bincount``; the
+        columns are keyed back to front, so the plain scatter of positions
+        leaves each pair's *first* occurrence standing, and only the
+        occupied cells are sorted by it.  The table is used while it stays
+        within a small multiple of the copy count — read off the columns,
+        not a setting.  Ids far above the number of distinct ones (a long
+        churn run keeps minting) are ranked first; ids too sparse even for
+        the rank table fall back to ``np.unique`` over a 64-bit key, so the
+        transient memory is O(copies) for any non-negative ``int32`` ids.
+        """
+        if self._counts is not None:
+            return self
+        srcs, dsts = self._srcs, self._dsts
+        if not srcs.size:
+            return EdgeLog(srcs, dsts, np.empty(0, dtype=np.int32))
+        budget = max(4 * srcs.size, _TABLE_FLOOR)
+        m = int(max(srcs.max(), dsts.max())) + 1
+        ids = None
+        if m * m > budget and m <= budget:
+            present = np.zeros(m, dtype=bool)
+            present[srcs] = True
+            present[dsts] = True
+            ids = np.flatnonzero(present)
+            rank = np.empty(m, dtype=np.int32)
+            rank[ids] = np.arange(ids.size, dtype=np.int32)
+            srcs, dsts = rank.take(srcs), rank.take(dsts)
+            m = ids.size
+        if m * m <= budget:
+            table = np.zeros(m * m, dtype=np.intp)
+            first = np.empty(m * m, dtype=np.int32)
+            # Back to front in chunks at least as long as the table, so the
+            # key and position temporaries stay small and an earlier chunk
+            # overwrites a later one's positions.
+            step = max(m * m, _CHUNK)
+            for hi in range(srcs.size, 0, -step):
+                lo = max(hi - step, 0)
+                key = np.multiply(srcs[lo:hi][::-1], m, dtype=np.intp)
+                key += dsts[lo:hi][::-1]
+                table += np.bincount(key, minlength=table.size)
+                first[key] = np.arange(hi - 1, lo - 1, -1, dtype=np.int32)
+            cells = np.flatnonzero(table)
+            cells = cells[np.argsort(first[cells])]
+            counts = table[cells]
+            srcs, dsts = np.divmod(cells, m)
+        else:
+            key = (srcs.astype(np.int64) << 32) | dsts
+            key, first, counts = np.unique(key, return_index=True, return_counts=True)
+            order = np.argsort(first)
+            key, counts = key[order], counts[order]
+            srcs, dsts = key >> 32, key & 0xFFFFFFFF
+        if ids is not None:
+            srcs, dsts = ids[srcs], ids[dsts]
+        return EdgeLog(
+            srcs.astype(np.int32), dsts.astype(np.int32), counts.astype(np.int32)
+        )
+
+    def _copies(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-copy ``(srcs, dsts)``: the rows, each repeated by its count."""
+        if self._counts is None:
+            return self._srcs, self._dsts
+        return np.repeat(self._srcs, self._counts), np.repeat(self._dsts, self._counts)
 
     # Queries ----------------------------------------------------------
 
@@ -125,7 +222,9 @@ class EdgeLog:
 
         Keys come in order of first appearance in the interleaved
         ``src, dst, src, dst, ...`` stream — a stable sort over the table
-        breaks ties by it, so the order is behaviour.
+        breaks ties by it, so the order is behaviour.  (An id first appears
+        at the first occurrence of the first pair containing it, so the
+        order is the same over the rows of either shape.)
         """
         srcs, dsts = self._srcs, self._dsts
         if not srcs.size:
@@ -133,7 +232,12 @@ class EdgeLog:
         stream = np.empty(2 * srcs.size, dtype=np.int32)
         stream[0::2] = srcs
         stream[1::2] = dsts
-        counts = np.bincount(stream)
+        if self._counts is None:
+            counts = np.bincount(stream)
+        else:
+            # Float weights are exact far past any copy count (2**53).
+            weights = np.repeat(self._counts, 2)
+            counts = np.bincount(stream, weights=weights).astype(np.int64)
         # Scattering positions in reverse leaves each id's first one standing.
         first = np.empty(counts.size, dtype=np.int64)
         first[stream[::-1]] = np.arange(stream.size - 1, -1, -1)
@@ -149,13 +253,15 @@ class EdgeLog:
         keys = np.unique((srcs[keep].astype(np.int64) << 32) | dsts[keep])
         return list(zip((keys >> 32).tolist(), (keys & 0xFFFFFFFF).tolist()))
 
-    # Read-only sequence of plain-int pairs ----------------------------
+    # Read-only sequence of plain-int pairs, one per copy ---------------
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
-        return zip(self._srcs.tolist(), self._dsts.tolist())
+        srcs, dsts = self._copies()
+        return zip(srcs.tolist(), dsts.tolist())
 
     def __len__(self) -> int:
-        return int(self._srcs.size)
+        counts = self._counts
+        return int(self._srcs.size if counts is None else counts.sum())
 
     def __getitem__(self, i):
         return list(self)[i]
@@ -166,9 +272,8 @@ class EdgeLog:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, EdgeLog):
-            return np.array_equal(self._srcs, other._srcs) and np.array_equal(
-                self._dsts, other._dsts
-            )
+            (srcs, dsts), (o_srcs, o_dsts) = self._copies(), other._copies()
+            return np.array_equal(srcs, o_srcs) and np.array_equal(dsts, o_dsts)
         return list(self) == other
 
     def __repr__(self) -> str:

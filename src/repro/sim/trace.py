@@ -2,11 +2,14 @@
 
 The trace stores, per round ``t``:
 
-* the directed edge set ``E_t`` (who messaged whom) as an
-  :class:`~repro.sim.network.EdgeLog`, kept in a bounded ring buffer because
-  only the most recent ``edge_depth`` rounds are ever consulted (the
-  adversary needs ``G_{t-a}`` with small ``a``; audits need a couple of
-  rounds of history);
+* the directed edge set ``E_t`` (who messaged whom) as a *reduced*
+  :class:`~repro.sim.network.EdgeLog` — one row per distinct ``(src, dst)``
+  pair in first-occurrence order, with its copy count — kept in a bounded
+  ring buffer because only the most recent ``edge_depth`` rounds are ever
+  consulted (the adversary needs ``G_{t-a}`` with small ``a``; audits need a
+  couple of rounds of history).  A round has far more copies than edges
+  (45 : 1 at n=128), and every reader asks about edges or about counts per
+  edge, so the per-copy columns are not kept;
 * the alive set ``V_t`` (kept for the whole run; churn-free rounds share one
   frozenset);
 * join/leave events (kept for the whole run).
@@ -30,7 +33,11 @@ class GraphTrace:
     """Recorder of the evolving communication graph.
 
     What is bounded is ``E_t`` — by far the largest part — to the newest
-    ``edge_depth`` rounds; ``V_t``, joins and leaves grow with the run.
+    ``edge_depth`` rounds, each held as at most ``|V_t|²`` distinct pairs
+    with multiplicities (:meth:`EdgeLog.reduced`); ``V_t``, joins and leaves
+    grow with the run.  A retained log still speaks in copies: its ``len``
+    is the round's copy count and iterating it yields every pair once per
+    copy, grouped at the pair's first occurrence.
     """
 
     def __init__(self, edge_depth: int = 8) -> None:
@@ -56,14 +63,18 @@ class GraphTrace:
         joins: tuple[int, ...] = (),
         leaves: tuple[int, ...] = (),
     ) -> None:
-        """Record one completed round (rounds must be recorded in order)."""
+        """Record one completed round (rounds must be recorded in order).
+
+        ``edges`` is stored reduced; a per-copy log or a plain pair list is
+        reduced here, an already-reduced log is kept as it is.
+        """
         if self._last_round is not None and t != self._last_round + 1:
             raise ValueError(
                 f"rounds must be recorded consecutively; got {t} after {self._last_round}"
             )
         if not isinstance(edges, EdgeLog):
             edges = EdgeLog.from_pairs(edges)
-        self._edges[t] = edges
+        self._edges[t] = edges.reduced()
         while len(self._edges) > self.edge_depth:
             self._edges.popitem(last=False)
         self._alive[t] = alive

@@ -124,3 +124,25 @@ def test_drop_ids_forgets_and_rebuilds(phash):
     idx = cache.index_for(5, remaining, pos)
     assert_same_index(idx, PositionIndex({v: pos[v] for v in remaining}))
     assert 0 not in cache.table(5)
+
+
+def test_round_memo_is_shared_per_index_and_purpose_and_dropped_each_round(phash):
+    """The per-round scratch: one dict per (interned index, purpose), the
+    same object for every holder within a round, gone at ``begin_round`` —
+    whether or not that call also prunes an epoch."""
+    cache = EpochCache(phash)
+    members = frozenset(range(8))
+    pos = {v: phash.position(v, 3) for v in members}
+    idx = cache.index_for(3, members, pos)
+    other = cache.index_for(3, frozenset(range(4)), pos)
+    memo = cache.round_memo(idx, "plan")
+    assert memo == {} and cache.round_memo(idx, "plan") is memo
+    memo["x"] = 1
+    assert cache.round_memo(idx, "targets") is not memo
+    assert cache.round_memo(other, "plan") == {}
+    assert "plan" not in idx.scratch  # nothing leaks onto the index itself
+    cache.begin_round(6)  # same epoch as before: no pruning, scratch dropped
+    assert cache.round_memo(idx, "plan") == {}
+    cache.round_memo(idx, "plan")["y"] = 2
+    cache.begin_round(7)
+    assert cache.round_memo(idx, "plan") == {}
