@@ -7,12 +7,15 @@ share) and builds a :class:`ProtocolModel`:
 
 * the **message registry** — classes carrying a ``__protocol__`` marker,
   with their dataclass fields;
-* **node classes** — any class defining ``on_round`` — each with a
-  :class:`~repro.analysis.proto.phases.ClassPhases` phase analysis;
-* the **dispatch table** — the exact-type bucket dict inside
-  ``on_round`` (message class -> bucket variable) plus ``on_<msg>``
-  handler methods, and the **consumer sites** where buckets are handed
-  to handler methods;
+* **node classes** — any class defining ``on_round`` or another of the
+  round's entry points (:data:`~repro.analysis.proto.phases.ENTRY_METHODS`)
+  — each with a :class:`~repro.analysis.proto.phases.ClassPhases` phase
+  analysis;
+* the **dispatch table** — the exact-type bucket dict inside an entry
+  method (message class -> bucket variable) plus ``on_<msg>`` handler
+  methods, and the **consumer sites** where buckets are handed to handler
+  methods — in the method that fills them or, carried over on a step
+  record under the bucket's name, in a later stage;
 * **construction sites** of registry classes (the proxy for send sites:
   constructed messages flow through pending-launch dicts and batch
   APIs before any literal ``ctx.send``), each with its phase context;
@@ -34,7 +37,7 @@ from typing import Iterable, Sequence
 
 from repro.analysis.flow.callgraph import ProjectIndex
 from repro.analysis.lint.engine import SourceModule
-from repro.analysis.proto.phases import ClassPhases
+from repro.analysis.proto.phases import ENTRY_METHODS, ClassPhases
 from repro.analysis.proto.spec import ProtocolSpec
 
 __all__ = [
@@ -89,7 +92,7 @@ class MessageClass:
 
 @dataclass
 class NodeClass:
-    """A protocol node class (defines ``on_round``), with phase analysis."""
+    """A protocol node class (defines a round entry point), with phase analysis."""
 
     name: str
     module: SourceModule
@@ -99,7 +102,7 @@ class NodeClass:
 
 @dataclass
 class DispatchEntry:
-    """``{MessageClass: bucket_var}`` entry in the ``on_round`` dispatch."""
+    """``{MessageClass: bucket_var}`` entry in the round's dispatch dict."""
 
     message: str
     bucket: str
@@ -332,7 +335,7 @@ class ProtocolModel:
                 )
             if any(
                 isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and child.name == "on_round"
+                and child.name in ENTRY_METHODS
                 for child in node.body
             ):
                 self.node_classes.append(
@@ -359,7 +362,7 @@ class ProtocolModel:
         for cls_ast, func, qname in _functions_of(mod):
             node_cls = node_by_class.get(cls_ast.name) if cls_ast else None
             self._scan_function(mod, cls_ast, func, qname, node_cls)
-        # on_round dispatch/consumers need the whole-function view.
+        # Dispatch/consumers need the whole-function view.
         for nc in node_by_class.values():
             self._scan_dispatch(nc)
             self._scan_handlers(nc)
@@ -649,74 +652,86 @@ class ProtocolModel:
     # -- dispatch & consumers ------------------------------------------------
 
     def _scan_dispatch(self, nc: NodeClass) -> None:
-        on_round = nc.phases.methods.get("on_round")
-        if on_round is None:
-            return
+        entries = [
+            (name, nc.phases.methods[name])
+            for name in ENTRY_METHODS
+            if name in nc.phases.methods
+        ]
         mod = nc.module
         bucket_of: dict[str, str] = {}
-        for node in ast.walk(on_round):
-            if not isinstance(node, ast.Dict):
-                continue
-            entries: list[tuple[str, str, int]] = []
-            for key, value in zip(node.keys, node.values):
-                if key is None or not isinstance(value, ast.Name):
+        for _, func in entries:
+            for node in ast.walk(func):
+                if not isinstance(node, ast.Dict):
                     continue
-                name = _last_component(mod.resolve(key)) or (
-                    key.id if isinstance(key, ast.Name) else None
-                )
-                if name in self.registry:
-                    entries.append((name, value.id, key.lineno))
-            # Any dict inside on_round keyed by registry classes is the
-            # dispatch table (even a partial one — that IS the P1 case).
-            if entries:
-                for msg, bucket, lineno in entries:
-                    self.dispatch.append(
-                        DispatchEntry(
-                            message=msg,
-                            bucket=bucket,
-                            node_class=nc.name,
-                            module=mod,
-                            lineno=lineno,
-                        )
+                for key, value in zip(node.keys, node.values):
+                    if key is None or not isinstance(value, ast.Name):
+                        continue
+                    name = _last_component(mod.resolve(key)) or (
+                        key.id if isinstance(key, ast.Name) else None
                     )
-                    bucket_of[bucket] = msg
+                    # Any dict inside an entry method keyed by registry
+                    # classes is the dispatch table (even a partial one —
+                    # that IS the P1 case).
+                    if name in self.registry:
+                        self.dispatch.append(
+                            DispatchEntry(
+                                message=name,
+                                bucket=value.id,
+                                node_class=nc.name,
+                                module=mod,
+                                lineno=key.lineno,
+                            )
+                        )
+                        bucket_of[value.id] = name
         if not bucket_of:
             return
+
+        def carried(expr: ast.expr) -> str | None:
+            """The message type a name — or, across stages, a step-record
+            attribute named after a bucket — carries."""
+            if isinstance(expr, ast.Name):
+                return alias.get(expr.id)
+            if isinstance(expr, ast.Attribute):
+                return bucket_of.get(expr.attr)
+            return None
+
         # Loop aliases: `for m in bucket:` makes the target carry the type.
         alias: dict[str, str] = dict(bucket_of)
-        for node in ast.walk(on_round):
-            if (
-                isinstance(node, (ast.For, ast.AsyncFor))
-                and isinstance(node.target, ast.Name)
-                and isinstance(node.iter, ast.Name)
-                and node.iter.id in alias
-            ):
-                alias[node.target.id] = alias[node.iter.id]
-        for node in ast.walk(on_round):
-            if not (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and isinstance(node.func.value, ast.Name)
-                and node.func.value.id == "self"
-            ):
-                continue
-            for arg in node.args:
-                if isinstance(arg, ast.Name) and arg.id in alias:
-                    self.consumers.append(
-                        ConsumerSite(
-                            message=alias[arg.id],
-                            handler=f"{nc.name}.{node.func.attr}",
-                            module=mod,
-                            lineno=node.lineno,
-                            phases=nc.phases.context("on_round", node),
+        for _, func in entries:
+            for node in ast.walk(func):
+                if (
+                    isinstance(node, (ast.For, ast.AsyncFor))
+                    and isinstance(node.target, ast.Name)
+                    and carried(node.iter) is not None
+                ):
+                    alias[node.target.id] = carried(node.iter)  # type: ignore[assignment]
+        for method, func in entries:
+            for node in ast.walk(func):
+                if not (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id == "self"
+                ):
+                    continue
+                for arg in node.args:
+                    message = carried(arg)
+                    if message is not None:
+                        self.consumers.append(
+                            ConsumerSite(
+                                message=message,
+                                handler=f"{nc.name}.{node.func.attr}",
+                                module=mod,
+                                lineno=node.lineno,
+                                phases=nc.phases.context(method, node),
+                            )
                         )
-                    )
 
     def _scan_handlers(self, nc: NodeClass) -> None:
         """``on_<x>(self, ..., msg: MessageType)`` methods count as dispatch."""
         mod = nc.module
         for name, func in nc.phases.methods.items():
-            if not name.startswith("on_") or name == "on_round":
+            if not name.startswith("on_") or name in ENTRY_METHODS:
                 continue
             for arg in func.args.args + func.args.kwonlyargs:
                 if arg.annotation is None:

@@ -16,7 +16,8 @@ Two layers:
   set the context *absolutely* — a ``NEW -> FRESH`` promotion holds
   whatever the entry context was).
 * :class:`ClassPhases` — interprocedural: seeds the entry context of
-  externally-called methods (``on_round``, ``prime``, …) with all
+  externally-called methods (``on_round`` and the other
+  :data:`ENTRY_METHODS`, ``prime``, …) with all
   phases and propagates entry contexts through ``self.<method>()`` call
   sites to a fixpoint, so a send buried two helpers below an
   ESTABLISHED guard still inherits ``{established}``.
@@ -32,9 +33,22 @@ import ast
 
 from repro.analysis.proto.spec import PHASES
 
-__all__ = ["ALL_PHASES", "ClassPhases", "FunctionPhases", "phase_of_attr"]
+__all__ = [
+    "ALL_PHASES",
+    "ENTRY_METHODS",
+    "ClassPhases",
+    "FunctionPhases",
+    "phase_of_attr",
+]
 
 ALL_PHASES = frozenset(PHASES)
+
+#: How a round enters a node class: the engine calls ``on_round`` (one node)
+#: or the ``on_rounds`` batch entry, and a staged batch entry calls the
+#: ``_prepare`` / ``_act`` stage hooks on each node of the batch — through
+#: the node, not through ``self``.  All four run in whatever phase the node
+#: is in.
+ENTRY_METHODS = ("on_round", "on_rounds", "_prepare", "_act")
 _EMPTY: frozenset[str] = frozenset()
 
 
@@ -256,8 +270,8 @@ class ClassPhases:
             name: FunctionPhases(node) for name, node in self.methods.items()
         }
         # Fixpoint over entry contexts.  Methods never self-called inside
-        # the class are callable from anywhere -> all phases; `on_round`
-        # is the engine entry point regardless.
+        # the class are callable from anywhere -> all phases; the round's
+        # entry points are regardless.
         self_called = {
             callee
             for fp in self.local.values()
@@ -267,7 +281,7 @@ class ClassPhases:
         self.entries: dict[str, frozenset[str]] = {
             name: (
                 ALL_PHASES
-                if name not in self_called or name == "on_round"
+                if name not in self_called or name in ENTRY_METHODS
                 else _EMPTY
             )
             for name in self.methods

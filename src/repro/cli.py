@@ -277,6 +277,15 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     )
     print()
     print(profiler.table())
+    parts = profiler.compute_parts_totals()
+    if parts:
+        print()
+        print(f"{'compute':<10} {'total s':>10} {'ms/round':>10}")
+        for name, seconds in zip(("prepare", "plan", "act"), parts):
+            print(
+                f"{name:<10} {seconds:>10.3f} "
+                f"{seconds / max(1, profiler.rounds) * 1e3:>10.2f}"
+            )
     shard_rounds = [t for t in profiler.history if t.shards]
     if shard_rounds:
         per_shard = [0.0] * max(len(t.shards) for t in shard_rounds)

@@ -16,7 +16,10 @@ paper's model and algorithms:
 
 Derived quantities (``lam``, radii, maturity age ``lambda_prime``, churn
 window, adversary lateness) are exposed as properties so that every module
-computes them the same way.
+computes them the same way.  Those on the per-message hot path (``lam``, the
+radii, ``delta_eff`` / ``tau_eff`` / ``sampling_rank_range``) are
+``cached_property``: computed once per instance, outside the dataclass
+fields, so equality, hashing and ``replace()`` see the fields only.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Any
 
 from repro.util.bits import num_address_bits
@@ -90,22 +94,22 @@ class ProtocolParams:
     # Topology
     # ------------------------------------------------------------------
 
-    @property
+    @cached_property
     def lam(self) -> int:
         """Address width ``lam = ceil(log2(kappa * n))`` (the paper's lambda)."""
         return num_address_bits(self.n, self.kappa)
 
-    @property
+    @cached_property
     def swarm_radius(self) -> float:
         """Swarm ``S(p)`` radius ``c * lam / n``."""
         return self.c * self.lam / self.n
 
-    @property
+    @cached_property
     def list_radius(self) -> float:
         """List-edge radius ``2 * c * lam / n`` (Definition 5, E_L)."""
         return 2.0 * self.swarm_radius
 
-    @property
+    @cached_property
     def debruijn_radius(self) -> float:
         """Long-distance edge radius ``3/2 * c * lam / n`` (Definition 5, E_DB)."""
         return 1.5 * self.swarm_radius
@@ -119,12 +123,12 @@ class ProtocolParams:
     # Algorithms
     # ------------------------------------------------------------------
 
-    @property
+    @cached_property
     def delta_eff(self) -> int:
         """Fresh-node connection count delta (Theta(log n) default)."""
         return self.delta if self.delta is not None else max(3, self.lam)
 
-    @property
+    @cached_property
     def tau_eff(self) -> int:
         """Tokens per mature node per cycle (Theta(log n) default).
 
@@ -135,7 +139,7 @@ class ProtocolParams:
         """
         return self.tau if self.tau is not None else 4 * self.delta_eff
 
-    @property
+    @cached_property
     def sampling_rank_range(self) -> int:
         """Range of the rank offset Delta in A_SAMPLING.
 

@@ -98,7 +98,7 @@ class DHTNode(MaintenanceNode):
     # Protocol extension points
     # ------------------------------------------------------------------
 
-    def on_round(self, ctx: NodeContext) -> None:
+    def _prepare(self, ctx: NodeContext):
         # Split off DHT-specific direct messages before the base protocol
         # processes the rest.
         remainder = []
@@ -113,8 +113,10 @@ class DHTNode(MaintenanceNode):
             else:
                 remainder.append((src, msg))
         ctx.inbox = remainder
-        super().on_round(ctx)
+        return super()._prepare(ctx)
 
+    def _act(self, ctx: NodeContext, step) -> None:
+        super()._act(ctx, step)
         if ctx.round % 2 == 0:
             self._launch_ops(ctx)
             self._evict(ctx)

@@ -33,6 +33,14 @@ routed ``JOIN`` carrying the position for epoch ``s + lam + 2``:
   probes are recorded, tokens pass the A_SAMPLING rank test and are then
   kept or forwarded to a random slot-registered fresh node.
 
+**Stages.**  A round runs over all of the engine's nodes at once
+(:meth:`MaintenanceNode.on_rounds`; ``on_round`` is the batch of one):
+every node *prepares* (inbox, cutover or handover records — no sends), one
+array kernel *plans* the forwarding of every held hop
+(:mod:`repro.core.forwarding`), then every node *acts* in id order
+(deliveries and rng draws in row order, filing, joins, tokens,
+matchmaking).
+
 **Matchmaking and cutover.**  The handover records ``H`` a node stores at an
 odd round are interned as one position index per distinct member set.  The
 CREATE plan — one columnar :class:`CreateBatch` per member of ``H`` — is a
@@ -55,6 +63,7 @@ token machinery instead of silently falling out of the overlay.
 from __future__ import annotations
 
 import enum
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -68,10 +77,10 @@ from repro.core.messages import (
     TokenGrant,
     TokenMsg,
 )
+from repro.core.forwarding import HopPlan, NodePlan, ids32
 from repro.overlay.positions import PositionIndex
 from repro.routing.messages import RoutedMessage, make_routed_message
 from repro.sim.engine import EngineServices, JoinNotice, NodeContext, NodeProtocol
-from repro.sim.hopplane import HopDelivery
 from repro.util.intervals import wrap
 
 __all__ = ["Phase", "MaintenanceNode"]
@@ -93,101 +102,32 @@ _PHASE_CODES = {
 }
 
 
-# ----------------------------------------------------------------------
-# Shared per-round hop classification
-#
-# Each *logical* hop is one hop-plane row shared by every receiver, so its
-# classification — next step, final test, swarm lookup point, join-record
-# extraction — runs ONCE per round for the whole network (memoised on
-# ``HopDelivery.cache``), not once per copy per receiver.
-# ----------------------------------------------------------------------
+#: Hop rows one forwarding plan covers at most (see
+#: :meth:`MaintenanceNode.on_rounds`): caps the plan's transient columns — a
+#: few dozen bytes per row plus one ``int32`` per final-multicast copy —
+#: below what delivery's sort temporaries cost for the same round.  Large on
+#: purpose: a round of n=512 (0.97 M rows) is one band.  Measured peak RSS
+#: *rises* with smaller bands (n=512: 348 MiB as one band, 382 MiB in 2¹⁶-row
+#: bands; n=128: 98.5 vs 102.5 MB) — whole-round columns are mapped and
+#: returned to the OS, mid-sized ones fragment the heap.
+_BAND_PAIRS = 1 << 20
 
 
-def _final_class(m) -> tuple[int, int]:
-    """Delivery class of a final-step row: ``(class, sample_rank)``.
+class _Step:
+    """What a node's prepare stage hands to the plan and to its act stage."""
 
-    Class 0 — recorded on arrival (probes, unknown payloads): ``_deliver``
-    appends to ``delivered`` and never draws rng.  Class 1 — rank-tested
-    token: state changes (and rng draws) happen only at the node whose rank
-    in the target swarm equals ``sample_rank``.  Class 2 — complete no-op
-    (a token without a sample rank returns immediately).
-    """
-    payload = m.payload
-    if isinstance(payload, tuple) and payload[0] == "token":
-        if m.sample_rank is None:
-            return 2, -1
-        return 1, m.sample_rank
-    return 0, -1
+    __slots__ = ("notices", "h_index", "hop_index", "fin_index", "plan")
 
-
-def _even_hop_cols(delivery: HopDelivery):
-    """Row kinds for even rounds: 0 skip, 1 arrived join, 2 final, 3 mid.
-
-    Alongside the forwarding columns this precomputes, per final row, the
-    delivery class and sample rank (see :func:`_final_class`) so receivers
-    can decide *without calling* ``_deliver`` whether a row can touch their
-    state — the vast majority of final copies are rank-test misses.
-    """
-    msgs = delivery.msgs
-    steps = delivery.steps.tolist()
-    count = len(msgs)
-    kind = np.zeros(count, dtype=np.int8)
-    point = np.zeros(count, dtype=np.float64)
-    fincls = np.zeros(count, dtype=np.int8)
-    srank = np.full(count, -1, dtype=np.int64)
-    next_ks = [0] * count
-    recs: list[JoinRecord | None] = [None] * count
-    for i, m in enumerate(msgs):
-        k = steps[i]
-        fs = m.final_step
-        if k >= fs:
-            continue  # defensive: deliveries happen at odd rounds
-        nk = k + 1
-        next_ks[i] = nk
-        if nk == fs:
-            payload = m.payload
-            if isinstance(payload, tuple) and payload[0] == "join":
-                kind[i] = 1
-                recs[i] = payload[1]
-            else:
-                kind[i] = 2
-                point[i] = m.target
-                fincls[i], srank[i] = _final_class(m)
-        else:
-            kind[i] = 3
-            point[i] = m.trajectory[nk]
-    return kind, point, next_ks, recs, fincls, srank
-
-
-def _odd_hop_cols(delivery: HopDelivery):
-    """Per-row final flag, handover point, and delivery class for odd rounds."""
-    msgs = delivery.msgs
-    steps = delivery.steps.tolist()
-    count = len(msgs)
-    final = np.zeros(count, dtype=bool)
-    point = np.zeros(count, dtype=np.float64)
-    fincls = np.zeros(count, dtype=np.int8)
-    srank = np.full(count, -1, dtype=np.int64)
-    tgt = np.zeros(count, dtype=np.float64)
-    for i, m in enumerate(msgs):
-        k = steps[i]
-        if k >= m.final_step:
-            final[i] = True
-            tgt[i] = m.target
-            fincls[i], srank[i] = _final_class(m)
-        else:
-            point[i] = m.trajectory[k]
-    return final, point, steps, fincls, srank, tgt
-
-
-def _ids32(index: PositionIndex) -> np.ndarray:
-    """``index.ids`` as ``int32`` (the dtype of every filed receiver column),
-    converted once per index."""
-    sc = index.scratch
-    ids32 = sc.get("ids32")
-    if ids32 is None:
-        ids32 = sc["ids32"] = index.ids.astype(np.int32)
-    return ids32  # type: ignore[return-value]
+    def __init__(self, notices: list[JoinNotice]) -> None:
+        self.notices = notices
+        #: Interned handover index ``H`` (odd rounds, once joins arrive).
+        self.h_index: PositionIndex | None = None
+        #: The index this round's hops and launches are forwarded in.
+        self.hop_index: PositionIndex | None = None
+        #: The index finals are ranked in; set iff the node forwards hops.
+        self.fin_index: PositionIndex | None = None
+        #: The node's share of its band's forwarding plan (plan stage).
+        self.plan: NodePlan | None = None
 
 
 # How many rounds a token stays usable.  The paper discards unused tokens
@@ -329,6 +269,106 @@ class MaintenanceNode(NodeProtocol):
     # ------------------------------------------------------------------
 
     def on_round(self, ctx: NodeContext) -> None:
+        """One node's round: :meth:`on_rounds` over a batch of one."""
+        type(self).on_rounds([(self, ctx)])
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if "on_round" in cls.__dict__ and "on_rounds" not in cls.__dict__:
+            raise TypeError(
+                f"{cls.__name__} overrides on_round, which the engine's batch "
+                "entry bypasses; extend _prepare / _act instead"
+            )
+
+    @classmethod
+    def on_rounds(
+        cls,
+        batch: Sequence[tuple["MaintenanceNode", NodeContext]],
+        clock: Callable[[], float] | None = None,
+    ) -> tuple[float, ...]:
+        """The round of every node of ``batch`` (sorted-id order), staged.
+
+        **prepare** — each node absorbs its inbox (:meth:`_prepare`: tokens,
+        slots, cutover or handover records); it may draw from its own
+        stream, it sends nothing.  **plan** — one :class:`HopPlan` per band
+        of consecutive nodes does everything rng-free about their
+        forwarding step as array passes.  **act** — each node, in order,
+        does what is order-bound (:meth:`_act`: delivery events and draws in
+        row order, filing, then joins, tokens, matchmaking).
+
+        Preparing every node before any acts is unobservable: nodes interact
+        only through next-round delivery, prepare files nothing, and each
+        node's draw order and each sender's chunk order are those of the
+        node-at-a-time loop.  Bands bound the plan's transient memory.
+        Returns ``(prepare, plan, act)`` seconds when ``clock`` is given.
+        """
+        timed = clock is not None
+        t0 = clock() if timed else 0.0
+        steps = [node._prepare(ctx) for node, ctx in batch]
+        t1 = clock() if timed else 0.0
+        plan_s = 0.0
+        start = pairs = 0
+        holders: list[int] = []
+        for k, step in enumerate(steps):
+            if step.fin_index is not None:
+                holders.append(k)
+                pairs += batch[k][1].hops.size
+            if pairs < _BAND_PAIRS and k + 1 < len(steps):
+                continue
+            plan = None
+            if holders:
+                t2 = clock() if timed else 0.0
+                plan = cls._plan_band(batch, steps, holders)
+                if timed:
+                    plan_s += clock() - t2
+            for j in range(start, k + 1):
+                node, ctx = batch[j]
+                node._act(ctx, steps[j])
+            if plan is not None:
+                t2 = clock() if timed else 0.0
+                plan.close()
+                if timed:
+                    plan_s += clock() - t2
+            start = k + 1
+            pairs = 0
+            holders = []
+        if timed:
+            return (t1 - t0, plan_s, clock() - t1 - plan_s)
+        return ()
+
+    @staticmethod
+    def _plan_band(
+        batch: Sequence[tuple["MaintenanceNode", NodeContext]],
+        steps: Sequence["_Step"],
+        holders: Sequence[int],
+    ) -> HopPlan:
+        """Stage 2 of the round for the hop-holding nodes ``holders`` of
+        ``batch``: one forwarding plan, each holder's share left on its step."""
+        node, ctx = batch[holders[0]]
+        plan = HopPlan(
+            ctx.hop_delivery,
+            [
+                (
+                    batch[h][1].hops,
+                    steps[h].hop_index,
+                    steps[h].fin_index,
+                    batch[h][0].id,
+                    batch[h][0].pos,
+                )
+                for h in holders
+            ],
+            even=ctx.round % 2 == 0,
+            rho=node._swarm_radius,
+            r=node._r,
+            intern=ctx.intern_hops,
+            reference=node._epoch_cache.reference,
+        )
+        for h, share in zip(holders, plan.nodes):
+            steps[h].plan = share
+        return plan
+
+    def _prepare(self, ctx: NodeContext) -> "_Step":
+        """Stage 1 of the round: absorb the inbox.  Sends nothing."""
         creates: list[CreateBatch] = []
         join_batches: list[JoinBatch] = []
         token_msgs: list[TokenMsg] = []
@@ -354,20 +394,56 @@ class MaintenanceNode(NodeProtocol):
         self._absorb_tokens(ctx, token_msgs, grants)
         self._fill_slots(ctx, connects)
 
+        step = _Step(notices)
         if ctx.round % 2 == 0:
-            self._even_round(ctx, creates)
+            self._cutover(ctx, ctx.round // 2, creates)
+            if self.phase is Phase.ESTABLISHED and ctx.hops is not None:
+                step.hop_index = step.fin_index = self._d_members()
         else:
-            self._odd_round(ctx, join_batches)
+            self._store_handover(ctx, join_batches, step)
+        return step
+
+    def _act(self, ctx: NodeContext, step: "_Step") -> None:
+        """Stage 3 of the round: everything order-bound, sends included."""
+        if ctx.round % 2 == 0:
+            self._even_act(ctx, step)
+        elif self.phase is Phase.ESTABLISHED:
+            self._odd_act(ctx, step)
 
         # Bootstrap duties are parity-independent: the notice arrives in the
         # join round and must be answered as soon as tokens allow (the
         # newcomer knows nobody until the grant lands).
-        for notice in notices:
+        for notice in step.notices:
             self._handle_join_notice(ctx, notice)
-        if not notices:
+        if not step.notices:
             self._serve_pending_grants(ctx)
 
         self._expire_tokens(ctx.round)
+
+    def _forward(self, ctx: NodeContext, plan: NodePlan) -> list[JoinRecord]:
+        """This node's share of the round's forwarding plan, in row order.
+
+        The plan knows which final deliveries can touch this node and how
+        many uniforms the mid-route picks before each of them consume;
+        drawing them in those runs is stream-identical to one draw per
+        pick, so a delivery that draws (a rank-matching token) interleaves
+        with the picks around it exactly as row by row.  The filed ``flat``
+        is a view the plan completes when the band closes.  Returns the
+        arrived join records (arrival order).
+        """
+        join_recs, events, u, rows, lens, flat = plan
+        random = ctx.rng.random
+        msgs = ctx.hop_delivery.msgs
+        drawn = 0
+        for row, due in events:
+            if due > drawn:
+                random(out=u[drawn:due])
+                drawn = due
+            self._deliver(ctx, msgs[row])
+        if drawn < u.size:
+            random(out=u[drawn:])
+        ctx.file_hops(rows, lens, flat)
+        return join_recs
 
     # ------------------------------------------------------------------
     # A_RANDOM plumbing shared by both parities
@@ -464,12 +540,11 @@ class MaintenanceNode(NodeProtocol):
     # Even rounds
     # ------------------------------------------------------------------
 
-    def _even_round(self, ctx: NodeContext, creates: list[CreateBatch]) -> None:
+    def _even_act(self, ctx: NodeContext, step: "_Step") -> None:
         e = ctx.round // 2
-        self._cutover(ctx, e, creates)
         if self.phase is Phase.ESTABLISHED:
-            if ctx.hops is not None:
-                join_recs = self._even_hops_plane(ctx, ctx.hop_delivery, ctx.hops)
+            if step.plan is not None:
+                join_recs = self._forward(ctx, step.plan)
                 if join_recs:
                     self._rebroadcast_joins(ctx, self._d_members(), join_recs)
             self._launch_joins(ctx, e)
@@ -633,135 +708,6 @@ class MaintenanceNode(NodeProtocol):
             out.append((receivers[k], batch))
         ctx.send_singles_batch(out)
 
-    def _even_hops_plane(
-        self, ctx: NodeContext, delivery: HopDelivery, rows: np.ndarray
-    ) -> list[JoinRecord]:
-        """Even-round forwarding: advance each held hop one trajectory step.
-
-        ``rows`` are this node's hops in arrival (global send) order,
-        already deduplicated to first occurrences of each ``(message,
-        step)``.  Mid-route rows go to ``r`` random members of the next
-        trajectory point's swarm, finals to the whole target swarm (a holder
-        inside it delivers to itself too); rng draws and filed sends follow
-        row order.  Returns the arrived join records for rebroadcast (in
-        arrival order).
-        """
-        cache = delivery.cache
-        cols = cache.get("even")
-        if cols is None:
-            cols = cache["even"] = _even_hop_cols(delivery)
-        kind, point, next_ks, recs, fincls, srank = cols
-        rows_u = rows
-        kr = kind[rows_u]
-        join_recs = [recs[row] for row in rows_u[kr == 1].tolist()]
-        act_rows = rows_u[kr >= 2]
-        if act_rows.size:
-            out_row = cache.get("out_even")
-            if out_row is None:
-                fwd = np.flatnonzero(kind >= 2).tolist()
-                out_row = cache["out_even"] = ctx.intern_hops(
-                    delivery.msgs, fwd, next_ks
-                )
-            index = self._d_members()
-            ids32 = _ids32(index)
-            n = ids32.size
-            rho = self._swarm_radius
-            finals_mask = kind[act_rows] == 2
-            if rho >= 0.5:  # every window is the full ring
-                ai_arr = np.zeros(act_rows.size, dtype=np.int64)
-                size_arr = np.full(act_rows.size, n, dtype=np.int64)
-            else:
-                ai_arr, b_arr, wr_arr = index.bounds_many(point[act_rows], rho)
-                size_arr = np.where(wr_arr, n - ai_arr + b_arr, b_arr - ai_arr)
-            mid_list = np.flatnonzero(~finals_mask & (size_arr > 0))
-            fin_idx = np.flatnonzero(finals_mask)
-            msgs = delivery.msgs
-            my_id = self.id
-            r = self._r
-            rng = ctx.rng
-
-            # Pass 1 — rng and node state, in row order.  ``_deliver`` runs
-            # only where the vectorised predicates say it can matter: a final
-            # row touches this node iff it is inside the target swarm, and a
-            # rank-tested token additionally iff this node's rank matches —
-            # both predicates are rng-free and bit-identical to the scalar
-            # checks inside ``_deliver``.  Mid-route picks between state
-            # finals draw in one batched ``random(r*k)`` call (the Generator
-            # stream is identical to k*r scalar draws).
-            events: list[int] = []
-            if fin_idx.size:
-                fin_act = act_rows[fin_idx]
-                tgtf = point[fin_act]
-                # Window rank of this node per final (also pass 2's gap:
-                # dropping rank ``rk`` from the member window is the
-                # ``w != my_id`` filter, ids being unique).
-                ranks_fin = index.ranks_within_many(tgtf, rho, my_id)
-                if self.pos is not None:
-                    inswarm = self._in_swarm(tgtf)
-                    fc = fincls[fin_act]
-                    touch = inswarm & (fc == 0)
-                    ranked = inswarm & (fc == 1)
-                    if ranked.any():
-                        touch |= ranked & (ranks_fin == srank[fin_act])
-                    events = fin_idx[touch].tolist()
-            pick_chunks: list[np.ndarray] = []
-            cursor = 0
-            for p in events:
-                if fincls[act_rows[p]] == 1:
-                    # This delivery will draw — flush the batched mid picks
-                    # that precede it in row order first.
-                    hi = int(np.searchsorted(mid_list, p, side="left"))
-                    if hi > cursor:
-                        seg = mid_list[cursor:hi]
-                        u = rng.random(r * seg.size)
-                        ai2 = np.repeat(ai_arr[seg], r)
-                        sz2 = np.repeat(size_arr[seg], r)
-                        j = ai2 + (u * sz2).astype(np.int64)
-                        j[j >= n] -= n
-                        pick_chunks.append(ids32[j])
-                        cursor = hi
-                self._deliver(ctx, msgs[act_rows[p]])
-            if cursor < mid_list.size:
-                seg = mid_list[cursor:]
-                u = rng.random(r * seg.size)
-                ai2 = np.repeat(ai_arr[seg], r)
-                sz2 = np.repeat(size_arr[seg], r)
-                j = ai2 + (u * sz2).astype(np.int64)
-                j[j >= n] -= n
-                pick_chunks.append(ids32[j])
-
-            # Pass 2 — filing, in row order (no rng, no node state), as
-            # arrays.  A mid row sends its ``r`` picks; a final multicasts
-            # its member window — ``size`` ring-consecutive members from
-            # ``ai``, wrapping at ``n`` — minus self, whose window rank is
-            # already known from pass 1.  Rows with nobody to send to
-            # (empty window, or self alone in it) are not filed.
-            lens = np.zeros(act_rows.size, dtype=np.int32)
-            lens[mid_list] = r
-            if fin_idx.size:
-                inside = ranks_fin >= 0
-                lens[fin_idx] = size_arr[fin_idx] - inside
-            ends = np.cumsum(lens)
-            flat = np.empty(int(ends[-1]), dtype=np.int32)
-            if pick_chunks:
-                slots = (ends[mid_list] - r)[:, None] + np.arange(r)
-                flat[slots.ravel()] = np.concatenate(pick_chunks)
-            if fin_idx.size:
-                flen = lens[fin_idx]
-                fend = np.cumsum(flen)
-                # Position of each final copy within its own window, bumped
-                # past self's rank where self sits inside the window.
-                j = np.arange(int(fend[-1])) - np.repeat(fend - flen, flen)
-                j += j >= np.repeat(np.where(inside, ranks_fin, n), flen)
-                member = np.repeat(ai_arr[fin_idx], flen) + j
-                member[member >= n] -= n
-                copies = np.repeat(ends[fin_idx] - fend, flen)
-                copies += np.arange(copies.size)
-                flat[copies] = ids32[member]
-            sent = lens > 0
-            ctx.file_hops(out_row[act_rows[sent]], lens[sent], flat)
-        return join_recs
-
     def _in_swarm(self, point):
         """Whether ``point`` (a scalar or an array of points) lies within
         this node's swarm radius on the ring."""
@@ -833,9 +779,13 @@ class MaintenanceNode(NodeProtocol):
     # Odd rounds
     # ------------------------------------------------------------------
 
-    def _odd_round(self, ctx: NodeContext, join_batches: list[JoinBatch]) -> None:
+    def _store_handover(
+        self, ctx: NodeContext, join_batches: list[JoinBatch], step: "_Step"
+    ) -> None:
+        """Store the handover records ``H`` for the next overlay and pick the
+        index in-flight hops are handed over in (``H`` once the join
+        pipeline has filled, the current overlay before)."""
         e_next = ctx.round // 2 + 1
-        # 1. Store handover records for the next overlay.
         self.h_records = {}
         for jb in join_batches:
             for rec in jb.records:
@@ -845,21 +795,26 @@ class MaintenanceNode(NodeProtocol):
             return
         if self.h_records:
             table = {v: r.pos for v, r in self.h_records.items()}
-            h_index = self._epoch_cache.index_for(e_next, frozenset(table), table)
-        else:
-            h_index = None
-
-        # 2. Handover in-flight hops + deliver finals.
-        hop_index = h_index if h_index is not None else self._d_members()
+            step.h_index = self._epoch_cache.index_for(e_next, frozenset(table), table)
+        step.hop_index = (
+            step.h_index if step.h_index is not None else self._d_members()
+        )
         if ctx.hops is not None:
-            self._odd_hops_plane(ctx, ctx.hop_delivery, ctx.hops, hop_index)
+            # Finals are rank-tested in the *current* overlay.
+            step.fin_index = self._d_members()
 
-        # 3. Initial multicasts of this cycle's launches.
+    def _odd_act(self, ctx: NodeContext, step: "_Step") -> None:
+        # Handover of in-flight hops + final deliveries.
+        if step.plan is not None:
+            self._forward(ctx, step.plan)
+
+        # Initial multicasts of this cycle's launches (this sender's forward
+        # chunk is filed before its launch chunk).
         launches = self._pending_launch
         if launches:
             my_id = self.id
             lwins = self._windows(
-                hop_index, [m.trajectory[0] for m in launches], self._swarm_radius
+                step.hop_index, [m.trajectory[0] for m in launches], self._swarm_radius
             )
             ctx.send_hops_batch(
                 [
@@ -869,109 +824,9 @@ class MaintenanceNode(NodeProtocol):
             )
             launches.clear()
 
-        # 4. Matchmaking: introduce next-overlay neighbours to each other.
-        if h_index is not None:
-            self._matchmake(ctx, h_index, e_next)
-
-    def _odd_hops_plane(
-        self,
-        ctx: NodeContext,
-        delivery: HopDelivery,
-        rows: np.ndarray,
-        hop_index: PositionIndex,
-    ) -> None:
-        """Odd-round handover/delivery over shared hop columns.
-
-        ``rows`` arrive deduplicated to first occurrences in arrival order.
-        The handover window bounds batch over the non-final rows; rng draws
-        then follow row order, so final deliveries (which may send and draw
-        rng) interleave with the handover picks around them.
-        """
-        cache = delivery.cache
-        cols = cache.get("odd")
-        if cols is None:
-            cols = cache["odd"] = _odd_hop_cols(delivery)
-        final, point, steps, fincls, srank, tgt = cols
-        rows_u = rows
-        fl = final[rows_u]
-        h_pos = np.flatnonzero(~fl)
-        fin_pos = np.flatnonzero(fl)
-        out_row = cache.get("out_odd")
-        if out_row is None:
-            out_row = cache["out_odd"] = ctx.intern_hops(
-                delivery.msgs, np.flatnonzero(~final).tolist(), steps
-            )
-        ids32 = _ids32(hop_index)
-        n = ids32.size
-        rho = self._swarm_radius
-        if h_pos.size:
-            if rho >= 0.5:
-                ai_arr = np.zeros(h_pos.size, dtype=np.int64)
-                size_arr = np.full(h_pos.size, n, dtype=np.int64)
-            else:
-                ai_arr, b_arr, wr_arr = hop_index.bounds_many(
-                    point[rows_u[h_pos]], rho
-                )
-                size_arr = np.where(wr_arr, n - ai_arr + b_arr, b_arr - ai_arr)
-            mid_sel = size_arr > 0
-            mid_list = h_pos[mid_sel]
-            ai_m = ai_arr[mid_sel]
-            size_m = size_arr[mid_sel]
-        else:
-            mid_list = h_pos
-            ai_m = size_m = np.empty(0, dtype=np.int64)
-        msgs = delivery.msgs
-        my_id = self.id
-        r = self._r
-        rng = ctx.rng
-
-        # Pass 1 — rng and node state, in row order (see _even_hops_plane).
-        # Every odd final is due for ``_deliver``, but only record-class
-        # rows and rank-matching tokens do anything there — both predicted
-        # here without rng (the rank test uses the *current* overlay
-        # members, not ``hop_index``), so the no-op calls are skipped.
-        events: list[int] = []
-        if fin_pos.size:
-            fr = rows_u[fin_pos]
-            fc = fincls[fr]
-            touch = fc == 0
-            ranked = fc == 1
-            if ranked.any():
-                ranks = self._d_members().ranks_within_many(
-                    tgt[fr], rho, my_id
-                )
-                touch |= ranked & (ranks == srank[fr])
-            events = fin_pos[touch].tolist()
-        pick_chunks: list[np.ndarray] = []
-        cursor = 0
-        for p in events:
-            if fincls[rows_u[p]] == 1:
-                hi = int(np.searchsorted(mid_list, p, side="left"))
-                if hi > cursor:
-                    u = rng.random(r * (hi - cursor))
-                    ai2 = np.repeat(ai_m[cursor:hi], r)
-                    sz2 = np.repeat(size_m[cursor:hi], r)
-                    j = ai2 + (u * sz2).astype(np.int64)
-                    j[j >= n] -= n
-                    pick_chunks.append(ids32[j])
-                    cursor = hi
-            self._deliver(ctx, msgs[rows_u[p]])
-        if cursor < mid_list.size:
-            u = rng.random(r * (mid_list.size - cursor))
-            ai2 = np.repeat(ai_m[cursor:], r)
-            sz2 = np.repeat(size_m[cursor:], r)
-            j = ai2 + (u * sz2).astype(np.int64)
-            j[j >= n] -= n
-            pick_chunks.append(ids32[j])
-
-        # Pass 2 — filing.  Odd finals file nothing, so the handover copies
-        # go out as one chunk (mid row order is preserved).
-        if mid_list.size:
-            ctx.file_hops(
-                out_row[rows_u[mid_list]],
-                np.full(mid_list.size, r, dtype=np.int32),
-                np.concatenate(pick_chunks),
-            )
+        # Matchmaking: introduce next-overlay neighbours to each other.
+        if step.h_index is not None:
+            self._matchmake(ctx, step.h_index, ctx.round // 2 + 1)
 
     def _matchmake(self, ctx: NodeContext, h_index: PositionIndex, e_next: int) -> None:
         """Send each next-overlay node its Definition-5 neighbours (CREATE).
@@ -1010,7 +865,7 @@ class MaintenanceNode(NodeProtocol):
         """
         pos = h_index.sorted_positions
         n = pos.size
-        ids32 = _ids32(h_index)
+        ids = ids32(h_index)
         # Segment (start, length) per target and arc, target-major.
         start = np.zeros((n, 3), dtype=np.intp)
         length = np.full((n, 3), n, dtype=np.intp)  # radius >= 0.5: the ring
@@ -1041,7 +896,7 @@ class MaintenanceNode(NodeProtocol):
         first[key[::-1]] = entry[::-1]
         keep = (first[key] == entry) & (slot != target)
         slot = slot[keep]
-        flat_nodes = ids32[slot]
+        flat_nodes = ids[slot]
         flat_poses = pos[slot]
         offs = np.cumsum(np.bincount(target[keep], minlength=n)).tolist()
         batches: dict[int, CreateBatch] = {}

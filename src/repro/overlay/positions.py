@@ -227,10 +227,20 @@ class PositionIndex:
         ``radius >= 0.5`` full-ring case themselves.
         """
         pos = self._pos
+        lo, hi, wrapped = self.arcs_many(centers, radius)
+        return pos.searchsorted(lo, "left"), pos.searchsorted(hi, "right"), wrapped
+
+    @staticmethod
+    def arcs_many(
+        centers: np.ndarray, radius: float
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The ring arithmetic of :meth:`bounds_many`, index-free: each arc's
+        ``(lo, hi, wrapped)`` endpoints.  The same endpoints serve every
+        index the arcs are looked up in."""
         lo = (centers - radius) % 1.0
         lo[lo >= 1.0] = 0.0  # same float-wrap guard as the scalar path
         hi = (centers + radius) % 1.0
-        return pos.searchsorted(lo, "left"), pos.searchsorted(hi, "right"), lo > hi
+        return lo, hi, lo > hi
 
     def ids_within(self, center: float, radius: float) -> np.ndarray:
         """Ids of all nodes ``v`` with ``d(v, center) <= radius``.
@@ -305,34 +315,6 @@ class PositionIndex:
         if slot < b:
             return n - a + slot
         return None
-
-    def ranks_within_many(
-        self, centers: np.ndarray, radius: float, node_id: int
-    ) -> np.ndarray:
-        """Vectorised :meth:`rank_within` over many arc centers.
-
-        Returns one rank per center, with ``-1`` where ``node_id`` lies
-        outside that arc (the array stand-in for the scalar ``None``).
-        Element ``i`` equals ``rank_within(centers[i], radius, node_id)``
-        bit for bit: the bounds come from :meth:`bounds_many`, which is
-        IEEE-identical to the scalar bounds path.
-        """
-        out = np.full(centers.shape, -1, dtype=np.int64)
-        slot = self._slots().get(node_id)
-        if slot is None:
-            return out
-        if radius >= 0.5:
-            out[:] = slot
-            return out
-        n = self._ids.size
-        a, b, wrapped = self.bounds_many(centers, radius)
-        plain = ~wrapped & (a <= slot) & (slot < b)
-        out[plain] = slot - a[plain]
-        high = wrapped & (slot >= a)
-        out[high] = slot - a[high]
-        low = wrapped & (slot < a) & (slot < b)
-        out[low] = n - a[low] + slot
-        return out
 
     def indices_in_arc(self, arc: Arc) -> np.ndarray:
         """Sorted-array indices of all nodes inside the arc (endpoint-inclusive)."""

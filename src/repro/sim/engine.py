@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
+from itertools import groupby
+from operator import add
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -182,6 +184,26 @@ class NodeProtocol(abc.ABC):
     def on_round(self, ctx: NodeContext) -> None:
         """Handle one round: read ``ctx.inbox``, update state, send messages."""
 
+    @classmethod
+    def on_rounds(
+        cls,
+        batch: Sequence[tuple["NodeProtocol", NodeContext]],
+        clock: Callable[[], float] | None = None,
+    ) -> tuple[float, ...]:
+        """Handle one round for every ``(node, ctx)`` of ``batch``.
+
+        The engine's entry to a round's compute phase: the non-stalled nodes
+        of one class, in sorted-id order.  The default is the
+        node-at-a-time loop.  A protocol whose step has a part that batches
+        across nodes overrides this — its sends must come out exactly as the
+        loop would file them — and makes :meth:`on_round` the batch of one.
+        With a ``clock`` an override may return the seconds it spent per
+        stage (``PhaseTimings.compute_parts``); the default reports none.
+        """
+        for node, ctx in batch:
+            node.on_round(ctx)
+        return ()
+
     def publish_state(self, store: NodeStore, slot: int) -> None:
         """Mirror this node's scalar state into its columnar store row.
 
@@ -193,6 +215,10 @@ class NodeProtocol(abc.ABC):
 
 
 ProtocolFactory = Callable[[int, EngineServices], NodeProtocol]
+
+
+def _protocol_class(item: tuple[NodeProtocol, NodeContext]) -> type[NodeProtocol]:
+    return type(item[0])
 
 
 @dataclass(frozen=True)
@@ -434,6 +460,7 @@ class Engine:
         ordered = self._sorted_alive
         if ordered is None or decision.leaves or decision.joins:
             ordered = self._sorted_alive = sorted(alive)
+        compute_parts: tuple[float, ...] = ()
         if self.workers > 1:
             if self._shard is None:
                 from repro.sim.shard import ShardRunner
@@ -442,21 +469,32 @@ class Engine:
             self._shard.run_compute(t, decision, inboxes, hop_delivery, ordered)
         else:
             hop_rows = hop_delivery.rows if hop_delivery is not None else None
-            for v in ordered:
-                if self.faults is not None and self.faults.stalled(t, v):
-                    continue
-                ctx = NodeContext(
-                    node_id=v,
-                    t=t,
-                    inbox=inboxes.get(v, []),
-                    rng=self._rngs[v],
-                    params=self.params,
-                    joined_round=self.lifecycle.joined_round(v),
-                    network=self.network,
-                    hops=hop_rows.get(v) if hop_rows is not None else None,
-                    hop_delivery=hop_delivery,
+            batch = [
+                (
+                    self._protocols[v],
+                    NodeContext(
+                        node_id=v,
+                        t=t,
+                        inbox=inboxes.get(v, []),
+                        rng=self._rngs[v],
+                        params=self.params,
+                        joined_round=self.lifecycle.joined_round(v),
+                        network=self.network,
+                        hops=hop_rows.get(v) if hop_rows is not None else None,
+                        hop_delivery=hop_delivery,
+                    ),
                 )
-                self._protocols[v].on_round(ctx)
+                for v in ordered
+                if self.faults is None or not self.faults.stalled(t, v)
+            ]
+            # One batch entry per run of nodes of one class (in practice:
+            # one per round).
+            for cls, run in groupby(batch, key=_protocol_class):
+                parts = cls.on_rounds(list(run), clock)
+                if parts:
+                    compute_parts = (
+                        tuple(map(add, compute_parts, parts)) if compute_parts else parts
+                    )
             store = self.node_store
             for v in ordered:
                 self._protocols[v].publish_state(store, store.slot_of(v))
@@ -488,6 +526,7 @@ class Engine:
                 shards=shard_secs,
                 exchange_bytes_pipe=xch_pipe,
                 exchange_bytes_shm=xch_shm,
+                compute_parts=compute_parts,
             )
         metrics = self.metrics.record_round(
             t, sent, received, len(alive), faults=fault_stats, phases=phases

@@ -136,8 +136,26 @@ class EpochCache:
             idx = slab.without(extras)
         else:
             idx = slab.restricted(members)
+        idx.scratch["carved"] = (epoch, table)
         interned[members] = idx
         return idx
+
+    def reference(self, index: PositionIndex) -> PositionIndex | None:
+        """The live slab ``index`` is a position-sorted subset of, if any.
+
+        An index handed out by :meth:`index_for` stays a subset of its
+        epoch's slab for as long as that epoch's table lives (tables only
+        grow); once the epoch is pruned, and for any index built elsewhere,
+        there is no such slab.  Batched window lookups search the slab once
+        and map the bounds through the subset's membership prefix counts.
+        """
+        carved = index.scratch.get("carved")
+        if carved is None:
+            return None
+        epoch, table = carved  # type: ignore[misc]
+        if self._tables.get(epoch) is not table:
+            return None
+        return self._sync_slab(epoch, table)
 
     def _sync_slab(self, epoch: int, table: dict[int, float]) -> PositionIndex:
         """Grow the epoch slab to cover every table entry (incremental)."""
@@ -205,11 +223,12 @@ class EpochCache:
         table = self._tables.get(epoch)
         if not table:
             return
-        dropped = [v for v in ids if v in table]
+        dropped = {v for v in ids if v in table}
         if not dropped:
             return
-        for v in dropped:
-            del table[v]
+        # A fresh table object: indexes carved from the old one are no longer
+        # subsets of what the slab will hold (see :meth:`reference`).
+        self._tables[epoch] = {v: p for v, p in table.items() if v not in dropped}
         # Rebuild slab state lazily from the shrunk table.
         self._slabs.pop(epoch, None)
         self._slab_sizes.pop(epoch, None)

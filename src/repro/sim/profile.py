@@ -43,6 +43,10 @@ class PhaseTimings:
     shard-exchange traffic between the pickled control plane and the
     shared-memory slabs (:mod:`repro.sim.exchange`); both are zero on
     single-process rounds.
+
+    ``compute_parts`` splits ``compute`` into the ``(prepare, plan, act)``
+    stages of a staged protocol step (see ``NodeProtocol.on_rounds``); empty
+    when the protocol does not stage its round, and on sharded rounds.
     """
 
     adversary: float
@@ -52,6 +56,7 @@ class PhaseTimings:
     shards: tuple[float, ...] = ()
     exchange_bytes_pipe: int = 0
     exchange_bytes_shm: int = 0
+    compute_parts: tuple[float, ...] = ()
 
     @property
     def total(self) -> float:
@@ -65,6 +70,8 @@ class PhaseTimings:
         if self.exchange_bytes_pipe or self.exchange_bytes_shm:
             out["exchange_bytes_pipe"] = self.exchange_bytes_pipe
             out["exchange_bytes_shm"] = self.exchange_bytes_shm
+        if self.compute_parts:
+            out["compute_parts"] = list(self.compute_parts)
         return out
 
 
@@ -86,6 +93,7 @@ class PhaseProfiler:
         shards: tuple[float, ...] = (),
         exchange_bytes_pipe: int = 0,
         exchange_bytes_shm: int = 0,
+        compute_parts: tuple[float, ...] = (),
     ) -> PhaseTimings:
         """File one round's phase durations; returns the frozen record."""
         timings = PhaseTimings(
@@ -96,6 +104,7 @@ class PhaseProfiler:
             shards,
             exchange_bytes_pipe,
             exchange_bytes_shm,
+            compute_parts,
         )
         self.history.append(timings)
         return timings
@@ -123,6 +132,12 @@ class PhaseProfiler:
         pipe = sum(t.exchange_bytes_pipe for t in self.history)
         shm = sum(t.exchange_bytes_shm for t in self.history)
         return pipe, shm
+
+    def compute_parts_totals(self) -> tuple[float, ...]:
+        """Cumulative ``(prepare, plan, act)`` seconds over the rounds that
+        reported a staged compute phase (``()`` when none did)."""
+        staged = [t.compute_parts for t in self.history if t.compute_parts]
+        return tuple(map(sum, zip(*staged)))
 
     def mean_per_round(self) -> dict[str, float]:
         """Mean seconds per phase per round (all-zero when no rounds ran)."""

@@ -237,3 +237,51 @@ class TestLaunches:
         ctx, _ = make_ctx(node, services, 10, [])
         node.on_round(ctx)
         assert node._pending_launch == []
+
+
+class TestStageContract:
+    """The staged round: prepare files nothing, and runs for every node
+    before any node acts (what makes ``on_rounds`` equal the node loop)."""
+
+    def test_prepare_sends_nothing_and_precedes_every_act(self, monkeypatch):
+        from repro.adversary.oblivious import RandomChurnAdversary
+        from repro.core.runner import MaintenanceSimulation
+
+        params = ProtocolParams(n=24, c=1.2, r=2, delta=3, tau=8, seed=5)
+        adversary = RandomChurnAdversary(params, seed=9, intensity=1.0)
+        sim = MaintenanceSimulation(params, adversary, strict_budget=False)
+        net = sim.engine.network
+
+        def sends():
+            return (
+                len(net._srcs), len(net._dsts), len(net._msgs),  # object lane
+                net.plane.sends, len(net.plane._msgs), len(net.plane._flat),  # hop plane
+                net._pending_count, dict(net._sent_counts),  # counters
+            )
+
+        log: list[tuple[int, str, int]] = []
+        prepare, act = MaintenanceNode._prepare, MaintenanceNode._act
+
+        def checked_prepare(self, ctx):
+            before = sends()
+            step = prepare(self, ctx)
+            assert sends() == before
+            log.append((ctx.round, "prepare", self.id))
+            return step
+
+        def logged_act(self, ctx, step):
+            log.append((ctx.round, "act", self.id))
+            act(self, ctx, step)
+
+        monkeypatch.setattr(MaintenanceNode, "_prepare", checked_prepare)
+        monkeypatch.setattr(MaintenanceNode, "_act", logged_act)
+        rounds = 2 * (params.lam + 3) + 6
+        sim.run(rounds)
+        assert net._pending_count > 0  # the rounds did send — in act
+        for t in range(rounds):
+            stages = [(stage, v) for r, stage, v in log if r == t]
+            alive = len(stages) // 2
+            assert alive >= params.n // 2
+            assert [s for s, _ in stages] == ["prepare"] * alive + ["act"] * alive
+            ids = [v for _, v in stages[:alive]]
+            assert ids == sorted(ids) == [v for _, v in stages[alive:]]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import ProtocolParams
-from repro.core.node import _even_hop_cols, _odd_hop_cols
+from repro.core.forwarding import FINAL, MID, SKIP, hop_columns
 from repro.routing.messages import make_routed_message
 from repro.routing.series import SeriesRouter
 from repro.sim.hopplane import HopDelivery
@@ -29,16 +29,28 @@ class TestMessageInvariants:
         until the final swarm is reached."""
         msg = make_routed_message("id", 0, v, p, 8, 0)
         steps = np.arange(msg.final_step + 1, dtype=np.int32)
-        delivery = HopDelivery([msg] * steps.size, steps, {}, {}, total=0)
-        final, point, *_ = _odd_hop_cols(delivery)
-        kind, next_point, next_ks, *_ = _even_hop_cols(delivery)
+        out_steps = {}
+
+        def columns(even):
+            def intern(msgs, rows, steps_out):
+                out_steps[even] = {row: steps_out[row] for row in rows}
+                return np.arange(len(msgs), dtype=np.int32)
+
+            delivery = HopDelivery([msg] * steps.size, steps, {}, {}, total=0)
+            return hop_columns(delivery, even, intern)
+
+        odd_kind, point, *_ = columns(even=False)
+        kind, next_point, *_ = columns(even=True)
         for k in range(msg.final_step):
-            assert not final[k] and point[k] == msg.trajectory[k]
-            assert next_ks[k] == k + 1
+            assert odd_kind[k] == MID and point[k] == msg.trajectory[k]
+            assert out_steps[False][k] == k and out_steps[True][k] == k + 1
             last = k + 1 == msg.final_step
-            assert kind[k] == (2 if last else 3)
+            assert kind[k] == (FINAL if last else MID)
             assert next_point[k] == (msg.target if last else msg.trajectory[k + 1])
-        assert final[msg.final_step] and kind[msg.final_step] == 0
+        # At its last step a hop is delivered (odd), never forwarded.
+        assert odd_kind[msg.final_step] == FINAL and kind[msg.final_step] == SKIP
+        assert msg.final_step not in out_steps[False]
+        assert msg.final_step not in out_steps[True]
 
     def test_sampling_flag(self):
         plain = make_routed_message("a", 0, 0.1, 0.2, 8, 0)

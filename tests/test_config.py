@@ -116,3 +116,44 @@ class TestConvenience:
         p = ProtocolParams(n=64)
         with pytest.raises(Exception):
             p.n = 128  # type: ignore[misc]
+
+
+class TestCachedDerivations:
+    """The hot derived quantities are cached per instance, outside the fields."""
+
+    HOT = (
+        "lam", "swarm_radius", "list_radius", "debruijn_radius",
+        "delta_eff", "tau_eff", "sampling_rank_range",
+    )
+
+    def test_cache_is_invisible_to_equality_hash_and_repr(self):
+        cold = ProtocolParams(n=96, c=1.2, seed=3)
+        warm = ProtocolParams(n=96, c=1.2, seed=3)
+        values = [getattr(warm, name) for name in self.HOT]
+        assert values == [getattr(warm, name) for name in self.HOT]  # stable
+        assert warm == cold and hash(warm) == hash(cold) and repr(warm) == repr(cold)
+        assert {warm: 1}[cold] == 1
+        assert warm != ProtocolParams(n=96, c=1.2, seed=4)
+
+    def test_pickle_round_trip_cold_and_warm(self):
+        import pickle
+
+        cold = ProtocolParams(n=96, c=1.2, tau=8)
+        warm = ProtocolParams(n=96, c=1.2, tau=8)
+        expected = {name: getattr(warm, name) for name in self.HOT}
+        for original in (cold, warm):
+            copy = pickle.loads(pickle.dumps(original))
+            assert copy == original and hash(copy) == hash(original)
+            assert {name: getattr(copy, name) for name in self.HOT} == expected
+
+    def test_replace_gets_a_fresh_cache(self):
+        p = ProtocolParams(n=64)
+        lam, radius = p.lam, p.swarm_radius
+        q = p.with_updates(n=1024, delta=9)
+        assert q.lam > lam and q.swarm_radius != radius and q.delta_eff == 9
+        assert (p.lam, p.swarm_radius) == (lam, radius)
+
+    def test_still_frozen_for_the_cached_names(self):
+        p = ProtocolParams(n=64)
+        with pytest.raises(Exception):
+            p.lam = 3  # type: ignore[misc]
