@@ -40,7 +40,15 @@ from repro.core.messages import JoinRecord
 from repro.overlay.positions import PositionIndex
 from repro.sim.hopplane import HopDelivery
 
-__all__ = ["HopPlan", "NodePlan", "hop_columns", "ids32", "prefix_counts"]
+__all__ = [
+    "HopPlan",
+    "NodePlan",
+    "hop_columns",
+    "ids32",
+    "membership",
+    "prefix_counts",
+    "slot_of_id",
+]
 
 #: Row kinds of :func:`hop_columns`.
 SKIP, JOIN, FINAL, MID = 0, 1, 2, 3
@@ -154,6 +162,28 @@ def _slab_bounds(cache: dict, slab: PositionIndex, lo: np.ndarray, hi: np.ndarra
     return bounds
 
 
+def slot_of_id(slab: PositionIndex) -> np.ndarray:
+    """Id -> slot of ``slab`` as an array (``-1``: not a member), built once
+    per slab; ids above the largest member are not members either."""
+    sc = slab.scratch
+    slot_of = sc.get("slot_of_id")
+    if slot_of is None:
+        ids = slab.ids
+        slot_of = np.full(int(ids.max()) + 1 if ids.size else 0, -1, dtype=np.int32)
+        slot_of[ids] = np.arange(ids.size, dtype=np.int32)
+        sc["slot_of_id"] = slot_of
+    return slot_of  # type: ignore[return-value]
+
+
+def membership(slab: PositionIndex, indexes: Sequence[PositionIndex]) -> np.ndarray:
+    """Row ``g``, column ``k``: whether slab slot ``k`` is a member of
+    ``indexes[g]`` (each a subset of ``slab``)."""
+    member = np.zeros((len(indexes), len(slab)), dtype=bool)
+    group = np.repeat(np.arange(len(indexes)), [len(ix) for ix in indexes])
+    member[group, slot_of_id(slab)[np.concatenate([ids32(ix) for ix in indexes])]] = True
+    return member
+
+
 def prefix_counts(slab: PositionIndex, indexes: Sequence[PositionIndex]) -> np.ndarray:
     """Membership prefix counts of ``indexes`` over the slab they are subsets of.
 
@@ -163,18 +193,9 @@ def prefix_counts(slab: PositionIndex, indexes: Sequence[PositionIndex]) -> np.n
     count the positions below the same threshold, and the subset's
     positions are the slab's at the member slots.
     """
-    sc = slab.scratch
-    slot_of = sc.get("slot_of_id")
-    if slot_of is None:
-        ids = slab.ids
-        slot_of = np.full(int(ids.max()) + 1 if ids.size else 0, -1, dtype=np.int32)
-        slot_of[ids] = np.arange(ids.size, dtype=np.int32)
-        sc["slot_of_id"] = slot_of
-    member = np.zeros((len(indexes), len(slab) + 1), dtype=np.int32)
-    group = np.repeat(np.arange(len(indexes)), [len(ix) for ix in indexes])
-    slots = slot_of[np.concatenate([ids32(ix) for ix in indexes])]  # type: ignore[index]
-    member[group, slots + 1] = 1
-    return np.cumsum(member, axis=1, dtype=np.int32)
+    cnt = np.zeros((len(indexes), len(slab) + 1), dtype=np.int32)
+    np.cumsum(membership(slab, indexes), axis=1, dtype=np.int32, out=cnt[:, 1:])
+    return cnt
 
 
 def _window_bounds(

@@ -37,9 +37,10 @@ routed ``JOIN`` carrying the position for epoch ``s + lam + 2``:
 (:meth:`MaintenanceNode.on_rounds`; ``on_round`` is the batch of one):
 every node *prepares* (inbox, cutover or handover records — no sends), one
 array kernel *plans* the forwarding of every held hop
-(:mod:`repro.core.forwarding`), then every node *acts* in id order
-(deliveries and rng draws in row order, filing, joins, tokens,
-matchmaking).
+(:mod:`repro.core.forwarding`) and a second the rebroadcast of every
+arrived join record (:mod:`repro.core.joinplan`), then every node *acts* in
+id order (deliveries and rng draws in row order, filing, rebroadcast,
+joins, tokens, matchmaking).
 
 **Matchmaking and cutover.**  The handover records ``H`` a node stores at an
 odd round are interned as one position index per distinct member set.  The
@@ -78,10 +79,11 @@ from repro.core.messages import (
     TokenMsg,
 )
 from repro.core.forwarding import HopPlan, NodePlan, ids32
+from repro.core.joinplan import JoinPlan, JoinShare
+from repro.overlay.lds import neighbor_arc_slots
 from repro.overlay.positions import PositionIndex
 from repro.routing.messages import RoutedMessage, make_routed_message
 from repro.sim.engine import EngineServices, JoinNotice, NodeContext, NodeProtocol
-from repro.util.intervals import wrap
 
 __all__ = ["Phase", "MaintenanceNode"]
 
@@ -116,7 +118,7 @@ _BAND_PAIRS = 1 << 20
 class _Step:
     """What a node's prepare stage hands to the plan and to its act stage."""
 
-    __slots__ = ("notices", "h_index", "hop_index", "fin_index", "plan")
+    __slots__ = ("notices", "h_index", "hop_index", "fin_index", "plan", "joins")
 
     def __init__(self, notices: list[JoinNotice]) -> None:
         self.notices = notices
@@ -128,6 +130,8 @@ class _Step:
         self.fin_index: PositionIndex | None = None
         #: The node's share of its band's forwarding plan (plan stage).
         self.plan: NodePlan | None = None
+        #: Its share of the band's rebroadcast plan, if join records arrived.
+        self.joins: JoinShare | None = None
 
 
 # How many rounds a token stays usable.  The paper discards unused tokens
@@ -290,11 +294,12 @@ class MaintenanceNode(NodeProtocol):
 
         **prepare** — each node absorbs its inbox (:meth:`_prepare`: tokens,
         slots, cutover or handover records); it may draw from its own
-        stream, it sends nothing.  **plan** — one :class:`HopPlan` per band
-        of consecutive nodes does everything rng-free about their
-        forwarding step as array passes.  **act** — each node, in order,
-        does what is order-bound (:meth:`_act`: delivery events and draws in
-        row order, filing, then joins, tokens, matchmaking).
+        stream, it sends nothing.  **plan** — per band of consecutive
+        nodes, one :class:`HopPlan` does everything rng-free about their
+        forwarding step and one :class:`JoinPlan` their join rebroadcast,
+        as array passes.  **act** — each node, in order, does what is
+        order-bound (:meth:`_act`: delivery events and draws in row order,
+        filing, then rebroadcast, joins, tokens, matchmaking).
 
         Preparing every node before any acts is unobservable: nodes interact
         only through next-round delivery, prepare files nothing, and each
@@ -343,7 +348,9 @@ class MaintenanceNode(NodeProtocol):
         holders: Sequence[int],
     ) -> HopPlan:
         """Stage 2 of the round for the hop-holding nodes ``holders`` of
-        ``batch``: one forwarding plan, each holder's share left on its step."""
+        ``batch``: one forwarding plan and, over the holders it hands
+        arrived join records, one rebroadcast plan; each holder's shares are
+        left on its step."""
         node, ctx = batch[holders[0]]
         plan = HopPlan(
             ctx.hop_delivery,
@@ -363,8 +370,20 @@ class MaintenanceNode(NodeProtocol):
             intern=ctx.intern_hops,
             reference=node._epoch_cache.reference,
         )
+        joining = []
         for h, share in zip(holders, plan.nodes):
             steps[h].plan = share
+            if share[0]:
+                joining.append((h, share[0]))
+        if joining:
+            joins = JoinPlan(
+                [(recs, steps[h].fin_index, batch[h][0].id) for h, recs in joining],
+                list_radius=node._list_radius,
+                db_radius=node._db_radius,
+                reference=node._epoch_cache.reference,
+            )
+            for (h, _), share in zip(joining, joins.nodes):
+                steps[h].joins = share
         return plan
 
     def _prepare(self, ctx: NodeContext) -> "_Step":
@@ -545,8 +564,8 @@ class MaintenanceNode(NodeProtocol):
         if self.phase is Phase.ESTABLISHED:
             if step.plan is not None:
                 join_recs = self._forward(ctx, step.plan)
-                if join_recs:
-                    self._rebroadcast_joins(ctx, self._d_members(), join_recs)
+                if step.joins is not None:
+                    self._rebroadcast_joins(ctx, join_recs, step.joins)
             self._launch_joins(ctx, e)
             self._emit_tokens(ctx)
             self._launch_queued_probes(ctx)
@@ -621,92 +640,26 @@ class MaintenanceNode(NodeProtocol):
             self.demotions += 1
 
     def _rebroadcast_joins(
-        self, ctx: NodeContext, index: PositionIndex, join_recs: list[JoinRecord]
+        self, ctx: NodeContext, join_recs: list[JoinRecord], share: JoinShare
     ) -> None:
-        """Rebroadcast each arrived join record to the current holders of the
-        three Definition-5 arcs (Listing 3 line 10); arc lookups batch per
-        radius (list arc at rec.pos, two De Bruijn arcs at rec.pos/2 and
-        (rec.pos+1)/2 — the order required_neighbor_arcs produced).
-
-        Each receiver gets one :class:`JoinBatch` of its records in
-        record-arrival order, and the sends go out in the order receivers
-        are *first touched* by the record-major arc sweep (record by record,
-        list arc then the two De Bruijn arcs).
+        """Rebroadcast the arrived join records to the current holders of
+        their three Definition-5 arcs (Listing 3 line 10), as planned by the
+        band's :class:`JoinPlan`: each receiver gets one :class:`JoinBatch`
+        of its records in arrival order, receivers in first-touch order.
+        Receivers whose record sequences are equal share one batch object.
         """
-        if not join_recs:
+        receivers, seq_of, seq_off, seq_rec = share
+        if not receivers.size:
             return
-        # Keep-first dedup by (node, epoch) up front: ``pos`` is the hash of
-        # exactly that pair, so duplicates of a key are value-equal records
-        # with identical arc windows — a receiver keeps one record per key,
-        # so later duplicates contribute nothing anywhere.
-        recs = join_recs
-        if len(recs) > 1:
-            by_key: dict[tuple[int, int], JoinRecord] = {}
-            for rec in recs:
-                k = (rec.node, rec.epoch)
-                if k not in by_key:
-                    by_key[k] = rec
-            if len(by_key) < len(recs):
-                recs = list(by_key.values())
-        # A record's receiver set is a pure function of the (interned) index
-        # and the key — memoise the deduped, first-occurrence-ordered target
-        # ids for the round (join records are rebroadcast in the round they
-        # arrive and never again), unfiltered (my_id differs per node).
-        tcache: dict[tuple[int, int], np.ndarray] = self._epoch_cache.round_memo(
-            index, "join_targets"
+        recs = seq_rec.tolist()
+        offs = seq_off.tolist()
+        batches = [
+            JoinBatch(tuple([join_recs[j] for j in recs[lo:hi]]))
+            for lo, hi in zip(offs, offs[1:])
+        ]
+        ctx.send_singles_batch(
+            list(zip(receivers.tolist(), [batches[s] for s in seq_of.tolist()]))
         )
-        missing = [rec for rec in recs if (rec.node, rec.epoch) not in tcache]
-        if missing:
-            list_wins = self._windows(
-                index, [rec.pos for rec in missing], self._list_radius
-            )
-            db_points: list[float] = []
-            for rec in missing:
-                db_points.append(wrap(rec.pos / 2.0))
-                db_points.append(wrap((rec.pos + 1.0) / 2.0))
-            db_wins = self._windows(index, db_points, self._db_radius)
-            for i, rec in enumerate(missing):
-                tids = dict.fromkeys(
-                    list_wins[i] + db_wins[2 * i] + db_wins[2 * i + 1]
-                )
-                tcache[(rec.node, rec.epoch)] = np.fromiter(
-                    tids, dtype=np.int32, count=len(tids)
-                )
-        # Record-major target stream (receivers, parallel record indices);
-        # masking my_id first cannot reorder anyone else's first touch.
-        arrs = [tcache[(rec.node, rec.epoch)] for rec in recs]
-        if len(arrs) == 1:
-            wtargets = arrs[0]
-            ridx = np.zeros(wtargets.size, dtype=np.int32)
-        else:
-            wtargets = np.concatenate(arrs)
-            ridx = np.repeat(
-                np.arange(len(arrs), dtype=np.int32), [a.size for a in arrs]
-            )
-        keep = wtargets != self.id
-        wtargets = wtargets[keep]
-        ridx = ridx[keep]
-        if not wtargets.size:
-            return
-        # Stable sort groups each receiver's record indices in stream order
-        # (ascending record index — each receiver occurs at most once per
-        # record), and puts each receiver's *first* stream occurrence at its
-        # segment start — sorting segment starts by that occurrence recovers
-        # the first-touch send order.
-        order = np.argsort(wtargets, kind="stable")
-        ws = wtargets[order]
-        ridx_sorted = ridx[order].tolist()
-        starts = np.flatnonzero(np.r_[True, ws[1:] != ws[:-1]])
-        receivers = ws[starts].tolist()
-        starts_l = starts.tolist()
-        ends_l = starts_l[1:] + [ws.size]
-        out: list[tuple[int, object]] = []
-        for k in np.argsort(order[starts]).tolist():
-            batch = JoinBatch(
-                tuple([recs[j] for j in ridx_sorted[starts_l[k]:ends_l[k]]])
-            )
-            out.append((receivers[k], batch))
-        ctx.send_singles_batch(out)
 
     def _in_swarm(self, point):
         """Whether ``point`` (a scalar or an array of points) lies within
@@ -854,51 +807,21 @@ class MaintenanceNode(NodeProtocol):
     ) -> dict[int, CreateBatch]:
         """The CREATE plan of one handover index: member id -> its batch.
 
-        For the member in ring slot ``t`` at position ``p`` the batch lists
-        the members of the list arc around ``p`` and of the two De Bruijn
-        arcs around ``p/2`` and ``(p+1)/2`` — the ``required_neighbor_arcs``
-        order — each arc in ring order from its counter-clockwise end, every
-        member once at its first occurrence, ``t`` itself left out.  All
-        ``n_h`` batches are computed together: every arc is a ring segment
-        ``(start, length)``, the segments expand to one flat slot column, and
-        each batch is a pair of views into the gathered id/position columns.
+        For the member in ring slot ``t`` the batch lists the members of its
+        Definition-5 arcs (:func:`neighbor_arc_slots`: ``required_neighbor_arcs``
+        order, first occurrences), ``t`` itself left out.  All ``n_h`` batches
+        are computed together, each a pair of views into the gathered
+        id/position columns.
         """
         pos = h_index.sorted_positions
-        n = pos.size
-        ids = ids32(h_index)
-        # Segment (start, length) per target and arc, target-major.
-        start = np.zeros((n, 3), dtype=np.intp)
-        length = np.full((n, 3), n, dtype=np.intp)  # radius >= 0.5: the ring
-        if self._list_radius < 0.5:
-            a, b, wrapped = h_index.bounds_many(pos, self._list_radius)
-            start[:, 0] = a
-            length[:, 0] = np.where(wrapped, n - a + b, b - a)
-        if self._db_radius < 0.5:
-            # The arc centres ``wrap(p / 2)`` and ``wrap((p + 1) / 2)``.
-            centers = np.stack((pos / 2.0, (pos + 1.0) / 2.0), axis=1).ravel()
-            centers -= np.floor(centers)
-            centers[centers >= 1.0] = 0.0
-            a, b, wrapped = h_index.bounds_many(centers, self._db_radius)
-            start[:, 1:] = a.reshape(n, 2)
-            length[:, 1:] = np.where(wrapped, n - a + b, b - a).reshape(n, 2)
-        target = np.repeat(np.arange(n), length.sum(axis=1))
-        start = start.ravel()
-        length = length.ravel()
-        # Ring slots of every arc entry, in batch order.
-        ends = np.cumsum(length)
-        entry = np.arange(int(ends[-1]))
-        slot = entry - np.repeat(ends - length, length) + np.repeat(start, length)
-        slot[slot >= n] -= n
-        # First occurrence of a slot inside its target: scatter the entry
-        # numbers back to front, so the earliest write to a key lands last.
-        key = target * n + slot
-        first = np.empty(n * n, dtype=np.intp)
-        first[key[::-1]] = entry[::-1]
-        keep = (first[key] == entry) & (slot != target)
+        target, slot = neighbor_arc_slots(
+            h_index, pos, self._list_radius, self._db_radius
+        )
+        keep = slot != target
         slot = slot[keep]
-        flat_nodes = ids[slot]
+        flat_nodes = ids32(h_index)[slot]
         flat_poses = pos[slot]
-        offs = np.cumsum(np.bincount(target[keep], minlength=n)).tolist()
+        offs = np.cumsum(np.bincount(target[keep], minlength=pos.size)).tolist()
         batches: dict[int, CreateBatch] = {}
         lo = 0
         for v, hi in zip(h_index.ids_list, offs):

@@ -8,7 +8,13 @@ from repro.overlay.estimation import (
     median_size_estimate,
     params_from_estimate,
 )
-from repro.overlay.lds import LDSGraph, build_lds, required_neighbor_arcs
+from repro.overlay.lds import (
+    LDSGraph,
+    arc_centers,
+    build_lds,
+    neighbor_arc_slots,
+    required_neighbor_arcs,
+)
 from repro.overlay.ldg import LDGGraph
 from repro.overlay.positions import PositionIndex
 from repro.overlay.swarm import SwarmStats, audit_goodness, swarm_arc, swarm_members
@@ -26,6 +32,7 @@ __all__ = [
     "PositionIndex",
     "SwarmStats",
     "all_node_estimates",
+    "arc_centers",
     "audit_goodness",
     "build_lds",
     "chord_finger_arcs",
@@ -36,6 +43,7 @@ __all__ = [
     "median_size_estimate",
     "params_from_estimate",
     "max_step_error",
+    "neighbor_arc_slots",
     "required_neighbor_arcs",
     "swarm_arc",
     "swarm_members",

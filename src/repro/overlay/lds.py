@@ -23,7 +23,13 @@ from repro.overlay.positions import PositionIndex
 from repro.overlay.swarm import swarm_members
 from repro.util.intervals import Arc, wrap
 
-__all__ = ["LDSGraph", "required_neighbor_arcs", "build_lds"]
+__all__ = [
+    "LDSGraph",
+    "arc_centers",
+    "build_lds",
+    "neighbor_arc_slots",
+    "required_neighbor_arcs",
+]
 
 
 def required_neighbor_arcs(p: float, params: ProtocolParams) -> tuple[Arc, Arc, Arc]:
@@ -38,6 +44,65 @@ def required_neighbor_arcs(p: float, params: ProtocolParams) -> tuple[Arc, Arc, 
         Arc(wrap(p / 2.0), params.debruijn_radius),
         Arc(wrap((p + 1.0) / 2.0), params.debruijn_radius),
     )
+
+
+def arc_centers(points: np.ndarray) -> np.ndarray:
+    """The centres of :func:`required_neighbor_arcs` for many positions.
+
+    Row ``i`` is ``(p, wrap(p / 2), wrap((p + 1) / 2))`` for ``p =
+    points[i]`` — the scalar :func:`wrap`, elementwise and IEEE-identical.
+    ``wrap`` is not the identity on the De Bruijn centres: at ``p = 1 −
+    2⁻⁵³`` the sum ``p + 1`` rounds to ``2.0``, so ``(p + 1) / 2`` is
+    ``1.0``, which wraps to ``0.0``.
+    """
+    centers = np.empty((points.size, 3), dtype=np.float64)
+    centers[:, 0] = points
+    np.divide(points, 2.0, out=centers[:, 1])
+    np.divide(points + 1.0, 2.0, out=centers[:, 2])
+    db = centers[:, 1:]
+    db -= np.floor(db)
+    db[db >= 1.0] = 0.0
+    return centers
+
+
+def neighbor_arc_slots(
+    index: PositionIndex, points: np.ndarray, list_radius: float, db_radius: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The slots of ``index`` inside the Definition-5 arcs of every point.
+
+    Returns ``(owner, slot)`` columns: for point ``i``, the sorted-array
+    slots of the list arc around ``p`` and of the De Bruijn arcs around
+    ``p/2`` and ``(p+1)/2`` — the :func:`required_neighbor_arcs` order —
+    each arc in ring order from its counter-clockwise end, every slot once at
+    its first occurrence; ``owner`` is ascending.  Slot for slot, point ``i``
+    lists ``dict.fromkeys`` of the three ``ids_within_list`` windows.  Every
+    arc is a ring segment ``(start, length)``; the segments expand to one
+    flat slot column.
+    """
+    n = len(index)
+    count = points.size
+    centers = arc_centers(points)
+    start = np.zeros((count, 3), dtype=np.intp)
+    length = np.full((count, 3), n, dtype=np.intp)  # radius >= 0.5: the ring
+    for cols, radius in ((slice(0, 1), list_radius), (slice(1, 3), db_radius)):
+        if radius < 0.5:
+            a, b, wrapped = index.bounds_many(centers[:, cols].ravel(), radius)
+            start[:, cols] = a.reshape(count, -1)
+            length[:, cols] = np.where(wrapped, n - a + b, b - a).reshape(count, -1)
+    owner = np.repeat(np.arange(count), length.sum(axis=1))
+    start = start.ravel()
+    length = length.ravel()
+    ends = np.cumsum(length)
+    entry = np.arange(int(ends[-1]) if count else 0)
+    slot = entry - np.repeat(ends - length, length) + np.repeat(start, length)
+    slot[slot >= n] -= n
+    # First occurrence of a slot inside its point: scatter the entry numbers
+    # back to front, so the earliest write to a key lands last.
+    key = owner * n + slot
+    first = np.empty(count * n, dtype=np.intp)
+    first[key[::-1]] = entry[::-1]
+    keep = first[key] == entry
+    return owner[keep], slot[keep]
 
 
 class LDSGraph:
@@ -138,10 +203,9 @@ class LDSGraph:
         if rho_l < 0.5:
             la, lb, lw = index.bounds_many(pos, rho_l)
         if rho_db < 0.5:
-            # wrap() is the identity here: p/2 lies in [0, 0.5) and
-            # (p+1)/2 in [0.5, 1) for p in [0, 1).
-            d0a, d0b, d0w = index.bounds_many(pos / 2.0, rho_db)
-            d1a, d1b, d1w = index.bounds_many((pos + 1.0) / 2.0, rho_db)
+            centers = arc_centers(pos)
+            d0a, d0b, d0w = index.bounds_many(centers[:, 1], rho_db)
+            d1a, d1b, d1w = index.bounds_many(centers[:, 2], rho_db)
         list_cache = self._list_neighbors
         db_cache = self._db_neighbors
         nbr_cache = self._neighbors

@@ -33,10 +33,9 @@ indexes already handed to nodes survive via the nodes' own references.
 Beside the per-epoch state there is one **per-round scratch**
 (:meth:`EpochCache.round_memo`): memo space for values derived from an
 interned index that are only ever read in the round that computes them —
-the CREATE plan of a handover index (odd rounds) and the join-rebroadcast
-target ids per index (even rounds).  Both are large (kept as long as their
-index, the plans alone are a quarter of the live heap) and dead one round
-later, so :meth:`EpochCache.begin_round` drops the scratch whole;
+the CREATE plan of a handover index (odd rounds).  It is large (kept as
+long as its index, the plans were a quarter of the live heap) and dead one
+round later, so :meth:`EpochCache.begin_round` drops the scratch whole;
 what lives as long as an index stays on ``PositionIndex.scratch``.
 """
 

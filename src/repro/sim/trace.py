@@ -4,15 +4,16 @@ The trace stores, per round ``t``:
 
 * the directed edge set ``E_t`` (who messaged whom) as a *reduced*
   :class:`~repro.sim.network.EdgeLog` — one row per distinct ``(src, dst)``
-  pair in first-occurrence order, with its copy count — kept in a bounded
-  ring buffer because only the most recent ``edge_depth`` rounds are ever
-  consulted (the adversary needs ``G_{t-a}`` with small ``a``; audits need a
-  couple of rounds of history).  A round has far more copies than edges
-  (45 : 1 at n=128), and every reader asks about edges or about counts per
-  edge, so the per-copy columns are not kept;
-* the alive set ``V_t`` (kept for the whole run; churn-free rounds share one
-  frozenset);
-* join/leave events (kept for the whole run).
+  pair in first-occurrence order, with its copy count.  A round has far
+  more copies than edges (45 : 1 at n=128), and every reader asks about
+  edges or about counts per edge, so the per-copy columns are not kept;
+* the alive set ``V_t`` (churn-free rounds share one frozenset);
+* join/leave events.
+
+All of it is kept for the most recent ``edge_depth`` rounds only, because
+nothing older is ever consulted (the adversary needs ``G_{t-a}`` with small
+``a``; audits need a couple of rounds of history), so a run of any length
+holds a bounded trace.
 
 Access control (who may see which round) is *not* enforced here — that is the
 job of :class:`repro.adversary.view.AdversaryView`, which wraps a trace and
@@ -21,7 +22,6 @@ clamps queries to the lateness bounds.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Iterable
 
 from repro.sim.network import EdgeLog
@@ -32,19 +32,19 @@ __all__ = ["GraphTrace"]
 class GraphTrace:
     """Recorder of the evolving communication graph.
 
-    What is bounded is ``E_t`` — by far the largest part — to the newest
-    ``edge_depth`` rounds, each held as at most ``|V_t|²`` distinct pairs
-    with multiplicities (:meth:`EdgeLog.reduced`); ``V_t``, joins and leaves
-    grow with the run.  A retained log still speaks in copies: its ``len``
-    is the round's copy count and iterating it yields every pair once per
-    copy, grouped at the pair's first occurrence.
+    Every per-round map — ``E_t``, ``V_t``, joins and leaves — holds the
+    newest ``edge_depth`` rounds; older rounds read as unknown.  ``E_t`` is
+    held as at most ``|V_t|²`` distinct pairs with multiplicities
+    (:meth:`EdgeLog.reduced`).  A retained log still speaks in copies: its
+    ``len`` is the round's copy count and iterating it yields every pair
+    once per copy, grouped at the pair's first occurrence.
     """
 
     def __init__(self, edge_depth: int = 8) -> None:
         if edge_depth < 1:
             raise ValueError(f"edge_depth must be positive, got {edge_depth}")
         self.edge_depth = edge_depth
-        self._edges: OrderedDict[int, EdgeLog] = OrderedDict()
+        self._edges: dict[int, EdgeLog] = {}
         self._alive: dict[int, frozenset[int]] = {}
         self._joins: dict[int, tuple[int, ...]] = {}
         self._leaves: dict[int, tuple[int, ...]] = {}
@@ -75,12 +75,13 @@ class GraphTrace:
         if not isinstance(edges, EdgeLog):
             edges = EdgeLog.from_pairs(edges)
         self._edges[t] = edges.reduced()
-        while len(self._edges) > self.edge_depth:
-            self._edges.popitem(last=False)
         self._alive[t] = alive
         self._joins[t] = tuple(joins)
         self._leaves[t] = tuple(leaves)
         self._last_round = t
+        old = t - self.edge_depth
+        for store in (self._edges, self._alive, self._joins, self._leaves):
+            store.pop(old, None)
 
     # ------------------------------------------------------------------
     # Queries

@@ -8,19 +8,22 @@ parities:
 * the trace's readers answer from the reduced rows exactly what the per-copy
   loop over the round's *send-order* columns answers (kept aside here by
   wrapping ``Network.close_send_phase``), dict key order included;
-* **retention** — the CREATE plans and join-target memos die with their
-  round, and a retained round is never longer than ``|V_t|²`` rows.
+* **retention** — the CREATE plans die with their round, a retained round
+  is never longer than ``|V_t|²`` rows, and a churned run's trace keeps
+  ``E_t``, ``V_t``, joins and leaves for the newest ``edge_depth`` rounds
+  only.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.adversary.base import Adversary, ChurnDecision, JoinRequest
 from repro.adversary.view import AdversaryView
 from repro.config import ProtocolParams
 from repro.core.runner import MaintenanceSimulation
 
-ROUND_LOCAL = ("create_batches", "join_targets")
+ROUND_LOCAL = ("create_batches",)
 
 
 @pytest.fixture(scope="module")
@@ -99,9 +102,46 @@ def test_round_local_memos_die_with_their_round(live):
         alive = len(eng.alive)
         for t in range(eng.round - eng.trace.edge_depth, eng.round):
             assert len(eng.trace.edges_at(t).columns()[0]) <= alive * alive
-    # Both memos were in use, on the per-round scratch ...
+    # The memo was in use, on the per-round scratch ...
     assert seen == set(ROUND_LOCAL)
     # ... which the next round's first act empties.
     assert cache._round
     cache.begin_round(eng.round)
     assert cache._round == {}
+
+
+class _OneInOneOut(Adversary):
+    """Every round the budget allows: the lowest id leaves, a new node joins
+    via the highest eligible bootstrap."""
+
+    def decide(self, view):
+        boots = sorted(view.eligible_bootstraps())
+        victim = min(view.alive)
+        if view.budget_remaining < 2 or not boots or boots == [victim]:
+            return ChurnDecision.none()
+        boot = boots[-1] if boots[-1] != victim else boots[-2]
+        return ChurnDecision(
+            leaves=frozenset({victim}), joins=(JoinRequest(view.fresh_id(), boot),)
+        )
+
+
+def test_a_churned_trace_keeps_the_newest_rounds_only():
+    params = ProtocolParams(
+        n=24, c=1.2, r=2, delta=3, tau=8, seed=5, alpha=0.25, kappa=1.25
+    )
+    with MaintenanceSimulation(params, _OneInOneOut(active_from=2)) as sim:
+        trace = sim.engine.trace
+        depth = trace.edge_depth
+        churned = []
+        for _ in range(3 * depth):
+            sim.run(1)
+            t = sim.engine.round
+            if sim.engine.reports[-1].decision.leaves:
+                churned.append(t - 1)
+            for store in (trace._edges, trace._alive, trace._joins, trace._leaves):
+                assert list(store) == list(range(max(0, t - depth), t))
+        assert trace.alive_at(t - 1) == frozenset(sim.engine.alive)
+        # Churn was recorded, and the rounds it was recorded in have left.
+        old = [s for s in churned if s < t - depth]
+        assert old
+        assert all(trace.leaves_at(s) == trace.joins_at(s) == () for s in old)

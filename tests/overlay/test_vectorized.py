@@ -210,6 +210,23 @@ class TestPrimedLDS:
         assert graph.degree_stats() == (0, 0.0, 0)
         assert graph.edge_count() == 0
 
+    def test_prime_wraps_the_top_position(self):
+        """At ``p = 1 − 2⁻⁵³`` the De Bruijn centre ``(p + 1) / 2`` is
+        ``1.0``, which ``wrap`` maps to ``0.0``; unwrapped, the arc's upper
+        end lands past the radius and takes in a node at that boundary."""
+        params = ProtocolParams(n=48, c=1.2, seed=1)
+        rho = params.debruijn_radius
+        boundary = (1.0 + rho) % 1.0  # the unwrapped arc's upper end
+        assert boundary > rho
+        positions = {0: 1.0 - 2.0**-53, 1: boundary, 2: rho, 3: 0.5, 4: 0.9}
+        primed = build_lds(positions, params)
+        lazy = build_lds(positions, params)
+        primed.prime()
+        assert 1 not in lazy.db_neighbors(0).tolist()
+        for v in positions:
+            np.testing.assert_array_equal(primed.db_neighbors(v), lazy.db_neighbors(v))
+            np.testing.assert_array_equal(primed.neighbors(v), lazy.neighbors(v))
+
     @settings(deadline=None, max_examples=20)
     @given(st.lists(unit, min_size=1, max_size=24, unique=True), st.integers(1, 10**6))
     def test_prime_matches_lazy_fuzzed(self, points, seed):

@@ -32,8 +32,9 @@ class TestRecording:
         assert tr.edges_at(1) is None
         assert tr.edges_at(2) == [(2, 3)]
         assert tr.edges_at(3) == [(3, 4)]
-        # Alive sets are kept for the whole run.
-        assert tr.alive_at(0) == frozenset({0})
+        # Alive sets share the window.
+        assert tr.alive_at(1) is None
+        assert tr.alive_at(2) == frozenset({2})
 
     def test_bad_depth(self):
         with pytest.raises(ValueError):
