@@ -12,6 +12,13 @@ scale`` renders the recorded curve — including the per-n speedup of the
 sharded rows against the serial ones and the ``exch MB/round`` column —
 as a table.
 
+The n=128 serial point also records a deterministic work counter,
+``repro_calls_per_round``: the calls cProfile sees to ``def`` functions under
+``src/repro/`` (comprehension and lambda frames left out, so CPython 3.11 and
+3.12 agree), per round over one untimed pair of rounds after the timed ones.
+It is exact per seed, so ``perf_guard.py`` holds it to the newest committed
+value with no tolerance.
+
 The n=512 serial point also asserts a peak-RSS ceiling: nothing per-copy
 outlives its round (the trace keeps reduced edge logs, the CREATE plans live
 on a per-round scratch), so a leak that grows the peak past
@@ -34,8 +41,13 @@ scenario and topology-reading-adversary run pays on top of a plain round.
 
 from __future__ import annotations
 
+import cProfile
+import pstats
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.adversary.swarm_wipe import DegreeTargetAdversary
 from repro.config import ProtocolParams
 from repro.core.runner import MaintenanceSimulation
@@ -55,6 +67,28 @@ QUICK_POINTS = ((48, 1), (128, 1))
 #: per-copy edge columns alone are +0.16 GB) while absorbing allocator
 #: jitter.
 RSS_LIMIT_KB_N512 = 480 * 1024
+
+#: The package directory whose functions :func:`repro_calls_per_round` counts.
+REPRO_DIR = Path(repro.__file__).resolve().parent
+
+
+def repro_calls_per_round(sim: MaintenanceSimulation, rounds: int = 2) -> int:
+    """Calls to ``def`` functions under ``src/repro/`` per round, as cProfile
+    counts them over the next ``rounds`` rounds of ``sim``.
+
+    Frames named ``<...>`` (comprehensions, generator expressions, lambdas)
+    are left out: CPython 3.12 inlines list, dict and set comprehensions,
+    3.11 gives each a frame.
+    """
+    profile = cProfile.Profile()
+    profile.enable()
+    sim.run(rounds)
+    profile.disable()
+    calls = 0
+    for (filename, _, name), (_, ncalls, *_) in pstats.Stats(profile).stats.items():
+        if not name.startswith("<") and Path(filename).resolve().is_relative_to(REPRO_DIR):
+            calls += ncalls
+    return calls // rounds
 
 
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
@@ -79,6 +113,9 @@ def test_scaling_round_cost(benchmark, quick, record_bench, n, workers):
         base = (warm.bytes_pipe, warm.bytes_shm, warm.rounds) if warm else None
         benchmark.pedantic(two_rounds, rounds=2 if quick else 3, iterations=1)
         stats = sim.exchange_stats()
+        calls = None
+        if n == 128 and workers == 1:
+            calls = benchmark.extra_info["repro_calls_per_round"] = repro_calls_per_round(sim)
         if stats is not None and stats.rounds > base[2]:
             timed = stats.rounds - base[2]
             record_bench(
@@ -91,7 +128,14 @@ def test_scaling_round_cost(benchmark, quick, record_bench, n, workers):
                 exchange_bytes_shm=(stats.bytes_shm - base[1]) // timed,
             )
         else:
-            record_bench(benchmark, "scaling", n=n, rounds=2, workers=workers)
+            record_bench(
+                benchmark,
+                "scaling",
+                n=n,
+                rounds=2,
+                workers=workers,
+                repro_calls_per_round=calls,
+            )
         assert sim.audit_overlay().edge_coverage == 1.0
         if n == 512 and workers == 1:
             rss = peak_rss_kb()

@@ -69,6 +69,7 @@ def record_bench(quick):
         exchange_bytes_pipe: int | None = None,
         exchange_bytes_shm: int | None = None,
         msgs_per_round: int | None = None,
+        repro_calls_per_round: int | None = None,
     ):
         meta = getattr(benchmark, "stats", None)
         if meta is None:  # --benchmark-disable: nothing was timed
@@ -84,6 +85,7 @@ def record_bench(quick):
             exchange_bytes_pipe=exchange_bytes_pipe,
             exchange_bytes_shm=exchange_bytes_shm,
             msgs_per_round=msgs_per_round,
+            repro_calls_per_round=repro_calls_per_round,
         )
         return append_entry(RESULTS_DIR, bench_id, entry)
 

@@ -20,6 +20,10 @@ guard compares against the *last* committed entry whose fields match every
 ``k=v`` pair (``workers`` absent in an old entry matches ``workers=1``).
 The test's simulated rounds-per-iteration are taken from the committed
 entry, so both sides compare in seconds per simulated round.
+
+A test that reports a deterministic work counter in its benchmark
+``extra_info`` (``repro_calls_per_round``) is also held to the newest
+matching committed entry that carries one, exactly: any increase fails.
 """
 
 from __future__ import annotations
@@ -53,14 +57,21 @@ def _parse_bench_ref(ref: str) -> tuple[str, dict[str, int]]:
     return bench_id, fields
 
 
-def _select_entry(entries: list[dict], fields: dict[str, int]) -> dict | None:
-    """The newest committed entry matching every filter field.
+#: Deterministic work counters: a fresh value above the committed one fails.
+COUNTERS = ("repro_calls_per_round",)
+
+
+def _select_entry(
+    entries: list[dict], fields: dict[str, int], having: str | None = None
+) -> dict | None:
+    """The newest committed entry matching every filter field (and carrying
+    the field ``having``, if given).
 
     ``workers`` is special-cased: entries recorded before the sharded
     engine carry no workers field and mean workers=1.
     """
     for entry in reversed(entries):
-        if all(
+        if (having is None or having in entry) and all(
             entry.get(key, 1 if key == "workers" else None) == value
             for key, value in fields.items()
         ):
@@ -118,6 +129,15 @@ def main(argv: list[str] | None = None) -> int:
         )
         if fresh > limit:
             failed = True
+        for counter in COUNTERS:
+            count = bench.get("extra_info", {}).get(counter)
+            held = _select_entry(record["entries"], fields, having=counter)
+            if count is None or held is None:
+                continue
+            verdict = "OK" if count <= held[counter] else "REGRESSION"
+            print(f"{test_name}: {counter} {count} vs committed {held[counter]} -> {verdict}")
+            if count > held[counter]:
+                failed = True
     return 1 if failed else 0
 
 

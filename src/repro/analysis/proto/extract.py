@@ -170,7 +170,8 @@ class SendSite:
 
 @dataclass
 class StepWrite:
-    """A hop step value leaving this function (``send_hops`` arg / step column)."""
+    """A hop step value leaving this function (``send_hops`` arg, the
+    ``step=`` of ``launch_chunks``, or a step column)."""
 
     module: SourceModule
     qname: str
@@ -525,6 +526,21 @@ class ProtocolModel:
                                 bindings=bindings,
                             )
                         )
+        # The launch kernel's ``step=``: the hop step launches enter at.
+        if callee == "launch_chunks":
+            for kw in call.keywords:
+                if kw.arg == "step":
+                    self.step_writes.append(
+                        StepWrite(
+                            module=mod,
+                            qname=qname,
+                            lineno=call.lineno,
+                            expr=kw.value,
+                            func=func,
+                            cls=cls_node,
+                            bindings=bindings,
+                        )
+                    )
         # `.append(...)` sites: hop-plane step columns and TTL pools.
         if attr == "append" and call.args:
             receiver = call.func.value

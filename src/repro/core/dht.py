@@ -140,24 +140,11 @@ class DHTNode(MaintenanceNode):
                 if op == "put"
                 else ("get", key, extra, self.id)
             )
-            self._pending_launch.append(
-                self._make_routed(ctx, ("dht", op, key, self._op_counter), p, payload)
+            self._launch_routed(
+                ctx, ("dht", op, key, self._op_counter), p, payload=payload
             )
             self._op_counter += 1
         self._pending_ops.clear()
-
-    def _make_routed(self, ctx: NodeContext, msg_id, target, payload):
-        from repro.routing.messages import make_routed_message
-
-        return make_routed_message(
-            msg_id=msg_id,
-            origin=self.id,
-            origin_position=self.pos,
-            target=target,
-            lam=self._lam,
-            start_round=ctx.round,
-            payload=payload,
-        )
 
     def _handover_stash(self, ctx: NodeContext) -> None:
         """Odd round: hand every stored item to the next swarm."""

@@ -28,23 +28,34 @@ What is left for the node (``MaintenanceNode._forward``) is to draw its
 uniforms into a view of the plan's buffer, in row order around its delivery
 events, and to file views of the plan's columns; :meth:`HopPlan.close` then
 turns all the band's uniforms into picks in one pass.
+
+Launches take the same route in: a node records each request it launches as
+a :class:`Launch`, and :func:`launch_chunks` turns a band's pending launches
+into plane rows — one :func:`~repro.overlay.trajectory.trajectories` pass —
+and into each launcher's initial-multicast chunk.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from itertools import groupby
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.core.messages import JoinRecord
 from repro.overlay.positions import PositionIndex
-from repro.sim.hopplane import HopDelivery
+from repro.overlay.trajectory import trajectories
+from repro.routing.messages import JOIN as JOIN_CLASS
+from repro.routing.messages import RANKED, RECORD, RoutedMessage, classify_payload, launch_key
+from repro.sim.hopplane import HopDelivery, HopRows
 
 __all__ = [
     "HopPlan",
+    "Launch",
     "NodePlan",
     "hop_columns",
     "ids32",
+    "launch_chunks",
     "membership",
     "prefix_counts",
     "slot_of_id",
@@ -61,72 +72,55 @@ NodePlan = tuple[
 ]
 
 
-def _final_class(m) -> tuple[int, int]:
-    """Delivery class of a final-step row: ``(class, sample_rank)``.
-
-    Class 0 — recorded on arrival (probes, unknown payloads): ``_deliver``
-    appends to ``delivered`` and never draws rng.  Class 1 — rank-tested
-    token: state changes (and rng draws) happen only at the node whose rank
-    in the target swarm equals ``sample_rank``.  Class 2 — complete no-op
-    (a token without a sample rank returns immediately).
-    """
-    payload = m.payload
-    if isinstance(payload, tuple) and payload[0] == "token":
-        if m.sample_rank is None:
-            return 2, -1
-        return 1, m.sample_rank
-    return 0, -1
-
-
 def hop_columns(delivery: HopDelivery, even: bool, intern: Callable) -> tuple:
     """Per-row classification, once per round for the whole network.
 
     Returns ``(kind, point, fincls, srank, out_row, recs)``: the row kind
     (``SKIP`` / ``JOIN`` / ``FINAL`` / ``MID``), the centre of the window the
     row is sent into (next trajectory point, handover point, or target), the
-    delivery class and sample rank of finals (:func:`_final_class`), the
-    interned plane row the hop is forwarded as (``-1``: not forwarded), and
-    the join record an arrived JOIN carries.
+    delivery class of finals — the payload class, a join counting as
+    ``RECORD`` (see :mod:`repro.routing.messages`) — and the sample rank of
+    ``RANKED`` finals (``-1`` elsewhere), the interned plane row the hop is
+    forwarded as (``-1``: not forwarded), and the join record an arrived
+    JOIN carries.
 
     Even rounds advance a hop one step: the step before the last is a
     ``FINAL`` (multicast to the target swarm) or, for a JOIN, the arrival
     that is rebroadcast instead.  Odd rounds hand a hop over at its current
     step; a hop at its last step is a ``FINAL`` that is delivered, not
-    forwarded.  ``intern`` is :meth:`NodeContext.intern_hops`.
+    forwarded.  ``intern`` is :meth:`NodeContext.intern_hops`.  Array
+    arithmetic on the message table's ``(step, final step, class)``
+    columns; only the arrived join records are read off their messages.
     """
     cols = delivery.cache.get("cols")
     if cols is not None:
         return cols  # type: ignore[return-value]
-    msgs = delivery.msgs
-    steps = delivery.steps.tolist()
-    count = len(msgs)
+    table = delivery.table
+    steps, fsteps, cls = table.steps, table.fsteps, table.cls
+    count = steps.size
     kind = np.zeros(count, dtype=np.int8)
-    point = np.zeros(count, dtype=np.float64)
-    fincls = np.zeros(count, dtype=np.int8)
-    srank = np.full(count, -1, dtype=np.int32)
+    if even:
+        live = steps < fsteps  # defensive: deliveries happen at odd rounds
+        steps = steps + 1
+        arrived = live & (steps == fsteps)
+        joins = arrived & (cls == JOIN_CLASS)
+        kind[live & ~arrived] = MID
+        kind[arrived & ~joins] = FINAL
+        kind[joins] = JOIN
+    else:
+        kind[:] = np.where(steps < fsteps, MID, FINAL)
+    final = kind == FINAL
+    mid = np.flatnonzero(kind == MID)
+    point = np.where(final, table.target, 0.0)
+    point[mid] = table.traj[mid, steps[mid]]
+    fincls = np.where(final & (cls != JOIN_CLASS), cls, RECORD).astype(np.int8)
+    srank = np.where(final & (cls == RANKED), table.srank, -1).astype(np.int32)
     recs: list[JoinRecord | None] = [None] * count
-    for i, m in enumerate(msgs):
-        k = steps[i]
-        fs = m.final_step
-        if even:
-            if k >= fs:
-                continue  # defensive: deliveries happen at odd rounds
-            k = steps[i] = k + 1
-            if k == fs:
-                payload = m.payload
-                if isinstance(payload, tuple) and payload[0] == "join":
-                    kind[i] = JOIN
-                    recs[i] = payload[1]
-                    continue
-        if k >= fs:
-            kind[i] = FINAL
-            point[i] = m.target
-            fincls[i], srank[i] = _final_class(m)
-        else:
-            kind[i] = MID
-            point[i] = m.trajectory[k]
-    forwarded = kind >= FINAL if even else kind == MID
-    out_row = intern(msgs, np.flatnonzero(forwarded).tolist(), steps)
+    msgs = table.msgs
+    for row in np.flatnonzero(kind == JOIN).tolist():
+        recs[row] = msgs[row].payload[1]
+    forwarded = np.flatnonzero(kind >= FINAL if even else kind == MID)
+    out_row = intern(table, forwarded, steps[forwarded])
     cols = delivery.cache["cols"] = (kind, point, fincls, srank, out_row, recs)
     return cols
 
@@ -452,3 +446,92 @@ class HopPlan:
         if u.size:
             pick = np.repeat(first, r) + (u * np.repeat(size, r)).astype(np.int32)
             flat[(start[:, None] + np.arange(r)).ravel()] = ring[pick]
+
+
+class Launch(NamedTuple):
+    """One routed request its origin has launched (an even round) and not
+    yet multicast: what :func:`launch_chunks` builds its message from."""
+
+    msg_id: object
+    start_round: int
+    #: The origin's launch ordinal in ``start_round`` (its launch key field).
+    ordinal: int
+    #: The origin's position at launch: the trajectory starts there.
+    origin_pos: float
+    target: float
+    sample_rank: int | None
+    payload: object
+
+
+def launch_chunks(
+    launchers: Sequence[tuple],
+    *,
+    step: int,
+    lam: int,
+    rho: float,
+    append: Callable[[HopRows], int],
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The initial multicasts of a band's pending launches.
+
+    ``launchers`` holds one ``(origin id, launches, hop index)`` per node in
+    node order.  One :func:`trajectories` pass materialises every launch as
+    a :class:`RoutedMessage` and a plane row at hop ``step`` (the initial
+    multicast's, 0), handed to ``append`` (:meth:`NodeContext.append_hops`)
+    as one block.  Returns each launcher's ``(rows, lens, flat)`` chunk: its
+    rows in launch order, each multicast to the swarm window of ``x_0`` in
+    the hop index minus the launcher itself; rows with nobody to send to
+    are left out.  Launches start at their origin's position, so a node's
+    window is computed once per run of equal ``x_0`` — once, unless a
+    stalled round left launches of an earlier epoch pending.
+    """
+    origins = np.repeat(
+        np.array([origin for origin, _, _ in launchers], dtype=np.int64),
+        [len(pending) for _, pending, _ in launchers],
+    )
+    msg_ids, starts, ordinals, origin_pos, targets, sranks, payloads = zip(
+        *(launch for _, pending, _ in launchers for launch in pending)
+    )
+    traj = trajectories(np.array(origin_pos), np.array(targets), lam)
+    msgs = list(
+        map(
+            RoutedMessage,
+            msg_ids,
+            origins.tolist(),
+            targets,
+            map(tuple, traj.tolist()),
+            starts,
+            sranks,
+            payloads,
+            ordinals,
+        )
+    )
+    base = append(
+        HopRows(
+            launch_key(np.array(starts), origins, np.array(ordinals)),
+            np.full(len(msgs), step, dtype=np.int32),
+            msgs,
+            np.full(len(msgs), lam + 1, dtype=np.int32),
+            np.array(list(map(classify_payload, payloads, sranks)), dtype=np.int8),
+            np.array([-1 if s is None else s for s in sranks], dtype=np.int32),
+            np.array(targets, dtype=np.float64),
+            traj,
+        )
+    )
+    chunks = []
+    x0s = traj[:, 0].tolist()
+    lo = 0
+    for origin, pending, index in launchers:
+        lens: list[int] = []
+        flat: list[np.ndarray] = []
+        for x0, run in groupby(x0s[lo : lo + len(pending)]):
+            count = sum(1 for _ in run)
+            window = index.ids_within(x0, rho)
+            window = window[window != origin].astype(np.int32)
+            lens += [window.size] * count
+            flat.append(np.tile(window, count))
+        lens_a = np.array(lens, dtype=np.int32)
+        sent = np.flatnonzero(lens_a)
+        rows = (base + lo + sent).astype(np.int32)
+        chunks.append((rows, lens_a[sent], np.concatenate(flat)))
+        lo += len(pending)
+    return chunks

@@ -37,10 +37,11 @@ routed ``JOIN`` carrying the position for epoch ``s + lam + 2``:
 (:meth:`MaintenanceNode.on_rounds`; ``on_round`` is the batch of one):
 every node *prepares* (inbox, cutover or handover records — no sends), one
 array kernel *plans* the forwarding of every held hop
-(:mod:`repro.core.forwarding`) and a second the rebroadcast of every
-arrived join record (:mod:`repro.core.joinplan`), then every node *acts* in
-id order (deliveries and rng draws in row order, filing, rebroadcast,
-joins, tokens, matchmaking).
+(:mod:`repro.core.forwarding`), a second the rebroadcast of every arrived
+join record (:mod:`repro.core.joinplan`) and, at odd rounds, a third the
+initial multicast of every pending launch, then every node *acts* in id
+order (deliveries and rng draws in row order, filing, rebroadcast, joins,
+tokens, matchmaking).
 
 **Matchmaking and cutover.**  The handover records ``H`` a node stores at an
 odd round are interned as one position index per distinct member set.  The
@@ -78,11 +79,11 @@ from repro.core.messages import (
     TokenGrant,
     TokenMsg,
 )
-from repro.core.forwarding import HopPlan, NodePlan, ids32
+from repro.core.forwarding import HopPlan, Launch, NodePlan, hop_columns, ids32, launch_chunks
 from repro.core.joinplan import JoinPlan, JoinShare
 from repro.overlay.lds import neighbor_arc_slots
 from repro.overlay.positions import PositionIndex
-from repro.routing.messages import RoutedMessage, make_routed_message
+from repro.routing.messages import RoutedMessage
 from repro.sim.engine import EngineServices, JoinNotice, NodeContext, NodeProtocol
 
 __all__ = ["Phase", "MaintenanceNode"]
@@ -118,7 +119,9 @@ _BAND_PAIRS = 1 << 20
 class _Step:
     """What a node's prepare stage hands to the plan and to its act stage."""
 
-    __slots__ = ("notices", "h_index", "hop_index", "fin_index", "plan", "joins")
+    __slots__ = (
+        "notices", "h_index", "hop_index", "fin_index", "plan", "joins", "launch"
+    )
 
     def __init__(self, notices: list[JoinNotice]) -> None:
         self.notices = notices
@@ -132,6 +135,8 @@ class _Step:
         self.plan: NodePlan | None = None
         #: Its share of the band's rebroadcast plan, if join records arrived.
         self.joins: JoinShare | None = None
+        #: Its initial-multicast chunk, if it files launches (odd rounds).
+        self.launch: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
 
 # How many rounds a token stays usable.  The paper discards unused tokens
@@ -165,7 +170,7 @@ class MaintenanceNode(NodeProtocol):
         self.d_nbrs: dict[int, float] = {}
         self._d_index: PositionIndex | None = None
         self.h_records: dict[int, JoinRecord] = {}
-        self._pending_launch: list[RoutedMessage] = []
+        self._pending_launch: list[Launch] = []
         # --- A_RANDOM state ----------------------------------------------
         self.tokens: list[tuple[int, int]] = []  # (expiry round, owner id)
         self.slots: list[int | None] = [None] * (2 * self.params.delta_eff)
@@ -244,30 +249,6 @@ class MaintenanceNode(NodeProtocol):
         """Member ids of ``S(point)`` in the given index (ndarray view)."""
         return index.ids_within(point, self._swarm_radius)
 
-    @staticmethod
-    def _windows(
-        index: PositionIndex, points: list[float], radius: float
-    ) -> list[list[int]]:
-        """Batched ``ids_within`` over many points: one sorted-array sweep.
-
-        Returns one member list per point (byte-identical content and order
-        to the scalar path).  Lists may be shared; callers must not mutate.
-        """
-        ids_list = index.ids_list
-        count = len(points)
-        if radius >= 0.5:
-            return [ids_list] * count
-        a, b, wrapped = index.bounds_many(
-            np.fromiter(points, dtype=np.float64, count=count), radius
-        )
-        a = a.tolist()
-        b = b.tolist()
-        wrapped = wrapped.tolist()
-        return [
-            ids_list[a[i]:] + ids_list[:b[i]] if wrapped[i] else ids_list[a[i]:b[i]]
-            for i in range(count)
-        ]
-
     # ------------------------------------------------------------------
     # Round dispatch
     # ------------------------------------------------------------------
@@ -296,10 +277,11 @@ class MaintenanceNode(NodeProtocol):
         slots, cutover or handover records); it may draw from its own
         stream, it sends nothing.  **plan** — per band of consecutive
         nodes, one :class:`HopPlan` does everything rng-free about their
-        forwarding step and one :class:`JoinPlan` their join rebroadcast,
-        as array passes.  **act** — each node, in order, does what is
-        order-bound (:meth:`_act`: delivery events and draws in row order,
-        filing, then rebroadcast, joins, tokens, matchmaking).
+        forwarding step, one :class:`JoinPlan` their join rebroadcast and,
+        at odd rounds, one :func:`launch_chunks` pass their pending
+        launches, as array passes.  **act** — each node, in order, does
+        what is order-bound (:meth:`_act`: delivery events and draws in row
+        order, filing, then rebroadcast, joins, tokens, matchmaking).
 
         Preparing every node before any acts is unobservable: nodes interact
         only through next-round delivery, prepare files nothing, and each
@@ -314,16 +296,23 @@ class MaintenanceNode(NodeProtocol):
         plan_s = 0.0
         start = pairs = 0
         holders: list[int] = []
+        launchers: list[int] = []
+        odd = bool(batch) and batch[0][1].round % 2 == 1
         for k, step in enumerate(steps):
             if step.fin_index is not None:
                 holders.append(k)
                 pairs += batch[k][1].hops.size
+            if odd and step.hop_index is not None and batch[k][0]._pending_launch:
+                launchers.append(k)
             if pairs < _BAND_PAIRS and k + 1 < len(steps):
                 continue
             plan = None
-            if holders:
+            if holders or launchers:
                 t2 = clock() if timed else 0.0
-                plan = cls._plan_band(batch, steps, holders)
+                if holders:
+                    plan = cls._plan_band(batch, steps, holders)
+                if launchers:
+                    cls._plan_launches(batch, steps, launchers)
                 if timed:
                     plan_s += clock() - t2
             for j in range(start, k + 1):
@@ -337,6 +326,7 @@ class MaintenanceNode(NodeProtocol):
             start = k + 1
             pairs = 0
             holders = []
+            launchers = []
         if timed:
             return (t1 - t0, plan_s, clock() - t1 - plan_s)
         return ()
@@ -385,6 +375,33 @@ class MaintenanceNode(NodeProtocol):
             for (h, _), share in zip(joining, joins.nodes):
                 steps[h].joins = share
         return plan
+
+    @staticmethod
+    def _plan_launches(
+        batch: Sequence[tuple["MaintenanceNode", NodeContext]],
+        steps: Sequence["_Step"],
+        launchers: Sequence[int],
+    ) -> None:
+        """Stage 2 at odd rounds: the initial multicasts of the pending
+        launches of ``launchers`` (nodes of ``batch``), as plane rows and one
+        chunk per launcher, left on its step.  The round's forwarded hops
+        are its first plane rows, so they are interned before the launches
+        are appended (a no-op once this round's forwarding plan did it)."""
+        node, ctx = batch[launchers[0]]
+        if ctx.hop_delivery is not None:
+            hop_columns(ctx.hop_delivery, False, ctx.intern_hops)
+        chunks = launch_chunks(
+            [
+                (batch[j][0].id, batch[j][0]._pending_launch, steps[j].hop_index)
+                for j in launchers
+            ],
+            step=0,
+            lam=node._lam,
+            rho=node._swarm_radius,
+            append=ctx.append_hops,
+        )
+        for j, chunk in zip(launchers, chunks):
+            steps[j].launch = chunk
 
     def _prepare(self, ctx: NodeContext) -> "_Step":
         """Stage 1 of the round: absorb the inbox.  Sends nothing."""
@@ -669,6 +686,22 @@ class MaintenanceNode(NodeProtocol):
         gap = np.abs(self.pos - point)
         return np.minimum(gap, 1.0 - gap) <= self._swarm_radius
 
+    def _launch_routed(
+        self,
+        ctx: NodeContext,
+        msg_id: object,
+        target: float,
+        payload: object,
+        sample_rank: int | None = None,
+    ) -> None:
+        """Launch a routed request from this node's position: recorded as a
+        :class:`Launch`, multicast at the next odd round (the band's
+        :func:`launch_chunks` pass builds its message and trajectory)."""
+        pending = self._pending_launch
+        pending.append(
+            Launch(msg_id, ctx.round, len(pending), self.pos, target, sample_rank, payload)
+        )
+
     def _launch_joins(self, ctx: NodeContext, e: int) -> None:
         """Launch this cycle's JOIN requests (self + sponsored fresh nodes)."""
         target_epoch = e + self.params.lam + 2
@@ -676,16 +709,8 @@ class MaintenanceNode(NodeProtocol):
         for v in dict.fromkeys(candidates):
             pos = self._pos_of(v, target_epoch)
             rec = JoinRecord(v, pos, target_epoch)
-            self._pending_launch.append(
-                make_routed_message(
-                    msg_id=("join", v, target_epoch, self.id),
-                    origin=self.id,
-                    origin_position=self.pos,
-                    target=pos,
-                    lam=self.params.lam,
-                    start_round=ctx.round,
-                    payload=("join", rec),
-                )
+            self._launch_routed(
+                ctx, ("join", v, target_epoch, self.id), pos, payload=("join", rec)
             )
             self.joins_launched += 1
 
@@ -695,31 +720,18 @@ class MaintenanceNode(NodeProtocol):
         for i in range(params.tau_eff):
             target = float(ctx.rng.random())
             delta = int(ctx.rng.integers(0, params.sampling_rank_range))
-            self._pending_launch.append(
-                make_routed_message(
-                    msg_id=("token", self.id, ctx.round, i),
-                    origin=self.id,
-                    origin_position=self.pos,
-                    target=target,
-                    lam=params.lam,
-                    start_round=ctx.round,
-                    sample_rank=delta,
-                    payload=("token", self.id),
-                )
+            self._launch_routed(
+                ctx,
+                ("token", self.id, ctx.round, i),
+                target,
+                payload=("token", self.id),
+                sample_rank=delta,
             )
 
     def _launch_queued_probes(self, ctx: NodeContext) -> None:
         for probe_id, target in self._queued_probes:
-            self._pending_launch.append(
-                make_routed_message(
-                    msg_id=("probe", probe_id, self.id),
-                    origin=self.id,
-                    origin_position=self.pos,
-                    target=target,
-                    lam=self.params.lam,
-                    start_round=ctx.round,
-                    payload=("probe", probe_id),
-                )
+            self._launch_routed(
+                ctx, ("probe", probe_id, self.id), target, payload=("probe", probe_id)
             )
         self._queued_probes.clear()
 
@@ -763,19 +775,9 @@ class MaintenanceNode(NodeProtocol):
 
         # Initial multicasts of this cycle's launches (this sender's forward
         # chunk is filed before its launch chunk).
-        launches = self._pending_launch
-        if launches:
-            my_id = self.id
-            lwins = self._windows(
-                step.hop_index, [m.trajectory[0] for m in launches], self._swarm_radius
-            )
-            ctx.send_hops_batch(
-                [
-                    (msg, 0, [w for w in lwins[i] if w != my_id])
-                    for i, msg in enumerate(launches)
-                ]
-            )
-            launches.clear()
+        if step.launch is not None:
+            ctx.file_hops(*step.launch)
+            self._pending_launch.clear()
 
         # Matchmaking: introduce next-overlay neighbours to each other.
         if step.h_index is not None:

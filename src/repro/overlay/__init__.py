@@ -21,6 +21,7 @@ from repro.overlay.swarm import SwarmStats, audit_goodness, swarm_arc, swarm_mem
 from repro.overlay.trajectory import (
     crossing_counts,
     max_step_error,
+    trajectories,
     trajectory,
     trajectory_bits,
 )
@@ -47,6 +48,7 @@ __all__ = [
     "required_neighbor_arcs",
     "swarm_arc",
     "swarm_members",
+    "trajectories",
     "trajectory",
     "trajectory_bits",
 ]

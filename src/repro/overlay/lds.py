@@ -21,7 +21,7 @@ import numpy as np
 from repro.config import ProtocolParams
 from repro.overlay.positions import PositionIndex
 from repro.overlay.swarm import swarm_members
-from repro.util.intervals import Arc, wrap
+from repro.util.intervals import Arc, wrap, wrap_array
 
 __all__ = [
     "LDSGraph",
@@ -59,9 +59,7 @@ def arc_centers(points: np.ndarray) -> np.ndarray:
     centers[:, 0] = points
     np.divide(points, 2.0, out=centers[:, 1])
     np.divide(points + 1.0, 2.0, out=centers[:, 2])
-    db = centers[:, 1:]
-    db -= np.floor(db)
-    db[db >= 1.0] = 0.0
+    centers[:, 1:] = wrap_array(centers[:, 1:])
     return centers
 
 

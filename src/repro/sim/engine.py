@@ -36,7 +36,7 @@ from repro.faults.health import DegradationEvent, HealthMonitor
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.sim.epochs import EpochCache
-from repro.sim.hopplane import HopDelivery
+from repro.sim.hopplane import HopDelivery, HopRows
 from repro.sim.identity import Lifecycle
 from repro.sim.metrics import MetricsCollector, RoundMetrics
 from repro.sim.network import Inbox, Network
@@ -150,28 +150,23 @@ class NodeContext:
         """Multicast one routed hop via the columnar plane (plain-int dsts)."""
         self._network.send_hops(self.node_id, msg, step, dsts)
 
-    def send_hops_batch(
-        self, items: list[tuple[object, int, Sequence[int]]]
-    ) -> None:
-        """Send many hop multicasts at once (``(msg, step, dsts)`` items).
-
-        Order-equivalent to :meth:`send_hops` per item; empty receiver
-        lists are skipped.
-        """
-        self._network.send_hops_batch(self.node_id, items)
-
     def intern_hops(
-        self, msgs: list[object], rows: list[int], steps: list[int]
+        self, table: HopRows, rows: np.ndarray, steps: np.ndarray
     ) -> np.ndarray:
-        """Plane rows for a whole round's forward keys, interned once (see
-        :meth:`HopPlane.intern_rows`)."""
-        return self._network.plane.intern_rows(msgs, rows, steps)
+        """Plane rows for a whole round's forwarded hops, filed once as the
+        round's first rows (see :meth:`HopPlane.intern_rows`)."""
+        return self._network.plane.intern_rows(table, rows, steps)
+
+    def append_hops(self, table: HopRows) -> int:
+        """Add freshly launched hops to the plane; returns the first row id
+        (see :meth:`HopPlane.append`)."""
+        return self._network.plane.append(table)
 
     def file_hops(self, rows: np.ndarray, lens: np.ndarray, flat: np.ndarray) -> None:
-        """File this node's forwarded hops as one chunk of ``int32`` arrays.
+        """File one chunk of this node's hops as ``int32`` arrays.
 
-        ``rows[i]`` (interned through :meth:`intern_hops`) is multicast to
-        the next ``lens[i]`` receivers of ``flat`` — see
+        ``rows[i]`` (a row from :meth:`intern_hops` or :meth:`append_hops`)
+        is multicast to the next ``lens[i]`` receivers of ``flat`` — see
         :meth:`HopPlane.file`.
         """
         self._network.file_hops(self.node_id, rows, lens, flat)

@@ -7,11 +7,11 @@ tax paid per worker per round.  This module encodes the same payloads into
 so the pipes degrade to a **control plane** carrying only offsets and
 counts, and the bulk bytes cross the boundary exactly once, unserialized:
 
-* **Downlink** (master -> workers): the shared hop columns — already
-  columnar ``(msgs, steps)`` plus per-receiver row arrays — are written as
-  int arrays into one master-owned slab; each ``RoutedMessage`` is framed
-  *once per round* (identity-memoised) no matter how many bands reference
-  it, where PR 7 pickled it once per band.  Inboxes become flat
+* **Downlink** (master -> workers): the shared hop columns — the message
+  table (:class:`~repro.sim.hopplane.HopRows`) plus per-receiver row arrays
+  — are written as arrays into one master-owned slab; each
+  ``RoutedMessage`` is framed *once per round* (identity-memoised) no
+  matter how many bands reference it, where PR 7 pickled it once per band.  Inboxes become flat
   ``(sender, frame)`` integer pairs; the residual control scalars
   (leaves, joins-with-slots, stalls, forwarded calls) ride in one small
   pickled frame per band.
@@ -22,11 +22,13 @@ counts, and the bulk bytes cross the boundary exactly once, unserialized:
   The master splices by reading views — no unpickling of bulk columns.
 
 **Identity is part of the contract.**  Plane row interning — and with it
-receiver-side hop dedup — keys on *message object identity* (see
-:class:`~repro.sim.hopplane.HopPlane`); the frame encoder/decoder memo
-pair reproduces exactly the sharing structure a per-payload pickle memo
-produced in PR 7, which is what keeps W∈{2,4} fingerprints bit-for-bit
-identical (pinned by ``tests/integration/test_shard_identity.py``).
+receiver-side hop dedup — keys on each message's *launch key* (see
+:class:`~repro.sim.hopplane.HopPlane`), which rides the slabs as a column,
+so the master's splice interns worker rows by key.  The object lane still
+relies on the frame encoder/decoder memo pair reproducing exactly the
+sharing structure a per-payload pickle memo produced in PR 7.  Both keep
+W∈{2,4} fingerprints bit-for-bit identical (pinned by
+``tests/integration/test_shard_identity.py``).
 
 Overflow protocol: encoders raise :class:`~repro.util.arena.ArenaFull`;
 the master regrows its downlink slab and re-encodes, while a worker falls
@@ -43,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.sim.hopplane import HopDelivery
+from repro.sim.hopplane import HopDelivery, HopRows
 from repro.util.arena import (
     ByteArena,
     FrameDecoder,
@@ -93,6 +95,50 @@ def _frame_refs(enc: FrameEncoder, msgs: list[object]) -> np.ndarray:
     return np.fromiter((enc.encode(m) for m in msgs), dtype=np.int64, count=len(msgs))
 
 
+#: The message table's 1-D columns, in slab order, with their dtypes.
+_ROW_COLUMNS = (
+    ("keys", np.int64),
+    ("steps", np.int32),
+    ("fsteps", np.int32),
+    ("cls", np.int8),
+    ("srank", np.int32),
+    ("target", np.float64),
+)
+
+
+def _put_rows(arena: ByteArena, enc: FrameEncoder, table: HopRows) -> tuple:
+    """Write a message table: its columns as arrays, its messages as frames.
+    Returns ``(rows, width, traj_off, refs_off, *column offsets)``."""
+    traj = np.ascontiguousarray(table.traj, dtype=np.float64)
+    return (
+        len(table),
+        traj.shape[1],
+        arena.put_array(traj.reshape(-1)),
+        arena.put_array(_frame_refs(enc, table.msgs)),
+        *(
+            arena.put_array(np.ascontiguousarray(getattr(table, name), dtype=dtype))
+            for name, dtype in _ROW_COLUMNS
+        ),
+    )
+
+
+def _read_rows(buf: memoryview, dec: FrameDecoder, desc: tuple) -> HopRows:
+    """The message table :func:`_put_rows` wrote (columns copied out of the
+    slab, which the next regrow may unlink)."""
+    count, width, traj_off, refs_off, *offs = desc
+    cols = {
+        name: read_array(buf, off, np.dtype(dtype), count).copy()
+        for (name, dtype), off in zip(_ROW_COLUMNS, offs)
+    }
+    refs = read_array(buf, refs_off, np.dtype(np.int64), count).tolist()
+    traj = read_array(buf, traj_off, np.dtype(np.float64), count * width)
+    return HopRows(
+        msgs=[dec.decode(ref) for ref in refs],
+        traj=traj.reshape(count, width).copy(),
+        **cols,
+    )
+
+
 # ----------------------------------------------------------------------
 # Downlink: master -> workers
 # ----------------------------------------------------------------------
@@ -100,33 +146,25 @@ def _frame_refs(enc: FrameEncoder, msgs: list[object]) -> np.ndarray:
 
 def encode_downlink_shared(
     arena: ByteArena, enc: FrameEncoder, hop_delivery: HopDelivery | None
-) -> tuple[int, int, int] | None:
-    """Write the round's shared hop columns once, for every band.
+) -> tuple | None:
+    """Write the round's shared message table once, for every band.
 
-    Returns ``(steps_off, refs_off, n_rows)`` or ``None`` when no plane
-    delivery is pending.  ``refs`` holds one frame offset per logical-hop
-    row; a message referenced by many rows or bands is framed exactly once.
+    Returns its descriptor or ``None`` when no plane delivery is pending.
+    Every column travels as an array; a message referenced by many rows or
+    bands is framed exactly once.
     """
     if hop_delivery is None:
         return None
-    steps = np.ascontiguousarray(hop_delivery.steps, dtype=np.int32)
-    steps_off = arena.put_array(steps)
-    msgs = hop_delivery.msgs
-    refs_off = arena.put_array(_frame_refs(enc, msgs))
-    return (steps_off, refs_off, len(msgs))
+    return _put_rows(arena, enc, hop_delivery.table)
 
 
 def decode_downlink_shared(
-    buf: memoryview, dec: FrameDecoder, shared_desc: tuple[int, int, int] | None
-) -> tuple[list[object], np.ndarray] | None:
-    """Rebuild ``(msgs, steps)`` from the shared hop columns."""
+    buf: memoryview, dec: FrameDecoder, shared_desc: tuple | None
+) -> HopRows | None:
+    """Rebuild the message table from the shared hop columns."""
     if shared_desc is None:
         return None
-    steps_off, refs_off, n_rows = shared_desc
-    steps = read_array(buf, steps_off, np.dtype(np.int32), n_rows).copy()
-    refs = read_array(buf, refs_off, np.dtype(np.int64), n_rows).tolist()
-    msgs = [dec.decode(ref) for ref in refs]
-    return (msgs, steps)
+    return _read_rows(buf, dec, shared_desc)
 
 
 def encode_downlink_band(
@@ -243,9 +281,9 @@ def encode_uplink(
     receiver of every send and the frame offset of its message (a message
     sent many times is framed once) — and the marks as ``(node, sends_hi,
     plane_hi)`` triples.  ``plane_pack`` is the log's
-    :meth:`~repro.sim.hopplane.HopPlane.pack` — the ``msgs`` list plus
-    ``int32`` ``(steps, rows, lens, flat)`` arrays, which are written to the
-    region as they are.
+    :meth:`~repro.sim.hopplane.HopPlane.pack` — the message table plus
+    ``int32`` ``(rows, lens, flat)`` arrays, all written to the region as
+    arrays.
     Raises :class:`~repro.util.arena.ArenaFull` when the region is too small
     — the caller then falls back to the pipe for this round and requests a
     regrow.
@@ -253,20 +291,13 @@ def encode_uplink(
     marks_off = arena.put_array(np.array(marks, dtype=np.int64).reshape(-1))
     dsts_off = arena.put_array(np.array(dsts, dtype=np.int64))
     sent_off = arena.put_array(_frame_refs(enc, msgs))
-    hop_msgs, steps, rows, lens, flat = plane_pack
-    refs_off = arena.put_array(_frame_refs(enc, hop_msgs))
-    steps_off = arena.put_array(steps)
-    rows_off = arena.put_array(rows)
-    lens_off = arena.put_array(lens)
-    flat_off = arena.put_array(flat)
+    table, rows, lens, flat = plane_pack
     plane_desc = (
-        refs_off,
-        len(hop_msgs),
-        steps_off,
-        rows_off,
-        lens_off,
+        _put_rows(arena, enc, table),
+        arena.put_array(rows),
+        arena.put_array(lens),
         len(rows),
-        flat_off,
+        arena.put_array(flat),
         len(flat),
     )
     return (
@@ -284,9 +315,9 @@ def decode_uplink(buf: memoryview, dec: FrameDecoder, desc: tuple) -> tuple:
     """Rebuild ``(dsts, msgs, marks, plane_pack)`` from one worker's descriptor.
 
     The object-lane columns and marks come back as the plain lists the
-    worker logged; the plane columns come back as the ``int32`` arrays
-    :meth:`~repro.sim.hopplane.HopPlane.pack` produced, which the master's
-    splice slices per node.
+    worker logged; the plane comes back as the message table and ``int32``
+    send columns :meth:`~repro.sim.hopplane.HopPlane.pack` produced, which
+    the master's splice interns and slices per node.
     """
     marks_off, n_marks, dsts_off, sent_off, n_sends, plane_desc, _used = desc
     i64 = np.dtype(np.int64)
@@ -294,15 +325,11 @@ def decode_uplink(buf: memoryview, dec: FrameDecoder, desc: tuple) -> tuple:
     marks = [tuple(row) for row in marks_flat.reshape(-1, 3).tolist()]
     dsts = read_array(buf, dsts_off, i64, n_sends).tolist()
     msgs = [dec.decode(ref) for ref in read_array(buf, sent_off, i64, n_sends).tolist()]
-    refs_off, n_msgs, steps_off, rows_off, lens_off, n_rows, flat_off, n_flat = (
-        plane_desc
-    )
-    hop_msgs = [dec.decode(ref) for ref in read_array(buf, refs_off, i64, n_msgs).tolist()]
+    rows_desc, rows_off, lens_off, n_rows, flat_off, n_flat = plane_desc
     i32 = np.dtype(np.int32)
     # Copies, not views: the master files these into its plane, which must
     # not hold exports of a slab the next regrow unlinks.
-    steps = read_array(buf, steps_off, i32, n_msgs).copy()
     rows = read_array(buf, rows_off, i32, n_rows).copy()
     lens = read_array(buf, lens_off, i32, n_rows).copy()
     flat = read_array(buf, flat_off, i32, n_flat).copy()
-    return dsts, msgs, marks, (hop_msgs, steps, rows, lens, flat)
+    return dsts, msgs, marks, (_read_rows(buf, dec, rows_desc), rows, lens, flat)

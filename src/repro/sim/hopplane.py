@@ -2,16 +2,24 @@
 
 Routed hops are ~90% of all traffic: every holder of a message forwards it to
 ``r`` random swarm members (mid-route) or to the whole target swarm (final
-step), so each *logical* hop — one ``(RoutedMessage, step)`` pair — fans out
-into many receiver copies (~9 per logical hop per receiver), and receivers
-near each other hold almost the same hop sets.  One object per copy,
-classified again by every receiver, would be the dominant round cost.
+step), so each *logical* hop — one ``(message, step)`` pair — fans out into
+many receiver copies (~9 per logical hop per receiver), and receivers near
+each other hold almost the same hop sets.  One object per copy, classified
+again by every receiver, would be the dominant round cost.
 
 :class:`HopPlane` therefore stores a round's hop traffic in columns:
 
-* each logical hop is **interned once per round** — the first send of a
-  ``(message identity, step)`` pair assigns it a dense row id; the message
-  object and step live in per-row columns (one entry per *logical* hop);
+* each logical hop is **one row** of a message table (:class:`HopRows`): its
+  step and payload object beside the message's own columns — the ``int64``
+  launch key that identifies the message
+  (:func:`~repro.routing.messages.launch_key`), its final step, payload
+  class, sample rank, target and trajectory — so the per-round
+  classification is array arithmetic over rows;
+* rows arrive **in blocks**: a round's forwarded hops are its first rows
+  (:meth:`HopPlane.intern_rows` — each is a delivered row one step on, so
+  they are distinct by construction and interning them is a gather), each
+  band's launches one block after them (:meth:`HopPlane.append`); only
+  hand-filed hops (:meth:`HopPlane.send`) are looked up, by ``(key, step)``;
 * sends are filed as **chunks of typed arrays**: one :meth:`HopPlane.file`
   call hands over a sender's ``int32`` ``(rows, lens)`` per multicast plus the
   flat ``int32`` receiver column, exactly as the node computed them — no
@@ -31,27 +39,22 @@ The plane carries fault plans too.  Fates arrive as per-copy columns at
 ``close_send_phase``; :meth:`FrozenHopRound.cut` keeps the copies that share
 one delivery latency as a *segment* (dropped copies gone, duplicates
 adjacent, send order kept) and the network queues one segment per latency.
-Rows are interned per round, so the segments due together — a delayed one
+Rows are numbered per round, so the segments due together — a delayed one
 from an earlier round beside this round's undisturbed copies — are first
 :meth:`~FrozenHopRound.merged`: concatenated oldest first with their rows
-re-interned on the same ``(message identity, step)`` key, so a delayed copy
-still deduplicates against a fresh copy of the same logical hop: a receiver
-sees each ``(message identity, step)`` at most once per round, whenever its
-copies were sent.
+re-interned on the ``(launch key, step)`` pair, so a delayed copy still
+deduplicates against a fresh copy of the same logical hop: a receiver sees
+each ``(message, step)`` at most once per round, whenever its copies were
+sent.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
-__all__ = ["HopPlane", "FrozenHopRound", "HopDelivery"]
-
-
-def _freeze_i32(steps: list[int]) -> np.ndarray:
-    """The per-row ``steps`` list as int32 (one entry per *logical* hop)."""
-    return np.array(steps, dtype=np.int32)
+__all__ = ["HopRows", "HopPlane", "FrozenHopRound", "HopDelivery"]
 
 
 def _stable_argsort(keys: np.ndarray) -> np.ndarray:
@@ -76,35 +79,157 @@ def _stable_argsort(keys: np.ndarray) -> np.ndarray:
     return np.argsort(keys, kind="stable")
 
 
+#: The array columns of :class:`HopRows` (``msgs`` is a list).
+_ARRAYS = ("keys", "steps", "fsteps", "cls", "srank", "target", "traj")
+
+
+class HopRows:
+    """A message table: one entry per plane row (one logical hop).
+
+    ``msgs`` is the list of payload carriers (the routed messages) and every
+    other column an array: ``keys`` (``int64`` launch key), ``steps``,
+    ``fsteps`` (final step) and ``srank`` (sample rank, ``-1`` for none) as
+    ``int32``, ``cls`` (payload class) as ``int8``, ``target`` as ``float64``
+    and ``traj``, the ``(rows, lam + 2)`` ``float64`` trajectory matrix (a
+    hand-built message with a shorter trajectory is ``NaN``-padded).
+    """
+
+    __slots__ = ("keys", "steps", "msgs", "fsteps", "cls", "srank", "target", "traj")
+
+    def __init__(
+        self,
+        keys: np.ndarray,
+        steps: np.ndarray,
+        msgs: list[Any],
+        fsteps: np.ndarray,
+        cls: np.ndarray,
+        srank: np.ndarray,
+        target: np.ndarray,
+        traj: np.ndarray,
+    ) -> None:
+        self.keys = keys
+        self.steps = steps
+        self.msgs = msgs
+        self.fsteps = fsteps
+        self.cls = cls
+        self.srank = srank
+        self.target = target
+        self.traj = traj
+
+    def __len__(self) -> int:
+        return len(self.msgs)
+
+    @classmethod
+    def of(cls, msgs: Sequence, steps: Sequence[int]) -> "HopRows":
+        """The rows of the hops ``(msgs[i], steps[i])``, each message's
+        columns read off the object (``key``, ``final_step``,
+        ``payload_class``, ``sample_rank``, ``target``, ``trajectory``)."""
+        width = max((len(m.trajectory) for m in msgs), default=0)
+        traj = np.full((len(msgs), width), np.nan)
+        for i, m in enumerate(msgs):
+            traj[i, : len(m.trajectory)] = m.trajectory
+        return cls(
+            np.array([m.key for m in msgs], dtype=np.int64),
+            np.array(steps, dtype=np.int32),
+            list(msgs),
+            np.array([m.final_step for m in msgs], dtype=np.int32),
+            np.array([m.payload_class for m in msgs], dtype=np.int8),
+            np.array(
+                [-1 if m.sample_rank is None else m.sample_rank for m in msgs],
+                dtype=np.int32,
+            ),
+            np.array([m.target for m in msgs], dtype=np.float64),
+            traj,
+        )
+
+    def take(self, idx: np.ndarray, steps: np.ndarray | None = None) -> "HopRows":
+        """Rows ``idx`` (at ``steps``, if given) as a new table."""
+        msgs = self.msgs
+        return HopRows(
+            self.keys[idx],
+            self.steps[idx] if steps is None else steps.astype(np.int32, copy=False),
+            [msgs[i] for i in idx.tolist()],
+            self.fsteps[idx],
+            self.cls[idx],
+            self.srank[idx],
+            self.target[idx],
+            self.traj[idx],
+        )
+
+    @classmethod
+    def concat(cls, parts: Sequence["HopRows"]) -> "HopRows":
+        """The tables ``parts`` one after another (a single part as it is;
+        every non-empty part has the same trajectory width)."""
+        full = [p for p in parts if len(p)]
+        if len(full) <= 1:
+            return full[0] if full else parts[0]
+        arrays = {
+            name: np.concatenate([getattr(p, name) for p in full]) for name in _ARRAYS
+        }
+        return cls(msgs=[m for p in full for m in p.msgs], **arrays)
+
+    @classmethod
+    def interned(cls, parts: Sequence["HopRows"]) -> tuple["HopRows", list[np.ndarray]]:
+        """The rows of ``parts`` interned on ``(launch key, step)``.
+
+        Returns one table holding each pair once, numbered by first
+        occurrence (part after part, row after row), and for every part the
+        row id each of its rows became.  One ``np.unique`` over the pairs.
+        """
+        table = cls.concat(parts)
+        if not len(table):
+            return table, [np.empty(0, dtype=np.int32) for _ in parts]
+        pairs = np.stack([table.keys, table.steps.astype(np.int64)], axis=1)
+        _, first, inverse = np.unique(
+            pairs, axis=0, return_index=True, return_inverse=True
+        )
+        order = np.argsort(first)
+        rank = np.empty(order.size, dtype=np.int32)
+        rank[order] = np.arange(order.size, dtype=np.int32)
+        ids = rank[inverse.reshape(-1)]
+        bounds = np.cumsum([0] + [len(p) for p in parts]).tolist()
+        return table.take(first[order]), [ids[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
+#: The empty message table.
+_NO_ROWS = HopRows.of([], [])
+
+
 class HopDelivery:
     """One round's hop arrivals, grouped by receiver.
 
-    ``msgs``/``steps`` are the shared per-row columns (row id -> logical
-    hop); ``rows`` maps each surviving receiver to its row-id array in
-    arrival order, already deduplicated to the first occurrence of each
-    ``(message identity, step)`` (one vectorised pass at delivery).
+    ``table`` is the shared message table (row id -> logical hop; ``msgs``
+    and ``steps`` are two of its columns); ``rows`` maps each surviving
+    receiver to its row-id array in arrival order, already deduplicated to
+    the first occurrence of each row (one vectorised pass at delivery).
     ``counts`` keeps the pre-dedup copy count per receiver — what the
     congestion metrics count as received.  ``cache`` is scratch space where
     the protocol layer memoises derived per-row columns so classification
     runs once per round, not once per receiver.
     """
 
-    __slots__ = ("msgs", "steps", "rows", "counts", "total", "cache")
+    __slots__ = ("table", "rows", "counts", "total", "cache")
 
     def __init__(
         self,
-        msgs: list[object],
-        steps: np.ndarray,
+        table: HopRows,
         rows: dict[int, np.ndarray],
         counts: dict[int, int],
         total: int,
     ) -> None:
-        self.msgs = msgs
-        self.steps = steps
+        self.table = table
         self.rows = rows
         self.counts = counts
         self.total = total
         self.cache: dict[object, object] = {}
+
+    @property
+    def msgs(self) -> list[Any]:
+        return self.table.msgs
+
+    @property
+    def steps(self) -> np.ndarray:
+        return self.table.steps
 
 
 class FrozenHopRound:
@@ -121,23 +246,29 @@ class FrozenHopRound:
     round it was cut from.
     """
 
-    __slots__ = ("msgs", "steps", "srcs", "send_rows", "lens", "flat")
+    __slots__ = ("table", "srcs", "send_rows", "lens", "flat")
 
     def __init__(
         self,
-        msgs: list[object],
-        steps: np.ndarray,
+        table: HopRows,
         srcs: np.ndarray | None,
         send_rows: np.ndarray,
         lens: np.ndarray | None,
         flat: np.ndarray,
     ) -> None:
-        self.msgs = msgs
-        self.steps = steps
+        self.table = table
         self.srcs = srcs
         self.send_rows = send_rows
         self.lens = lens
         self.flat = flat
+
+    @property
+    def msgs(self) -> list[Any]:
+        return self.table.msgs
+
+    @property
+    def steps(self) -> np.ndarray:
+        return self.table.steps
 
     def copies(self) -> int:
         """Total receiver copies frozen in this round."""
@@ -151,9 +282,9 @@ class FrozenHopRound:
 
     def cut(self, copies: np.ndarray) -> "FrozenHopRound":
         """The segment holding ``copies`` only (ascending copy indices; a
-        repeated index is a duplicated copy).  Shares the row columns."""
+        repeated index is a duplicated copy).  Shares the message table."""
         return FrozenHopRound(
-            self.msgs, self.steps, None, self.copy_rows()[copies], None, self.flat[copies]
+            self.table, None, self.copy_rows()[copies], None, self.flat[copies]
         )
 
     @classmethod
@@ -161,27 +292,28 @@ class FrozenHopRound:
         """One delivery round out of the segments due together, oldest first.
 
         Each segment numbers its rows within the round that sent it; the
-        rows a segment still uses are re-interned here on the plane's
-        ``(message identity, step)`` key, so copies of one logical hop sent
-        in different rounds share a row and deduplicate per receiver.
+        rows a segment still uses are re-interned here on their ``(launch
+        key, step)`` pair (:meth:`HopRows.interned`), so copies of one logical hop
+        sent in different rounds share a row and deduplicate per receiver.
         """
-        plane = HopPlane()
-        rows: list[np.ndarray] = []
-        for seg in segments:
-            seg_rows = seg.copy_rows()
-            used = np.zeros(len(seg.msgs), dtype=bool)
-            used[seg_rows] = True
-            remap = np.zeros(len(seg.msgs), dtype=np.int32)
-            seg_msgs = seg.msgs
-            seg_steps = seg.steps.tolist()
-            for i in np.flatnonzero(used).tolist():
-                remap[i] = plane.intern(seg_msgs[i], seg_steps[i])
-            rows.append(remap[seg_rows])
+        seg_rows = [seg.copy_rows() for seg in segments]
+        used = []
+        for seg, rows in zip(segments, seg_rows):
+            mark = np.zeros(len(seg.table), dtype=bool)
+            mark[rows] = True
+            used.append(np.flatnonzero(mark))
+        table, ids = HopRows.interned(
+            [seg.table.take(u) for seg, u in zip(segments, used)]
+        )
+        send_rows = []
+        for seg, rows, u, new in zip(segments, seg_rows, used, ids):
+            remap = np.zeros(len(seg.table), dtype=np.int32)
+            remap[u] = new
+            send_rows.append(remap[rows])
         return cls(
-            plane._msgs,
-            _freeze_i32(plane._steps),
+            table,
             None,
-            np.concatenate(rows),
+            np.concatenate(send_rows),
             None,
             np.concatenate([seg.flat for seg in segments]),
         )
@@ -230,30 +362,34 @@ class FrozenHopRound:
                 if dst in alive:
                     by_dst[dst] = row_kept[kept[i]:kept[i + 1]]
                     counts[dst] = bounds_l[i + 1] - bounds_l[i]
-        return HopDelivery(self.msgs, self.steps, by_dst, counts, total=total)
+        return HopDelivery(self.table, by_dst, counts, total=total)
 
 
 class HopPlane:
     """Per-round columnar collector of hop sends (see module docstring).
 
-    ``(reg, msgs, steps)`` — one entry per *logical* hop — are the only
-    Python-list state.  The send columns are chunks of ``int32`` arrays, one
-    chunk per :meth:`file` call in global send order: a chunk is one
-    sender's run of multicasts (``rows`` / ``lens``, one entry each) and
-    their receivers (``flat``, one entry per copy).
+    The message table comes in blocks (:class:`HopRows`); hand-filed rows
+    wait in two lists until the next block or the close.  The send columns
+    are chunks of ``int32`` arrays, one chunk per :meth:`file` call in global
+    send order: a chunk is one sender's run of multicasts (``rows`` /
+    ``lens``, one entry each) and their receivers (``flat``, one entry per
+    copy).
     """
 
     __slots__ = (
-        "_reg", "_msgs", "_steps", "_srcs", "_rows", "_lens", "_flat", "sends"
+        "_blocks", "_count", "_reg", "_hand_msgs", "_hand_steps",
+        "_srcs", "_rows", "_lens", "_flat", "sends",
     )
 
     def __init__(self) -> None:
         self._reset()
 
     def _reset(self) -> None:
-        self._reg: dict[int, int] = {}  # (id(msg) << 7 | step) -> row
-        self._msgs: list[object] = []
-        self._steps: list[int] = []
+        self._blocks: list[HopRows] = []
+        self._count = 0  # rows so far, hand-filed ones included
+        self._reg: dict[tuple[int, int], int] = {}  # hand-filed (key, step) -> row
+        self._hand_msgs: list[object] = []
+        self._hand_steps: list[int] = []
         self._srcs: list[int] = []  # one sender id per chunk
         self._rows: list[np.ndarray] = []
         self._lens: list[np.ndarray] = []
@@ -262,54 +398,73 @@ class HopPlane:
         #: ``srcs`` / ``send_rows`` / ``lens`` columns to come).
         self.sends = 0
 
-    def intern(self, msg: object, step: int) -> int:
-        """The row id of the logical hop ``(msg, step)``, assigned on first use.
+    def intern(self, msg: Any, step: int) -> int:
+        """The row id of the hand-filed hop ``(msg, step)``, assigned on first
+        use and keyed on ``(msg.key, step)`` — the message's launch key.
 
-        Message objects are shared per logical request with once-only
-        construction, so identity equals the documented msg_id dedup.
+        Blocks (:meth:`intern_rows`, :meth:`append`) are never looked up
+        here: a round's forwards and launches are distinct by construction.
         """
-        # Pack (identity, step) into one int: cheaper to hash than a tuple.
-        # Steps are bounded by final_step = 2*lam + 2 << 128, so the low
-        # 7 bits never collide across message identities.
-        # repro: allow(id-ordering): identity interning only — rows are
-        # numbered by first-append order; the id value never orders anything.
-        key = (id(msg) << 7) | step
-        row = self._reg.get(key)
+        reg_key = (msg.key, step)
+        row = self._reg.get(reg_key)
         if row is None:
-            row = len(self._msgs)
-            self._reg[key] = row
-            self._msgs.append(msg)
-            self._steps.append(step)
+            row = self._reg[reg_key] = self._count
+            self._count += 1
+            self._hand_msgs.append(msg)
+            self._hand_steps.append(step)
         return row
 
-    def intern_rows(
-        self, msgs: list[object], rows: list[int], steps: list[int]
-    ) -> np.ndarray:
-        """Intern ``(msgs[row], steps[row])`` for every ``row`` of ``rows``.
+    def _flush(self) -> None:
+        """Move the hand-filed rows into a block of their own."""
+        if self._hand_msgs:
+            self._blocks.append(HopRows.of(self._hand_msgs, self._hand_steps))
+            self._hand_msgs = []
+            self._hand_steps = []
 
-        Returns an ``int32`` array as long as ``msgs`` holding the assigned
-        row id at each listed position and ``-1`` elsewhere — the gather
-        table of a whole round's forward keys, built once per round, so
-        every node's forwarding pass looks its outgoing rows up with one
-        gather.  Interning eagerly changes nothing observable: rows are
-        opaque labels into the ``msgs`` / ``steps`` columns, arrival order
-        comes from the send sequence, and a row no copy ends up using never
-        reaches a receiver.
+    def intern_rows(
+        self, table: HopRows, rows: np.ndarray, steps: np.ndarray
+    ) -> np.ndarray:
+        """File rows ``rows`` of ``table``, at ``steps``, as rows ``0 … F−1``.
+
+        These are a round's forwarded hops: each is a distinct delivered row
+        handed on at one step, so they need no lookup — interning them is a
+        gather, provided they come first.  Raises :class:`RuntimeError`
+        when the plane already holds a row.  Returns an ``int32`` array as
+        long as ``table`` holding the assigned row id at each listed
+        position and ``-1`` elsewhere — the gather table every node's
+        forwarding pass looks its outgoing rows up in.  Rows are opaque
+        labels into the message table, arrival order comes from the send
+        sequence, and a row no copy ends up using never reaches a receiver.
         """
-        out = np.full(len(msgs), -1, dtype=np.int32)
-        intern = self.intern
-        out[rows] = [intern(msgs[row], steps[row]) for row in rows]
+        if self._count:
+            raise RuntimeError(
+                "a round's forwarded hops must be its first plane rows; "
+                f"{self._count} rows were filed before them"
+            )
+        out = np.full(len(table), -1, dtype=np.int32)
+        out[rows] = np.arange(rows.size, dtype=np.int32)
+        self.append(table.take(rows, steps))
         return out
+
+    def append(self, table: HopRows) -> int:
+        """Add ``table``'s rows — hops the plane holds no row of — after the
+        current ones; returns the row id of the first."""
+        self._flush()
+        first = self._count
+        if len(table):
+            self._blocks.append(table)
+            self._count += len(table)
+        return first
 
     def file(
         self, src: int, rows: np.ndarray, lens: np.ndarray, flat: np.ndarray
     ) -> int:
         """File one sender's run of multicasts; returns the copies created.
 
-        ``rows[i]`` (an interned row id) goes to the ``lens[i]`` receivers
-        that follow each other in ``flat``; all three are ``int32`` arrays in
-        send order, every ``lens[i]`` positive.  The plane keeps the arrays
-        themselves until the round closes.
+        ``rows[i]`` (a row id) goes to the ``lens[i]`` receivers that follow
+        each other in ``flat``; all three are ``int32`` arrays in send order,
+        every ``lens[i]`` positive.  The plane keeps the arrays themselves
+        until the round closes.
         """
         if not rows.size:
             return 0
@@ -327,11 +482,10 @@ class HopPlane:
     def send_batch(
         self, src: int, items: list[tuple[object, int, Sequence[int]]]
     ) -> int:
-        """File many hop multicasts from one sender as one chunk.
+        """File many hand-built hop multicasts from one sender as one chunk.
 
         ``(msg, step, dsts)`` items are filed in order; empty receiver lists
-        are skipped.  This is the launch path (a handful of fresh requests
-        per node per cycle) — forwarding files arrays through :meth:`file`.
+        are skipped.  The protocol's own hops go through :meth:`file`.
         """
         rows: list[int] = []
         lens: list[int] = []
@@ -348,6 +502,11 @@ class HopPlane:
             np.array(flat, dtype=np.int32),
         )
 
+    def _table(self) -> HopRows:
+        """The message table so far as one :class:`HopRows`."""
+        self._flush()
+        return HopRows.concat(self._blocks) if self._blocks else _NO_ROWS
+
     def _send_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The chunks filed so far as whole ``(rows, lens, flat)`` columns."""
         if not self._rows:
@@ -359,35 +518,33 @@ class HopPlane:
             np.concatenate(self._flat, dtype=np.int32),
         )
 
-    def pack(
-        self,
-    ) -> tuple[list[object], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The live round as ``(msgs, steps, rows, lens, flat)``.
+    def pack(self) -> tuple[HopRows, np.ndarray, np.ndarray, np.ndarray]:
+        """The live round as ``(table, rows, lens, flat)``.
 
-        This is the shard uplink's transport tuple: every column but
-        ``msgs`` is an ``int32`` array and rides the shared uplink slab as
-        such (:mod:`repro.sim.exchange`).  The source column is dropped
+        This is the shard uplink's transport tuple: the message table's
+        columns and the ``int32`` send columns ride the shared uplink slab
+        as arrays (:mod:`repro.sim.exchange`).  The source column is dropped
         because the master replays each node's plane segment under that
         node's own id while splicing (:mod:`repro.sim.shard`).
         """
-        return (self._msgs, _freeze_i32(self._steps), *self._send_columns())
+        return (self._table(), *self._send_columns())
 
     def close_round(self) -> FrozenHopRound | None:
         """Freeze this round's hop sends; ``None`` when there were none.
 
-        Row interning is per round: copies that fault fates spread over
+        Rows are numbered per round: copies that fault fates spread over
         several delivery rounds are re-interned when their segments meet
         (:meth:`FrozenHopRound.merged`).
         """
-        if not self._msgs:
+        if not self._rows:
+            self._reset()
             return None
+        table = self._table()
         rows, lens, flat = self._send_columns()
         srcs = np.repeat(
             np.array(self._srcs, dtype=np.int32),
             [chunk.size for chunk in self._rows],
         )
-        frozen = FrozenHopRound(
-            self._msgs, _freeze_i32(self._steps), srcs, rows, lens, flat
-        )
+        frozen = FrozenHopRound(table, srcs, rows, lens, flat)
         self._reset()
         return frozen

@@ -357,12 +357,6 @@ class Network:
         """
         self._count(src, self.plane.send(src, msg, step, dsts))
 
-    def send_hops_batch(
-        self, src: int, items: list[tuple[object, int, Sequence[int]]]
-    ) -> None:
-        """File many hop multicasts from one sender through the plane."""
-        self._count(src, self.plane.send_batch(src, items))
-
     def file_hops(
         self, src: int, rows: np.ndarray, lens: np.ndarray, flat: np.ndarray
     ) -> None:

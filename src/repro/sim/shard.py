@@ -17,7 +17,7 @@ round the master
    the nodes' own rng streams, collecting sends into a local log — which
    each worker encodes into its region of a shared **uplink slab**,
 4. splices the returned send logs back into the master network **in global
-   sorted node-id order**, re-canonicalising routed messages by ``msg_id``,
+   sorted node-id order**, interning the workers' hop rows by launch key,
 5. closes the send phase, traces, and records metrics exactly as before.
 
 The pipes are a *control plane*: a round's control message and ack are a
@@ -37,14 +37,15 @@ Determinism argument (pinned by the workers∈{1,2,4} identity suite):
   replaying each node's sends in issue order; that equals the
   single-process order, because the single-process loop *is* "nodes in
   sorted id order, sends in issue order".
-* **Message identity** — receiver-side dedup is by ``(message identity,
-  step)``.  Frame encoding across the process boundary memoises by object
-  identity and decodes with a per-offset memo (:mod:`repro.util.arena`),
-  reproducing exactly the sharing structure a per-payload pickle memo gave
-  PR 7; the master additionally re-canonicalises every routed message by
-  its ``msg_id`` (unique per logical request by construction) before it
-  enters the network, so all receiver copies of one logical hop are again
-  one object (or one plane row).
+* **Message identity** — receiver-side dedup is by ``(launch key, step)``:
+  the key rides every plane row as a column, so the master interns all
+  workers' rows on it in one pass and the copies of one logical hop are
+  again one plane row.  Frame encoding across the process boundary
+  memoises by object identity and decodes with a per-offset memo
+  (:mod:`repro.util.arena`), reproducing exactly the sharing structure a
+  per-payload pickle memo gave PR 7; routed messages in the object lane are
+  re-canonicalised by their ``msg_id`` (unique per logical request by
+  construction).
 * **Everything else is master-side** — churn, fault fates, delivery
   grouping, tracing, and metrics never left the master, so their rng and
   ordering are untouched.
@@ -83,7 +84,7 @@ from repro.config import env_flag
 from repro.core.nodestore import NodeStore
 from repro.routing.messages import RoutedMessage
 from repro.sim import exchange
-from repro.sim.hopplane import HopDelivery, HopPlane
+from repro.sim.hopplane import HopDelivery, HopPlane, HopRows
 from repro.util import arena as shmseg
 from repro.util.arena import ArenaFull, ByteArena, FrameDecoder, FrameEncoder
 
@@ -273,9 +274,6 @@ class _SendLog:
     def send_hops(self, src: int, msg: object, step: int, dsts) -> None:
         self.plane.send(src, msg, step, dsts)
 
-    def send_hops_batch(self, src: int, items: list) -> None:
-        self.plane.send_batch(src, items)
-
     def file_hops(self, src: int, rows, lens, flat) -> None:
         self.plane.file(src, rows, lens, flat)  # the master counts the copies
 
@@ -388,8 +386,7 @@ def _worker_main(
         engine.services.epoch_cache.begin_round(t)
         delivery = None
         if shared is not None:
-            msgs, steps = shared
-            delivery = HopDelivery(msgs, steps, hop_rows, {}, total=0)
+            delivery = HopDelivery(shared, hop_rows, {}, total=0)
         log = _SendLog()
         for v in ordered:
             if v in stalled:
@@ -717,23 +714,15 @@ class ShardRunner:
         cursors = [0] * self.workers
         send_lo = [0] * self.workers
         plane_lo = [0] * self.workers
-        # Per worker: its plane rows canonicalised and interned into the
-        # master plane once (worker row -> master row), and the flat offset
-        # of every multicast.
-        remaps: list[np.ndarray] = []
-        flat_offs: list[np.ndarray] = []
-        for _, _, _, (msgs, steps, _rows, lens, _flat), _secs in results:
-            remaps.append(
-                np.fromiter(
-                    (
-                        net.plane.intern(self._canon_msg(m, t), k)
-                        for m, k in zip(msgs, steps.tolist())
-                    ),
-                    dtype=np.int32,
-                    count=len(msgs),
-                )
-            )
-            flat_offs.append(np.concatenate(([0], np.cumsum(lens))))
+        # Every worker's plane rows interned into the master plane at once,
+        # by launch key (worker row -> master row), and the flat offset of
+        # every multicast.
+        table, remaps = HopRows.interned([pack[0] for _, _, _, pack, _ in results])
+        base = net.plane.append(table)
+        remaps = [base + ids for ids in remaps]
+        flat_offs = [
+            np.concatenate(([0], np.cumsum(pack[2]))) for _, _, _, pack, _ in results
+        ]
         for v in ordered:
             if v in stalled:
                 continue
@@ -753,7 +742,7 @@ class ShardRunner:
             send_lo[k] = sends_hi
             lo = plane_lo[k]
             if plane_hi > lo:
-                _msgs, _steps, rows, lens, flat = plane_pack
+                _table, rows, lens, flat = plane_pack
                 offs = flat_offs[k]
                 net.file_hops(
                     v,

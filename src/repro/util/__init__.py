@@ -17,6 +17,7 @@ from repro.util.intervals import (
     ring_distance,
     ring_distance_array,
     wrap,
+    wrap_array,
 )
 from repro.util.rngs import PositionHash, RngService
 from repro.util.tables import format_markdown_table, format_table, format_value
@@ -41,4 +42,5 @@ __all__ = [
     "ring_distance",
     "ring_distance_array",
     "wrap",
+    "wrap_array",
 ]

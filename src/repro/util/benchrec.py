@@ -61,9 +61,8 @@ def recording_enabled(label: str | None = None) -> bool:
     return label is not None or os.environ.get(RECORD_ENV) == "1"
 
 #: Required per-entry fields and their types (``label``, ``workers`` and
-#: the per-round ``exchange_bytes_pipe`` / ``exchange_bytes_shm`` /
-#: ``msgs_per_round`` counters are optional; ``workers`` is absent on records that predate the sharded
-#: engine and means 1).
+#: the per-round counters of :data:`_COUNTERS` are optional; ``workers`` is
+#: absent on records that predate the sharded engine and means 1).
 _ENTRY_FIELDS: dict[str, type | tuple[type, ...]] = {
     "created": str,
     "n": int,
@@ -71,6 +70,14 @@ _ENTRY_FIELDS: dict[str, type | tuple[type, ...]] = {
     "seconds_per_round": (int, float),
     "peak_rss_kb": int,
 }
+
+#: Optional non-negative integer counters, each per simulated round.
+_COUNTERS = (
+    "exchange_bytes_pipe",
+    "exchange_bytes_shm",
+    "msgs_per_round",
+    "repro_calls_per_round",
+)
 
 
 def bench_path(directory: Path | str, bench_id: str) -> Path:
@@ -102,6 +109,7 @@ def make_entry(
     exchange_bytes_pipe: int | None = None,
     exchange_bytes_shm: int | None = None,
     msgs_per_round: int | None = None,
+    repro_calls_per_round: int | None = None,
 ) -> dict:
     """One schema-valid benchmark entry (RSS sampled at call time).
 
@@ -110,6 +118,8 @@ def make_entry(
     and shared-memory traffic on sharded runs.  Omitted on serial rows.
     ``msgs_per_round`` is the message copies sent per timed round, for rows
     whose cost is to be read per message (fault mixes change the traffic).
+    ``repro_calls_per_round`` is a deterministic work counter: calls to the
+    package's own functions per round (see ``benchmarks/bench_scaling.py``).
     """
     entry = {
         "created": created
@@ -125,12 +135,15 @@ def make_entry(
         entry["label"] = str(label)
     if workers is not None:
         entry["workers"] = int(workers)
-    if exchange_bytes_pipe is not None:
-        entry["exchange_bytes_pipe"] = int(exchange_bytes_pipe)
-    if exchange_bytes_shm is not None:
-        entry["exchange_bytes_shm"] = int(exchange_bytes_shm)
-    if msgs_per_round is not None:
-        entry["msgs_per_round"] = int(msgs_per_round)
+    counters = (
+        exchange_bytes_pipe,
+        exchange_bytes_shm,
+        msgs_per_round,
+        repro_calls_per_round,
+    )
+    for name, value in zip(_COUNTERS, counters):
+        if value is not None:
+            entry[name] = int(value)
     return entry
 
 
@@ -200,7 +213,7 @@ def _validate_entry(entry: object, where: str) -> None:
         or entry["workers"] < 1
     ):
         raise ValueError(f"{where}: workers must be a positive int")
-    for name in ("exchange_bytes_pipe", "exchange_bytes_shm", "msgs_per_round"):
+    for name in _COUNTERS:
         if name in entry and (
             not isinstance(entry[name], int)
             or isinstance(entry[name], bool)

@@ -24,6 +24,7 @@ __all__ = [
     "ring_distance_array",
     "is_left_of",
     "wrap",
+    "wrap_array",
     "Arc",
     "arcs_overlap",
     "arc_union_length",
@@ -38,6 +39,13 @@ def wrap(x: float) -> float:
     """
     w = x - math.floor(x)
     return 0.0 if w >= 1.0 else w
+
+
+def wrap_array(x: np.ndarray) -> np.ndarray:
+    """:func:`wrap` elementwise, IEEE-identical (a new array)."""
+    w = x - np.floor(x)
+    w[w >= 1.0] = 0.0
+    return w
 
 
 def ring_distance(u: float, v: float) -> float:

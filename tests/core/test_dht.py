@@ -8,6 +8,7 @@ import pytest
 from repro.adversary.oblivious import RandomChurnAdversary
 from repro.config import ProtocolParams
 from repro.core.dht import DhtResponse, DHTNode, StashTransfer, key_point
+from repro.core.forwarding import Launch
 from repro.core.runner import MaintenanceSimulation
 
 
@@ -91,6 +92,29 @@ class TestGet:
 
 
 class TestMechanics:
+    def test_ops_and_probes_route_through_launch_records(self):
+        """A put, a get and a probe are queued, launched at the next even
+        round as ``Launch`` records (numbered in launch order, starting at
+        the origin's position), multicast at the odd round and delivered."""
+        params, sim = make_sim(seed=9)
+        sim.run(2 * params.dilation)  # an even round is next
+        node = sim.node(4)
+        node.queue_put("k", "v")
+        rid = node.queue_get("k")
+        node.queue_probe("p", 0.3)
+        sim.run(1)
+        pending = node._pending_launch
+        assert all(isinstance(launch, Launch) for launch in pending)
+        assert [launch.ordinal for launch in pending] == list(range(len(pending)))
+        assert {launch.origin_pos for launch in pending} == {node.pos}
+        routed = [launch.payload[0] for launch in pending]
+        assert routed[-3:] == ["probe", "put", "get"]  # after its joins and tokens
+        sim.run(1)
+        assert node._pending_launch == []
+        sim.run(2 * params.dilation)
+        assert node.responses[rid].found and node.responses[rid].value == "v"
+        assert sim.probe_report(["p"]).delivered == 1
+
     def test_stash_transfer_stores(self):
         params, sim = make_sim(seed=9)
         sim.run(2)

@@ -1,6 +1,7 @@
 """The forwarding kernel against scalar oracles.
 
-Two properties.  ``prefix_counts`` turns a ``searchsorted`` bound against an
+Three properties.  :func:`hop_columns` equals the per-row classification
+loop it replaced, on any mix of payloads and steps.  ``prefix_counts`` turns a ``searchsorted`` bound against an
 epoch slab into the bound against any position-sorted subset of it — the
 identity the kernel's shared per-row ring arithmetic rests on; the oracle is
 ``PositionIndex.bounds_many`` on the subset.  And a whole :class:`HopPlan`
@@ -17,11 +18,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.forwarding import HopPlan, prefix_counts
+from repro.core.forwarding import FINAL, JOIN, MID, SKIP, HopPlan, hop_columns, prefix_counts
+from repro.core.messages import JoinRecord
 from repro.overlay.positions import PositionIndex
-from repro.routing.messages import RoutedMessage
+from repro.routing.messages import RoutedMessage, make_routed_message
 from repro.sim.epochs import EpochCache
-from repro.sim.hopplane import HopPlane
+from repro.sim.hopplane import HopDelivery, HopPlane, HopRows
 from repro.util.rngs import RngService
 
 TOP = 1.0 - 2.0**-53  # the largest position below 1
@@ -70,6 +72,104 @@ def test_prefix_counts_map_slab_bounds_to_subset_bounds(case, centers, radius):
 
 
 # ----------------------------------------------------------------------
+# Row classification vs the per-row loop
+# ----------------------------------------------------------------------
+
+
+def classify_row_by_row(msgs, steps, even):
+    """The per-row classification loop :func:`hop_columns` replaced: reads
+    each message object.  Returns ``(kind, point, fincls, srank, recs)``
+    and the forwarded ``(row, step)`` pairs in row order."""
+    steps = list(steps)
+    count = len(msgs)
+    kind, point = [SKIP] * count, [0.0] * count
+    fincls, srank, recs = [0] * count, [-1] * count, [None] * count
+    for i, m in enumerate(msgs):
+        k = steps[i]
+        fs = m.final_step
+        if even:
+            if k >= fs:
+                continue
+            k = steps[i] = k + 1
+            if k == fs:
+                payload = m.payload
+                if isinstance(payload, tuple) and payload[0] == "join":
+                    kind[i] = JOIN
+                    recs[i] = payload[1]
+                    continue
+        if k >= fs:
+            kind[i] = FINAL
+            point[i] = m.target
+            payload = m.payload
+            if isinstance(payload, tuple) and payload[0] == "token":
+                fincls[i], srank[i] = (2, -1) if m.sample_rank is None else (1, m.sample_rank)
+        else:
+            kind[i] = MID
+            point[i] = m.trajectory[k]
+    forwarded = [
+        (i, steps[i]) for i in range(count) if (kind[i] >= FINAL if even else kind[i] == MID)
+    ]
+    return (kind, point, fincls, srank, recs), forwarded
+
+
+@st.composite
+def hop_rows(draw):
+    lam = draw(st.integers(1, 8))
+    payloads = st.one_of(
+        st.builds(lambda i: ("join", JoinRecord(i, 0.25, 9)), st.integers(0, 99)),
+        st.just(("token", 7)),
+        st.just(("probe", 1)),
+        st.just(("put", "k", 1)),
+        st.just("mystery"),
+    )
+    msgs = []
+    for i in range(draw(st.integers(1, 6))):
+        payload = draw(payloads)
+        rank = draw(st.one_of(st.none(), st.integers(0, 9)))  # tokens without one too
+        msgs.append(
+            make_routed_message(
+                ("m", i), 3, draw(position), draw(position), lam, 4,
+                sample_rank=rank, payload=payload, ordinal=i,
+            )
+        )
+    step = st.one_of(st.sampled_from([0, lam, lam + 1]), st.integers(0, lam + 1))
+    rows = draw(
+        st.lists(
+            st.tuples(st.integers(0, len(msgs) - 1), step), min_size=1, max_size=16,
+            unique=True,
+        )
+    )
+    return [msgs[i] for i, _ in rows], [k for _, k in rows], draw(st.booleans())
+
+
+@given(hop_rows())
+@settings(max_examples=300, deadline=None)
+def test_hop_columns_equal_the_row_by_row_loop(case):
+    msgs, steps, even = case
+    delivery = HopDelivery(HopRows.of(msgs, steps), {}, {}, total=0)
+    out_plane = HopPlane()
+    kind, point, fincls, srank, out_row, recs = hop_columns(
+        delivery, even, out_plane.intern_rows
+    )
+    want, forwarded = classify_row_by_row(msgs, steps, even)
+    assert kind.tolist() == want[0]
+    assert point.tolist() == want[1]
+    assert fincls.tolist() == want[2]
+    assert srank.tolist() == want[3]
+    assert recs == want[4]
+    # The forwarded hops are the next plane's rows 0 … F-1, in row order.
+    assert out_row.tolist() == [
+        next((n for n, (row, _) in enumerate(forwarded) if row == i), -1)
+        for i in range(len(msgs))
+    ]
+    table = out_plane.pack()[0]
+    assert [(id(m), k) for m, k in zip(table.msgs, table.steps.tolist())] == [
+        (id(msgs[i]), k) for i, k in forwarded
+    ]
+    assert table.keys.tolist() == [msgs[i].key for i, _ in forwarded]
+
+
+# ----------------------------------------------------------------------
 # A whole plan vs the protocol text
 # ----------------------------------------------------------------------
 
@@ -83,6 +183,7 @@ def routed(i, target, steps, rank=None, payload=None):
         start_round=0,
         sample_rank=rank,
         payload=payload if payload is not None else ("probe", i),
+        ordinal=i,
     )
 
 
@@ -146,7 +247,7 @@ def test_plan_equals_the_protocol_text_row_by_row(case):
             payload = ("token", 7) if rank is not None else None
             msg = routed(i, point, 2, rank=rank, payload=payload)
         else:
-            msg = RoutedMessage(("t", i), 99, 0.0, (0.0, point, 0.0, 0.0), 0)
+            msg = RoutedMessage(("t", i), 99, 0.0, (0.0, point, 0.0, 0.0), 0, ordinal=i)
         plane.send(99, msg, k, dsts)
         sent.append((msg, final, dsts))
     frozen = plane.close_round()
@@ -173,6 +274,7 @@ def test_plan_equals_the_protocol_text_row_by_row(case):
         u[:] = draws.random(u.size)
     plan.close()
 
+    out_msgs = out_plane.pack()[0].msgs
     for i, v in enumerate(order):
         mid_index, fin_index, pos = entries_of[v]
         join_recs, events, u, out_rows, lens, flat = plan.nodes[i]
@@ -203,7 +305,7 @@ def test_plan_equals_the_protocol_text_row_by_row(case):
         assert u.size == used
         got, lo = [], 0
         for row, n in zip(out_rows.tolist(), lens.tolist()):
-            got.append((out_plane._msgs[row], flat[lo:lo + n].tolist()))
+            got.append((out_msgs[row], flat[lo:lo + n].tolist()))
             lo += n
         assert lo == flat.size
         assert [(id(m), d) for m, d in got] == [(id(m), d) for m, d in want_sends]

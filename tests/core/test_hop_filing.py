@@ -43,6 +43,7 @@ def routed(i, trajectory, rank=None, payload=None) -> RoutedMessage:
         start_round=0,
         sample_rank=rank,
         payload=payload if payload is not None else ("probe", i),
+        ordinal=i,
     )
 
 

@@ -218,6 +218,7 @@ def join_hop(rec, sponsor):
         trajectory=(0.0, rec.pos),
         start_round=0,
         payload=("join", rec),
+        ordinal=rec.node,
     )
 
 

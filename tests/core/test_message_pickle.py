@@ -48,6 +48,7 @@ SAMPLES = [
         start_round=12,
         sample_rank=2,
         payload=("join", RECS[0]),
+        ordinal=3,
     ),
 ]
 

@@ -255,7 +255,7 @@ class TestStageContract:
         def sends():
             return (
                 len(net._srcs), len(net._dsts), len(net._msgs),  # object lane
-                net.plane.sends, len(net.plane._msgs), len(net.plane._flat),  # hop plane
+                net.plane.sends, net.plane._count, len(net.plane._flat),  # hop plane
                 net._pending_count, dict(net._sent_counts),  # counters
             )
 

@@ -13,9 +13,11 @@ original behaviour, with and without churn and fault plans.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.routing.messages import RoutedMessage
+from repro.sim.hopplane import FrozenHopRound
 
 from .simfp import SCENARIOS, run_scenario
 
@@ -84,3 +86,46 @@ def test_trivial_new_rules_match_golden():
         asymmetric=(AsymmetricPartition(lo=0.0, hi=0.5, start=10**9),),
     )
     assert run_scenario("steady", faults=plan) == GOLDEN["steady"]
+
+
+def _merged_by_identity(segments):
+    """``FrozenHopRound.merged`` as it interned before the launch key: rows
+    keyed on ``(id(message), step)``, numbered by first use."""
+    reg: dict[tuple[int, int], int] = {}
+    msgs, steps, rows = [], [], []
+    for seg in segments:
+        seg_rows = seg.copy_rows()
+        used = np.zeros(len(seg.msgs), dtype=bool)
+        used[seg_rows] = True
+        remap = np.zeros(len(seg.msgs), dtype=np.int32)
+        for i in np.flatnonzero(used).tolist():
+            key = (id(seg.msgs[i]), int(seg.steps[i]))
+            if key not in reg:
+                reg[key] = len(msgs)
+                msgs.append(seg.msgs[i])
+                steps.append(key[1])
+            remap[i] = reg[key]
+        rows.append(remap[seg_rows])
+    return msgs, steps, np.concatenate(rows)
+
+
+@pytest.mark.parametrize("scenario", ["faults", "churn_faults"])
+def test_merged_key_interning_equals_identity_interning(scenario, monkeypatch):
+    """Delayed and fresh segments meet in ``FrozenHopRound.merged``: interning
+    their rows on the launch key gives exactly the rows, messages and steps
+    identity interning gave, under the golden fault mix."""
+    merged = FrozenHopRound.merged.__func__
+    seen = []
+
+    def checked(cls, segments):
+        out = merged(cls, segments)
+        msgs, steps, rows = _merged_by_identity(segments)
+        assert [id(m) for m in out.msgs] == [id(m) for m in msgs]
+        assert out.steps.tolist() == steps
+        assert out.send_rows.tolist() == rows.tolist()
+        seen.append(len(segments))
+        return out
+
+    monkeypatch.setattr(FrozenHopRound, "merged", classmethod(checked))
+    assert run_scenario(scenario) == GOLDEN[scenario]
+    assert seen and max(seen) >= 2  # delayed segments did meet fresh ones

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from repro.overlay.trajectory import (
     crossing_counts,
     max_step_error,
+    trajectories,
     trajectory,
     trajectory_bits,
 )
@@ -61,6 +62,51 @@ class TestTrajectoryBits:
         for b in bits:
             addr = (addr << 1) | b
         assert addr == address_of(p, lam)
+
+
+#: Endpoints where float rounding bites: ``-1e-18`` wraps to ``0.0`` but its
+#: address cell is the last one; ``1 - 2**-53`` is the largest point below 1.
+EDGES = [-1e-18, 1.0 - 2.0**-53, 0.0, 0.5, 1.0, -0.25, 1.75]
+endpoint = st.one_of(
+    st.sampled_from(EDGES),
+    st.floats(min_value=-2.0, max_value=2.0, allow_nan=False),
+)
+
+
+class TestBatchedTrajectories:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(endpoint, endpoint, st.booleans()), min_size=1, max_size=20),
+        st.sampled_from([1, 2, 8, 14]),
+    )
+    def test_rows_equal_the_scalar_trajectory_bit_for_bit(self, pairs, lam):
+        v = [a for a, _, _ in pairs]
+        p = [a if same else b for a, b, same in pairs]  # some v == p
+        got = trajectories(np.array(v), np.array(p), lam)
+        assert got.shape == (len(pairs), lam + 2)
+        for row, a, b in zip(got.tolist(), v, p):
+            assert row == list(trajectory(a, b, lam))
+
+    @pytest.mark.parametrize("lam", [1, 14])
+    def test_edge_points(self, lam):
+        for a in EDGES:
+            for b in EDGES:
+                row = trajectories(np.array([a]), np.array([b]), lam)[0]
+                assert row.tolist() == list(trajectory(a, b, lam)), (a, b)
+
+    def test_crossing_counts_see_the_same_points(self):
+        """The census counts the points of :func:`trajectory`, endpoints
+        included (``x_0`` of ``v = -1e-18`` is ``wrap``'s ``0.0``)."""
+        lam = 4
+        v = np.array([a for a in EDGES for _ in EDGES])
+        p = np.array([b for _ in EDGES for b in EDGES])
+        for step in range(lam + 2):
+            for center in (0.0, 0.5, 1.0 - 2.0**-53):
+                arc = Arc(center, 1e-12)
+                expected = sum(
+                    arc.contains(trajectory(a, b, lam)[step]) for a, b in zip(v, p)
+                )
+                assert crossing_counts(v, p, lam, arc, step) == expected
 
 
 class TestCrossingCounts:

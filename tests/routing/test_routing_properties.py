@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.config import ProtocolParams
 from repro.core.forwarding import FINAL, MID, SKIP, hop_columns
-from repro.routing.messages import make_routed_message
+from repro.routing.messages import launch_key, make_routed_message
 from repro.routing.series import SeriesRouter
-from repro.sim.hopplane import HopDelivery
+from repro.sim.hopplane import HopDelivery, HopRows
 
 unit = st.floats(min_value=0.0, max_value=1.0, exclude_max=True, allow_nan=False)
 
@@ -32,11 +32,11 @@ class TestMessageInvariants:
         out_steps = {}
 
         def columns(even):
-            def intern(msgs, rows, steps_out):
-                out_steps[even] = {row: steps_out[row] for row in rows}
-                return np.arange(len(msgs), dtype=np.int32)
+            def intern(table, rows, steps_out):
+                out_steps[even] = dict(zip(rows.tolist(), steps_out.tolist()))
+                return np.arange(len(table), dtype=np.int32)
 
-            delivery = HopDelivery([msg] * steps.size, steps, {}, {}, total=0)
+            delivery = HopDelivery(HopRows.of([msg] * steps.size, steps), {}, {}, total=0)
             return hop_columns(delivery, even, intern)
 
         odd_kind, point, *_ = columns(even=False)
@@ -57,6 +57,39 @@ class TestMessageInvariants:
         sampled = make_routed_message("b", 0, 0.1, 0.2, 8, 0, sample_rank=3)
         assert not plain.is_sampling
         assert sampled.is_sampling
+
+
+class TestLaunchKey:
+    FIELDS = {"start_round": 26, "origin": 24, "ordinal": 13}
+
+    def test_fields_pack_without_overlap(self):
+        top = [(1 << bits) - 1 for bits in self.FIELDS.values()]
+        assert launch_key(*top) == (1 << 63) - 1
+        assert launch_key(1, 0, 0) == 1 << 37 and launch_key(0, 1, 0) == 1 << 13
+        assert launch_key(0, 0, 1) == 1
+
+    def test_arrays_pack_like_scalars(self):
+        rounds, origins, ordinals = np.array([0, 7, 70]), np.array([3, 0, 9]), np.array([5, 1, 0])
+        keys = launch_key(rounds, origins, ordinals)
+        assert keys.dtype == np.int64
+        assert keys.tolist() == [launch_key(*t) for t in zip(rounds, origins, ordinals)]
+
+    @pytest.mark.parametrize("field", list(FIELDS))
+    @pytest.mark.parametrize("over", ["high", "negative"])
+    def test_each_overflowing_field_raises(self, field, over):
+        bits = self.FIELDS[field]
+        bad = 1 << bits if over == "high" else -1
+        values = {name: 0 for name in self.FIELDS} | {field: bad}
+        with pytest.raises(OverflowError, match=field):
+            launch_key(**values)
+        column = {name: np.zeros(3, dtype=np.int64) for name in self.FIELDS}
+        column[field] = np.array([0, bad, 0])
+        with pytest.raises(OverflowError, match=field):
+            launch_key(**column)
+
+    def test_a_message_key_is_its_launch_key(self):
+        msg = make_routed_message("id", 11, 0.1, 0.2, 8, 40, ordinal=6)
+        assert msg.key == launch_key(40, 11, 6)
 
 
 class TestRouterInvariants:

@@ -8,6 +8,7 @@ from repro.adversary.base import Adversary, ChurnDecision, JoinRequest
 from repro.adversary.budget import ChurnViolation
 from repro.config import ProtocolParams
 from repro.faults.plan import FaultPlan, MessageFaults
+from repro.routing.messages import RoutedMessage
 from repro.sim.engine import Engine, JoinNotice, NodeContext, NodeProtocol
 
 
@@ -195,7 +196,8 @@ class HopSpamProtocol(NodeProtocol):
         if ctx.hops is not None:
             self.hops.append((ctx.round, len(ctx.hops)))
         if ctx.round == 0 and ctx.node_id == 0:
-            ctx.send_hops("hop", 0, [1, 2, 16])
+            hop = RoutedMessage("hop", 0, 0.5, (0.0, 0.5), ctx.round)
+            ctx.send_hops(hop, 0, [1, 2, 16])
 
 
 class TestHopPlaneUnderFaults:

@@ -3,8 +3,8 @@
 The contract under test is *identity-preserving round-trips*: whatever the
 PR 7 pipe payloads carried, the arena encoding must reproduce — including
 the sharing structure (one logical message -> one decoded object per
-process per round) that plane-row interning, and with it receiver-side hop
-dedup, keys on.
+process per round) and the message table's columns, whose launch keys
+plane-row interning, and with it receiver-side hop dedup, keys on.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import pytest
 
 from repro.routing.messages import RoutedMessage
 from repro.sim import exchange
-from repro.sim.hopplane import HopDelivery, HopPlane
+from repro.sim.hopplane import HopDelivery, HopPlane, HopRows
 from repro.util.arena import ArenaFull, ByteArena, FrameDecoder, FrameEncoder
 
 
@@ -30,8 +30,8 @@ def _msg(i: int, payload: object = None) -> RoutedMessage:
 
 
 def _pack(*sends):
-    """``HopPlane.pack()`` — ``(msgs, steps, rows, lens, flat)``, every column
-    but ``msgs`` an int32 array — of ``(src, msg, step, dsts)`` sends."""
+    """``HopPlane.pack()`` — ``(table, rows, lens, flat)``, the send columns
+    int32 arrays — of ``(src, msg, step, dsts)`` sends."""
     plane = HopPlane()
     for src, msg, step, dsts in sends:
         plane.send(src, msg, step, dsts)
@@ -39,7 +39,18 @@ def _pack(*sends):
 
 
 def _columns(pack):
-    return [col.tolist() for col in pack[1:]]
+    """The ``steps, rows, lens, flat`` columns of a pack, as lists."""
+    return [pack[0].steps.tolist()] + [col.tolist() for col in pack[1:]]
+
+
+def _same_table(a: HopRows, b: HopRows) -> bool:
+    """Equal array columns (dtypes included) and equal message ids."""
+    cols = ("keys", "steps", "fsteps", "cls", "srank", "target", "traj")
+    return [m.msg_id for m in a.msgs] == [m.msg_id for m in b.msgs] and all(
+        getattr(a, c).dtype == getattr(b, c).dtype
+        and np.array_equal(getattr(a, c), getattr(b, c))
+        for c in cols
+    )
 
 
 #: An empty ``HopPlane.pack()``.
@@ -65,20 +76,19 @@ class TestDownlinkShared:
 
     def test_roundtrip_shares_repeated_messages(self):
         buf, arena, enc, dec = _codec()
-        m0, m1 = _msg(0), _msg(1)
+        m0, m1 = _msg(0), _msg(1, payload=("token", 3))
         delivery = HopDelivery(
-            msgs=[m0, m1, m0],  # m0 appears on two rows
-            steps=np.array([1, 2, 3], dtype=np.int32),
+            table=HopRows.of([m0, m1, m0], [1, 2, 3]),  # m0 appears on two rows
             rows={7: np.array([0, 2], dtype=np.int32)},
             counts={7: 2},
             total=2,
         )
         desc = exchange.encode_downlink_shared(arena, enc, delivery)
-        msgs, steps = exchange.decode_downlink_shared(buf, dec, desc)
-        assert [m.msg_id for m in msgs] == [m0.msg_id, m1.msg_id, m0.msg_id]
+        table = exchange.decode_downlink_shared(buf, dec, desc)
+        assert _same_table(table, delivery.table)  # every column, as arrays
+        msgs = table.msgs
         assert msgs[0] is msgs[2]  # one frame, one decoded object
         assert msgs[0] is not msgs[1]
-        np.testing.assert_array_equal(steps, delivery.steps)
 
 
 class TestDownlinkBand:
@@ -152,7 +162,7 @@ class TestUplink:
         assert log.marks == [(4, 3, 0), (5, 6, 0)]
         marks = [(4, 3, 1), (5, 6, 2)]
         pack = _pack((4, m, 1, [4]), (4, _msg(3), 1, [5]), (5, m, 2, [6]))
-        assert pack[0][0] is pack[0][2] is m
+        assert pack[0].msgs[0] is pack[0].msgs[2] is m
         assert _columns(pack) == [[1, 1, 2], [0, 1, 2], [1, 1, 1], [4, 5, 6]]
         desc = exchange.encode_uplink(arena, enc, log.dsts, log.msgs, marks, pack)
         out_dsts, out_msgs, out_marks, plane = exchange.decode_uplink(buf, dec, desc)
@@ -163,9 +173,9 @@ class TestUplink:
         # plane row — decodes to the same object
         m_s, _, m_b, *m_m = out_msgs
         assert m_s.msg_id == m.msg_id
-        assert m_s is m_b is plane[0][0] is plane[0][2]
+        assert m_s is m_b is plane[0].msgs[0] is plane[0].msgs[2]
         assert all(copy is m_s for copy in m_m) and len(m_m) == 3
-        assert plane[0][1] is not m_s
+        assert plane[0].msgs[1] is not m_s
 
     def test_plane_pack_roundtrip(self):
         buf, arena, enc, dec = _codec()
@@ -173,17 +183,19 @@ class TestUplink:
         pack = _pack((3, m0, 1, [10, 11]), (3, m1, 2, [12]))
         desc = exchange.encode_uplink(arena, enc, [], [], [], pack)
         *_sends, out = exchange.decode_uplink(buf, dec, desc)
-        assert [m.msg_id for m in out[0]] == [m0.msg_id, m1.msg_id]
+        assert _same_table(out[0], pack[0])
         assert all(col.dtype == np.int32 for col in out[1:])
         assert _columns(out) == [[1, 2], [0, 1], [2, 1], [10, 11, 12]]
         # the decoded columns own their memory (no view into the slab)
-        assert not any(np.shares_memory(col, np.asarray(buf)) for col in out[1:])
+        table = out[0]
+        owned = [*out[1:], table.keys, table.steps, table.cls, table.target, table.traj]
+        assert not any(np.shares_memory(col, np.asarray(buf)) for col in owned)
 
     def test_empty_round(self):
         buf, arena, enc, dec = _codec()
         desc = exchange.encode_uplink(arena, enc, [], [], [], NO_HOPS)
         dsts, msgs, marks, out = exchange.decode_uplink(buf, dec, desc)
-        assert (dsts, msgs, marks, out[0]) == ([], [], [], [])
+        assert (dsts, msgs, marks, out[0].msgs) == ([], [], [], [])
         assert _columns(out) == [[], [], [], []]
 
     def test_overflow_raises_arena_full(self):

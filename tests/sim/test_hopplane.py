@@ -2,15 +2,24 @@
 
 from __future__ import annotations
 
+from itertools import count
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.hopplane import FrozenHopRound, HopPlane, _stable_argsort
+from repro.routing.messages import RoutedMessage
+from repro.sim.hopplane import FrozenHopRound, HopPlane, HopRows, _stable_argsort
+
+_launches = count()
 
 
-class Msg:
-    """Stand-in routed message (identity is what the plane interns on)."""
+def Msg() -> RoutedMessage:
+    """A stand-in routed message with a launch key of its own (the key is
+    what the plane interns on)."""
+    i = next(_launches)
+    return RoutedMessage(("m", i), i >> 13, 0.0, (0.0, 0.0), 0, ordinal=i & 0x1FFF)
 
 
 def _edges(frozen: FrozenHopRound) -> list[tuple[int, int]]:
@@ -33,21 +42,39 @@ def test_interns_one_row_per_logical_hop():
 
 
 def test_intern_rows_is_intern_per_listed_row():
+    m1, m2, m3 = Msg(), Msg(), Msg()
+    table = HopRows.of([m1, m2, m3, m2], [0, 3, 1, 5])
     plane = HopPlane()
-    m1, m2 = Msg(), Msg()
-    plane.send(1, m2, 3, [9])  # (m2, 3) already holds row 0
-    msgs, steps = [m1, m2, m1, m2], [0, 3, 0, 5]
-    out = plane.intern_rows(msgs, [3, 0, 1, 2], steps)
+    out = plane.intern_rows(table, np.array([3, 0, 2]), np.array([6, 1, 2]))
     assert out.dtype == np.int32
-    # Rows are numbered in the order listed; position 2 repeats position 0's
-    # key and shares its row; the key the earlier send interned is reused.
-    assert out.tolist() == [2, 0, 2, 1]
-    assert plane.intern(m2, 5) == 1 and plane.intern(m1, 0) == 2
-    partial = plane.intern_rows(msgs, [1], steps)
-    assert partial.tolist() == [-1, 0, -1, -1]  # unlisted positions stay -1
-    assert plane.intern_rows(msgs, [], steps).tolist() == [-1] * 4
+    # The listed rows become rows 0 … F-1 in the order listed, at the given
+    # steps, with every other column gathered along; unlisted ones stay -1.
+    assert out.tolist() == [1, -1, 2, 0]
+    assert plane.append(HopRows.of([m1], [0])) == 3  # launches come after
+    plane.send(4, m3, 0, [9])  # a hand-filed hop: after both blocks
     frozen = plane.close_round()
-    assert list(zip(frozen.msgs, frozen.steps.tolist())) == [(m2, 3), (m2, 5), (m1, 0)]
+    assert list(zip(frozen.msgs, frozen.steps.tolist())) == [
+        (m2, 6), (m1, 1), (m3, 2), (m1, 0), (m3, 0)
+    ]
+    assert frozen.table.keys.tolist() == [m.key for m in (m2, m1, m3, m1, m3)]
+    assert frozen.table.fsteps.tolist() == [1] * 5
+    assert frozen.send_rows.tolist() == [4]
+    none = np.array([], dtype=np.intp)
+    assert HopPlane().intern_rows(table, none, none).tolist() == [-1] * 4
+
+
+def test_intern_rows_raises_once_the_plane_holds_a_row():
+    """A round's forwards are its first rows: filing a hop before the round's
+    forwarding plan interned them is an error, not a silent renumbering."""
+    table = HopRows.of([Msg()], [1])
+    plane = HopPlane()
+    plane.send(1, Msg(), 0, [2])
+    with pytest.raises(RuntimeError, match="first plane rows"):
+        plane.intern_rows(table, np.array([0]), np.array([2]))
+    launched = HopPlane()
+    launched.append(table)
+    with pytest.raises(RuntimeError, match="first plane rows"):
+        launched.intern_rows(table, np.array([0]), np.array([2]))
 
 
 def test_send_batch_equals_individual_sends():
@@ -177,7 +204,7 @@ def test_interleaved_send_batch_and_file_keep_global_send_order():
     plane.send(5, m3, 0, (6,))
     assert plane.sends == 6
 
-    msgs, steps, rows, lens, flat = plane.pack()
+    table, rows, lens, flat = plane.pack()
     frozen = plane.close_round()
     hops = list(zip(frozen.msgs, frozen.steps.tolist()))
     assert hops[r1] == (m1, 0) and hops[r2] == (m2, 1) and (m2, 2) not in hops
@@ -190,8 +217,8 @@ def test_interleaved_send_batch_and_file_keep_global_send_order():
         (1, 5), (1, 6), (2, 7), (2, 8), (2, 9), (3, 4), (3, 5), (3, 4), (5, 6)
     ]
     # pack() is the same round without the source column, as int32 arrays.
-    assert msgs is frozen.msgs
-    for packed, col in zip((steps, rows, lens, flat), (
+    assert table is frozen.table
+    for packed, col in zip((table.steps, rows, lens, flat), (
         frozen.steps, frozen.send_rows, frozen.lens, frozen.flat
     )):
         assert packed.dtype == col.dtype == np.int32
@@ -239,8 +266,8 @@ def test_stable_argsort_crosses_both_limits_in_one_column():
         assert np.array_equal(_stable_argsort(keys), np.argsort(keys, kind="stable"))
 
 
-#: Rows interned ahead of a generated round, so its row ids pass 65,535.
-FILLER = [Msg() for _ in range(66_000)]
+#: Rows filed ahead of a generated round, so its row ids pass 65,535.
+FILLER = HopRows.of([Msg() for _ in range(66_000)], [0] * 66_000)
 POOL = [Msg() for _ in range(5)]
 
 
@@ -267,8 +294,7 @@ def _file(round_sends, big):
     ``(logical hop, receiver)`` list in send order."""
     plane = HopPlane()
     if big:
-        for m in FILLER:
-            plane.intern(m, 0)
+        plane.append(FILLER)
     copies = []
     for src, mi, step, dsts in round_sends:
         plane.send(src, POOL[mi], step, dsts)

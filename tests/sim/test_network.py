@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from itertools import count
+
 import numpy as np
 
+from repro.routing.messages import RoutedMessage
 from repro.sim.network import Network
 
 
@@ -250,8 +253,13 @@ class TestFaultHook:
         assert inboxes == {2: [(1, "x")]}
 
 
-class Msg:
-    """Stand-in routed message (the plane interns on identity)."""
+_launches = count()
+
+
+def Msg() -> RoutedMessage:
+    """A stand-in routed message with a launch key of its own (the key is
+    what the plane interns on)."""
+    return RoutedMessage(("m",), 1, 0.0, (0.0, 0.0), 0, ordinal=next(_launches))
 
 
 def plane_network(fates=None) -> Network:

@@ -102,6 +102,14 @@ class TestAppendAndValidate:
         with pytest.raises(ValueError, match="negative"):
             append_entry(tmp_path, "x", entry)
 
+    def test_work_counter_roundtrips_and_must_be_a_count(self, tmp_path):
+        entry = make_entry(n=128, rounds=2, seconds_per_round=0.1, repro_calls_per_round=9)
+        data = validate_bench_file(append_entry(tmp_path, "x", entry))
+        assert data["entries"][0]["repro_calls_per_round"] == 9
+        entry["repro_calls_per_round"] = 1.5
+        with pytest.raises(ValueError, match="repro_calls_per_round"):
+            append_entry(tmp_path, "x", entry)
+
 
 class TestRepoRecords:
     def test_committed_bench_files_are_valid(self):
