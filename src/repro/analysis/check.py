@@ -4,7 +4,7 @@ The engine is deliberately boring: collect the files, parse each once
 (:class:`~repro.analysis.source_cache.SourceCache`), run every selected
 rule over one :class:`CheckContext`, match inline waivers against the one
 finding list, audit stale waivers, apply the committed baseline, and
-return one :class:`CheckReport`.  All the judgement lives in the 24 rule
+return one :class:`CheckReport`.  All the judgement lives in the 20 rule
 plugins registered in :data:`ALL_RULES`:
 
 ====== ====================================== =================================
@@ -16,7 +16,7 @@ X      :mod:`~.lint.rules_exports` X1         ``__all__`` drift
 W      :mod:`~.lint.rules_waivers` W1–W2      waiver hygiene
 F      :mod:`~.flow.policies` F1–F2           the same two walls, interprocedurally
 S      :mod:`~.shard.rules` S1–S5             process roles of the sharded engine
-P      :mod:`~.proto.rules` P1–P6             ``protocol-spec.json`` vs the code
+P      :mod:`~.proto.rules` P3, P6            ``protocol-spec.json`` vs the declarations
 ====== ====================================== =================================
 
 Whole-project facts (call graph, flow fixpoint, role map, protocol model)
@@ -63,14 +63,7 @@ from repro.analysis.lint.rules_lateness import (
 )
 from repro.analysis.lint.rules_waivers import UnusedWaiverRule, WaiverJustificationRule
 from repro.analysis.proto.extract import ProtocolModel
-from repro.analysis.proto.rules import (
-    EpochMonotoneRule,
-    FieldDriftRule,
-    PhaseViolationRule,
-    SpecCoverageRule,
-    StepBoundRule,
-    UnhandledMessageRule,
-)
+from repro.analysis.proto.rules import FieldDriftRule, SpecCoverageRule
 from repro.analysis.proto.spec import DEFAULT_SPEC_NAME, ProtocolSpec, load_spec
 from repro.analysis.sarif import sarif_report
 from repro.analysis.shard.roles import RoleMap, infer_roles
@@ -115,11 +108,7 @@ ALL_RULES: tuple[Rule, ...] = (
     MasterStateRule(),
     SegmentLifecycleRule(),
     ForkHygieneRule(),
-    UnhandledMessageRule(),
-    PhaseViolationRule(),
     FieldDriftRule(),
-    StepBoundRule(),
-    EpochMonotoneRule(),
     SpecCoverageRule(),
 )
 
@@ -207,8 +196,8 @@ class CheckContext:
 
     @cached_property
     def protocol(self) -> ProtocolModel:
-        """The implemented protocol, extracted from the AST."""
-        return ProtocolModel(self.modules, self.index, self.spec)
+        """The declared protocol, extracted from the AST."""
+        return ProtocolModel(self.modules, self.index)
 
     def facts(self) -> dict:
         """Summary counts of the facts this run actually built."""
@@ -303,8 +292,8 @@ class CheckReport:
         if "protocol" in facts:
             p = facts["protocol"]
             looked_at.append(
-                f"{p['messages']} message type(s) / {p['dispatch_entries']} dispatch "
-                f"entr(ies) / {p['constructions']} construction site(s)"
+                f"{p['messages']} message type(s) / {p['constructions']} construction "
+                f"site(s) / {p['payload_sites']} payload site(s)"
             )
         out.append(
             f"{', '.join(looked_at)}: {len(self.findings)} finding(s), "

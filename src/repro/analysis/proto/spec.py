@@ -1,50 +1,35 @@
 """The declarative protocol spec (``protocol-spec.json``).
 
 The spec is the committed, human-reviewed statement of the paper's
-message contract: for every message type its fields, lifecycle phases of
-legal producers and consumers, and — where the paper bounds them — the
-allowed step/TTL/epoch source expressions.  Every entry carries an
-``anchor`` citing the PAPER.md / DESIGN.md / docs/PROTOCOL.md passage it
-was derived from, so a reviewer can audit the spec against the paper the
-same way the analyzer audits the code against the spec.
+message contract: for every message type its fields and the lifecycle
+phases of legal producers and consumers, and for every routed-payload tag
+its producer phases.  Every entry carries an ``anchor`` citing the
+PAPER.md / DESIGN.md / docs/PROTOCOL.md passage it was derived from, so a
+reader can audit the spec against the paper the same way the checks
+audit the code against the spec: P3 and P6 hold the declarations to it
+statically, and ``tests/integration/contract.py`` holds live rounds to
+its phases.
 
 Schema (JSON, top-level keys; everything beyond ``schema``/``messages``
 is optional so fixture corpora can stay minimal):
 
 ``messages``
-    ``name -> {anchor, kind, fields, producer_phases, consumer_phases,
-    epoch_field_sources}``.  ``kind`` is ``message`` (node-to-node,
-    must be dispatched), ``engine`` (produced by the simulation engine,
-    dispatched at nodes) or ``record`` (carried inside other messages,
-    never dispatched).
+    ``name -> {anchor, kind, fields, producer_phases, consumer_phases}``.
+    ``kind`` is ``message`` (node-to-node, must be dispatched), ``engine``
+    (produced by the simulation engine, dispatched at nodes) or
+    ``record`` (carried inside other messages, never dispatched).
 ``payloads``
     Routed-payload tags (``("join", rec)`` style) -> ``{anchor,
     producer_phases}``.
-``hops``
-    ``{anchor, step_init, bound}`` — the A_ROUTING step contract
-    (Lemma 9's bounded trajectory).
-``epochs``
-    ``{anchor, writers: {function-qname-suffix: [allowed exprs]}}`` —
-    the only places (and source expressions) allowed to write
-    ``self.epoch``; ``None`` (reset/demotion) is always legal.
-``ttl``
-    ``{anchor, pools, ledgers, sources}`` — attribute names holding
-    TTL-stamped entries and the allowed expiry expressions.
 ``message_modules``
     Dotted modules whose every top-level dataclass must be a registered
     (``__protocol__``-marked and spec-covered) message class; P6 uses it
     to prove 100% coverage of ``repro.core.messages``.
-
-Expressions are compared *normalised* (see :func:`norm_expr`): receiver
-prefixes like ``self.``/``ctx.``/``self.params.`` are stripped so the
-spec can say ``round + TOKEN_TTL`` regardless of plumbing spelling.
 """
 
 from __future__ import annotations
 
-import ast
 import json
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
@@ -55,15 +40,11 @@ __all__ = [
     "DEFAULT_SPEC_NAME",
     "PHASES",
     "SPEC_SCHEMA",
-    "EpochSpec",
-    "HopSpec",
     "MessageSpec",
     "PayloadSpec",
     "ProtocolSpec",
-    "TtlSpec",
     "contract_markdown",
     "load_spec",
-    "norm_expr",
 ]
 
 #: File name looked up at the repository root by default.
@@ -75,15 +56,6 @@ SPEC_SCHEMA = 1
 PHASES = ("new", "fresh", "established")
 
 _KINDS = ("message", "engine", "record")
-
-#: Receiver prefixes stripped before comparing expressions to the spec.
-_NORM_RE = re.compile(r"\b(self\.params\.|self\.|ctx\.|params\.)")
-
-
-def norm_expr(node: ast.expr | str) -> str:
-    """Canonical text of an expression for spec comparison."""
-    text = node if isinstance(node, str) else ast.unparse(node)
-    return " ".join(_NORM_RE.sub("", text).split())
 
 
 def _phases(raw: object, where: str) -> tuple[str, ...]:
@@ -127,11 +99,10 @@ class MessageSpec:
     fields: tuple[str, ...]
     producer_phases: tuple[str, ...]
     consumer_phases: tuple[str, ...]
-    epoch_field_sources: tuple[str, ...] = ()
 
     @property
     def dispatched(self) -> bool:
-        """Whether the type must appear in the node dispatch table."""
+        """Whether nodes receive the type (a record only rides inside others)."""
         return self.kind in ("message", "engine")
 
 
@@ -145,48 +116,11 @@ class PayloadSpec:
 
 
 @dataclass(frozen=True)
-class HopSpec:
-    """The A_ROUTING step contract (trajectory index bound)."""
-
-    anchor: str
-    step_init: int
-    bound: str
-
-
-@dataclass(frozen=True)
-class EpochSpec:
-    """Who may write ``self.epoch``, and from which expressions."""
-
-    anchor: str
-    writers: tuple[tuple[str, tuple[str, ...]], ...]
-
-    def allowed(self, qname: str) -> tuple[str, ...] | None:
-        """Allowed source exprs for a writer qname (suffix match), or None."""
-        for suffix, exprs in self.writers:
-            if qname == suffix or qname.endswith("." + suffix):
-                return exprs
-        return None
-
-
-@dataclass(frozen=True)
-class TtlSpec:
-    """TTL-stamped containers and their allowed expiry expressions."""
-
-    anchor: str
-    pools: tuple[str, ...]
-    ledgers: tuple[str, ...]
-    sources: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class ProtocolSpec:
     """The whole committed contract, validated."""
 
     messages: tuple[MessageSpec, ...]
     payloads: tuple[PayloadSpec, ...] = ()
-    hops: HopSpec | None = None
-    epochs: EpochSpec | None = None
-    ttl: TtlSpec | None = None
     message_modules: tuple[str, ...] = ()
     source: str = ""
     relpath: str = DEFAULT_SPEC_NAME
@@ -244,13 +178,6 @@ class ProtocolSpec:
                         entry.get("consumer_phases"),
                         f"messages.{name}.consumer_phases",
                     ),
-                    epoch_field_sources=tuple(
-                        norm_expr(s)
-                        for s in _str_list(
-                            entry.get("epoch_field_sources", []),
-                            f"messages.{name}.epoch_field_sources",
-                        )
-                    ),
                 )
             )
         payloads = []
@@ -267,56 +194,9 @@ class ProtocolSpec:
                     ),
                 )
             )
-        hops = None
-        if "hops" in raw:
-            h = raw["hops"]
-            step_init = h.get("step_init", 0)
-            if not isinstance(step_init, int):
-                raise LintError("protocol-spec: hops.step_init must be an int")
-            hops = HopSpec(
-                anchor=_require_anchor(h, "hops"),
-                step_init=step_init,
-                bound=str(h.get("bound", "final_step")),
-            )
-        epochs = None
-        if "epochs" in raw:
-            e = raw["epochs"]
-            writers_raw = e.get("writers", {})
-            if not isinstance(writers_raw, Mapping):
-                raise LintError("protocol-spec: epochs.writers must be an object")
-            epochs = EpochSpec(
-                anchor=_require_anchor(e, "epochs"),
-                writers=tuple(
-                    (
-                        qname,
-                        tuple(
-                            norm_expr(s)
-                            for s in _str_list(
-                                exprs, f"epochs.writers[{qname}]"
-                            )
-                        ),
-                    )
-                    for qname, exprs in writers_raw.items()
-                ),
-            )
-        ttl = None
-        if "ttl" in raw:
-            t = raw["ttl"]
-            ttl = TtlSpec(
-                anchor=_require_anchor(t, "ttl"),
-                pools=_str_list(t.get("pools", []), "ttl.pools"),
-                ledgers=_str_list(t.get("ledgers", []), "ttl.ledgers"),
-                sources=tuple(
-                    norm_expr(s)
-                    for s in _str_list(t.get("sources", []), "ttl.sources")
-                ),
-            )
         return cls(
             messages=tuple(messages),
             payloads=tuple(payloads),
-            hops=hops,
-            epochs=epochs,
-            ttl=ttl,
             message_modules=_str_list(
                 raw.get("message_modules", []), "message_modules"
             ),
@@ -338,11 +218,6 @@ class ProtocolSpec:
                 "fields": list(m.fields),
                 "producer_phases": list(m.producer_phases),
                 "consumer_phases": list(m.consumer_phases),
-                **(
-                    {"epoch_field_sources": list(m.epoch_field_sources)}
-                    if m.epoch_field_sources
-                    else {}
-                ),
             }
             for m in self.messages
         }
@@ -353,24 +228,6 @@ class ProtocolSpec:
                     "producer_phases": list(p.producer_phases),
                 }
                 for p in self.payloads
-            }
-        if self.hops:
-            out["hops"] = {
-                "anchor": self.hops.anchor,
-                "step_init": self.hops.step_init,
-                "bound": self.hops.bound,
-            }
-        if self.epochs:
-            out["epochs"] = {
-                "anchor": self.epochs.anchor,
-                "writers": {q: list(e) for q, e in self.epochs.writers},
-            }
-        if self.ttl:
-            out["ttl"] = {
-                "anchor": self.ttl.anchor,
-                "pools": list(self.ttl.pools),
-                "ledgers": list(self.ttl.ledgers),
-                "sources": list(self.ttl.sources),
             }
         return out
 

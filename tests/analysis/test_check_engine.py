@@ -25,13 +25,7 @@ from .paths import BASELINE, REPO_ROOT, SRC
 
 BEAT_SPEC = {
     "schema": 1,
-    "messages": {
-        "Beat": {
-            "anchor": "engine test: beats are ESTABLISHED-only traffic",
-            "fields": ["owner"],
-            "producer_phases": ["established"],
-        }
-    },
+    "messages": {"Beat": {"anchor": "engine test: a beat carries its owner", "fields": ["owner"]}},
 }
 
 
@@ -79,23 +73,14 @@ CASES = [
         good="    return band\n",
     ),
     Case(
-        rule="protocol-phase-violation",
+        rule="protocol-field-drift",
         head=(
             "from dataclasses import dataclass\n\n\n"
-            "class Phase:\n    FRESH = 1\n    ESTABLISHED = 2\n\n\n"
             "@dataclass(frozen=True)\nclass Beat:\n    __protocol__ = True\n\n    owner: int\n\n\n"
-            "class Node:\n"
-            "    def on_round(self, ctx):\n"
-            "        beats = []\n"
-            "        buckets = {Beat: beats}\n"
-            "        for msg in ctx.inbox:\n"
-            "            buckets[type(msg)].append(msg)\n"
-            "        if self.phase is Phase.FRESH:\n"
-            "            self._emit(ctx)\n\n"
-            "    def _emit(self, ctx):\n"
+            "def emit(ctx):\n"
         ),
-        bad="        ctx.send(0, Beat(owner=1))\n",
-        good="        return ctx\n",
+        bad="    ctx.send(0, Beat(1, 2))\n",
+        good="    ctx.send(0, Beat(1))\n",
         spec=BEAT_SPEC,
     ),
 ]
@@ -324,7 +309,7 @@ def test_missing_or_invalid_spec_is_a_usage_error_when_a_p_rule_runs(
     path = _write(cli_root, CASES[0], fixed=True)
     if content is not None:
         (cli_root / "protocol-spec.json").write_text(content)
-    for rules in ("P2", "D,P"):
+    for rules in ("P3", "D,P"):
         code = main(["check", "--rules", rules, "--paths", str(path), "--no-baseline"])
         out = capsys.readouterr().out
         assert code == 2
@@ -338,12 +323,12 @@ def test_missing_or_invalid_spec_is_a_usage_error_when_a_p_rule_runs(
 # ----------------------------------------------------------------------
 
 
-def test_registry_is_24_unique_complete_rules():
-    assert len(ALL_RULES) == 24
+def test_registry_is_20_unique_complete_rules():
+    assert len(ALL_RULES) == 20
     assert [r.code for r in ALL_RULES] == (
-        "D1 D2 D3 D4 D5 L1 L2 L3 X1 W1 W2 F1 F2 S1 S2 S3 S4 S5 P1 P2 P3 P4 P5 P6".split()
+        "D1 D2 D3 D4 D5 L1 L2 L3 X1 W1 W2 F1 F2 S1 S2 S3 S4 S5 P3 P6".split()
     )
-    assert len({r.id for r in ALL_RULES}) == 24
+    assert len({r.id for r in ALL_RULES}) == 20
     for rule in ALL_RULES:
         assert rule.description and rule.fix_hint and rule.severity == "error"
 
@@ -351,7 +336,7 @@ def test_registry_is_24_unique_complete_rules():
 def test_resolve_rules_by_id_code_and_family():
     assert resolve_rules(None) == resolve_rules("") == ALL_RULES
     assert [r.code for r in resolve_rules("wallclock")] == ["D2"]
-    assert [r.code for r in resolve_rules("s3, protocol-step-bound")] == ["S3", "P4"]
+    assert [r.code for r in resolve_rules("s3, protocol-field-drift")] == ["S3", "P3"]
     assert [r.code for r in resolve_rules("F")] == ["F1", "F2"]
     # Registry order, whatever the spelling order; overlaps collapse.
     assert [r.code for r in resolve_rules(["W2", "D", "D1"])] == [
@@ -365,10 +350,11 @@ def test_resolve_rules_by_id_code_and_family():
 def test_cli_list_rules_prints_the_table_and_honours_the_filter(capsys):
     assert main(["check", "--list-rules"]) == 0
     out = capsys.readouterr().out
-    assert out.rstrip("\n") == rule_table() and len(out.splitlines()) == 24
-    assert main(["check", "--list-rules", "--rules", "S"]) == 0
-    rows = capsys.readouterr().out.splitlines()
-    assert [row.split()[0] for row in rows] == ["S1", "S2", "S3", "S4", "S5"]
+    assert out.rstrip("\n") == rule_table() and len(out.splitlines()) == 20
+    for family, codes in (("S", ["S1", "S2", "S3", "S4", "S5"]), ("P", ["P3", "P6"])):
+        assert main(["check", "--list-rules", "--rules", family]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert [row.split()[0] for row in rows] == codes
 
 
 def test_cli_unknown_rule_and_missing_path_are_usage_errors(tmp_path, capsys):
@@ -443,6 +429,7 @@ def test_full_set_parses_each_file_once_and_builds_one_call_graph(tmp_path, inde
         "spec": {"relpath": "protocol-spec.json", "messages": 1, "payloads": 0},
         "protocol": report.context.protocol.summary(),
     }
+    assert "1 message type(s) / 0 construction site(s) / 0 payload site(s)" in report.format_text()
     assert report.context.roles.worker_only("a._worker_main")
     # A second run over the same cache parses nothing again.
     run_check([tmp_path], root=tmp_path, cache=cache)
@@ -525,5 +512,5 @@ def test_live_tree_full_set_verdict(live_cache, index_builds):
     assert 2 <= facts["passes"] < MAX_DEPTH  # converged, not cut off
     assert facts["roles"]["worker"] >= 5 and facts["roles"]["master"] >= 10
     assert facts["protocol"]["messages"] == facts["spec"]["messages"] == 7
-    assert facts["protocol"]["dispatch_entries"] == 6
     assert facts["protocol"]["constructions"] >= 8
+    assert facts["protocol"]["payload_sites"] == 5  # join, token, probe, put, get

@@ -1,4 +1,4 @@
-"""The protocol rules (P1–P6) through ``repro check``: waivers, baseline, SARIF, CLI."""
+"""The protocol rules (P3, P6) through ``repro check``: waivers, baseline, SARIF, CLI."""
 
 import json
 import textwrap
@@ -11,7 +11,7 @@ from repro.analysis.lint.engine import LintError
 from repro.analysis.sarif import validate_sarif
 
 ALL_PROTO_RULES = resolve_rules("P")
-#: P1–P6 plus the stale-waiver audit (what `repro proto-check` ran).
+#: P3, P6 plus the stale-waiver audit.
 PROTO = resolve_rules("P,W2")
 PROTO_ARGS = ["check", "--rules", "P,W2"]
 
@@ -27,8 +27,8 @@ SPEC = {
     },
 }
 
-# Ping is a dispatched-kind message constructed with no dispatch table
-# anywhere: exactly one P1 finding.
+# Ping is constructed with a field neither the spec nor the dataclass
+# declares: exactly one P3 finding.
 BAD_SRC = """
 from dataclasses import dataclass
 
@@ -41,7 +41,18 @@ class Ping:
 
 
 def emit(ctx):
-    ctx.send(0, Ping(data=1))
+    ctx.send(0, Ping(data=1, seq=2))
+"""
+
+PING_HEAD = """
+from dataclasses import dataclass
+
+
+@dataclass(frozen=True)
+class Ping:
+    __protocol__ = True
+
+    data: int
 """
 
 
@@ -49,6 +60,11 @@ def _write(tmp_path, source, name="w.py"):
     path = tmp_path / name
     path.write_text(textwrap.dedent(source))
     return path
+
+
+def _emit(*body):
+    """`PING_HEAD` plus an `emit(ctx)` whose body is ``body``."""
+    return PING_HEAD + "\n\ndef emit(ctx):\n" + "".join(f"    {line}\n" for line in body)
 
 
 @pytest.fixture
@@ -64,10 +80,11 @@ def test_finding_reported_with_location_and_hint(tmp_path):
     report = check_proto([tmp_path], root=tmp_path, baseline=None, spec=SPEC)
     assert not report.ok
     (finding,) = report.findings
-    assert finding.rule == "protocol-unhandled-message"
+    assert finding.rule == "protocol-field-drift"
     assert finding.path == "w.py"
     assert finding.line == 13
-    assert "`Ping`" in finding.message and "dispatches" in finding.message
+    assert "`Ping`" in finding.message and "unknown field `seq`" in finding.message
+    assert finding.fix_hint
     assert report.facts["protocol"]["messages"] == 1
     assert report.facts["protocol"]["constructions"] == 1
 
@@ -75,74 +92,39 @@ def test_finding_reported_with_location_and_hint(tmp_path):
 def test_justified_waiver_suppresses_and_counts(tmp_path):
     _write(
         tmp_path,
-        """
-        from dataclasses import dataclass
-
-
-        @dataclass(frozen=True)
-        class Ping:
-            __protocol__ = True
-
-            data: int
-
-
-        def emit(ctx):
-            # repro: allow(protocol-unhandled-message): dispatch lands in PR 11
-            ctx.send(0, Ping(data=1))
-        """,
+        _emit(
+            "# repro: allow(protocol-field-drift): seq lands with the next spec",
+            "ctx.send(0, Ping(data=1, seq=2))",
+        ),
     )
     report = check_proto([tmp_path], root=tmp_path, baseline=None, spec=SPEC)
     assert report.ok
     assert len(report.waived) == 1
-    assert report.waived[0].rule == "protocol-unhandled-message"
+    assert report.waived[0].rule == "protocol-field-drift"
 
 
 def test_unjustified_waiver_is_inert(tmp_path):
     _write(
         tmp_path,
-        """
-        from dataclasses import dataclass
-
-
-        @dataclass(frozen=True)
-        class Ping:
-            __protocol__ = True
-
-            data: int
-
-
-        def emit(ctx):
-            # repro: allow(protocol-unhandled-message)
-            ctx.send(0, Ping(data=1))
-        """,
+        _emit(
+            "# repro: allow(protocol-field-drift)",
+            "ctx.send(0, Ping(data=1, seq=2))",
+        ),
     )
     report = check_proto([tmp_path], root=tmp_path, baseline=None, spec=SPEC)
     assert not report.ok  # the finding survives; W1 reports the bare waiver
+    assert "protocol-field-drift" in {f.rule for f in report.findings}
 
 
 def test_stale_proto_waiver_is_reported_here_not_by_lint(tmp_path):
     path = _write(
         tmp_path,
-        """
-        from dataclasses import dataclass
-
-
-        @dataclass(frozen=True)
-        class Ping:
-            __protocol__ = True
-
-            data: int
-
-
-        def emit(ctx):
-            # repro: allow(protocol-unhandled-message): nothing here anymore
-            return ctx
-        """,
+        _emit("# repro: allow(protocol-field-drift): nothing here anymore", "return ctx"),
     )
     report = check_proto([tmp_path], root=tmp_path, baseline=None, spec=SPEC)
     stale = [f for f in report.findings if f.rule == "unused-waiver"]
     assert len(stale) == 1
-    assert "protocol-unhandled-message" in stale[0].message
+    assert "protocol-field-drift" in stale[0].message
 
     lint_report = run_check(
         [path], root=tmp_path, rules=resolve_rules("D,L,X,W"), baseline=None
@@ -153,30 +135,16 @@ def test_stale_proto_waiver_is_reported_here_not_by_lint(tmp_path):
 def test_stale_waiver_not_flagged_when_its_rule_is_deselected(tmp_path):
     _write(
         tmp_path,
-        """
-        from dataclasses import dataclass
-
-
-        @dataclass(frozen=True)
-        class Ping:
-            __protocol__ = True
-
-            data: int
-
-
-        def emit(ctx):
-            # repro: allow(protocol-unhandled-message): nothing here anymore
-            return ctx
-        """,
+        _emit("# repro: allow(protocol-field-drift): nothing here anymore", "return ctx"),
     )
     report = check_proto(
         [tmp_path],
         root=tmp_path,
-        rules=resolve_rules("P3,W2"),
+        rules=resolve_rules("P6,W2"),
         baseline=None,
         spec=SPEC,
     )
-    assert report.ok  # P1 did not run, so its waiver cannot be proven stale
+    assert report.ok  # P3 did not run, so its waiver cannot be proven stale
 
 
 def test_baseline_round_trip_and_staleness(tmp_path):
@@ -192,25 +160,13 @@ def test_baseline_round_trip_and_staleness(tmp_path):
     assert len(second.baselined) == 1
 
     # Fix the code: the baseline entry must surface as stale.
-    _write(
-        tmp_path,
-        """
-        from dataclasses import dataclass
-
-
-        @dataclass(frozen=True)
-        class Ping:
-            __protocol__ = True
-
-            data: int
-        """,
-    )
+    _write(tmp_path, _emit("ctx.send(0, Ping(data=1))"))
     third = check_proto(
         [tmp_path], root=tmp_path, baseline=baseline_path, spec=SPEC
     )
     assert third.ok
     assert len(third.stale_baseline) == 1
-    assert third.stale_baseline[0]["rule"] == "protocol-unhandled-message"
+    assert third.stale_baseline[0]["rule"] == "protocol-field-drift"
 
 
 def test_baseline_object_accepted(tmp_path):
@@ -241,13 +197,14 @@ def test_missing_default_spec_raises_lint_error(tmp_path):
 
 
 def test_resolve_rules_by_id_code_and_rejection():
-    assert [r.code for r in ALL_PROTO_RULES] == ["P1", "P2", "P3", "P4", "P5", "P6"]
-    (p2,) = resolve_rules("P2")
-    assert p2.id == "protocol-phase-violation"
-    pair = resolve_rules("protocol-unhandled-message,P6")
-    assert tuple(r.code for r in pair) == ("P1", "P6")
-    with pytest.raises(LintError, match="unknown rule"):
-        resolve_rules("P9")
+    assert [r.code for r in ALL_PROTO_RULES] == ["P3", "P6"]
+    (p3,) = resolve_rules("P3")
+    assert p3.id == "protocol-field-drift"
+    pair = resolve_rules("protocol-spec-coverage,P3")
+    assert tuple(r.code for r in pair) == ("P3", "P6")
+    for gone in ("P1", "P2", "P4", "P5", "protocol-phase-violation"):
+        with pytest.raises(LintError, match="unknown rule"):
+            resolve_rules(gone)
 
 
 def test_rule_table_lists_every_rule():
@@ -280,7 +237,7 @@ def test_findings_serialize_to_valid_sarif(tmp_path):
     (run,) = doc["runs"]
     assert run["tool"]["driver"]["name"] == "repro-check"
     assert [r["id"] for r in run["tool"]["driver"]["rules"]] == [r.id for r in PROTO]
-    assert run["results"][0]["ruleId"] == "protocol-unhandled-message"
+    assert run["results"][0]["ruleId"] == "protocol-field-drift"
 
 
 def test_cli_proto_check_list_rules_and_json(cli_root, capsys):
@@ -288,7 +245,7 @@ def test_cli_proto_check_list_rules_and_json(cli_root, capsys):
 
     assert main(["check", "--list-rules", "--rules", "P"]) == 0
     out = capsys.readouterr().out
-    assert "protocol-phase-violation" in out
+    assert "protocol-field-drift" in out and "protocol-spec-coverage" in out
 
     _write(cli_root, BAD_SRC)
     code = main(
@@ -298,7 +255,7 @@ def test_cli_proto_check_list_rules_and_json(cli_root, capsys):
     assert code == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["counts"]["active"] == 1
-    assert payload["findings"][0]["rule"] == "protocol-unhandled-message"
+    assert payload["findings"][0]["rule"] == "protocol-field-drift"
 
 
 def test_cli_bad_spec_is_a_usage_error(cli_root, capsys):

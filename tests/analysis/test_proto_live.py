@@ -1,4 +1,4 @@
-"""The live gate: the P rules are clean on this repository, and each rule
+"""The live gate: P3 and P6 are clean on this repository, and each rule
 demonstrably fires when the committed spec is perturbed.
 
 The injection tests work by *mutating the spec*, not the source: if the
@@ -60,26 +60,6 @@ def test_spec_covers_every_core_messages_class(shared):
     assert class_names <= set(raw["messages"])
 
 
-def test_p1_fires_when_a_record_is_respecced_as_dispatched(shared):
-    _, raw = shared
-    mutated = copy.deepcopy(raw)
-    # JoinRecord rides inside batches; claiming it needs its own dispatch
-    # entry must flag every construction site as unhandled.
-    mutated["messages"]["JoinRecord"]["kind"] = "message"
-    report = _run(shared, mutated, rules=resolve_rules("P1"))
-    hits = [f for f in report.findings if f.rule == "protocol-unhandled-message"]
-    assert hits and all("`JoinRecord`" in f.message for f in hits)
-
-
-def test_p2_fires_when_producer_phases_are_narrowed(shared):
-    _, raw = shared
-    mutated = copy.deepcopy(raw)
-    mutated["messages"]["TokenMsg"]["producer_phases"] = ["new"]
-    report = _run(shared, mutated, rules=resolve_rules("P2"))
-    hits = [f for f in report.findings if f.rule == "protocol-phase-violation"]
-    assert hits and all("`TokenMsg`" in f.message for f in hits)
-
-
 def test_p3_fires_when_spec_fields_drift(shared):
     _, raw = shared
     mutated = copy.deepcopy(raw)
@@ -87,33 +67,6 @@ def test_p3_fires_when_spec_fields_drift(shared):
     report = _run(shared, mutated, rules=resolve_rules("P3"))
     hits = [f for f in report.findings if f.rule == "protocol-field-drift"]
     assert any("drift from the spec" in f.message for f in hits)
-
-
-def test_p4_fires_when_step_init_is_respecced(shared):
-    _, raw = shared
-    mutated = copy.deepcopy(raw)
-    mutated["hops"]["step_init"] = 5
-    report = _run(shared, mutated, rules=resolve_rules("P4"))
-    hits = [f for f in report.findings if f.rule == "protocol-step-bound"]
-    assert any("step_init=5" in f.message for f in hits)
-
-
-def test_p4_fires_when_ttl_sources_are_removed(shared):
-    _, raw = shared
-    mutated = copy.deepcopy(raw)
-    mutated["ttl"]["sources"] = ["round + 999"]
-    report = _run(shared, mutated, rules=resolve_rules("P4"))
-    hits = [f for f in report.findings if f.rule == "protocol-step-bound"]
-    assert any("not a spec'd source" in f.message for f in hits)
-
-
-def test_p5_fires_when_epoch_writers_are_removed(shared):
-    _, raw = shared
-    mutated = copy.deepcopy(raw)
-    mutated["epochs"]["writers"] = {}
-    report = _run(shared, mutated, rules=resolve_rules("P5"))
-    hits = [f for f in report.findings if f.rule == "protocol-epoch-monotone"]
-    assert any("not a spec'd epoch writer" in f.message for f in hits)
 
 
 def test_p6_fires_in_both_directions(shared):

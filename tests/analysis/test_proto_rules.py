@@ -3,7 +3,7 @@
 Each rule directory carries its own minimal ``spec.json`` next to the
 ``ok.py``/``bad.py`` pair, so the corpus doubles as documentation of
 what the declarative spec can say: the ``ok`` fixture fully satisfies
-its spec under ALL six rules, the ``bad`` fixture injects exactly the
+its spec under both rules, the ``bad`` fixture injects exactly the
 defect shapes its rule exists to catch.
 """
 
@@ -68,28 +68,6 @@ def test_bad_fixture_triggers_its_rule(rule_id):
         assert f.line > 0 or f.path == "spec.json"
 
 
-def test_unhandled_message_bad_names_all_three_shapes():
-    report = _run("protocol-unhandled-message", "bad.py")
-    messages = [f.message for f in report.findings]
-    assert any("no node dispatches it" in m for m in messages)
-    assert any("dispatch entry for `Pong` is dead" in m for m in messages)
-    assert any('"probe" is emitted here but' in m for m in messages)
-
-
-def test_phase_violation_bad_names_all_three_shapes():
-    report = _run("protocol-phase-violation", "bad.py")
-    messages = [f.message for f in report.findings]
-    assert any("`Beat` constructed in phase context {fresh}" in m for m in messages)
-    assert any('routed payload "probe" emitted in phase context any' in m for m in messages)
-    assert any("`Beat` handed to Node._handle_beats" in m for m in messages)
-    # Every phase finding cites the spec anchor it violates.
-    assert all(
-        "fixture:" in m
-        for m in messages
-        if "phase context" in m
-    )
-
-
 def test_field_drift_bad_names_all_five_shapes():
     report = _run("protocol-field-drift", "bad.py")
     messages = [f.message for f in report.findings]
@@ -97,22 +75,6 @@ def test_field_drift_bad_names_all_five_shapes():
     assert any("3 positional args but it has 2 fields" in m for m in messages)
     assert any("unknown field `pos`" in m for m in messages)
     assert any("without required field `position`" in m for m in messages)
-
-
-def test_step_bound_bad_names_all_three_shapes():
-    report = _run("protocol-step-bound", "bad.py")
-    messages = [f.message for f in report.findings]
-    assert any("initialised to 1 but the spec" in m for m in messages)
-    assert any("`final_step` bound check" in m for m in messages)
-    assert any("not a spec'd source" in m for m in messages)
-
-
-def test_epoch_monotone_bad_names_all_three_shapes():
-    report = _run("protocol-epoch-monotone", "bad.py")
-    messages = [f.message for f in report.findings]
-    assert any("not a spec'd epoch writer" in m for m in messages)
-    assert any("self.epoch written from `e + 5`" in m for m in messages)
-    assert any("field `epoch` of `JoinRec` filled from `9`" in m for m in messages)
 
 
 def test_spec_coverage_bad_names_all_five_shapes():

@@ -1,4 +1,4 @@
-"""The declarative spec: validation, round-trip, normalisation, docs table."""
+"""The declarative spec: validation, round-trip, docs table."""
 
 import json
 
@@ -10,7 +10,6 @@ from repro.analysis.proto.spec import (
     ProtocolSpec,
     contract_markdown,
     load_spec,
-    norm_expr,
 )
 
 MINIMAL = {
@@ -38,23 +37,10 @@ FULL = {
             "fields": ["node", "epoch"],
             "producer_phases": None,
             "consumer_phases": None,
-            "epoch_field_sources": ["e + 2"],
         },
     },
     "payloads": {
         "probe": {"anchor": "a3", "producer_phases": ["established"]},
-    },
-    "hops": {
-        "anchor": "a4",
-        "step_init": 0,
-        "bound": "final_step",
-    },
-    "epochs": {"anchor": "a5", "writers": {"Node._cutover": ["e"]}},
-    "ttl": {
-        "anchor": "a6",
-        "pools": ["tokens"],
-        "ledgers": ["grants"],
-        "sources": ["round + TOKEN_TTL"],
     },
 }
 
@@ -65,8 +51,6 @@ def test_minimal_spec_defaults():
     assert ping.kind == "message" and ping.dispatched
     assert ping.producer_phases == PHASES  # null -> all phases
     assert ping.consumer_phases == PHASES
-    assert spec.hops is None
-    assert spec.epochs is None and spec.ttl is None
     assert spec.message("Ping") is ping
     assert spec.message("Nope") is None
 
@@ -77,8 +61,6 @@ def test_full_spec_round_trips_through_to_dict():
     assert again == spec
     assert again.payload("probe").producer_phases == ("established",)
     assert again.payload("nope") is None
-    assert spec.epochs.allowed("protofix.p5.Node._cutover") == ("e",)
-    assert spec.epochs.allowed("protofix.p5.Node.rogue") is None
 
 
 def test_record_kind_is_not_dispatched():
@@ -121,14 +103,6 @@ def test_phase_lists_are_normalised_to_protocol_order():
             ),
             "unknown phases",
         ),
-        (
-            lambda d: d.update(hops={"anchor": "a", "step_init": "zero"}),
-            "step_init must be an int",
-        ),
-        (
-            lambda d: d.update(epochs={"anchor": "a", "writers": []}),
-            "writers must be an object",
-        ),
     ],
 )
 def test_validation_errors(mutate, match):
@@ -151,12 +125,6 @@ def test_load_spec_uses_file_name_as_relpath(tmp_path):
     path = tmp_path / "myspec.json"
     path.write_text(json.dumps(MINIMAL))
     assert load_spec(path).relpath == "myspec.json"
-
-
-def test_norm_expr_strips_receiver_plumbing():
-    assert norm_expr("self.params.round + TOKEN_TTL") == "round + TOKEN_TTL"
-    assert norm_expr("ctx.round + 4 * self.lam") == "round + 4 * lam"
-    assert norm_expr("e  +  2") == "e + 2"
 
 
 def test_contract_markdown_rows_cover_messages_and_payloads():
