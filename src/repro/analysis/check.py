@@ -4,7 +4,7 @@ The engine is deliberately boring: collect the files, parse each once
 (:class:`~repro.analysis.source_cache.SourceCache`), run every selected
 rule over one :class:`CheckContext`, match inline waivers against the one
 finding list, audit stale waivers, apply the committed baseline, and
-return one :class:`CheckReport`.  All the judgement lives in the 20 rule
+return one :class:`CheckReport`.  All the judgement lives in the 18 rule
 plugins registered in :data:`ALL_RULES`:
 
 ====== ====================================== =================================
@@ -16,13 +16,12 @@ X      :mod:`~.lint.rules_exports` X1         ``__all__`` drift
 W      :mod:`~.lint.rules_waivers` W1–W2      waiver hygiene
 F      :mod:`~.flow.policies` F1–F2           the same two walls, interprocedurally
 S      :mod:`~.shard.rules` S1–S5             process roles of the sharded engine
-P      :mod:`~.proto.rules` P3, P6            ``protocol-spec.json`` vs the declarations
 ====== ====================================== =================================
 
-Whole-project facts (call graph, flow fixpoint, role map, protocol model)
-hang off the context as lazily computed properties: each is built at most
-once per run and only if a selected rule reads it, so ``--rules D,L,X,W``
-pays for parsing and nothing else.
+Whole-project facts (call graph, flow fixpoint, role map) hang off the
+context as lazily computed properties: each is built at most once per run
+and only if a selected rule reads it, so ``--rules D,L,X,W`` pays for
+parsing and nothing else.
 
 One waiver namespace, one audit: a ``# repro: allow(<rule>): why`` comment
 or a baseline entry is reported stale only if its rule *ran* — a deselected
@@ -40,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from repro.analysis.flow.callgraph import ProjectIndex
 from repro.analysis.flow.policies import DETERMINISM, LATENESS
@@ -62,9 +61,6 @@ from repro.analysis.lint.rules_lateness import (
     ViewInternalsRule,
 )
 from repro.analysis.lint.rules_waivers import UnusedWaiverRule, WaiverJustificationRule
-from repro.analysis.proto.extract import ProtocolModel
-from repro.analysis.proto.rules import FieldDriftRule, SpecCoverageRule
-from repro.analysis.proto.spec import DEFAULT_SPEC_NAME, ProtocolSpec, load_spec
 from repro.analysis.sarif import sarif_report
 from repro.analysis.shard.roles import RoleMap, infer_roles
 from repro.analysis.shard.rules import (
@@ -88,7 +84,7 @@ __all__ = [
 ]
 
 #: Every shipped rule, families in order: determinism, lateness, exports,
-#: waiver hygiene, information flow, shard safety, protocol contract.
+#: waiver hygiene, information flow, shard safety.
 ALL_RULES: tuple[Rule, ...] = (
     GlobalRandomRule(),
     WallClockRule(),
@@ -108,8 +104,6 @@ ALL_RULES: tuple[Rule, ...] = (
     MasterStateRule(),
     SegmentLifecycleRule(),
     ForkHygieneRule(),
-    FieldDriftRule(),
-    SpecCoverageRule(),
 )
 
 #: Rules whose findings can never be waived inline (waiving the waiver
@@ -121,7 +115,7 @@ def resolve_rules(spec: str | Iterable[str] | None) -> tuple[Rule, ...]:
     """Rules selected by a comma/space separated list, in registry order.
 
     Each entry is a rule id (``wallclock``), a code (``S3``) or a family
-    letter (``P``).  ``None`` or an empty spec selects every rule; an
+    letter (``S``).  ``None`` or an empty spec selects every rule; an
     unknown entry raises :class:`LintError` listing what is available.
     """
     if spec is None:
@@ -157,7 +151,6 @@ class CheckContext:
         modules: list[SourceModule],
         cache: SourceCache,
         rules: tuple[Rule, ...],
-        spec: Path | str | Mapping | ProtocolSpec | None,
     ) -> None:
         self.root = root
         self.modules = modules
@@ -165,11 +158,10 @@ class CheckContext:
         #: Ids of shipped rules that are *not* running: their waivers and
         #: baseline entries cannot be proven stale by this run.
         self.deselected = frozenset(r.id for r in ALL_RULES) - {r.id for r in rules}
-        self._spec = spec
 
     @cached_property
     def index(self) -> ProjectIndex:
-        """The project call graph (families F, S and P)."""
+        """The project call graph (families F and S)."""
         return ProjectIndex(self.modules)
 
     @cached_property
@@ -182,23 +174,6 @@ class CheckContext:
         """Master / worker / shared role of every reachable function."""
         return infer_roles(self.index)
 
-    @cached_property
-    def spec(self) -> ProtocolSpec:
-        """The protocol spec: the ``spec`` argument, else the root's file."""
-        spec = self._spec
-        if spec is None:
-            spec = self.root / DEFAULT_SPEC_NAME
-        if isinstance(spec, (Path, str)):
-            return load_spec(spec)
-        if isinstance(spec, Mapping):
-            return ProtocolSpec.from_dict(spec)
-        return spec
-
-    @cached_property
-    def protocol(self) -> ProtocolModel:
-        """The declared protocol, extracted from the AST."""
-        return ProtocolModel(self.modules, self.index)
-
     def facts(self) -> dict:
         """Summary counts of the facts this run actually built."""
         built = vars(self)
@@ -209,13 +184,6 @@ class CheckContext:
             out["passes"] = self.flow.passes
         if "roles" in built:
             out["roles"] = self.roles.counts()
-        if "protocol" in built:
-            out["spec"] = {
-                "relpath": self.spec.relpath,
-                "messages": len(self.spec.messages),
-                "payloads": len(self.spec.payloads),
-            }
-            out["protocol"] = self.protocol.summary()
         return out
 
 
@@ -227,7 +195,7 @@ class CheckReport:
     files: int
     rules: tuple[Rule, ...]
     #: The run's context, for callers that want the facts themselves
-    #: (``report.context.roles``, ``report.context.protocol``).
+    #: (``report.context.roles``).
     context: CheckContext
     facts: dict = field(default_factory=dict)
     findings: list[Finding] = field(default_factory=list)
@@ -289,12 +257,6 @@ class CheckReport:
         if "roles" in facts:
             r = facts["roles"]
             looked_at.append(f"{r['master']} master / {r['worker']} worker / {r['shared']} shared")
-        if "protocol" in facts:
-            p = facts["protocol"]
-            looked_at.append(
-                f"{p['messages']} message type(s) / {p['constructions']} construction "
-                f"site(s) / {p['payload_sites']} payload site(s)"
-            )
         out.append(
             f"{', '.join(looked_at)}: {len(self.findings)} finding(s), "
             f"{len(self.waived)} waived, {len(self.baselined)} baselined"
@@ -321,7 +283,6 @@ def run_check(
     rules: Iterable[Rule] | None = None,
     baseline: Path | str | Baseline | None = None,
     cache: SourceCache | None = None,
-    spec: Path | str | Mapping | ProtocolSpec | None = None,
 ) -> CheckReport:
     """Run the selected rules and return a :class:`CheckReport`.
 
@@ -330,10 +291,7 @@ def run_check(
     ``baseline`` may be a path (missing file = empty baseline), a loaded
     :class:`Baseline`, or ``None`` for no baseline.  ``cache`` is an
     optional shared :class:`SourceCache`, so several runs parse each file
-    once.  ``spec`` (a path, a parsed mapping, or a :class:`ProtocolSpec`)
-    replaces ``<root>/protocol-spec.json`` for the P rules; it is read
-    only if one of them is selected, and a missing or invalid spec is then
-    a :class:`LintError` — P rules are never silently skipped.
+    once.
     """
     rules = ALL_RULES if rules is None else tuple(rules)
     root = (Path(root) if root is not None else Path.cwd()).resolve()
@@ -367,14 +325,12 @@ def run_check(
                 )
             )
 
-    ctx = CheckContext(root, modules, cache, rules, spec)
+    ctx = CheckContext(root, modules, cache, rules)
     raw = [f for rule in rules if not rule.post_waiver for f in rule.check(ctx)]
 
     # Waiver matching: a justified waiver absorbs every finding of its rule
-    # on its target line.  Findings outside the parsed modules (P6's
-    # spec-side ones, anchored to protocol-spec.json) have no comment to
-    # carry a waiver and stay active.  Modules can come from a shared
-    # cache, so the mutable `used` flags are reset for this run.
+    # on its target line.  Modules can come from a shared cache, so the
+    # mutable `used` flags are reset for this run.
     by_path = {mod.relpath: mod for mod in modules}
     for mod in modules:
         for w in mod.waivers:

@@ -1,11 +1,11 @@
 """The plugin surface of ``repro check``: parsed modules and the rule base.
 
 Every rule family (:mod:`~repro.analysis.lint` D/L/X/W,
-:mod:`~repro.analysis.flow` F, :mod:`~repro.analysis.shard` S,
-:mod:`~repro.analysis.proto` P) is written against the types in this
-module; the engine that runs them, matches waivers, applies the
-baseline and reports lives in :mod:`repro.analysis.check`, which imports
-the rule modules — so the base they subclass sits here, below both.
+:mod:`~repro.analysis.flow` F, :mod:`~repro.analysis.shard` S) is
+written against the types in this module; the engine that runs them,
+matches waivers, applies the baseline and reports lives in
+:mod:`repro.analysis.check`, which imports the rule modules — so the
+base they subclass sits here, below both.
 
 Rules see *syntax*, not types: they are heuristics tuned so the invariants
 they guard (bit-for-bit determinism; the adversary's lateness wall) cannot
@@ -31,7 +31,7 @@ __all__ = ["LintError", "SourceModule", "Rule", "ModuleRule"]
 
 
 class LintError(Exception):
-    """Invalid invocation: unknown rule, bad path, unreadable baseline or spec."""
+    """Invalid invocation: unknown rule, bad path or unreadable baseline."""
 
 
 def _derive_module(relpath: str) -> str:
@@ -151,15 +151,15 @@ class Rule(abc.ABC):
 
     def finding(
         self,
-        mod: SourceModule | str,
+        mod: SourceModule,
         where: ast.AST | int,
         message: str,
         fix_hint: str | None = None,
     ) -> Finding:
-        """A finding of this rule in ``mod`` (or at a bare path, e.g. the spec)."""
+        """A finding of this rule in ``mod``."""
         line = where if isinstance(where, int) else getattr(where, "lineno", 0)
         return Finding(
-            path=mod if isinstance(mod, str) else mod.relpath,
+            path=mod.relpath,
             line=line,
             rule=self.id,
             message=message,

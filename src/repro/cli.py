@@ -38,14 +38,14 @@ Commands
     under ``REPRO_BENCH_RECORD=1``.
 ``check [--rules R,...] [--paths P ...] [--format text|json|sarif] [--fix]``
     Run the static-analysis gate (see ``docs/ANALYSIS.md``) over
-    ``src/repro``: 24 rules in seven families — determinism D1–D5,
+    ``src/repro``: 18 rules in six families — determinism D1–D5,
     lateness L1–L3, exports X1, waiver hygiene W1–W2, information flow
-    F1–F2, shard safety S1–S5, protocol contract P1–P6 — off one parse.
+    F1–F2, shard safety S1–S5 — off one parse.
     Exits non-zero on any finding that is neither waived inline
     (``# repro: allow(<rule>): why``) nor grandfathered in the committed
     ``check-baseline.json`` (``--baseline P`` / ``--no-baseline`` /
     ``--update-baseline``).  ``--rules`` takes ids, codes (``S3``) or
-    family letters (``P``); ``--list-rules`` prints the rule table;
+    family letters (``S``); ``--list-rules`` prints the rule table;
     ``--fix`` deletes the stale waiver comments W2 reports, then checks.
 """
 
@@ -539,14 +539,14 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     p_check = sub.add_parser(
-        "check", help="static-analysis gate: 24 rules, one parse (docs/ANALYSIS.md)"
+        "check", help="static-analysis gate: 18 rules, one parse (docs/ANALYSIS.md)"
     )
     p_check.add_argument(
         "--rules",
         default=None,
         metavar="R[,R...]",
         help="only run these rules: ids (`wallclock`), codes (`S3`) or family "
-        "letters (D L X W F S P)",
+        "letters (D L X W F S)",
     )
     p_check.add_argument(
         "--paths",

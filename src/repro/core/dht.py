@@ -40,12 +40,16 @@ __all__ = ["StashTransfer", "DhtResponse", "key_point", "DHTNode"]
 class StashTransfer:
     """Replica items handed to the next overlay's responsible swarm."""
 
+    __protocol__ = True
+
     items: tuple[tuple[str, object], ...]  # (key, value) pairs
 
 
 @dataclass(frozen=True)
 class DhtResponse:
     """A replica's answer to a GET."""
+
+    __protocol__ = True
 
     request_id: object
     key: str

@@ -22,7 +22,11 @@ NumPy arrays) and compares by identity.
 
 Routed payloads (carried inside :class:`repro.routing.messages.RoutedMessage`)
 are tagged tuples: ``("join", JoinRecord)``, ``("token", owner_id)`` and
-``("probe", probe_id)``.
+``("probe", probe_id)``.  The DHT layer (:mod:`repro.core.dht`) adds
+``("put", …)`` and ``("get", …)``; its two direct messages,
+``StashTransfer`` and ``DhtResponse``, are registered like the types here:
+each carries the ``__protocol__`` marker and an entry in
+``protocol-spec.json``.
 
 Every type pickles as ``(class, constructor args)`` through its own
 ``__reduce__``: the state hooks ``dataclass(slots=True)`` generates call

@@ -23,11 +23,6 @@ from repro.cli import main
 
 from .paths import BASELINE, REPO_ROOT, SRC
 
-BEAT_SPEC = {
-    "schema": 1,
-    "messages": {"Beat": {"anchor": "engine test: a beat carries its owner", "fields": ["owner"]}},
-}
-
 
 @dataclass(frozen=True)
 class Case:
@@ -37,7 +32,6 @@ class Case:
     head: str
     bad: str
     good: str
-    spec: dict | None = None
 
     @property
     def line(self) -> int:
@@ -72,17 +66,6 @@ CASES = [
         bad="    engine.trace.record(band)\n",
         good="    return band\n",
     ),
-    Case(
-        rule="protocol-field-drift",
-        head=(
-            "from dataclasses import dataclass\n\n\n"
-            "@dataclass(frozen=True)\nclass Beat:\n    __protocol__ = True\n\n    owner: int\n\n\n"
-            "def emit(ctx):\n"
-        ),
-        bad="    ctx.send(0, Beat(1, 2))\n",
-        good="    ctx.send(0, Beat(1))\n",
-        spec=BEAT_SPEC,
-    ),
 ]
 
 per_family = pytest.mark.parametrize("case", CASES, ids=[c.rule for c in CASES])
@@ -91,11 +74,9 @@ WHY = ": exercised by the engine tests"
 
 
 def _write(tmp_path, case, **kwargs):
-    """The case's file under ``tmp_path``, with its spec where ``repro check`` looks."""
+    """The case's file under ``tmp_path``."""
     path = tmp_path / "w.py"
     path.write_text(case.source(**kwargs))
-    if case.spec is not None:
-        (tmp_path / "protocol-spec.json").write_text(json.dumps(case.spec))
     return path
 
 
@@ -110,7 +91,7 @@ def _run(tmp_path, case, rules=None, baseline=None):
 
 @pytest.fixture
 def cli_root(tmp_path, monkeypatch):
-    """Point the CLI's repo root (baseline and spec lookup) at ``tmp_path``."""
+    """Point the CLI's repo root (baseline lookup) at ``tmp_path``."""
     monkeypatch.setattr("repro.cli._repo_root", lambda: tmp_path)
     return tmp_path
 
@@ -208,17 +189,6 @@ def test_parse_error_is_a_finding_no_waiver_can_absorb(tmp_path):
     ]
 
 
-def test_spec_side_p6_findings_anchor_to_the_spec_and_stay_active(tmp_path):
-    case = CASES[-1]
-    _write(tmp_path, case, fixed=True)
-    spec = json.loads(json.dumps(BEAT_SPEC))
-    spec["messages"]["Ghost"] = dict(BEAT_SPEC["messages"]["Beat"])
-    report = run_check([tmp_path / "w.py"], root=tmp_path, rules=resolve_rules("P6"), spec=spec)
-    (finding,) = report.findings
-    assert (finding.path, finding.line) == ("protocol-spec.json", 0)
-    assert "`Ghost`" in finding.message
-
-
 # ----------------------------------------------------------------------
 # One baseline
 # ----------------------------------------------------------------------
@@ -291,44 +261,16 @@ def test_broken_baseline_is_a_one_line_usage_error(cli_root, capsys, content):
 
 
 # ----------------------------------------------------------------------
-# The protocol spec: read only when a P rule runs, never silently skipped
-# ----------------------------------------------------------------------
-
-
-@pytest.mark.parametrize(
-    "content, message",
-    [
-        (None, "no protocol spec at"),
-        ("{ not json", "not valid JSON"),
-        ('{"schema": 1, "messages": {}}', "`messages` must be a non-empty object"),
-    ],
-)
-def test_missing_or_invalid_spec_is_a_usage_error_when_a_p_rule_runs(
-    cli_root, capsys, content, message
-):
-    path = _write(cli_root, CASES[0], fixed=True)
-    if content is not None:
-        (cli_root / "protocol-spec.json").write_text(content)
-    for rules in ("P3", "D,P"):
-        code = main(["check", "--rules", rules, "--paths", str(path), "--no-baseline"])
-        out = capsys.readouterr().out
-        assert code == 2
-        assert out.startswith("check: ") and message in out and out.count("\n") == 1
-    # No P rule selected: the spec is never opened.
-    assert main(["check", "--rules", "D,F,S", "--paths", str(path), "--no-baseline"]) == 0
-
-
-# ----------------------------------------------------------------------
 # Selection, registry, usage errors
 # ----------------------------------------------------------------------
 
 
-def test_registry_is_20_unique_complete_rules():
-    assert len(ALL_RULES) == 20
+def test_registry_is_18_unique_complete_rules():
+    assert len(ALL_RULES) == 18
     assert [r.code for r in ALL_RULES] == (
-        "D1 D2 D3 D4 D5 L1 L2 L3 X1 W1 W2 F1 F2 S1 S2 S3 S4 S5 P3 P6".split()
+        "D1 D2 D3 D4 D5 L1 L2 L3 X1 W1 W2 F1 F2 S1 S2 S3 S4 S5".split()
     )
-    assert len({r.id for r in ALL_RULES}) == 20
+    assert len({r.id for r in ALL_RULES}) == 18
     for rule in ALL_RULES:
         assert rule.description and rule.fix_hint and rule.severity == "error"
 
@@ -336,22 +278,25 @@ def test_registry_is_20_unique_complete_rules():
 def test_resolve_rules_by_id_code_and_family():
     assert resolve_rules(None) == resolve_rules("") == ALL_RULES
     assert [r.code for r in resolve_rules("wallclock")] == ["D2"]
-    assert [r.code for r in resolve_rules("s3, protocol-field-drift")] == ["S3", "P3"]
+    assert [r.code for r in resolve_rules("s3, all-drift")] == ["X1", "S3"]
     assert [r.code for r in resolve_rules("F")] == ["F1", "F2"]
     # Registry order, whatever the spelling order; overlaps collapse.
     assert [r.code for r in resolve_rules(["W2", "D", "D1"])] == [
         "D1", "D2", "D3", "D4", "D5", "W2",
     ]
-    assert resolve_rules("D,L,X,W,F,S,P") == ALL_RULES
+    assert resolve_rules("D,L,X,W,F,S") == ALL_RULES
     with pytest.raises(LintError, match="unknown rule 'q9'"):
         resolve_rules("D,Q9")
+    # The protocol contract is checked by the test suite, not by `repro check`.
+    with pytest.raises(LintError, match="unknown rule 'p'"):
+        resolve_rules("P")
 
 
 def test_cli_list_rules_prints_the_table_and_honours_the_filter(capsys):
     assert main(["check", "--list-rules"]) == 0
     out = capsys.readouterr().out
-    assert out.rstrip("\n") == rule_table() and len(out.splitlines()) == 20
-    for family, codes in (("S", ["S1", "S2", "S3", "S4", "S5"]), ("P", ["P3", "P6"])):
+    assert out.rstrip("\n") == rule_table() and len(out.splitlines()) == 18
+    for family, codes in (("S", ["S1", "S2", "S3", "S4", "S5"]), ("F", ["F1", "F2"])):
         assert main(["check", "--list-rules", "--rules", family]) == 0
         rows = capsys.readouterr().out.splitlines()
         assert [row.split()[0] for row in rows] == codes
@@ -381,11 +326,6 @@ def test_removed_subcommands_and_flags_leave_no_alias(gone, capsys):
 # Facts are shared and lazy; reports
 # ----------------------------------------------------------------------
 
-TINY_SPEC = {
-    "schema": 1,
-    "messages": {"Ping": {"anchor": "test spec", "kind": "record", "fields": ["value"]}},
-}
-
 
 def _tiny_tree(tmp_path):
     (tmp_path / "a.py").write_text(
@@ -396,9 +336,8 @@ def _tiny_tree(tmp_path):
     (tmp_path / "c.py").write_text(
         "from dataclasses import dataclass\n\n\n"
         "@dataclass(frozen=True)\nclass Ping:\n    '''A test message.'''\n\n"
-        "    __protocol__ = True\n\n    value: int\n"
+        "    value: int\n"
     )
-    (tmp_path / "protocol-spec.json").write_text(json.dumps(TINY_SPEC))
 
 
 @pytest.fixture
@@ -426,10 +365,7 @@ def test_full_set_parses_each_file_once_and_builds_one_call_graph(tmp_path, inde
         "functions": 2,
         "passes": report.context.flow.passes,
         "roles": {"master": 0, "worker": 2, "shared": 0},
-        "spec": {"relpath": "protocol-spec.json", "messages": 1, "payloads": 0},
-        "protocol": report.context.protocol.summary(),
     }
-    assert "1 message type(s) / 0 construction site(s) / 0 payload site(s)" in report.format_text()
     assert report.context.roles.worker_only("a._worker_main")
     # A second run over the same cache parses nothing again.
     run_check([tmp_path], root=tmp_path, cache=cache)
@@ -453,8 +389,7 @@ def test_each_family_builds_only_the_facts_it_reads(tmp_path, index_builds):
     assert facts("F") == {"functions", "passes"}
     assert facts("S2,S4") == {"functions"}
     assert facts("S3") == {"functions", "roles"}
-    assert facts("P") == {"functions", "spec", "protocol"}
-    assert index_builds == [3, 3, 3, 3]
+    assert index_builds == [3, 3, 3]
 
 
 def test_json_report_is_version_2_and_flat(cli_root, capsys):
@@ -506,11 +441,7 @@ def test_live_tree_full_set_verdict(live_cache, index_builds):
     assert [f.rule for f in report.baselined] == ["wallclock"]
     assert not report.stale_baseline
     assert index_builds == [report.files]
-    # The one place the live protocol's size is written down.
     facts = report.facts
     assert report.files > 50 and facts["functions"] > 300
     assert 2 <= facts["passes"] < MAX_DEPTH  # converged, not cut off
     assert facts["roles"]["worker"] >= 5 and facts["roles"]["master"] >= 10
-    assert facts["protocol"]["messages"] == facts["spec"]["messages"] == 7
-    assert facts["protocol"]["constructions"] >= 8
-    assert facts["protocol"]["payload_sites"] == 5  # join, token, probe, put, get

@@ -7,13 +7,6 @@ from repro.analysis.check import ALL_RULES, run_check
 from repro.analysis.sarif import validate_sarif
 from repro.analysis.source_cache import SourceCache, collect_py_files
 
-TINY_SPEC = {
-    "schema": 1,
-    "messages": {
-        "Ping": {"anchor": "test spec", "kind": "record", "fields": ["value"]}
-    },
-}
-
 
 def test_four_engines_share_one_parse_and_one_graph(tmp_path):
     (tmp_path / "a.py").write_text(
@@ -38,21 +31,18 @@ def test_four_engines_share_one_parse_and_one_graph(tmp_path):
             class Ping:
                 '''A test message.'''
 
-                __protocol__ = True
-
                 value: int
             """
         )
     )
     cache = SourceCache(tmp_path)
     files = collect_py_files([tmp_path])
-    report = run_check([tmp_path], root=tmp_path, baseline=None, cache=cache, spec=TINY_SPEC)
-    # All seven families ran off one parse per file and one call graph
+    report = run_check([tmp_path], root=tmp_path, baseline=None, cache=cache)
+    # All six families ran off one parse per file and one call graph
     # (the build count itself is pinned in test_check_engine).
     assert cache.parses == len(files)
     assert report.ok and report.rules == ALL_RULES
     assert report.context.roles.worker_only("a._worker_main")
-    assert report.context.protocol.index is report.context.index
 
 
 def test_cli_check_emits_one_merged_sarif_document(capsys):
@@ -78,7 +68,7 @@ def test_cli_check_json_combines_all_four_reports(capsys):
     assert payload["rules"] == [r.id for r in ALL_RULES]
     # One facts block where there were four reports (the live counts are
     # pinned once, in test_check_engine's live verdict).
-    assert set(payload["facts"]) == {"functions", "passes", "roles", "spec", "protocol"}
+    assert set(payload["facts"]) == {"functions", "passes", "roles"}
 
 
 def test_cli_check_fails_on_injected_defect(tmp_path, capsys):

@@ -1,4 +1,10 @@
-"""The protocol contract, checked on live rounds.
+"""The protocol contract: ``protocol-spec.json`` held to the code.
+
+:func:`declaration_drift` is the **declaration** clause, checked by
+reflection over every ``repro`` module: the ``__protocol__``-marked classes
+and the spec's messages cover each other, each class's
+``dataclasses.fields`` are the spec's field list, and every dataclass of a
+``message_modules`` module carries the marker.
 
 :class:`ContractMonitor` attaches to a :class:`MaintenanceSimulation`,
 observes every send by wrapping the engine's :class:`~repro.sim.network.Network`
@@ -26,21 +32,34 @@ instance methods, and after each round asserts the clauses of
   a stalled node's state stands still.
 
 :func:`uncovered` is the coverage clause over several runs: every
-``kind: "message"`` entry of the spec is sent at least once.
+``kind: "message"`` entry of the spec is sent and every payload tag is
+launched at least once.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import importlib
+import pkgutil
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
-from repro.analysis.proto.spec import ProtocolSpec, load_spec
+import repro
 from repro.core.runner import MaintenanceSimulation
 from repro.sim.hopplane import HopRows
 
-__all__ = ["SPEC_PATH", "TOKEN_TTL", "ContractMonitor", "ContractViolation", "uncovered"]
+from .spec import ProtocolSpec, load_spec
+
+__all__ = [
+    "SPEC_PATH",
+    "TOKEN_TTL",
+    "ContractMonitor",
+    "ContractViolation",
+    "declaration_drift",
+    "uncovered",
+]
 
 SPEC_PATH = Path(__file__).resolve().parents[2] / "protocol-spec.json"
 
@@ -52,9 +71,52 @@ class ContractViolation(AssertionError):
     """A live round broke a clause of the protocol contract."""
 
 
-def uncovered(spec: ProtocolSpec, sent: Counter[str]) -> list[str]:
-    """The spec's node-to-node message types that ``sent`` never saw."""
-    return [m.name for m in spec.messages if m.kind == "message" and not sent[m.name]]
+def uncovered(spec: ProtocolSpec, sent: Counter[str], launched: Counter[str]) -> list[str]:
+    """The spec's node-to-node message types that ``sent`` never saw, then
+    its payload tags that ``launched`` never saw."""
+    return [m.name for m in spec.messages if m.kind == "message" and not sent[m.name]] + [
+        p.tag for p in spec.payloads if not launched[p.tag]
+    ]
+
+
+def _classes(module: str) -> list[type]:
+    """The classes ``module`` defines (not the ones it imports)."""
+    found = vars(importlib.import_module(module)).values()
+    return [obj for obj in found if isinstance(obj, type) and obj.__module__ == module]
+
+
+def declaration_drift(spec: ProtocolSpec) -> list[str]:
+    """Where the code's message declarations and the spec disagree."""
+    registry = {
+        cls.__name__: cls
+        for info in pkgutil.walk_packages(repro.__path__, "repro.")
+        if info.name != "repro.__main__"  # importing it runs the CLI
+        for cls in _classes(info.name)
+        if "__protocol__" in vars(cls)
+    }
+    drift = [
+        f"`{cls.__module__}.{name}` is marked __protocol__ but the spec does not cover it"
+        for name, cls in registry.items()
+        if spec.message(name) is None
+    ]
+    for entry in spec.messages:
+        cls = registry.get(entry.name)
+        if cls is None:
+            drift.append(f"spec message `{entry.name}` has no __protocol__ class [{entry.anchor}]")
+            continue
+        fields = tuple(f.name for f in dataclasses.fields(cls))
+        if fields != entry.fields:
+            drift.append(
+                f"`{entry.name}` fields {list(fields)} differ from the spec's "
+                f"{list(entry.fields)} [{entry.anchor}]"
+            )
+    for module in spec.message_modules:
+        drift += [
+            f"dataclass `{module}.{cls.__name__}` lacks the __protocol__ marker"
+            for cls in _classes(module)
+            if dataclasses.is_dataclass(cls) and "__protocol__" not in vars(cls)
+        ]
+    return drift
 
 
 class ContractMonitor:

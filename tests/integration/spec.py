@@ -5,13 +5,11 @@ message contract: for every message type its fields and the lifecycle
 phases of legal producers and consumers, and for every routed-payload tag
 its producer phases.  Every entry carries an ``anchor`` citing the
 PAPER.md / DESIGN.md / docs/PROTOCOL.md passage it was derived from, so a
-reader can audit the spec against the paper the same way the checks
-audit the code against the spec: P3 and P6 hold the declarations to it
-statically, and ``tests/integration/contract.py`` holds live rounds to
-its phases.
+reader can audit the spec against the paper the same way
+``contract.py`` audits the code against the spec.
 
 Schema (JSON, top-level keys; everything beyond ``schema``/``messages``
-is optional so fixture corpora can stay minimal):
+is optional):
 
 ``messages``
     ``name -> {anchor, kind, fields, producer_phases, consumer_phases}``.
@@ -22,9 +20,8 @@ is optional so fixture corpora can stay minimal):
     Routed-payload tags (``("join", rec)`` style) -> ``{anchor,
     producer_phases}``.
 ``message_modules``
-    Dotted modules whose every top-level dataclass must be a registered
-    (``__protocol__``-marked and spec-covered) message class; P6 uses it
-    to prove 100% coverage of ``repro.core.messages``.
+    Dotted modules whose every dataclass must be a registered
+    (``__protocol__``-marked and spec-covered) message class.
 """
 
 from __future__ import annotations
@@ -34,21 +31,16 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
-from repro.analysis.lint.engine import LintError
-
 __all__ = [
-    "DEFAULT_SPEC_NAME",
     "PHASES",
     "SPEC_SCHEMA",
     "MessageSpec",
     "PayloadSpec",
     "ProtocolSpec",
+    "SpecError",
     "contract_markdown",
     "load_spec",
 ]
-
-#: File name looked up at the repository root by default.
-DEFAULT_SPEC_NAME = "protocol-spec.json"
 
 SPEC_SCHEMA = 1
 
@@ -58,16 +50,19 @@ PHASES = ("new", "fresh", "established")
 _KINDS = ("message", "engine", "record")
 
 
+class SpecError(ValueError):
+    """The spec file is missing, not JSON, or breaks the schema."""
+
+
 def _phases(raw: object, where: str) -> tuple[str, ...]:
     if raw is None:
         return PHASES
     if not isinstance(raw, list) or not all(isinstance(p, str) for p in raw):
-        raise LintError(f"protocol-spec: {where} must be a list of phase names")
+        raise SpecError(f"protocol-spec: {where} must be a list of phase names")
     bad = [p for p in raw if p not in PHASES]
     if bad:
-        raise LintError(
-            f"protocol-spec: {where} names unknown phases {bad} "
-            f"(known: {list(PHASES)})"
+        raise SpecError(
+            f"protocol-spec: {where} names unknown phases {bad} (known: {list(PHASES)})"
         )
     # Keep protocol order regardless of spec spelling (deterministic output).
     return tuple(p for p in PHASES if p in raw)
@@ -76,7 +71,7 @@ def _phases(raw: object, where: str) -> tuple[str, ...]:
 def _require_anchor(entry: Mapping, where: str) -> str:
     anchor = entry.get("anchor")
     if not isinstance(anchor, str) or not anchor.strip():
-        raise LintError(
+        raise SpecError(
             f"protocol-spec: {where} needs a non-empty `anchor` citing its "
             "PAPER.md/DESIGN.md/PROTOCOL.md derivation"
         )
@@ -85,7 +80,7 @@ def _require_anchor(entry: Mapping, where: str) -> str:
 
 def _str_list(raw: object, where: str) -> tuple[str, ...]:
     if not isinstance(raw, list) or not all(isinstance(s, str) for s in raw):
-        raise LintError(f"protocol-spec: {where} must be a list of strings")
+        raise SpecError(f"protocol-spec: {where} must be a list of strings")
     return tuple(raw)
 
 
@@ -122,11 +117,7 @@ class ProtocolSpec:
     messages: tuple[MessageSpec, ...]
     payloads: tuple[PayloadSpec, ...] = ()
     message_modules: tuple[str, ...] = ()
-    source: str = ""
-    relpath: str = DEFAULT_SPEC_NAME
-    _by_name: dict = field(
-        default_factory=dict, compare=False, repr=False, hash=False
-    )
+    _by_name: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
 
     def __post_init__(self) -> None:
         self._by_name.update({m.name: m for m in self.messages})
@@ -141,24 +132,23 @@ class ProtocolSpec:
         return None
 
     @classmethod
-    def from_dict(cls, raw: Mapping, *, relpath: str = DEFAULT_SPEC_NAME) -> "ProtocolSpec":
+    def from_dict(cls, raw: Mapping) -> "ProtocolSpec":
         if not isinstance(raw, Mapping):
-            raise LintError("protocol-spec: top level must be an object")
+            raise SpecError("protocol-spec: top level must be an object")
         if raw.get("schema") != SPEC_SCHEMA:
-            raise LintError(
-                f"protocol-spec: schema must be {SPEC_SCHEMA}, "
-                f"got {raw.get('schema')!r}"
+            raise SpecError(
+                f"protocol-spec: schema must be {SPEC_SCHEMA}, got {raw.get('schema')!r}"
             )
         messages_raw = raw.get("messages")
         if not isinstance(messages_raw, Mapping) or not messages_raw:
-            raise LintError("protocol-spec: `messages` must be a non-empty object")
+            raise SpecError("protocol-spec: `messages` must be a non-empty object")
         messages = []
         for name, entry in messages_raw.items():
             if not isinstance(entry, Mapping):
-                raise LintError(f"protocol-spec: messages.{name} must be an object")
+                raise SpecError(f"protocol-spec: messages.{name} must be an object")
             kind = entry.get("kind", "message")
             if kind not in _KINDS:
-                raise LintError(
+                raise SpecError(
                     f"protocol-spec: messages.{name}.kind must be one of "
                     f"{list(_KINDS)}, got {kind!r}"
                 )
@@ -167,83 +157,45 @@ class ProtocolSpec:
                     name=name,
                     anchor=_require_anchor(entry, f"messages.{name}"),
                     kind=kind,
-                    fields=_str_list(
-                        entry.get("fields", []), f"messages.{name}.fields"
-                    ),
+                    fields=_str_list(entry.get("fields", []), f"messages.{name}.fields"),
                     producer_phases=_phases(
-                        entry.get("producer_phases"),
-                        f"messages.{name}.producer_phases",
+                        entry.get("producer_phases"), f"messages.{name}.producer_phases"
                     ),
                     consumer_phases=_phases(
-                        entry.get("consumer_phases"),
-                        f"messages.{name}.consumer_phases",
+                        entry.get("consumer_phases"), f"messages.{name}.consumer_phases"
                     ),
                 )
             )
         payloads = []
         for tag, entry in (raw.get("payloads") or {}).items():
             if not isinstance(entry, Mapping):
-                raise LintError(f"protocol-spec: payloads.{tag} must be an object")
+                raise SpecError(f"protocol-spec: payloads.{tag} must be an object")
             payloads.append(
                 PayloadSpec(
                     tag=tag,
                     anchor=_require_anchor(entry, f"payloads.{tag}"),
                     producer_phases=_phases(
-                        entry.get("producer_phases"),
-                        f"payloads.{tag}.producer_phases",
+                        entry.get("producer_phases"), f"payloads.{tag}.producer_phases"
                     ),
                 )
             )
         return cls(
             messages=tuple(messages),
             payloads=tuple(payloads),
-            message_modules=_str_list(
-                raw.get("message_modules", []), "message_modules"
-            ),
-            source=str(raw.get("source", "")),
-            relpath=relpath,
+            message_modules=_str_list(raw.get("message_modules", []), "message_modules"),
         )
-
-    def to_dict(self) -> dict:
-        """JSON round-trip: ``from_dict(to_dict(spec)) == spec``."""
-        out: dict = {"schema": SPEC_SCHEMA}
-        if self.source:
-            out["source"] = self.source
-        if self.message_modules:
-            out["message_modules"] = list(self.message_modules)
-        out["messages"] = {
-            m.name: {
-                "anchor": m.anchor,
-                "kind": m.kind,
-                "fields": list(m.fields),
-                "producer_phases": list(m.producer_phases),
-                "consumer_phases": list(m.consumer_phases),
-            }
-            for m in self.messages
-        }
-        if self.payloads:
-            out["payloads"] = {
-                p.tag: {
-                    "anchor": p.anchor,
-                    "producer_phases": list(p.producer_phases),
-                }
-                for p in self.payloads
-            }
-        return out
 
 
 def load_spec(path: Path | str) -> ProtocolSpec:
-    """Load and validate a spec file; errors become :class:`LintError`."""
+    """Load and validate a spec file; errors become :class:`SpecError`."""
     path = Path(path)
     try:
         raw = json.loads(path.read_text())
     except FileNotFoundError:
-        raise LintError(
-            f"no protocol spec at {path} (the P rules need one; commit it)"
-        ) from None
+        raise SpecError(f"no protocol spec at {path}") from None
     except (OSError, ValueError) as exc:  # unreadable, not UTF-8, not JSON
-        raise LintError(f"protocol-spec: {path} is not valid JSON: {exc}") from None
-    return ProtocolSpec.from_dict(raw, relpath=path.name)
+        raise SpecError(f"protocol-spec: {path} is not valid JSON: {exc}") from None
+    return ProtocolSpec.from_dict(raw)
 
 
 def _cell(phases: tuple[str, ...]) -> str:
