@@ -9,7 +9,13 @@ be replayed bit-for-bit.
 from __future__ import annotations
 
 from repro.experiments.e_scenarios import QUICK_NAMES
-from repro.scenarios import SCENARIOS, run_matrix, scenario_report, validate_scenario_report
+from repro.scenarios import (
+    SCENARIOS,
+    get_scenario,
+    run_matrix,
+    scenario_report,
+    validate_scenario_report,
+)
 
 
 def test_scenario_experiment(run_experiment):
@@ -21,11 +27,12 @@ def test_scenario_experiment(run_experiment):
 def test_parallel_matrix_matches_serial(benchmark, quick, record_bench):
     """Pool fan-out returns the exact serial cells (and gets timed)."""
     names = QUICK_NAMES if quick else tuple(sorted(SCENARIOS))
+    scenarios = tuple(get_scenario(name) for name in names)
     seeds = (0,)
-    serial = run_matrix(names, seeds, workers=1, quick=quick)
+    serial = run_matrix(scenarios, seeds, workers=1, quick=quick)
 
     parallel = benchmark.pedantic(
-        lambda: run_matrix(names, seeds, workers=2, quick=quick),
+        lambda: run_matrix(scenarios, seeds, workers=2, quick=quick),
         rounds=1,
         iterations=1,
     )

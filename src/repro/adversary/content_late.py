@@ -36,6 +36,9 @@ class ContentLateAdversary(Adversary):
 
     topology_lateness = 2
 
+    #: The ring point whose swarm the attack wipes.
+    target_point = 0.5
+
     def __init__(
         self,
         params: ProtocolParams,
@@ -44,7 +47,6 @@ class ContentLateAdversary(Adversary):
         *,
         state_lateness: int,
         active_from: int | None = None,
-        target_point: float = 0.5,
     ) -> None:
         super().__init__(
             active_from=params.bootstrap_rounds if active_from is None else active_from
@@ -53,7 +55,6 @@ class ContentLateAdversary(Adversary):
         self.state_lateness = state_lateness
         self._hash = position_hash  # what decrypting JOIN payloads reveals
         self.rng = np.random.default_rng(seed)
-        self.target_point = target_point
         self.wipes: list[tuple[int, int, int]] = []  # (round, epoch, kills)
 
     # ------------------------------------------------------------------

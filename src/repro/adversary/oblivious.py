@@ -52,7 +52,6 @@ class RandomChurnAdversary(Adversary):
         *,
         intensity: float = 1.0,
         active_from: int | None = None,
-        protect: frozenset[int] = frozenset(),
     ) -> None:
         super().__init__(
             active_from=params.bootstrap_rounds if active_from is None else active_from
@@ -60,7 +59,6 @@ class RandomChurnAdversary(Adversary):
         self.params = params
         self.rng = np.random.default_rng(seed)
         self.pairs, self.interval = paced_schedule(params, intensity)
-        self.protect = protect
         self._fired_at: int | None = None
 
     def decide(self, view: AdversaryView) -> ChurnDecision:
@@ -69,8 +67,8 @@ class RandomChurnAdversary(Adversary):
             return ChurnDecision.none()
         if view.budget_remaining is not None and view.budget_remaining < 2 * self.pairs:
             return ChurnDecision.none()
-        eligible_leave = sorted(view.alive - self.protect)
-        eligible_boot = sorted(view.eligible_bootstraps() - self.protect)
+        eligible_leave = sorted(view.alive)
+        eligible_boot = sorted(view.eligible_bootstraps())
         if len(eligible_leave) <= self.pairs or not eligible_boot:
             return ChurnDecision.none()
         self._fired_at = t

@@ -76,12 +76,6 @@ def _is_self_attr(expr: ast.expr) -> ast.Attribute | None:
     return None
 
 
-def _contains_name(expr: ast.expr, name: str) -> bool:
-    return any(
-        isinstance(n, ast.Name) and n.id == name for n in ast.walk(expr)
-    )
-
-
 def _except_handler_nodes(fn: ast.AST) -> set[int]:
     """``id()`` of every AST node inside an ``except`` handler body."""
     inside: set[int] = set()

@@ -11,11 +11,10 @@ Commands
 ``params N [--c C] [--r R] ...``
     Print the derived protocol parameters for a network size.
 ``chaos [--full] [--seed S] [--drop ...] [--delay ...] [--stall ...]``
-    Fault-injection sweep (drop x delay x stall) reporting routing success
-    and first-degradation round per cell; axes are comma-separated
+    The E-CH fault-injection sweep (drop x delay x stall): each cell is a
+    generated scenario run by the scenario runner, reporting routing
+    success and first degradation per cell; axes are comma-separated
     probability lists and default to the E-CH experiment's grid.
-    ``--scenario NAME`` runs a registry scenario (see ``scenario --list``)
-    through the recovery runner instead of the probability grid.
 ``scenario --list | run NAME [NAME ...] | matrix``
     Named adversity scenarios (network conditions x churn x adversary).
     ``--list`` prints the registry; ``run`` executes the named scenarios
@@ -119,34 +118,13 @@ def _parse_axis(value: str | None, name: str) -> list[float] | None:
     return probs
 
 
-def _print_scenario_cells(cells: list[dict]) -> None:
-    header = (
-        f"{'scenario':>20}  {'seed':>4}  {'deliv':>5}  {'p95':>5}  "
-        f"{'events':>6}  {'degraded':>8}  {'recover':>7}  fingerprint"
-    )
-    print(header)
-    for cell in cells:
-        probes = cell["probes"]
-        stretch = cell["stretch"]
-        recovery = cell["recovery"]
-        deliv = probes["delivery_rate"]
-        ttr = recovery["time_to_recover"]
-        print(
-            f"{cell['scenario']:>20}  {cell['seed']:>4}  "
-            f"{'-' if deliv is None else format(deliv, '.2f'):>5}  "
-            f"{'-' if stretch is None else format(stretch['p95'], '.2f'):>5}  "
-            f"{recovery['events']:>6}  "
-            f"{recovery['degraded_round_fraction']:>8.3f}  "
-            f"{'-' if ttr is None else ttr:>7}  {cell['fingerprint']}"
-        )
-
-
 def _cmd_scenario(args: argparse.Namespace) -> int:
     import json
 
     from repro.scenarios import (
         SCENARIOS,
         all_scenarios,
+        get_scenario,
         run_matrix,
         scenario_report,
         validate_scenario_report,
@@ -168,7 +146,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
     else:  # action == "run" (argparse restricts the choices)
         if not args.names:
             raise SystemExit("scenario run: name at least one scenario")
-        names = tuple(args.names)
+        names = tuple(dict.fromkeys(args.names))
     unknown = [n for n in names if n not in SCENARIOS]
     if unknown:
         print(f"unknown scenarios {unknown}; try `python -m repro scenario --list`")
@@ -182,8 +160,25 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
             raise SystemExit(f"--seeds expects comma-separated ints, got {args.seeds!r}")
     if not seeds:
         raise SystemExit("--seeds must name at least one seed")
-    cells = run_matrix(names, seeds, workers=args.workers, quick=not args.full)
-    _print_scenario_cells(cells)
+    scenarios = tuple(get_scenario(name) for name in names)
+    cells = run_matrix(scenarios, seeds, workers=args.workers, quick=not args.full)
+    print(
+        f"{'scenario':>20}  {'seed':>4}  {'deliv':>5}  {'p95':>5}  "
+        f"{'events':>6}  {'degraded':>8}  {'recover':>7}  fingerprint"
+    )
+    for cell in cells:
+        stretch = cell["stretch"]
+        recovery = cell["recovery"]
+        deliv = cell["probes"]["delivery_rate"]
+        ttr = recovery["time_to_recover"]
+        print(
+            f"{cell['scenario']:>20}  {cell['seed']:>4}  "
+            f"{'-' if deliv is None else format(deliv, '.2f'):>5}  "
+            f"{'-' if stretch is None else format(stretch['p95'], '.2f'):>5}  "
+            f"{recovery['events']:>6}  "
+            f"{recovery['degraded_round_fraction']:>8.3f}  "
+            f"{'-' if ttr is None else ttr:>7}  {cell['fingerprint']}"
+        )
     if args.out:
         report = scenario_report(cells)
         validate_scenario_report(report)
@@ -196,23 +191,6 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.experiments.e_chaos import run_chaos
-
-    if args.scenario is not None:
-        from repro.scenarios import SCENARIOS, run_matrix
-
-        if args.scenario not in SCENARIOS:
-            print(
-                f"unknown scenario {args.scenario!r}; "
-                "try `python -m repro scenario --list`"
-            )
-            return 2
-        cells = run_matrix(
-            (args.scenario,),
-            (args.seed if args.seed is not None else 0,),
-            quick=not args.full,
-        )
-        _print_scenario_cells(cells)
-        return 0
 
     drops = _parse_axis(args.drop, "drop")
     delays = _parse_axis(args.delay, "delay")
@@ -472,12 +450,6 @@ def main(argv: list[str] | None = None) -> int:
     p_chaos.add_argument("--drop", default=None, metavar="P[,P...]")
     p_chaos.add_argument("--delay", default=None, metavar="P[,P...]")
     p_chaos.add_argument("--stall", default=None, metavar="P[,P...]")
-    p_chaos.add_argument(
-        "--scenario",
-        default=None,
-        metavar="NAME",
-        help="run a registry scenario (see `scenario --list`) instead of the grid",
-    )
 
     p_sc = sub.add_parser(
         "scenario", help="named adversity scenarios with recovery reports"

@@ -9,30 +9,27 @@ churn budget) against the two operational guarantees —
 * **routing success** — end-to-end probe delivery rate (Theorem 14's
   routability criterion), and
 * **maintenance survival** — established fraction, demotions, and the
-  :class:`~repro.faults.health.HealthMonitor`'s first-degradation round
-  (when swarm occupancy, list symmetry, or connectivity first broke).
+  :class:`~repro.faults.health.HealthMonitor`'s first degradation (when
+  swarm occupancy, edge symmetry, or connectivity first broke).
 
-The expected shape, and the pass criterion's core: the fault-free cell
-reproduces the paper's guarantees exactly, moderate fault rates are absorbed
-by the protocol's r-fold/swarm redundancy (delivery stays ~1.0 with zero
-degradation events), and only harsh combined faults bend the overlay — at
-which point the run *reports* the collapse (events, demotions) rather than
-crashing.
+Each grid cell is a generated :class:`~repro.scenarios.spec.Scenario` with
+no churn and no attack, run and judged by the scenario runner.  Expected
+shape: the fault-free cell reproduces the paper's guarantees exactly, and
+faults bend the overlay gracefully — the run *reports* the collapse (events,
+demotions) rather than crashing.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Sequence
 
-import numpy as np
-
-from repro.config import ProtocolParams
-from repro.core.runner import MaintenanceSimulation
 from repro.experiments.registry import ExperimentResult, register
-from repro.faults.health import HealthMonitor
 from repro.faults.plan import FaultPlan
+from repro.scenarios.runner import cell_ok, run_matrix
+from repro.scenarios.spec import Scenario, build_params
 
-__all__ = ["run_chaos", "chaos_cell", "default_cells"]
+__all__ = ["run_chaos", "chaos_scenario", "default_cells"]
 
 #: One sweep cell: (drop probability, delay probability, stall probability).
 Cell = tuple[float, float, float]
@@ -57,55 +54,26 @@ def default_cells(quick: bool) -> list[Cell]:
     return [(d, y, s) for d in drops for y in delays for s in stalls]
 
 
-def chaos_cell(
-    params: ProtocolParams,
-    drop_p: float,
-    delay_p: float,
-    stall_p: float,
-    seed: int,
-    *,
-    probes: int = 6,
-    settle: int = 4,
-) -> dict[str, object]:
-    """Run one fault cell and measure routing success + maintenance survival.
+def chaos_scenario(cell: Cell, n: int) -> Scenario:
+    """One sweep cell as a scenario, named e.g. ``chaos-d0.15-y0-s0``.
 
-    Faults open after the (churn-free, fault-free) bootstrap phase; probes
-    launch two rounds later and are scored after one full dilation plus
-    ``settle`` rounds.  Never raises on degradation: a cell whose overlay
-    collapses before the probes launch simply reports delivery 0.0.
+    The name spells each probability in its shortest round-trip form, so
+    distinct cells always get distinct names.  The faults open when
+    bootstrap ends and never close.  The run lasts a dilation plus 6 rounds
+    past bootstrap: the probe wave launches 2 rounds in and gets a full
+    dilation plus 4 rounds to land.
     """
-    plan = FaultPlan.simple(
-        seed=seed,
-        drop_p=drop_p,
-        delay_p=delay_p,
-        delay_rounds=DELAY_ROUNDS,
-        stall_p=stall_p,
-        start=params.bootstrap_rounds,
+    drop, delay, stall = (str(p).removesuffix(".0") for p in cell)
+    drop_p, delay_p, stall_p = cell
+    scenario = Scenario(
+        name=f"chaos-d{drop}-y{delay}-s{stall}",
+        description=f"E-CH cell: drop {drop}, delay {delay}, stall {stall}",
+        plan=FaultPlan.simple(
+            drop_p=drop_p, delay_p=delay_p, delay_rounds=DELAY_ROUNDS, stall_p=stall_p
+        ),
+        n=n,
     )
-    monitor = HealthMonitor(params)
-    sim = MaintenanceSimulation(params, faults=plan, health=monitor)
-    sim.run(params.bootstrap_rounds + 2)
-    rng = np.random.default_rng(seed)
-    try:
-        probe_ids = sim.send_probes(probes, rng)
-    except RuntimeError:  # overlay already collapsed: nothing to probe from
-        probe_ids = []
-    sim.run(params.dilation + settle)
-    report = sim.probe_report(probe_ids)
-    health = sim.health_summary()
-    totals = sim.engine.metrics.fault_totals()
-    return {
-        "drop_p": drop_p,
-        "delay_p": delay_p,
-        "stall_p": stall_p,
-        "delivery_rate": report.delivery_rate if probe_ids else 0.0,
-        "established_fraction": health["established_fraction"],
-        "demotions": int(health["total_demotions"]),
-        "faults_injected": totals.injected,
-        "events": len(monitor.events),
-        "first_degradation_round": monitor.first_degradation_round,
-        "rounds": sim.round,
-    }
+    return replace(scenario, rounds=build_params(scenario, 0).dilation + 6)
 
 
 @register("E-CH")
@@ -116,53 +84,25 @@ def run_chaos(
 ) -> ExperimentResult:
     """Chaos sweep — routing and maintenance under injected faults."""
     n = 40 if quick else 48
-    params = ProtocolParams(
-        n=n, c=1.2, r=2, delta=3, tau=8, seed=seed, alpha=0.25, kappa=1.25
-    )
-    sweep = list(cells) if cells is not None else default_cells(quick)
-    header = [
-        "drop",
-        "delay",
-        "stall",
-        "probe delivery",
-        "established frac",
-        "demotions",
-        "faults injected",
-        "first degradation",
-        "ok",
-    ]
+    sweep = list(dict.fromkeys(cells if cells is not None else default_cells(quick)))
+    scenarios = [chaos_scenario(cell, n) for cell in sweep]
+    records = {r["scenario"]: r for r in run_matrix(scenarios, (seed,), quick=quick)}
     rows = []
-    passed = True
-    for drop_p, delay_p, stall_p in sweep:
-        cell = chaos_cell(params, drop_p, delay_p, stall_p, seed)
-        faulty = drop_p > 0 or delay_p > 0 or stall_p > 0
-        if faulty:
-            # A fault cell is "ok" if its schedule actually fired; how the
-            # overlay fares is the measurement, not the criterion.
-            ok = cell["faults_injected"] > 0
-        else:
-            # The fault-free cell must reproduce the paper's guarantees.
-            ok = (
-                cell["delivery_rate"] >= 0.95
-                and cell["established_fraction"] >= 0.95
-                and cell["events"] == 0
-                and cell["faults_injected"] == 0
-            )
-        first = cell["first_degradation_round"]
+    for cell, scenario in zip(sweep, scenarios):
+        record = records[scenario.name]
+        delivery = record["probes"]["delivery_rate"]
+        first = record["recovery"]["time_to_first_degradation"]
         rows.append(
             [
-                drop_p,
-                delay_p,
-                stall_p,
-                cell["delivery_rate"],
-                cell["established_fraction"],
-                cell["demotions"],
-                cell["faults_injected"],
+                *cell,
+                "-" if delivery is None else delivery,
+                record["established_fraction"],
+                record["demotions"],
+                record["faults_injected"],
                 "-" if first is None else first,
-                ok,
+                cell_ok(scenario, record),
             ]
         )
-        passed = passed and ok
     return ExperimentResult(
         experiment_id="E-CH",
         title="Chaos — graceful degradation under drop x delay x stall faults",
@@ -170,13 +110,25 @@ def run_chaos(
         "environmental faults degrade routing and maintenance gracefully, "
         "with health monitoring reporting when and how the LDS breaks "
         "instead of crashing.",
-        header=header,
+        header=[
+            "drop",
+            "delay",
+            "stall",
+            "probe delivery",
+            "established frac",
+            "demotions",
+            "faults injected",
+            "first degradation",
+            "ok",
+        ],
         rows=rows,
-        passed=passed,
+        passed=all(row[-1] for row in rows),
         notes=[
-            f"n={n}, faults start after bootstrap (round "
-            f"{params.bootstrap_rounds}); delay adds {DELAY_ROUNDS} round(s)",
-            "fault cells measure degradation; only the zero cell gates on "
-            "the paper's thresholds",
+            f"n={n}, one generated scenario per cell; faults open after bootstrap "
+            f"(round {build_params(scenarios[0], seed).bootstrap_rounds}) and stay "
+            f"open; delay adds {DELAY_ROUNDS} round(s); first degradation counts "
+            "rounds after the faults open",
+            "the zero cell gates on the paper's thresholds; the others gate "
+            "on their faults firing",
         ],
     )

@@ -1,27 +1,19 @@
 """Parallel experiment sweeps (E-SW).
 
-Fans an ``(experiment, seed)`` grid over multiprocessing workers and merges
-the per-cell outcomes into one :class:`ExperimentResult`.  Worker-count
-invariance is by construction:
-
-* the task grid is sorted, so the merge order never depends on scheduling;
-* every cell is a pure function of ``(experiment_id, seed, quick)`` — each
-  experiment builds its own engine from its seed, so cells share no state;
-* ``Pool.map`` returns results in task order regardless of which worker
-  finished first.
-
-Hence ``run_sweep(..., workers=4)`` produces a bit-for-bit identical result
-table to ``workers=1`` — the property ``repro sweep`` exists to exploit
-(wall-clock scales down, output does not change) and that the test suite
-pins.
+Fans a sorted ``(experiment, seed)`` grid over :func:`repro.util.pool.pool_map`
+and merges the per-cell outcomes into one :class:`ExperimentResult`.  Every
+cell is a pure function of ``(experiment_id, seed, quick)`` — each experiment
+builds its own engine from its seed — so ``run_sweep(..., workers=4)`` gives
+a bit-for-bit identical table to ``workers=1``: wall-clock scales down, output
+does not change, and the test suite pins it.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 
 from repro.experiments.registry import ExperimentResult, register
+from repro.util.pool import pool_map
 
 __all__ = ["DEFAULT_GRID", "run_cell", "run_sweep", "run_sweep_experiment"]
 
@@ -44,14 +36,6 @@ def run_cell(task: tuple[str, int, bool]) -> tuple[str, int, bool, int, str]:
     return (eid, seed, result.passed, len(result.rows), note)
 
 
-def _pool_context() -> multiprocessing.context.BaseContext:
-    """Fork where available (cheap, inherits the registry); spawn otherwise."""
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        return multiprocessing.get_context("spawn")
-
-
 def run_sweep(
     ids: tuple[str, ...] = DEFAULT_GRID,
     seeds: tuple[int, ...] = (0, 1),
@@ -59,21 +43,11 @@ def run_sweep(
     workers: int = 1,
     quick: bool = True,
 ) -> ExperimentResult:
-    """Run the ``ids x seeds`` grid, optionally in parallel.
-
-    ``workers <= 1`` runs inline in this process (no pool at all); any
-    higher count fans the sorted task list over a process pool.  The merged
-    table is identical either way.
-    """
+    """Run the ``ids x seeds`` grid over ``workers`` processes (inline at <= 1)."""
     tasks = sorted((eid, int(s), bool(quick)) for eid in ids for s in seeds)
     if not tasks:
         raise ValueError("empty sweep grid")
-    if workers <= 1:
-        cells = [run_cell(t) for t in tasks]
-    else:
-        ctx = _pool_context()
-        with ctx.Pool(processes=min(workers, len(tasks))) as pool:
-            cells = pool.map(run_cell, tasks)
+    cells = pool_map(run_cell, tasks, workers)
     rows = [
         [eid, seed, rows_n, "PASS" if ok else "FAIL"]
         for eid, seed, ok, rows_n, _ in cells

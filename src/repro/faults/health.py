@@ -8,9 +8,10 @@ three invariants at the end of every engine round and records a
 * **swarm occupancy** — every sampled point of the ``[0, 1)`` ring has at
   least one established node within the swarm radius (an empty swarm means
   routed messages targeting that region are undeliverable);
-* **list-edge symmetry** — for established nodes of the same epoch,
-  ``w in v.d_nbrs`` implies ``v in w.d_nbrs`` (Definition 5's edge sets are
-  symmetric; asymmetry means a cutover delivered a one-sided view);
+* **edge symmetry** — for established nodes of the same epoch, ``w in
+  v.d_nbrs`` implies ``v in w.d_nbrs`` whenever ``v`` lies in one of ``w``'s
+  Definition-5 arcs (a De Bruijn edge is owed back only where the geometry
+  makes it mutual); a missing owed edge means a one-sided cutover view;
 * **weak connectivity** — the undirected communication graph over the last
   two rounds (one full overlay cycle) connects all mature alive nodes; a
   second component means part of the network can no longer be reached.
@@ -27,8 +28,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from repro.analysis.connectivity import components
 from repro.config import ProtocolParams
+from repro.overlay.lds import arc_centers
+from repro.util.intervals import ring_distance_array
 
 if TYPE_CHECKING:
     from repro.sim.engine import Engine
@@ -54,20 +59,11 @@ class HealthMonitor:
     #: sent anything yet, so they would be false-positive singletons.
     MATURITY_AGE = 2
 
-    def __init__(
-        self,
-        params: ProtocolParams,
-        *,
-        sample_points: int = 16,
-        every: int = 1,
-    ) -> None:
-        if sample_points < 1:
-            raise ValueError(f"sample_points must be >= 1, got {sample_points}")
-        if every < 1:
-            raise ValueError(f"every must be >= 1, got {every}")
+    #: Evenly spaced ring points the swarm-occupancy audit samples.
+    SAMPLE_POINTS = 16
+
+    def __init__(self, params: ProtocolParams) -> None:
         self.params = params
-        self.sample_points = sample_points
-        self.every = every
         self.events: list[DegradationEvent] = []
         self.rounds_observed = 0
         self.degraded_rounds = 0
@@ -128,8 +124,6 @@ class HealthMonitor:
 
     def observe(self, engine: Engine, t: int) -> tuple[DegradationEvent, ...]:
         """Audit round ``t`` and return (and record) any new events."""
-        if t % self.every:
-            return ()
         if not engine.alive:
             # Nothing to audit: with no alive nodes, every invariant is
             # vacuous and any event would be spurious.  Skip the round
@@ -178,8 +172,8 @@ class HealthMonitor:
         radius = self.params.swarm_radius
         positions = sorted(pos for pos, _, _ in overlay.values())
         empty: list[float] = []
-        for i in range(self.sample_points):
-            point = i / self.sample_points
+        for i in range(self.SAMPLE_POINTS):
+            point = i / self.SAMPLE_POINTS
             if not any(
                 min(abs(p - point), 1.0 - abs(p - point)) <= radius
                 for p in positions
@@ -193,7 +187,7 @@ class HealthMonitor:
                 kind="empty-swarm",
                 severity="critical",
                 detail=(
-                    f"{len(empty)}/{self.sample_points} sampled points have an "
+                    f"{len(empty)}/{self.SAMPLE_POINTS} sampled points have an "
                     f"empty swarm (first at {empty[0]:.4f})"
                 ),
             )
@@ -202,14 +196,20 @@ class HealthMonitor:
     def _audit_list_symmetry(
         self, t: int, overlay: dict[int, tuple[float, int, dict]]
     ) -> list[DegradationEvent]:
-        asymmetric = 0
+        missing: list[tuple[float, float]] = []  # (v's, w's position) per missing w -> v
         checked = 0
-        for v, (_, _, nbrs) in overlay.items():
+        for v, (pos, _, nbrs) in overlay.items():
             for w in nbrs:
                 if w in overlay:
                     checked += 1
                     if v not in overlay[w][2]:
-                        asymmetric += 1
+                        missing.append((pos, overlay[w][0]))
+        # A missing reverse edge counts only if owed: v in one of w's
+        # Definition-5 arcs (the required_neighbor_arcs test, one array pass).
+        v_pos, w_pos = np.array(missing, dtype=np.float64).reshape(-1, 2).T
+        radius = np.array([self.params.list_radius] + 2 * [self.params.debruijn_radius])
+        owed = ring_distance_array(v_pos[:, None], arc_centers(w_pos)) <= radius
+        asymmetric = int(np.count_nonzero(owed.any(axis=1)))
         if not asymmetric:
             return []
         return [
@@ -217,7 +217,7 @@ class HealthMonitor:
                 round=t,
                 kind="asymmetric-list",
                 severity="warn",
-                detail=f"{asymmetric}/{checked} overlay edges lack their reverse",
+                detail=f"{asymmetric}/{checked} overlay edges lack an owed reverse",
             )
         ]
 

@@ -316,15 +316,6 @@ class PositionIndex:
             return n - a + slot
         return None
 
-    def indices_in_arc(self, arc: Arc) -> np.ndarray:
-        """Sorted-array indices of all nodes inside the arc (endpoint-inclusive)."""
-        if arc.radius >= 0.5:
-            return np.arange(self._pos.size)
-        a, b, wrapped = self._bounds(arc.center, arc.radius)
-        if not wrapped:
-            return np.arange(a, b)
-        return np.concatenate([np.arange(a, self._pos.size), np.arange(0, b)])
-
     def ids_in_arc(self, arc: Arc) -> np.ndarray:
         """Ids of all nodes within ``arc.radius`` of ``arc.center``."""
         return self.ids_within(arc.center, arc.radius)

@@ -9,7 +9,8 @@ frozen, JSON-serializable experiment:
 * :mod:`repro.scenarios.registry` — the named matrix (``calm`` through
   ``churn-loss``);
 * :mod:`repro.scenarios.runner` — pool-parallel, worker-count-invariant
-  execution with probe waves and recovery metrics;
+  execution of registry and generated scenarios alike, with probe waves,
+  recovery metrics and the one pass criterion;
 * :mod:`repro.scenarios.report` — the versioned recovery-report schema CI
   validates.
 """
@@ -20,7 +21,7 @@ from repro.scenarios.report import (
     scenario_report,
     validate_scenario_report,
 )
-from repro.scenarios.runner import PROBES_PER_WAVE, run_matrix, run_scenario_cell
+from repro.scenarios.runner import PROBES_PER_WAVE, cell_ok, run_matrix, run_scenario_cell
 from repro.scenarios.spec import (
     AdversarySpec,
     ChurnSpec,
@@ -40,6 +41,7 @@ __all__ = [
     "all_scenarios",
     "build_adversary",
     "build_params",
+    "cell_ok",
     "get_scenario",
     "materialize_plan",
     "run_matrix",

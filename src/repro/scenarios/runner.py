@@ -8,26 +8,27 @@ plain-data record: routing stretch percentiles, the recovery metrics of the
 issue (time to first degradation, degraded-round fraction, time to recover)
 and a fingerprint digest of everything observable.
 
-Worker-count invariance follows the E-SW construction: the task grid is
-sorted, every cell is a pure function of ``(scenario name, seed, quick)``,
-and ``Pool.map`` returns results in task order — ``run_matrix(...,
-workers=4)`` is bit-for-bit ``workers=1``.
+Cells take :class:`Scenario` objects — registry entries and generated grids
+(E-CH) alike — and :func:`cell_ok` is their one pass criterion.  The grid is
+sorted by ``(scenario name, seed)`` and every cell is a pure function of
+``(scenario, seed, quick)``, so ``run_matrix(..., workers=4)`` is bit-for-bit
+``workers=1``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-import multiprocessing
+from typing import Sequence
 
 import numpy as np
 
 from repro.core.runner import MaintenanceSimulation
 from repro.faults.health import HealthMonitor
-from repro.scenarios.registry import get_scenario
-from repro.scenarios.spec import build_adversary, build_params, materialize_plan
+from repro.scenarios.spec import Scenario, build_adversary, build_params, materialize_plan
+from repro.util.pool import pool_map
 
-__all__ = ["PROBES_PER_WAVE", "run_scenario_cell", "run_matrix"]
+__all__ = ["PROBES_PER_WAVE", "cell_ok", "run_scenario_cell", "run_matrix"]
 
 #: Probes launched per wave (two waves per run).
 PROBES_PER_WAVE = 6
@@ -70,10 +71,9 @@ def _fingerprint(sim: MaintenanceSimulation, deliveries: dict) -> str:
     return hashlib.blake2b(repr(parts).encode(), digest_size=16).hexdigest()
 
 
-def run_scenario_cell(task: tuple[str, int, bool]) -> dict[str, object]:
-    """Run one ``(scenario name, seed, quick)`` cell (worker entry point)."""
-    name, seed, quick = task
-    scenario = get_scenario(name)
+def run_scenario_cell(task: tuple[Scenario, int, bool]) -> dict[str, object]:
+    """Run one ``(scenario, seed, quick)`` cell (worker entry point)."""
+    scenario, seed, quick = task
     params = build_params(scenario, seed)
     plan = materialize_plan(scenario, params, seed)
     adversary = build_adversary(scenario, params, seed)
@@ -163,7 +163,7 @@ def run_scenario_cell(task: tuple[str, int, bool]) -> dict[str, object]:
             for r in sim.engine.reports
         )
         return {
-            "scenario": name,
+            "scenario": scenario.name,
             "seed": seed,
             "n": params.n,
             "rounds": total,
@@ -177,6 +177,7 @@ def run_scenario_cell(task: tuple[str, int, bool]) -> dict[str, object]:
             "stretch": stretch,
             "recovery": recovery,
             "established_fraction": health["established_fraction"],
+            "demotions": int(health["total_demotions"]),
             "faults_injected": totals.injected,
             "churn_events": churned,
             "fingerprint": _fingerprint(sim, deliveries),
@@ -184,27 +185,44 @@ def run_scenario_cell(task: tuple[str, int, bool]) -> dict[str, object]:
         }
 
 
-def _pool_context() -> multiprocessing.context.BaseContext:
-    """Fork where available (cheap, inherits imports); spawn otherwise."""
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        return multiprocessing.get_context("spawn")
+def cell_ok(scenario: Scenario, cell: dict[str, object]) -> bool:
+    """The pass criterion of a cell record of ``scenario``.
+
+    A scenario with no adversity configured (trivial plan, no churn, no attack)
+    must reproduce the paper's guarantees; any other must show its adversity
+    fired — how the overlay fares is the measurement, not the criterion.
+    """
+    fired = bool(cell["faults_injected"]) or bool(cell["churn_events"])
+    kinds = (scenario.churn.kind, scenario.attack.kind)
+    if not scenario.plan.is_trivial or kinds != ("none", "none"):
+        return fired
+    delivery = cell["probes"]["delivery_rate"]
+    return (
+        not fired
+        and (delivery or 0.0) >= 0.95
+        and cell["established_fraction"] >= 0.95
+        and cell["recovery"]["events"] == 0
+    )
 
 
 def run_matrix(
-    names: tuple[str, ...],
+    scenarios: Sequence[Scenario],
     seeds: tuple[int, ...] = (0,),
     *,
     workers: int = 1,
     quick: bool = False,
 ) -> list[dict[str, object]]:
-    """Run the ``names x seeds`` grid; output is worker-count invariant."""
-    tasks = sorted((name, int(s), bool(quick)) for name in names for s in seeds)
+    """Run the ``scenarios x seeds`` grid; output is worker-count invariant.
+
+    Records are keyed by scenario name, so names must be distinct.
+    """
+    names = sorted(s.name for s in scenarios)
+    if len(set(names)) != len(names):
+        raise ValueError(f"duplicate scenario names in grid: {names}")
+    tasks = sorted(
+        ((s, int(seed), bool(quick)) for s in scenarios for seed in seeds),
+        key=lambda task: (task[0].name, task[1]),
+    )
     if not tasks:
         raise ValueError("empty scenario grid")
-    if workers <= 1:
-        return [run_scenario_cell(t) for t in tasks]
-    ctx = _pool_context()
-    with ctx.Pool(processes=min(workers, len(tasks))) as pool:
-        return pool.map(run_scenario_cell, tasks)
+    return pool_map(run_scenario_cell, tasks, workers)

@@ -66,13 +66,6 @@ class TestRandomChurn:
         if adv.interval > 1:
             assert d2.churn_count == 0
 
-    def test_protected_nodes_never_churned(self, params):
-        protect = frozenset(range(8))
-        adv = RandomChurnAdversary(params, seed=1, active_from=0, protect=protect)
-        for t in range(50, 50 + 5 * adv.interval, adv.interval):
-            d = adv.decide(make_view(params, t=t))
-            assert not (d.leaves & protect)
-
     def test_distinct_bootstraps(self, params):
         adv = RandomChurnAdversary(params, seed=1, active_from=0)
         d = adv.decide(make_view(params))

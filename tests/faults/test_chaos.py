@@ -4,10 +4,11 @@ from __future__ import annotations
 
 from repro.config import ProtocolParams
 from repro.core.runner import MaintenanceSimulation
-from repro.experiments.e_chaos import chaos_cell, default_cells
+from repro.experiments.e_chaos import chaos_scenario, default_cells
 from repro.experiments.registry import all_experiments
 from repro.faults.plan import FaultPlan
 from repro.faults.health import HealthMonitor
+from repro.scenarios.runner import cell_ok, run_scenario_cell
 from repro.sim.engine import Engine, NodeContext, NodeProtocol
 
 
@@ -93,20 +94,24 @@ class TestDeterministicReproducibility:
 
 class TestChaosCells:
     def test_zero_cell_reproduces_paper_guarantees(self):
-        cell = chaos_cell(small_params(), 0.0, 0.0, 0.0, seed=5)
+        scenario = chaos_scenario((0.0, 0.0, 0.0), n=24)
+        cell = run_scenario_cell((scenario, 5, True))
         assert cell["faults_injected"] == 0
-        assert cell["delivery_rate"] >= 0.95
+        assert cell["probes"]["delivery_rate"] >= 0.95
         assert cell["established_fraction"] >= 0.95
-        assert cell["events"] == 0
-        assert cell["first_degradation_round"] is None
+        assert cell["recovery"]["events"] == 0
+        assert cell["recovery"]["time_to_first_degradation"] is None
+        assert cell_ok(scenario, cell)
 
     def test_harsh_cell_degrades_gracefully(self):
         """Heavy combined faults bend the overlay; the run reports, not dies."""
-        cell = chaos_cell(small_params(), 0.4, 0.3, 0.1, seed=5)
+        scenario = chaos_scenario((0.4, 0.3, 0.1), n=24)
+        cell = run_scenario_cell((scenario, 5, True))
         assert cell["faults_injected"] > 0
-        assert cell["delivery_rate"] < 1.0
-        assert cell["events"] > 0
-        assert cell["first_degradation_round"] is not None
+        assert (cell["probes"]["delivery_rate"] or 0.0) < 1.0
+        assert cell["recovery"]["events"] > 0
+        assert cell["recovery"]["time_to_first_degradation"] is not None
+        assert cell_ok(scenario, cell)
 
 
 class TestExperimentWiring:
@@ -119,6 +124,12 @@ class TestExperimentWiring:
             assert (0.0, 0.0, 0.0) in cells
             assert any(any(axis > 0 for axis in cell) for cell in cells)
         assert len(default_cells(False)) == 12
+        # Each cell is a generated scenario: no churn, no attack, and a run
+        # of a dilation plus 6 rounds past bootstrap.
+        scenario = chaos_scenario((0.15, 0.0, 0.0), n=40)
+        assert scenario.name == "chaos-d0.15-y0-s0"
+        assert scenario.churn.kind == scenario.attack.kind == "none"
+        assert scenario.rounds == 2 * 6 + 2 + 6  # lam = 6 at n=40
 
     def test_report_order_includes_chaos(self):
         from repro.experiments.report import DEFAULT_ORDER

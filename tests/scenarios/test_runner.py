@@ -3,16 +3,23 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
+from repro.experiments.e_chaos import chaos_scenario
+from repro.scenarios.registry import get_scenario
 from repro.scenarios.report import scenario_report, validate_scenario_report
 from repro.scenarios.runner import _percentile, run_matrix, run_scenario_cell
 
 
+def cell(name, seed=0):
+    return run_scenario_cell((get_scenario(name), seed, True))
+
+
 @pytest.fixture(scope="module")
 def calm_cell():
-    return run_scenario_cell(("calm", 0, True))
+    return cell("calm")
 
 
 class TestPercentile:
@@ -44,33 +51,41 @@ class TestCalmCell:
         json.dumps(calm_cell)  # the whole record is plain data
 
     def test_deterministic(self, calm_cell):
-        again = run_scenario_cell(("calm", 0, True))
-        assert again == calm_cell
+        assert cell("calm") == calm_cell
 
 
 class TestFaultyCell:
     def test_fault_window_and_metrics(self):
-        cell = run_scenario_cell(("stall-storm", 0, True))
-        open_, close = cell["fault_window"]
+        storm = cell("stall-storm")
+        open_, close = storm["fault_window"]
         assert open_ is not None and close is not None and close > open_
-        assert cell["faults_injected"] > 0
+        assert storm["faults_injected"] > 0
 
     def test_seed_changes_schedule(self):
-        a = run_scenario_cell(("stall-storm", 0, True))
-        b = run_scenario_cell(("stall-storm", 1, True))
-        assert a["fingerprint"] != b["fingerprint"]
+        assert cell("stall-storm", 0)["fingerprint"] != cell("stall-storm", 1)["fingerprint"]
 
 
 class TestWorkerInvariance:
     def test_matrix_identical_across_worker_counts(self):
-        names = ("calm", "stall-storm")
-        serial = run_matrix(names, (0,), workers=1, quick=True)
-        parallel = run_matrix(names, (0,), workers=4, quick=True)
-        assert serial == parallel
+        registry = (get_scenario("calm"), get_scenario("stall-storm"))
+        generated = (  # E-CH's zero cell, one fault cell, and a registry entry
+            chaos_scenario((0.0, 0.0, 0.0), n=24),
+            chaos_scenario((0.3, 0.0, 0.0), n=24),
+            get_scenario("calm"),
+        )
+        for grid, workers in ((registry, 4), (generated, 2)):
+            serial = run_matrix(grid, (0,), workers=1, quick=True)
+            parallel = run_matrix(grid, (0,), workers=workers, quick=True)
+            assert serial == parallel
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             run_matrix((), (0,))
+
+    def test_duplicate_names_rejected(self):
+        calm = get_scenario("calm")
+        with pytest.raises(ValueError, match="duplicate"):
+            run_matrix((calm, replace(calm, n=24)), (0,))
 
 
 class TestReportSchema:

@@ -65,15 +65,14 @@ class TestCliScenario:
         assert doc["cells"][0]["seed"] == 2
 
 
-class TestCliChaosScenario:
-    def test_unknown_scenario(self, capsys):
-        assert main(["chaos", "--scenario", "bogus"]) == 2
-
-    def test_runs_registry_scenario(self, capsys):
-        assert main(["chaos", "--scenario", "calm", "--seed", "1"]) == 0
+class TestCliChaos:
+    def test_near_equal_probabilities_are_distinct_cells(self, capsys):
+        # Both cells run under their own scenario name; a 6-significant-digit
+        # name would give them one and the grid would be rejected.
+        assert main(["chaos", "--drop", "0.1000001,0.1000002", "--seed", "0"]) == 0
         out = capsys.readouterr().out
-        assert "calm" in out
-        assert "fingerprint" in out
+        assert "verdict: PASS" in out
+        assert sum(line.startswith("0.1 ") for line in out.splitlines()) == 2
 
 
 class TestCliRun:
