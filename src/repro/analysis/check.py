@@ -4,7 +4,7 @@ The engine is deliberately boring: collect the files, parse each once
 (:class:`~repro.analysis.source_cache.SourceCache`), run every selected
 rule over one :class:`CheckContext`, match inline waivers against the one
 finding list, audit stale waivers, apply the committed baseline, and
-return one :class:`CheckReport`.  All the judgement lives in the 18 rule
+return one :class:`CheckReport`.  All the judgement lives in the 17 rule
 plugins registered in :data:`ALL_RULES`:
 
 ====== ====================================== =================================
@@ -15,7 +15,7 @@ L      :mod:`~.lint.rules_lateness` L1–L3     the adversary's lateness wall
 X      :mod:`~.lint.rules_exports` X1         ``__all__`` drift
 W      :mod:`~.lint.rules_waivers` W1–W2      waiver hygiene
 F      :mod:`~.flow.policies` F1–F2           the same two walls, interprocedurally
-S      :mod:`~.shard.rules` S1–S5             process roles of the sharded engine
+S      :mod:`~.shard.rules` S2–S5             process roles of the sharded engine
 ====== ====================================== =================================
 
 Whole-project facts (call graph, flow fixpoint, role map) hang off the
@@ -64,7 +64,6 @@ from repro.analysis.lint.rules_waivers import UnusedWaiverRule, WaiverJustificat
 from repro.analysis.sarif import sarif_report
 from repro.analysis.shard.roles import RoleMap, infer_roles
 from repro.analysis.shard.rules import (
-    BandOwnershipRule,
     BoundaryTypeRule,
     ForkHygieneRule,
     MasterStateRule,
@@ -99,7 +98,6 @@ ALL_RULES: tuple[Rule, ...] = (
     UnusedWaiverRule(),
     LATENESS,
     DETERMINISM,
-    BandOwnershipRule(),
     BoundaryTypeRule(),
     MasterStateRule(),
     SegmentLifecycleRule(),

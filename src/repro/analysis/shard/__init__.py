@@ -1,4 +1,4 @@
-"""``repro.analysis.shard`` — process-role & shared-memory ownership rules (S1–S5).
+"""``repro.analysis.shard`` — process-role & shared-memory ownership rules (S2–S5).
 
 Guards the *multi-process* safety contract of the sharded round engine
 (:mod:`repro.sim.shard`):
@@ -11,8 +11,6 @@ Guards the *multi-process* safety contract of the sharded round engine
 2. :mod:`.rules` checks declarative rules against those roles:
 
    ====  ========================  ==================================================
-   S1    shard-band-ownership      workers never allocate NodeStore slots or write
-                                   columns directly
    S2    shard-boundary-types      only codec-approved values reach pipe/frame sinks
    S3    shard-master-state        worker code never touches master-only state
    S4    shard-segment-lifecycle   every segment acquisition reaches destroy/close

@@ -1,11 +1,12 @@
-"""Shard safety rules S1–S5.
+"""Shard safety rules S2–S5.
 
 Each rule checks one clause of the sharded engine's safety contract
 (:mod:`repro.sim.shard` module docstring) against the inferred process
 roles (:mod:`repro.analysis.shard.roles`).  Like the lint rules these are
 *syntactic* heuristics tuned so the contract cannot be broken silently;
 band membership of individual ids is a runtime property and is covered by
-the ``REPRO_SHARD_SANITIZE=1`` asserts instead, not by S1.
+the ``REPRO_SHARD_SANITIZE=1`` asserts instead.  Code S1 is retired and
+not reused.
 
 Rules read the shared call graph and role map off the
 :class:`~repro.analysis.check.CheckContext` (``ctx.index`` / ``ctx.roles``)
@@ -26,7 +27,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.check import CheckContext
 
 __all__ = [
-    "BandOwnershipRule",
     "BoundaryTypeRule",
     "MasterStateRule",
     "SegmentLifecycleRule",
@@ -52,17 +52,12 @@ def _worker_functions(ctx: CheckContext) -> Iterable[FunctionInfo]:
 
 
 def _receiver_text(expr: ast.expr) -> str | None:
-    """The trailing identifier of a receiver (``store``, ``self._store``)."""
+    """The trailing identifier of a receiver (``enc``, ``self._down_enc``)."""
     if isinstance(expr, ast.Name):
         return expr.id
     if isinstance(expr, ast.Attribute):
         return expr.attr
     return None
-
-
-def _is_storeish(expr: ast.expr) -> bool:
-    text = _receiver_text(expr)
-    return text is not None and "store" in text.lower()
 
 
 def _is_self_attr(expr: ast.expr) -> ast.Attribute | None:
@@ -84,82 +79,6 @@ def _except_handler_nodes(fn: ast.AST) -> set[int]:
             for sub in ast.walk(node):
                 inside.add(id(sub))
     return inside
-
-
-# ----------------------------------------------------------------------
-# S1 — NodeStore band ownership
-# ----------------------------------------------------------------------
-
-#: NodeStore methods only the master (the single slot allocator) may call.
-STORE_OWNER_ONLY = ("ensure", "retire", "init_fixed_views")
-
-#: The shared struct-of-arrays columns workers publish *through the API*,
-#: never by direct column writes (a direct write bypasses the slot check).
-STORE_COLUMNS = ("phase", "epoch", "pos")
-
-
-class BandOwnershipRule(Rule):
-    """S1 — workers publish through the NodeStore API, never allocate."""
-
-    id = "shard-band-ownership"
-    code = "S1"
-    description = (
-        "worker-role code must not call owner-only NodeStore APIs "
-        "(ensure/retire/init_fixed_views) or write store columns "
-        "(.phase/.epoch/.pos) directly; the master is the single slot "
-        "allocator and workers publish via adopt()/publish_state()"
-    )
-    fix_hint = (
-        "route the write through store.adopt()/publish_state() with a "
-        "master-allocated slot, or move the call to the master side"
-    )
-
-    def check(self, ctx: CheckContext) -> Iterator[Finding]:
-        for info in _worker_functions(ctx):
-            mod = info.module
-            for node in ast.walk(info.node):
-                if (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in STORE_OWNER_ONLY
-                    and _is_storeish(node.func.value)
-                ):
-                    yield self.finding(
-                        mod,
-                        node,
-                        f"worker-role `{info.qname}` calls owner-only NodeStore "
-                        f"API `.{node.func.attr}()` — only the master allocates "
-                        "or retires slots",
-                    )
-                elif isinstance(node, (ast.Assign, ast.AugAssign)):
-                    targets = (
-                        node.targets
-                        if isinstance(node, ast.Assign)
-                        else [node.target]
-                    )
-                    for target in targets:
-                        col = self._column_write(target)
-                        if col is not None:
-                            yield self.finding(
-                                mod,
-                                node,
-                                f"worker-role `{info.qname}` writes NodeStore "
-                                f"column `.{col}` directly — publish through "
-                                "the store API so slot ownership is checked",
-                            )
-
-    @staticmethod
-    def _column_write(target: ast.expr) -> str | None:
-        """``store.phase[...] = x`` or ``store.phase = x`` column name."""
-        if isinstance(target, ast.Subscript):
-            target = target.value
-        if (
-            isinstance(target, ast.Attribute)
-            and target.attr in STORE_COLUMNS
-            and _is_storeish(target.value)
-        ):
-            return target.attr
-        return None
 
 
 # ----------------------------------------------------------------------
@@ -356,9 +275,8 @@ class MasterStateRule(Rule):
 # S4 — segment lifecycle
 # ----------------------------------------------------------------------
 
-#: Calls that acquire a shared-memory segment (or a slab owning one).
+#: Calls that acquire a shared-memory segment.
 _ACQUIRE_FUNCS = ("create_segment",)
-_ACQUIRE_CLASSES = ("ShardSlab",)
 #: Calls that release a segment passed as their first argument.
 _RELEASE_FUNCS = ("destroy_segment", "close_segment")
 #: Methods that release their receiver.
@@ -371,7 +289,7 @@ class SegmentLifecycleRule(Rule):
     id = "shard-segment-lifecycle"
     code = "S4"
     description = (
-        "every create_segment()/ShardSlab acquisition must reach "
+        "every create_segment() acquisition must reach "
         "destroy_segment()/close() on all non-exceptional paths (a release "
         "only inside an except handler does not count), and no exported "
         "buffer view may escape a function that destroys its segment"
@@ -507,7 +425,7 @@ class SegmentLifecycleRule(Rule):
             return False
         func = value.func
         name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-        if name in _ACQUIRE_FUNCS or name in _ACQUIRE_CLASSES:
+        if name in _ACQUIRE_FUNCS:
             return True
         if name == "SharedMemory":
             return any(

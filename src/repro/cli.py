@@ -37,9 +37,9 @@ Commands
     under ``REPRO_BENCH_RECORD=1``.
 ``check [--rules R,...] [--paths P ...] [--format text|json|sarif] [--fix]``
     Run the static-analysis gate (see ``docs/ANALYSIS.md``) over
-    ``src/repro``: 18 rules in six families — determinism D1–D5,
+    ``src/repro``: 17 rules in six families — determinism D1–D5,
     lateness L1–L3, exports X1, waiver hygiene W1–W2, information flow
-    F1–F2, shard safety S1–S5 — off one parse.
+    F1–F2, shard safety S2–S5 — off one parse.
     Exits non-zero on any finding that is neither waived inline
     (``# repro: allow(<rule>): why``) nor grandfathered in the committed
     ``check-baseline.json`` (``--baseline P`` / ``--no-baseline`` /
@@ -511,7 +511,7 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     p_check = sub.add_parser(
-        "check", help="static-analysis gate: 18 rules, one parse (docs/ANALYSIS.md)"
+        "check", help="static-analysis gate: 17 rules, one parse (docs/ANALYSIS.md)"
     )
     p_check.add_argument(
         "--rules",

@@ -317,12 +317,8 @@ class PositionIndex:
         return None
 
     def ids_in_arc(self, arc: Arc) -> np.ndarray:
-        """Ids of all nodes within ``arc.radius`` of ``arc.center``."""
-        return self.ids_within(arc.center, arc.radius)
-
-    def sorted_ids_in_arc(self, arc: Arc) -> np.ndarray:
         """Ids inside the arc ordered by ring position starting at the arc's
-        counter-clockwise endpoint (used by A_SAMPLING's rank rule)."""
+        counter-clockwise endpoint (A_SAMPLING's rank rule reads the order)."""
         return self.ids_within(arc.center, arc.radius)
 
     def closest(self, p: float) -> int:

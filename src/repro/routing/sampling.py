@@ -61,7 +61,7 @@ def sampling_recipient(
     index: PositionIndex, p: float, delta: int, params: ProtocolParams
 ) -> int | None:
     """The node of ``S(p)`` at rank ``delta``, or ``None`` (discard)."""
-    ordered = index.sorted_ids_in_arc(Arc(p, params.swarm_radius))
+    ordered = index.ids_in_arc(Arc(p, params.swarm_radius))
     if delta < 0 or delta >= ordered.size:
         return None
     return int(ordered[delta])

@@ -31,7 +31,6 @@ from repro.adversary.base import Adversary, ChurnDecision
 from repro.adversary.budget import ChurnLedger, ChurnViolation
 from repro.adversary.view import AdversaryView
 from repro.config import ProtocolParams
-from repro.core.nodestore import NodeStore
 from repro.faults.health import DegradationEvent, HealthMonitor
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
@@ -199,15 +198,6 @@ class NodeProtocol(abc.ABC):
             node.on_round(ctx)
         return ()
 
-    def publish_state(self, store: NodeStore, slot: int) -> None:
-        """Mirror this node's scalar state into its columnar store row.
-
-        Called by the engine after every compute phase (and by shard
-        workers for their band).  The default publishes nothing — the row
-        keeps its ensure-time pattern; protocols with phase/epoch/position
-        scalars override this with one :meth:`NodeStore.publish` call.
-        """
-
 
 ProtocolFactory = Callable[[int, EngineServices], NodeProtocol]
 
@@ -295,10 +285,6 @@ class Engine:
         self._protocols: dict[int, NodeProtocol] = {}
         self._rngs: dict[int, np.random.Generator] = {}
         self.reports: list[RoundReport] = []
-        #: Columnar scalar snapshot of every node (phase/epoch/position).
-        #: At ``workers > 1`` the shard runner re-homes it into a
-        #: shared-memory slab with band-contiguous rows before forking.
-        self.node_store = NodeStore()
         self.workers = workers
         self._shard = None  # built lazily at the first sharded run_round
         self._exchange_stats = None  # retained snapshot after close()
@@ -326,7 +312,6 @@ class Engine:
     def _spawn(self, v: int) -> None:
         self._protocols[v] = self.protocol_factory(v, self.services)
         self._rngs[v] = self.rng_service.node_stream(v)
-        self.node_store.ensure(v)
 
     def protocol_of(self, v: int) -> NodeProtocol:
         """The protocol instance of an alive node (for audits and tests).
@@ -418,7 +403,6 @@ class Engine:
             self.lifecycle.remove(v, t)
             self._protocols.pop(v, None)
             self._rngs.pop(v, None)
-            self.node_store.retire(v)
         join_notices: dict[int, list[JoinNotice]] = {}
         for j in decision.joins:
             self.lifecycle.add(j.new_id, t)
@@ -490,9 +474,6 @@ class Engine:
                     compute_parts = (
                         tuple(map(add, compute_parts, parts)) if compute_parts else parts
                     )
-            store = self.node_store
-            for v in ordered:
-                self._protocols[v].publish_state(store, store.slot_of(v))
         if clock is not None:
             _t3 = clock()
 

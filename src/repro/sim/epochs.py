@@ -42,7 +42,7 @@ what lives as long as an index stays on ``PositionIndex.scratch``.
 from __future__ import annotations
 
 from itertools import islice
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from repro.overlay.positions import PositionIndex
 from repro.util.rngs import PositionHash
@@ -216,22 +216,6 @@ class EpochCache:
         for store in (self._tables, self._slabs, self._slab_sizes, self._interned):
             for e in [e for e in store if e < floor]:
                 del store[e]
-
-    def drop_ids(self, epoch: int, ids: Iterable[int]) -> None:
-        """Forget specific ids for one epoch (test/maintenance hook)."""
-        table = self._tables.get(epoch)
-        if not table:
-            return
-        dropped = {v for v in ids if v in table}
-        if not dropped:
-            return
-        # A fresh table object: indexes carved from the old one are no longer
-        # subsets of what the slab will hold (see :meth:`reference`).
-        self._tables[epoch] = {v: p for v, p in table.items() if v not in dropped}
-        # Rebuild slab state lazily from the shrunk table.
-        self._slabs.pop(epoch, None)
-        self._slab_sizes.pop(epoch, None)
-        self._interned.pop(epoch, None)
 
     def stats(self) -> dict[str, int]:
         """Cache occupancy counters (diagnostics)."""

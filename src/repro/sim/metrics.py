@@ -119,10 +119,6 @@ class MetricsCollector:
     def total_messages(self) -> int:
         return sum(m.total_sent for m in self.history)
 
-    def congestion_series(self) -> np.ndarray:
-        """Per-round max_sent values, for scaling-law fits."""
-        return np.array([m.max_sent for m in self.history], dtype=np.int64)
-
     def fault_totals(self) -> FaultRoundStats:
         """Lifetime injected-fault totals (all-zero when no faults fired)."""
         stats = [m.faults for m in self.history if m.faults is not None]

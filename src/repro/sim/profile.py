@@ -139,14 +139,6 @@ class PhaseProfiler:
         staged = [t.compute_parts for t in self.history if t.compute_parts]
         return tuple(map(sum, zip(*staged)))
 
-    def mean_per_round(self) -> dict[str, float]:
-        """Mean seconds per phase per round (all-zero when no rounds ran)."""
-        n = len(self.history)
-        if n == 0:
-            return {name: 0.0 for name in PHASES}
-        totals = self.totals()
-        return {name: totals[name] / n for name in PHASES}
-
     def table(self) -> str:
         """The hot-path table: phases sorted by cumulative time, descending."""
         totals = self.totals()

@@ -1,4 +1,4 @@
-"""Sharded multi-process round engine over shared-memory columnar state.
+"""Sharded multi-process round engine over shared-memory exchange slabs.
 
 The synchronous engine's compute phase is embarrassingly parallel *by
 construction*: every node draws from its own deterministic rng stream
@@ -60,13 +60,8 @@ bump.  When a worker's uplink region overflows, that worker falls back to
 the pipe for that one round (tagged, and honestly counted as pipe bytes)
 and the master regrows the uplink slab before the next round's control.
 
-Scalar node state (phase / epoch / position) is published into a third
-shared slab (:class:`repro.core.nodestore.NodeStore` columns): each worker
-writes its band's rows — bands are contiguous row ranges, so a shard's
-published state is an array slice — and the master reads population
-aggregates without gathering objects.  Full protocol objects cross the
-boundary only at explicit :meth:`ShardRunner.sync_protocols` gather points
-(audits, fingerprints).
+Protocol objects cross the boundary only at explicit
+:meth:`ShardRunner.sync_protocols` gather points (audits, fingerprints).
 """
 
 from __future__ import annotations
@@ -81,7 +76,6 @@ from typing import TYPE_CHECKING, Iterable
 import numpy as np
 
 from repro.config import env_flag
-from repro.core.nodestore import NodeStore
 from repro.routing.messages import RoutedMessage
 from repro.sim import exchange
 from repro.sim.hopplane import HopDelivery, HopPlane, HopRows
@@ -91,7 +85,7 @@ from repro.util.arena import ArenaFull, ByteArena, FrameDecoder, FrameEncoder
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.sim.engine import Engine
 
-__all__ = ["band_of", "assign_bands", "ShardSlab", "ShardRunner"]
+__all__ = ["band_of", "assign_bands", "ShardRunner"]
 
 
 def _dumps(obj: object) -> bytes:
@@ -102,7 +96,7 @@ def _dumps(obj: object) -> bytes:
 # Runtime sanitizer (the dynamic sibling of `repro check --rules S`)
 # ----------------------------------------------------------------------
 
-#: ``REPRO_SHARD_SANITIZE=1`` arms band-ownership write asserts and
+#: ``REPRO_SHARD_SANITIZE=1`` arms band-ownership compute asserts and
 #: pipe-payload codec asserts on every boundary crossing.  Read once at
 #: import; tests monkeypatch the flag before the runner forks (workers
 #: inherit the armed value through ``fork``).
@@ -147,7 +141,7 @@ def _assert_codec_safe(obj: object, _depth: int = 6) -> None:
 
 
 def _assert_band_owned(engine: "Engine", band: int, ids: Iterable[int]) -> None:
-    """Sanitizer: a worker publishes only rows whose position is in its band.
+    """Sanitizer: a worker computes only nodes whose position is in its band.
 
     Ownership is a pure function of the epoch-0 position hash (the same
     rule :func:`assign_bands` uses), so the check needs no master round
@@ -159,7 +153,7 @@ def _assert_band_owned(engine: "Engine", band: int, ids: Iterable[int]) -> None:
         owner = band_of(h.position(v, 0), workers)
         if owner != band:
             raise AssertionError(
-                f"shard sanitizer: worker {band} publishing state for node "
+                f"shard sanitizer: worker {band} computing node "
                 f"{v}, owned by band {owner} — bands never rebalance"
             )
 
@@ -199,41 +193,6 @@ def assign_bands(
     return {
         v: band_of(position_hash.position(v, 0), workers) for v in ids
     }
-
-
-# ----------------------------------------------------------------------
-# Shared-memory slab
-# ----------------------------------------------------------------------
-
-
-class ShardSlab:
-    """One ``multiprocessing.shared_memory`` block backing NodeStore columns.
-
-    Created by the master before forking; workers inherit the mapping
-    through ``fork`` and write their band's rows in place.  The master owns
-    the lifecycle (:meth:`close` unlinks the block via the tracked segment
-    registry, so a leak is assertable with
-    :func:`repro.util.arena.live_segments`).
-    """
-
-    def __init__(self, capacity: int) -> None:
-        self.capacity = capacity
-        self._shm = shmseg.create_segment(
-            NodeStore.nbytes_for(capacity), "shard-nodestore"
-        )
-        self._closed = False
-
-    def store(self) -> NodeStore:
-        """A NodeStore whose columns are views into the shared block."""
-        store = NodeStore(buffers=NodeStore.views_over(self._shm.buf, self.capacity))
-        store.init_fixed_views()
-        return store
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        shmseg.destroy_segment(self._shm)
 
 
 # ----------------------------------------------------------------------
@@ -298,9 +257,7 @@ def _export_state(proto) -> dict:
     return out
 
 
-def _worker_main(
-    engine: "Engine", band: int, conn, store: NodeStore, down_shm, up_shm
-) -> None:
+def _worker_main(engine: "Engine", band: int, conn, down_shm, up_shm) -> None:
     """Persistent worker loop: owns one band of nodes, forked from master.
 
     The forked engine snapshot supplies protocols, rng streams, lifecycle
@@ -373,12 +330,11 @@ def _worker_main(
             joined.pop(v, None)
             protocols.pop(v, None)
             rngs.pop(v, None)
-        for v, jr, slot in joins:
+        for v, jr in joins:
             owned.add(v)
             joined[v] = jr
             protocols[v] = engine.protocol_factory(v, engine.services)
             rngs[v] = engine.rng_service.node_stream(v)
-            store.adopt(v, slot)  # the master is the single slot allocator
         if leaves or joins:
             ordered = sorted(owned)
         for v, name, args in calls:
@@ -407,8 +363,6 @@ def _worker_main(
             log.mark(v)
         if _SANITIZE:
             _assert_band_owned(engine, band, ordered)
-        for v in ordered:
-            protocols[v].publish_state(store, store.slot_of(v))
         secs = (clock() - t0) if clock is not None else 0.0
         up_arena = ByteArena(
             up_shm.buf, band * u_band_bytes, u_band_bytes
@@ -454,20 +408,9 @@ class ShardRunner:
         self.last_round_bytes: tuple[int, int] = (0, 0)
         # Band map for every currently known node; joins are added as the
         # adversary creates them.
-        alive = sorted(engine.alive)
         engine._shard_bands = assign_bands(
-            alive, engine.services.position_hash, workers
+            engine.alive, engine.services.position_hash, workers
         )
-        # Re-home the scalar store into a shared slab, band-contiguous:
-        # band k's rows form one slice of the columns.
-        self._slab = ShardSlab(capacity=4 * max(len(alive), 16) + 256)
-        store = self._slab.store()
-        for k in range(workers):
-            for v in (u for u in alive if engine._shard_bands[u] == k):
-                store.ensure(v)
-        for v in alive:
-            engine._protocols[v].publish_state(store, store.slot_of(v))
-        engine.node_store = store
         # Exchange slabs: one master-written downlink arena, one uplink slab
         # in W equal worker regions.  Workers inherit generation 0 via fork.
         self._down_gen = 0
@@ -489,7 +432,7 @@ class ShardRunner:
             parent, child = ctx.Pipe()
             proc = ctx.Process(
                 target=_worker_main,
-                args=(engine, k, child, store, self._down_shm, self._up_shm),
+                args=(engine, k, child, self._down_shm, self._up_shm),
                 daemon=True,
             )
             proc.start()
@@ -557,14 +500,10 @@ class ShardRunner:
             engine._shard_bands.pop(v, None)
         for j in decision.joins:
             # The engine's adversary phase already spawned the master-side
-            # snapshot and allocated the store slot; ship both to the owner.
+            # snapshot; the owner builds its own from the join round.
             k = self.band(j.new_id)
             per[k]["joins"].append(
-                (
-                    j.new_id,
-                    engine.lifecycle.joined_round(j.new_id),
-                    engine.node_store.slot_of(j.new_id),
-                )
+                (j.new_id, engine.lifecycle.joined_round(j.new_id))
             )
         for v in stalled:
             per[self.band(v)]["stalled"].add(v)
@@ -800,28 +739,7 @@ class ShardRunner:
                 except OSError:  # pragma: no cover
                     pass
         finally:
-            self._privatize_store()
             self._down_arena = None
             self._down_enc = None
             shmseg.destroy_segment(self._down_shm)
             shmseg.destroy_segment(self._up_shm)
-            self._slab.close()
-
-    def _privatize_store(self) -> None:
-        """Copy the shared columns into private memory and drop the views.
-
-        The slab cannot unmap while NumPy views over it are alive, so the
-        engine's store is swapped for a private copy first — state reads
-        keep working after :meth:`close`.
-        """
-        shared = self.engine.node_store
-        if shared is None or not shared._fixed:
-            return
-        priv = NodeStore(capacity=shared.capacity)
-        priv.phase[:] = shared.phase
-        priv.epoch[:] = shared.epoch
-        priv.pos[:] = shared.pos
-        priv._slot_of = dict(shared._slot_of)
-        priv._ids = list(shared._ids)
-        self.engine.node_store = priv
-        shared.phase = shared.epoch = shared.pos = None

@@ -50,11 +50,6 @@ class GraphTrace:
         self._leaves: dict[int, tuple[int, ...]] = {}
         self._last_round: int | None = None
 
-    @property
-    def last_round(self) -> int | None:
-        """Most recently recorded round, or ``None`` before the first record."""
-        return self._last_round
-
     def record(
         self,
         t: int,

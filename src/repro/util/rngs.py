@@ -81,10 +81,6 @@ class RngService:
         """The protocol RNG of one node."""
         return self.stream("node", node_id)
 
-    def adversary_stream(self) -> np.random.Generator:
-        """The adversary's own RNG (independent of all node streams)."""
-        return self.stream("adversary")
-
     def position_hash(self) -> PositionHash:
         """The keyed position hash shared by all nodes (hidden from adversary)."""
         key = int(self.stream("position-hash-key").integers(0, 1 << 63))

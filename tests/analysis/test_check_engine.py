@@ -265,12 +265,12 @@ def test_broken_baseline_is_a_one_line_usage_error(cli_root, capsys, content):
 # ----------------------------------------------------------------------
 
 
-def test_registry_is_18_unique_complete_rules():
-    assert len(ALL_RULES) == 18
+def test_registry_is_unique_and_complete():
+    assert len(ALL_RULES) == 17
     assert [r.code for r in ALL_RULES] == (
-        "D1 D2 D3 D4 D5 L1 L2 L3 X1 W1 W2 F1 F2 S1 S2 S3 S4 S5".split()
+        "D1 D2 D3 D4 D5 L1 L2 L3 X1 W1 W2 F1 F2 S2 S3 S4 S5".split()
     )
-    assert len({r.id for r in ALL_RULES}) == 18
+    assert len({r.id for r in ALL_RULES}) == 17
     for rule in ALL_RULES:
         assert rule.description and rule.fix_hint and rule.severity == "error"
 
@@ -295,8 +295,8 @@ def test_resolve_rules_by_id_code_and_family():
 def test_cli_list_rules_prints_the_table_and_honours_the_filter(capsys):
     assert main(["check", "--list-rules"]) == 0
     out = capsys.readouterr().out
-    assert out.rstrip("\n") == rule_table() and len(out.splitlines()) == 18
-    for family, codes in (("S", ["S1", "S2", "S3", "S4", "S5"]), ("F", ["F1", "F2"])):
+    assert out.rstrip("\n") == rule_table() and len(out.splitlines()) == 17
+    for family, codes in (("S", ["S2", "S3", "S4", "S5"]), ("F", ["F1", "F2"])):
         assert main(["check", "--list-rules", "--rules", family]) == 0
         rows = capsys.readouterr().out.splitlines()
         assert [row.split()[0] for row in rows] == codes

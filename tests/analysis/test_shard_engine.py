@@ -1,4 +1,4 @@
-"""The shard rules (S1–S5) through ``repro check``: waivers, baseline, SARIF, CLI."""
+"""The shard rules (S2–S5) through ``repro check``: waivers, baseline, SARIF, CLI."""
 
 import json
 import textwrap
@@ -11,7 +11,7 @@ from repro.analysis.lint.engine import LintError
 from repro.analysis.sarif import validate_sarif
 
 ALL_SHARD_RULES = resolve_rules("S")
-#: S1–S5 plus the stale-waiver audit (what `repro shard-check` ran).
+#: S2–S5 plus the stale-waiver audit (what `repro shard-check` ran).
 SHARD = resolve_rules("S,W2")
 SHARD_ARGS = ["check", "--rules", "S,W2"]
 
@@ -152,11 +152,11 @@ def test_missing_path_raises_lint_error(tmp_path):
 
 
 def test_resolve_rules_by_id_code_and_rejection():
-    assert [r.code for r in ALL_SHARD_RULES] == ["S1", "S2", "S3", "S4", "S5"]
+    assert [r.code for r in ALL_SHARD_RULES] == ["S2", "S3", "S4", "S5"]
     (s3,) = resolve_rules("S3")
     assert s3.id == "shard-master-state"
-    pair = resolve_rules("shard-band-ownership,S5")
-    assert tuple(r.code for r in pair) == ("S1", "S5")
+    pair = resolve_rules("shard-boundary-types,S5")
+    assert tuple(r.code for r in pair) == ("S2", "S5")
     with pytest.raises(LintError, match="unknown rule"):
         resolve_rules("S9")
 
@@ -194,7 +194,7 @@ def test_cli_shard_check_list_rules_and_json(tmp_path, capsys, monkeypatch):
 
     assert main(["check", "--list-rules", "--rules", "S"]) == 0
     out = capsys.readouterr().out
-    assert "shard-band-ownership" in out
+    assert "shard-boundary-types" in out
 
     monkeypatch.chdir(tmp_path)
     _write(tmp_path, BAD_WORKER)

@@ -1,4 +1,4 @@
-"""The shard rules (S1–S5) gate the live tree: clean with the committed baseline.
+"""The shard rules (S2–S5) gate the live tree: clean with the committed baseline.
 
 The injection tests run each bad fixture *alongside* the real ``src/repro``
 tree, proving every rule still fires inside the full project call graph —

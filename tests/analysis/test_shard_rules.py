@@ -51,18 +51,6 @@ def test_bad_fixture_triggers_its_rule(rule_id):
         assert f.line > 0 and f.message and f.fix_hint
 
 
-def test_band_ownership_bad_names_both_defect_shapes():
-    report = check_shard(
-        [FIXTURES / "shard-band-ownership" / "bad.py"],
-        root=FIXTURES,
-        baseline=None,
-    )
-    messages = [f.message for f in report.findings]
-    assert any("`.ensure()`" in m for m in messages)
-    assert any("`.retire()`" in m for m in messages)
-    assert any("column `.phase`" in m for m in messages)
-
-
 def test_boundary_types_bad_catches_lambda_and_buffer_view():
     report = check_shard(
         [FIXTURES / "shard-boundary-types" / "bad.py"],

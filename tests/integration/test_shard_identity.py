@@ -113,8 +113,9 @@ def test_empty_band_rounds_match_reference() -> None:
 
 
 def test_close_releases_all_segments() -> None:
-    """Engine teardown must leave zero shared-memory segments registered —
-    the leak CI asserts at interpreter exit (see shard-smoke)."""
+    """A sharded run holds exactly one downlink and one uplink segment, and
+    engine teardown must leave zero shared-memory segments registered — the
+    leak CI asserts at interpreter exit (see shard-smoke)."""
     from repro.config import ProtocolParams
     from repro.core.runner import MaintenanceSimulation
 
@@ -123,7 +124,8 @@ def test_close_releases_all_segments() -> None:
     sim = MaintenanceSimulation(params, workers=2)
     try:
         sim.run(4)
-        assert len(arena.live_segments()) > len(before)
+        added = set(arena.live_segments()) - set(before)
+        assert sorted(role for _, role in added) == ["shard-downlink", "shard-uplink"]
     finally:
         sim.close()
     assert arena.live_segments() == before

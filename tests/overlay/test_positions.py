@@ -99,17 +99,17 @@ class TestRangeQueries:
                 assert i not in got
 
 
-class TestSortedIdsInArc:
-    def test_order_starts_at_ccw_endpoint(self):
-        idx = make_index([0.95, 0.02, 0.05])
-        ordered = list(idx.sorted_ids_in_arc(Arc(0.0, 0.1)))
-        # CCW endpoint is 0.9; going clockwise: 0.95 (id 0), 0.02 (1), 0.05 (2).
-        assert ordered == [0, 1, 2]
-
-    def test_non_wrapping_order(self):
-        idx = make_index([0.3, 0.1, 0.2])
-        ordered = list(idx.sorted_ids_in_arc(Arc(0.2, 0.15)))
-        assert ordered == [1, 2, 0]
+class TestIdsInArc:
+    @pytest.mark.parametrize(
+        "points, arc, expected",
+        [
+            # CCW endpoint is 0.9; going clockwise: 0.95 (id 0), 0.02 (1), 0.05 (2).
+            pytest.param([0.95, 0.02, 0.05], Arc(0.0, 0.1), [0, 1, 2], id="wrapping"),
+            pytest.param([0.3, 0.1, 0.2], Arc(0.2, 0.15), [1, 2, 0], id="non-wrapping"),
+        ],
+    )
+    def test_order_starts_at_ccw_endpoint(self, points, arc, expected):
+        assert list(make_index(points).ids_in_arc(arc)) == expected
 
 
 class TestClosest:

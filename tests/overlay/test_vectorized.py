@@ -60,16 +60,13 @@ class TestFloatWrapGuard:
 
 
 class TestArcVariantEquivalence:
-    """``ids_within``, ``ids_within_list``, ``ids_in_arc`` and
-    ``sorted_ids_in_arc`` must agree element-for-element, in order."""
+    """``ids_within``, ``ids_within_list`` and ``ids_in_arc`` must agree
+    element-for-element, in order."""
 
     def assert_all_agree(self, idx, center, radius):
         ids = idx.ids_within(center, radius)
         assert idx.ids_within_list(center, radius) == ids.tolist()
         np.testing.assert_array_equal(idx.ids_in_arc(Arc(center, radius)), ids)
-        np.testing.assert_array_equal(
-            idx.sorted_ids_in_arc(Arc(center, radius)), ids
-        )
         assert idx.count_within(center, radius) == ids.size
 
     def test_wrapped_arc(self):

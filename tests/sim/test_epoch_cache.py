@@ -114,18 +114,6 @@ def test_property_fuzz_churn_sequences(phash):
                 assert cache.index_for(epoch, members, pos) is cached
 
 
-def test_drop_ids_forgets_and_rebuilds(phash):
-    cache = EpochCache(phash)
-    members = frozenset(range(12))
-    pos = {v: phash.position(v, 5) for v in members}
-    cache.index_for(5, members, pos)
-    cache.drop_ids(5, [0, 1])
-    remaining = frozenset(range(2, 12))
-    idx = cache.index_for(5, remaining, pos)
-    assert_same_index(idx, PositionIndex({v: pos[v] for v in remaining}))
-    assert 0 not in cache.table(5)
-
-
 def test_round_memo_is_shared_per_index_and_purpose_and_dropped_each_round(phash):
     """The per-round scratch: one dict per (interned index, purpose), the
     same object for every holder within a round, gone at ``begin_round`` —

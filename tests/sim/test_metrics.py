@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.sim.metrics import MetricsCollector
 
 
@@ -32,12 +30,6 @@ class TestMetricsCollector:
         assert mc.peak_congestion() == 10
         assert mc.total_messages() == 14
         assert mc.mean_congestion() == (2.0 + 5.0) / 2
-
-    def test_congestion_series(self):
-        mc = MetricsCollector()
-        mc.record_round(0, {1: 4}, {}, 1)
-        mc.record_round(1, {1: 7}, {}, 1)
-        np.testing.assert_array_equal(mc.congestion_series(), [4, 7])
 
     def test_empty_collector(self):
         mc = MetricsCollector()

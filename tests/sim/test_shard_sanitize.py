@@ -1,4 +1,4 @@
-"""Runtime shard sanitizer: codec and band-ownership asserts.
+"""Runtime shard sanitizer: codec and band-ownership asserts, and the band map.
 
 The static analyzer (``repro check --rules S``) proves structural properties;
 these asserts cover the runtime residue — *which ids* a worker touches and
@@ -102,6 +102,22 @@ class _Engine:
     def __init__(self, workers):
         self.workers = workers
         self.services = type("S", (), {"position_hash": _Band0Hash()})()
+
+
+def test_band_assignment_is_static_and_total():
+    from repro.sim.shard import assign_bands, band_of
+    from repro.util.rngs import RngService
+
+    ph = RngService(1).position_hash()
+    bands = assign_bands(range(200), ph, 4)
+    assert set(bands) == set(range(200))
+    assert set(bands.values()) <= {0, 1, 2, 3}
+    # Pure function of the epoch-0 hash: recomputing never moves a node.
+    again = assign_bands(range(200), ph, 4)
+    assert bands == again
+    assert band_of(0.999999, 4) == 3
+    assert band_of(0.0, 4) == 0
+    assert band_of(1.0, 4) == 3  # clamped at the top edge
 
 
 def test_band_assert_accepts_owned_ids():

@@ -16,7 +16,6 @@ class TestRecording:
         tr.record(0, [(1, 2)], frozenset({1, 2}))
         assert tr.edges_at(0) == [(1, 2)]
         assert tr.alive_at(0) == frozenset({1, 2})
-        assert tr.last_round == 0
 
     def test_consecutive_rounds_enforced(self):
         tr = GraphTrace()

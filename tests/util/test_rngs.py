@@ -62,12 +62,6 @@ class TestRngService:
         b = RngService(2).stream("x").random(5)
         assert not np.array_equal(a, b)
 
-    def test_node_stream_distinct_from_adversary(self):
-        svc = RngService(3)
-        a = svc.node_stream(0).random(4)
-        b = svc.adversary_stream().random(4)
-        assert not np.array_equal(a, b)
-
     def test_position_hash_reproducible(self):
         a = RngService(5).position_hash().position(1, 1)
         b = RngService(5).position_hash().position(1, 1)
