@@ -20,10 +20,10 @@ It is exact per seed, so ``perf_guard.py`` holds it to the newest committed
 value with no tolerance.
 
 The n=512 serial point also asserts a peak-RSS ceiling: nothing per-copy
-outlives its round (the trace keeps reduced edge logs, the CREATE plans live
-on a per-round scratch), so a leak that grows the peak past
-:data:`RSS_LIMIT_KB_N512` fails the bench rather than silently eating the
-host.
+outlives its round (the trace keeps reduced edge logs, and a round's CREATE
+batches are references that die with the cutover reading them), so a leak
+that grows the peak past :data:`RSS_LIMIT_KB_N512` fails the bench rather
+than silently eating the host.
 
 ``test_faulted_round_cost`` times the same steady-state round under the
 golden fault mix (the plan of ``tests/integration/simfp._scenario_faults``)
@@ -37,6 +37,13 @@ one *per message*, not per round.
 trace attached — a :class:`HealthMonitor` and a ``DegreeTargetAdversary`` —
 and records ``BENCH_scaling_health.json``: what every monitored, chaos,
 scenario and topology-reading-adversary run pays on top of a plain round.
+
+``test_churned_round_cost`` times it under random churn at the pace of the
+e2e ``churn-n96`` workload — a budget of ``n/4`` events per 8-round window,
+past the model's, so ``strict_budget`` is off — and records
+``BENCH_scaling_churn.json``.  Churned nodes join, cut over and demote every
+round there, so this is where the join pipeline, matchmaking and the
+cutover work hardest.
 """
 
 from __future__ import annotations
@@ -48,6 +55,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.adversary.oblivious import RandomChurnAdversary
 from repro.adversary.swarm_wipe import DegreeTargetAdversary
 from repro.config import ProtocolParams
 from repro.core.runner import MaintenanceSimulation
@@ -61,8 +69,8 @@ QUICK_POINTS = ((48, 1), (128, 1))
 
 #: Peak-RSS budget for the n=512 serial measurement, in KiB.  The run peaks
 #: around 0.4 GB on the dev host: the graph trace retains each round as
-#: distinct pairs with multiplicities and the CREATE plans die with their
-#: round, so nothing per-copy is live for longer than a round.  480 MiB
+#: distinct pairs with multiplicities and the CREATE batches die with their
+#: cutover, so nothing per-copy is live for longer than a round.  480 MiB
 #: catches a regression of the retained-generation kind (8 rounds of
 #: per-copy edge columns alone are +0.16 GB) while absorbing allocator
 #: jitter.
@@ -209,3 +217,37 @@ def test_monitored_round_cost(benchmark, quick, record_bench):
         )
         assert monitor.rounds_observed == sim.round  # the audit ran every round
         assert any(r.decision.leaves for r in timed)  # the adversary is reading
+
+
+def test_churned_round_cost(benchmark, quick, record_bench):
+    """Seconds per round under random churn at ``churn-n96``'s pace (a budget
+    of ``n/4`` events per 8 rounds), once the churn has filled the join
+    pipeline."""
+    n = 128 if quick else 256
+    params = ProtocolParams(
+        n=n, c=1.2, r=2, delta=3, tau=8, seed=1,
+        churn_budget_override=n // 4, churn_window_override=8,
+    )
+    adversary = RandomChurnAdversary(params, seed=5, intensity=1.0)
+    with MaintenanceSimulation(params, adversary, strict_budget=False) as sim:
+        # Past the churn-free bootstrap, and one join pipeline further on, so
+        # every timed round cuts churned nodes over.
+        sim.run(adversary.active_from + 2 * (params.lam + 3))
+        first = sim.round
+
+        def two_rounds():
+            sim.run(2)
+            return sim.round
+
+        benchmark.pedantic(two_rounds, rounds=2 if quick else 3, iterations=1)
+        timed = sim.engine.reports[first:]
+        record_bench(
+            benchmark,
+            "scaling_churn",
+            n=n,
+            rounds=2,
+            workers=1,
+            msgs_per_round=sum(r.metrics.total_sent for r in timed) // len(timed),
+        )
+        assert any(r.decision.leaves for r in timed)  # the churn is firing
+        assert sim.audit_overlay().edge_coverage > 0.9

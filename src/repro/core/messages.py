@@ -1,8 +1,8 @@
 """Message types of the maintenance protocol (Listings 3 and 4).
 
 All payloads are immutable so multicasts can share one instance.  Every type
-but :class:`CreateBatch` compares by value; a ``CreateBatch`` is columnar (two
-NumPy arrays) and compares by identity.
+but :class:`CreateBatch` compares by value; a ``CreateBatch`` refers to a
+position index and compares by identity.
 
 * :class:`JoinRecord` — "node ``v`` will sit at position ``pos`` in overlay
   epoch ``epoch``"; the content of a ``JOIN`` message.
@@ -10,8 +10,8 @@ NumPy arrays) and compares by identity.
   records to the current holders of the three Definition-5 neighbourhoods
   (Listing 3, line 10).  Receivers store them as handover records ``H``.
 * :class:`CreateBatch` — odd-round matchmaking introductions: "these nodes
-  are your neighbours in the next overlay" (Listing 3, ``CREATE``), as an id
-  column and a position column.
+  are your neighbours in the next overlay" (Listing 3, ``CREATE``), named by
+  reference: the sender's handover index and the receiver's id.
 * :class:`TokenMsg` — a token travelling *directly* (step 3 of A_RANDOM's
   distribution: mature node forwards a sampled token to a connected fresh
   node).  Tokens inside A_ROUTING travel as routed payloads instead.
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
+from repro.overlay.positions import PositionIndex
 
 __all__ = [
     "JoinRecord",
@@ -80,27 +80,31 @@ class JoinBatch:
 
 @dataclass(frozen=True, slots=True, eq=False)
 class CreateBatch:
-    """Introductions: the receiver's neighbours in overlay ``epoch``.
+    """Introductions: ``target``'s neighbours in overlay ``epoch``.
 
-    Columnar: neighbour ``i`` is node ``nodes[i]`` (``int32``) at position
-    ``poses[i]`` (``float64``) — ``h(nodes[i], epoch)`` by construction, so
-    the same id carries the same position in every batch of one epoch.  The
-    producer cuts both columns as *views* out of one flat array pair per
-    handover index, which every batch of that index shares; a pickled batch
-    carries its own slice only.  Do not write to the columns.
+    By reference: the batch introduces the members of ``index`` — the
+    sender's handover index ``H``, interned per epoch and member set — that
+    lie inside ``target``'s three Definition-5 arcs, ``target`` itself left
+    out, in :func:`~repro.overlay.lds.neighbor_arc_slots` order (list arc
+    around ``p``, then the De Bruijn arcs around ``p/2`` and ``(p+1)/2``,
+    each member at its first occurrence).  Positions are the index's, i.e.
+    ``h(v, epoch)`` by construction, so an id carries the same position in
+    every batch of one epoch.  The receiver resolves the list at cutover
+    (:mod:`repro.core.cutover`); a batch whose ``target`` is another node
+    introduces nobody to its receiver.
 
-    Batches compare and hash by identity (``eq=False``): senders that share
-    a handover index send the same object, and receivers deduplicate on it.
+    Batches compare and hash by identity (``eq=False``); senders holding the
+    same ``H`` send batches that share one index object.
     """
 
     __protocol__ = True
 
-    nodes: np.ndarray
-    poses: np.ndarray
+    index: PositionIndex
+    target: int
     epoch: int
 
     def __reduce__(self):
-        return CreateBatch, (self.nodes, self.poses, self.epoch)
+        return CreateBatch, (self.index, self.target, self.epoch)
 
 
 @dataclass(frozen=True, slots=True)

@@ -35,8 +35,9 @@ routed ``JOIN`` carrying the position for epoch ``s + lam + 2``:
 
 **Stages.**  A round runs over all of the engine's nodes at once
 (:meth:`MaintenanceNode.on_rounds`; ``on_round`` is the batch of one):
-every node *prepares* (inbox, cutover or handover records — no sends), one
-array kernel *plans* the forwarding of every held hop
+every node *prepares* (inbox, handover records — no sends), at even rounds
+one kernel cuts every node over, one array kernel *plans* the forwarding of
+every held hop
 (:mod:`repro.core.forwarding`), a second the rebroadcast of every arrived
 join record (:mod:`repro.core.joinplan`) and, at odd rounds, a third the
 initial multicast of every pending launch, then every node *acts* in id
@@ -44,13 +45,16 @@ order (deliveries and rng draws in row order, filing, rebroadcast, joins,
 tokens, matchmaking).
 
 **Matchmaking and cutover.**  The handover records ``H`` a node stores at an
-odd round are interned as one position index per distinct member set.  The
-CREATE plan — one columnar :class:`CreateBatch` per member of ``H`` — is a
-pure function of that index and the global radii, so it is computed once per
-index as one array computation and every node holding the same ``H`` sends
-the same batch objects; each node sends in its own ``h_records`` arrival
-order.  At cutover the new ``d_nbrs`` lists the introduced ids in inbox order,
-then batch column order, each id at its first occurrence.
+odd round are interned as one position index per distinct member set.  A
+CREATE names its introductions by reference: :class:`CreateBatch` carries
+the sender's interned ``H`` and its target, and means "the members of ``H``
+in your Definition-5 arcs".  Each node sends one per record, in its
+``h_records`` arrival order.  At the even round every node of the band
+first buckets its batches; then one bitset pass over the epoch slab
+(:func:`repro.core.cutover.introductions`) resolves every receiver's new
+``d_nbrs`` — the introduced ids in inbox order, then arc order, each id at
+its first occurrence — and each node installs or demotes
+(:meth:`MaintenanceNode._cutover`).
 
 **Bootstrap.**  Before the first join wave lands (epochs ``< lam+2``) there
 are no handover records; nodes stay in the primed ``D_0`` and hand hops over
@@ -78,9 +82,9 @@ from repro.core.messages import (
     TokenGrant,
     TokenMsg,
 )
-from repro.core.forwarding import HopPlan, Launch, NodePlan, hop_columns, ids32, launch_chunks
+from repro.core.cutover import introductions
+from repro.core.forwarding import HopPlan, Launch, NodePlan, hop_columns, launch_chunks
 from repro.core.joinplan import JoinPlan, JoinShare
-from repro.overlay.lds import neighbor_arc_slots
 from repro.overlay.positions import PositionIndex
 from repro.routing.messages import RoutedMessage
 from repro.sim.engine import EngineServices, JoinNotice, NodeContext, NodeProtocol
@@ -111,11 +115,14 @@ class _Step:
     """What a node's prepare stage hands to the plan and to its act stage."""
 
     __slots__ = (
-        "notices", "h_index", "hop_index", "fin_index", "plan", "joins", "launch"
+        "notices", "creates", "h_index", "hop_index", "fin_index", "plan", "joins",
+        "launch",
     )
 
-    def __init__(self, notices: list[JoinNotice]) -> None:
+    def __init__(self, notices: list[JoinNotice], creates: list[CreateBatch]) -> None:
         self.notices = notices
+        #: The CREATE batches of the inbox, in arrival order (even rounds).
+        self.creates = creates
         #: Interned handover index ``H`` (odd rounds, once joins arrive).
         self.h_index: PositionIndex | None = None
         #: The index this round's hops and launches are forwarded in.
@@ -269,8 +276,10 @@ class MaintenanceNode(NodeProtocol):
         """The round of every node of ``batch`` (sorted-id order), staged.
 
         **prepare** — each node absorbs its inbox (:meth:`_prepare`: tokens,
-        slots, cutover or handover records); it may draw from its own
-        stream, it sends nothing.  **plan** — per band of consecutive
+        slots, handover records); it may draw from its own stream, it sends
+        nothing.  At even rounds one :func:`introductions` pass then gives
+        every node its new neighbourhood, and each cuts over
+        (:meth:`_cutover_band`).  **plan** — per band of consecutive
         nodes, one :class:`HopPlan` does everything rng-free about their
         forwarding step, one :class:`JoinPlan` their join rebroadcast and,
         at odd rounds, one :func:`launch_chunks` pass their pending
@@ -287,12 +296,14 @@ class MaintenanceNode(NodeProtocol):
         timed = clock is not None
         t0 = clock() if timed else 0.0
         steps = [node._prepare(ctx) for node, ctx in batch]
+        odd = bool(batch) and batch[0][1].round % 2 == 1
+        if batch and not odd:
+            cls._cutover_band(batch, steps)
         t1 = clock() if timed else 0.0
         plan_s = 0.0
         start = pairs = 0
         holders: list[int] = []
         launchers: list[int] = []
-        odd = bool(batch) and batch[0][1].round % 2 == 1
         for k, step in enumerate(steps):
             if step.fin_index is not None:
                 holders.append(k)
@@ -325,6 +336,29 @@ class MaintenanceNode(NodeProtocol):
         if timed:
             return (t1 - t0, plan_s, clock() - t1 - plan_s)
         return ()
+
+    @staticmethod
+    def _cutover_band(
+        batch: Sequence[tuple["MaintenanceNode", NodeContext]],
+        steps: Sequence["_Step"],
+    ) -> None:
+        """Stage 1, even rounds, once the whole batch has prepared: one
+        :func:`introductions` pass resolves every node's CREATE batches, then
+        each node installs or demotes (:meth:`_cutover`) and picks the index
+        it forwards this round's hops in."""
+        node, ctx = batch[0]
+        e = ctx.round // 2
+        records = introductions(
+            [(node.id, step.creates) for (node, _), step in zip(batch, steps)],
+            e,
+            node._epoch_cache,
+            list_radius=node._list_radius,
+            db_radius=node._db_radius,
+        )
+        for (node, ctx), step, recs in zip(batch, steps, records):
+            node._cutover(ctx, e, recs)
+            if node.phase is Phase.ESTABLISHED and ctx.hops is not None:
+                step.hop_index = step.fin_index = node._d_members()
 
     @staticmethod
     def _plan_band(
@@ -399,7 +433,8 @@ class MaintenanceNode(NodeProtocol):
             steps[j].launch = chunk
 
     def _prepare(self, ctx: NodeContext) -> "_Step":
-        """Stage 1 of the round: absorb the inbox.  Sends nothing."""
+        """Stage 1 of the round: absorb the inbox.  Sends nothing.  At even
+        rounds the CREATE batches are left on the step for the cutover."""
         creates: list[CreateBatch] = []
         join_batches: list[JoinBatch] = []
         token_msgs: list[TokenMsg] = []
@@ -425,12 +460,8 @@ class MaintenanceNode(NodeProtocol):
         self._absorb_tokens(ctx, token_msgs, grants)
         self._fill_slots(ctx, connects)
 
-        step = _Step(notices)
-        if ctx.round % 2 == 0:
-            self._cutover(ctx, ctx.round // 2, creates)
-            if self.phase is Phase.ESTABLISHED and ctx.hops is not None:
-                step.hop_index = step.fin_index = self._d_members()
-        else:
+        step = _Step(notices, creates)
+        if ctx.round % 2 == 1:
             self._store_handover(ctx, join_batches, step)
         return step
 
@@ -590,45 +621,14 @@ class MaintenanceNode(NodeProtocol):
         # Slots served this cycle's join launches and token forwards; reset.
         self.slots = [None] * (2 * self.params.delta_eff)
 
-    def _cutover(self, ctx: NodeContext, e: int, creates: list[CreateBatch]) -> None:
-        """Install the epoch-``e`` neighbourhood the CREATE batches introduce.
-
-        ``d_nbrs`` lists the introduced ids in first-occurrence order over
-        the inbox (arrival order) and, within a batch, column order — the
-        order is observable: ``_serve_pending_grants`` shuffles it.  Batches
-        of another epoch add nothing, and neither does a repeat of the same
-        batch *object* (senders sharing a handover index send one object).
-        An id met in several batches carries the identical hash-derived
-        position in each.  When no neighbour is introduced — no batch, or
-        only empty ones — nothing is installed: the node keeps its state
+    def _cutover(self, ctx: NodeContext, e: int, records: dict[int, float]) -> None:
+        """Install the epoch-``e`` neighbourhood ``records`` its CREATE
+        batches introduced (:func:`introductions`, in first-occurrence
+        order — the order is observable: ``_serve_pending_grants`` shuffles
+        it).  When nobody is introduced — no batch, or only empty, stale or
+        misaddressed ones — nothing is installed: the node keeps its state
         during bootstrap and demotes itself once cutovers are due.
         """
-        ids_cols: list[np.ndarray] = []
-        pos_cols: list[np.ndarray] = []
-        seen: set[int] = set()
-        for batch in creates:
-            # repro: allow(id-ordering): identity dedup only — the id value
-            # never orders anything.
-            bid = id(batch)
-            if bid in seen:
-                continue
-            seen.add(bid)
-            if batch.epoch == e and batch.nodes.size:
-                ids_cols.append(batch.nodes)
-                pos_cols.append(batch.poses)
-        records: dict[int, float] = {}
-        if ids_cols:
-            ids = np.concatenate(ids_cols)
-            poses = np.concatenate(pos_cols)
-            # First occurrence of each id: scatter the entry numbers back to
-            # front, so the earliest write to a slot lands last.
-            entry = np.arange(ids.size)
-            first = np.empty(int(ids.max()) + 1, dtype=np.intp)
-            first[ids[::-1]] = entry[::-1]
-            # A node is never its own neighbour (defensive: the producer
-            # masks the target's own slot).
-            keep = (first[ids] == entry) & (ids != self.id)
-            records = dict(zip(ids[keep].tolist(), poses[keep].tolist()))
         if records:
             if self.phase is not Phase.ESTABLISHED or self.epoch is None:
                 self._first_epoch = e
@@ -781,50 +781,14 @@ class MaintenanceNode(NodeProtocol):
     def _matchmake(self, ctx: NodeContext, h_index: PositionIndex, e_next: int) -> None:
         """Send each next-overlay node its Definition-5 neighbours (CREATE).
 
-        The batch for a target is a pure function of the epoch-interned
-        ``h_index`` (members, their hash-derived positions) and the global
-        radii, so the whole plan — one batch per member — is built once per
-        index and round; nodes sharing the index send the same batch
-        objects.  The plan is sent in this round only and is large, so it
-        lives on the epoch cache's per-round scratch and dies with the round
-        (the batches themselves live on in their receivers' inboxes until
-        the cutover reads them).  Every node sends one batch per record it
-        holds, in ``h_records`` arrival order.  A target alone in its arcs
-        gets an empty batch, which introduces nobody (see :meth:`_cutover`).
+        One :class:`CreateBatch` per record held, in ``h_records`` arrival
+        order, naming the interned ``h_index`` and the record's node: the
+        receiver's cutover resolves which members of ``h_index`` that
+        introduces.  A target alone in its arcs is introduced to nobody.
         """
-        batches: dict[int, CreateBatch] = self._epoch_cache.round_memo(
-            h_index, "create_batches"
+        ctx.send_singles_batch(
+            [(v, CreateBatch(h_index, v, e_next)) for v in self.h_records]
         )
-        if not batches:
-            batches.update(self._create_batches(h_index, e_next))
-        ctx.send_singles_batch([(v, batches[v]) for v in self.h_records])
-
-    def _create_batches(
-        self, h_index: PositionIndex, e_next: int
-    ) -> dict[int, CreateBatch]:
-        """The CREATE plan of one handover index: member id -> its batch.
-
-        For the member in ring slot ``t`` the batch lists the members of its
-        Definition-5 arcs (:func:`neighbor_arc_slots`: ``required_neighbor_arcs``
-        order, first occurrences), ``t`` itself left out.  All ``n_h`` batches
-        are computed together, each a pair of views into the gathered
-        id/position columns.
-        """
-        pos = h_index.sorted_positions
-        target, slot = neighbor_arc_slots(
-            h_index, pos, self._list_radius, self._db_radius
-        )
-        keep = slot != target
-        slot = slot[keep]
-        flat_nodes = ids32(h_index)[slot]
-        flat_poses = pos[slot]
-        offs = np.cumsum(np.bincount(target[keep], minlength=pos.size)).tolist()
-        batches: dict[int, CreateBatch] = {}
-        lo = 0
-        for v, hi in zip(h_index.ids_list, offs):
-            batches[v] = CreateBatch(flat_nodes[lo:hi], flat_poses[lo:hi], e_next)
-            lo = hi
-        return batches
 
     # ------------------------------------------------------------------
     # Final deliveries

@@ -5,10 +5,17 @@ The hot loop of every topology operation is "which nodes lie within distance
 ``O(log n + output)`` via a sorted NumPy array and ``searchsorted`` — the
 vectorised idiom recommended by the HPC guides (no Python-level scans).
 
-All range queries funnel through one bounds helper (:meth:`_bounds`) so the
-endpoint and float-wrap semantics cannot drift apart between ``ids_within``,
-``count_within`` and the arc variants: a tiny negative ``center - radius``
-wraps to exactly ``1.0`` under ``%``, which the helper clamps back to ``0.0``.
+All range queries funnel through one piece of window arithmetic — the arc
+endpoints of :meth:`_bounds` (scalar) and :func:`_arc_ends_many` (arrays,
+behind :meth:`arcs_many` and :meth:`bounds_many`) — so the endpoint and
+float-wrap semantics cannot drift apart between ``ids_within``,
+``count_within`` and the arc variants.  The endpoints are exact: a point is
+inside the window iff ``ring_distance(p, center) <= radius`` as computed in
+floats.  ``center ± radius`` rounds, and where it wraps past 1 it rounds at
+the magnitude of 1 — ``ids_within([0.25], 1 - 2**-53, 0.25)`` used to return
+the point at distance ``0.25 + 2**-53`` — so each rounded endpoint is
+started from the closed form of the predicate's boundary where that is
+needed and then moved to the last float inside the arc.
 
 Indexes are immutable, but not island-like: the epoch cache
 (:mod:`repro.sim.epochs`) grows one shared per-epoch index incrementally via
@@ -22,6 +29,7 @@ the sorted arrays; dict materialisation happens on the first point lookup.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from math import nextafter
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -54,6 +62,89 @@ def _coerce_keep(keep: Iterable[int]) -> np.ndarray:
         if not isinstance(v, (int, np.integer)):
             raise ValueError(f"keep ids must be integers, got {v!r}")
     return np.fromiter(keep_set, dtype=np.int64, count=len(keep_set))
+
+
+_BELOW_ONE = nextafter(1.0, 0.0)
+
+
+def _far_cut(radius: float) -> tuple[float, float]:
+    """``(t, h)``: ``t`` is the least float ``>= 1 - radius`` and ``h`` half
+    the float spacing below it.  Across the wrap, a point ``x`` with
+    ``D = fl(|x - c|) > 1/2`` is inside iff ``1 - D <= radius`` (exact, as
+    ``D >= 1/2``), i.e. iff ``D >= t``."""
+    t = 1.0 - radius
+    if 1.0 - t > radius:
+        t = nextafter(t, 2.0)
+    return t, (t - nextafter(t, 0.0)) / 2
+
+
+def _settle_many(
+    ends: np.ndarray, centers: np.ndarray, radius: float, clockwise: np.ndarray
+) -> np.ndarray:
+    """Move every arc end onto the last float inside its arc, going
+    ``clockwise`` (``hi`` ends) or counter-clockwise (``lo`` ends), never
+    past the antipode; after the first pass only the ends that moved are
+    looked at again.  ``min(d, 1 - d)`` is ring_distance's branch, exactly."""
+
+    def step(x: np.ndarray, by: np.ndarray) -> np.ndarray:
+        # Non-negative doubles are ordered like their bit patterns, so the
+        # next float either way is one integer step on the int64 view.
+        bits = x.view(np.int64) + by
+        y = bits.view(np.float64)
+        y[y >= 1.0] = 0.0
+        y[bits < 0] = _BELOW_ONE  # below 0.0
+        return y
+
+    rows = None  # every end
+    x, c, cw = ends, centers, clockwise
+    by = np.where(cw, 1, -1).astype(np.int64)  # one float forward
+    while True:
+        d = np.abs(x - c)
+        out = np.minimum(d, 1.0 - d) > radius
+        ahead = step(x, by)
+        d = np.abs(ahead - c)
+        grow = (np.minimum(d, 1.0 - d) <= radius) & (
+            ((ahead >= c) == (d <= 0.5)) == cw  # the end's own half-ring
+        )
+        move = np.flatnonzero(out | grow)
+        if not move.size:
+            return ends
+        out, cw, c, by = out[move], cw[move], c[move], by[move]
+        x = np.where(out, step(x[move], -by), ahead[move])
+        rows = move if rows is None else rows[move]
+        ends[rows] = x
+
+
+def _arc_ends_many(centers: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """The endpoints of :meth:`PositionIndex._bounds` over an array of
+    centers, IEEE-identical."""
+    n = centers.size
+    # Both ends in one column: lo ends first, hi ends after.  ``x -
+    # floor(x)`` is ``x % 1.0`` bit for bit on (-1, 2), at a seventh of
+    # the cost.
+    ends = np.concatenate([centers - radius, centers + radius])
+    ends -= np.floor(ends)
+    lo, hi = ends[:n], ends[n:]
+    lo[lo >= 1.0] = 0.0
+    wrapped = hi < centers
+    if wrapped.any():
+        t, h = _far_cut(radius)
+        hi[wrapped] = np.maximum((centers[wrapped] - t) + h, 0.0)
+    near = (centers >= radius) & (centers <= 2 * radius)
+    if near.any():
+        half = (nextafter(radius, 1.0) - radius) / 2
+        lo[near] = np.maximum((centers[near] - radius) - half, 0.0)
+    clockwise = np.zeros(2 * n, dtype=bool)
+    clockwise[n:] = True
+    ends = _settle_many(ends, np.concatenate([centers, centers]), radius, clockwise)
+    return ends[:n], ends[n:]
+
+
+def _unpickle_index(ids: bytes, pos: bytes) -> "PositionIndex":
+    """Rebuild a pickled :class:`PositionIndex` from its column bytes."""
+    return PositionIndex._from_sorted(
+        np.frombuffer(ids, dtype=np.int64), np.frombuffer(pos, dtype=np.float64)
+    )
 
 
 class PositionIndex:
@@ -115,13 +206,19 @@ class PositionIndex:
         (the ``int32`` id column) can be computed once and reused
         network-wide.  Callers must only store data that is a pure function
         of the index contents (plus globally fixed parameters), never
-        per-node state; memos read in one round only belong on
-        ``EpochCache.round_memo`` instead, which the next round drops.
+        per-node state.  The scratch does not travel: a pickled index
+        carries its two sorted columns only (:meth:`__reduce__`).
         """
         scratch = self._scratch
         if scratch is None:
             scratch = self._scratch = {}
         return scratch
+
+    def __reduce__(self):
+        # The sorted columns only, as raw bytes (pickling two ndarrays costs
+        # ~10x more per object): the lazy maps and the scratch — which may
+        # hold the epoch cache's whole position table — are rebuilt on demand.
+        return _unpickle_index, (self._ids.tobytes(), self._pos.tobytes())
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -201,18 +298,60 @@ class PositionIndex:
         covers ``[a, n)`` plus ``[0, b)``.  Callers must handle the
         ``radius >= 0.5`` full-ring case themselves (it has no bounds).
 
-        Scalar lookups bisect a cached plain-``float`` list: ``tolist``
-        round-trips float64 exactly, so C-level ``bisect`` returns the very
-        indices ``searchsorted`` would (the batched :meth:`bounds_many`
-        stays on NumPy).
+        The endpoints are exact for ``center`` in [0, 1) and ``radius <
+        0.5``: ``lo`` and ``hi`` are the first and last float, counter-
+        clockwise to clockwise, within ``radius`` by
+        :func:`~repro.util.intervals.ring_distance` (see the module
+        docstring; :func:`_arc_ends_many` is the same arithmetic over
+        arrays).  Scalar lookups bisect a cached plain-``float`` list:
+        ``tolist`` round-trips float64 exactly, so C-level ``bisect``
+        returns the very indices ``searchsorted`` would (the batched
+        :meth:`bounds_many` stays on NumPy).
         """
         pos = self._pos_list
         if pos is None:
             pos = self._pos_list = self._pos.tolist()
         lo = (center - radius) % 1.0
-        hi = (center + radius) % 1.0
         if lo >= 1.0:  # float edge: tiny negative wraps to exactly 1.0
             lo = 0.0
+        hi = (center + radius) % 1.0
+        if hi < center:
+            # Wrapped clockwise: inside iff fl(center - x) >= t, i.e. up to the
+            # exact ``center - t + h`` (tie aside); ``% 1.0`` rounded at 1.
+            t, h = _far_cut(radius)
+            hi = max((center - t) + h, 0.0)
+        if radius <= center <= 2 * radius:
+            # lo near 0: inside iff fl(center - x) <= radius, i.e. from the
+            # exact ``center - radius - h`` on (tie aside).
+            lo = max((center - radius) - (nextafter(radius, 1.0) - radius) / 2, 0.0)
+        # Settle each end on the last float inside, never past the antipode
+        # (for a radius just below 1/2 there may be no gap there).  ``min(d,
+        # 1 - d)`` is ring_distance's branch, exactly: d <= 1/2 gives
+        # 1 - d >= 1/2, and d > 1/2 gives the exact 1 - d < 1/2.
+        while True:
+            d = abs(hi - center)
+            if min(d, 1.0 - d) > radius:
+                hi = _BELOW_ONE if hi == 0.0 else nextafter(hi, -1.0)
+                continue
+            ahead = nextafter(hi, 2.0)
+            if ahead >= 1.0:
+                ahead = 0.0
+            d = abs(ahead - center)
+            if min(d, 1.0 - d) > radius or (ahead >= center) != (d <= 0.5):
+                break
+            hi = ahead
+        while True:
+            d = abs(lo - center)
+            if min(d, 1.0 - d) > radius:
+                lo = nextafter(lo, 2.0)
+                if lo >= 1.0:
+                    lo = 0.0
+                continue
+            ahead = _BELOW_ONE if lo == 0.0 else nextafter(lo, -1.0)
+            d = abs(ahead - center)
+            if min(d, 1.0 - d) > radius or (ahead >= center) == (d <= 0.5):
+                break
+            lo = ahead
         return bisect_left(pos, lo), bisect_right(pos, hi), lo > hi
 
     def bounds_many(
@@ -221,10 +360,10 @@ class PositionIndex:
         """Vectorised :meth:`_bounds` over many arc centers at one radius.
 
         One pair of batched ``searchsorted`` calls replaces two scalar calls
-        per center; ``%`` on float64 arrays is IEEE-identical to Python's
-        scalar ``%``, so slice ``i`` is byte-identical to what
-        ``ids_within(centers[i], radius)`` would return.  Callers handle the
-        ``radius >= 0.5`` full-ring case themselves.
+        per center; the endpoints are the scalar ones, IEEE-identical, so
+        slice ``i`` is byte-identical to what ``ids_within(centers[i],
+        radius)`` would return.  Callers handle the ``radius >= 0.5``
+        full-ring case themselves.
         """
         pos = self._pos
         lo, hi, wrapped = self.arcs_many(centers, radius)
@@ -235,33 +374,25 @@ class PositionIndex:
         centers: np.ndarray, radius: float
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The ring arithmetic of :meth:`bounds_many`, index-free: each arc's
-        ``(lo, hi, wrapped)`` endpoints.  The same endpoints serve every
-        index the arcs are looked up in."""
-        lo = (centers - radius) % 1.0
-        lo[lo >= 1.0] = 0.0  # same float-wrap guard as the scalar path
-        hi = (centers + radius) % 1.0
+        exact ``(lo, hi, wrapped)`` endpoints (:func:`_arc_ends_many`).  The
+        same endpoints serve every index the arcs are looked up in."""
+        lo, hi = _arc_ends_many(centers, radius)
         return lo, hi, lo > hi
 
     def ids_within(self, center: float, radius: float) -> np.ndarray:
         """Ids of all nodes ``v`` with ``d(v, center) <= radius``.
 
         Hot path (called per routed hop): returned ids are ordered by ring
-        position starting at the arc's counter-clockwise endpoint.  The
-        bounds logic is :meth:`_bounds`, inlined to spare a function call.
+        position starting at the arc's counter-clockwise endpoint, sliced
+        at :meth:`_bounds`.
         """
         if radius >= 0.5:
             return self._ids
-        pos = self._pos
-        lo = (center - radius) % 1.0
-        hi = (center + radius) % 1.0
-        if lo >= 1.0:  # float edge: tiny negative wraps to exactly 1.0
-            lo = 0.0
+        a, b, wrapped = self._bounds(center, radius)
         ids = self._ids
-        if lo <= hi:
-            return ids[pos.searchsorted(lo, "left"):pos.searchsorted(hi, "right")]
-        return np.concatenate(
-            [ids[pos.searchsorted(lo, "left"):], ids[:pos.searchsorted(hi, "right")]]
-        )
+        if not wrapped:
+            return ids[a:b]
+        return np.concatenate([ids[a:], ids[:b]])
 
     def ids_within_list(self, center: float, radius: float) -> list[int]:
         """:meth:`ids_within` as a plain-``int`` list (shared, do not mutate).

@@ -27,22 +27,23 @@ keeps:
   :meth:`PositionIndex.without`, larger ones with
   :meth:`PositionIndex.restricted` (identical results, different cost).
 
+An index that was not carved from an epoch's live table — one unpickled
+in a shard worker, or built privately — can be mapped back into the slab by
+id: :meth:`EpochCache.covering_slab` adds the positions it carries to the
+table (hash-derived, so first-writer-wins stays consistent) and returns the
+grown slab.  This is how the cutover kernel (:mod:`repro.core.cutover`)
+reads every CREATE batch of a band over one slab.
+
 Tables more than one epoch behind the engine's clock are pruned each round;
 indexes already handed to nodes survive via the nodes' own references.
-
-Beside the per-epoch state there is one **per-round scratch**
-(:meth:`EpochCache.round_memo`): memo space for values derived from an
-interned index that are only ever read in the round that computes them —
-the CREATE plan of a handover index (odd rounds).  It is large (kept as
-long as its index, the plans were a quarter of the live heap) and dead one
-round later, so :meth:`EpochCache.begin_round` drops the scratch whole;
-what lives as long as an index stays on ``PositionIndex.scratch``.
+Nothing else is kept per round: a value an index's holders share for the
+index's whole life belongs on ``PositionIndex.scratch``.
 """
 
 from __future__ import annotations
 
 from itertools import islice
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from repro.overlay.positions import PositionIndex
 from repro.util.rngs import PositionHash
@@ -60,7 +61,6 @@ class EpochCache:
         "_slab_sizes",
         "_interned",
         "_floor",
-        "_round",
     )
 
     def __init__(self, position_hash: PositionHash) -> None:
@@ -70,7 +70,6 @@ class EpochCache:
         self._slab_sizes: dict[int, int] = {}
         self._interned: dict[int, dict[frozenset[int], PositionIndex]] = {}
         self._floor = -(10**9)  # epochs below this are pruned
-        self._round: dict[tuple[PositionIndex, str], dict] = {}
 
     # ------------------------------------------------------------------
     # Memoised position hash
@@ -156,6 +155,30 @@ class EpochCache:
             return None
         return self._sync_slab(epoch, table)
 
+    def covering_slab(
+        self, epoch: int, indexes: Iterable[PositionIndex]
+    ) -> PositionIndex:
+        """The epoch's slab, grown to hold every member of ``indexes``.
+
+        Indexes carved from the epoch's live table are subsets already.  Any
+        other index (unpickled, private, or carved before the table was
+        pruned) adds the positions it carries for ids the table lacks —
+        hash-derived, so first-writer-wins agrees with every other writer.
+        Every member then has a slot in the returned slab, and an index's
+        members keep their relative order there.
+        """
+        table = self._tables.get(epoch)
+        if table is None:
+            table = self._tables[epoch] = {}
+        for index in indexes:
+            carved = index.scratch.get("carved")  # (its epoch, its table)
+            if carved is not None and carved[1] is table:  # type: ignore[index]
+                continue
+            for v, p in zip(index.ids_list, index.sorted_positions.tolist()):
+                if v not in table:
+                    table[v] = p
+        return self._sync_slab(epoch, table)
+
     def _sync_slab(self, epoch: int, table: dict[int, float]) -> PositionIndex:
         """Grow the epoch slab to cover every table entry (incremental)."""
         slab = self._slabs.get(epoch)
@@ -186,21 +209,8 @@ class EpochCache:
     # Lifecycle
     # ------------------------------------------------------------------
 
-    def round_memo(self, index: PositionIndex, purpose: str) -> dict:
-        """This round's memo dict for ``(index, purpose)``, empty on first use.
-
-        Shared by every node holding the same interned ``index`` within one
-        round and dropped by the next :meth:`begin_round`.  Callers must
-        only store values that are a pure function of the index contents
-        plus round-constant parameters, never per-node state.  The key is
-        the index object itself (interned indexes hash by identity), which
-        also keeps it alive for the round.
-        """
-        return self._round.setdefault((index, purpose), {})
-
     def begin_round(self, t: int) -> None:
-        """Advance the engine clock: drop the per-round scratch and prune
-        state for epochs that ended.
+        """Advance the engine clock: prune state for epochs that ended.
 
         Overlay ``D_e`` is current during rounds ``2e`` and ``2e + 1``; once
         the engine enters epoch ``e`` no node will ever build an index for an
@@ -208,7 +218,6 @@ class EpochCache:
         so everything older is dropped.  Indexes nodes still hold stay alive
         through their own references.
         """
-        self._round = {}
         floor = t // 2
         if floor <= self._floor:
             return

@@ -433,7 +433,7 @@ def test_live_tree_full_set_verdict(live_cache, index_builds):
     report = run_check([SRC], root=REPO_ROOT, baseline=BASELINE, cache=live_cache)
     assert report.ok, report.format_text()
     assert Counter(f.rule for f in report.waived) == {
-        "id-ordering": 2,
+        "id-ordering": 1,
         "unordered-iteration": 3,
         "wallclock": 1,
         "shard-master-state": 1,

@@ -8,14 +8,13 @@ hops — filed through a :class:`HopPlane`, frozen and delivered exactly as
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.config import ProtocolParams
 from repro.core.messages import CreateBatch
 from repro.sim.engine import EngineServices, NodeContext
 from repro.sim.epochs import EpochCache
 from repro.sim.hopplane import HopPlane
 from repro.sim.network import Network
+from repro.util.intervals import wrap
 from repro.util.rngs import RngService
 
 
@@ -30,14 +29,23 @@ def make_services(params: ProtocolParams) -> EngineServices:
     )
 
 
-def create_batch(entries, epoch: int) -> CreateBatch:
-    """A :class:`CreateBatch` introducing ``(node, pos)`` ``entries`` at ``epoch``."""
-    entries = list(entries)
-    return CreateBatch(
-        np.array([v for v, _ in entries], dtype=np.int32),
-        np.array([p for _, p in entries], dtype=np.float64),
-        epoch,
-    )
+def create_batch(services: EngineServices, target: int, ids, epoch: int) -> CreateBatch:
+    """A :class:`CreateBatch` that introduces ``ids`` to ``target`` at
+    ``epoch``, in that order (``target`` itself, if listed, is not
+    introduced).
+
+    The batch's index is interned in the services' epoch cache over
+    ``target`` at its hash position and ``ids`` laid out right after it,
+    clockwise inside its list arc — so the arc's ring order is the given
+    order.  Ids the epoch table already places keep their positions.
+    """
+    cache = services.epoch_cache
+    p = cache.position(target, epoch)
+    ids = [v for v in dict.fromkeys(ids) if v != target]
+    step = 0.9 * services.params.list_radius / (len(ids) + 1)
+    table = {target: p}
+    table.update({v: wrap(p + (k + 1) * step) for k, v in enumerate(ids)})
+    return CreateBatch(cache.index_for(epoch, frozenset(table), table), target, epoch)
 
 
 def make_ctx(node, services, t, inbox, hops=(), network=None):

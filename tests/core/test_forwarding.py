@@ -59,9 +59,7 @@ def slab_and_subsets(draw):
 def test_prefix_counts_map_slab_bounds_to_subset_bounds(case, centers, radius):
     slab, subsets = case
     centers = np.array(centers)
-    lo = (centers - radius) % 1.0
-    lo[lo >= 1.0] = 0.0
-    hi = (centers + radius) % 1.0
+    lo, hi, _ = PositionIndex.arcs_many(centers, radius)
     cnt = prefix_counts(slab, subsets)
     at_lo = slab.sorted_positions.searchsorted(lo, "left")
     at_hi = slab.sorted_positions.searchsorted(hi, "right")

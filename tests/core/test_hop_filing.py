@@ -25,6 +25,7 @@ from repro.routing.messages import RoutedMessage
 from repro.sim.engine import NodeContext
 from repro.sim.hopplane import HopPlane
 from repro.sim.network import Network
+from repro.util.intervals import ring_distance
 
 from .nodectx import make_ctx, make_services
 
@@ -139,7 +140,12 @@ class TestEvenFiling:
         filed, expected = run(params, 0.5, RING, hops, t=10)
         same(filed, expected)
         assert len(filed) == 6
-        assert ME not in filed[1][1] and len(filed[1][1]) == len(filed[4][1])
+        # Each final window is exactly the members within the swarm radius.
+        def inside(x):
+            return [v for v, p in RING.items() if ring_distance(p, x) <= params.swarm_radius]
+
+        assert ME not in filed[1][1] and sorted(filed[1][1]) == inside(0.5)
+        assert sorted(filed[4][1]) == inside(0.25)
 
     @pytest.mark.parametrize("pos", [0.0, 0.995, 0.14])
     def test_self_inside_a_wrapped_window(self, params, pos):
@@ -371,8 +377,9 @@ def same_object_lane(a, b):
     assert [(s, d, type(m)) for s, d, m in a] == [(s, d, type(m)) for s, d, m in b]
     for (_, _, x), (_, _, y) in zip(a, b):
         if isinstance(x, CreateBatch):
-            assert x.epoch == y.epoch
-            assert np.array_equal(x.nodes, y.nodes) and np.array_equal(x.poses, y.poses)
+            assert (x.target, x.epoch) == (y.target, y.epoch)
+            assert x.index.ids_list == y.index.ids_list
+            assert np.array_equal(x.index.sorted_positions, y.index.sorted_positions)
         else:
             assert x == y
 

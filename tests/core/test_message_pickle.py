@@ -23,8 +23,11 @@ from repro.core.messages import (
     TokenGrant,
     TokenMsg,
 )
+from repro.overlay.positions import PositionIndex
 from repro.routing.messages import RoutedMessage, make_routed_message
 from repro.sim.engine import JoinNotice
+from repro.sim.epochs import EpochCache
+from repro.util.rngs import RngService
 
 RECS = (JoinRecord(3, 0.25, 9), JoinRecord(4, 0.75, 9))
 
@@ -32,9 +35,7 @@ RECS = (JoinRecord(3, 0.25, 9), JoinRecord(4, 0.75, 9))
 SAMPLES = [
     RECS[0],
     JoinBatch(RECS),
-    CreateBatch(
-        np.array([3, 70_000], dtype=np.int32), np.array([0.25, 0.75]), epoch=9
-    ),
+    CreateBatch(PositionIndex({3: 0.25, 70_000: 0.75}), target=3, epoch=9),
     TokenMsg(7),
     ConnectMsg(8),
     TokenGrant((1, 2, 3)),
@@ -56,15 +57,21 @@ PROTOCOLS = range(2, pickle.HIGHEST_PROTOCOL + 1)
 
 
 def same_field(a, b) -> bool:
-    """Field equality; array columns also have to agree in dtype."""
+    """Field equality; array columns also have to agree in dtype, and a
+    position index in both sorted columns."""
     if isinstance(a, np.ndarray):
         return isinstance(b, np.ndarray) and a.dtype == b.dtype and np.array_equal(a, b)
+    if isinstance(a, PositionIndex):
+        return isinstance(b, PositionIndex) and all(
+            same_field(x, y)
+            for x, y in ((a.ids, b.ids), (a.sorted_positions, b.sorted_positions))
+        )
     return a == b
 
 
 def same(a, b) -> bool:
     """Value equality of two messages (``CreateBatch`` itself compares by
-    identity, so it is compared column by column)."""
+    identity, so it is compared field by field)."""
     return type(a) is type(b) and all(
         same_field(getattr(a, f.name), getattr(b, f.name))
         for f in dataclasses.fields(a)
@@ -133,14 +140,17 @@ def test_shared_records_inside_messages_stay_shared():
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_pickled_create_batch_view_carries_only_its_slice(protocol):
-    # The producer cuts every batch of one handover index out of one flat
-    # array pair; a worker-bound batch must not drag that pair along.
-    def pickled_size(flat_len: int) -> int:
-        nodes = np.arange(flat_len, dtype=np.int32)
-        poses = np.full(flat_len, 0.25)
-        batch = CreateBatch(nodes[5:9], poses[5:9], 9)
-        assert np.shares_memory(batch.nodes, nodes)
-        assert np.shares_memory(batch.poses, poses)
+    # A batch's index is a view carved out of its epoch's slab, and its
+    # scratch refers to the epoch's whole position table; a worker-bound
+    # batch carries the index's own two columns only.
+    def pickled_size(slab_len: int) -> int:
+        cache = EpochCache(RngService(1).position_hash())
+        members = {v: v / 10 for v in range(5, 9)}
+        table = {v: (v + 0.5) / slab_len for v in range(slab_len)} | members
+        cache.index_for(9, frozenset(table), table)
+        index = cache.index_for(9, frozenset(members), members)
+        assert index.scratch["carved"][1] is cache.table(9)
+        batch = CreateBatch(index, 5, 9)
         assert same(pickle.loads(pickle.dumps(batch, protocol)), batch)
         return len(pickle.dumps(batch, protocol))
 

@@ -108,7 +108,7 @@ class TestRecordEdgeCases:
         node = MaintenanceNode(1, services)
         node.phase = Phase.FRESH
         e = params.lam + 6
-        batch = create_batch([(2, 0.3)], e)
+        batch = create_batch(services, 1, [2], e)
         ctx, _ = make_ctx(node, services, 2 * e, [(9, batch)])
         node.on_round(ctx)
         assert node.phase is Phase.ESTABLISHED
@@ -117,7 +117,7 @@ class TestRecordEdgeCases:
     def test_own_record_excluded_from_neighbors(self, services, params):
         node = MaintenanceNode(1, services)
         e = params.lam + 6
-        batch = create_batch([(1, 0.4), (2, 0.3)], e)
+        batch = create_batch(services, 1, [1, 2], e)
         ctx, _ = make_ctx(node, services, 2 * e, [(9, batch)])
         node.on_round(ctx)
         assert 1 not in node.d_nbrs and 2 in node.d_nbrs
@@ -144,14 +144,14 @@ class TestAllEmptyCreateInbox:
     """CREATE batches without entries introduce nobody, so an inbox of only
     such batches is handled like one without any batch."""
 
-    def empty_inbox(self, e):
-        return [(9, create_batch([], e)), (10, create_batch([], e))]
+    def empty_inbox(self, services, e):
+        return [(src, create_batch(services, 1, [], e)) for src in (9, 10)]
 
     def test_demotes_once_cutovers_are_due(self, services, params):
         node = MaintenanceNode(1, services)
         node.prime(epoch=0, pos=0.5, neighbors={2: 0.51})
         e = params.lam + 2
-        ctx, _ = make_ctx(node, services, 2 * e, self.empty_inbox(e))
+        ctx, _ = make_ctx(node, services, 2 * e, self.empty_inbox(services, e))
         node.on_round(ctx)
         assert node.phase is Phase.FRESH
         assert node.demotions == 1
@@ -161,7 +161,7 @@ class TestAllEmptyCreateInbox:
         node = MaintenanceNode(1, services)
         node.prime(epoch=0, pos=0.5, neighbors={2: 0.51})
         e = params.lam + 1
-        ctx, _ = make_ctx(node, services, 2 * e, self.empty_inbox(e))
+        ctx, _ = make_ctx(node, services, 2 * e, self.empty_inbox(services, e))
         node.on_round(ctx)
         assert node.phase is Phase.ESTABLISHED
         assert node.epoch == 0 and node.d_nbrs == {2: 0.51}
@@ -171,7 +171,7 @@ class TestAllEmptyCreateInbox:
         node = MaintenanceNode(1, services)
         node.phase = Phase.FRESH
         e = params.lam + 6
-        ctx, _ = make_ctx(node, services, 2 * e, self.empty_inbox(e))
+        ctx, _ = make_ctx(node, services, 2 * e, self.empty_inbox(services, e))
         node.on_round(ctx)
         assert node.phase is Phase.FRESH and node.epoch is None
 
@@ -199,7 +199,7 @@ class TestPipelineBookkeeping:
         node.phase = Phase.FRESH
         node.tokens = [(1000, 5), (1000, 6), (1000, 7)]
         e = params.lam + 6
-        ctx, _ = make_ctx(node, services, 2 * e, [(9, create_batch([(2, 0.3)], e))])
+        ctx, _ = make_ctx(node, services, 2 * e, [(9, create_batch(services, 1, [2], e))])
         node.on_round(ctx)
         assert node.phase is Phase.ESTABLISHED
         ctx, net = make_ctx(node, services, 2 * e + 2, [])

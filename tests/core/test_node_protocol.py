@@ -63,12 +63,12 @@ class TestPhases:
         node = MaintenanceNode(1, services)
         node.phase = Phase.FRESH
         e = params.lam + 5
-        batch = create_batch([(10 + i, 0.1 * i) for i in range(3)], e)
+        batch = create_batch(services, 1, [10, 11, 12], e)
         ctx, _ = make_ctx(node, services, 2 * e, [(2, batch)])
         node.on_round(ctx)
         assert node.phase is Phase.ESTABLISHED
         assert node.epoch == e
-        assert set(node.d_nbrs) == {10, 11, 12}
+        assert list(node.d_nbrs) == [10, 11, 12]
         assert node.pos == services.position_hash.position(1, e)
 
     def test_missed_cutover_demotes(self, services, params):
@@ -92,7 +92,7 @@ class TestPhases:
     def test_stale_epoch_records_ignored(self, services, params):
         node = MaintenanceNode(1, services)
         e = params.lam + 5
-        batch = create_batch([(10, 0.4)], e - 1)  # wrong epoch
+        batch = create_batch(services, 1, [10], e - 1)  # wrong epoch
         ctx, _ = make_ctx(node, services, 2 * e, [(2, batch)])
         node.on_round(ctx)
         assert node.phase is Phase.NEW

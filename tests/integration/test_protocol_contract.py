@@ -208,9 +208,9 @@ def test_decreasing_epoch_fails():
 def test_cutover_that_neither_installs_nor_demotes_fails(monkeypatch):
     cutover = node_mod.MaintenanceNode._cutover
 
-    def stuck(self, ctx, e, creates):
+    def stuck(self, ctx, e, records):
         if self.id != 0:
-            cutover(self, ctx, e, creates)
+            cutover(self, ctx, e, records)
 
     monkeypatch.setattr(node_mod.MaintenanceNode, "_cutover", stuck)
     with _sim("steady") as sim, pytest.raises(

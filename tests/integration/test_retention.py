@@ -8,22 +8,23 @@ parities:
 * the trace's readers answer from the reduced rows exactly what the per-copy
   loop over the round's *send-order* columns answers (kept aside here by
   wrapping ``Network.close_send_phase``), dict key order included;
-* **retention** — the CREATE plans die with their round, a retained round
-  is never longer than ``|V_t|²`` rows, and a churned run's trace keeps
-  ``E_t``, ``V_t``, joins and leaves for the newest ``edge_depth`` rounds
-  only.
+* **retention** — the CREATE batches die with the cutover that reads
+  them, a retained round is never longer than ``|V_t|²`` rows, and a
+  churned run's trace keeps ``E_t``, ``V_t``, joins and leaves for the
+  newest ``edge_depth`` rounds only.
 """
 
 from __future__ import annotations
+
+import gc
 
 import pytest
 
 from repro.adversary.base import Adversary, ChurnDecision, JoinRequest
 from repro.adversary.view import AdversaryView
 from repro.config import ProtocolParams
+from repro.core.messages import CreateBatch
 from repro.core.runner import MaintenanceSimulation
-
-ROUND_LOCAL = ("create_batches",)
 
 
 @pytest.fixture(scope="module")
@@ -85,29 +86,25 @@ def test_readers_of_a_retained_round_match_the_per_copy_loops(live):
         assert list(zip(srcs.tolist(), dsts.tolist())) == list(dict.fromkeys(copies))
 
 
-def test_round_local_memos_die_with_their_round(live):
+def test_create_messages_die_with_their_cutover(live):
     sim, _ = live
     eng = sim.engine
-    cache = eng.services.epoch_cache
-    seen = set()
+    after_even, after_odd = set(), []
     for _ in range(4):  # two rounds of each parity
         sim.run(1)
-        seen.update(purpose for _, purpose in cache._round)
-        indexes = [idx for per_epoch in cache._interned.values() for idx in per_epoch.values()]
-        indexes += [eng.protocol_of(v)._d_index for v in eng.alive]
-        assert indexes
-        for index in indexes:
-            if index is not None:
-                assert not set(index.scratch) & set(ROUND_LOCAL)
+        gc.collect()
+        batches = sum(isinstance(o, CreateBatch) for o in gc.get_objects())
+        if eng.round % 2 == 0:  # sent by the odd round just run, in flight
+            after_odd.append(batches)
+        else:
+            after_even.add(batches)
         alive = len(eng.alive)
         for t in range(eng.round - eng.trace.edge_depth, eng.round):
             assert len(eng.trace.edges_at(t).columns()[0]) <= alive * alive
-    # The memo was in use, on the per-round scratch ...
-    assert seen == set(ROUND_LOCAL)
-    # ... which the next round's first act empties.
-    assert cache._round
-    cache.begin_round(eng.round)
-    assert cache._round == {}
+    # Each cutover drops every batch of its round: what survives an even
+    # round is the same few objects held outside this run.
+    (kept,) = after_even
+    assert kept <= 2 and all(b > kept + len(eng.alive) for b in after_odd)
 
 
 class _OneInOneOut(Adversary):

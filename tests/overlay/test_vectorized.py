@@ -50,6 +50,30 @@ class TestFloatWrapGuard:
         for i, c in enumerate(centers.tolist()):
             assert (int(a[i]), int(b[i]), bool(wrapped[i])) == idx._bounds(c, radius)
 
+    def test_point_one_ulp_outside_a_wrapped_arc_is_excluded(self):
+        # center + radius rounds onto 0.25 (at magnitude 1), but the point
+        # there is 0.25 + 2**-53 away; the floats just below it are inside
+        # or not exactly as ring_distance says.
+        center, radius = 1.0 - 2.0**-53, 0.25
+        assert (center + radius) % 1.0 == 0.25  # precondition for the edge
+        below = [np.nextafter(0.25, 0.0)]
+        for _ in range(3):
+            below.append(np.nextafter(below[-1], 0.0))
+        points = [0.25, *map(float, below), 0.5]
+        idx = make_index(points)
+        want = brute_within(points, center, radius)
+        assert 0 not in want and want  # 0.25 is outside, some below it inside
+        assert sorted(idx.ids_within(center, radius).tolist()) == want
+        assert sorted(idx.ids_within_list(center, radius)) == want
+        assert idx.count_within(center, radius) == len(want)
+        a, b, wrapped = idx.bounds_many(np.array([center]), radius)
+        assert (int(a[0]), int(b[0]), bool(wrapped[0])) == idx._bounds(center, radius)
+        mirrored = [1.0 - p for p in points[1:]]  # the same case counter-clockwise
+        idx = make_index(mirrored)
+        assert sorted(idx.ids_within(2.0**-53, radius).tolist()) == brute_within(
+            mirrored, 2.0**-53, radius
+        )
+
     @given(st.lists(unit, min_size=1, max_size=30), unit)
     def test_count_never_disagrees_with_ids(self, points, center):
         idx = make_index(points)

@@ -114,23 +114,22 @@ def test_property_fuzz_churn_sequences(phash):
                 assert cache.index_for(epoch, members, pos) is cached
 
 
-def test_round_memo_is_shared_per_index_and_purpose_and_dropped_each_round(phash):
-    """The per-round scratch: one dict per (interned index, purpose), the
-    same object for every holder within a round, gone at ``begin_round`` —
-    whether or not that call also prunes an epoch."""
+def test_covering_slab_maps_outside_indexes_in_by_id(phash):
+    """Carved indexes are subsets already; a private or unpickled one adds
+    the positions it carries (first writer wins), so every member of every
+    index has a slot, in the index's relative order."""
     cache = EpochCache(phash)
     members = frozenset(range(8))
     pos = {v: phash.position(v, 3) for v in members}
-    idx = cache.index_for(3, members, pos)
-    other = cache.index_for(3, frozenset(range(4)), pos)
-    memo = cache.round_memo(idx, "plan")
-    assert memo == {} and cache.round_memo(idx, "plan") is memo
-    memo["x"] = 1
-    assert cache.round_memo(idx, "targets") is not memo
-    assert cache.round_memo(other, "plan") == {}
-    assert "plan" not in idx.scratch  # nothing leaks onto the index itself
-    cache.begin_round(6)  # same epoch as before: no pruning, scratch dropped
-    assert cache.round_memo(idx, "plan") == {}
-    cache.round_memo(idx, "plan")["y"] = 2
-    cache.begin_round(7)
-    assert cache.round_memo(idx, "plan") == {}
+    carved = cache.index_for(3, members, pos)
+    private = PositionIndex({v: phash.position(v, 3) for v in range(5, 12)})
+    stale = cache.index_for(2, frozenset({20, 3}), {20: 0.5, 3: 0.25})
+    slab = cache.covering_slab(3, [carved, private, stale])
+    assert slab is cache.slab(3)
+    assert sorted(slab.ids_list) == [*range(12), 20]
+    assert slab.position(20) == 0.5  # carried by the pruned-epoch index
+    assert slab.position(3) == pos[3]  # already known: the table wins
+    for index in (carved, private):
+        assert [v for v in slab.ids_list if v in index] == index.ids_list
+    # Nothing to add: the same slab object.
+    assert cache.covering_slab(3, [carved, private]) is slab
