@@ -17,7 +17,7 @@ def test_lemma22_connect_bound(run_experiment):
 
 def test_micro_protocol_rounds(benchmark, quick, record_bench):
     """Steady-state cost of one maintenance round (n=48, no churn)."""
-    params = ProtocolParams(n=48, c=1.2, r=2, delta=3, tau=8, seed=1)
+    params = ProtocolParams.calibrated(48, seed=1)
     sim = MaintenanceSimulation(params)
     sim.run(2 * (params.lam + 3))  # reach steady state
 

@@ -105,7 +105,7 @@ def test_scaling_round_cost(benchmark, quick, record_bench, n, workers):
     """Seconds per steady-state round at network size ``n``, ``workers`` shards."""
     if quick and (n, workers) not in QUICK_POINTS:
         pytest.skip(f"(n={n}, workers={workers}) runs only with --full")
-    params = ProtocolParams(n=n, c=1.2, r=2, delta=3, tau=8, seed=1)
+    params = ProtocolParams.calibrated(n, seed=1)
     with MaintenanceSimulation(params, workers=workers) as sim:
         sim.run(2 * (params.lam + 3))  # reach steady state
 
@@ -156,7 +156,7 @@ def test_scaling_round_cost(benchmark, quick, record_bench, n, workers):
 def test_faulted_round_cost(benchmark, quick, record_bench):
     """Seconds per steady-state round under the golden fault mix."""
     n = 128 if quick else 256
-    params = ProtocolParams(n=n, c=1.2, r=2, delta=3, tau=8, seed=1)
+    params = ProtocolParams.calibrated(n, seed=1)
     plan = FaultPlan(
         seed=11,
         messages=(
@@ -190,7 +190,7 @@ def test_monitored_round_cost(benchmark, quick, record_bench):
     a :class:`HealthMonitor` (connectivity audit over two rounds of edges)
     and a topology-reading adversary (``degree_table`` every round)."""
     n = 128 if quick else 256
-    params = ProtocolParams(n=n, c=1.2, r=2, delta=3, tau=8, seed=1)
+    params = ProtocolParams.calibrated(n, seed=1)
     adversary = DegreeTargetAdversary(params, seed=2, top=6, topology_lateness=2)
     monitor = HealthMonitor(params)
     with MaintenanceSimulation(
@@ -224,9 +224,8 @@ def test_churned_round_cost(benchmark, quick, record_bench):
     of ``n/4`` events per 8 rounds), once the churn has filled the join
     pipeline."""
     n = 128 if quick else 256
-    params = ProtocolParams(
-        n=n, c=1.2, r=2, delta=3, tau=8, seed=1,
-        churn_budget_override=n // 4, churn_window_override=8,
+    params = ProtocolParams.calibrated(
+        n, seed=1, churn_budget_override=n // 4, churn_window_override=8
     )
     adversary = RandomChurnAdversary(params, seed=5, intensity=1.0)
     with MaintenanceSimulation(params, adversary, strict_budget=False) as sim:

@@ -14,6 +14,7 @@ from repro.scenarios import (
     get_scenario,
     run_matrix,
     scenario_report,
+    shortened,
     validate_scenario_report,
 )
 
@@ -27,12 +28,14 @@ def test_scenario_experiment(run_experiment):
 def test_parallel_matrix_matches_serial(benchmark, quick, record_bench):
     """Pool fan-out returns the exact serial cells (and gets timed)."""
     names = QUICK_NAMES if quick else tuple(sorted(SCENARIOS))
-    scenarios = tuple(get_scenario(name) for name in names)
+    scenarios = tuple(
+        shortened(get_scenario(name)) if quick else get_scenario(name) for name in names
+    )
     seeds = (0,)
-    serial = run_matrix(scenarios, seeds, workers=1, quick=quick)
+    serial = run_matrix(scenarios, seeds, workers=1)
 
     parallel = benchmark.pedantic(
-        lambda: run_matrix(scenarios, seeds, workers=2, quick=quick),
+        lambda: run_matrix(scenarios, seeds, workers=2),
         rounds=1,
         iterations=1,
     )

@@ -18,9 +18,7 @@ from repro.core.runner import MaintenanceSimulation
 
 def test_soak_long_horizon(benchmark, quick):
     rounds = 100 if quick else 600
-    params = ProtocolParams(
-        n=48, c=1.2, r=2, delta=3, tau=8, seed=41, alpha=0.25, kappa=1.25
-    )
+    params = ProtocolParams.calibrated(48, seed=41, alpha=0.25, kappa=1.25)
     adv = RandomChurnAdversary(params, seed=42)
     sim = MaintenanceSimulation(params, adversary=adv)
     rng = np.random.default_rng(0)

@@ -82,7 +82,7 @@ def main(argv: list[str] | None = None) -> int:
     # Started after the imports, so module code objects are not in the
     # picture; one frame attributes a block to the line that allocated it.
     tracemalloc.start()
-    params = ProtocolParams(n=args.n, c=1.2, r=2, delta=3, tau=8, seed=1)
+    params = ProtocolParams.calibrated(args.n, seed=1)
     warmup = 2 * (params.lam + 3)
     snapshots = []
     with MaintenanceSimulation(params) as sim:

@@ -40,9 +40,7 @@ def main() -> None:
     parser.add_argument("--chunks", type=int, default=8)
     args = parser.parse_args()
 
-    params = ProtocolParams(
-        n=args.n, c=1.2, r=2, delta=3, tau=8, seed=1, alpha=0.25, kappa=1.25
-    )
+    params = ProtocolParams.calibrated(args.n, seed=1, alpha=0.25, kappa=1.25)
     adversary = make_adversary(args.adversary, params)
     sim = MaintenanceSimulation(params, adversary=adversary)
     rng = np.random.default_rng(0)

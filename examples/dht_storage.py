@@ -24,9 +24,7 @@ def replica_count(sim: MaintenanceSimulation, key: str) -> int:
 
 
 def main() -> None:
-    params = ProtocolParams(
-        n=48, c=1.2, r=2, delta=3, tau=8, seed=3, alpha=0.25, kappa=1.25
-    )
+    params = ProtocolParams.calibrated(48, seed=3, alpha=0.25, kappa=1.25)
     adversary = RandomChurnAdversary(params, seed=4)
     sim = MaintenanceSimulation(params, adversary=adversary, node_cls=DHTNode)
 

@@ -30,7 +30,7 @@ Quickstart::
     assert sim.probe_report().delivery_rate == 1.0
 """
 
-from repro.config import ProtocolParams, default_params, env_flag
+from repro.config import ProtocolParams, env_flag
 from repro.core import MaintenanceNode, MaintenanceSimulation, Phase
 from repro.overlay import LDGGraph, LDSGraph, PositionIndex, build_lds
 from repro.routing import GreedyRouter, SeriesRouter
@@ -52,7 +52,6 @@ __all__ = [
     "ProtocolParams",
     "SeriesRouter",
     "build_lds",
-    "default_params",
     "env_flag",
     "__version__",
 ]

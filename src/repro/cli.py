@@ -19,8 +19,10 @@ Commands
     Named adversity scenarios (network conditions x churn x adversary).
     ``--list`` prints the registry; ``run`` executes the named scenarios
     and prints their recovery reports (time to first degradation,
-    degraded-round fraction, time to recover, routing-stretch p50/p95/p99);
-    ``matrix`` runs the whole registry.  ``--seeds S,S`` and ``--workers W``
+    degraded-round fraction, time to recover, routing-stretch p50/p95/p99)
+    with each cell's pass verdict, exiting non-zero when any cell fails;
+    ``matrix`` runs the whole registry, ``--full`` at full length (quick
+    runs stop 24 rounds past bootstrap).  ``--seeds S,S`` and ``--workers W``
     fan the grid over a process pool — output is identical for any worker
     count — and ``--out PATH`` writes the schema-validated JSON report.
 ``profile [--n N] [--rounds R] [--seed S] [--churn P]``
@@ -122,13 +124,17 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
     import json
 
     from repro.scenarios import (
+        ROW_HEADER,
         SCENARIOS,
         all_scenarios,
+        cell_row,
         get_scenario,
         run_matrix,
         scenario_report,
+        shortened,
         validate_scenario_report,
     )
+    from repro.util.tables import format_table
 
     if args.list or args.action is None:
         if args.action is not None:
@@ -160,25 +166,14 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
             raise SystemExit(f"--seeds expects comma-separated ints, got {args.seeds!r}")
     if not seeds:
         raise SystemExit("--seeds must name at least one seed")
-    scenarios = tuple(get_scenario(name) for name in names)
-    cells = run_matrix(scenarios, seeds, workers=args.workers, quick=not args.full)
-    print(
-        f"{'scenario':>20}  {'seed':>4}  {'deliv':>5}  {'p95':>5}  "
-        f"{'events':>6}  {'degraded':>8}  {'recover':>7}  fingerprint"
-    )
-    for cell in cells:
-        stretch = cell["stretch"]
-        recovery = cell["recovery"]
-        deliv = cell["probes"]["delivery_rate"]
-        ttr = recovery["time_to_recover"]
-        print(
-            f"{cell['scenario']:>20}  {cell['seed']:>4}  "
-            f"{'-' if deliv is None else format(deliv, '.2f'):>5}  "
-            f"{'-' if stretch is None else format(stretch['p95'], '.2f'):>5}  "
-            f"{recovery['events']:>6}  "
-            f"{recovery['degraded_round_fraction']:>8.3f}  "
-            f"{'-' if ttr is None else ttr:>7}  {cell['fingerprint']}"
-        )
+    scenarios = {
+        name: get_scenario(name) if args.full else shortened(get_scenario(name))
+        for name in names
+    }
+    cells = run_matrix(tuple(scenarios.values()), seeds, workers=args.workers)
+    rows = [cell_row(scenarios[cell["scenario"]], cell) for cell in cells]
+    print(format_table(ROW_HEADER, rows))
+    failed = sum(not row[-1] for row in rows)
     if args.out:
         report = scenario_report(cells)
         validate_scenario_report(report)
@@ -186,6 +181,9 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
             json.dump(report, fh, indent=2)
             fh.write("\n")
         print(f"wrote {args.out}")
+    if failed:
+        print(f"{failed} of {len(cells)} cells failed their pass criterion")
+        return 1
     return 0
 
 

@@ -32,7 +32,7 @@ from typing import Any
 
 from repro.util.bits import num_address_bits
 
-__all__ = ["ProtocolParams", "default_params", "env_flag"]
+__all__ = ["ProtocolParams", "env_flag"]
 
 
 def env_flag(name: str) -> bool:
@@ -89,6 +89,14 @@ class ProtocolParams:
             raise ValueError(f"delta must be at least 1, got {self.delta}")
         if self.tau is not None and self.tau < 1:
             raise ValueError(f"tau must be at least 1, got {self.tau}")
+
+    @classmethod
+    def calibrated(cls, n: int, *, seed: int = 0, **overrides: Any) -> "ProtocolParams":
+        """The small-``n`` constants of every experiment, scenario, example and
+        benchmark (set by the E-AB sweeps); ``overrides`` replace any field."""
+        fields: dict[str, Any] = dict(c=1.2, r=2, delta=3, tau=8, seed=seed)
+        fields.update(overrides)
+        return cls(n=n, **fields)
 
     # ------------------------------------------------------------------
     # Topology
@@ -231,8 +239,3 @@ class ProtocolParams:
             "max_nodes": self.max_nodes,
             "seed": self.seed,
         }
-
-
-def default_params(n: int, seed: int = 0, **overrides: Any) -> ProtocolParams:
-    """The standard parameterisation used by tests, examples and benchmarks."""
-    return ProtocolParams(n=n, seed=seed, **overrides)

@@ -69,6 +69,7 @@ token machinery instead of silently falling out of the overlay.
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from typing import Callable, Sequence
 
 import numpy as np
@@ -187,6 +188,15 @@ class MaintenanceNode(NodeProtocol):
         self._first_epoch: int | None = None
         # Newcomers whose token grant is still owed (token pool was dry).
         self._pending_grants: dict[int, int] = {}  # node id -> expiry round
+
+    def fold_counters(self, totals: Counter[str]) -> None:
+        totals.update(
+            demotions=self.demotions,
+            connects_received=self.connects_received,
+            connects_dropped=self.connects_dropped,
+        )
+        peak = totals["max_connects_in_round"]
+        totals["max_connects_in_round"] = max(peak, self.max_connects_in_round)
 
     # ------------------------------------------------------------------
     # Priming (bootstrap phase, Section 5: D_0 built churn-free via [14])

@@ -14,6 +14,7 @@ an adversary, and provides the audits the evaluation needs:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,7 +107,7 @@ class MaintenanceSimulation:
         else:
             self.initial_graph = prime_initial_overlay(self.engine)
         self._probe_counter = 0
-        self._probe_targets: dict[object, float] = {}
+        self.probe_origins: dict[object, int] = {}
 
     # ------------------------------------------------------------------
     # Execution
@@ -163,8 +164,9 @@ class MaintenanceSimulation:
     def send_probes(self, count: int, rng: np.random.Generator) -> list[object]:
         """Queue ``count`` probes at random established nodes.
 
-        Probes launch at the origin's next even round and are delivered to
-        their target swarm ``2*lam + 2`` rounds after entering the network.
+        Probes launch at the origin's next even round, enter the network
+        with the origin's multicast in the odd round after it, and are
+        delivered to their target swarm ``2*lam + 2`` rounds after that.
         """
         established = sorted(self.established_nodes())
         if not established:
@@ -181,13 +183,13 @@ class MaintenanceSimulation:
             self.engine.forward_node_call(
                 origin, "queue_probe", (probe_id, target)
             )
-            self._probe_targets[probe_id] = target
+            self.probe_origins[probe_id] = origin
             ids.append(probe_id)
         return ids
 
     def probe_report(self, probe_ids: list[object] | None = None) -> ProbeReport:
         """Delivery statistics for the given probes (default: all ever sent)."""
-        wanted = set(probe_ids) if probe_ids is not None else set(self._probe_targets)
+        wanted = set(self.probe_origins if probe_ids is None else probe_ids)
         receivers: dict[object, int] = {p: 0 for p in wanted}
         for node in self.alive_nodes():
             for payload, _round in node.delivered:
@@ -259,20 +261,27 @@ class MaintenanceSimulation:
         )
 
     def health_summary(self) -> dict[str, float]:
-        """One-line health metrics for long-run monitoring."""
+        """One-line health metrics for long-run monitoring.
+
+        The node counters cover every node that ran, departed ones too, so
+        the summary needs ``workers=1``: under sharding the departed nodes'
+        counters stay in the workers.
+        """
+        if self.engine.workers > 1:
+            raise ValueError("health summary requires workers=1")
         alive = self.alive_nodes()
+        totals = Counter(self.engine.metrics.departed)
+        for node in alive:
+            node.fold_counters(totals)
         established = sum(1 for n in alive if n.phase is Phase.ESTABLISHED)
-        summary = {
+        return {
             "round": float(self.round),
             "alive": float(len(alive)),
             "established_fraction": established / max(1, len(alive)),
-            "total_demotions": float(sum(n.demotions for n in alive)),
+            "total_demotions": float(totals["demotions"]),
+            "max_connects_in_round": float(totals["max_connects_in_round"]),
+            "connects_received": float(totals["connects_received"]),
+            "connects_dropped": float(totals["connects_dropped"]),
             "peak_congestion": float(self.engine.metrics.peak_congestion()),
             "mean_congestion": float(self.engine.metrics.mean_congestion()),
         }
-        if self.engine.faults is not None:
-            totals = self.engine.metrics.fault_totals()
-            summary["faults_injected"] = float(totals.injected)
-        if self.health is not None:
-            summary["degradation_events"] = float(len(self.health.events))
-        return summary

@@ -21,12 +21,12 @@ demotions) rather than crashing.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Sequence
 
 from repro.experiments.registry import ExperimentResult, register
 from repro.faults.plan import FaultPlan
-from repro.scenarios.runner import cell_ok, run_matrix
+from repro.scenarios.report import ROW_HEADER, cell_row
+from repro.scenarios.runner import run_matrix
 from repro.scenarios.spec import Scenario, build_params
 
 __all__ = ["run_chaos", "chaos_scenario", "default_cells"]
@@ -65,15 +65,15 @@ def chaos_scenario(cell: Cell, n: int) -> Scenario:
     """
     drop, delay, stall = (str(p).removesuffix(".0") for p in cell)
     drop_p, delay_p, stall_p = cell
-    scenario = Scenario(
+    return Scenario(
         name=f"chaos-d{drop}-y{delay}-s{stall}",
         description=f"E-CH cell: drop {drop}, delay {delay}, stall {stall}",
         plan=FaultPlan.simple(
             drop_p=drop_p, delay_p=delay_p, delay_rounds=DELAY_ROUNDS, stall_p=stall_p
         ),
+        rounds=build_params(n, 0).dilation + 6,
         n=n,
     )
-    return replace(scenario, rounds=build_params(scenario, 0).dilation + 6)
 
 
 @register("E-CH")
@@ -86,23 +86,8 @@ def run_chaos(
     n = 40 if quick else 48
     sweep = list(dict.fromkeys(cells if cells is not None else default_cells(quick)))
     scenarios = [chaos_scenario(cell, n) for cell in sweep]
-    records = {r["scenario"]: r for r in run_matrix(scenarios, (seed,), quick=quick)}
-    rows = []
-    for cell, scenario in zip(sweep, scenarios):
-        record = records[scenario.name]
-        delivery = record["probes"]["delivery_rate"]
-        first = record["recovery"]["time_to_first_degradation"]
-        rows.append(
-            [
-                *cell,
-                "-" if delivery is None else delivery,
-                record["established_fraction"],
-                record["demotions"],
-                record["faults_injected"],
-                "-" if first is None else first,
-                cell_ok(scenario, record),
-            ]
-        )
+    records = {r["scenario"]: r for r in run_matrix(scenarios, (seed,))}
+    rows = [[*cell, *cell_row(s, records[s.name])[2:]] for cell, s in zip(sweep, scenarios)]
     return ExperimentResult(
         experiment_id="E-CH",
         title="Chaos — graceful degradation under drop x delay x stall faults",
@@ -110,22 +95,12 @@ def run_chaos(
         "environmental faults degrade routing and maintenance gracefully, "
         "with health monitoring reporting when and how the LDS breaks "
         "instead of crashing.",
-        header=[
-            "drop",
-            "delay",
-            "stall",
-            "probe delivery",
-            "established frac",
-            "demotions",
-            "faults injected",
-            "first degradation",
-            "ok",
-        ],
+        header=["drop", "delay", "stall", *ROW_HEADER[2:]],
         rows=rows,
         passed=all(row[-1] for row in rows),
         notes=[
             f"n={n}, one generated scenario per cell; faults open after bootstrap "
-            f"(round {build_params(scenarios[0], seed).bootstrap_rounds}) and stay "
+            f"(round {build_params(n, seed).bootstrap_rounds}) and stay "
             f"open; delay adds {DELAY_ROUNDS} round(s); first degradation counts "
             "rounds after the faults open",
             "the zero cell gates on the paper's thresholds; the others gate "

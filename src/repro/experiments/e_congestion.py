@@ -6,6 +6,10 @@ across a range of ``n`` with the protocol's Theta(log n) parameter scalings
 message count, and check the *shape*: the measured congestion divided by
 ``lam^3`` must stay within a constant band, while any polynomial model
 ``n^eps`` would drift.  A log-power fit reports the exponent.
+
+It stays a hand loop rather than a scenario cell: it scales ``delta`` and
+``tau`` with ``n`` where every scenario runs the calibrated constants, and
+it reads the per-round send counts of a steady-state window.
 """
 
 from __future__ import annotations
@@ -22,13 +26,8 @@ __all__ = ["run_congestion"]
 
 def _measure(n: int, seed: int) -> tuple[int, float, float]:
     lam = ProtocolParams(n=n, seed=seed).lam
-    params = ProtocolParams(
-        n=n,
-        c=1.2,
-        r=2,
-        delta=max(2, lam // 2),
-        tau=max(4, lam),
-        seed=seed,
+    params = ProtocolParams.calibrated(
+        n, seed=seed, delta=max(2, lam // 2), tau=max(4, lam)
     )
     sim = MaintenanceSimulation(params)
     warmup = 2 * (params.lam + 3)

@@ -9,6 +9,11 @@ so an adversary that decrypts contents with lag ``b < 2*lam + 4`` reads a
 no amount of reconfiguration or swarm redundancy survives a swarm that is
 empty at birth.  At the paper's ``b`` every readable join wave has already
 expired and the same adversary never fires.
+
+It stays a hand loop rather than a scenario cell: the content-late
+adversary needs the run's position hash and its own churn budget (C=60,
+T=12), and its probes all target one fixed point, 0.5, where a cell's
+probes target random points.
 """
 
 from __future__ import annotations
@@ -24,12 +29,8 @@ __all__ = ["run_content_lateness"]
 
 
 def _attack_params(seed: int, quick: bool) -> ProtocolParams:
-    return ProtocolParams(
-        n=48 if quick else 64,
-        c=1.2,
-        r=2,
-        delta=3,
-        tau=8,
+    return ProtocolParams.calibrated(
+        48 if quick else 64,
         seed=seed,
         alpha=0.5,
         kappa=1.5,
@@ -52,7 +53,6 @@ def _attack_run(b: int, seed: int, quick: bool) -> tuple[int, float, float]:
         origin = int(rng.choice(sorted(sim.established_nodes())))
         pid = ("cx5", b, i)
         sim.node(origin).queue_probe(pid, 0.5)
-        sim._probe_targets[pid] = 0.5
         ids.append(pid)
     sim.run(2 * params.dilation + 6)
     report = sim.probe_report(ids)

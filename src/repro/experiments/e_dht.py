@@ -5,6 +5,10 @@ hands the data over at every 2-round reconfiguration.  This experiment
 measures durability: many items stored, then a long budget-maximal churn
 phase with dozens of complete overlay rebuilds, then a full readback.
 Expected shape: zero lost items, replica counts tracking the swarm size.
+
+It stays a hand loop rather than a scenario cell: it runs ``DHTNode``s,
+issues PUTs and GETs mid-run and reads replica stores, none of which a
+cell's record carries.
 """
 
 from __future__ import annotations
@@ -12,10 +16,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.adversary.oblivious import RandomChurnAdversary
-from repro.config import ProtocolParams
 from repro.core.dht import DHTNode
 from repro.core.runner import MaintenanceSimulation
 from repro.experiments.registry import ExperimentResult, register
+from repro.scenarios.spec import build_params
 
 __all__ = ["run_dht_durability"]
 
@@ -25,9 +29,7 @@ def run_dht_durability(quick: bool = True, seed: int = 23) -> ExperimentResult:
     n = 48 if quick else 64
     n_items = 8 if quick else 24
     churn_rounds = 40 if quick else 120
-    params = ProtocolParams(
-        n=n, c=1.2, r=2, delta=3, tau=8, seed=seed, alpha=0.25, kappa=1.25
-    )
+    params = build_params(n, seed)
     adv = RandomChurnAdversary(params, seed=seed + 1)
     sim = MaintenanceSimulation(params, adversary=adv, node_cls=DHTNode)
     rng = np.random.default_rng(seed)

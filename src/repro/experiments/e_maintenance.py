@@ -2,39 +2,61 @@
 
 * **E-L17 (Lemma 17, good swarms)**: under budget-maximal churn, every swarm
   of the maintained overlay keeps at least a 3/4 fraction of members that
-  survive two more rounds (the goodness invariant of Definition 8).
+  survive two more rounds (the goodness invariant of Definition 8).  A hand
+  loop: its mid-run overlay snapshots are not in a cell's record.
 * **E-L22 (Lemma 22, bounded connects)**: no mature node ever receives more
   than ``2*delta`` CONNECTs in a round (slot overflow stays negligible).
 * **E-T14 (Theorem 14, the main result)**: the mature nodes form a routable
   series of overlays for the whole run — measured as structural edge
   coverage, end-to-end probe delivery, and zero overlay fallout — under the
   strongest adversaries the model admits.
+
+E-T14's (adversary, n) pairs are generated scenario cells
+(:func:`theorem14_scenario`) judged by
+:func:`~repro.scenarios.runner.cell_ok`; E-L22 reads the CONNECT counters of
+the ``random`` cell.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.adversary.oblivious import RandomChurnAdversary
-from repro.adversary.swarm_wipe import ContactTraceAdversary, DegreeTargetAdversary
-from repro.config import ProtocolParams
 from repro.core.runner import MaintenanceSimulation
 from repro.experiments.registry import ExperimentResult, register
 from repro.overlay.positions import PositionIndex
+from repro.scenarios.runner import cell_ok, run_matrix, run_scenario_cell
+from repro.scenarios.spec import AdversarySpec, ChurnSpec, Scenario, build_params
 
-__all__ = ["run_lemma17", "run_lemma22", "run_theorem14"]
+__all__ = ["run_lemma17", "run_lemma22", "run_theorem14", "theorem14_scenario"]
+
+#: E-T14's budget-maximal 2-late strategies as (churn, attack) axes.
+ADVERSARIES: dict[str, tuple[ChurnSpec, AdversarySpec]] = {
+    "random": (ChurnSpec("random"), AdversarySpec()),
+    "contact-trace": (ChurnSpec(), AdversarySpec("contact-trace", victim=0)),
+    "degree-target": (ChurnSpec(), AdversarySpec("degree-target", top=6)),
+}
 
 
-def _params(n: int, seed: int) -> ProtocolParams:
-    return ProtocolParams(
-        n=n, c=1.2, r=2, delta=3, tau=8, seed=seed, alpha=0.25, kappa=1.25
+def theorem14_scenario(kind: str, n: int) -> Scenario:
+    """E-T14's cell: one of :data:`ADVERSARIES` on a reliable network.
+
+    It runs three dilations plus 12 rounds past bootstrap (73 rounds in all
+    at n=40), room for both probe waves to land.
+    """
+    churn, attack = ADVERSARIES[kind]
+    return Scenario(
+        name=f"t14-{kind}-n{n}",
+        description=f"E-T14 cell: {kind} adversary at n={n}",
+        churn=churn,
+        attack=attack,
+        rounds=3 * build_params(n, 0).dilation + 12,
+        n=n,
     )
 
 
 @register("E-L17")
 def run_lemma17(quick: bool = True, seed: int = 7) -> ExperimentResult:
     n = 40 if quick else 64
-    params = _params(n, seed)
+    params = build_params(n, seed)
     adv = RandomChurnAdversary(params, seed=seed + 1)
     sim = MaintenanceSimulation(params, adversary=adv)
     sim.run(params.bootstrap_rounds + 4)
@@ -81,100 +103,60 @@ def run_lemma17(quick: bool = True, seed: int = 7) -> ExperimentResult:
 
 @register("E-L22")
 def run_lemma22(quick: bool = True, seed: int = 8) -> ExperimentResult:
-    n = 40 if quick else 64
-    params = _params(n, seed)
-    adv = RandomChurnAdversary(params, seed=seed + 1)
-    sim = MaintenanceSimulation(params, adversary=adv)
-    sim.run((6 if quick else 12) * params.lam)
-    nodes = sim.alive_nodes()
-    max_connects = max(node.max_connects_in_round for node in nodes)
-    total_received = sum(node.connects_received for node in nodes)
-    total_dropped = sum(node.connects_dropped for node in nodes)
-    bound = 2 * params.delta_eff
-    header = ["metric", "value", "bound", "ok"]
-    rows = [
-        ["max CONNECTs at one node in one round", max_connects, f"<= {bound}", max_connects <= bound],
-        ["total CONNECTs received", total_received, "-", True],
-        ["CONNECTs dropped (slot overflow)", total_dropped, "~0", total_dropped <= 0.02 * max(1, total_received)],
-    ]
-    passed = all(bool(r[-1]) for r in rows)
+    scenario = theorem14_scenario("random", 40 if quick else 64)
+    record = run_scenario_cell((scenario, seed))
+    c = record["connects"]
     return ExperimentResult(
         experiment_id="E-L22",
         title="Lemma 22 — mature nodes receive at most 2*delta connects",
         claim="Fresh-node CONNECT load spreads so evenly that the 2*delta "
         "slot bound is (essentially) never exceeded.",
-        header=header,
-        rows=rows,
-        passed=passed,
-        notes=[f"delta={params.delta_eff}, run length {sim.round} rounds"],
+        header=["metric", "value", "bound"],
+        rows=[
+            ["max CONNECTs at one node in one round", c["max_in_round"], f"<= {c['bound']}"],
+            ["total CONNECTs received", c["received"], "-"],
+            ["CONNECTs dropped (slot overflow)", c["dropped"], "<= 2% of received"],
+        ],
+        passed=cell_ok(scenario, record),
+        notes=[
+            f"E-T14's random cell, n={record['n']}, {record['rounds']} rounds; counters "
+            "include departed nodes; verdict: cell_ok (these bounds, delivery, "
+            "edge coverage, demotions)"
+        ],
     )
-
-
-def _theorem14_run(adversary_name: str, n: int, seed: int) -> list:
-    params = _params(n, seed)
-    if adversary_name == "random":
-        adv = RandomChurnAdversary(params, seed=seed + 1)
-    elif adversary_name == "contact-trace":
-        adv = ContactTraceAdversary(params, victim=0, seed=seed + 1, topology_lateness=2)
-    elif adversary_name == "degree-target":
-        adv = DegreeTargetAdversary(params, seed=seed + 1, top=6, topology_lateness=2)
-    else:  # pragma: no cover - defensive
-        raise ValueError(adversary_name)
-    sim = MaintenanceSimulation(params, adversary=adv)
-    rng = np.random.default_rng(seed)
-    sim.run(params.bootstrap_rounds + 6)
-    ids = list(sim.send_probes(6, rng))
-    sim.run(params.dilation + 2)
-    ids += sim.send_probes(6, rng)
-    sim.run(2 * params.dilation + 4)
-    probe = sim.probe_report(ids)
-    audit = sim.audit_overlay()
-    health = sim.health_summary()
-    ok = (
-        probe.delivery_rate >= 0.95
-        and audit.edge_coverage >= 0.99
-        and health["total_demotions"] <= 1
-    )
-    return [
-        adversary_name,
-        n,
-        sim.round,
-        health["established_fraction"],
-        audit.edge_coverage,
-        probe.delivery_rate,
-        int(health["total_demotions"]),
-        int(health["peak_congestion"]),
-        ok,
-    ]
 
 
 @register("E-T14")
 def run_theorem14(quick: bool = True, seed: int = 9) -> ExperimentResult:
     sizes = [40] if quick else [48, 64]
-    adversaries = ["random", "contact-trace", "degree-target"]
-    header = [
-        "adversary",
-        "n",
-        "rounds",
-        "established frac",
-        "edge coverage",
-        "probe delivery",
-        "demotions",
-        "peak congestion",
-        "ok",
-    ]
+    grid = [(kind, theorem14_scenario(kind, n)) for n in sizes for kind in ADVERSARIES]
+    records = {r["scenario"]: r for r in run_matrix([s for _, s in grid], (seed,))}
     rows = []
-    for n in sizes:
-        for name in adversaries:
-            rows.append(_theorem14_run(name, n, seed))
-    passed = all(bool(r[-1]) for r in rows)
+    for kind, scenario in grid:
+        r = records[scenario.name]
+        p = r["probes"]
+        rows.append([
+            kind, r["n"], r["rounds"], r["established_fraction"], r["edge_coverage"],
+            p["delivery_rate"], p["origin_left"], r["demotions"], r["peak_congestion"],
+            cell_ok(scenario, r),
+        ])
     return ExperimentResult(
         experiment_id="E-T14",
         title="Theorem 14 — a routable overlay under a (2, O(log n))-late adversary",
         claim="The mature nodes form a routable series of overlays (full "
         "Definition-5 edge coverage + end-to-end delivery) against every "
         "budget-maximal 2-late strategy.",
-        header=header,
+        header=[
+            "adversary", "n", "rounds", "established frac", "edge coverage",
+            "probe delivery", "origin left", "demotions", "peak congestion", "ok",
+        ],
         rows=rows,
-        passed=passed,
+        passed=all(row[-1] for row in rows),
+        notes=[
+            f"one scenario cell per row, seed {seed}: two 6-probe waves, one audit at "
+            "the end; ok = cell_ok (delivery >= 0.95, edge coverage >= 0.99, "
+            "demotions <= 1, Lemma 22's bounds)",
+            "origin left = probes whose origin left before multicasting them "
+            "(never sent, so outside the delivery rate)",
+        ],
     )

@@ -7,7 +7,8 @@ and targeted attacks — and reports the recovery profile of each: probe
 delivery, routing-stretch percentiles, time to first degradation,
 degraded-round fraction and time to recover after the fault windows close.
 Both experiments share the runner's pass criterion,
-:func:`~repro.scenarios.runner.cell_ok`.
+:func:`~repro.scenarios.runner.cell_ok`, and the row of a cell,
+:func:`~repro.scenarios.report.cell_row`.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.experiments.registry import ExperimentResult, register
-from repro.scenarios.registry import SCENARIOS, get_scenario
-from repro.scenarios.runner import cell_ok, run_matrix
+from repro.scenarios.registry import SCENARIOS, get_scenario, shortened
+from repro.scenarios.report import ROW_HEADER, cell_row
+from repro.scenarios.runner import run_matrix
 
 __all__ = ["run_scenarios_experiment", "QUICK_NAMES"]
 
@@ -35,38 +37,12 @@ def run_scenarios_experiment(
     subset = " (quick subset)" if names is None and quick else ""
     if names is None:
         names = QUICK_NAMES if quick else sorted(SCENARIOS)
-    scenarios = {name: get_scenario(name) for name in names}
-    cells = run_matrix(tuple(scenarios.values()), (seed,), quick=quick)
-    header = [
-        "scenario",
-        "delivery",
-        "stretch p95",
-        "events",
-        "degraded frac",
-        "recover",
-        "faults",
-        "churn",
-        "ok",
-    ]
-    rows = []
-    for cell in cells:
-        probes = cell["probes"]
-        stretch = cell["stretch"]
-        recovery = cell["recovery"]
-        ttr = recovery["time_to_recover"]
-        rows.append(
-            [
-                cell["scenario"],
-                "-" if probes["delivery_rate"] is None else round(probes["delivery_rate"], 2),
-                "-" if stretch is None else round(stretch["p95"], 2),
-                recovery["events"],
-                round(recovery["degraded_round_fraction"], 3),
-                "-" if ttr is None else ttr,
-                cell["faults_injected"],
-                cell["churn_events"],
-                cell_ok(scenarios[cell["scenario"]], cell),
-            ]
-        )
+    scenarios = {
+        name: shortened(get_scenario(name)) if quick else get_scenario(name)
+        for name in names
+    }
+    cells = run_matrix(tuple(scenarios.values()), (seed,))
+    rows = [cell_row(scenarios[cell["scenario"]], cell) for cell in cells]
     return ExperimentResult(
         experiment_id="E-SC",
         title="Scenario matrix — recovery under named composed adversity",
@@ -74,12 +50,12 @@ def run_scenarios_experiment(
         "every named adversity scenario executes its composed faults, churn "
         "and attacks deterministically and reports how the overlay degrades "
         "and recovers rather than crashing.",
-        header=header,
+        header=ROW_HEADER,
         rows=rows,
         passed=all(row[-1] for row in rows),
         notes=[
             f"{len(cells)} scenario cells at seed {seed}{subset}",
-            "cells with no adversity configured gate on the paper's "
-            "thresholds; the others gate on their adversity firing",
+            "ok = cell_ok: the paper's thresholds on a reliable network, "
+            "the faults firing otherwise",
         ],
     )

@@ -7,17 +7,19 @@ frozen, JSON-serializable experiment:
 * :mod:`repro.scenarios.spec` — the :class:`Scenario` dataclass and its
   builders (params, materialized plan, composed adversary);
 * :mod:`repro.scenarios.registry` — the named matrix (``calm`` through
-  ``churn-loss``);
+  ``churn-loss``) and its quick-run cut;
 * :mod:`repro.scenarios.runner` — pool-parallel, worker-count-invariant
-  execution of registry and generated scenarios alike, with probe waves,
-  recovery metrics and the one pass criterion;
+  execution of registry and generated scenarios (E-CH, E-T14) alike, with
+  probe waves, recovery metrics and the one pass criterion;
 * :mod:`repro.scenarios.report` — the versioned recovery-report schema CI
   validates.
 """
 
-from repro.scenarios.registry import SCENARIOS, all_scenarios, get_scenario
+from repro.scenarios.registry import SCENARIOS, all_scenarios, get_scenario, shortened
 from repro.scenarios.report import (
+    ROW_HEADER,
     SCHEMA,
+    cell_row,
     scenario_report,
     validate_scenario_report,
 )
@@ -33,6 +35,7 @@ from repro.scenarios.spec import (
 
 __all__ = [
     "PROBES_PER_WAVE",
+    "ROW_HEADER",
     "SCENARIOS",
     "SCHEMA",
     "AdversarySpec",
@@ -42,10 +45,12 @@ __all__ = [
     "build_adversary",
     "build_params",
     "cell_ok",
+    "cell_row",
     "get_scenario",
     "materialize_plan",
     "run_matrix",
     "run_scenario_cell",
     "scenario_report",
+    "shortened",
     "validate_scenario_report",
 ]

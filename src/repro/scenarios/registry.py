@@ -10,6 +10,8 @@ scenario records embed the exact JSON of the entry they ran.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.faults.plan import (
     AsymmetricPartition,
     FaultPlan,
@@ -21,7 +23,7 @@ from repro.faults.plan import (
 )
 from repro.scenarios.spec import AdversarySpec, ChurnSpec, Scenario
 
-__all__ = ["SCENARIOS", "get_scenario", "all_scenarios"]
+__all__ = ["SCENARIOS", "get_scenario", "all_scenarios", "shortened"]
 
 #: Regional delay classes used by the geography scenarios: three bands,
 #: adjacent bands 2 rounds apart, opposite bands 4.
@@ -119,3 +121,8 @@ def get_scenario(name: str) -> Scenario:
 def all_scenarios() -> tuple[Scenario, ...]:
     """Every registry entry, in stable name order."""
     return tuple(SCENARIOS[name] for name in sorted(SCENARIOS))
+
+
+def shortened(scenario: Scenario) -> Scenario:
+    """The quick run of ``scenario``: at most 24 rounds past bootstrap."""
+    return replace(scenario, rounds=min(scenario.rounds, 24))

@@ -4,16 +4,20 @@ A report wraps the cell records of :mod:`repro.scenarios.runner` under a
 versioned schema tag.  :func:`validate_scenario_report` is the same
 validator CI's ``scenario-smoke`` job runs against the emitted file — a
 report that passes here is a report every downstream consumer (benchmark
-embedding, SLO tooling) can rely on.
+embedding, SLO tooling) can rely on.  :func:`cell_row` is the one table row
+of a cell that E-SC, E-CH and ``repro scenario`` print.
 """
 
 from __future__ import annotations
 
 from typing import Any, Mapping
 
-__all__ = ["SCHEMA", "scenario_report", "validate_scenario_report"]
+from repro.scenarios.runner import cell_ok
+from repro.scenarios.spec import Scenario
 
-SCHEMA = "repro/scenario-report/v1"
+__all__ = ["ROW_HEADER", "SCHEMA", "cell_row", "scenario_report", "validate_scenario_report"]
+
+SCHEMA = "repro/scenario-report/v2"
 
 #: Required top-level fields of every cell record.
 _CELL_FIELDS = (
@@ -26,13 +30,17 @@ _CELL_FIELDS = (
     "stretch",
     "recovery",
     "established_fraction",
+    "edge_coverage",
+    "demotions",
+    "peak_congestion",
+    "connects",
     "faults_injected",
     "churn_events",
     "fingerprint",
     "plan",
 )
 
-_PROBE_FIELDS = ("launched", "delivered", "delivery_rate")
+_PROBE_FIELDS = ("launched", "origin_left", "delivered", "delivery_rate")
 _RECOVERY_FIELDS = (
     "time_to_first_degradation",
     "degraded_round_fraction",
@@ -41,6 +49,38 @@ _RECOVERY_FIELDS = (
     "events",
 )
 _STRETCH_FIELDS = ("p50", "p95", "p99")
+_CONNECT_FIELDS = ("max_in_round", "received", "dropped", "bound")
+
+
+#: The columns of :func:`cell_row`.
+ROW_HEADER = [
+    "scenario", "seed", "delivery", "stretch p95", "established", "demotions",
+    "events", "first degradation", "degraded frac", "recover", "faults", "churn",
+    "fingerprint", "ok",
+]
+
+
+def cell_row(scenario: Scenario, cell: dict[str, Any]) -> list[Any]:
+    """``scenario``'s cell record as one table row (E-SC, E-CH, ``repro scenario``)."""
+    delivery, stretch = cell["probes"]["delivery_rate"], cell["stretch"]
+    recovery = cell["recovery"]
+    first, ttr = recovery["time_to_first_degradation"], recovery["time_to_recover"]
+    return [
+        cell["scenario"],
+        cell["seed"],
+        "-" if delivery is None else round(delivery, 2),
+        "-" if stretch is None else round(stretch["p95"], 2),
+        cell["established_fraction"],
+        cell["demotions"],
+        recovery["events"],
+        "-" if first is None else first,
+        round(recovery["degraded_round_fraction"], 3),
+        "-" if ttr is None else ttr,
+        cell["faults_injected"],
+        cell["churn_events"],
+        cell["fingerprint"],
+        cell_ok(scenario, cell),
+    ]
 
 
 def scenario_report(cells: list[dict[str, Any]]) -> dict[str, Any]:
@@ -78,11 +118,26 @@ def validate_scenario_report(doc: Mapping[str, Any]) -> None:
         window = cell["fault_window"]
         if not isinstance(window, (list, tuple)) or len(window) != 2:
             raise ValueError(f"{where}.fault_window must be a [open, close] pair")
-        frac = cell["recovery"]["degraded_round_fraction"]
-        if not isinstance(frac, (int, float)) or not 0.0 <= float(frac) <= 1.0:
-            raise ValueError(
-                f"{where}.recovery.degraded_round_fraction must lie in [0, 1]"
-            )
+        connects = cell["connects"]
+        _require(connects, _CONNECT_FIELDS, f"{where}.connects")
+        fractions = {
+            "recovery.degraded_round_fraction": cell["recovery"]["degraded_round_fraction"],
+            "edge_coverage": cell["edge_coverage"],
+        }
+        for name, value in fractions.items():
+            if not isinstance(value, (int, float)) or not 0.0 <= float(value) <= 1.0:
+                raise ValueError(f"{where}.{name} must lie in [0, 1]")
+        counts = {
+            "probes.origin_left": cell["probes"]["origin_left"],
+            "demotions": cell["demotions"],
+            "peak_congestion": cell["peak_congestion"],
+            **{f"connects.{name}": connects[name] for name in _CONNECT_FIELDS},
+        }
+        for name, value in counts.items():
+            if type(value) is not int or value < 0:
+                raise ValueError(f"{where}.{name} must be a non-negative int")
+        if connects["dropped"] > connects["received"]:
+            raise ValueError(f"{where}.connects.dropped exceeds connects.received")
         if not isinstance(cell["fingerprint"], str) or len(cell["fingerprint"]) != 32:
             raise ValueError(f"{where}.fingerprint must be a 32-hex-char digest")
         if not isinstance(cell["plan"], Mapping):

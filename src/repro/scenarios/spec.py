@@ -146,11 +146,9 @@ class Scenario:
         )
 
 
-def build_params(scenario: Scenario, seed: int) -> ProtocolParams:
-    """The protocol parameters of every scenario run, E-CH's generated cells included."""
-    return ProtocolParams(
-        n=scenario.n, c=1.2, r=2, delta=3, tau=8, seed=seed, alpha=0.25, kappa=1.25
-    )
+def build_params(n: int, seed: int) -> ProtocolParams:
+    """The protocol parameters of every scenario run, generated cells included."""
+    return ProtocolParams.calibrated(n, seed=seed, alpha=0.25, kappa=1.25)
 
 
 def materialize_plan(

@@ -20,6 +20,7 @@ protocol can peek at global state.
 from __future__ import annotations
 
 import abc
+from collections import Counter
 from dataclasses import dataclass
 from itertools import groupby
 from operator import add
@@ -197,6 +198,9 @@ class NodeProtocol(abc.ABC):
         for node, ctx in batch:
             node.on_round(ctx)
         return ()
+
+    def fold_counters(self, totals: Counter[str]) -> None:
+        """Add this node's lifetime counters to ``totals`` (the default has none)."""
 
 
 ProtocolFactory = Callable[[int, EngineServices], NodeProtocol]
@@ -401,7 +405,10 @@ class Engine:
 
         for v in decision.leaves:
             self.lifecycle.remove(v, t)
-            self._protocols.pop(v, None)
+            gone = self._protocols.pop(v, None)
+            if gone is not None and self.workers == 1:
+                # Under sharding the master holds only a stale snapshot.
+                gone.fold_counters(self.metrics.departed)
             self._rngs.pop(v, None)
         join_notices: dict[int, list[JoinNotice]] = {}
         for j in decision.joins:

@@ -8,6 +8,7 @@ without retaining per-node-per-round matrices (memory stays O(rounds + n)).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,9 +64,11 @@ class RoundMetrics:
 
 @dataclass
 class MetricsCollector:
-    """Accumulates per-round aggregates over a run."""
+    """Accumulates per-round aggregates over a run, and ``departed``: the
+    lifetime counters of the nodes that left (``NodeProtocol.fold_counters``)."""
 
     history: list[RoundMetrics] = field(default_factory=list)
+    departed: Counter[str] = field(default_factory=Counter)
 
     def record_round(
         self,

@@ -62,9 +62,7 @@ class TestLateness:
         from repro.config import ProtocolParams
         from repro.core.runner import MaintenanceSimulation
 
-        params = ProtocolParams(
-            n=24, c=1.2, r=2, delta=3, tau=8, seed=5, alpha=0.25, kappa=1.25
-        )
+        params = ProtocolParams.calibrated(24, seed=5, alpha=0.25, kappa=1.25)
         with MaintenanceSimulation(params) as sim:
             sim.run(2 * (params.lam + 3))
             eng = sim.engine

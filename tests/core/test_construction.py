@@ -92,7 +92,7 @@ class TestEndToEnd:
 
 class TestMaintenanceIntegration:
     def test_maintenance_runs_on_constructed_bootstrap(self):
-        params = ProtocolParams(n=48, c=1.2, r=2, delta=3, tau=8, seed=9)
+        params = ProtocolParams.calibrated(48, seed=9)
         sim = MaintenanceSimulation(params, distributed_bootstrap=True)
         sim.run(2 * (params.lam + 3))
         audit = sim.audit_overlay()

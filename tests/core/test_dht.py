@@ -13,9 +13,7 @@ from repro.core.runner import MaintenanceSimulation
 
 
 def make_sim(seed=3, adversary=False):
-    params = ProtocolParams(
-        n=48, c=1.2, r=2, delta=3, tau=8, seed=seed, alpha=0.25, kappa=1.25
-    )
+    params = ProtocolParams.calibrated(48, seed=seed, alpha=0.25, kappa=1.25)
     adv = RandomChurnAdversary(params, seed=seed + 1) if adversary else None
     return params, MaintenanceSimulation(params, adversary=adv, node_cls=DHTNode)
 

@@ -247,7 +247,7 @@ class TestStageContract:
         from repro.adversary.oblivious import RandomChurnAdversary
         from repro.core.runner import MaintenanceSimulation
 
-        params = ProtocolParams(n=24, c=1.2, r=2, delta=3, tau=8, seed=5)
+        params = ProtocolParams.calibrated(24, seed=5)
         adversary = RandomChurnAdversary(params, seed=9, intensity=1.0)
         sim = MaintenanceSimulation(params, adversary, strict_budget=False)
         net = sim.engine.network

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.adversary.base import Adversary, ChurnDecision, JoinRequest
 from repro.config import ProtocolParams
 from repro.core.bootstrap import prime_initial_overlay
 from repro.core.runner import MaintenanceSimulation, OverlayAudit, ProbeReport
@@ -12,7 +13,7 @@ from repro.core.runner import MaintenanceSimulation, OverlayAudit, ProbeReport
 
 @pytest.fixture(scope="module")
 def warm_sim():
-    params = ProtocolParams(n=40, c=1.2, r=2, delta=3, tau=8, seed=21)
+    params = ProtocolParams.calibrated(40, seed=21)
     sim = MaintenanceSimulation(params)
     sim.run(2 * (params.lam + 3))
     return sim
@@ -20,7 +21,7 @@ def warm_sim():
 
 class TestAudits:
     def test_initial_graph_matches_params(self):
-        params = ProtocolParams(n=40, c=1.2, delta=3, tau=8, seed=21)
+        params = ProtocolParams.calibrated(40, seed=21)
         sim = MaintenanceSimulation(params)
         assert len(sim.initial_graph) == params.n
 
@@ -47,7 +48,7 @@ class TestAudits:
             assert key in h
 
     def test_empty_audit_when_nothing_established(self):
-        params = ProtocolParams(n=40, c=1.2, delta=3, tau=8, seed=22)
+        params = ProtocolParams.calibrated(40, seed=22)
         sim = MaintenanceSimulation(params)
         for node in sim.alive_nodes():
             node.phase = type(node.phase).FRESH
@@ -79,17 +80,67 @@ class TestProbes:
         b = warm_sim.send_probes(2, rng)
         assert len(set(a) | set(b)) == 4
 
+    def test_probe_origins_are_established_nodes(self, warm_sim):
+        ids = warm_sim.send_probes(3, np.random.default_rng(7))
+        established = warm_sim.established_nodes()
+        assert all(warm_sim.probe_origins[pid] in established for pid in ids)
+
+
+class _EvictAt(Adversary):
+    """At round ``at``, ``victim`` leaves and a fresh node joins in its place."""
+
+    def __init__(self, victim: int, at: int) -> None:
+        super().__init__(active_from=at)
+        self.victim = victim
+        self.at = at
+
+    def decide(self, view):
+        if view.round != self.at:
+            return ChurnDecision.none()
+        boot = max(view.eligible_bootstraps() - {self.victim})
+        return ChurnDecision(
+            leaves=frozenset({self.victim}), joins=(JoinRequest(view.fresh_id(), boot),)
+        )
+
+
+class TestNodeCounters:
+    COUNTERS = ("total_demotions", "connects_received", "connects_dropped")
+
+    def test_departed_nodes_keep_their_counts(self):
+        params = ProtocolParams.calibrated(24, seed=5, alpha=0.25, kappa=1.25)
+        at = params.bootstrap_rounds
+        with MaintenanceSimulation(params, _EvictAt(victim=3, at=at)) as sim:
+            sim.run(at)
+            victim = sim.node(3)
+            victim.demotions = 2
+            victim.connects_received += 7
+            victim.connects_dropped += 1
+            victim.max_connects_in_round = 99
+            before = sim.health_summary()
+            sim.run(1)
+            assert 3 not in sim.engine.alive
+            after = sim.health_summary()
+        assert sim.engine.metrics.departed["demotions"] == 2
+        assert after["max_connects_in_round"] == 99
+        for name in self.COUNTERS:
+            assert after[name] >= before[name] > 0
+
+    def test_sharded_runs_reject_the_summary(self):
+        with MaintenanceSimulation(ProtocolParams.calibrated(16, seed=1), workers=2) as sim:
+            with pytest.raises(ValueError, match="workers=1"):
+                sim.health_summary()
+
 
 class TestBootstrapPriming:
     def test_prime_requires_round_zero(self):
-        params = ProtocolParams(n=40, c=1.2, delta=3, tau=8, seed=23)
+        params = ProtocolParams.calibrated(40, seed=23)
         sim = MaintenanceSimulation(params)
         sim.run(1)
         with pytest.raises(RuntimeError):
             prime_initial_overlay(sim.engine)
 
     def test_primed_nodes_have_definition5_neighborhoods(self):
-        params = ProtocolParams(n=40, c=1.2, delta=3, tau=8, seed=24)
+        params = ProtocolParams.calibrated(40, seed=24)
         sim = MaintenanceSimulation(params)
         graph = sim.initial_graph
         for v in list(sim.engine.alive)[:8]:

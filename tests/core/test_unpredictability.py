@@ -101,7 +101,7 @@ class TestViewIsStructurallyBlind:
 
     def test_two_late_cannot_see_current_overlay_edges(self):
         """During a protocol run the newest two rounds stay invisible."""
-        params = ProtocolParams(n=40, c=1.2, delta=3, tau=8, seed=10)
+        params = ProtocolParams.calibrated(40, seed=10)
         sim = MaintenanceSimulation(params)
         sim.run(10)
         view = AdversaryView(

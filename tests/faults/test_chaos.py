@@ -13,9 +13,7 @@ from repro.sim.engine import Engine, NodeContext, NodeProtocol
 
 
 def small_params(seed=5):
-    return ProtocolParams(
-        n=24, c=1.2, r=2, delta=3, tau=8, seed=seed, alpha=0.25, kappa=1.25
-    )
+    return ProtocolParams.calibrated(24, seed=seed, alpha=0.25, kappa=1.25)
 
 
 class ChatterProtocol(NodeProtocol):
@@ -95,7 +93,7 @@ class TestDeterministicReproducibility:
 class TestChaosCells:
     def test_zero_cell_reproduces_paper_guarantees(self):
         scenario = chaos_scenario((0.0, 0.0, 0.0), n=24)
-        cell = run_scenario_cell((scenario, 5, True))
+        cell = run_scenario_cell((scenario, 5))
         assert cell["faults_injected"] == 0
         assert cell["probes"]["delivery_rate"] >= 0.95
         assert cell["established_fraction"] >= 0.95
@@ -106,7 +104,7 @@ class TestChaosCells:
     def test_harsh_cell_degrades_gracefully(self):
         """Heavy combined faults bend the overlay; the run reports, not dies."""
         scenario = chaos_scenario((0.4, 0.3, 0.1), n=24)
-        cell = run_scenario_cell((scenario, 5, True))
+        cell = run_scenario_cell((scenario, 5))
         assert cell["faults_injected"] > 0
         assert (cell["probes"]["delivery_rate"] or 0.0) < 1.0
         assert cell["recovery"]["events"] > 0

@@ -154,7 +154,7 @@ class TestConnectivityOracle:
         seed population) under loss.  Its graph stays connected — a dropped
         copy keeps its edge — so the masked pair set is compared as well."""
         scenario = get_scenario("churn-loss")
-        params = build_params(scenario, 3)
+        params = build_params(scenario.n, 3)
         monitor = HealthMonitor(params)
         with MaintenanceSimulation(
             params,

@@ -89,25 +89,25 @@ def sim_fingerprint(sim: MaintenanceSimulation, rounds: list[tuple]) -> str:
             audit.mean_swarm_size,
         ),
     ]
-    if sim._probe_targets:
+    if sim.probe_origins:
         probe = sim.probe_report()
         parts.append((probe.launched, probe.delivered, probe.mean_receivers))
     return hashlib.blake2b(repr(parts).encode(), digest_size=16).hexdigest()
 
 
 def _scenario_steady(**sim_kwargs) -> MaintenanceSimulation:
-    params = ProtocolParams(n=48, c=1.2, r=2, delta=3, tau=8, seed=1)
+    params = ProtocolParams.calibrated(48, seed=1)
     return MaintenanceSimulation(params, **sim_kwargs)
 
 
 def _scenario_churn(**sim_kwargs) -> MaintenanceSimulation:
-    params = ProtocolParams(n=48, c=1.2, r=2, delta=3, tau=8, seed=3)
+    params = ProtocolParams.calibrated(48, seed=3)
     adversary = RandomChurnAdversary(params, seed=5, intensity=1.0)
     return MaintenanceSimulation(params, adversary, **sim_kwargs)
 
 
 def _scenario_faults(**sim_kwargs) -> MaintenanceSimulation:
-    params = ProtocolParams(n=32, c=1.2, r=2, delta=3, tau=8, seed=7)
+    params = ProtocolParams.calibrated(32, seed=7)
     plan = FaultPlan(
         seed=11,
         messages=(MessageFaults(drop_p=0.04, delay_p=0.05, delay_rounds=2, duplicate_p=0.03),),
@@ -117,7 +117,7 @@ def _scenario_faults(**sim_kwargs) -> MaintenanceSimulation:
 
 
 def _scenario_churn_faults(**sim_kwargs) -> MaintenanceSimulation:
-    params = ProtocolParams(n=32, c=1.2, r=2, delta=3, tau=8, seed=9)
+    params = ProtocolParams.calibrated(32, seed=9)
     adversary = RandomChurnAdversary(params, seed=13, intensity=0.8)
     plan = FaultPlan(
         seed=17,

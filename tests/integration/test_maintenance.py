@@ -18,12 +18,8 @@ from repro.core.node import Phase
 from repro.core.runner import MaintenanceSimulation
 
 
-def make_params(**overrides):
-    defaults = dict(
-        n=40, c=1.2, r=2, delta=3, tau=8, seed=11, alpha=0.25, kappa=1.25
-    )
-    defaults.update(overrides)
-    return ProtocolParams(**defaults)
+def make_params(n=40, seed=11):
+    return ProtocolParams.calibrated(n, seed=seed, alpha=0.25, kappa=1.25)
 
 
 @pytest.fixture(scope="module")

@@ -39,7 +39,7 @@ from .contract import (
 )
 from .spec import PHASES, ProtocolSpec, SpecError, contract_markdown, load_spec
 
-PARAMS = ProtocolParams(n=24, c=1.2, r=2, delta=3, tau=8, seed=5, alpha=0.25, kappa=1.25)
+PARAMS = ProtocolParams.calibrated(24, seed=5, alpha=0.25, kappa=1.25)
 #: Past the first cutover, 2(lam + 2), and one join wave (2 lam + 2) beyond.
 ROUNDS = 2 * (PARAMS.lam + 2) + 2 * PARAMS.lam + 2
 #: The round right after the first cutover round.

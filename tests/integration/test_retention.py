@@ -30,9 +30,7 @@ from repro.core.runner import MaintenanceSimulation
 @pytest.fixture(scope="module")
 def live():
     """A warm n=24 run that kept each round's send-order log aside."""
-    params = ProtocolParams(
-        n=24, c=1.2, r=2, delta=3, tau=8, seed=5, alpha=0.25, kappa=1.25
-    )
+    params = ProtocolParams.calibrated(24, seed=5, alpha=0.25, kappa=1.25)
     with MaintenanceSimulation(params) as sim:
         net = sim.engine.network
         sent_logs = []
@@ -123,9 +121,7 @@ class _OneInOneOut(Adversary):
 
 
 def test_a_churned_trace_keeps_the_newest_rounds_only():
-    params = ProtocolParams(
-        n=24, c=1.2, r=2, delta=3, tau=8, seed=5, alpha=0.25, kappa=1.25
-    )
+    params = ProtocolParams.calibrated(24, seed=5, alpha=0.25, kappa=1.25)
     with MaintenanceSimulation(params, _OneInOneOut(active_from=2)) as sim:
         trace = sim.engine.trace
         depth = trace.edge_depth

@@ -101,7 +101,7 @@ def test_empty_band_rounds_match_reference() -> None:
     from repro.core.runner import MaintenanceSimulation
 
     def _fp(workers: int) -> str:
-        params = ProtocolParams(n=12, c=1.2, r=2, delta=3, tau=8, seed=21)
+        params = ProtocolParams.calibrated(12, seed=21)
         with MaintenanceSimulation(params, workers=workers) as sim:
             rounds = []
             for t in range(16):
@@ -120,7 +120,7 @@ def test_close_releases_all_segments() -> None:
     from repro.core.runner import MaintenanceSimulation
 
     before = arena.live_segments()
-    params = ProtocolParams(n=16, c=1.2, r=2, delta=3, tau=8, seed=1)
+    params = ProtocolParams.calibrated(16, seed=1)
     sim = MaintenanceSimulation(params, workers=2)
     try:
         sim.run(4)
@@ -136,7 +136,7 @@ def test_exchange_stats_lifecycle() -> None:
     from repro.config import ProtocolParams
     from repro.core.runner import MaintenanceSimulation
 
-    params = ProtocolParams(n=16, c=1.2, r=2, delta=3, tau=8, seed=1)
+    params = ProtocolParams.calibrated(16, seed=1)
     with MaintenanceSimulation(params, workers=1) as serial:
         serial.run(2)
         assert serial.exchange_stats() is None
@@ -161,6 +161,6 @@ def test_health_monitoring_rejects_sharding() -> None:
     from repro.core.runner import MaintenanceSimulation
     from repro.faults.health import HealthMonitor
 
-    params = ProtocolParams(n=16, c=1.2, r=2, delta=3, tau=8, seed=1)
+    params = ProtocolParams.calibrated(16, seed=1)
     with pytest.raises(ValueError, match="workers=1"):
         MaintenanceSimulation(params, health=HealthMonitor(params), workers=2)

@@ -8,13 +8,15 @@ from dataclasses import replace
 import pytest
 
 from repro.experiments.e_chaos import chaos_scenario
-from repro.scenarios.registry import get_scenario
-from repro.scenarios.report import scenario_report, validate_scenario_report
-from repro.scenarios.runner import _percentile, run_matrix, run_scenario_cell
+from repro.scenarios.registry import get_scenario, shortened
+from repro.scenarios.report import SCHEMA, scenario_report, validate_scenario_report
+from repro.scenarios.runner import _percentile, _probe_waves, run_matrix, run_scenario_cell
+from repro.scenarios.spec import ChurnSpec, Scenario, build_params
 
 
 def cell(name, seed=0):
-    return run_scenario_cell((get_scenario(name), seed, True))
+    """The quick cell of registry entry ``name``."""
+    return run_scenario_cell((shortened(get_scenario(name)), seed))
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +55,63 @@ class TestCalmCell:
     def test_deterministic(self, calm_cell):
         assert cell("calm") == calm_cell
 
+    def test_structure_and_connects(self, calm_cell):
+        assert calm_cell["edge_coverage"] == 1.0
+        assert calm_cell["demotions"] == 0
+        assert calm_cell["peak_congestion"] > 0
+        connects = calm_cell["connects"]
+        assert connects["bound"] == 6
+        assert connects["dropped"] == 0
+        assert connects["max_in_round"] <= connects["bound"]
+        assert calm_cell["probes"]["origin_left"] == 0
+
+
+class TestPinnedFingerprints:
+    """Quick seed-0 fingerprints; a change here changes what a cell runs."""
+
+    def test_calm(self, calm_cell):
+        assert calm_cell["fingerprint"] == "b913aaf48222f74b9ea55892561a5b23"
+
+    def test_flash_crowd(self):
+        assert cell("flash-crowd")["fingerprint"] == "c788c416eec1dfb5c8397879d6226b7d"
+
+
+class TestProbeWaves:
+    """At n=40: bootstrap 19 rounds, dilation 14."""
+
+    params = build_params(40, 0)
+
+    def test_second_wave_follows_the_window_close(self):
+        calm = Scenario(name="q", description="d")
+        assert _probe_waves(calm, self.params, 60, close=30) == [21, 31]
+        assert _probe_waves(calm, self.params, 46, close=30) == [21, 31]
+        assert _probe_waves(calm, self.params, 45, close=30) == [21]  # no room to land
+
+    def test_quiet_scenario_gets_one_wave(self):
+        calm = Scenario(name="q", description="d")
+        assert _probe_waves(calm, self.params, 100, close=None) == [21]
+
+    def test_adversity_without_a_close_waits_a_dilation(self):
+        churned = Scenario(name="c", description="d", churn=ChurnSpec("random"))
+        assert _probe_waves(churned, self.params, 60, close=None) == [21, 37]
+        assert _probe_waves(churned, self.params, 52, close=None) == [21, 37]
+        assert _probe_waves(churned, self.params, 51, close=None) == [21]
+
+    def test_small_churned_cell_launches_both_waves(self):
+        params = build_params(24, 0)
+        churned = Scenario(
+            name="churned",
+            description="d",
+            churn=ChurnSpec("random"),
+            rounds=2 * params.dilation + 6,
+            n=24,
+        )
+        record = run_scenario_cell((churned, 0))
+        assert record["probes"]["launched"] == 12
+        assert record["churn_events"] > 0
+        short = run_scenario_cell((replace(churned, name="short", rounds=params.dilation + 6), 0))
+        assert short["probes"]["launched"] == 6
+
 
 class TestFaultyCell:
     def test_fault_window_and_metrics(self):
@@ -74,8 +133,9 @@ class TestWorkerInvariance:
             get_scenario("calm"),
         )
         for grid, workers in ((registry, 4), (generated, 2)):
-            serial = run_matrix(grid, (0,), workers=1, quick=True)
-            parallel = run_matrix(grid, (0,), workers=workers, quick=True)
+            grid = tuple(map(shortened, grid))
+            serial = run_matrix(grid, (0,), workers=1)
+            parallel = run_matrix(grid, (0,), workers=workers)
             assert serial == parallel
 
     def test_empty_grid_rejected(self):
@@ -102,7 +162,7 @@ class TestReportSchema:
 
     def test_empty_cells_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
-            validate_scenario_report({"schema": "repro/scenario-report/v1", "cells": []})
+            validate_scenario_report({"schema": SCHEMA, "cells": []})
 
     def test_missing_field_rejected(self, calm_cell):
         cell = dict(calm_cell)
@@ -114,4 +174,31 @@ class TestReportSchema:
         cell = json.loads(json.dumps(calm_cell))
         cell["recovery"]["degraded_round_fraction"] = 1.5
         with pytest.raises(ValueError, match="degraded_round_fraction"):
+            validate_scenario_report(scenario_report([cell]))
+
+    @pytest.mark.parametrize(
+        "path, value, match",
+        [
+            (("edge_coverage",), 1.01, "edge_coverage"),
+            (("demotions",), -1, "demotions"),
+            (("peak_congestion",), 2.5, "peak_congestion"),
+            (("connects", "bound"), None, "connects.bound"),
+            (("connects", "dropped"), 10**6, "dropped exceeds"),
+            (("probes", "origin_left"), -1, "origin_left"),
+        ],
+    )
+    def test_v2_fields_range_checked(self, calm_cell, path, value, match):
+        cell = json.loads(json.dumps(calm_cell))
+        *parents, leaf = path
+        target = cell
+        for key in parents:
+            target = target[key]
+        target[leaf] = value
+        with pytest.raises(ValueError, match=match):
+            validate_scenario_report(scenario_report([cell]))
+
+    def test_missing_connect_field_rejected(self, calm_cell):
+        cell = json.loads(json.dumps(calm_cell))
+        del cell["connects"]["received"]
+        with pytest.raises(ValueError, match="missing"):
             validate_scenario_report(scenario_report([cell]))

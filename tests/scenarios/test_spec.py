@@ -9,6 +9,7 @@ import pytest
 from repro.adversary.composed import ComposedAdversary
 from repro.adversary.oblivious import RandomChurnAdversary
 from repro.adversary.swarm_wipe import ContactTraceAdversary, DegreeTargetAdversary
+from repro.config import ProtocolParams
 from repro.faults.plan import FaultPlan, MessageFaults
 from repro.scenarios.spec import (
     AdversarySpec,
@@ -76,15 +77,16 @@ class TestBuilders:
         return Scenario(**defaults)
 
     def test_params_follow_scenario_n(self):
-        params = build_params(self.scenario(n=48), seed=3)
+        params = build_params(self.scenario(n=48).n, seed=3)
         assert params.n == 48
         assert params.seed == 3
+        assert params == ProtocolParams.calibrated(48, seed=3, alpha=0.25, kappa=1.25)
 
     def test_plan_shifts_past_bootstrap(self):
         sc = self.scenario(
             plan=FaultPlan(messages=(MessageFaults(drop_p=0.5, start=4, end=20),))
         )
-        params = build_params(sc, seed=0)
+        params = build_params(sc.n, seed=0)
         plan = materialize_plan(sc, params, seed=0)
         assert plan.messages[0].start == params.bootstrap_rounds + 4
         assert plan.messages[0].end == params.bootstrap_rounds + 20
@@ -93,7 +95,7 @@ class TestBuilders:
         sc = self.scenario(
             plan=FaultPlan(messages=(MessageFaults(drop_p=0.5),))
         )
-        params = build_params(sc, seed=0)
+        params = build_params(sc.n, seed=0)
         a = materialize_plan(sc, params, seed=1)
         b = materialize_plan(sc, params, seed=2)
         assert a.seed != b.seed
@@ -101,11 +103,11 @@ class TestBuilders:
 
     def test_no_adversary_when_quiet(self):
         sc = self.scenario()
-        assert build_adversary(sc, build_params(sc, 0), 0) is None
+        assert build_adversary(sc, build_params(sc.n, 0), 0) is None
 
     def test_single_child_not_wrapped(self):
         sc = self.scenario(churn=ChurnSpec(kind="random"))
-        adv = build_adversary(sc, build_params(sc, 0), 0)
+        adv = build_adversary(sc, build_params(sc.n, 0), 0)
         assert isinstance(adv, RandomChurnAdversary)
 
     def test_churn_plus_attack_composed(self):
@@ -113,13 +115,13 @@ class TestBuilders:
             churn=ChurnSpec(kind="random"),
             attack=AdversarySpec(kind="degree-target", top=2),
         )
-        adv = build_adversary(sc, build_params(sc, 0), 0)
+        adv = build_adversary(sc, build_params(sc.n, 0), 0)
         assert isinstance(adv, ComposedAdversary)
         kinds = {type(c) for c in adv.children}
         assert kinds == {RandomChurnAdversary, DegreeTargetAdversary}
 
     def test_contact_trace_attack(self):
         sc = self.scenario(attack=AdversarySpec(kind="contact-trace", victim=5))
-        adv = build_adversary(sc, build_params(sc, 0), 0)
+        adv = build_adversary(sc, build_params(sc.n, 0), 0)
         assert isinstance(adv, ContactTraceAdversary)
         assert adv.victim == 5

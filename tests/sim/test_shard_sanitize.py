@@ -80,7 +80,7 @@ def test_master_send_obj_asserts_when_armed(monkeypatch):
     from repro.core.runner import MaintenanceSimulation
 
     monkeypatch.setattr(shard, "_SANITIZE", True)
-    params = ProtocolParams(n=16, c=1.2, r=2, delta=3, tau=8, seed=1)
+    params = ProtocolParams.calibrated(16, seed=1)
     sim = MaintenanceSimulation(params, workers=2)
     try:
         sim.run(2)

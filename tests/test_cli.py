@@ -63,6 +63,16 @@ class TestCliScenario:
         doc = json.loads(out_path.read_text())
         validate_scenario_report(doc)
         assert doc["cells"][0]["seed"] == 2
+        assert out.splitlines()[2].endswith("| yes")
+
+    def test_failing_cell_exits_nonzero(self, capsys, monkeypatch):
+        from repro.scenarios import report
+
+        monkeypatch.setattr(report, "cell_ok", lambda scenario, cell: False)
+        assert main(["scenario", "run", "calm", "--seed", "0"]) == 1
+        out = capsys.readouterr().out
+        assert out.splitlines()[2].endswith("| no")
+        assert "1 of 1 cells failed" in out
 
 
 class TestCliChaos:

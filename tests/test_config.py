@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from repro.config import ProtocolParams, default_params
+from repro.config import ProtocolParams
 
 
 class TestValidation:
@@ -108,9 +108,12 @@ class TestConvenience:
         for key in ("n", "lam", "swarm_radius", "dilation", "churn_budget"):
             assert key in d
 
-    def test_default_params(self):
-        p = default_params(64, seed=3, c=2.5)
-        assert p.n == 64 and p.seed == 3 and p.c == 2.5
+    def test_calibrated(self):
+        p = ProtocolParams.calibrated(40, seed=3)
+        assert (p.n, p.seed, p.c, p.r, p.delta_eff, p.tau_eff) == (40, 3, 1.2, 2, 3, 8)
+        assert p.alpha == ProtocolParams(n=40).alpha  # model constants keep their defaults
+        q = ProtocolParams.calibrated(40, tau=6, alpha=0.25)
+        assert (q.c, q.delta_eff, q.tau_eff, q.alpha) == (1.2, 3, 6, 0.25)
 
     def test_frozen(self):
         p = ProtocolParams(n=64)
