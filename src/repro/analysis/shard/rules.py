@@ -207,13 +207,13 @@ class BoundaryTypeRule(Rule):
 # ----------------------------------------------------------------------
 
 #: Engine/runner attributes that exist only on the master side of the
-#: fork: the adversary, health monitoring, tracing/metrics, the network
+#: fork: the adversary, the round observers, tracing/metrics, the network
 #: (workers get a local send log), lifecycle bookkeeping, and the msg-id
 #: re-canonicalisation registry.
 MASTER_ONLY_ATTRS = frozenset(
     {
         "adversary",
-        "health",
+        "observers",
         "trace",
         "metrics",
         "faults",
@@ -234,7 +234,7 @@ class MasterStateRule(Rule):
     code = "S3"
     description = (
         "worker-role code must not touch master-only state (adversary, "
-        "health monitor, trace/metrics, faults, the live network, "
+        "round observers, trace/metrics, faults, the live network, "
         "lifecycle, the msg-id registry): after the fork those objects "
         "only advance in the master, so a worker read is stale and a "
         "worker write is silently lost"

@@ -26,9 +26,9 @@ Commands
     fan the grid over a process pool — output is identical for any worker
     count — and ``--out PATH`` writes the schema-validated JSON report.
 ``profile [--n N] [--rounds R] [--seed S] [--churn P]``
-    Run the maintenance protocol with a per-phase wall-time profiler
-    attached and print the hot-path table (adversary / receive / compute /
-    close seconds per round).
+    Profile ``ProtocolParams.calibrated(N)`` (as every BENCH row): print the
+    hot-path table (adversary / receive / compute / close seconds per
+    round) and the compute phase's prepare / plan / act split.
 ``sweep [E-ID ...] [--seeds S,S,...] [--workers W] [--full]``
     Fan an (experiment x seed) grid over worker processes and print the
     merged table; the output is bit-for-bit identical for any worker count.
@@ -235,9 +235,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.adversary.oblivious import RandomChurnAdversary
     from repro.core.runner import MaintenanceSimulation
-    from repro.sim.profile import PhaseProfiler
+    from repro.sim.profile import STAGES, PhaseProfiler
 
-    params = ProtocolParams(n=args.n, seed=args.seed)
+    params = ProtocolParams.calibrated(args.n, seed=args.seed)
     adversary = None
     if args.churn > 0.0:
         adversary = RandomChurnAdversary(params, seed=args.seed, intensity=args.churn)
@@ -257,7 +257,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     if parts:
         print()
         print(f"{'compute':<10} {'total s':>10} {'ms/round':>10}")
-        for name, seconds in zip(("prepare", "plan", "act"), parts):
+        for name, seconds in zip(STAGES, parts):
             print(
                 f"{name:<10} {seconds:>10.3f} "
                 f"{seconds / max(1, profiler.rounds) * 1e3:>10.2f}"

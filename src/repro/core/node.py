@@ -281,8 +281,8 @@ class MaintenanceNode(NodeProtocol):
     def on_rounds(
         cls,
         batch: Sequence[tuple["MaintenanceNode", NodeContext]],
-        clock: Callable[[], float] | None = None,
-    ) -> tuple[float, ...]:
+        mark: Callable[[str], None] | None = None,
+    ) -> None:
         """The round of every node of ``batch`` (sorted-id order), staged.
 
         **prepare** — each node absorbs its inbox (:meth:`_prepare`: tokens,
@@ -301,16 +301,15 @@ class MaintenanceNode(NodeProtocol):
         only through next-round delivery, prepare files nothing, and each
         node's draw order and each sender's chunk order are those of the
         node-at-a-time loop.  Bands bound the plan's transient memory.
-        Returns ``(prepare, plan, act)`` seconds when ``clock`` is given.
+        With a ``mark``, each stage reports its end: ``"prepare"`` once, then
+        ``"plan"`` and ``"act"`` per band (a band's plan closes after its act).
         """
-        timed = clock is not None
-        t0 = clock() if timed else 0.0
         steps = [node._prepare(ctx) for node, ctx in batch]
         odd = bool(batch) and batch[0][1].round % 2 == 1
         if batch and not odd:
             cls._cutover_band(batch, steps)
-        t1 = clock() if timed else 0.0
-        plan_s = 0.0
+        if mark is not None:
+            mark("prepare")
         start = pairs = 0
         holders: list[int] = []
         launchers: list[int] = []
@@ -324,28 +323,25 @@ class MaintenanceNode(NodeProtocol):
                 continue
             plan = None
             if holders or launchers:
-                t2 = clock() if timed else 0.0
                 if holders:
                     plan = cls._plan_band(batch, steps, holders)
                 if launchers:
                     cls._plan_launches(batch, steps, launchers)
-                if timed:
-                    plan_s += clock() - t2
+                if mark is not None:
+                    mark("plan")
             for j in range(start, k + 1):
                 node, ctx = batch[j]
                 node._act(ctx, steps[j])
+            if mark is not None:
+                mark("act")
             if plan is not None:
-                t2 = clock() if timed else 0.0
                 plan.close()
-                if timed:
-                    plan_s += clock() - t2
+                if mark is not None:
+                    mark("plan")
             start = k + 1
             pairs = 0
             holders = []
             launchers = []
-        if timed:
-            return (t1 - t0, plan_s, clock() - t1 - plan_s)
-        return ()
 
     @staticmethod
     def _cutover_band(

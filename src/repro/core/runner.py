@@ -84,15 +84,13 @@ class MaintenanceSimulation:
     ) -> None:
         self.params = params
         self.health = health
-        self.profiler = profiler
         self.engine = Engine(
             params,
             lambda v, services: node_cls(v, services),
             adversary=adversary,
             strict_budget=strict_budget,
             faults=faults,
-            health=health,
-            profiler=profiler,
+            observers=[o for o in (profiler, health) if o is not None],
             workers=workers,
         )
         self.engine.seed_nodes(range(params.n))

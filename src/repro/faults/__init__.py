@@ -10,7 +10,8 @@ removes that assumption in a controlled, reproducible way:
 * :mod:`repro.faults.health` — :class:`HealthMonitor`, per-round overlay
   invariant audits emitting structured :class:`DegradationEvent`s.
 
-Wire a plan into a run with ``Engine(..., faults=plan, health=monitor)`` or
+Wire a plan and a monitor into a run with
+``Engine(..., faults=plan, observers=[monitor])`` or
 ``MaintenanceSimulation(..., faults=plan, health=monitor)``.
 """
 

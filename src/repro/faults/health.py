@@ -16,8 +16,10 @@ three invariants at the end of every engine round and records a
   two rounds (one full overlay cycle) connects all mature alive nodes; a
   second component means part of the network can no longer be reached.
 
-The monitor is duck-typed against the protocol: nodes exposing ``pos``,
-``epoch`` and ``d_nbrs`` (i.e. :class:`repro.core.node.MaintenanceNode`)
+The monitor is a :class:`~repro.sim.engine.RoundObserver` (attach it with
+``Engine(..., observers=[monitor])`` or ``MaintenanceSimulation(...,
+health=monitor)``) and is duck-typed against the protocol: nodes exposing
+``pos``, ``epoch`` and ``d_nbrs`` (i.e. :class:`repro.core.node.MaintenanceNode`)
 get the structural audits; any protocol gets the connectivity audit, which
 only needs the engine's graph trace.  All audits are pure reads — attaching
 a monitor never changes the run it observes.
@@ -33,10 +35,11 @@ import numpy as np
 from repro.analysis.connectivity import components
 from repro.config import ProtocolParams
 from repro.overlay.lds import arc_centers
+from repro.sim.engine import RoundObserver
 from repro.util.intervals import ring_distance_array
 
 if TYPE_CHECKING:
-    from repro.sim.engine import Engine
+    from repro.sim.engine import Engine, RoundReport
 
 __all__ = ["DegradationEvent", "HealthMonitor"]
 
@@ -51,7 +54,7 @@ class DegradationEvent:
     detail: str
 
 
-class HealthMonitor:
+class HealthMonitor(RoundObserver):
     """Per-round invariant auditor accumulating a degradation event stream."""
 
     #: Minimum node age (rounds) for the connectivity audit — newcomers
@@ -119,16 +122,25 @@ class HealthMonitor:
         }
 
     # ------------------------------------------------------------------
-    # The per-round audit (called by the engine after metrics)
+    # The per-round audit (observer hooks)
     # ------------------------------------------------------------------
 
-    def observe(self, engine: Engine, t: int) -> tuple[DegradationEvent, ...]:
-        """Audit round ``t`` and return (and record) any new events."""
+    def on_attach(self, engine: Engine) -> None:
+        if engine.workers > 1:
+            # The audits probe protocol objects every round; under sharding
+            # that would force a full gather per round, silently erasing the
+            # decomposition.  Keep the combination an explicit error instead
+            # of a 10x slowdown.
+            raise ValueError("health monitoring requires workers=1")
+
+    def on_round_end(self, engine: Engine, report: RoundReport) -> None:
+        """Audit the round just ended and record any new events."""
         if not engine.alive:
             # Nothing to audit: with no alive nodes, every invariant is
             # vacuous and any event would be spurious.  Skip the round
             # without counting it as observed.
-            return ()
+            return
+        t = report.round
         self.rounds_observed += 1
         self._last_observed_round = t
         new: list[DegradationEvent] = []
@@ -140,7 +152,6 @@ class HealthMonitor:
         if new:
             self.degraded_rounds += 1
         self.events.extend(new)
-        return tuple(new)
 
     # ------------------------------------------------------------------
     # Individual audits

@@ -1,17 +1,19 @@
 """Synchronous-round simulation substrate: engine, network, trace, metrics."""
 
 from repro.sim.engine import (
+    PHASES,
     Engine,
     EngineServices,
     JoinNotice,
     NodeContext,
     NodeProtocol,
+    RoundObserver,
     RoundReport,
 )
 from repro.sim.identity import Lifecycle, NodeRecord
 from repro.sim.metrics import FaultRoundStats, MetricsCollector, RoundMetrics
 from repro.sim.network import EdgeLog, FaultHook, Inbox, Network
-from repro.sim.profile import PHASES, PhaseProfiler, PhaseTimings
+from repro.sim.profile import STAGES, PhaseProfiler, PhaseTimings
 from repro.sim.trace import GraphTrace
 
 __all__ = [
@@ -33,5 +35,7 @@ __all__ = [
     "PhaseProfiler",
     "PhaseTimings",
     "RoundMetrics",
+    "RoundObserver",
     "RoundReport",
+    "STAGES",
 ]

@@ -15,6 +15,10 @@ Each round ``t`` unfolds exactly as in Section 1.1:
 The engine records the graph trace (what the ``a``-late adversary sees),
 collects congestion metrics, and hands each node only its own context — no
 protocol can peek at global state.
+
+Anything that reads a run — the profiler, the health monitor, a contract
+checker — attaches as a :class:`RoundObserver` and is called at those phase
+boundaries.  A run with no observer attached executes no observer code.
 """
 
 from __future__ import annotations
@@ -23,8 +27,7 @@ import abc
 from collections import Counter
 from dataclasses import dataclass
 from itertools import groupby
-from operator import add
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -32,20 +35,22 @@ from repro.adversary.base import Adversary, ChurnDecision
 from repro.adversary.budget import ChurnLedger, ChurnViolation
 from repro.adversary.view import AdversaryView
 from repro.config import ProtocolParams
-from repro.faults.health import DegradationEvent, HealthMonitor
-from repro.faults.injector import FaultInjector
-from repro.faults.plan import FaultPlan
 from repro.sim.epochs import EpochCache
 from repro.sim.hopplane import HopDelivery, HopRows
 from repro.sim.identity import Lifecycle
 from repro.sim.metrics import MetricsCollector, RoundMetrics
 from repro.sim.network import Inbox, Network
-from repro.sim.profile import PhaseProfiler, PhaseTimings
 from repro.sim.trace import GraphTrace
 from repro.util.gctune import deferred_gc
 from repro.util.rngs import PositionHash, RngService
 
+if TYPE_CHECKING:
+    from repro.faults.injector import FaultInjector
+    from repro.faults.plan import FaultPlan
+
 __all__ = [
+    "PHASES",
+    "RoundObserver",
     "JoinNotice",
     "EngineServices",
     "NodeContext",
@@ -87,7 +92,7 @@ class NodeContext:
 
     Routed hops are not in ``inbox``: they arrive as ``hops`` (this node's
     row-id array into the shared ``hop_delivery`` columns, ``None`` when no
-    hop reached it this round) and are sent via :meth:`send_hops`.
+    hop reached it this round) and are filed via :meth:`file_hops`.
     """
 
     __slots__ = (
@@ -142,14 +147,6 @@ class NodeContext:
         """
         self._network.send_singles_batch(self.node_id, items)
 
-    def send_many(self, dsts: Sequence[int] | Iterable[int], msg: object) -> None:
-        """Send the same message to several nodes."""
-        self._network.send_many(self.node_id, dsts, msg)
-
-    def send_hops(self, msg: object, step: int, dsts: Sequence[int]) -> None:
-        """Multicast one routed hop via the columnar plane (plain-int dsts)."""
-        self._network.send_hops(self.node_id, msg, step, dsts)
-
     def intern_hops(
         self, table: HopRows, rows: np.ndarray, steps: np.ndarray
     ) -> np.ndarray:
@@ -183,8 +180,8 @@ class NodeProtocol(abc.ABC):
     def on_rounds(
         cls,
         batch: Sequence[tuple["NodeProtocol", NodeContext]],
-        clock: Callable[[], float] | None = None,
-    ) -> tuple[float, ...]:
+        mark: Callable[[str], None] | None = None,
+    ) -> None:
         """Handle one round for every ``(node, ctx)`` of ``batch``.
 
         The engine's entry to a round's compute phase: the non-stalled nodes
@@ -192,18 +189,52 @@ class NodeProtocol(abc.ABC):
         node-at-a-time loop.  A protocol whose step has a part that batches
         across nodes overrides this — its sends must come out exactly as the
         loop would file them — and makes :meth:`on_round` the batch of one.
-        With a ``clock`` an override may return the seconds it spent per
-        stage (``PhaseTimings.compute_parts``); the default reports none.
+        An override that stages its step calls ``mark(stage)`` as each stage
+        ends (see :meth:`RoundObserver.on_mark`); ``mark`` is ``None`` when
+        no observer is attached.
         """
         for node, ctx in batch:
             node.on_round(ctx)
-        return ()
 
     def fold_counters(self, totals: Counter[str]) -> None:
         """Add this node's lifetime counters to ``totals`` (the default has none)."""
 
 
 ProtocolFactory = Callable[[int, EngineServices], NodeProtocol]
+
+#: The engine's phase names, in execution order (Section 1.1, plus ``close``:
+#: freezing ``E_t`` and recording the trace).
+PHASES = ("adversary", "receive", "compute", "close")
+
+
+class RoundObserver:
+    """Reads a run at the round's phase boundaries; every hook is a no-op.
+
+    Attach through ``Engine(observers=...)`` or :meth:`Engine.attach`.  Each
+    round the engine calls :meth:`on_round_start`, :meth:`on_phase_end` per
+    :data:`PHASES` entry (with :meth:`on_mark` calls inside the compute
+    phase) and :meth:`on_round_end`, on every observer in attachment order.
+    Observers must not change the run.
+    """
+
+    #: A time source for the sharded compute phase: each worker times its
+    #: band with the first attached observer's ``clock`` (``None``: untimed).
+    clock: Callable[[], float] | None = None
+
+    def on_attach(self, engine: "Engine") -> None:
+        """Called once, when attached (raise to refuse the engine)."""
+
+    def on_round_start(self, engine: "Engine", t: int) -> None:
+        """Round ``t`` begins."""
+
+    def on_phase_end(self, engine: "Engine", phase: str, inboxes: dict[int, Inbox]) -> None:
+        """``phase`` ended; ``inboxes``: the round's deliveries so far (do not keep)."""
+
+    def on_mark(self, engine: "Engine", stage: str) -> None:
+        """A staged compute step ended ``stage`` (:meth:`NodeProtocol.on_rounds`)."""
+
+    def on_round_end(self, engine: "Engine", report: "RoundReport") -> None:
+        """The round is complete; ``report`` is its record."""
 
 
 def _protocol_class(item: tuple[NodeProtocol, NodeContext]) -> type[NodeProtocol]:
@@ -212,17 +243,12 @@ def _protocol_class(item: tuple[NodeProtocol, NodeContext]) -> type[NodeProtocol
 
 @dataclass(frozen=True)
 class RoundReport:
-    """What happened in one engine round.
-
-    ``health`` carries the degradation events the attached
-    :class:`~repro.faults.health.HealthMonitor` (if any) emitted this round.
-    """
+    """What happened in one engine round."""
 
     round: int
     decision: ChurnDecision
     rejected: str | None
     metrics: RoundMetrics
-    health: tuple[DegradationEvent, ...] = ()
 
     @property
     def alive(self) -> int:
@@ -241,18 +267,11 @@ class Engine:
         strict_budget: bool = True,
         join_min_age: int = 2,
         faults: FaultPlan | None = None,
-        health: HealthMonitor | None = None,
-        profiler: PhaseProfiler | None = None,
+        observers: Iterable[RoundObserver] = (),
         workers: int = 1,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if workers > 1 and health is not None:
-            # HealthMonitor probes protocol objects every round; under
-            # sharding that would force a full gather per round, silently
-            # erasing the decomposition.  Keep the combination an explicit
-            # error instead of a 10x slowdown.
-            raise ValueError("health monitoring requires workers=1")
         self.params = params
         self.rng_service = RngService(params.seed)
         position_hash = self.rng_service.position_hash()
@@ -268,17 +287,13 @@ class Engine:
         self.lifecycle = Lifecycle()
         self.network = Network()
         self.fault_plan = faults
-        self.faults = (
-            FaultInjector(faults, position_hash=self.services.position_hash)
-            if faults is not None
-            else None
-        )
-        if self.faults is not None:
+        self.faults: FaultInjector | None = None
+        if faults is not None:
+            # Imported here: repro.faults.health subclasses RoundObserver.
+            from repro.faults.injector import FaultInjector
+
+            self.faults = FaultInjector(faults, position_hash=position_hash)
             self.network.fault_hook = self.faults
-        self.health = health
-        #: Optional per-phase wall-time profiler; ``None`` (the default)
-        #: skips every timing statement in :meth:`run_round`.
-        self.profiler = profiler
         self.trace = GraphTrace()
         self.metrics = MetricsCollector()
         self.ledger = ChurnLedger(params, join_min_age=join_min_age)
@@ -295,6 +310,15 @@ class Engine:
         self._shard_bands: dict[int, int] = {}
         self._gathered_round = -1
         self._pending_node_calls: list[tuple[int, str, tuple]] = []
+        #: The attached observers, in call order.
+        self.observers: list[RoundObserver] = []
+        for observer in observers:
+            self.attach(observer)
+
+    def attach(self, observer: RoundObserver) -> None:
+        """Call ``observer``'s hooks from the next round on."""
+        observer.on_attach(self)
+        self.observers.append(observer)
 
     # ------------------------------------------------------------------
     # Population management
@@ -363,6 +387,13 @@ class Engine:
             return self._shard.stats
         return self._exchange_stats
 
+    def last_shard_round(self) -> tuple[tuple[float, ...], int, int]:
+        """The latest sharded compute phase's seconds per worker (observer
+        ``clock``) and ``(pipe, shm)`` exchange bytes; ``((), 0, 0)`` at W=1."""
+        if self._shard is None:
+            return (), 0, 0
+        return (self._shard.last_shard_seconds, *self._shard.last_round_bytes)
+
     @property
     def alive(self) -> frozenset[int]:
         return self.lifecycle.alive
@@ -373,10 +404,10 @@ class Engine:
 
     def run_round(self) -> RoundReport:
         t = self.round
-        prof = self.profiler
-        clock = prof.clock if prof is not None else None
-        if clock is not None:
-            _t0 = clock()
+        observers = self.observers
+        if observers:
+            for observer in observers:
+                observer.on_round_start(self, t)
         if self.faults is not None:
             self.faults.begin_round(t)
         self.services.epoch_cache.begin_round(t)
@@ -416,8 +447,8 @@ class Engine:
             self._spawn(j.new_id)
             join_notices.setdefault(j.bootstrap_id, []).append(JoinNotice(j.new_id))
         self.ledger.commit(t, decision)
-        if clock is not None:
-            _t1 = clock()
+        if observers:
+            self._phase_end("adversary", {})
 
         # 2. Receive phase (post-churn survivors only).  A node joining this
         # round receives nothing this round: everything due now was sent
@@ -435,8 +466,8 @@ class Engine:
             # The reference arrives out of band (handed over by the adversary);
             # it is knowledge, not a message, so it adds no edge.
             inboxes.setdefault(w, []).extend((-1, n) for n in notices)
-        if clock is not None:
-            _t2 = clock()
+        if observers:
+            self._phase_end("receive", inboxes)
 
         # 3. Compute + send phase, deterministic node order (the sorted list
         # is cached across rounds and rebuilt only on actual churn).  A
@@ -446,7 +477,6 @@ class Engine:
         ordered = self._sorted_alive
         if ordered is None or decision.leaves or decision.joins:
             ordered = self._sorted_alive = sorted(alive)
-        compute_parts: tuple[float, ...] = ()
         if self.workers > 1:
             if self._shard is None:
                 from repro.sim.shard import ShardRunner
@@ -473,16 +503,13 @@ class Engine:
                 for v in ordered
                 if self.faults is None or not self.faults.stalled(t, v)
             ]
+            mark = self._mark if observers else None
             # One batch entry per run of nodes of one class (in practice:
             # one per round).
             for cls, run in groupby(batch, key=_protocol_class):
-                parts = cls.on_rounds(list(run), clock)
-                if parts:
-                    compute_parts = (
-                        tuple(map(add, compute_parts, parts)) if compute_parts else parts
-                    )
-        if clock is not None:
-            _t3 = clock()
+                cls.on_rounds(list(run), mark)
+        if observers:
+            self._phase_end("compute", inboxes)
 
         edges, sent = self.network.close_send_phase()
         self.trace.record(
@@ -493,40 +520,28 @@ class Engine:
             leaves=tuple(decision.leaves),
         )
         fault_stats = self.faults.round_stats() if self.faults is not None else None
-        phases: PhaseTimings | None = None
-        if clock is not None:
-            _t4 = clock()
-            shard_secs: tuple[float, ...] = ()
-            xch_pipe = xch_shm = 0
-            if self._shard is not None:
-                shard_secs = self._shard.last_shard_seconds
-                xch_pipe, xch_shm = self._shard.last_round_bytes
-            phases = prof.record(
-                _t1 - _t0,
-                _t2 - _t1,
-                _t3 - _t2,
-                _t4 - _t3,
-                shards=shard_secs,
-                exchange_bytes_pipe=xch_pipe,
-                exchange_bytes_shm=xch_shm,
-                compute_parts=compute_parts,
-            )
+        if observers:
+            self._phase_end("close", inboxes)
         metrics = self.metrics.record_round(
-            t, sent, received, len(alive), faults=fault_stats, phases=phases
+            t, sent, received, len(alive), faults=fault_stats
         )
-        health_events: tuple[DegradationEvent, ...] = ()
-        if self.health is not None:
-            health_events = self.health.observe(self, t)
         report = RoundReport(
-            round=t,
-            decision=decision,
-            rejected=rejected,
-            metrics=metrics,
-            health=health_events,
+            round=t, decision=decision, rejected=rejected, metrics=metrics
         )
         self.reports.append(report)
         self.round += 1
+        if observers:
+            for observer in observers:
+                observer.on_round_end(self, report)
         return report
+
+    def _phase_end(self, phase: str, inboxes: dict[int, Inbox]) -> None:
+        for observer in self.observers:
+            observer.on_phase_end(self, phase, inboxes)
+
+    def _mark(self, stage: str) -> None:
+        for observer in self.observers:
+            observer.on_mark(self, stage)
 
     def run(self, rounds: int) -> list[RoundReport]:
         """Run ``rounds`` consecutive rounds and return their reports.

@@ -18,8 +18,8 @@ again by every receiver, would be the dominant round cost.
 * rows arrive **in blocks**: a round's forwarded hops are its first rows
   (:meth:`HopPlane.intern_rows` — each is a delivered row one step on, so
   they are distinct by construction and interning them is a gather), each
-  band's launches one block after them (:meth:`HopPlane.append`); only
-  hand-filed hops (:meth:`HopPlane.send`) are looked up, by ``(key, step)``;
+  band's launches one block after them (:meth:`HopPlane.append`); no row is
+  ever looked up;
 * sends are filed as **chunks of typed arrays**: one :meth:`HopPlane.file`
   call hands over a sender's ``int32`` ``(rows, lens)`` per multicast plus the
   flat ``int32`` receiver column, exactly as the node computed them — no
@@ -368,28 +368,21 @@ class FrozenHopRound:
 class HopPlane:
     """Per-round columnar collector of hop sends (see module docstring).
 
-    The message table comes in blocks (:class:`HopRows`); hand-filed rows
-    wait in two lists until the next block or the close.  The send columns
+    The message table comes in blocks (:class:`HopRows`).  The send columns
     are chunks of ``int32`` arrays, one chunk per :meth:`file` call in global
     send order: a chunk is one sender's run of multicasts (``rows`` /
     ``lens``, one entry each) and their receivers (``flat``, one entry per
     copy).
     """
 
-    __slots__ = (
-        "_blocks", "_count", "_reg", "_hand_msgs", "_hand_steps",
-        "_srcs", "_rows", "_lens", "_flat", "sends",
-    )
+    __slots__ = ("_blocks", "_count", "_srcs", "_rows", "_lens", "_flat", "sends")
 
     def __init__(self) -> None:
         self._reset()
 
     def _reset(self) -> None:
         self._blocks: list[HopRows] = []
-        self._count = 0  # rows so far, hand-filed ones included
-        self._reg: dict[tuple[int, int], int] = {}  # hand-filed (key, step) -> row
-        self._hand_msgs: list[object] = []
-        self._hand_steps: list[int] = []
+        self._count = 0  # rows so far
         self._srcs: list[int] = []  # one sender id per chunk
         self._rows: list[np.ndarray] = []
         self._lens: list[np.ndarray] = []
@@ -397,29 +390,6 @@ class HopPlane:
         #: Multicasts filed so far this round (the length of the frozen
         #: ``srcs`` / ``send_rows`` / ``lens`` columns to come).
         self.sends = 0
-
-    def intern(self, msg: Any, step: int) -> int:
-        """The row id of the hand-filed hop ``(msg, step)``, assigned on first
-        use and keyed on ``(msg.key, step)`` — the message's launch key.
-
-        Blocks (:meth:`intern_rows`, :meth:`append`) are never looked up
-        here: a round's forwards and launches are distinct by construction.
-        """
-        reg_key = (msg.key, step)
-        row = self._reg.get(reg_key)
-        if row is None:
-            row = self._reg[reg_key] = self._count
-            self._count += 1
-            self._hand_msgs.append(msg)
-            self._hand_steps.append(step)
-        return row
-
-    def _flush(self) -> None:
-        """Move the hand-filed rows into a block of their own."""
-        if self._hand_msgs:
-            self._blocks.append(HopRows.of(self._hand_msgs, self._hand_steps))
-            self._hand_msgs = []
-            self._hand_steps = []
 
     def intern_rows(
         self, table: HopRows, rows: np.ndarray, steps: np.ndarray
@@ -449,7 +419,6 @@ class HopPlane:
     def append(self, table: HopRows) -> int:
         """Add ``table``'s rows — hops the plane holds no row of — after the
         current ones; returns the row id of the first."""
-        self._flush()
         first = self._count
         if len(table):
             self._blocks.append(table)
@@ -475,37 +444,15 @@ class HopPlane:
         self.sends += rows.size
         return int(flat.size)
 
-    def send(self, src: int, msg: object, step: int, dsts: Sequence[int]) -> int:
-        """File one hop multicast; returns the number of copies created."""
-        return self.send_batch(src, [(msg, step, dsts)])
-
-    def send_batch(
-        self, src: int, items: list[tuple[object, int, Sequence[int]]]
-    ) -> int:
-        """File many hand-built hop multicasts from one sender as one chunk.
-
-        ``(msg, step, dsts)`` items are filed in order; empty receiver lists
-        are skipped.  The protocol's own hops go through :meth:`file`.
-        """
-        rows: list[int] = []
-        lens: list[int] = []
-        flat: list[int] = []
-        for msg, step, dsts in items:
-            if len(dsts):
-                rows.append(self.intern(msg, step))
-                lens.append(len(dsts))
-                flat.extend(dsts)
-        return self.file(
-            src,
-            np.array(rows, dtype=np.int32),
-            np.array(lens, dtype=np.int32),
-            np.array(flat, dtype=np.int32),
-        )
-
-    def _table(self) -> HopRows:
-        """The message table so far as one :class:`HopRows`."""
-        self._flush()
+    def table(self) -> HopRows:
+        """The message table so far as one :class:`HopRows` (read-only)."""
         return HopRows.concat(self._blocks) if self._blocks else _NO_ROWS
+
+    def filed(self) -> tuple[np.ndarray, np.ndarray]:
+        """The multicasts filed so far as ``(srcs, rows)``: each one's
+        sender and row id, in send order (read-only)."""
+        srcs = np.repeat(np.array(self._srcs, dtype=np.int32), [c.size for c in self._rows])
+        return srcs, self._send_columns()[0]
 
     def _send_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The chunks filed so far as whole ``(rows, lens, flat)`` columns."""
@@ -527,7 +474,7 @@ class HopPlane:
         because the master replays each node's plane segment under that
         node's own id while splicing (:mod:`repro.sim.shard`).
         """
-        return (self._table(), *self._send_columns())
+        return (self.table(), *self._send_columns())
 
     def close_round(self) -> FrozenHopRound | None:
         """Freeze this round's hop sends; ``None`` when there were none.
@@ -539,12 +486,8 @@ class HopPlane:
         if not self._rows:
             self._reset()
             return None
-        table = self._table()
         rows, lens, flat = self._send_columns()
-        srcs = np.repeat(
-            np.array(self._srcs, dtype=np.int32),
-            [chunk.size for chunk in self._rows],
-        )
-        frozen = FrozenHopRound(table, srcs, rows, lens, flat)
+        srcs = np.repeat(np.array(self._srcs, dtype=np.int32), [c.size for c in self._rows])
+        frozen = FrozenHopRound(self.table(), srcs, rows, lens, flat)
         self._reset()
         return frozen

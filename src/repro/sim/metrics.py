@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.sim.profile import PhaseTimings
-
 __all__ = ["FaultRoundStats", "RoundMetrics", "MetricsCollector"]
 
 
@@ -46,9 +44,7 @@ class RoundMetrics:
 
     ``faults`` is ``None`` unless a fault layer injected something this
     round — a faultless run's metrics are indistinguishable from a run
-    without the fault layer at all.  ``phases`` carries the round's
-    per-phase wall-time when a :class:`~repro.sim.profile.PhaseProfiler`
-    is attached to the engine (``None`` otherwise).
+    without the fault layer at all.
     """
 
     round: int
@@ -59,7 +55,6 @@ class RoundMetrics:
     mean_received: float
     alive: int
     faults: FaultRoundStats | None = None
-    phases: PhaseTimings | None = None
 
 
 @dataclass
@@ -77,7 +72,6 @@ class MetricsCollector:
         received_per_node: dict[int, int],
         alive_count: int,
         faults: FaultRoundStats | None = None,
-        phases: PhaseTimings | None = None,
     ) -> RoundMetrics:
         sent = np.fromiter(sent_per_node.values(), dtype=np.int64) if sent_per_node else np.zeros(1, dtype=np.int64)
         recv = (
@@ -94,7 +88,6 @@ class MetricsCollector:
             mean_received=float(recv.sum() / max(1, alive_count)),
             alive=alive_count,
             faults=faults,
-            phases=phases,
         )
         self.history.append(metrics)
         return metrics

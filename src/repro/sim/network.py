@@ -14,14 +14,14 @@ hands each surviving receiver its inbox.
 
 **Two lanes, one order.**  Message objects travel the *object lane*: three
 parallel columns ``(srcs, dsts, msgs)``, one entry per receiver copy, in
-global issue order — :meth:`Network.send`, :meth:`Network.send_singles_batch`
-and :meth:`Network.send_many` all append to them, so an inbox lists its
-entries in the order they were issued whatever call issued them (a multicast
-shares its payload object across its copies, it is not copied).  **Routed
-hops** — the bulk of all traffic — travel the *hop lane*: nodes file them
-through :meth:`Network.send_hops` / :meth:`Network.file_hops` into the
-network's :class:`~repro.sim.hopplane.HopPlane` and receive them as shared
-row arrays (:attr:`Network.hop_delivery`), never in an inbox.  Copies of both
+global issue order — :meth:`Network.send` and
+:meth:`Network.send_singles_batch` both append to them, so an inbox lists
+its entries in the order they were issued whatever call issued them (one
+payload object sent to several receivers is shared by its copies, not
+copied).  **Routed hops** — the bulk of all traffic — travel the *hop
+lane*: nodes file them through :meth:`Network.file_hops` into the network's
+:class:`~repro.sim.hopplane.HopPlane` and receive them as shared row arrays
+(:attr:`Network.hop_delivery`), never in an inbox.  Copies of both
 lanes are counted alike, so edges, congestion and ``has_pending`` cover both.
 
 **One** ``E_t``.  ``close_send_phase`` freezes the round's edges once, as an
@@ -52,7 +52,7 @@ observes send attempts, the environment eats payloads).
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Iterable, Iterator, Protocol, Sequence
+from typing import Iterable, Iterator, Protocol
 
 import numpy as np
 
@@ -302,7 +302,7 @@ class Network:
         #: paper's perfectly reliable synchronous network.
         self.fault_hook: FaultHook | None = None
         #: Columnar transport for routed hops (:mod:`repro.sim.hopplane`):
-        #: protocols send hops via :meth:`send_hops` and receive them as
+        #: protocols file hops via :meth:`file_hops` and receive them as
         #: shared row arrays (:attr:`hop_delivery`), never in an inbox.
         self.plane = HopPlane()
         #: The hop arrivals of the latest :meth:`deliver` call (or ``None``).
@@ -336,32 +336,12 @@ class Network:
         self._msgs.extend([msg for _, msg in items])
         self._count(src, len(items))
 
-    def send_many(
-        self, src: int, dsts: Sequence[int] | Iterable[int], msg: object
-    ) -> None:
-        """Send the same payload object to several receivers (one edge each).
-
-        ``dsts`` may be any iterable, including a NumPy id array; receiver
-        ids are coerced to plain ``int`` exactly like :meth:`send`.
-        """
-        ids = dsts.tolist() if isinstance(dsts, np.ndarray) else map(int, dsts)
-        self.send_singles_batch(src, [(dst, msg) for dst in ids])
-
-    def send_hops(
-        self, src: int, msg: object, step: int, dsts: Sequence[int]
-    ) -> None:
-        """Multicast one routed hop through the columnar plane.
-
-        Counts copies exactly like the object lane (edges, congestion and
-        ``has_pending`` stay consistent across both lanes).
-        """
-        self._count(src, self.plane.send(src, msg, step, dsts))
-
     def file_hops(
         self, src: int, rows: np.ndarray, lens: np.ndarray, flat: np.ndarray
     ) -> None:
-        """File one sender's forwarded hops as a chunk of ``int32`` arrays
-        (see :meth:`HopPlane.file`); copies count like :meth:`send_hops`."""
+        """File one sender's hops as a chunk of ``int32`` arrays (see
+        :meth:`HopPlane.file`).  Copies count exactly like the object lane's
+        (edges, congestion and ``has_pending`` cover both lanes)."""
         self._count(src, self.plane.file(src, rows, lens, flat))
 
     def _count(self, src: int, copies: int) -> None:
@@ -369,6 +349,11 @@ class Network:
         if copies:
             self._sent_counts[src] += copies
             self._pending_count += copies
+
+    def open_sends(self) -> ObjectSegment:
+        """The open round's object lane as ``(srcs, dsts, msgs)`` columns, one
+        entry per receiver copy in issue order (read-only)."""
+        return self._srcs, self._dsts, self._msgs
 
     @property
     def has_pending(self) -> bool:

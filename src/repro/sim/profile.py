@@ -1,17 +1,15 @@
 """Per-phase wall-time profiling of engine rounds.
 
-A :class:`PhaseProfiler` attached to the :class:`~repro.sim.engine.Engine`
-times the four stages of every synchronous round — the adversary phase
-(churn decision, validation and application), the receive phase (message
-delivery), the compute phase (every node's protocol step) and the close
-phase (freezing ``E_t`` and recording the trace).  The timings land both in
-the profiler's own history and on the round's
-:class:`~repro.sim.metrics.RoundMetrics`, so congestion and wall-time can be
-correlated round by round.
-
-The engine consults the profiler through ``if profiler is not None`` guards
-only — a detached run executes no timing code at all, which keeps the
-default path at zero overhead (the acceptance benchmarks run detached).
+A :class:`PhaseProfiler` is a :class:`~repro.sim.engine.RoundObserver`
+(``Engine(..., observers=[profiler])`` or ``MaintenanceSimulation(...,
+profiler=profiler)``): it timestamps the engine's phase boundaries with its
+own clock and files one :class:`PhaseTimings` per round — the four stages
+of every synchronous round (the adversary phase: churn decision, validation
+and application; the receive phase: message delivery; the compute phase:
+every node's protocol step; the close phase: freezing ``E_t`` and recording
+the trace), and the ``(prepare, plan, act)`` split of a staged compute step
+from its ``mark`` calls.  A detached run executes no timing code at all
+(the acceptance benchmarks run detached).
 
 ``clock`` is injectable for deterministic tests; it defaults to
 :func:`time.perf_counter`.
@@ -21,12 +19,18 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-__all__ = ["PHASES", "PhaseTimings", "PhaseProfiler"]
+from repro.sim.engine import PHASES, RoundObserver
 
-#: The engine's phase names, in execution order.
-PHASES = ("adversary", "receive", "compute", "close")
+if TYPE_CHECKING:
+    from repro.sim.engine import Engine
+    from repro.sim.network import Inbox
+
+__all__ = ["STAGES", "PhaseTimings", "PhaseProfiler"]
+
+#: The stages of a staged compute step, as ``NodeProtocol.on_rounds`` marks them.
+STAGES = ("prepare", "plan", "act")
 
 
 @dataclass(frozen=True)
@@ -46,7 +50,8 @@ class PhaseTimings:
 
     ``compute_parts`` splits ``compute`` into the ``(prepare, plan, act)``
     stages of a staged protocol step (see ``NodeProtocol.on_rounds``); empty
-    when the protocol does not stage its round, and on sharded rounds.
+    when the protocol does not stage its round, and on sharded rounds.  Each
+    runs to its mark from the previous one (the first from the phase's start).
     """
 
     adversary: float
@@ -75,38 +80,37 @@ class PhaseTimings:
         return out
 
 
-class PhaseProfiler:
+class PhaseProfiler(RoundObserver):
     """Accumulates per-round :class:`PhaseTimings` for an engine run."""
-
-    __slots__ = ("clock", "history")
 
     def __init__(self, clock: Callable[[], float] = time.perf_counter) -> None:
         self.clock = clock
         self.history: list[PhaseTimings] = []
+        self._phases: list[float] = []
+        self._parts: dict[str, float] = {}
+        self._ended = self._marked = 0.0  # the latest phase end, and mark
 
-    def record(
-        self,
-        adversary: float,
-        receive: float,
-        compute: float,
-        close: float,
-        shards: tuple[float, ...] = (),
-        exchange_bytes_pipe: int = 0,
-        exchange_bytes_shm: int = 0,
-        compute_parts: tuple[float, ...] = (),
-    ) -> PhaseTimings:
-        """File one round's phase durations; returns the frozen record."""
-        timings = PhaseTimings(
-            adversary,
-            receive,
-            compute,
-            close,
-            shards,
-            exchange_bytes_pipe,
-            exchange_bytes_shm,
-            compute_parts,
-        )
-        self.history.append(timings)
+    def on_round_start(self, engine: Engine, t: int) -> None:
+        self._phases, self._parts = [], {}
+        self._ended = self._marked = self.clock()
+
+    def on_phase_end(self, engine: Engine, phase: str, inboxes: dict[int, Inbox]) -> None:
+        now = self.clock()
+        self._phases.append(now - self._ended)
+        self._ended = self._marked = now
+        if phase == "close":
+            shards, pipe, shm = engine.last_shard_round()
+            parts = tuple(self._parts.get(s, 0.0) for s in STAGES) if self._parts else ()
+            self.record(*self._phases, shards, pipe, shm, parts)
+
+    def on_mark(self, engine: Engine, stage: str) -> None:
+        now = self.clock()
+        self._parts[stage] = self._parts.get(stage, 0.0) + now - self._marked
+        self._marked = now
+
+    def record(self, *fields, **named) -> PhaseTimings:
+        """File one round's :class:`PhaseTimings` (its fields); returns it."""
+        self.history.append(timings := PhaseTimings(*fields, **named))
         return timings
 
     # ------------------------------------------------------------------

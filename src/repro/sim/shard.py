@@ -227,12 +227,6 @@ class _SendLog:
         self.dsts.extend([dst for dst, _ in items])
         self.msgs.extend([msg for _, msg in items])
 
-    def send_many(self, src: int, dsts, msg: object) -> None:
-        self.send_singles_batch(src, [(int(dst), msg) for dst in dsts])
-
-    def send_hops(self, src: int, msg: object, step: int, dsts) -> None:
-        self.plane.send(src, msg, step, dsts)
-
     def file_hops(self, src: int, rows, lens, flat) -> None:
         self.plane.file(src, rows, lens, flat)  # the master counts the copies
 
@@ -257,7 +251,7 @@ def _export_state(proto) -> dict:
     return out
 
 
-def _worker_main(engine: "Engine", band: int, conn, down_shm, up_shm) -> None:
+def _worker_main(engine: "Engine", band: int, conn, down_shm, up_shm, clock) -> None:
     """Persistent worker loop: owns one band of nodes, forked from master.
 
     The forked engine snapshot supplies protocols, rng streams, lifecycle
@@ -265,7 +259,8 @@ def _worker_main(engine: "Engine", band: int, conn, down_shm, up_shm) -> None:
     touched, and the only channel back is the per-round uplink region
     (plus explicit gathers).  ``down_shm`` / ``up_shm`` are the inherited
     generation-0 slabs; the control message announces regrown generations,
-    which the worker re-attaches by name.
+    which the worker re-attaches by name.  ``clock`` times the band's
+    compute (``None``: untimed).
     """
     from repro.sim.engine import NodeContext
 
@@ -280,9 +275,6 @@ def _worker_main(engine: "Engine", band: int, conn, down_shm, up_shm) -> None:
     protocols = engine._protocols
     rngs = engine._rngs
     params = engine.params
-    # Per-shard compute timing reuses the profiler's injectable clock (no
-    # direct wall-clock reads here); an unprofiled run measures nothing.
-    clock = engine.profiler.clock if engine.profiler is not None else None
     ordered = sorted(owned)
     down_gen = 0
     up_gen = 0
@@ -425,6 +417,9 @@ class ShardRunner:
             workers * self._up_band_bytes, "shard-uplink"
         )
         self._up_grow_to = 0  # pending per-band regrow request (bytes)
+        # Per-shard compute timing reuses an observer's injectable clock (no
+        # direct wall-clock reads here); an unobserved run measures nothing.
+        clock = next((o.clock for o in engine.observers if o.clock is not None), None)
         ctx = multiprocessing.get_context("fork")
         self._conns = []
         self._procs = []
@@ -432,7 +427,7 @@ class ShardRunner:
             parent, child = ctx.Pipe()
             proc = ctx.Process(
                 target=_worker_main,
-                args=(engine, k, child, self._down_shm, self._up_shm),
+                args=(engine, k, child, self._down_shm, self._up_shm, clock),
                 daemon=True,
             )
             proc.start()

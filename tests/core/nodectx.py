@@ -17,6 +17,8 @@ from repro.sim.network import Network
 from repro.util.intervals import wrap
 from repro.util.rngs import RngService
 
+from ..sim.hops import file_hops
+
 
 def make_services(params: ProtocolParams) -> EngineServices:
     svc = RngService(params.seed)
@@ -58,8 +60,7 @@ def make_ctx(node, services, t, inbox, hops=(), network=None):
     rows = delivery = None
     if hops:
         plane = HopPlane()
-        for sender, msg, step in hops:
-            plane.send(sender, msg, step, [node.id])
+        file_hops(plane, [(sender, msg, step, [node.id]) for sender, msg, step in hops])
         delivery = plane.close_round().deliver({node.id})
         rows = delivery.rows[node.id]
     ctx = NodeContext(

@@ -26,6 +26,8 @@ from repro.sim.epochs import EpochCache
 from repro.sim.hopplane import HopDelivery, HopPlane, HopRows
 from repro.util.rngs import RngService
 
+from ..sim.hops import file_hops
+
 TOP = 1.0 - 2.0**-53  # the largest position below 1
 position = st.one_of(
     st.sampled_from([0.0, TOP, 0.5, 0.25]),
@@ -160,7 +162,7 @@ def test_hop_columns_equal_the_row_by_row_loop(case):
         next((n for n, (row, _) in enumerate(forwarded) if row == i), -1)
         for i in range(len(msgs))
     ]
-    table = out_plane.pack()[0]
+    table = out_plane.table()
     assert [(id(m), k) for m, k in zip(table.msgs, table.steps.tolist())] == [
         (id(msgs[i]), k) for i, k in forwarded
     ]
@@ -246,8 +248,8 @@ def test_plan_equals_the_protocol_text_row_by_row(case):
             msg = routed(i, point, 2, rank=rank, payload=payload)
         else:
             msg = RoutedMessage(("t", i), 99, 0.0, (0.0, point, 0.0, 0.0), 0, ordinal=i)
-        plane.send(99, msg, k, dsts)
         sent.append((msg, final, dsts))
+    file_hops(plane, [(99, msg, k, dsts) for msg, _, dsts in sent])
     frozen = plane.close_round()
     if frozen is None:
         return
@@ -272,7 +274,7 @@ def test_plan_equals_the_protocol_text_row_by_row(case):
         u[:] = draws.random(u.size)
     plan.close()
 
-    out_msgs = out_plane.pack()[0].msgs
+    out_msgs = out_plane.table().msgs
     for i, v in enumerate(order):
         mid_index, fin_index, pos = entries_of[v]
         join_recs, events, u, out_rows, lens, flat = plan.nodes[i]

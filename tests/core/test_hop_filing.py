@@ -27,6 +27,7 @@ from repro.sim.hopplane import HopPlane
 from repro.sim.network import Network
 from repro.util.intervals import ring_distance
 
+from ..sim.hops import file_hops
 from .nodectx import make_ctx, make_services
 
 ME = 1
@@ -322,8 +323,7 @@ def drive(params, t, hops, batched):
     """One staged round; returns what it left behind, per holder."""
     services, nodes = build_nodes(params, t // 2)
     plane = HopPlane()
-    for msg, step, receivers in hops:
-        plane.send(99, msg, step, receivers)
+    file_hops(plane, [(99, msg, step, receivers) for msg, step, receivers in hops])
     delivery = plane.close_round().deliver(set(nodes))
     net = Network()
     inboxes = handover_batches(t)
@@ -345,7 +345,7 @@ def drive(params, t, hops, batched):
         for v in NODE_ORDER
     ]
     if batched:
-        assert DHTNode.on_rounds(batch) == ()
+        assert DHTNode.on_rounds(batch) is None
     else:
         for node, ctx in batch:
             node.on_round(ctx)
@@ -434,9 +434,10 @@ class TestBatch:
             assert answers == [(H1, H2), (H5, H2), (H6, H2)]
             assert any(isinstance(m, CreateBatch) for _, _, m in objects)
 
-    def test_stage_timings_are_reported_with_a_clock(self, params):
-        ticks = iter(range(1000))
+    def test_stage_ends_reach_the_mark_callable(self, params):
         services, nodes = build_nodes(params, 5)
         ctx, _ = make_ctx(nodes[H1], services, 10, [], hops=[(2, mid(0, 0.3), 0)])
-        parts = DHTNode.on_rounds([(nodes[H1], ctx)], clock=lambda: float(next(ticks)))
-        assert len(parts) == 3 and all(p > 0 for p in parts)
+        marks: list[str] = []
+        DHTNode.on_rounds([(nodes[H1], ctx)], mark=marks.append)
+        # One band: its plan, its act, then the plan's close.
+        assert marks == ["prepare", "plan", "act", "plan"]

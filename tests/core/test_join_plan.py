@@ -34,6 +34,7 @@ from repro.sim.hopplane import HopPlane
 from repro.sim.network import Network
 from repro.util.rngs import RngService
 
+from ..sim.hops import file_hops
 from .nodectx import make_services
 
 TOP = 1.0 - 2.0**-53  # the largest position below 1
@@ -245,8 +246,7 @@ def drive(params, t, batched):
             node._d_index = PositionIndex({**node.d_nbrs, v: pos})
         nodes[v] = node
     plane = HopPlane()
-    for msg, receivers in arrivals():
-        plane.send(99, msg, 0, receivers)
+    file_hops(plane, [(99, msg, 0, receivers) for msg, receivers in arrivals()])
     delivery = plane.close_round().deliver(set(nodes))
     net = Network()
     batch = [

@@ -26,7 +26,7 @@ class ChatterProtocol(NodeProtocol):
         n = ctx.params.n
         ctx.send((ctx.node_id + 1) % n, ("tick", ctx.round))
         if ctx.node_id % 3 == 0:
-            ctx.send_many([(ctx.node_id + k) % n for k in (2, 3, 4)], "mc")
+            ctx.send_singles_batch([((ctx.node_id + k) % n, "mc") for k in (2, 3, 4)])
         for src, _ in ctx.inbox:
             if (ctx.node_id + ctx.round) % 5 == 0:
                 ctx.send(src, "ack")

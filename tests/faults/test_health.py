@@ -73,7 +73,7 @@ class OverlayStub(NodeProtocol):
 def run_monitored(protocol_cls, rounds=3, n=16):
     params = ProtocolParams(n=n, seed=1, alpha=0.25)
     monitor = HealthMonitor(params)
-    eng = Engine(params, lambda v, s: protocol_cls(v, s), health=monitor)
+    eng = Engine(params, lambda v, s: protocol_cls(v, s), observers=[monitor])
     eng.seed_nodes(range(n))
     reports = eng.run(rounds)
     return monitor, reports
@@ -91,8 +91,8 @@ class TestConnectivityAudit:
         assert kinds == {"disconnected"}
         assert all(e.severity == "critical" for e in monitor.events)
         assert monitor.first_degradation_round == 0
-        # Events also flow through the round reports.
-        assert reports[0].health == (monitor.events[0],)
+        # An event carries the round whose end raised it.
+        assert monitor.events[0].round == reports[0].round
 
     def test_silent_window_is_not_a_partition(self):
         monitor, _ = run_monitored(SilentProtocol)
@@ -216,7 +216,7 @@ class TestStructuralAudits:
         plain = Engine(params, lambda v, s: RingProtocol(v, s))
         plain.seed_nodes(range(16))
         watched = Engine(
-            params, lambda v, s: RingProtocol(v, s), health=HealthMonitor(params)
+            params, lambda v, s: RingProtocol(v, s), observers=[HealthMonitor(params)]
         )
         watched.seed_nodes(range(16))
         m0 = [r.metrics for r in plain.run(4)]
@@ -256,7 +256,7 @@ class TestSummaries:
     def test_time_to_recover_counts_clean_tail(self):
         params = ProtocolParams(n=16, seed=1, alpha=0.25)
         monitor = HealthMonitor(params)
-        eng = Engine(params, lambda v, s: RingProtocol(v, s), health=monitor)
+        eng = Engine(params, lambda v, s: RingProtocol(v, s), observers=[monitor])
         eng.seed_nodes(range(16))
         eng.run(4)
         # Inject a synthetic event at round 1 and re-derive the summary.
@@ -272,7 +272,7 @@ class TestSummaries:
     def test_empty_alive_set_skipped(self):
         params = ProtocolParams(n=8, seed=1, alpha=0.25)
         monitor = HealthMonitor(params)
-        eng = Engine(params, lambda v, s: RingProtocol(v, s), health=monitor)
+        eng = Engine(params, lambda v, s: RingProtocol(v, s), observers=[monitor])
         eng.run(2)  # no nodes seeded: alive set is empty every round
         assert monitor.events == []
         assert monitor.rounds_observed == 0

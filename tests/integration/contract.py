@@ -6,20 +6,22 @@ and the spec's messages cover each other, each class's
 ``dataclasses.fields`` are the spec's field list, and every dataclass of a
 ``message_modules`` module carries the marker.
 
-:class:`ContractMonitor` attaches to a :class:`MaintenanceSimulation`,
-observes every send by wrapping the engine's :class:`~repro.sim.network.Network`
-instance methods, and after each round asserts the clauses of
-``protocol-spec.json`` and docs/PROTOCOL.md that are properties of runs:
+:class:`ContractMonitor` attaches to a :class:`MaintenanceSimulation` as an
+engine observer (:class:`~repro.sim.engine.RoundObserver`) and asserts the
+clauses of ``protocol-spec.json`` and docs/PROTOCOL.md that are properties
+of runs, reading each round at its phase boundaries:
 
 * **phase** (Listings 3–4) — an object-lane message's sender is in one of
   its type's ``producer_phases`` when it sends, and its receiver in one of
   the ``consumer_phases`` when it is delivered; a routed launch's launcher
   (the filer of a step-0 hop row) is in one of its payload tag's
-  ``producer_phases``.  A node's phase only changes in the prepare stage,
-  so the phase read at send time is the phase the message was sent in.  A
-  type or tag the spec does not cover, or a ``record`` / ``engine`` type on
-  the wire, is a violation;
-* **step** (Lemma 9) — every row of every frozen hop round has
+  ``producer_phases``.  A node's phase only changes in the prepare stage:
+  every node's phase at the step's ``"prepare"`` mark is its phase at the
+  end of compute, so the sends of the round, read at the end of compute,
+  are checked against the phase they were sent in.  A type or tag the spec
+  does not cover, or a ``record`` / ``engine`` type on the wire, is a
+  violation;
+* **step** (Lemma 9) — every row of every round's hop table has
   ``0 <= step <= final_step = lam + 1``;
 * **epoch** (Section 5, DESIGN.md §5 item 6) — a node's epoch changes only
   in an even round ``2e``, and then only to ``e`` (cutover) or to ``None``
@@ -48,7 +50,8 @@ import numpy as np
 
 import repro
 from repro.core.runner import MaintenanceSimulation
-from repro.sim.hopplane import HopRows
+from repro.sim.engine import Engine, RoundObserver, RoundReport
+from repro.sim.network import Inbox
 
 from .spec import ProtocolSpec, load_spec
 
@@ -119,7 +122,7 @@ def declaration_drift(spec: ProtocolSpec) -> list[str]:
     return drift
 
 
-class ContractMonitor:
+class ContractMonitor(RoundObserver):
     """Checks the contract of one simulation, round by round (see module doc)."""
 
     def __init__(self, sim: MaintenanceSimulation, spec: ProtocolSpec | None = None) -> None:
@@ -130,57 +133,20 @@ class ContractMonitor:
         self.sent: Counter[str] = Counter()
         self.launched: Counter[str] = Counter()
         self.violations: list[str] = []
-        self._filed: list[tuple[str, np.ndarray]] = []  # (filer's phase, rows)
+        self.rounds = 0  # rounds observed
         self._epochs = {v: sim.node(v).epoch for v in sim.engine.alive}
-
-        net = sim.engine.network
-        send, singles = net.send, net.send_singles_batch
-        file_hops, close, deliver = net.file_hops, net.close_send_phase, net.deliver
-
-        def watched_send(src, dst, msg):
-            self._on_send(src, msg)
-            send(src, dst, msg)
-
-        def watched_singles(src, items):
-            for _, msg in items:
-                self._on_send(src, msg)
-            singles(src, items)
-
-        def watched_file(src, rows, lens, flat):
-            self._filed.append((self._phase(src), rows))
-            file_hops(src, rows, lens, flat)
-
-        def watched_close():
-            self._on_close(net.plane.pack()[0])
-            return close()
-
-        def watched_deliver(alive):
-            inboxes, received = deliver(alive)
-            self._on_deliver(inboxes)
-            return inboxes, received
-
-        # ``send_many`` files through the instance's ``send_singles_batch``.
-        for name, method in (
-            ("send", watched_send),
-            ("send_singles_batch", watched_singles),
-            ("file_hops", watched_file),
-            ("close_send_phase", watched_close),
-            ("deliver", watched_deliver),
-        ):
-            setattr(net, name, method)
-
-    # ------------------------------------------------------------------
+        self._prepared: dict[int, str] = {}  # phases at the "prepare" mark
+        sim.engine.attach(self)
 
     def run(self, rounds: int) -> None:
         """Run ``rounds`` rounds; raise :class:`ContractViolation` after the
         first one that broke a clause."""
-        engine = self.sim.engine
         for _ in range(rounds):
-            t = engine.round
-            engine.run_round()
-            self._after_round(t)
+            self.sim.engine.run_round()
             if self.violations:
                 raise ContractViolation("\n".join(self.violations))
+
+    # Observer hooks ---------------------------------------------------
 
     def _phase(self, v: int) -> str:
         return self.sim.node(v).phase.value
@@ -189,32 +155,49 @@ class ContractMonitor:
         """Record a violation of round ``t`` (default: the open round)."""
         self.violations.append(f"round {self.sim.engine.round if t is None else t}: {text}")
 
-    def _on_send(self, src: int, msg: object) -> None:
-        name = type(msg).__name__
-        self.sent[name] += 1
-        entry = self.spec.message(name)
-        if entry is None:
-            self._flag(f"node {src} sent `{name}`, which the spec does not cover")
-        elif entry.kind != "message":
-            self._flag(f"node {src} sent `{name}` on the wire, but its kind is {entry.kind}")
-        elif self._phase(src) not in entry.producer_phases:
-            self._flag(
-                f"node {src} sent `{name}` in phase {self._phase(src)}; producers: "
-                f"{list(entry.producer_phases)} [{entry.anchor}]"
-            )
+    def on_mark(self, engine: Engine, stage: str) -> None:
+        if stage == "prepare":
+            self._prepared = {v: self._phase(v) for v in engine.alive}
 
-    def _on_deliver(self, inboxes: dict[int, list[tuple[int, object]]]) -> None:
+    def on_phase_end(self, engine: Engine, phase: str, inboxes: dict[int, Inbox]) -> None:
+        if phase == "compute":
+            self._on_compute(engine)
+        if phase != "receive":
+            return
         for dst, inbox in inboxes.items():
-            phase = self._phase(dst)
+            held = self._phase(dst)
             for _, msg in inbox:
                 entry = self.spec.message(type(msg).__name__)
-                if entry is not None and phase not in entry.consumer_phases:
+                if entry is not None and held not in entry.consumer_phases:
                     self._flag(
-                        f"node {dst} received `{entry.name}` in phase {phase}; "
+                        f"node {dst} received `{entry.name}` in phase {held}; "
                         f"consumers: {list(entry.consumer_phases)} [{entry.anchor}]"
                     )
 
-    def _on_close(self, table: HopRows) -> None:
+    def _on_compute(self, engine: Engine) -> None:
+        for v, before in self._prepared.items():
+            if self._phase(v) != before:
+                self._flag(
+                    f"node {v} phase {before} -> {self._phase(v)} after the prepare "
+                    "stage; a phase changes only in prepare"
+                )
+        self._prepared = {}
+        srcs, _, msgs = engine.network.open_sends()
+        for src, msg in zip(srcs, msgs):
+            name = type(msg).__name__
+            self.sent[name] += 1
+            entry = self.spec.message(name)
+            if entry is None:
+                self._flag(f"node {src} sent `{name}`, which the spec does not cover")
+            elif entry.kind != "message":
+                self._flag(f"node {src} sent `{name}` on the wire, but its kind is {entry.kind}")
+            elif self._phase(src) not in entry.producer_phases:
+                self._flag(
+                    f"node {src} sent `{name}` in phase {self._phase(src)}; producers: "
+                    f"{list(entry.producer_phases)} [{entry.anchor}]"
+                )
+        plane = engine.network.plane
+        table = plane.table()
         steps, finals = table.steps, table.fsteps
         bad = np.flatnonzero((steps < 0) | (steps > finals) | (finals != self.lam + 1))
         for row in bad.tolist():
@@ -222,25 +205,24 @@ class ContractMonitor:
                 f"hop row {row} at step {steps[row]} with final_step {finals[row]}; "
                 f"Lemma 9 allows 0 <= step <= final_step = lam + 1 = {self.lam + 1}"
             )
-        msgs = table.msgs
-        for phase, rows in self._filed:
-            for row in rows[steps[rows] == 0].tolist():
-                payload = msgs[row].payload
-                tag = payload[0] if isinstance(payload, tuple) else None
-                self.launched[str(tag)] += 1
-                entry = self.spec.payload(tag) if isinstance(tag, str) else None
-                if entry is None:
-                    self._flag(f"routed payload {tag!r} is not in the spec's payload table")
-                elif phase not in entry.producer_phases:
-                    self._flag(
-                        f'payload "{tag}" launched in phase {phase}; producers: '
-                        f"{list(entry.producer_phases)} [{entry.anchor}]"
-                    )
-        self._filed = []
+        launchers, rows = plane.filed()
+        launch = steps[rows] == 0
+        for src, row in zip(launchers[launch].tolist(), rows[launch].tolist()):
+            payload = table.msgs[row].payload
+            tag = payload[0] if isinstance(payload, tuple) else None
+            self.launched[str(tag)] += 1
+            entry = self.spec.payload(tag) if isinstance(tag, str) else None
+            if entry is None:
+                self._flag(f"routed payload {tag!r} is not in the spec's payload table")
+            elif self._phase(src) not in entry.producer_phases:
+                self._flag(
+                    f'payload "{tag}" launched in phase {self._phase(src)}; producers: '
+                    f"{list(entry.producer_phases)} [{entry.anchor}]"
+                )
 
-    def _after_round(self, t: int) -> None:
-        engine = self.sim.engine
-        faults = engine.faults
+    def on_round_end(self, engine: Engine, report: RoundReport) -> None:
+        self.rounds += 1
+        t, faults = report.round, engine.faults
         e = t // 2
         epochs: dict[int, int | None] = {}
         for v in sorted(engine.alive):

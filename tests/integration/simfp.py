@@ -137,15 +137,18 @@ SCENARIOS = {
 }
 
 
-def run_scenario(name: str, **sim_kwargs) -> str:
+def run_scenario(name: str, attach=None, **sim_kwargs) -> str:
     """Run one named scenario round by round; returns its fingerprint.
 
     Probes are queued mid-run so final-delivery paths contribute to the
     digest.  ``sim_kwargs`` forward to :class:`MaintenanceSimulation`
-    (``faults=``, ``workers=``).
+    (``faults=``, ``workers=``); ``attach(sim)``, if given, runs on the
+    built simulation before its first round (to attach observers).
     """
     builder, total = SCENARIOS[name]
     sim = builder(**sim_kwargs)
+    if attach is not None:
+        attach(sim)
     try:
         probe_rng = np.random.default_rng(99)
         rounds: list[tuple] = []

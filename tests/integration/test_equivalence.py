@@ -16,9 +16,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.faults.health import HealthMonitor
 from repro.routing.messages import RoutedMessage
 from repro.sim.hopplane import FrozenHopRound
+from repro.sim.profile import PhaseProfiler
 
+from .contract import ContractMonitor
 from .simfp import SCENARIOS, run_scenario
 
 #: Captured from the seed implementation (before the epoch cache and hop
@@ -36,6 +39,21 @@ GOLDEN = {
 def test_optimized_matches_golden(scenario):
     """The hop plane + epoch cache path reproduces the seed digests."""
     assert run_scenario(scenario) == GOLDEN[scenario]
+
+
+def test_attached_observers_leave_the_run_unchanged():
+    """A profiler, a health monitor and the contract checker on one run:
+    its fingerprint is the detached run's, and each saw every round."""
+    profiler, watched = PhaseProfiler(), []
+
+    def attach(sim):
+        watched[:] = HealthMonitor(sim.params), ContractMonitor(sim)
+        sim.engine.attach(watched[0])
+
+    assert run_scenario("churn_faults", attach, profiler=profiler) == GOLDEN["churn_faults"]
+    (health, contract), rounds = watched, SCENARIOS["churn_faults"][1]
+    assert profiler.rounds == health.rounds_observed == contract.rounds == rounds
+    assert contract.violations == []
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,8 @@ message or a tag nothing implements, sends or launches; on a stray
 dataclass in a message module; on a spec that narrows a producer phase;
 and on runs whose code is broken on purpose — a launch filed past its
 final step, a decreased epoch, a cutover that neither installs nor
-demotes, a token stamped with too long a TTL.
+demotes, a token stamped with too long a TTL, a phase changed after the
+prepare stage.
 """
 
 from __future__ import annotations
@@ -217,6 +218,20 @@ def test_cutover_that_neither_installs_nor_demotes_fails(monkeypatch):
         ContractViolation, match="node 0 is established in epoch 0 .* must cut over or demote"
     ):
         ContractMonitor(sim).run(AFTER_CUTOVER)
+
+
+def test_phase_change_after_prepare_fails(monkeypatch):
+    act = node_mod.MaintenanceNode._act
+
+    def demoting(self, ctx, step):
+        act(self, ctx, step)
+        if self.id == 0 and ctx.round == 3:
+            self.phase = node_mod.Phase.FRESH
+
+    monkeypatch.setattr(node_mod.MaintenanceNode, "_act", demoting)
+    changed = "round 3: node 0 phase established -> fresh after the prepare stage"
+    with _sim("steady") as sim, pytest.raises(ContractViolation, match=changed):
+        ContractMonitor(sim).run(4)
 
 
 def test_longer_token_ttl_fails(monkeypatch):

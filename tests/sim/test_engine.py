@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.adversary.base import Adversary, ChurnDecision, JoinRequest
@@ -10,6 +11,7 @@ from repro.config import ProtocolParams
 from repro.faults.plan import FaultPlan, MessageFaults
 from repro.routing.messages import RoutedMessage
 from repro.sim.engine import Engine, JoinNotice, NodeContext, NodeProtocol
+from repro.sim.hopplane import HopRows
 
 
 class EchoProtocol(NodeProtocol):
@@ -197,7 +199,8 @@ class HopSpamProtocol(NodeProtocol):
             self.hops.append((ctx.round, len(ctx.hops)))
         if ctx.round == 0 and ctx.node_id == 0:
             hop = RoutedMessage("hop", 0, 0.5, (0.0, 0.5), ctx.round)
-            ctx.send_hops(hop, 0, [1, 2, 16])
+            row = ctx.append_hops(HopRows.of([hop], [0]))
+            ctx.file_hops(*(np.array(c, dtype=np.int32) for c in ([row], [3], [1, 2, 16])))
 
 
 class TestHopPlaneUnderFaults:

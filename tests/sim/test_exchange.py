@@ -17,6 +17,8 @@ from repro.sim import exchange
 from repro.sim.hopplane import HopDelivery, HopPlane, HopRows
 from repro.util.arena import ArenaFull, ByteArena, FrameDecoder, FrameEncoder
 
+from .hops import file_hops
+
 
 def _msg(i: int, payload: object = None) -> RoutedMessage:
     return RoutedMessage(
@@ -33,8 +35,7 @@ def _pack(*sends):
     """``HopPlane.pack()`` — ``(table, rows, lens, flat)``, the send columns
     int32 arrays — of ``(src, msg, step, dsts)`` sends."""
     plane = HopPlane()
-    for src, msg, step, dsts in sends:
-        plane.send(src, msg, step, dsts)
+    file_hops(plane, sends)
     return plane.pack()
 
 
@@ -144,8 +145,8 @@ class TestDownlinkBand:
 
 class TestUplink:
     def test_all_item_tags_roundtrip(self):
-        """The column log of a single, a batch and a multicast (every send
-        call files into the same ``(dsts, msgs)`` columns)."""
+        """The column log of singles and batches (every send call files into
+        the same ``(dsts, msgs)`` columns)."""
         from repro.sim.shard import _SendLog
 
         buf, arena, enc, dec = _codec()
@@ -154,7 +155,7 @@ class TestUplink:
         log.send(4, np.int64(4), m)
         log.send_singles_batch(4, [(5, "grant"), (6, m)])
         log.mark(4)
-        log.send_many(5, (7, 8, 9), m)
+        log.send_singles_batch(5, [(7, m), (8, m), (9, m)])
         log.send_singles_batch(5, [])
         log.mark(5)
         assert log.dsts == [4, 5, 6, 7, 8, 9]

@@ -1,4 +1,4 @@
-"""Columnar hop plane: interning, batched sends, delivery grouping."""
+"""Columnar hop plane: row blocks, filed chunks, delivery grouping."""
 
 from __future__ import annotations
 
@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from repro.routing.messages import RoutedMessage
 from repro.sim.hopplane import FrozenHopRound, HopPlane, HopRows, _stable_argsort
 
+from .hops import file_hops
+
 _launches = count()
 
 
@@ -22,23 +24,15 @@ def Msg() -> RoutedMessage:
     return RoutedMessage(("m", i), i >> 13, 0.0, (0.0, 0.0), 0, ordinal=i & 0x1FFF)
 
 
+def _i32(*values):
+    return np.array(values, dtype=np.int32)
+
+
 def _edges(frozen: FrozenHopRound) -> list[tuple[int, int]]:
     """``edge_columns()`` — per-copy ``int32`` ``(srcs, dsts)`` — as pairs."""
     srcs, dsts = frozen.edge_columns()
     assert srcs.dtype == dsts.dtype == np.int32
     return list(zip(srcs.tolist(), dsts.tolist()))
-
-
-def test_interns_one_row_per_logical_hop():
-    plane = HopPlane()
-    m = Msg()
-    assert plane.send(1, m, 0, [2, 3]) == 2
-    assert plane.send(4, m, 0, [3, 5]) == 2  # same (msg, step): same row
-    assert plane.send(4, m, 1, [2]) == 1  # next step: a new logical hop
-    frozen = plane.close_round()
-    assert len(frozen.msgs) == 2
-    assert frozen.copies() == 5
-    assert _edges(frozen) == [(1, 2), (1, 3), (4, 3), (4, 5), (4, 2)]
 
 
 def test_intern_rows_is_intern_per_listed_row():
@@ -51,7 +45,7 @@ def test_intern_rows_is_intern_per_listed_row():
     # steps, with every other column gathered along; unlisted ones stay -1.
     assert out.tolist() == [1, -1, 2, 0]
     assert plane.append(HopRows.of([m1], [0])) == 3  # launches come after
-    plane.send(4, m3, 0, [9])  # a hand-filed hop: after both blocks
+    file_hops(plane, [(4, m3, 0, [9])])  # a hand-filed hop: after both blocks
     frozen = plane.close_round()
     assert list(zip(frozen.msgs, frozen.steps.tolist())) == [
         (m2, 6), (m1, 1), (m3, 2), (m1, 0), (m3, 0)
@@ -68,7 +62,7 @@ def test_intern_rows_raises_once_the_plane_holds_a_row():
     forwarding plan interned them is an error, not a silent renumbering."""
     table = HopRows.of([Msg()], [1])
     plane = HopPlane()
-    plane.send(1, Msg(), 0, [2])
+    file_hops(plane, [(1, Msg(), 0, [2])])
     with pytest.raises(RuntimeError, match="first plane rows"):
         plane.intern_rows(table, np.array([0]), np.array([2]))
     launched = HopPlane()
@@ -77,38 +71,17 @@ def test_intern_rows_raises_once_the_plane_holds_a_row():
         launched.intern_rows(table, np.array([0]), np.array([2]))
 
 
-def test_send_batch_equals_individual_sends():
-    m1, m2 = Msg(), Msg()
-    one = HopPlane()
-    one.send(7, m1, 0, [1, 2])
-    one.send(7, m2, 3, [2])
-    one.send(7, m1, 0, [3])
-    a = one.close_round()
-
-    two = HopPlane()
-    assert two.send_batch(7, [(m1, 0, [1, 2]), (m2, 3, [2]), (m1, 0, [3])]) == 4
-    b = two.close_round()
-
-    assert a.steps.tolist() == b.steps.tolist()
-    assert a.srcs.tolist() == b.srcs.tolist()
-    assert a.send_rows.tolist() == b.send_rows.tolist()
-    assert a.lens.tolist() == b.lens.tolist()
-    assert a.flat.tolist() == b.flat.tolist()
-
-
 def test_empty_receiver_lists_are_skipped():
     plane = HopPlane()
-    assert plane.send(1, Msg(), 0, []) == 0
-    assert plane.send_batch(1, [(Msg(), 0, [])]) == 0
-    assert plane.close_round() is None
+    assert plane.file(1, _i32(), _i32(), _i32()) == 0
+    assert plane.sends == 0 and plane.close_round() is None
 
 
 def test_deliver_groups_by_receiver_in_send_order():
     plane = HopPlane()
     m1, m2 = Msg(), Msg()
-    plane.send(1, m1, 0, [10, 11])
-    plane.send(2, m2, 0, [11, 10])
-    plane.send(3, m1, 0, [11])  # duplicate row for 11: counted, then deduped
+    # m1's second multicast reuses its row: for 11, counted, then deduped.
+    file_hops(plane, [(1, m1, 0, [10, 11]), (2, m2, 0, [11, 10]), (3, m1, 0, [11])])
     frozen = plane.close_round()
     delivery = frozen.deliver(alive={10, 11})
     assert delivery.total == 5
@@ -122,7 +95,7 @@ def test_deliver_groups_by_receiver_in_send_order():
 
 def test_deliver_drops_dead_receivers_but_counts_all_copies():
     plane = HopPlane()
-    plane.send(1, Msg(), 0, [10, 99])
+    file_hops(plane, [(1, Msg(), 0, [10, 99])])
     frozen = plane.close_round()
     delivery = frozen.deliver(alive={10})
     assert delivery.total == 2  # in-flight copies, for budget accounting
@@ -132,9 +105,10 @@ def test_deliver_drops_dead_receivers_but_counts_all_copies():
 def test_close_round_resets_interning():
     plane = HopPlane()
     m = Msg()
-    plane.send(1, m, 0, [2])
+    file_hops(plane, [(1, m, 0, [2])])
     first = plane.close_round()
-    plane.send(1, m, 0, [3])
+    assert plane.append(HopRows.of([m], [0])) == 0  # rows are numbered per round
+    plane.file(1, _i32(0), _i32(1), _i32(3))
     second = plane.close_round()
     assert first.msgs is not second.msgs
     assert second.copies() == 1
@@ -143,8 +117,7 @@ def test_close_round_resets_interning():
 def test_cut_keeps_the_named_copies_in_order():
     plane = HopPlane()
     m1, m2 = Msg(), Msg()
-    plane.send(1, m1, 0, [10, 11, 12])
-    plane.send(2, m2, 0, [11])
+    file_hops(plane, [(1, m1, 0, [10, 11, 12]), (2, m2, 0, [11])])
     frozen = plane.close_round()
     # Copy 1 dropped, copy 2 duplicated, copy 3 kept.
     segment = frozen.cut(np.array([0, 2, 2, 3]))
@@ -160,12 +133,10 @@ def test_cut_keeps_the_named_copies_in_order():
 def test_merged_reinterns_rows_across_rounds():
     plane = HopPlane()
     m1, m2, m3 = Msg(), Msg(), Msg()
-    plane.send(1, m2, 0, [10])
-    plane.send(1, m1, 4, [10, 11])
+    file_hops(plane, [(1, m2, 0, [10]), (1, m1, 4, [10, 11])])
     older = plane.close_round()
-    plane.send(2, m1, 4, [10])  # the same logical hop, sent a round later
-    plane.send(2, m1, 5, [10])  # same message, next step: a different hop
-    plane.send(2, m3, 0, [11])
+    # (m1, 4) again a round later: the same logical hop; (m1, 5): a different one.
+    file_hops(plane, [(2, m1, 4, [10]), (2, m1, 5, [10]), (2, m3, 0, [11])])
     newer = plane.close_round()
     assert older.msgs.index(m1) != newer.msgs.index(m1)  # numbered per round
 
@@ -188,27 +159,25 @@ def test_merged_reinterns_rows_across_rounds():
 # ----------------------------------------------------------------------
 
 
-def _i32(*values):
-    return np.array(values, dtype=np.int32)
-
-
-def test_interleaved_send_batch_and_file_keep_global_send_order():
+def test_interleaved_blocks_and_chunks_keep_global_send_order():
     plane = HopPlane()
     m1, m2, m3 = Msg(), Msg(), Msg()
-    plane.send(1, m1, 0, [5, 6])
-    r2, r1 = plane.intern(m2, 1), plane.intern(m1, 0)
+    r1 = plane.append(HopRows.of([m1, m2], [0, 1]))
+    r2 = r1 + 1
+    assert plane.file(1, _i32(r1), _i32(2), _i32(5, 6)) == 2
     assert plane.file(2, _i32(r2, r1), _i32(1, 2), _i32(7, 8, 9)) == 3
     assert plane.sends == 3
-    plane.send_batch(3, [(m3, 0, [4]), (m2, 2, []), (m2, 1, [5, 4])])
+    r3 = plane.append(HopRows.of([m3], [0]))  # a block after the first chunks
+    assert plane.file(3, _i32(r3, r2), _i32(1, 2), _i32(4, 5, 4)) == 3
     assert plane.file(4, _i32(), _i32(), _i32()) == 0  # an empty chunk is no send
-    plane.send(5, m3, 0, (6,))
+    plane.file(5, _i32(r3), _i32(1), _i32(6))
     assert plane.sends == 6
 
     table, rows, lens, flat = plane.pack()
+    srcs, filed_rows = plane.filed()
     frozen = plane.close_round()
     hops = list(zip(frozen.msgs, frozen.steps.tolist()))
-    assert hops[r1] == (m1, 0) and hops[r2] == (m2, 1) and (m2, 2) not in hops
-    r3 = hops.index((m3, 0))
+    assert hops == [(m1, 0), (m2, 1), (m3, 0)] and r3 == 2
     assert frozen.srcs.tolist() == [1, 2, 2, 3, 3, 5]
     assert frozen.send_rows.tolist() == [r1, r2, r1, r3, r2, r3]
     assert frozen.lens.tolist() == [2, 1, 2, 1, 2, 1]
@@ -216,10 +185,11 @@ def test_interleaved_send_batch_and_file_keep_global_send_order():
     assert _edges(frozen) == [
         (1, 5), (1, 6), (2, 7), (2, 8), (2, 9), (3, 4), (3, 5), (3, 4), (5, 6)
     ]
-    # pack() is the same round without the source column, as int32 arrays.
-    assert table is frozen.table
-    for packed, col in zip((table.steps, rows, lens, flat), (
-        frozen.steps, frozen.send_rows, frozen.lens, frozen.flat
+    # pack() is the same round without the source column, filed() its
+    # sources and rows, all as int32 arrays.
+    assert table.msgs == frozen.msgs
+    for packed, col in zip((table.steps, rows, lens, flat, srcs, filed_rows), (
+        frozen.steps, frozen.send_rows, frozen.lens, frozen.flat, frozen.srcs, frozen.send_rows
     )):
         assert packed.dtype == col.dtype == np.int32
         assert packed.tolist() == col.tolist()
@@ -295,10 +265,8 @@ def _file(round_sends, big):
     plane = HopPlane()
     if big:
         plane.append(FILLER)
-    copies = []
-    for src, mi, step, dsts in round_sends:
-        plane.send(src, POOL[mi], step, dsts)
-        copies.extend(((mi, step), dst) for dst in dsts)
+    file_hops(plane, [(src, POOL[mi], step, dsts) for src, mi, step, dsts in round_sends])
+    copies = [((mi, step), dst) for _, mi, step, dsts in round_sends for dst in dsts]
     return plane.close_round(), copies
 
 

@@ -9,6 +9,8 @@ import numpy as np
 from repro.routing.messages import RoutedMessage
 from repro.sim.network import Network
 
+from .hops import file_hops
+
 
 class StubHook:
     """Scripted fault hook: maps (src, dst) to a fates tuple, default clean."""
@@ -70,9 +72,9 @@ class TestSendDeliver:
 
 
 class TestMulticast:
-    def test_send_many(self):
+    def test_one_payload_to_several_receivers(self):
         net = Network()
-        net.send_many(1, [2, 3, 4], "m")
+        net.send_singles_batch(1, [(2, "m"), (3, "m"), (4, "m")])
         edges, sent = net.close_send_phase()
         assert sorted(edges) == [(1, 2), (1, 3), (1, 4)]
         assert sent == {1: 3}
@@ -83,39 +85,38 @@ class TestMulticast:
     def test_payload_shared_not_copied(self):
         net = Network()
         payload = {"k": 1}
-        net.send_many(1, [2, 3], payload)
+        net.send_singles_batch(1, [(2, payload), (3, payload)])
         net.close_send_phase()
         inboxes, _ = net.deliver({2, 3})
         assert inboxes[2][0][1] is inboxes[3][0][1]
 
     def test_empty_multicast_noop(self):
         net = Network()
-        net.send_many(1, [], "m")
+        net.send_singles_batch(1, [])
         edges, sent = net.close_send_phase()
         assert edges == [] and sent == {}
 
     def test_partial_survivors(self):
         net = Network()
-        net.send_many(1, [2, 3], "m")
+        net.send_singles_batch(1, [(2, "m"), (3, "m")])
         net.close_send_phase()
         inboxes, _ = net.deliver({3})
         assert inboxes == {3: [(1, "m")]}
 
 
 class TestObjectLaneOrder:
-    """One object lane: every send call appends to the same columns."""
+    """One object lane: both send calls append to the same columns."""
 
     @staticmethod
     def interleave(net: Network, payload: object) -> list[tuple[int, int, object]]:
-        """Two senders alternate between the three send calls; returns the
-        ``(src, dst, msg)`` copies in the order they were issued."""
+        """Two senders alternate between the two send calls (and file hops);
+        returns the ``(src, dst, msg)`` copies in the order they were issued."""
         net.send(1, 9, "a")
-        net.send_many(2, [9, 8, 7], payload)
-        net.send_hops(2, Msg(), 0, [9, 5])
+        net.send_singles_batch(2, [(9, payload), (8, payload), (7, payload)])
+        file_hops(net.plane, [(2, Msg(), 0, [9, 5]), (1, Msg(), 0, [6])], net.file_hops)
         net.send_singles_batch(1, [(8, "b"), (9, "c")])
         net.send(2, 9, "d")
-        net.send_many(1, np.array([9, 8]), "e")
-        net.send_hops(1, Msg(), 0, [6])
+        net.send_singles_batch(1, [(9, "e"), (8, "e")])
         net.send_singles_batch(2, [(9, "f")])
         return [
             (1, 9, "a"),
@@ -159,11 +160,11 @@ class TestObjectLaneOrder:
 
 
 class TestIdCoercion:
-    def test_send_many_coerces_numpy_ids(self):
-        """NumPy ids must not leak into trace edges (type-consistent with send)."""
+    def test_send_coerces_numpy_ids(self):
+        """NumPy ids must not leak into trace edges or inbox keys."""
         net = Network()
-        net.send_many(1, np.array([2, 3], dtype=np.int64), "m")
-        net.send(1, np.int64(4), "m")
+        for dst in np.array([2, 3, 4], dtype=np.int64):
+            net.send(1, dst, "m")
         edges, _ = net.close_send_phase()
         assert sorted(edges) == [(1, 2), (1, 3), (1, 4)]
         assert all(type(dst) is int for _, dst in edges)
@@ -217,7 +218,7 @@ class TestFaultHook:
         net = Network()
         net.fault_hook = StubHook({(1, 3): (2,), (1, 4): ()})
         payload = {"k": 1}
-        net.send_many(1, [2, 3, 4], payload)
+        net.send_singles_batch(1, [(2, payload), (3, payload), (4, payload)])
         edges, _ = net.close_send_phase()
         assert sorted(edges) == [(1, 2), (1, 3), (1, 4)]
         first, _ = net.deliver({2, 3, 4})
@@ -232,7 +233,7 @@ class TestFaultHook:
         net = Network()
         net.fault_hook = StubHook({(1, 2): (3,), (5, 6): (2,)})
         net.send(1, 2, "late-single")
-        net.send_many(5, [6, 7], "multi")
+        net.send_singles_batch(5, [(6, "multi"), (7, "multi")])
         net.close_send_phase()
         alive = {1, 2, 5, 6, 7}
         assert net.has_pending
@@ -286,7 +287,7 @@ class TestHopPlaneFaults:
     def test_delayed_copy_arrives_k_rounds_late_and_dedups_with_a_fresh_one(self):
         net = plane_network({(1, 9): (3,)})  # k = 2 extra rounds
         m = Msg()
-        net.send_hops(1, m, 4, [8, 9])
+        file_hops(net.plane, [(1, m, 4, [8, 9])], net.file_hops)
         net.close_send_phase()
         alive = {1, 2, 8, 9}
         _, received = net.deliver(alive)  # t+1: only the undisturbed copy
@@ -295,9 +296,8 @@ class TestHopPlaneFaults:
         net.deliver(alive)  # t+2: nothing due
         assert net.hop_delivery is None and net.has_pending
         # The same logical hop is sent again a round before the late copy lands.
-        net.send_hops(2, m, 4, [9])
         other = Msg()
-        net.send_hops(2, other, 0, [9])
+        file_hops(net.plane, [(2, m, 4, [9]), (2, other, 0, [9])], net.file_hops)
         net.close_send_phase()
         _, received = net.deliver(alive)  # t+1+k
         assert received == {9: 3}  # every copy is counted ...
@@ -307,7 +307,7 @@ class TestHopPlaneFaults:
     def test_duplicated_copy_counts_twice_and_is_seen_once(self):
         net = plane_network({(1, 9): (1, 1)})
         m = Msg()
-        net.send_hops(1, m, 0, [8, 9])
+        file_hops(net.plane, [(1, m, 0, [8, 9])], net.file_hops)
         _, sent = net.close_send_phase()
         assert sent == {1: 2}  # duplication happens in the environment
         _, received = net.deliver({8, 9})
@@ -318,7 +318,7 @@ class TestHopPlaneFaults:
 
     def test_dropped_copy_keeps_its_edge(self):
         net = plane_network({(1, 9): ()})
-        net.send_hops(1, Msg(), 0, [8, 9])
+        file_hops(net.plane, [(1, Msg(), 0, [8, 9])], net.file_hops)
         edges, _ = net.close_send_phase()
         assert list(edges) == [(1, 8), (1, 9)]
         net.deliver({8, 9})
@@ -329,7 +329,7 @@ class TestHopPlaneFaults:
         """Churned out — or not admitted yet: the engine withholds a joining
         id from the round's receivers — while the copy was in flight."""
         net = plane_network({(1, 9): (2,)})
-        net.send_hops(1, Msg(), 0, [9])
+        file_hops(net.plane, [(1, Msg(), 0, [9])], net.file_hops)
         net.close_send_phase()
         net.deliver({1, 9})
         _, received = net.deliver({1})
@@ -341,9 +341,10 @@ class TestHopPlaneFaults:
         net = plane_network(
             {(1, 5): (), (1, 6): (3,), (1, 7): (1, 2), (2, 5): (2,), (3, 6): ()}
         )
-        net.send_hops(1, Msg(), 0, [4, 5, 6, 7])  # 1 dropped, 1 late, 1 duplicated
+        # 1 dropped, 1 late, 1 duplicated
+        file_hops(net.plane, [(1, Msg(), 0, [4, 5, 6, 7])], net.file_hops)
         net.send(2, 5, "single")
-        net.send_many(3, [5, 6], "multi")
+        net.send_singles_batch(3, [(5, "multi"), (6, "multi")])
         assert net._pending_count == 7
         net.close_send_phase()
         sent, dropped, duplicated = 7, 2, 1

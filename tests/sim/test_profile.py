@@ -6,7 +6,7 @@ import itertools
 
 from repro.config import ProtocolParams
 from repro.sim.engine import Engine, NodeContext, NodeProtocol
-from repro.sim.profile import PHASES, PhaseProfiler, PhaseTimings
+from repro.sim.profile import PHASES, STAGES, PhaseProfiler, PhaseTimings
 
 
 class ChatterProtocol(NodeProtocol):
@@ -48,8 +48,8 @@ class TestPhaseTimings:
 class TestPhaseProfiler:
     def test_records_per_round(self):
         prof = PhaseProfiler(clock=fake_clock())
-        eng = make_engine(profiler=prof)
-        reports = eng.run(5)
+        eng = make_engine(observers=[prof])
+        eng.run(5)
         assert prof.rounds == 5
         # The fake clock ticks exactly once per phase boundary (5 ticks per
         # round), so every phase lasts exactly one fake second.
@@ -57,19 +57,15 @@ class TestPhaseProfiler:
             assert timings.as_dict() == {name: 1.0 for name in PHASES}
         assert prof.total_time() == 5 * 4.0
         assert prof.totals() == {name: 5.0 for name in PHASES}
-        # The same record lands on the round metrics.
-        for report, timings in zip(reports, prof.history):
-            assert report.metrics.phases is timings
 
     def test_detached_engine_records_nothing(self):
         eng = make_engine()
-        reports = eng.run(3)
-        assert eng.profiler is None
-        assert all(r.metrics.phases is None for r in reports)
+        eng.run(3)
+        assert eng.observers == []
 
     def test_profiler_does_not_change_simulation(self):
         plain = make_engine()
-        profiled = make_engine(profiler=PhaseProfiler())
+        profiled = make_engine(observers=[PhaseProfiler()])
         plain.run(6)
         profiled.run(6)
         for a, b in zip(plain.reports, profiled.reports):
@@ -107,5 +103,18 @@ class TestRunnerIntegration:
         )
         sim.run(4)
         assert prof.rounds == 4
-        assert sim.engine.profiler is prof
+        assert sim.engine.observers == [prof]
         assert all(t.total > 0.0 for t in prof.history)
+
+    def test_compute_parts_and_the_engine_leftover_sum_to_compute(self):
+        """Every hook reads the fake clock once: a staged W=1 step's parts are
+        whole ticks, and the engine's leftover is the phase's closing read."""
+        from repro.core.runner import MaintenanceSimulation
+
+        prof = PhaseProfiler(clock=fake_clock())
+        MaintenanceSimulation(ProtocolParams.calibrated(24, seed=5), profiler=prof).run(6)
+        assert prof.rounds == 6 and len(STAGES) == 3
+        assert all(len(t.compute_parts) == 3 for t in prof.history)
+        assert any(min(t.compute_parts) > 0 for t in prof.history)
+        for timings in prof.history:
+            assert sum(timings.compute_parts) + 1.0 == timings.compute

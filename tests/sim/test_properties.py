@@ -39,7 +39,7 @@ class TestNetworkProperties:
                 for d in dsts:
                     net.send(src, d, ("m", i))
             else:
-                net.send_many(src, dsts, ("m", i))
+                net.send_singles_batch(src, [(d, ("m", i)) for d in dsts])
             for d in dsts:
                 total_sends += 1
                 if d in alive:
@@ -57,7 +57,7 @@ class TestNetworkProperties:
     def test_no_duplicate_delivery_across_rounds(self, sends):
         net = Network()
         for src, dsts in sends:
-            net.send_many(src, dsts, "x")
+            net.send_singles_batch(src, [(d, "x") for d in dsts])
         net.close_send_phase()
         everyone = set(range(10))
         first, _ = net.deliver(everyone)

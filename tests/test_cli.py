@@ -98,6 +98,19 @@ class TestCliRun:
         assert main(["run", "E-F1", "--seed", "5"]) == 0
 
 
+class TestCliProfile:
+    def test_profiles_the_calibrated_round(self, capsys, monkeypatch):
+        from repro.config import ProtocolParams
+        from repro.core.runner import MaintenanceSimulation
+
+        built = []
+        monkeypatch.setattr(MaintenanceSimulation, "__enter__", lambda sim: built.append(sim.params) or sim)
+        assert main(["profile", "--n", "24", "--rounds", "4"]) == 0
+        assert built == [ProtocolParams.calibrated(24, seed=7)]
+        rows = {line.split()[0] for line in capsys.readouterr().out.splitlines() if line.strip()}
+        assert {"adversary", "receive", "compute", "close", "prepare", "plan", "act"} <= rows
+
+
 class TestReport:
     def make_result(self, eid="E-X", passed=True):
         return ExperimentResult(
