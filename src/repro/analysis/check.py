@@ -4,7 +4,7 @@ The engine is deliberately boring: collect the files, parse each once
 (:class:`~repro.analysis.source_cache.SourceCache`), run every selected
 rule over one :class:`CheckContext`, match inline waivers against the one
 finding list, audit stale waivers, apply the committed baseline, and
-return one :class:`CheckReport`.  All the judgement lives in the 17 rule
+return one :class:`CheckReport`.  All the judgement lives in the 13 rule
 plugins registered in :data:`ALL_RULES`:
 
 ====== ====================================== =================================
@@ -15,13 +15,12 @@ L      :mod:`~.lint.rules_lateness` L1–L3     the adversary's lateness wall
 X      :mod:`~.lint.rules_exports` X1         ``__all__`` drift
 W      :mod:`~.lint.rules_waivers` W1–W2      waiver hygiene
 F      :mod:`~.flow.policies` F1–F2           the same two walls, interprocedurally
-S      :mod:`~.shard.rules` S2–S5             process roles of the sharded engine
 ====== ====================================== =================================
 
-Whole-project facts (call graph, flow fixpoint, role map) hang off the
-context as lazily computed properties: each is built at most once per run
-and only if a selected rule reads it, so ``--rules D,L,X,W`` pays for
-parsing and nothing else.
+Whole-project facts (call graph, flow fixpoint) hang off the context as
+lazily computed properties: each is built at most once per run and only
+if a selected rule reads it, so ``--rules D,L,X,W`` pays for parsing and
+nothing else.
 
 One waiver namespace, one audit: a ``# repro: allow(<rule>): why`` comment
 or a baseline entry is reported stale only if its rule *ran* — a deselected
@@ -62,13 +61,6 @@ from repro.analysis.lint.rules_lateness import (
 )
 from repro.analysis.lint.rules_waivers import UnusedWaiverRule, WaiverJustificationRule
 from repro.analysis.sarif import sarif_report
-from repro.analysis.shard.roles import RoleMap, infer_roles
-from repro.analysis.shard.rules import (
-    BoundaryTypeRule,
-    ForkHygieneRule,
-    MasterStateRule,
-    SegmentLifecycleRule,
-)
 from repro.analysis.source_cache import SourceCache, collect_py_files
 
 __all__ = [
@@ -83,7 +75,7 @@ __all__ = [
 ]
 
 #: Every shipped rule, families in order: determinism, lateness, exports,
-#: waiver hygiene, information flow, shard safety.
+#: waiver hygiene, information flow.
 ALL_RULES: tuple[Rule, ...] = (
     GlobalRandomRule(),
     WallClockRule(),
@@ -98,10 +90,6 @@ ALL_RULES: tuple[Rule, ...] = (
     UnusedWaiverRule(),
     LATENESS,
     DETERMINISM,
-    BoundaryTypeRule(),
-    MasterStateRule(),
-    SegmentLifecycleRule(),
-    ForkHygieneRule(),
 )
 
 #: Rules whose findings can never be waived inline (waiving the waiver
@@ -112,8 +100,8 @@ NON_WAIVABLE = frozenset({"waiver-justification", "unused-waiver", "parse-error"
 def resolve_rules(spec: str | Iterable[str] | None) -> tuple[Rule, ...]:
     """Rules selected by a comma/space separated list, in registry order.
 
-    Each entry is a rule id (``wallclock``), a code (``S3``) or a family
-    letter (``S``).  ``None`` or an empty spec selects every rule; an
+    Each entry is a rule id (``wallclock``), a code (``F1``) or a family
+    letter (``F``).  ``None`` or an empty spec selects every rule; an
     unknown entry raises :class:`LintError` listing what is available.
     """
     if spec is None:
@@ -159,18 +147,13 @@ class CheckContext:
 
     @cached_property
     def index(self) -> ProjectIndex:
-        """The project call graph (families F and S)."""
+        """The project call graph (family F)."""
         return ProjectIndex(self.modules)
 
     @cached_property
     def flow(self) -> FlowFacts:
         """The taint fixpoint whose findings F1 and F2 each filter."""
         return analyze_project(self.index)
-
-    @cached_property
-    def roles(self) -> RoleMap:
-        """Master / worker / shared role of every reachable function."""
-        return infer_roles(self.index)
 
     def facts(self) -> dict:
         """Summary counts of the facts this run actually built."""
@@ -180,8 +163,6 @@ class CheckContext:
             out["functions"] = len(self.index.functions)
         if "flow" in built:
             out["passes"] = self.flow.passes
-        if "roles" in built:
-            out["roles"] = self.roles.counts()
         return out
 
 
@@ -193,7 +174,7 @@ class CheckReport:
     files: int
     rules: tuple[Rule, ...]
     #: The run's context, for callers that want the facts themselves
-    #: (``report.context.roles``).
+    #: (``report.context.flow``).
     context: CheckContext
     facts: dict = field(default_factory=dict)
     findings: list[Finding] = field(default_factory=list)
@@ -252,9 +233,6 @@ class CheckReport:
             looked_at.append(f"{facts['functions']} function(s)")
         if "passes" in facts:
             looked_at.append(f"{facts['passes']} flow pass(es)")
-        if "roles" in facts:
-            r = facts["roles"]
-            looked_at.append(f"{r['master']} master / {r['worker']} worker / {r['shared']} shared")
         out.append(
             f"{', '.join(looked_at)}: {len(self.findings)} finding(s), "
             f"{len(self.waived)} waived, {len(self.baselined)} baselined"

@@ -12,7 +12,7 @@ invariants with declarative **source → sanitizer → sink** policies:
 2. **F2 determinism** — wall-clock, environment, and global-RNG values
    never reach fingerprint-feeding state, interprocedurally.
 
-:mod:`.callgraph` indexes functions and resolves calls (shared with the S
-and P families), :mod:`.summaries` runs the fixpoint, :mod:`.policies`
-declares the two policies, which are their own ``repro check`` rules.
+:mod:`.callgraph` indexes functions and resolves calls, :mod:`.summaries`
+runs the fixpoint, :mod:`.policies` declares the two policies, which are
+their own ``repro check`` rules.
 """

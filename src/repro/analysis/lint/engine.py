@@ -1,11 +1,10 @@
 """The plugin surface of ``repro check``: parsed modules and the rule base.
 
-Every rule family (:mod:`~repro.analysis.lint` D/L/X/W,
-:mod:`~repro.analysis.flow` F, :mod:`~repro.analysis.shard` S) is
-written against the types in this module; the engine that runs them,
-matches waivers, applies the baseline and reports lives in
-:mod:`repro.analysis.check`, which imports the rule modules — so the
-base they subclass sits here, below both.
+Every rule family (:mod:`~repro.analysis.lint` D/L/X/W and
+:mod:`~repro.analysis.flow` F) is written against the types in this
+module; the engine that runs them, matches waivers, applies the baseline
+and reports lives in :mod:`repro.analysis.check`, which imports the rule
+modules — so the base they subclass sits here, below both.
 
 Rules see *syntax*, not types: they are heuristics tuned so the invariants
 they guard (bit-for-bit determinism; the adversary's lateness wall) cannot

@@ -39,14 +39,14 @@ Commands
     under ``REPRO_BENCH_RECORD=1``.
 ``check [--rules R,...] [--paths P ...] [--format text|json|sarif] [--fix]``
     Run the static-analysis gate (see ``docs/ANALYSIS.md``) over
-    ``src/repro``: 17 rules in six families — determinism D1–D5,
+    ``src/repro``: 13 rules in five families — determinism D1–D5,
     lateness L1–L3, exports X1, waiver hygiene W1–W2, information flow
-    F1–F2, shard safety S2–S5 — off one parse.
+    F1–F2 — off one parse.
     Exits non-zero on any finding that is neither waived inline
     (``# repro: allow(<rule>): why``) nor grandfathered in the committed
     ``check-baseline.json`` (``--baseline P`` / ``--no-baseline`` /
-    ``--update-baseline``).  ``--rules`` takes ids, codes (``S3``) or
-    family letters (``S``); ``--list-rules`` prints the rule table;
+    ``--update-baseline``).  ``--rules`` takes ids, codes (``F1``) or
+    family letters (``F``); ``--list-rules`` prints the rule table;
     ``--fix`` deletes the stale waiver comments W2 reports, then checks.
 """
 
@@ -237,14 +237,23 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.core.runner import MaintenanceSimulation
     from repro.sim.profile import STAGES, PhaseProfiler
 
-    params = ProtocolParams.calibrated(args.n, seed=args.seed)
-    adversary = None
-    if args.churn > 0.0:
-        adversary = RandomChurnAdversary(params, seed=args.seed, intensity=args.churn)
+    if args.rounds < 1:
+        print(f"profile: --rounds must be at least 1, got {args.rounds}")
+        return 2
+    if args.churn < 0.0:
+        print(f"profile: --churn must not be negative, got {args.churn}")
+        return 2
     profiler = PhaseProfiler()
-    with MaintenanceSimulation(
-        params, adversary, profiler=profiler, workers=args.workers
-    ) as sim:
+    try:
+        params = ProtocolParams.calibrated(args.n, seed=args.seed)
+        adversary = None
+        if args.churn > 0.0:
+            adversary = RandomChurnAdversary(params, seed=args.seed, intensity=args.churn)
+        sim = MaintenanceSimulation(params, adversary, profiler=profiler, workers=args.workers)
+    except ValueError as exc:
+        print(f"profile: {exc}")
+        return 2
+    with sim:
         sim.run(args.rounds)
     mean_ms = profiler.total_time() / max(1, profiler.rounds) * 1e3
     print(
@@ -415,7 +424,11 @@ def _cmd_params(args: argparse.Namespace) -> int:
         kwargs["r"] = args.r
     if args.alpha is not None:
         kwargs["alpha"] = args.alpha
-    params = ProtocolParams(n=args.n, **kwargs)
+    try:
+        params = ProtocolParams(n=args.n, **kwargs)
+    except ValueError as exc:
+        print(f"params: {exc}")
+        return 2
     width = max(len(k) for k in params.describe())
     for key, value in params.describe().items():
         print(f"{key:>{width}}: {value}")
@@ -509,14 +522,14 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     p_check = sub.add_parser(
-        "check", help="static-analysis gate: 17 rules, one parse (docs/ANALYSIS.md)"
+        "check", help="static-analysis gate: 13 rules, one parse (docs/ANALYSIS.md)"
     )
     p_check.add_argument(
         "--rules",
         default=None,
         metavar="R[,R...]",
-        help="only run these rules: ids (`wallclock`), codes (`S3`) or family "
-        "letters (D L X W F S)",
+        help="only run these rules: ids (`wallclock`), codes (`F1`) or family "
+        "letters (D L X W F)",
     )
     p_check.add_argument(
         "--paths",

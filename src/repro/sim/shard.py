@@ -93,7 +93,7 @@ def _dumps(obj: object) -> bytes:
 
 
 # ----------------------------------------------------------------------
-# Runtime sanitizer (the dynamic sibling of `repro check --rules S`)
+# Runtime sanitizer (codec and band-ownership asserts at the boundary)
 # ----------------------------------------------------------------------
 
 #: ``REPRO_SHARD_SANITIZE=1`` arms band-ownership compute asserts and
@@ -102,8 +102,9 @@ def _dumps(obj: object) -> bytes:
 #: inherit the armed value through ``fork``).
 _SANITIZE = env_flag("REPRO_SHARD_SANITIZE")
 
-#: Types that must never cross the pipe: the S2 rule's banned set, checked
-#: at runtime.  Locks have no public type, so sample one of each.
+#: Types that must never cross the pipe (listed in the sharded-compute
+#: section of docs/PROTOCOL.md).  Locks have no public type, so sample one
+#: of each.
 _BANNED_PAYLOAD_TYPES = (
     types.FunctionType,
     types.BuiltinFunctionType,
@@ -127,7 +128,7 @@ def _assert_codec_safe(obj: object, _depth: int = 6) -> None:
         raise AssertionError(
             f"shard sanitizer: {type(obj).__name__} crossing the process "
             "boundary — pipe payloads must stay in the approved codec set "
-            "(see shard-boundary-types in docs/ANALYSIS.md)"
+            '(see "Sharded compute" in docs/PROTOCOL.md)'
         )
     if _depth <= 0:
         return
@@ -269,8 +270,8 @@ def _worker_main(engine: "Engine", band: int, conn, down_shm, up_shm, clock) -> 
         for v, k in engine._shard_bands.items()
         if k == band and v in engine._protocols
     }
-    # repro: allow(shard-master-state): fork-time snapshot read, before any
-    # round — per-round join deltas arrive through the control message
+    # Fork-time snapshot read, before any round: per-round join deltas
+    # arrive through the control message.
     joined = {v: engine.lifecycle.joined_round(v) for v in owned}
     protocols = engine._protocols
     rngs = engine._rngs

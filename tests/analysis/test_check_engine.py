@@ -1,27 +1,26 @@
 """The one engine behind ``repro check``: waivers, baseline, facts, CLI.
 
 Behaviour that depends on the rule family is parametrised over one bad
-snippet per whole-project family (plus one per-module rule), so the single
-waiver pass, the single staleness audit and the single baseline are pinned
-for every family at once.
+snippet of the whole-project family F and one of a per-module rule, so the
+single waiver pass, the single staleness audit and the single baseline are
+pinned for both kinds of rule at once.  The live tree's verdict is in
+``test_lint_live.py``.
 """
 
 import json
-from collections import Counter
+import re
 from dataclasses import dataclass
 
 import pytest
 
-from repro.analysis import check as check_mod
 from repro.analysis.check import ALL_RULES, resolve_rules, rule_table, run_check
-from repro.analysis.flow.summaries import MAX_DEPTH
 from repro.analysis.lint.baseline import Baseline, write_baseline
 from repro.analysis.lint.engine import LintError
 from repro.analysis.sarif import validate_sarif
 from repro.analysis.source_cache import SourceCache, collect_py_files
 from repro.cli import main
 
-from .paths import BASELINE, REPO_ROOT, SRC
+from .paths import REPO_ROOT
 
 
 @dataclass(frozen=True)
@@ -59,12 +58,6 @@ CASES = [
         ),
         bad="        return self.adversary.decide(snap)\n",
         good="        return self.adversary.decide(None)\n",
-    ),
-    Case(
-        rule="shard-master-state",
-        head="def _worker_main(engine, band, conn):\n",
-        bad="    engine.trace.record(band)\n",
-        good="    return band\n",
     ),
 ]
 
@@ -266,45 +259,54 @@ def test_broken_baseline_is_a_one_line_usage_error(cli_root, capsys, content):
 
 
 def test_registry_is_unique_and_complete():
-    assert len(ALL_RULES) == 17
-    assert [r.code for r in ALL_RULES] == (
-        "D1 D2 D3 D4 D5 L1 L2 L3 X1 W1 W2 F1 F2 S2 S3 S4 S5".split()
-    )
-    assert len({r.id for r in ALL_RULES}) == 17
+    assert len(ALL_RULES) == 13
+    assert [r.code for r in ALL_RULES] == "D1 D2 D3 D4 D5 L1 L2 L3 X1 W1 W2 F1 F2".split()
+    assert len({r.id for r in ALL_RULES}) == 13
     for rule in ALL_RULES:
         assert rule.description and rule.fix_hint and rule.severity == "error"
+
+
+def test_analysis_doc_rule_tables_list_exactly_the_registry():
+    text = (REPO_ROOT / "docs" / "ANALYSIS.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| ([A-Z]\d+) \| `([a-z-]+)` \|", text, flags=re.MULTILINE)
+    assert rows == [(r.code, r.id) for r in ALL_RULES]
 
 
 def test_resolve_rules_by_id_code_and_family():
     assert resolve_rules(None) == resolve_rules("") == ALL_RULES
     assert [r.code for r in resolve_rules("wallclock")] == ["D2"]
-    assert [r.code for r in resolve_rules("s3, all-drift")] == ["X1", "S3"]
+    assert [r.code for r in resolve_rules("f2, all-drift")] == ["X1", "F2"]
     assert [r.code for r in resolve_rules("F")] == ["F1", "F2"]
     # Registry order, whatever the spelling order; overlaps collapse.
     assert [r.code for r in resolve_rules(["W2", "D", "D1"])] == [
         "D1", "D2", "D3", "D4", "D5", "W2",
     ]
-    assert resolve_rules("D,L,X,W,F,S") == ALL_RULES
+    assert resolve_rules("D,L,X,W,F") == ALL_RULES
     with pytest.raises(LintError, match="unknown rule 'q9'"):
         resolve_rules("D,Q9")
-    # The protocol contract is checked by the test suite, not by `repro check`.
-    with pytest.raises(LintError, match="unknown rule 'p'"):
-        resolve_rules("P")
+    # The protocol contract is checked by the test suite, and the sharded
+    # engine at runtime, not by `repro check`.
+    for retired in ("P", "S", "S3"):
+        with pytest.raises(LintError, match=f"unknown rule '{retired.lower()}'"):
+            resolve_rules(retired)
 
 
 def test_cli_list_rules_prints_the_table_and_honours_the_filter(capsys):
     assert main(["check", "--list-rules"]) == 0
     out = capsys.readouterr().out
-    assert out.rstrip("\n") == rule_table() and len(out.splitlines()) == 17
-    for family, codes in (("S", ["S2", "S3", "S4", "S5"]), ("F", ["F1", "F2"])):
+    assert out.rstrip("\n") == rule_table() and len(out.splitlines()) == 13
+    for family, codes in (("L", ["L1", "L2", "L3"]), ("F", ["F1", "F2"])):
         assert main(["check", "--list-rules", "--rules", family]) == 0
         rows = capsys.readouterr().out.splitlines()
         assert [row.split()[0] for row in rows] == codes
 
 
 def test_cli_unknown_rule_and_missing_path_are_usage_errors(tmp_path, capsys):
-    assert main(["check", "--rules", "bogus"]) == 2
-    assert "unknown rule 'bogus'" in capsys.readouterr().out
+    for unknown in ("bogus", "S", "S3"):
+        assert main(["check", "--rules", unknown]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith(f"check: unknown rule '{unknown.lower()}'")
+        assert out.count("\n") == 1
     assert main(["check", "--rules", "D", "--paths", str(tmp_path / "nope.py")]) == 2
     assert "no such path" in capsys.readouterr().out
     with pytest.raises(LintError, match="no such path"):
@@ -330,7 +332,7 @@ def test_removed_subcommands_and_flags_leave_no_alias(gone, capsys):
 def _tiny_tree(tmp_path):
     (tmp_path / "a.py").write_text(
         "def helper(x):\n    return x + 1\n\n\n"
-        "def _worker_main(engine):\n    return helper(engine.params)\n"
+        "def main(engine):\n    return helper(engine.params)\n"
     )
     (tmp_path / "b.py").write_text("VALUE = 3\n")
     (tmp_path / "c.py").write_text(
@@ -340,33 +342,15 @@ def _tiny_tree(tmp_path):
     )
 
 
-@pytest.fixture
-def index_builds(monkeypatch):
-    """Count call-graph builds."""
-    builds = []
-    real = check_mod.ProjectIndex
-
-    def counting(modules):
-        builds.append(len(modules))
-        return real(modules)
-
-    monkeypatch.setattr(check_mod, "ProjectIndex", counting)
-    return builds
-
-
 def test_full_set_parses_each_file_once_and_builds_one_call_graph(tmp_path, index_builds):
     _tiny_tree(tmp_path)
     cache = SourceCache(tmp_path)
     report = run_check([tmp_path], root=tmp_path, cache=cache)
     assert report.ok, report.format_text()
+    assert report.rules == ALL_RULES
     assert cache.parses == len(collect_py_files([tmp_path])) == report.files == 3
     assert index_builds == [3]
-    assert report.facts == {
-        "functions": 2,
-        "passes": report.context.flow.passes,
-        "roles": {"master": 0, "worker": 2, "shared": 0},
-    }
-    assert report.context.roles.worker_only("a._worker_main")
+    assert report.facts == {"functions": 2, "passes": report.context.flow.passes}
     # A second run over the same cache parses nothing again.
     run_check([tmp_path], root=tmp_path, cache=cache)
     assert cache.parses == 3
@@ -387,23 +371,20 @@ def test_each_family_builds_only_the_facts_it_reads(tmp_path, index_builds):
         return set(run_check([tmp_path], root=tmp_path, rules=resolve_rules(rules)).facts)
 
     assert facts("F") == {"functions", "passes"}
-    assert facts("S2,S4") == {"functions"}
-    assert facts("S3") == {"functions", "roles"}
-    assert index_builds == [3, 3, 3]
+    assert facts("W2") == facts("D,L,X,W") == set()
+    assert index_builds == [3]
 
 
 def test_json_report_is_version_2_and_flat(cli_root, capsys):
-    case = CASES[2]
+    case = CASES[1]
     path = _write(cli_root, case)
-    args = ["check", "--rules", "S", "--paths", str(path), "--no-baseline", "--format=json"]
+    args = ["check", "--rules", "F", "--paths", str(path), "--no-baseline", "--format=json"]
     assert main(args) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["version"] == 2 and payload["ok"] is False and payload["files"] == 1
-    assert payload["rules"] == [r.id for r in resolve_rules("S")]
-    assert payload["facts"] == {
-        "functions": 1,
-        "roles": {"master": 0, "worker": 1, "shared": 0},
-    }
+    assert payload["rules"] == [r.id for r in resolve_rules("F")]
+    assert set(payload["facts"]) == {"functions", "passes"}
+    assert payload["facts"]["functions"] == 1
     assert payload["counts"] == {"active": 1, "waived": 0, "baselined": 0, "stale_baseline": 0}
     assert [f["rule"] for f in payload["findings"]] == [case.rule]
     assert payload["waived"] == payload["baselined"] == payload["stale_baseline"] == []
@@ -422,26 +403,3 @@ def test_sarif_is_one_run_carrying_the_selected_rules(cli_root, capsys):
         r.id for r in resolve_rules("F,W")
     ]
     assert [res["ruleId"] for res in run["results"]] == [case.rule]
-
-
-# ----------------------------------------------------------------------
-# The live tree under the full rule set
-# ----------------------------------------------------------------------
-
-
-def test_live_tree_full_set_verdict(live_cache, index_builds):
-    report = run_check([SRC], root=REPO_ROOT, baseline=BASELINE, cache=live_cache)
-    assert report.ok, report.format_text()
-    assert Counter(f.rule for f in report.waived) == {
-        "id-ordering": 1,
-        "unordered-iteration": 3,
-        "wallclock": 1,
-        "shard-master-state": 1,
-    }
-    assert [f.rule for f in report.baselined] == ["wallclock"]
-    assert not report.stale_baseline
-    assert index_builds == [report.files]
-    facts = report.facts
-    assert report.files > 50 and facts["functions"] > 300
-    assert 2 <= facts["passes"] < MAX_DEPTH  # converged, not cut off
-    assert facts["roles"]["worker"] >= 5 and facts["roles"]["master"] >= 10

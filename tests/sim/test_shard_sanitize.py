@@ -1,8 +1,7 @@
 """Runtime shard sanitizer: codec and band-ownership asserts, and the band map.
 
-The static analyzer (``repro check --rules S``) proves structural properties;
-these asserts cover the runtime residue — *which ids* a worker touches and
-*which values* actually cross the pipe.  Armed via ``REPRO_SHARD_SANITIZE=1``
+The asserts check, at runtime, *which ids* a worker touches and *which
+values* actually cross the pipe.  Armed via ``REPRO_SHARD_SANITIZE=1``
 (or a monkeypatched ``shard._SANITIZE``, which forked workers inherit — the
 identity suite runs its sharded legs that way).
 """

@@ -30,6 +30,16 @@ class TestCliParams:
         assert "c: 2.5" in out
         assert "alpha: 0.25" in out
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["2"], "n must be at least 8"), (["64", "--c", "-1"], "c must be positive")],
+        ids=["n-too-small", "negative-c"],
+    )
+    def test_out_of_range_input_is_a_one_line_usage_error(self, capsys, argv, message):
+        assert main(["params", *argv]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith(f"params: {message}") and out.count("\n") == 1
+
 
 class TestCliScenario:
     def test_list_shows_registry(self, capsys):
@@ -109,6 +119,30 @@ class TestCliProfile:
         assert built == [ProtocolParams.calibrated(24, seed=7)]
         rows = {line.split()[0] for line in capsys.readouterr().out.splitlines() if line.strip()}
         assert {"adversary", "receive", "compute", "close", "prepare", "plan", "act"} <= rows
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--n", "2"], "n must be at least 8"),
+            (["--churn", "1.5"], "intensity must be in (0, 1]"),
+            (["--churn", "-0.5"], "--churn must not be negative"),
+            (["--workers", "0"], "workers must be >= 1"),
+            (["--rounds", "0"], "--rounds must be at least 1"),
+            (["--rounds", "-3"], "--rounds must be at least 1"),
+        ],
+        ids=[
+            "n-too-small",
+            "churn-above-one",
+            "negative-churn",
+            "zero-workers",
+            "zero-rounds",
+            "negative-rounds",
+        ],
+    )
+    def test_out_of_range_input_is_a_one_line_usage_error(self, capsys, flags, message):
+        assert main(["profile", "--n", "24", *flags]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith(f"profile: {message}") and out.count("\n") == 1
 
 
 class TestReport:
