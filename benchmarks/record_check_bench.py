@@ -7,7 +7,7 @@ committed BENCH format that guards the round engine
 single engine and is kept so the history stays in one file).  ``n`` is the
 number of analysed source files, ``rounds`` is 1 (one whole-tree pass), and
 ``seconds_per_round`` is the wall-time of one ``python -m repro check``
-process: interpreter start, one parse, all 13 rules.
+process: interpreter start, one parse, all 11 rules.
 
 Usage::
 

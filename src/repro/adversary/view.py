@@ -47,9 +47,9 @@ class AdversaryView:
         budget_remaining: int | None = None,
     ) -> None:
         # The lateness bounds are keyword-only on purpose: `repro check`
-        # (rule F1) recognises this constructor as the one sanitizer that
-        # may carry live state across the wall, and only when both keywords
-        # are spelled out at the call site.
+        # (rule L3) requires both keywords to be spelled out at every call
+        # site, and the contract's wall clause treats a view as the one
+        # object that may carry live state across the wall.
         if topology_lateness < 0 or state_lateness < 0:
             raise ValueError("lateness values must be non-negative")
         self.round = t

@@ -4,8 +4,9 @@ The engine is deliberately boring: collect the files, parse each once
 (:class:`~repro.analysis.source_cache.SourceCache`), run every selected
 rule over one :class:`CheckContext`, match inline waivers against the one
 finding list, audit stale waivers, apply the committed baseline, and
-return one :class:`CheckReport`.  All the judgement lives in the 13 rule
-plugins registered in :data:`ALL_RULES`:
+return one :class:`CheckReport`.  All the judgement lives in the 11 rule
+plugins registered in :data:`ALL_RULES`, each of which judges one module
+at a time:
 
 ====== ====================================== =================================
 family rules                                  what they guard
@@ -14,13 +15,13 @@ D      :mod:`~.lint.rules_determinism` D1–D5  a run is a pure function of its 
 L      :mod:`~.lint.rules_lateness` L1–L3     the adversary's lateness wall
 X      :mod:`~.lint.rules_exports` X1         ``__all__`` drift
 W      :mod:`~.lint.rules_waivers` W1–W2      waiver hygiene
-F      :mod:`~.flow.policies` F1–F2           the same two walls, interprocedurally
 ====== ====================================== =================================
 
-Whole-project facts (call graph, flow fixpoint) hang off the context as
-lazily computed properties: each is built at most once per run and only
-if a selected rule reads it, so ``--rules D,L,X,W`` pays for parsing and
-nothing else.
+The two walls the D and L rules guard syntactically are also checked on
+executed runs, by the test suite: the adversary's reach by the protocol
+contract's wall clause (``tests/integration/contract.py``) and a run's
+determinism by a twin-process run of the scenario registry
+(``tests/integration/test_twin_run.py``).
 
 One waiver namespace, one audit: a ``# repro: allow(<rule>): why`` comment
 or a baseline entry is reported stale only if its rule *ran* — a deselected
@@ -36,13 +37,9 @@ From code::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 from typing import Iterable
 
-from repro.analysis.flow.callgraph import ProjectIndex
-from repro.analysis.flow.policies import DETERMINISM, LATENESS
-from repro.analysis.flow.summaries import FlowFacts, analyze_project
 from repro.analysis.lint.baseline import Baseline
 from repro.analysis.lint.engine import LintError, Rule, SourceModule
 from repro.analysis.lint.findings import Finding
@@ -75,7 +72,7 @@ __all__ = [
 ]
 
 #: Every shipped rule, families in order: determinism, lateness, exports,
-#: waiver hygiene, information flow.
+#: waiver hygiene.
 ALL_RULES: tuple[Rule, ...] = (
     GlobalRandomRule(),
     WallClockRule(),
@@ -88,8 +85,6 @@ ALL_RULES: tuple[Rule, ...] = (
     AllDriftRule(),
     WaiverJustificationRule(),
     UnusedWaiverRule(),
-    LATENESS,
-    DETERMINISM,
 )
 
 #: Rules whose findings can never be waived inline (waiving the waiver
@@ -100,8 +95,8 @@ NON_WAIVABLE = frozenset({"waiver-justification", "unused-waiver", "parse-error"
 def resolve_rules(spec: str | Iterable[str] | None) -> tuple[Rule, ...]:
     """Rules selected by a comma/space separated list, in registry order.
 
-    Each entry is a rule id (``wallclock``), a code (``F1``) or a family
-    letter (``F``).  ``None`` or an empty spec selects every rule; an
+    Each entry is a rule id (``wallclock``), a code (``D2``) or a family
+    letter (``D``).  ``None`` or an empty spec selects every rule; an
     unknown entry raises :class:`LintError` listing what is available.
     """
     if spec is None:
@@ -129,7 +124,7 @@ def rule_table(rules: Iterable[Rule] = ALL_RULES) -> str:
 
 
 class CheckContext:
-    """What rules see: the parsed modules plus lazily built project facts."""
+    """What rules see: the parsed modules and which shipped rules are off."""
 
     def __init__(
         self,
@@ -145,26 +140,6 @@ class CheckContext:
         #: baseline entries cannot be proven stale by this run.
         self.deselected = frozenset(r.id for r in ALL_RULES) - {r.id for r in rules}
 
-    @cached_property
-    def index(self) -> ProjectIndex:
-        """The project call graph (family F)."""
-        return ProjectIndex(self.modules)
-
-    @cached_property
-    def flow(self) -> FlowFacts:
-        """The taint fixpoint whose findings F1 and F2 each filter."""
-        return analyze_project(self.index)
-
-    def facts(self) -> dict:
-        """Summary counts of the facts this run actually built."""
-        built = vars(self)
-        out: dict = {}
-        if "index" in built:
-            out["functions"] = len(self.index.functions)
-        if "flow" in built:
-            out["passes"] = self.flow.passes
-        return out
-
 
 @dataclass
 class CheckReport:
@@ -173,10 +148,8 @@ class CheckReport:
     root: Path
     files: int
     rules: tuple[Rule, ...]
-    #: The run's context, for callers that want the facts themselves
-    #: (``report.context.flow``).
+    #: The run's context (``report.context.deselected``).
     context: CheckContext
-    facts: dict = field(default_factory=dict)
     findings: list[Finding] = field(default_factory=list)
     waived: list[Finding] = field(default_factory=list)
     baselined: list[Finding] = field(default_factory=list)
@@ -188,12 +161,11 @@ class CheckReport:
 
     def to_dict(self) -> dict:
         return {
-            "version": 2,
+            "version": 3,
             "root": str(self.root),
             "ok": self.ok,
             "files": self.files,
             "rules": [r.id for r in self.rules],
-            "facts": self.facts,
             "counts": {
                 "active": len(self.findings),
                 "waived": len(self.waived),
@@ -227,14 +199,8 @@ class CheckReport:
                 f"stale baseline entry: {entry['path']} [{entry['rule']}] "
                 "no longer matches anything — remove it"
             )
-        looked_at = [f"{self.files} file(s)", f"{len(self.rules)} rule(s)"]
-        facts = self.facts
-        if "functions" in facts:
-            looked_at.append(f"{facts['functions']} function(s)")
-        if "passes" in facts:
-            looked_at.append(f"{facts['passes']} flow pass(es)")
         out.append(
-            f"{', '.join(looked_at)}: {len(self.findings)} finding(s), "
+            f"{self.files} file(s), {len(self.rules)} rule(s): {len(self.findings)} finding(s), "
             f"{len(self.waived)} waived, {len(self.baselined)} baselined"
         )
         return "\n".join(out)
@@ -332,7 +298,6 @@ def run_check(
         files=len(files),
         rules=rules,
         context=ctx,
-        facts=ctx.facts(),
         findings=final,
         waived=waived,
         baselined=baselined,

@@ -2,7 +2,7 @@
 value types every ``repro check`` rule family shares.
 
 * :mod:`.engine` — :class:`~.engine.SourceModule` (one parsed file) and the
-  :class:`~.engine.Rule` / :class:`~.engine.ModuleRule` plugin base;
+  per-module :class:`~.engine.Rule` plugin base;
 * :mod:`.findings`, :mod:`.waivers`, :mod:`.baseline`, :mod:`.fix` — the
   finding value object, ``# repro: allow(<rule>): why`` parsing, the
   committed ``check-baseline.json`` format, and ``--fix``;

@@ -1,16 +1,17 @@
 """The plugin surface of ``repro check``: parsed modules and the rule base.
 
-Every rule family (:mod:`~repro.analysis.lint` D/L/X/W and
-:mod:`~repro.analysis.flow` F) is written against the types in this
-module; the engine that runs them, matches waivers, applies the baseline
-and reports lives in :mod:`repro.analysis.check`, which imports the rule
-modules — so the base they subclass sits here, below both.
+Every rule (families D/L/X/W) judges one :class:`SourceModule` at a time
+and is written against the types in this module; the engine that runs
+them, matches waivers, applies the baseline and reports lives in
+:mod:`repro.analysis.check`, which imports the rule modules — so the base
+they subclass sits here, below both.
 
 Rules see *syntax*, not types: they are heuristics tuned so the invariants
 they guard (bit-for-bit determinism; the adversary's lateness wall) cannot
 be broken *silently*.  A construction a rule cannot see (e.g. iterating a
 set received through a variable) is out of scope by design — the golden
-fingerprint tests remain the backstop.
+fingerprint tests, the twin-process run of the scenario registry and the
+protocol contract's wall clause check the executed runs instead.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from repro.analysis.lint.waivers import scan_directives
 if TYPE_CHECKING:  # pragma: no cover - cycle guard (check imports the rules)
     from repro.analysis.check import CheckContext
 
-__all__ = ["LintError", "SourceModule", "Rule", "ModuleRule"]
+__all__ = ["LintError", "SourceModule", "Rule"]
 
 
 class LintError(Exception):
@@ -133,7 +134,11 @@ class SourceModule:
 
 
 class Rule(abc.ABC):
-    """One named check.  Subclasses set the class attributes and ``check``."""
+    """One named check over one module at a time.
+
+    Subclasses set the class attributes and ``check_module``; ``applies_to``
+    narrows the modules a rule looks at.
+    """
 
     id: str = ""
     code: str = ""
@@ -144,9 +149,18 @@ class Rule(abc.ABC):
     #: (needed by ``unused-waiver``).
     post_waiver: bool = False
 
+    def applies_to(self, mod: SourceModule) -> bool:
+        return True
+
     @abc.abstractmethod
+    def check_module(self, mod: SourceModule, ctx: "CheckContext") -> Iterator[Finding]:
+        """Yield findings for one module."""
+
     def check(self, ctx: "CheckContext") -> Iterator[Finding]:
-        """Yield findings over the whole project."""
+        """Yield findings over every module of the run."""
+        for mod in ctx.modules:
+            if self.applies_to(mod):
+                yield from self.check_module(mod, ctx)
 
     def finding(
         self,
@@ -165,19 +179,3 @@ class Rule(abc.ABC):
             severity=self.severity,
             fix_hint=self.fix_hint if fix_hint is None else fix_hint,
         )
-
-
-class ModuleRule(Rule):
-    """A rule that judges one module at a time (families D, L, X, W)."""
-
-    def applies_to(self, mod: SourceModule) -> bool:
-        return True
-
-    @abc.abstractmethod
-    def check_module(self, mod: SourceModule, ctx: "CheckContext") -> Iterator[Finding]:
-        """Yield findings for one module."""
-
-    def check(self, ctx: "CheckContext") -> Iterator[Finding]:
-        for mod in ctx.modules:
-            if self.applies_to(mod):
-                yield from self.check_module(mod, ctx)

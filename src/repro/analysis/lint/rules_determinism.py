@@ -13,7 +13,7 @@ from __future__ import annotations
 import ast
 from typing import TYPE_CHECKING, Iterator
 
-from repro.analysis.lint.engine import ModuleRule, SourceModule
+from repro.analysis.lint.engine import Rule, SourceModule
 from repro.analysis.lint.findings import Finding
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -97,7 +97,7 @@ _WALLCLOCK = frozenset(
 _TIME_FN_NAMES = frozenset(n.split(".", 1)[1] for n in _WALLCLOCK if n.startswith("time."))
 
 
-class GlobalRandomRule(ModuleRule):
+class GlobalRandomRule(Rule):
     """D1 — all randomness must flow through ``repro.util.rngs`` streams."""
 
     id = "global-random"
@@ -145,7 +145,7 @@ class GlobalRandomRule(ModuleRule):
                     )
 
 
-class WallClockRule(ModuleRule):
+class WallClockRule(Rule):
     """D2 — no wall-clock reads; simulated time is the only time."""
 
     id = "wallclock"
@@ -195,7 +195,7 @@ _ORDER_SENSITIVE_CALLS = frozenset(
 _ORDER_SENSITIVE_METHODS = frozenset({"fromiter", "join", "extend"})
 
 
-class UnorderedIterationRule(ModuleRule):
+class UnorderedIterationRule(Rule):
     """D3 — no iteration over hash-ordered collections in fingerprint code."""
 
     id = "unordered-iteration"
@@ -241,7 +241,7 @@ class UnorderedIterationRule(ModuleRule):
                     )
 
 
-class IdOrderingRule(ModuleRule):
+class IdOrderingRule(Rule):
     """D4 — no ``id()``-derived keys or ordering in fingerprint code."""
 
     id = "id-ordering"
@@ -271,7 +271,7 @@ class IdOrderingRule(ModuleRule):
                 )
 
 
-class EnvReadRule(ModuleRule):
+class EnvReadRule(Rule):
     """D5 — configuration comes from ``ProtocolParams``, not the environment."""
 
     id = "env-read"

@@ -14,7 +14,7 @@ from __future__ import annotations
 import ast
 from typing import TYPE_CHECKING, Iterator
 
-from repro.analysis.lint.engine import ModuleRule, SourceModule
+from repro.analysis.lint.engine import Rule, SourceModule
 from repro.analysis.lint.findings import Finding
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -57,7 +57,7 @@ def _bound_names(tree: ast.Module) -> set[str]:
     return bound
 
 
-class AllDriftRule(ModuleRule):
+class AllDriftRule(Rule):
     """X1 — package ``__init__`` re-exports stay in sync with child ``__all__``."""
 
     id = "all-drift"

@@ -20,7 +20,7 @@ from __future__ import annotations
 import ast
 from typing import TYPE_CHECKING, Iterator
 
-from repro.analysis.lint.engine import ModuleRule, SourceModule
+from repro.analysis.lint.engine import Rule, SourceModule
 from repro.analysis.lint.findings import Finding
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -50,7 +50,7 @@ def _is_type_checking_test(node: ast.expr) -> bool:
     return False
 
 
-class AdversaryImportRule(ModuleRule):
+class AdversaryImportRule(Rule):
     """L1 — adversary modules import sim internals only under TYPE_CHECKING."""
 
     id = "adversary-import"
@@ -99,7 +99,7 @@ class AdversaryImportRule(ModuleRule):
             yield from self._walk(mod, child, guarded)
 
 
-class ViewInternalsRule(ModuleRule):
+class ViewInternalsRule(Rule):
     """L2 — adversary strategies use only the public AdversaryView API."""
 
     id = "view-internals"
@@ -131,7 +131,7 @@ class ViewInternalsRule(ModuleRule):
             )
 
 
-class LiveStateRule(ModuleRule):
+class LiveStateRule(Rule):
     """L3 — the engine hands the adversary views, never live state."""
 
     id = "live-state-to-adversary"

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterator
 
-from repro.analysis.lint.engine import ModuleRule, SourceModule
+from repro.analysis.lint.engine import Rule, SourceModule
 from repro.analysis.lint.findings import Finding
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -17,7 +17,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["WaiverJustificationRule", "UnusedWaiverRule"]
 
 
-class WaiverJustificationRule(ModuleRule):
+class WaiverJustificationRule(Rule):
     """W1 — every waiver carries a justification (or it waives nothing)."""
 
     id = "waiver-justification"
@@ -38,7 +38,7 @@ class WaiverJustificationRule(ModuleRule):
                 )
 
 
-class UnusedWaiverRule(ModuleRule):
+class UnusedWaiverRule(Rule):
     """W2 — a waiver that matches no finding is stale and must be removed."""
 
     id = "unused-waiver"

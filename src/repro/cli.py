@@ -39,14 +39,14 @@ Commands
     under ``REPRO_BENCH_RECORD=1``.
 ``check [--rules R,...] [--paths P ...] [--format text|json|sarif] [--fix]``
     Run the static-analysis gate (see ``docs/ANALYSIS.md``) over
-    ``src/repro``: 13 rules in five families — determinism D1–D5,
-    lateness L1–L3, exports X1, waiver hygiene W1–W2, information flow
-    F1–F2 — off one parse.
+    ``src/repro``: 11 per-module rules in four families — determinism
+    D1–D5, lateness L1–L3, exports X1, waiver hygiene W1–W2 — off one
+    parse.
     Exits non-zero on any finding that is neither waived inline
     (``# repro: allow(<rule>): why``) nor grandfathered in the committed
     ``check-baseline.json`` (``--baseline P`` / ``--no-baseline`` /
-    ``--update-baseline``).  ``--rules`` takes ids, codes (``F1``) or
-    family letters (``F``); ``--list-rules`` prints the rule table;
+    ``--update-baseline``).  ``--rules`` takes ids, codes (``D2``) or
+    family letters (``D``); ``--list-rules`` prints the rule table;
     ``--fix`` deletes the stale waiver comments W2 reports, then checks.
 """
 
@@ -58,6 +58,29 @@ import sys
 from repro.config import ProtocolParams
 
 __all__ = ["main"]
+
+
+class _UsageError(Exception):
+    """Bad command-line input: ``main`` prints ``<command>: <message>``, exits 2."""
+
+
+def _check_seed(seed: int | None) -> None:
+    """``--seed`` seeds NumPy streams, so it must not be negative."""
+    if seed is not None and seed < 0:
+        raise _UsageError(f"--seed must not be negative, got {seed}")
+
+
+def _seeds(value: str) -> tuple[int, ...]:
+    """A ``--seeds`` comma-separated list of non-negative ints, at least one."""
+    try:
+        seeds = tuple(int(s) for s in value.split(",") if s.strip())
+    except ValueError:
+        raise _UsageError(f"--seeds expects comma-separated ints, got {value!r}") from None
+    if not seeds:
+        raise _UsageError("--seeds must name at least one seed")
+    if min(seeds) < 0:
+        raise _UsageError(f"--seeds must not be negative, got {value!r}")
+    return seeds
 
 
 def _cmd_list(_args: argparse.Namespace) -> int:
@@ -78,6 +101,7 @@ def _cmd_list(_args: argparse.Namespace) -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.experiments import get_experiment
 
+    _check_seed(args.seed)
     failed = False
     for eid in args.ids:
         try:
@@ -114,9 +138,9 @@ def _parse_axis(value: str | None, name: str) -> list[float] | None:
     try:
         probs = [float(v) for v in value.split(",") if v.strip()]
     except ValueError:
-        raise SystemExit(f"--{name} expects comma-separated floats, got {value!r}")
+        raise _UsageError(f"--{name} expects comma-separated floats, got {value!r}") from None
     if not probs or any(not 0.0 <= p <= 1.0 for p in probs):
-        raise SystemExit(f"--{name} probabilities must lie in [0, 1], got {value!r}")
+        raise _UsageError(f"--{name} probabilities must lie in [0, 1], got {value!r}")
     return probs
 
 
@@ -138,34 +162,27 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
 
     if args.list or args.action is None:
         if args.action is not None:
-            raise SystemExit("scenario: --list takes no action argument")
+            raise _UsageError("--list takes no action argument")
         if not args.list:
-            raise SystemExit("scenario: use --list, run NAME [NAME ...], or matrix")
+            raise _UsageError("use --list, run NAME [NAME ...], or matrix")
         width = max(len(s.name) for s in all_scenarios())
         for s in all_scenarios():
             print(f"{s.name:>{width}}  {s.description}")
         return 0
     if args.action == "matrix":
         if args.names:
-            raise SystemExit("scenario matrix runs the whole registry; drop the names")
+            raise _UsageError("matrix runs the whole registry; drop the names")
         names = tuple(sorted(SCENARIOS))
     else:  # action == "run" (argparse restricts the choices)
         if not args.names:
-            raise SystemExit("scenario run: name at least one scenario")
+            raise _UsageError("run needs at least one scenario name")
         names = tuple(dict.fromkeys(args.names))
     unknown = [n for n in names if n not in SCENARIOS]
     if unknown:
         print(f"unknown scenarios {unknown}; try `python -m repro scenario --list`")
         return 2
-    if args.seed is not None:
-        seeds: tuple[int, ...] = (args.seed,)
-    else:
-        try:
-            seeds = tuple(int(s) for s in args.seeds.split(",") if s.strip())
-        except ValueError:
-            raise SystemExit(f"--seeds expects comma-separated ints, got {args.seeds!r}")
-    if not seeds:
-        raise SystemExit("--seeds must name at least one seed")
+    _check_seed(args.seed)
+    seeds = (args.seed,) if args.seed is not None else _seeds(args.seeds)
     scenarios = {
         name: get_scenario(name) if args.full else shortened(get_scenario(name))
         for name in names
@@ -201,6 +218,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             for y in (delays or [0.0])
             for s in (stalls or [0.0])
         ]
+    _check_seed(args.seed)
     kwargs = {"quick": not args.full}
     if args.seed is not None:
         kwargs["seed"] = args.seed
@@ -219,12 +237,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if unknown:
         print(f"unknown experiments {unknown}; try `python -m repro list`")
         return 2
-    try:
-        seeds = tuple(int(s) for s in args.seeds.split(",") if s.strip())
-    except ValueError:
-        raise SystemExit(f"--seeds expects comma-separated ints, got {args.seeds!r}")
-    if not seeds:
-        raise SystemExit("--seeds must name at least one seed")
+    seeds = _seeds(args.seeds)
     result = run_sweep(
         ids, seeds, workers=args.workers, quick=not args.full
     )
@@ -522,14 +535,14 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     p_check = sub.add_parser(
-        "check", help="static-analysis gate: 13 rules, one parse (docs/ANALYSIS.md)"
+        "check", help="static-analysis gate: 11 rules, one parse (docs/ANALYSIS.md)"
     )
     p_check.add_argument(
         "--rules",
         default=None,
         metavar="R[,R...]",
-        help="only run these rules: ids (`wallclock`), codes (`F1`) or family "
-        "letters (D L X W F)",
+        help="only run these rules: ids (`wallclock`), codes (`D2`) or family "
+        "letters (D L X W)",
     )
     p_check.add_argument(
         "--paths",
@@ -583,7 +596,11 @@ def main(argv: list[str] | None = None) -> int:
         "scale": _cmd_scale,
         "check": _cmd_check,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except _UsageError as exc:
+        print(f"{args.command}: {exc}")
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

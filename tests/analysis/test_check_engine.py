@@ -1,9 +1,8 @@
-"""The one engine behind ``repro check``: waivers, baseline, facts, CLI.
+"""The one engine behind ``repro check``: directives, waivers, baseline, CLI.
 
-Behaviour that depends on the rule family is parametrised over one bad
-snippet of the whole-project family F and one of a per-module rule, so the
-single waiver pass, the single staleness audit and the single baseline are
-pinned for both kinds of rule at once.  The live tree's verdict is in
+The waiver pass, the staleness audit and the baseline are parametrised
+over one bad snippet of a determinism rule and one of a lateness rule, so
+each is pinned for two families at once.  The live tree's verdict is in
 ``test_lint_live.py``.
 """
 
@@ -16,6 +15,8 @@ import pytest
 from repro.analysis.check import ALL_RULES, resolve_rules, rule_table, run_check
 from repro.analysis.lint.baseline import Baseline, write_baseline
 from repro.analysis.lint.engine import LintError
+from repro.analysis.lint.findings import Finding
+from repro.analysis.lint.waivers import scan_directives
 from repro.analysis.sarif import validate_sarif
 from repro.analysis.source_cache import SourceCache, collect_py_files
 from repro.cli import main
@@ -51,12 +52,9 @@ CASES = [
         good="    return thing.node_id\n",
     ),
     Case(
-        rule="flow-lateness",
-        head=(
-            "# repro: module(repro.sim.enginetest)\n\n\n"
-            "class D:\n    def consult(self):\n        snap = self.trace\n"
-        ),
-        bad="        return self.adversary.decide(snap)\n",
+        rule="live-state-to-adversary",
+        head="# repro: module(repro.sim.enginetest)\n\n\nclass D:\n    def consult(self):\n",
+        bad="        return self.adversary.decide(self.trace)\n",
         good="        return self.adversary.decide(None)\n",
     ),
 ]
@@ -87,6 +85,55 @@ def cli_root(tmp_path, monkeypatch):
     """Point the CLI's repo root (baseline lookup) at ``tmp_path``."""
     monkeypatch.setattr("repro.cli._repo_root", lambda: tmp_path)
     return tmp_path
+
+
+# ----------------------------------------------------------------------
+# Directive parsing
+# ----------------------------------------------------------------------
+
+
+def test_trailing_waiver_targets_its_own_line():
+    waivers, module = scan_directives(
+        ["x = clock()  # repro: allow(wallclock): metadata only"]
+    )
+    assert module is None
+    (w,) = waivers
+    assert (w.rule, w.comment_line, w.target_line) == ("wallclock", 1, 1)
+    assert w.justified and w.justification == "metadata only"
+
+
+def test_standalone_waiver_targets_next_code_line():
+    waivers, _ = scan_directives(
+        [
+            "# repro: allow(wallclock): metadata only",
+            "",
+            "# an unrelated comment",
+            "x = clock()",
+        ]
+    )
+    (w,) = waivers
+    assert (w.comment_line, w.target_line) == (1, 4)
+
+
+def test_unjustified_waiver_is_parsed_but_not_justified():
+    for text in ["# repro: allow(wallclock)", "# repro: allow(wallclock):   "]:
+        (w,), _ = scan_directives([text])
+        assert not w.justified
+
+
+def test_module_directive_overrides_module_identity():
+    _, module = scan_directives(["# repro: module(repro.sim.example)", "x = 1"])
+    assert module == "repro.sim.example"
+
+
+def test_directives_inside_string_literals_are_ignored():
+    waivers, module = scan_directives(
+        [
+            'HINT = "waive with `# repro: allow(wallclock): why`"',
+            "DOC = '# repro: module(repro.sim.fake)'",
+        ]
+    )
+    assert waivers == [] and module is None
 
 
 # ----------------------------------------------------------------------
@@ -172,6 +219,16 @@ def test_waiver_naming_no_shipped_rule_is_always_stale(tmp_path):
     assert [f.rule for f in report.findings] == ["unused-waiver"]
 
 
+def test_waiver_cannot_waive_the_waiver_rules(tmp_path):
+    (tmp_path / "w.py").write_text(
+        "# repro: allow(waiver-justification): nice try\n# repro: allow(wallclock)\nx = 1\n"
+    )
+    report = run_check([tmp_path], root=tmp_path, rules=resolve_rules("W"))
+    # The bare waiver is reported and the meta-waiver absorbing it is itself
+    # stale (it matched nothing), so both waiver rules fire.
+    assert sorted(f.rule for f in report.findings) == ["unused-waiver", "waiver-justification"]
+
+
 def test_parse_error_is_a_finding_no_waiver_can_absorb(tmp_path):
     (tmp_path / "broken.py").write_text(
         "# repro: allow(parse-error): nice try\ndef broken(:\n"
@@ -185,6 +242,48 @@ def test_parse_error_is_a_finding_no_waiver_can_absorb(tmp_path):
 # ----------------------------------------------------------------------
 # One baseline
 # ----------------------------------------------------------------------
+
+
+def _finding(message="msg", line=3):
+    return Finding(path="src/repro/x.py", line=line, rule="wallclock", message=message)
+
+
+def test_finding_format_and_dict():
+    f = _finding()
+    assert f.format() == "src/repro/x.py:3: [wallclock] msg"
+    assert f.baseline_key() == ("src/repro/x.py", "wallclock", "msg")
+    assert f.to_dict()["severity"] == "error"
+
+
+def test_baseline_roundtrip_and_multiset(tmp_path):
+    path = write_baseline(tmp_path / "base.json", [_finding(), _finding()])
+    base = Baseline.load(path)
+    assert len(base.entries) == 2
+    # Two entries absorb two findings; a third of the same key stays active.
+    active, baselined, stale = base.partition([_finding()] * 3)
+    assert (len(active), len(baselined), len(stale)) == (1, 2, 0)
+
+
+def test_baseline_line_numbers_do_not_matter(tmp_path):
+    path = write_baseline(tmp_path / "base.json", [_finding(line=3)])
+    active, baselined, stale = Baseline.load(path).partition([_finding(line=99)])
+    assert not active and len(baselined) == 1 and not stale
+
+
+def test_baseline_stale_entries_are_reported(tmp_path):
+    path = write_baseline(tmp_path / "base.json", [_finding(message="gone")])
+    active, baselined, stale = Baseline.load(path).partition([])
+    assert not active and not baselined and len(stale) == 1
+
+
+def test_missing_baseline_file_is_empty(tmp_path):
+    assert Baseline.load(tmp_path / "nope.json").entries == []
+
+
+def test_write_baseline_attaches_notes(tmp_path):
+    f = _finding()
+    path = write_baseline(tmp_path / "b.json", [f], notes={f.baseline_key(): "why"})
+    assert json.loads(path.read_text())["findings"][0]["note"] == "why"
 
 
 @per_family
@@ -216,13 +315,13 @@ def test_update_baseline_keeps_entries_of_rules_that_did_not_run(cli_root, capsy
     case = CASES[0]
     path = _write(cli_root, case)
     baseline = cli_root / "check-baseline.json"
-    kept = {"path": "w.py", "rule": "flow-lateness", "message": "m", "note": "why"}
+    kept = {"path": "w.py", "rule": "view-internals", "message": "m", "note": "why"}
     baseline.write_text(json.dumps({"schema": 1, "findings": [kept]}))
     args = ["check", "--rules", "D", "--paths", str(path)]
     assert main(args + ["--update-baseline"]) == 0
     assert "(2 entries)" in capsys.readouterr().out
     entries = json.loads(baseline.read_text())["findings"]
-    assert kept in entries and {e["rule"] for e in entries} == {"flow-lateness", "id-ordering"}
+    assert kept in entries and {e["rule"] for e in entries} == {"view-internals", "id-ordering"}
     assert main(args) == 0
     assert "1 baselined" in capsys.readouterr().out
 
@@ -259,9 +358,9 @@ def test_broken_baseline_is_a_one_line_usage_error(cli_root, capsys, content):
 
 
 def test_registry_is_unique_and_complete():
-    assert len(ALL_RULES) == 13
-    assert [r.code for r in ALL_RULES] == "D1 D2 D3 D4 D5 L1 L2 L3 X1 W1 W2 F1 F2".split()
-    assert len({r.id for r in ALL_RULES}) == 13
+    assert len(ALL_RULES) == 11
+    assert [r.code for r in ALL_RULES] == "D1 D2 D3 D4 D5 L1 L2 L3 X1 W1 W2".split()
+    assert len({r.id for r in ALL_RULES}) == 11
     for rule in ALL_RULES:
         assert rule.description and rule.fix_hint and rule.severity == "error"
 
@@ -275,18 +374,19 @@ def test_analysis_doc_rule_tables_list_exactly_the_registry():
 def test_resolve_rules_by_id_code_and_family():
     assert resolve_rules(None) == resolve_rules("") == ALL_RULES
     assert [r.code for r in resolve_rules("wallclock")] == ["D2"]
-    assert [r.code for r in resolve_rules("f2, all-drift")] == ["X1", "F2"]
-    assert [r.code for r in resolve_rules("F")] == ["F1", "F2"]
+    assert [r.code for r in resolve_rules("w2, all-drift")] == ["X1", "W2"]
+    assert [r.code for r in resolve_rules("L")] == ["L1", "L2", "L3"]
     # Registry order, whatever the spelling order; overlaps collapse.
     assert [r.code for r in resolve_rules(["W2", "D", "D1"])] == [
         "D1", "D2", "D3", "D4", "D5", "W2",
     ]
-    assert resolve_rules("D,L,X,W,F") == ALL_RULES
+    assert resolve_rules("D,L,X,W") == ALL_RULES
     with pytest.raises(LintError, match="unknown rule 'q9'"):
         resolve_rules("D,Q9")
-    # The protocol contract is checked by the test suite, and the sharded
-    # engine at runtime, not by `repro check`.
-    for retired in ("P", "S", "S3"):
+    # The protocol contract and the two information-flow walls are checked
+    # by the test suite, and the sharded engine at runtime, not by
+    # `repro check`.
+    for retired in ("P", "S", "S3", "F", "F1", "flow-lateness"):
         with pytest.raises(LintError, match=f"unknown rule '{retired.lower()}'"):
             resolve_rules(retired)
 
@@ -294,15 +394,15 @@ def test_resolve_rules_by_id_code_and_family():
 def test_cli_list_rules_prints_the_table_and_honours_the_filter(capsys):
     assert main(["check", "--list-rules"]) == 0
     out = capsys.readouterr().out
-    assert out.rstrip("\n") == rule_table() and len(out.splitlines()) == 13
-    for family, codes in (("L", ["L1", "L2", "L3"]), ("F", ["F1", "F2"])):
+    assert out.rstrip("\n") == rule_table() and len(out.splitlines()) == 11
+    for family, codes in (("L", ["L1", "L2", "L3"]), ("W", ["W1", "W2"])):
         assert main(["check", "--list-rules", "--rules", family]) == 0
         rows = capsys.readouterr().out.splitlines()
         assert [row.split()[0] for row in rows] == codes
 
 
 def test_cli_unknown_rule_and_missing_path_are_usage_errors(tmp_path, capsys):
-    for unknown in ("bogus", "S", "S3"):
+    for unknown in ("bogus", "S", "S3", "F", "F1", "flow-lateness"):
         assert main(["check", "--rules", unknown]) == 2
         out = capsys.readouterr().out
         assert out.startswith(f"check: unknown rule '{unknown.lower()}'")
@@ -325,66 +425,32 @@ def test_removed_subcommands_and_flags_leave_no_alias(gone, capsys):
 
 
 # ----------------------------------------------------------------------
-# Facts are shared and lazy; reports
+# One parse; reports
 # ----------------------------------------------------------------------
 
 
-def _tiny_tree(tmp_path):
-    (tmp_path / "a.py").write_text(
-        "def helper(x):\n    return x + 1\n\n\n"
-        "def main(engine):\n    return helper(engine.params)\n"
-    )
+def test_full_set_parses_each_file_once(tmp_path):
+    (tmp_path / "a.py").write_text("def main(engine):\n    return engine.params\n")
     (tmp_path / "b.py").write_text("VALUE = 3\n")
-    (tmp_path / "c.py").write_text(
-        "from dataclasses import dataclass\n\n\n"
-        "@dataclass(frozen=True)\nclass Ping:\n    '''A test message.'''\n\n"
-        "    value: int\n"
-    )
-
-
-def test_full_set_parses_each_file_once_and_builds_one_call_graph(tmp_path, index_builds):
-    _tiny_tree(tmp_path)
     cache = SourceCache(tmp_path)
     report = run_check([tmp_path], root=tmp_path, cache=cache)
-    assert report.ok, report.format_text()
-    assert report.rules == ALL_RULES
-    assert cache.parses == len(collect_py_files([tmp_path])) == report.files == 3
-    assert index_builds == [3]
-    assert report.facts == {"functions": 2, "passes": report.context.flow.passes}
+    assert report.ok and report.rules == ALL_RULES
+    assert cache.parses == len(collect_py_files([tmp_path])) == report.files == 2
+    assert report.format_text() == "2 file(s), 11 rule(s): 0 finding(s), 0 waived, 0 baselined"
     # A second run over the same cache parses nothing again.
     run_check([tmp_path], root=tmp_path, cache=cache)
-    assert cache.parses == 3
+    assert cache.parses == 2
 
 
-def test_per_module_families_build_no_project_facts(tmp_path, index_builds):
-    _tiny_tree(tmp_path)
-    report = run_check([tmp_path], root=tmp_path, rules=resolve_rules("D,L,X,W"))
-    assert report.ok
-    assert index_builds == [] and report.facts == {}
-    assert report.format_text() == "3 file(s), 11 rule(s): 0 finding(s), 0 waived, 0 baselined"
-
-
-def test_each_family_builds_only_the_facts_it_reads(tmp_path, index_builds):
-    _tiny_tree(tmp_path)
-
-    def facts(rules):
-        return set(run_check([tmp_path], root=tmp_path, rules=resolve_rules(rules)).facts)
-
-    assert facts("F") == {"functions", "passes"}
-    assert facts("W2") == facts("D,L,X,W") == set()
-    assert index_builds == [3]
-
-
-def test_json_report_is_version_2_and_flat(cli_root, capsys):
+def test_json_report_is_version_3_and_flat(cli_root, capsys):
     case = CASES[1]
     path = _write(cli_root, case)
-    args = ["check", "--rules", "F", "--paths", str(path), "--no-baseline", "--format=json"]
+    args = ["check", "--rules", "L", "--paths", str(path), "--no-baseline", "--format=json"]
     assert main(args) == 1
     payload = json.loads(capsys.readouterr().out)
-    assert payload["version"] == 2 and payload["ok"] is False and payload["files"] == 1
-    assert payload["rules"] == [r.id for r in resolve_rules("F")]
-    assert set(payload["facts"]) == {"functions", "passes"}
-    assert payload["facts"]["functions"] == 1
+    assert payload["version"] == 3 and payload["ok"] is False and payload["files"] == 1
+    assert payload["rules"] == [r.id for r in resolve_rules("L")]
+    assert "facts" not in payload
     assert payload["counts"] == {"active": 1, "waived": 0, "baselined": 0, "stale_baseline": 0}
     assert [f["rule"] for f in payload["findings"]] == [case.rule]
     assert payload["waived"] == payload["baselined"] == payload["stale_baseline"] == []
@@ -393,13 +459,13 @@ def test_json_report_is_version_2_and_flat(cli_root, capsys):
 def test_sarif_is_one_run_carrying_the_selected_rules(cli_root, capsys):
     case = CASES[1]
     path = _write(cli_root, case)
-    args = ["check", "--rules", "F,W", "--paths", str(path), "--no-baseline", "--format=sarif"]
+    args = ["check", "--rules", "L,W", "--paths", str(path), "--no-baseline", "--format=sarif"]
     assert main(args) == 1
     doc = json.loads(capsys.readouterr().out)
     assert validate_sarif(doc) == []
     (run,) = doc["runs"]
     assert run["tool"]["driver"]["name"] == "repro-check"
     assert [r["id"] for r in run["tool"]["driver"]["rules"]] == [
-        r.id for r in resolve_rules("F,W")
+        r.id for r in resolve_rules("L,W")
     ]
     assert [res["ruleId"] for res in run["results"]] == [case.rule]

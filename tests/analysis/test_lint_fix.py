@@ -6,9 +6,9 @@ from repro.analysis.check import resolve_rules, run_check
 from repro.analysis.lint.fix import fix_unused_waivers
 from repro.cli import main
 
-#: The flow-lateness waiver in CONTENT belongs to a rule these runs leave
+#: The view-internals waiver in CONTENT belongs to a rule these runs leave
 #: out, so nothing here may judge (or delete) it.
-LINT = resolve_rules("D,L,X,W")
+LINT = resolve_rules("D,X,W")
 
 CONTENT = textwrap.dedent(
     """\
@@ -19,7 +19,7 @@ CONTENT = textwrap.dedent(
     y = 1  # repro: allow(wallclock): stale trailing waiver
     # repro: allow(id-ordering): stale standalone waiver
     z = 2
-    q = 3  # repro: allow(flow-lateness): its rule is not selected here
+    q = 3  # repro: allow(view-internals): its rule is not selected here
     s = "# repro: allow(wallclock): waiver-shaped string, not a comment"
     """
 )
@@ -32,7 +32,7 @@ EXPECTED = textwrap.dedent(
     t0 = time.perf_counter()  # repro: allow(wallclock): measured on purpose
     y = 1
     z = 2
-    q = 3  # repro: allow(flow-lateness): its rule is not selected here
+    q = 3  # repro: allow(view-internals): its rule is not selected here
     s = "# repro: allow(wallclock): waiver-shaped string, not a comment"
     """
 )
@@ -80,7 +80,7 @@ def test_fix_invalidates_a_shared_cache(tmp_path):
 def test_cli_fix_flag(tmp_path, capsys):
     path = tmp_path / "mod.py"
     path.write_text(CONTENT)
-    fix = ["check", "--rules", "D,L,X,W", "--fix", "--paths", str(path), "--no-baseline"]
+    fix = ["check", "--rules", "D,X,W", "--fix", "--paths", str(path), "--no-baseline"]
     assert main(fix) == 0
     out = capsys.readouterr().out
     assert "removed 2 stale waiver(s)" in out

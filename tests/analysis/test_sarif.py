@@ -14,7 +14,6 @@ from repro.analysis.sarif import (
 from repro.cli import main
 
 LINT_FIXTURES = Path(__file__).resolve().parent / "fixtures" / "lint"
-FLOW_FIXTURES = Path(__file__).resolve().parent / "fixtures" / "flow"
 
 
 def test_lint_findings_render_as_valid_sarif():
@@ -41,15 +40,15 @@ def test_lint_findings_render_as_valid_sarif():
         assert run["tool"]["driver"]["rules"][res["ruleIndex"]]["id"] == res["ruleId"]
 
 
-def test_flow_findings_render_as_valid_sarif():
+def test_lateness_findings_render_as_valid_sarif():
     report = run_check(
-        [FLOW_FIXTURES / "flow-lateness" / "bad.py"],
-        root=FLOW_FIXTURES,
-        rules=resolve_rules("F"),
+        [LINT_FIXTURES / "live-state-to-adversary" / "bad.py"],
+        root=LINT_FIXTURES,
+        rules=resolve_rules("L"),
         baseline=None,
     )
     assert report.findings
-    doc = sarif_report(report.findings, tool_name="repro-flow", root=FLOW_FIXTURES)
+    doc = sarif_report(report.findings, tool_name="repro-check", root=LINT_FIXTURES)
     assert validate_sarif(doc) == []
     for res in doc["runs"][0]["results"]:
         uri = res["locations"][0]["physicalLocation"]["artifactLocation"]["uri"]
@@ -101,9 +100,9 @@ def test_validator_rejects_broken_documents():
 
 
 def test_cli_sarif_output_carries_findings_on_failure(tmp_path, capsys):
-    bad = FLOW_FIXTURES / "flow-determinism" / "bad.py"
-    args = ["check", "--rules", "F", "--paths", str(bad), "--no-baseline", "--format=sarif"]
+    bad = LINT_FIXTURES / "wallclock" / "bad.py"
+    args = ["check", "--rules", "D2", "--paths", str(bad), "--no-baseline", "--format=sarif"]
     assert main(args) == 1
     doc = json.loads(capsys.readouterr().out)
     assert validate_sarif(doc) == []
-    assert [r["ruleId"] for r in doc["runs"][0]["results"]] == ["flow-determinism"]
+    assert {r["ruleId"] for r in doc["runs"][0]["results"]} == {"wallclock"}

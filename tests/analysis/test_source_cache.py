@@ -1,4 +1,4 @@
-"""The shared parse cache: one parse per file, across rule families and runs."""
+"""The shared parse cache: one parse per file, across rule selections and runs."""
 
 import pytest
 
@@ -7,7 +7,7 @@ from repro.analysis.source_cache import SourceCache, collect_py_files
 
 ARM = "# repro: module(repro.sim.cached)\n"
 LINT = resolve_rules("D,L,X,W")
-FLOW = resolve_rules("F")
+LATENESS = resolve_rules("L")
 
 
 def _populate(tmp_path, n=3):
@@ -16,12 +16,12 @@ def _populate(tmp_path, n=3):
     return tmp_path
 
 
-def test_lint_and_flow_share_one_parse_per_file(tmp_path):
+def test_two_rule_selections_share_one_parse_per_file(tmp_path):
     _populate(tmp_path)
     cache = SourceCache(tmp_path)
-    lint = run_check([tmp_path], root=tmp_path, rules=LINT, baseline=None, cache=cache)
-    flow = run_check([tmp_path], root=tmp_path, rules=FLOW, baseline=None, cache=cache)
-    assert lint.files == flow.files == 3
+    full = run_check([tmp_path], root=tmp_path, rules=LINT, baseline=None, cache=cache)
+    late = run_check([tmp_path], root=tmp_path, rules=LATENESS, baseline=None, cache=cache)
+    assert full.files == late.files == 3
     assert cache.parses == 3
 
 
@@ -29,7 +29,7 @@ def test_unshared_runs_parse_twice(tmp_path):
     _populate(tmp_path)
     c1, c2 = SourceCache(tmp_path), SourceCache(tmp_path)
     run_check([tmp_path], root=tmp_path, rules=LINT, baseline=None, cache=c1)
-    run_check([tmp_path], root=tmp_path, rules=FLOW, baseline=None, cache=c2)
+    run_check([tmp_path], root=tmp_path, rules=LATENESS, baseline=None, cache=c2)
     assert c1.parses == 3 and c2.parses == 3
 
 

@@ -93,10 +93,15 @@ class TestCli:
 
         assert main(["sweep", "E-NOPE"]) == 2
 
-    def test_sweep_bad_seeds(self):
+    def test_sweep_bad_seeds(self, capsys):
         from repro.cli import main
 
-        with pytest.raises(SystemExit):
-            main(["sweep", "E-F1", "--seeds", "a,b"])
-        with pytest.raises(SystemExit):
-            main(["sweep", "E-F1", "--seeds", ","])
+        for seeds, message in (
+            ("a,b", "--seeds expects comma-separated ints"),
+            ("x", "--seeds expects comma-separated ints"),
+            (",", "--seeds must name at least one seed"),
+            ("-1", "--seeds must not be negative"),
+        ):
+            assert main(["sweep", "E-F1", "--seeds", seeds]) == 2
+            out = capsys.readouterr().out
+            assert out.startswith(f"sweep: {message}") and out.count("\n") == 1

@@ -31,7 +31,12 @@ of runs, reading each round at its phase boundaries:
 * **TTL** (docs/PROTOCOL.md §A_RANDOM, §Bootstrap) — after round ``t`` every
   pooled token expires in ``(t, t + TOKEN_TTL]`` and every pending grant in
   ``[t, t + 4 lam]``.  The lower ends hold for nodes that ran round ``t``:
-  a stalled node's state stands still.
+  a stalled node's state stands still;
+* **wall** (Section 1.1, Lemmas 3–4) — at attach and after every round,
+  :func:`adversary_reach` finds no path from the adversary to the engine's
+  live state: the adversary sees the world only through the per-round
+  :class:`~repro.adversary.view.AdversaryView`, which clamps every read to
+  its ``(a, b)`` lateness.
 
 :func:`uncovered` is the coverage clause over several runs: every
 ``kind: "message"`` entry of the spec is sent and every payload tag is
@@ -43,12 +48,14 @@ from __future__ import annotations
 import dataclasses
 import importlib
 import pkgutil
-from collections import Counter
+import types
+from collections import Counter, deque
 from pathlib import Path
 
 import numpy as np
 
 import repro
+from repro.adversary.view import AdversaryView
 from repro.core.runner import MaintenanceSimulation
 from repro.sim.engine import Engine, RoundObserver, RoundReport
 from repro.sim.network import Inbox
@@ -60,6 +67,7 @@ __all__ = [
     "TOKEN_TTL",
     "ContractMonitor",
     "ContractViolation",
+    "adversary_reach",
     "declaration_drift",
     "uncovered",
 ]
@@ -122,6 +130,80 @@ def declaration_drift(spec: ProtocolSpec) -> list[str]:
     return drift
 
 
+#: The engine attributes that hold live world state.
+LIVE_STATE_ATTRS = ("trace", "network", "lifecycle", "ledger", "metrics", "rng_service")
+
+#: How many references deep :func:`adversary_reach` follows.
+REACH_DEPTH = 6
+
+#: Where the walk stops: nothing an adversary can leak hides below these.
+_OPAQUE = (
+    types.ModuleType,
+    type,
+    types.FunctionType,
+    types.BuiltinFunctionType,
+    types.MethodType,
+    np.ndarray,
+    np.random.Generator,
+    np.generic,
+    int,
+    float,
+    complex,
+    str,
+    bytes,
+    type(None),
+    AdversaryView,  # the sanitizer: it clamps what it exposes
+)
+
+
+def _children(obj: object, path: str):
+    """``(child, path)`` for every reference ``obj`` holds."""
+    if isinstance(obj, (list, tuple)):
+        yield from ((item, f"{path}[{i}]") for i, item in enumerate(obj))
+    elif isinstance(obj, (set, frozenset)):
+        yield from ((item, f"{path}{{...}}") for item in obj)
+    elif isinstance(obj, dict):
+        for i, (key, value) in enumerate(obj.items()):
+            yield key, f"{path}.keys()[{i}]"
+            yield value, f"{path}[{key!r}]"
+    else:
+        yield from ((v, f"{path}.{k}") for k, v in getattr(obj, "__dict__", {}).items())
+        for cls in type(obj).__mro__:
+            slots = vars(cls).get("__slots__", ())
+            for name in (slots,) if isinstance(slots, str) else slots:
+                if name not in ("__dict__", "__weakref__") and hasattr(obj, name):
+                    yield getattr(obj, name), f"{path}.{name}"
+
+
+def adversary_reach(engine: Engine) -> list[str]:
+    """The engine's live state reachable from ``engine.adversary``.
+
+    A breadth-first walk, at most :data:`REACH_DEPTH` references deep and
+    visiting each object once, over instance attributes (``__dict__`` and
+    ``__slots__``) and list, tuple, set and dict items.  It does not enter an
+    :class:`AdversaryView` and stops at modules, classes, functions, arrays,
+    generators and scalars.  Each hit is ``"<path> -> <engine object>"``,
+    e.g. ``adversary.notes[0]['x'] -> engine.network``.
+    """
+    live = {id(engine): "engine"}
+    live.update({id(getattr(engine, a)): f"engine.{a}" for a in LIVE_STATE_ATTRS})
+    live.update({id(p): f"engine._protocols[{v}]" for v, p in engine._protocols.items()})
+    live.update({id(r): f"engine._rngs[{v}]" for v, r in engine._rngs.items()})
+    hits: list[str] = []
+    seen: set[int] = set()
+    queue = deque([(engine.adversary, "adversary", 0)])
+    while queue:
+        obj, path, depth = queue.popleft()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if id(obj) in live:
+            hits.append(f"{path} -> {live[id(obj)]}")
+        elif depth < REACH_DEPTH and not isinstance(obj, _OPAQUE):
+            queue.extend((child, where, depth + 1) for child, where in _children(obj, path))
+    return hits
+
+
 class ContractMonitor(RoundObserver):
     """Checks the contract of one simulation, round by round (see module doc)."""
 
@@ -154,6 +236,13 @@ class ContractMonitor(RoundObserver):
     def _flag(self, text: str, t: int | None = None) -> None:
         """Record a violation of round ``t`` (default: the open round)."""
         self.violations.append(f"round {self.sim.engine.round if t is None else t}: {text}")
+
+    def _check_wall(self, engine: Engine, t: int | None = None) -> None:
+        for hit in adversary_reach(engine):
+            self._flag(f"the adversary reaches live engine state: {hit}", t)
+
+    def on_attach(self, engine: Engine) -> None:
+        self._check_wall(engine)
 
     def on_mark(self, engine: Engine, stage: str) -> None:
         if stage == "prepare":
@@ -257,3 +346,4 @@ class ContractMonitor(RoundObserver):
                 if not low <= expiry <= t + 4 * self.lam:
                     self._flag(f"node {v} owes {newcomer} a grant until round {expiry}", t)
         self._epochs = epochs
+        self._check_wall(engine, t)

@@ -11,7 +11,8 @@ dataclass in a message module; on a spec that narrows a producer phase;
 and on runs whose code is broken on purpose — a launch filed past its
 final step, a decreased epoch, a cutover that neither installs nor
 demotes, a token stamped with too long a TTL, a phase changed after the
-prepare stage.
+prepare stage, live engine state stored on the adversary.  Every shipped
+adversary keeps the wall.
 """
 
 from __future__ import annotations
@@ -25,7 +26,17 @@ import pytest
 
 import repro.core.messages as messages_mod
 import repro.core.node as node_mod
-from repro.adversary.oblivious import RandomChurnAdversary
+from repro.adversary import (
+    Adversary,
+    ChurnDecision,
+    ComposedAdversary,
+    ContactTraceAdversary,
+    ContentLateAdversary,
+    DegreeTargetAdversary,
+    IsolateJoinAdversary,
+    JoinChainAdversary,
+    RandomChurnAdversary,
+)
 from repro.config import ProtocolParams
 from repro.core.dht import DHTNode
 from repro.core.runner import MaintenanceSimulation
@@ -35,6 +46,7 @@ from .contract import (
     SPEC_PATH,
     ContractMonitor,
     ContractViolation,
+    adversary_reach,
     declaration_drift,
     uncovered,
 )
@@ -238,6 +250,114 @@ def test_longer_token_ttl_fails(monkeypatch):
     monkeypatch.setattr(node_mod, "TOKEN_TTL", 5)
     with _sim("steady") as sim, pytest.raises(ContractViolation, match="pools token of"):
         ContractMonitor(sim).run(ROUNDS)
+
+
+# ----------------------------------------------------------------------
+# The wall clause
+# ----------------------------------------------------------------------
+
+
+class Hoarder(Adversary):
+    """Keeps every ``decide`` argument; in a run these are only views."""
+
+    def __init__(self) -> None:
+        super().__init__(active_from=0)
+        self.kept: list = []
+
+    def decide(self, view):
+        self.kept.append(view)
+        return ChurnDecision.none()
+
+
+def _hand(adversary, payload) -> None:
+    adversary.decide(payload)
+
+
+def test_stored_views_keep_the_wall():
+    adversary = Hoarder()
+    with MaintenanceSimulation(PARAMS, adversary) as sim:
+        ContractMonitor(sim).run(4)
+    assert len(adversary.kept) == 4
+
+
+def test_alias_leak_is_flagged_at_the_next_round_end():
+    adversary = Hoarder()
+    with MaintenanceSimulation(PARAMS, adversary) as sim:
+        monitor = ContractMonitor(sim)
+        monitor.run(2)
+        snap = sim.engine.trace
+        adversary.snap = snap
+        leak = r"round 2: .* adversary\.snap -> engine\.trace"
+        with pytest.raises(ContractViolation, match=leak):
+            monitor.run(1)
+
+
+def test_helper_leak_is_flagged_at_the_next_round_end():
+    adversary = Hoarder()
+    with MaintenanceSimulation(PARAMS, adversary) as sim:
+        monitor = ContractMonitor(sim)
+        monitor.run(2)
+        _hand(adversary, sim.engine.network)
+        with pytest.raises(ContractViolation, match=r"adversary\.kept\[2\] -> engine\.network"):
+            monitor.run(1)
+
+
+@pytest.mark.parametrize(
+    ("leak", "hit"),
+    [
+        (lambda e: e, "adversary.notes[0]['x'] -> engine"),
+        (lambda e: e.ledger, "adversary.notes[0]['x'] -> engine.ledger"),
+        (lambda e: e._protocols[3], "adversary.notes[0]['x'] -> engine._protocols[3]"),
+        (lambda e: e._rngs[3], "adversary.notes[0]['x'] -> engine._rngs[3]"),
+    ],
+    ids=["engine", "ledger", "protocol", "rng"],
+)
+def test_reach_names_the_path_to_each_live_object(leak, hit):
+    adversary = Hoarder()
+    with MaintenanceSimulation(PARAMS, adversary) as sim:
+        assert adversary_reach(sim.engine) == []
+        adversary.notes = [{"x": leak(sim.engine)}]
+        assert adversary_reach(sim.engine) == [hit]
+        # Past the depth bound the walk stops looking.
+        adversary.notes = [[[[[[{"x": leak(sim.engine)}]]]]]]
+        assert adversary_reach(sim.engine) == []
+
+
+def _shipped(kind: str, params: ProtocolParams, position_hash) -> Adversary:
+    if kind == "random":
+        return RandomChurnAdversary(params, seed=3, active_from=2)
+    if kind == "isolate-join":
+        return IsolateJoinAdversary(params, seed=3)
+    if kind == "join-chain":
+        return JoinChainAdversary(params, seed=3)
+    if kind == "content-late":
+        return ContentLateAdversary(params, position_hash, seed=3, state_lateness=2)
+    if kind == "contact-trace":
+        return ContactTraceAdversary(params, victim=0, seed=3, active_from=4)
+    if kind == "degree-target":
+        return DegreeTargetAdversary(params, seed=3, active_from=4)
+    return ComposedAdversary(
+        RandomChurnAdversary(params, seed=3, active_from=2),
+        DegreeTargetAdversary(params, seed=4, active_from=4),
+    )
+
+
+@pytest.mark.parametrize(
+    "kind",
+    ["random", "isolate-join", "join-chain", "content-late", "contact-trace",
+     "degree-target", "composed"],
+)
+def test_every_shipped_adversary_keeps_the_wall(kind):
+    params = ProtocolParams.calibrated(24, seed=5, alpha=0.25, kappa=1.25)
+    with MaintenanceSimulation(params, strict_budget=False) as sim:
+        sim.engine.adversary = _shipped(kind, params, sim.services.position_hash)
+        for _ in range(40):
+            sim.engine.run_round()
+            assert adversary_reach(sim.engine) == []
+        # Every attack but the content-late one (which waits for readable
+        # JOIN payloads) has spent budget by then.
+        churned = sum(r.decision.churn_count for r in sim.engine.reports)
+        assert churned or kind == "content-late"
 
 
 # ----------------------------------------------------------------------

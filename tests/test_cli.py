@@ -50,13 +50,28 @@ class TestCliScenario:
         assert "calm" in names
         assert "loss30-delay50" in names
 
-    def test_run_requires_names(self):
-        with pytest.raises(SystemExit):
-            main(["scenario", "run"])
+    def test_run_requires_names(self, capsys):
+        assert main(["scenario", "run"]) == 2
+        assert capsys.readouterr().out == "scenario: run needs at least one scenario name\n"
 
-    def test_no_action_errors(self):
-        with pytest.raises(SystemExit):
-            main(["scenario"])
+    def test_no_action_errors(self, capsys):
+        assert main(["scenario"]) == 2
+        assert capsys.readouterr().out == "scenario: use --list, run NAME [NAME ...], or matrix\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["matrix", "calm"], "matrix runs the whole registry"),
+            (["matrix", "--seeds", ","], "--seeds must name at least one seed"),
+            (["run", "calm", "--seed", "-1"], "--seed must not be negative"),
+            (["--list", "run"], "--list takes no action argument"),
+        ],
+        ids=["matrix-with-names", "empty-seeds", "negative-seed", "list-with-action"],
+    )
+    def test_bad_input_is_a_one_line_usage_error(self, capsys, argv, message):
+        assert main(["scenario", *argv]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith(f"scenario: {message}") and out.count("\n") == 1
 
     def test_unknown_scenario(self, capsys):
         assert main(["scenario", "run", "bogus"]) == 2
@@ -94,6 +109,20 @@ class TestCliChaos:
         assert "verdict: PASS" in out
         assert sum(line.startswith("0.1 ") for line in out.splitlines()) == 2
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--drop", "2"], "--drop probabilities must lie in [0, 1]"),
+            (["--delay", "x"], "--delay expects comma-separated floats"),
+            (["--seed", "-1", "--drop", "0.1"], "--seed must not be negative"),
+        ],
+        ids=["drop-above-one", "delay-not-float", "negative-seed"],
+    )
+    def test_bad_input_is_a_one_line_usage_error(self, capsys, argv, message):
+        assert main(["chaos", *argv]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith(f"chaos: {message}") and out.count("\n") == 1
+
 
 class TestCliRun:
     def test_runs_fast_experiment(self, capsys):
@@ -106,6 +135,10 @@ class TestCliRun:
 
     def test_seed_forwarded(self, capsys):
         assert main(["run", "E-F1", "--seed", "5"]) == 0
+
+    def test_negative_seed_is_a_one_line_usage_error(self, capsys):
+        assert main(["run", "E-L9", "--seed", "-1"]) == 2
+        assert capsys.readouterr().out == "run: --seed must not be negative, got -1\n"
 
 
 class TestCliProfile:
