@@ -12,12 +12,12 @@ scale`` renders the recorded curve — including the per-n speedup of the
 sharded rows against the serial ones and the ``exch MB/round`` column —
 as a table.
 
-The n=128 serial point also records a deterministic work counter,
-``repro_calls_per_round``: the calls cProfile sees to ``def`` functions under
-``src/repro/`` (comprehension and lambda frames left out, so CPython 3.11 and
-3.12 agree), per round over one untimed pair of rounds after the timed ones.
-It is exact per seed, so ``perf_guard.py`` holds it to the newest committed
-value with no tolerance.
+The n=128 serial point, the faulted round and the churned round also
+record a deterministic work counter, ``repro_calls_per_round``: the calls
+cProfile sees to ``def`` functions under ``src/repro/`` (comprehension and
+lambda frames left out, so CPython 3.11 and 3.12 agree), per round over one
+untimed pair of rounds after the timed ones.  It is exact per seed, so
+``perf_guard.py`` holds it to the newest committed value with no tolerance.
 
 The n=512 serial point also asserts a peak-RSS ceiling: nothing per-copy
 outlives its round (the trace keeps reduced edge logs, and a round's CREATE
@@ -174,13 +174,16 @@ def test_faulted_round_cost(benchmark, quick, record_bench):
 
         benchmark.pedantic(two_rounds, rounds=2 if quick else 3, iterations=1)
         timed = sim.engine.reports[first:]
+        msgs = sum(r.metrics.total_sent for r in timed) // len(timed)
+        calls = benchmark.extra_info["repro_calls_per_round"] = repro_calls_per_round(sim)
         record_bench(
             benchmark,
             "scaling_faults",
             n=n,
             rounds=2,
             workers=1,
-            msgs_per_round=sum(r.metrics.total_sent for r in timed) // len(timed),
+            msgs_per_round=msgs,
+            repro_calls_per_round=calls,
         )
         assert timed[-1].metrics.faults is not None  # the plan is firing
 
@@ -240,13 +243,16 @@ def test_churned_round_cost(benchmark, quick, record_bench):
 
         benchmark.pedantic(two_rounds, rounds=2 if quick else 3, iterations=1)
         timed = sim.engine.reports[first:]
+        msgs = sum(r.metrics.total_sent for r in timed) // len(timed)
+        calls = benchmark.extra_info["repro_calls_per_round"] = repro_calls_per_round(sim)
         record_bench(
             benchmark,
             "scaling_churn",
             n=n,
             rounds=2,
             workers=1,
-            msgs_per_round=sum(r.metrics.total_sent for r in timed) // len(timed),
+            msgs_per_round=msgs,
+            repro_calls_per_round=calls,
         )
         assert any(r.decision.leaves for r in timed)  # the churn is firing
         assert sim.audit_overlay().edge_coverage > 0.9

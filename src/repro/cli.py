@@ -107,8 +107,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         try:
             fn = get_experiment(eid)
         except KeyError:
-            print(f"unknown experiment {eid!r}; try `python -m repro list`")
-            return 2
+            raise _UsageError(
+                f"unknown experiment {eid!r}; try `python -m repro list`"
+            ) from None
         kwargs = {"quick": not args.full}
         if args.seed is not None:
             kwargs["seed"] = args.seed
@@ -179,8 +180,9 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         names = tuple(dict.fromkeys(args.names))
     unknown = [n for n in names if n not in SCENARIOS]
     if unknown:
-        print(f"unknown scenarios {unknown}; try `python -m repro scenario --list`")
-        return 2
+        raise _UsageError(
+            f"unknown scenarios {unknown}; try `python -m repro scenario --list`"
+        )
     _check_seed(args.seed)
     seeds = (args.seed,) if args.seed is not None else _seeds(args.seeds)
     scenarios = {
@@ -235,8 +237,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     ids = tuple(args.ids) if args.ids else DEFAULT_GRID
     unknown = [eid for eid in ids if eid not in registry]
     if unknown:
-        print(f"unknown experiments {unknown}; try `python -m repro list`")
-        return 2
+        raise _UsageError(f"unknown experiments {unknown}; try `python -m repro list`")
     seeds = _seeds(args.seeds)
     result = run_sweep(
         ids, seeds, workers=args.workers, quick=not args.full

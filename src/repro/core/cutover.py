@@ -9,8 +9,9 @@ position ``p``, De Bruijn arcs around ``p/2`` and ``(p+1)/2``, each member
 at its first occurrence), the receiver left out; the new ``d_nbrs`` lists
 the introduced ids in that concatenated order, each id at its first
 occurrence.  The order is observable (``_serve_pending_grants`` shuffles
-it).  A batch of another epoch, or addressed to another target, adds
-nothing.
+it).  A batch of another epoch adds nothing.  A batch names no receiver:
+one sender's batch object goes to every node it introduces, and faults only
+drop, delay or duplicate a copy to the same receiver.
 
 :func:`introductions` does this for a band of receivers at once, without
 materialising any batch's list:
@@ -69,10 +70,8 @@ def introductions(
     if not flat:
         return out
     lens = [len(batches) for _, batches in inboxes]
-    to = np.repeat([v for v, _ in inboxes], lens)
     relevant = np.flatnonzero(
-        (np.fromiter(map(attrgetter("epoch"), flat), np.int64, len(flat)) == epoch)
-        & (np.fromiter(map(attrgetter("target"), flat), np.int64, len(flat)) == to)
+        np.fromiter(map(attrgetter("epoch"), flat), np.int64, len(flat)) == epoch
     )
     if not relevant.size:
         return out

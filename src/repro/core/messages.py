@@ -11,7 +11,8 @@ position index and compares by identity.
   (Listing 3, line 10).  Receivers store them as handover records ``H``.
 * :class:`CreateBatch` — odd-round matchmaking introductions: "these nodes
   are your neighbours in the next overlay" (Listing 3, ``CREATE``), named by
-  reference: the sender's handover index and the receiver's id.
+  reference to the sender's handover index; one object per sender, sent to
+  every node it introduces.
 * :class:`TokenMsg` — a token travelling *directly* (step 3 of A_RANDOM's
   distribution: mature node forwards a sampled token to a connected fresh
   node).  Tokens inside A_ROUTING travel as routed payloads instead.
@@ -80,19 +81,20 @@ class JoinBatch:
 
 @dataclass(frozen=True, slots=True, eq=False)
 class CreateBatch:
-    """Introductions: ``target``'s neighbours in overlay ``epoch``.
+    """Introductions: the receiver's neighbours in overlay ``epoch``.
 
     By reference: the batch introduces the members of ``index`` — the
     sender's handover index ``H``, interned per epoch and member set — that
-    lie inside ``target``'s three Definition-5 arcs, ``target`` itself left
-    out, in :func:`~repro.overlay.lds.neighbor_arc_slots` order (list arc
-    around ``p``, then the De Bruijn arcs around ``p/2`` and ``(p+1)/2``,
-    each member at its first occurrence).  Positions are the index's, i.e.
-    ``h(v, epoch)`` by construction, so an id carries the same position in
-    every batch of one epoch.  The receiver resolves the list at cutover
-    (:mod:`repro.core.cutover`); a batch whose ``target`` is another node
-    introduces nobody to its receiver.
+    lie inside the receiver's three Definition-5 arcs, the receiver itself
+    left out, in :func:`~repro.overlay.lds.neighbor_arc_slots` order (list
+    arc around ``p``, then the De Bruijn arcs around ``p/2`` and
+    ``(p+1)/2``, each member at its first occurrence).  Positions are the
+    index's, i.e. ``h(v, epoch)`` by construction, so an id carries the same
+    position in every batch of one epoch.  The receiver resolves the list
+    at cutover (:mod:`repro.core.cutover`).
 
+    The content is the same for every record holder a matchmaker
+    introduces, so a matchmaker sends one batch object to all of them.
     Batches compare and hash by identity (``eq=False``); senders holding the
     same ``H`` send batches that share one index object.
     """
@@ -100,11 +102,10 @@ class CreateBatch:
     __protocol__ = True
 
     index: PositionIndex
-    target: int
     epoch: int
 
     def __reduce__(self):
-        return CreateBatch, (self.index, self.target, self.epoch)
+        return CreateBatch, (self.index, self.epoch)
 
 
 @dataclass(frozen=True, slots=True)

@@ -47,10 +47,10 @@ tokens, matchmaking).
 **Matchmaking and cutover.**  The handover records ``H`` a node stores at an
 odd round are interned as one position index per distinct member set.  A
 CREATE names its introductions by reference: :class:`CreateBatch` carries
-the sender's interned ``H`` and its target, and means "the members of ``H``
-in your Definition-5 arcs".  Each node sends one per record, in its
-``h_records`` arrival order.  At the even round every node of the band
-first buckets its batches; then one bitset pass over the epoch slab
+the sender's interned ``H``, and means "the members of ``H`` in your
+Definition-5 arcs".  Each node builds one and sends it to every record it
+holds, in its ``h_records`` arrival order.  At the even round every node of
+the band first buckets its batches; then one bitset pass over the epoch slab
 (:func:`repro.core.cutover.introductions`) resolves every receiver's new
 ``d_nbrs`` — the introduced ids in inbox order, then arc order, each id at
 its first occurrence — and each node installs or demotes
@@ -631,8 +631,8 @@ class MaintenanceNode(NodeProtocol):
         """Install the epoch-``e`` neighbourhood ``records`` its CREATE
         batches introduced (:func:`introductions`, in first-occurrence
         order — the order is observable: ``_serve_pending_grants`` shuffles
-        it).  When nobody is introduced — no batch, or only empty, stale or
-        misaddressed ones — nothing is installed: the node keeps its state
+        it).  When nobody is introduced — no batch, or only empty or stale
+        ones — nothing is installed: the node keeps its state
         during bootstrap and demotes itself once cutovers are due.
         """
         if records:
@@ -787,14 +787,13 @@ class MaintenanceNode(NodeProtocol):
     def _matchmake(self, ctx: NodeContext, h_index: PositionIndex, e_next: int) -> None:
         """Send each next-overlay node its Definition-5 neighbours (CREATE).
 
-        One :class:`CreateBatch` per record held, in ``h_records`` arrival
-        order, naming the interned ``h_index`` and the record's node: the
-        receiver's cutover resolves which members of ``h_index`` that
-        introduces.  A target alone in its arcs is introduced to nobody.
+        One :class:`CreateBatch` naming the interned ``h_index``, sent to
+        each record held, in ``h_records`` arrival order: each receiver's
+        cutover resolves which members of ``h_index`` that introduces to it.
+        A target alone in its arcs is introduced to nobody.
         """
-        ctx.send_singles_batch(
-            [(v, CreateBatch(h_index, v, e_next)) for v in self.h_records]
-        )
+        batch = CreateBatch(h_index, e_next)
+        ctx.send_singles_batch([(v, batch) for v in self.h_records])
 
     # ------------------------------------------------------------------
     # Final deliveries

@@ -28,7 +28,8 @@ again by every receiver, would be the dominant round cost.
 * at delivery the copies are grouped by receiver with one stable sort (a
   radix sort whenever the ids fit 16-bit digits, see :func:`_stable_argsort`),
   so each receiver gets a NumPy array of row ids in **global send order**
-  (nodes in sorted id order, each node's sends in issue order).  Hops and
+  (nodes in sorted id order, each node's sends in issue order), kept to each
+  row's first copy without a second sort (:func:`_first_copies`).  Hops and
   inbox messages are separate streams; neither's order depends on the other;
 * per-round classification work (next step, final-step test, lookup point)
   happens **once per logical hop** for the whole network — receivers share
@@ -323,17 +324,15 @@ class FrozenHopRound:
         return np.repeat(self.srcs, self.lens), self.flat
 
     def deliver(self, alive) -> HopDelivery:
-        """Group the copies by surviving receiver (stable radix sorts).
+        """Group the copies by surviving receiver (one stable radix sort).
 
         Each receiver's rows are deduplicated to first occurrences here, in
         one vectorised pass for the whole network, instead of per receiving
-        node.  The first stable sort groups the copies by receiver and keeps
-        arrival order inside each group; a second stable sort of that
-        arrangement by row puts the copies of one ``(receiver, row)`` pair
-        next to each other, earliest arrival first, so the heads of those
-        runs are exactly the copies a per-node ``dict.fromkeys`` would have
-        kept.  ``counts`` stays pre-dedup: every copy that arrived was
-        received.
+        node.  The stable sort groups the copies by receiver and keeps
+        arrival order inside each group; :func:`_first_copies` then marks
+        each ``(receiver, row)`` pair's earliest copy — exactly the copies a
+        per-node ``dict.fromkeys`` would have kept.  ``counts`` stays
+        pre-dedup: every copy that arrived was received.
         """
         flat = self.flat
         total = int(flat.size)
@@ -347,14 +346,8 @@ class FrozenHopRound:
             bounds = np.flatnonzero(
                 np.r_[True, dst_sorted[1:] != dst_sorted[:-1], True]
             )
-            by_row = _stable_argsort(row_sorted)
-            row2 = row_sorted[by_row]
-            dst2 = dst_sorted[by_row]
-            first = np.empty(total, dtype=bool)
-            first[by_row] = np.r_[
-                True, (row2[1:] != row2[:-1]) | (dst2[1:] != dst2[:-1])
-            ]
-            keep = np.flatnonzero(first)
+            nrows = len(self.table.msgs)
+            keep = np.flatnonzero(_first_copies(row_sorted, bounds, nrows))
             row_kept = row_sorted[keep]
             kept = np.searchsorted(keep, bounds).tolist()
             bounds_l = bounds.tolist()
@@ -363,6 +356,34 @@ class FrozenHopRound:
                     by_dst[dst] = row_kept[kept[i]:kept[i + 1]]
                     counts[dst] = bounds_l[i + 1] - bounds_l[i]
         return HopDelivery(self.table, by_dst, counts, total=total)
+
+
+def _first_copies(rows: np.ndarray, bounds: np.ndarray, nrows: int) -> np.ndarray:
+    """Mask of each ``(receiver, row)`` pair's earliest copy.
+
+    ``rows`` is grouped by receiver, arrival order kept inside a group, and
+    ``bounds`` holds the group edges.  Runs of ``max(1, copies // nrows)``
+    consecutive receivers are keyed ``ordinal in run * nrows + row`` into one
+    ``int32`` table of at most ``max(copies, nrows)`` cells; scattering the
+    copy positions back to front leaves each key's earliest position, and a
+    copy is first iff the table holds its own.  No sort, and every cell read
+    in a run was written in that run, so the table is never cleared.
+    """
+    total = rows.size
+    groups = bounds.size - 1
+    per_run = max(1, total // nrows)
+    table = np.empty(per_run * nrows, dtype=np.int32)
+    first = np.empty(total, dtype=bool)
+    edges = bounds.tolist()
+    for g in range(0, groups, per_run):
+        h = min(g + per_run, groups)
+        lo, hi = edges[g], edges[h]
+        key = np.repeat(np.arange(0, (h - g) * nrows, nrows), np.diff(bounds[g:h + 1]))
+        key += rows[lo:hi]
+        pos = np.arange(hi - lo, dtype=np.int32)
+        table[key[::-1]] = pos[::-1]
+        first[lo:hi] = table[key] == pos
+    return first
 
 
 class HopPlane:

@@ -47,7 +47,7 @@ def create_batch(services: EngineServices, target: int, ids, epoch: int) -> Crea
     step = 0.9 * services.params.list_radius / (len(ids) + 1)
     table = {target: p}
     table.update({v: wrap(p + (k + 1) * step) for k, v in enumerate(ids)})
-    return CreateBatch(cache.index_for(epoch, frozenset(table), table), target, epoch)
+    return CreateBatch(cache.index_for(epoch, frozenset(table), table), epoch)
 
 
 def make_ctx(node, services, t, inbox, hops=(), network=None):

@@ -377,7 +377,7 @@ def same_object_lane(a, b):
     assert [(s, d, type(m)) for s, d, m in a] == [(s, d, type(m)) for s, d, m in b]
     for (_, _, x), (_, _, y) in zip(a, b):
         if isinstance(x, CreateBatch):
-            assert (x.target, x.epoch) == (y.target, y.epoch)
+            assert x.epoch == y.epoch
             assert x.index.ids_list == y.index.ids_list
             assert np.array_equal(x.index.sorted_positions, y.index.sorted_positions)
         else:

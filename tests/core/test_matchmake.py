@@ -1,7 +1,7 @@
 """Matchmaking end to end: what a :class:`CreateBatch` introduces, resolved
 by the cutover kernel (:func:`repro.core.cutover.introductions`), against a
 scalar oracle — per batch, and merged over whole inboxes of stale, empty,
-repeated, misaddressed, private-index and pickled batches."""
+repeated, private-index and pickled batches."""
 
 from __future__ import annotations
 
@@ -80,7 +80,8 @@ def test_create_plan_equals_scalar_oracle(positions, r_list, r_db, id_seed):
     # kernel resolves is the oracle's list, ids and positions, in order.
     ids = np.random.default_rng(id_seed).permutation(100_000)[: len(positions)]
     index = PositionIndex(dict(zip(ids.tolist(), positions)))
-    inboxes = [(v, [CreateBatch(index, v, 7)]) for v in index.ids_list]
+    batch = CreateBatch(index, 7)
+    inboxes = [(v, [batch]) for v in index.ids_list]
     got = resolve(EpochCache(make_services(PARAMS).position_hash), inboxes, 7, r_list, r_db)
     for (v, _), nbrs in zip(inboxes, got):
         want_ids, want_poses = oracle_batch(index, v, index.position(v), r_list, r_db)
@@ -118,9 +119,12 @@ def test_holders_of_one_index_send_references_to_it(services):
         (src_a, batch_a), (src_b, batch_b) = got[v]
         assert (src_a, src_b) == (1, 3)
         assert batch_a is not batch_b and batch_a.index is batch_b.index
-        assert (batch_a.target, batch_a.epoch) == (v, 9)
+        assert batch_a.epoch == 9
         assert sorted(batch_a.index.ids_list) == members
         inboxes.append((v, [batch_a, batch_b]))
+    # One batch object per sender, sent to every target.
+    for k in range(2):
+        assert len({id(got[v][k][1]) for v in members}) == 1
     got = resolve(
         services.epoch_cache, inboxes, 9, PARAMS.list_radius, PARAMS.debruijn_radius
     )
@@ -135,28 +139,30 @@ def test_holders_of_one_index_send_references_to_it(services):
 def test_lone_member_gets_an_empty_batch(services):
     got = handover_round(services, [1], [10], 9, Network())
     ((src, batch),) = got[10]
-    assert src == 1 and (batch.target, batch.epoch) == (10, 9)
+    assert src == 1 and batch.epoch == 9
     assert batch.index.ids_list == [10]
     assert resolve(services.epoch_cache, [(10, [batch])], 9, 0.7, 0.7) == [{}]
 
 
 def test_pickled_batch_introduces_the_same_and_carries_no_scratch(services):
     got = handover_round(services, [1], list(range(10, 40)), 9, Network())
-    batches = [got[v][0][1] for v in range(10, 40)]
+    targets = list(range(10, 40))
+    batches = [got[v][0][1] for v in targets]
+    assert all(b is batches[0] for b in batches)  # one object, every target
     index = batches[0].index
     assert index.scratch["carved"][1] is services.epoch_cache.table(9)
     # What a worker receives: one pickle, one decoded index, no scratch.
     blob = pickle.dumps(batches, pickle.HIGHEST_PROTOCOL)
     copies = pickle.loads(blob)
-    assert len({id(b.index) for b in copies}) == 1
+    assert len({id(b) for b in copies}) == 1
     twin = copies[0].index
     assert twin is not index and twin._scratch is None
     assert len(blob) < 16 * len(index) + 64 * len(batches) + 1024
     r_list, r_db = PARAMS.list_radius, PARAMS.debruijn_radius
-    want = resolve(services.epoch_cache, [(b.target, [b]) for b in batches], 9, r_list, r_db)
+    want = resolve(services.epoch_cache, [(v, batches[:1]) for v in targets], 9, r_list, r_db)
     # Resolved in a cache that never saw the epoch: the index maps in by id.
     fresh = make_services(PARAMS).epoch_cache
-    got = resolve(fresh, [(b.target, [b]) for b in copies], 9, r_list, r_db)
+    got = resolve(fresh, [(v, copies[:1]) for v in targets], 9, r_list, r_db)
     assert [list(d.items()) for d in got] == [list(d.items()) for d in want]
     assert any(want)
 
@@ -167,11 +173,10 @@ def test_pickled_batch_introduces_the_same_and_carries_no_scratch(services):
 
 RECEIVER = 1
 
-#: One batch of an inbox: ``(subset seed, kind, stale, misaddressed)``.
+#: One batch of an inbox: ``(subset seed, kind, stale)``.
 batch_spec = st.tuples(
     st.integers(min_value=0, max_value=2**32 - 1),
     st.sampled_from(["carved", "private", "pickled", "empty"]),
-    st.booleans(),
     st.booleans(),
 )
 
@@ -186,7 +191,7 @@ def inbox_world(services, positions, specs, picks, epoch):
     slab = cache.index_for(epoch, frozenset(table), table)
     stale_table = {v: wrap(p + 0.25) for v, p in table.items()}
     pool = []
-    for seed, kind, stale, misaddressed in specs:
+    for seed, kind, stale in specs:
         keep = np.random.default_rng(seed).random(len(ids)) < 0.6
         members = frozenset(v for v, k in zip(ids, keep) if k)
         if kind == "empty":
@@ -197,7 +202,7 @@ def inbox_world(services, positions, specs, picks, epoch):
             index = PositionIndex({v: table[v] for v in slab.ids_list if v in members})
         elif kind == "pickled":
             index = pickle.loads(pickle.dumps(index))
-        pool.append(CreateBatch(index, 2 if misaddressed else RECEIVER, e))
+        pool.append(CreateBatch(index, e))
     return table, [(100 + i, pool[k % len(pool)]) for i, k in enumerate(picks)]
 
 
@@ -216,7 +221,7 @@ def test_cutover_neighbour_order_equals_per_entry_dict(
     table, inbox = inbox_world(services, positions, specs, picks, EPOCH)
     want: dict[int, float] = {}
     for _, batch in inbox:
-        if batch.epoch == EPOCH and batch.target == RECEIVER:
+        if batch.epoch == EPOCH:
             ids, poses = oracle_batch(batch.index, RECEIVER, table[RECEIVER], r_list, r_db)
             for v, p in zip(ids, poses):
                 want.setdefault(v, p)
@@ -261,7 +266,7 @@ def test_band_gives_each_node_its_own_on_round(positions, seeds):
                 if rng.random() < 0.3:
                     index = pickle.loads(pickle.dumps(index))
                 e = EPOCH - int(rng.random() < 0.2)
-                inbox.append((50 + i, CreateBatch(index, ids[k], e)))
+                inbox.append((50 + i, CreateBatch(index, e)))
             node = MaintenanceNode(ids[k], services)
             node.prime(epoch=EPOCH - 1, pos=0.5, neighbors={2: 0.51})
             ctx, _ = make_ctx(node, services, 2 * EPOCH, inbox)

@@ -35,7 +35,7 @@ RECS = (JoinRecord(3, 0.25, 9), JoinRecord(4, 0.75, 9))
 SAMPLES = [
     RECS[0],
     JoinBatch(RECS),
-    CreateBatch(PositionIndex({3: 0.25, 70_000: 0.75}), target=3, epoch=9),
+    CreateBatch(PositionIndex({3: 0.25, 70_000: 0.75}), epoch=9),
     TokenMsg(7),
     ConnectMsg(8),
     TokenGrant((1, 2, 3)),
@@ -150,7 +150,7 @@ def test_pickled_create_batch_view_carries_only_its_slice(protocol):
         cache.index_for(9, frozenset(table), table)
         index = cache.index_for(9, frozenset(members), members)
         assert index.scratch["carved"][1] is cache.table(9)
-        batch = CreateBatch(index, 5, 9)
+        batch = CreateBatch(index, 9)
         assert same(pickle.loads(pickle.dumps(batch, protocol)), batch)
         return len(pickle.dumps(batch, protocol))
 

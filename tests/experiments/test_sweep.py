@@ -92,6 +92,9 @@ class TestCli:
         from repro.cli import main
 
         assert main(["sweep", "E-NOPE"]) == 2
+        assert capsys.readouterr().out == (
+            "sweep: unknown experiments ['E-NOPE']; try `python -m repro list`\n"
+        )
 
     def test_sweep_bad_seeds(self, capsys):
         from repro.cli import main

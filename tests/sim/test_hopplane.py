@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from repro.routing.messages import RoutedMessage
 from repro.sim.hopplane import FrozenHopRound, HopPlane, HopRows, _stable_argsort
 
-from .hops import file_hops
+from .hops import file_hops, two_sort_delivery
 
 _launches = count()
 
@@ -315,3 +315,72 @@ def test_deliver_equals_per_receiver_oracle(data):
     newer, newer_copies = _file(data.draw(sends(dst_base)), big)
     merged = FrozenHopRound.merged([segment, newer])
     _check_delivery(merged, [copies[i] for i in picked] + newer_copies, alive)
+
+
+#: Messages for generated tables; two rounds drawing from it share logical
+#: hops, which :meth:`FrozenHopRound.merged` re-interns onto one row.
+TABLE_POOL = [Msg() for _ in range(40)]
+
+
+@st.composite
+def frozen_rounds(draw, dst_base):
+    """A closed round built from its columns: ``nrows`` rows, and multicasts
+    of ``(row, receivers)``.  Few rows under many copies put many receivers
+    in one dedup run; more rows than copies, one receiver per run."""
+    nrows = draw(st.integers(1, 40), label="rows")
+    sends = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, nrows - 1),
+                st.lists(st.integers(dst_base, dst_base + 9), min_size=1, max_size=12),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    table = HopRows.of(TABLE_POOL[:nrows], [0] * nrows)
+    return FrozenHopRound(
+        table,
+        np.zeros(len(sends), dtype=np.int32),
+        np.array([row for row, _ in sends], dtype=np.int32),
+        np.array([len(dsts) for _, dsts in sends], dtype=np.int32),
+        np.array([d for _, dsts in sends for d in dsts], dtype=np.int32),
+    )
+
+
+def _same_as_two_sorts(frozen, alive):
+    delivery = frozen.deliver(alive)
+    rows, counts = two_sort_delivery(frozen, alive)
+    assert list(delivery.rows) == list(rows)  # dict order too
+    for dst, got in delivery.rows.items():
+        assert got.dtype == rows[dst].dtype and np.array_equal(got, rows[dst])
+    assert list(delivery.counts.items()) == list(counts.items())
+    assert delivery.total == frozen.copies()
+    # Every copy to a live receiver is counted once, before dedup.
+    assert sum(delivery.counts.values()) == int(np.isin(frozen.flat, list(alive)).sum())
+    everyone = set(frozen.flat.tolist())
+    assert sum(frozen.deliver(everyone).counts.values()) == delivery.total
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_deliver_equals_the_two_sort_dedup(data):
+    dst_base = data.draw(
+        st.sampled_from([0, 65_530, 1 << 16, 1 << 20]), label="receiver base"
+    )
+    alive = data.draw(st.sets(st.integers(dst_base, dst_base + 9)), label="alive")
+    frozen = data.draw(frozen_rounds(dst_base))
+    _same_as_two_sorts(frozen, alive)
+
+    # A merged delivery: a cut segment with duplicated copies (adjacent,
+    # send order kept) beside a fresh round over the same messages.
+    picked = sorted(
+        data.draw(
+            st.lists(st.integers(0, frozen.copies() - 1), min_size=1, max_size=60),
+            label="picked copies",
+        )
+    )
+    segment = frozen.cut(np.array(picked))
+    _same_as_two_sorts(segment, alive)
+    merged = FrozenHopRound.merged([segment, data.draw(frozen_rounds(dst_base))])
+    _same_as_two_sorts(merged, alive)

@@ -75,6 +75,10 @@ class TestCliScenario:
 
     def test_unknown_scenario(self, capsys):
         assert main(["scenario", "run", "bogus"]) == 2
+        assert capsys.readouterr().out == (
+            "scenario: unknown scenarios ['bogus']; "
+            "try `python -m repro scenario --list`\n"
+        )
 
     def test_run_writes_validated_report(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"
@@ -132,6 +136,9 @@ class TestCliRun:
 
     def test_unknown_id(self, capsys):
         assert main(["run", "E-NOPE"]) == 2
+        assert capsys.readouterr().out == (
+            "run: unknown experiment 'E-NOPE'; try `python -m repro list`\n"
+        )
 
     def test_seed_forwarded(self, capsys):
         assert main(["run", "E-F1", "--seed", "5"]) == 0
