@@ -46,10 +46,11 @@ class AdversaryView:
         state_lateness: int,
         budget_remaining: int | None = None,
     ) -> None:
-        # The lateness bounds are keyword-only on purpose: `repro check`
-        # (rule L3) requires both keywords to be spelled out at every call
-        # site, and the contract's wall clause treats a view as the one
-        # object that may carry live state across the wall.
+        # The lateness bounds are keyword-only on purpose: rule L3
+        # (tests/analysis/test_source_rules.py) requires both keywords to be
+        # spelled out at every call site, and the contract's wall clause
+        # treats a view as the one object that may carry live state across
+        # the wall.
         if topology_lateness < 0 or state_lateness < 0:
             raise ValueError("lateness values must be non-negative")
         self.round = t

@@ -37,17 +37,6 @@ Commands
     network size) from ``benchmarks/results/BENCH_scaling.json``; refresh
     it with ``pytest benchmarks/bench_scaling.py --benchmark-only --full``
     under ``REPRO_BENCH_RECORD=1``.
-``check [--rules R,...] [--paths P ...] [--format text|json|sarif] [--fix]``
-    Run the static-analysis gate (see ``docs/ANALYSIS.md``) over
-    ``src/repro``: 11 per-module rules in four families — determinism
-    D1–D5, lateness L1–L3, exports X1, waiver hygiene W1–W2 — off one
-    parse.
-    Exits non-zero on any finding that is neither waived inline
-    (``# repro: allow(<rule>): why``) nor grandfathered in the committed
-    ``check-baseline.json`` (``--baseline P`` / ``--no-baseline`` /
-    ``--update-baseline``).  ``--rules`` takes ids, codes (``D2``) or
-    family letters (``D``); ``--list-rules`` prints the rule table;
-    ``--fix`` deletes the stale waiver comments W2 reports, then checks.
 """
 
 from __future__ import annotations
@@ -102,17 +91,20 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from repro.experiments import get_experiment
 
     _check_seed(args.seed)
-    failed = False
+    # Every id is resolved before any experiment runs.
+    fns = []
     for eid in args.ids:
         try:
-            fn = get_experiment(eid)
+            fns.append(get_experiment(eid))
         except KeyError:
             raise _UsageError(
                 f"unknown experiment {eid!r}; try `python -m repro list`"
             ) from None
-        kwargs = {"quick": not args.full}
-        if args.seed is not None:
-            kwargs["seed"] = args.seed
+    kwargs = {"quick": not args.full}
+    if args.seed is not None:
+        kwargs["seed"] = args.seed
+    failed = False
+    for fn in fns:
         result = fn(**kwargs)
         print(result.to_table())
         print()
@@ -370,66 +362,6 @@ def _cmd_scale(args: argparse.Namespace) -> int:
     return 0
 
 
-def _repo_root():
-    """The checkout root (parent of ``src/``), or the current directory."""
-    from pathlib import Path
-
-    import repro
-
-    pkg = Path(repro.__file__).resolve().parent
-    return pkg.parents[1] if pkg.parent.name == "src" else Path.cwd()
-
-
-def _cmd_check(args: argparse.Namespace) -> int:
-    """The static-analysis gate: 0 clean, 1 findings, 2 usage error."""
-    import json
-    from pathlib import Path
-
-    from repro.analysis.check import load_baseline, resolve_rules, rule_table, run_check
-    from repro.analysis.lint.baseline import DEFAULT_BASELINE_NAME, write_baseline
-    from repro.analysis.lint.engine import LintError
-    from repro.analysis.lint.fix import fix_unused_waivers
-
-    root = _repo_root()
-    paths = [Path(p) for p in args.paths] if args.paths else None
-    baseline = Path(args.baseline) if args.baseline else root / DEFAULT_BASELINE_NAME
-    try:
-        rules = resolve_rules(args.rules)
-        if args.list_rules:
-            print(rule_table(rules))
-            return 0
-        if args.fix:
-            fixed = fix_unused_waivers(paths, root=root, rules=rules)
-            for relpath, count in sorted(fixed.items()):
-                print(f"fixed {relpath}: removed {count} stale waiver(s)")
-            if not fixed:
-                print("nothing to fix: no stale waivers")
-        if args.update_baseline:
-            # Entries of rules that did not run are carried over untouched.
-            old = load_baseline(baseline)
-            report = run_check(paths, root=root, rules=rules, baseline=None)
-            kept = [e for e in old.entries if e["rule"] in report.context.deselected]
-            write_baseline(baseline, report.findings, keep=kept)
-            print(f"wrote {baseline} ({len(report.findings) + len(kept)} entries)")
-            return 0
-        report = run_check(
-            paths,
-            root=root,
-            rules=rules,
-            baseline=None if args.no_baseline else baseline,
-        )
-    except LintError as exc:
-        print(f"check: {exc}")
-        return 2
-    if args.format == "json":
-        print(json.dumps(report.to_dict(), indent=2))
-    elif args.format == "sarif":
-        print(json.dumps(report.to_sarif(), indent=2))
-    else:
-        print(report.format_text())
-    return 0 if report.ok else 1
-
-
 def _cmd_params(args: argparse.Namespace) -> int:
     kwargs = {}
     if args.c is not None:
@@ -535,49 +467,6 @@ def main(argv: list[str] | None = None) -> int:
         help="BENCH_scaling.json path (default: %(default)s)",
     )
 
-    p_check = sub.add_parser(
-        "check", help="static-analysis gate: 11 rules, one parse (docs/ANALYSIS.md)"
-    )
-    p_check.add_argument(
-        "--rules",
-        default=None,
-        metavar="R[,R...]",
-        help="only run these rules: ids (`wallclock`), codes (`D2`) or family "
-        "letters (D L X W)",
-    )
-    p_check.add_argument(
-        "--paths",
-        nargs="*",
-        default=None,
-        metavar="PATH",
-        help="files/directories to analyse (default: src/repro)",
-    )
-    p_check.add_argument(
-        "--format", choices=["text", "json", "sarif"], default="text", help="output format"
-    )
-    p_check.add_argument(
-        "--baseline",
-        default=None,
-        metavar="PATH",
-        help="baseline file (default: check-baseline.json at the repo root)",
-    )
-    p_check.add_argument(
-        "--no-baseline", action="store_true", help="ignore the baseline file"
-    )
-    p_check.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline from the current findings and exit 0",
-    )
-    p_check.add_argument(
-        "--list-rules", action="store_true", help="print the rule table and exit"
-    )
-    p_check.add_argument(
-        "--fix",
-        action="store_true",
-        help="delete the stale waiver comments W2 reports, then check",
-    )
-
     p_par = sub.add_parser("params", help="show derived parameters for n")
     p_par.add_argument("n", type=int)
     p_par.add_argument("--c", type=float, default=None)
@@ -595,7 +484,6 @@ def main(argv: list[str] | None = None) -> int:
         "profile": _cmd_profile,
         "sweep": _cmd_sweep,
         "scale": _cmd_scale,
-        "check": _cmd_check,
     }
     try:
         return handlers[args.command](args)

@@ -558,10 +558,6 @@ class MaintenanceNode(NodeProtocol):
         short TTL window keeps small-n runs supplied without changing what
         the adversary can learn.)
         """
-        # repro: allow(unordered-iteration): int-only set — CPython int hashing
-        # is not randomized, so the materialised order is a deterministic
-        # function of the token list; sorting here would reorder the shuffle
-        # input and change the committed golden fingerprints.
         owners = list({owner for _, owner in self.tokens if owner != self.id})
         if not owners:
             return []

@@ -167,9 +167,6 @@ class PositionIndex:
     )
 
     def __init__(self, positions: Mapping[int, float]) -> None:
-        # repro: allow(unordered-iteration): dict .keys() is insertion-ordered
-        # (values() below iterates identically), and the stable argsort right
-        # after makes the index independent of the input order anyway.
         ids = np.fromiter(positions.keys(), dtype=np.int64, count=len(positions))
         pos = np.fromiter(positions.values(), dtype=np.float64, count=len(positions))
         if pos.size and (pos.min() < 0.0 or pos.max() >= 1.0):

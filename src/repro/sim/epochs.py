@@ -187,9 +187,6 @@ class EpochCache:
             slab = PositionIndex(table)
         elif synced < len(table):
             # dicts preserve insertion order: the unsynced tail is new.
-            # repro: allow(unordered-iteration): dict .keys() is
-            # insertion-ordered, and the h(v,e) table is grown in the
-            # deterministic engine node order — the tail slice is reproducible.
             new_ids = list(islice(table.keys(), synced, None))
             slab = slab.with_added(new_ids, [table[v] for v in new_ids])
         else:

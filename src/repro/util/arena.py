@@ -219,9 +219,6 @@ class FrameEncoder:
 
     def encode(self, obj: object) -> int:
         """The frame offset for ``obj`` (written on first sight)."""
-        # repro: allow(id-ordering): identity-interning memo — the id is a
-        # dict key (never ordered, never serialised) and `_keep` pins every
-        # memoised object alive, so an address cannot be recycled mid-frame
         key = id(obj)
         off = self._memo.get(key)
         if off is None:

@@ -18,8 +18,10 @@ and regressions show up in diffs.  One file per benchmark id::
 ``seconds_per_round`` is wall-time divided by the simulated rounds per
 benchmark iteration; ``peak_rss_kb`` is the process peak resident set in
 KiB (``ru_maxrss``; measured via :mod:`resource`, so no extra dependency).
-Files keep the newest :data:`MAX_ENTRIES` entries — old history rolls off
-instead of growing without bound.
+Files keep the newest :data:`MAX_ENTRIES` entries per grid point
+``(n, workers)`` (``workers`` defaults to 1) — old history rolls off
+instead of growing without bound, and a burst of rows at one point never
+pushes another point out of the file.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from __future__ import annotations
 import json
 import os
 import resource
+from collections import Counter
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -123,8 +126,6 @@ def make_entry(
     """
     entry = {
         "created": created
-        # repro: allow(wallclock): the timestamp is benchmark-history metadata
-        # recorded after a run; it never enters simulation state or fingerprints.
         or datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
         "n": int(n),
         "rounds": int(rounds),
@@ -147,8 +148,15 @@ def make_entry(
     return entry
 
 
+def _grid_point(entry: dict) -> tuple[int, int]:
+    return entry["n"], entry.get("workers", 1)
+
+
 def append_entry(directory: Path | str, bench_id: str, entry: dict) -> Path:
     """Append ``entry`` to ``BENCH_<bench_id>.json``, trimming old history.
+
+    Only the entry's own grid point is trimmed, to its newest
+    :data:`MAX_ENTRIES`.
 
     Creates the file (and directory) if missing; an existing file must be
     schema-valid, so a corrupted record fails loudly instead of silently
@@ -163,7 +171,11 @@ def append_entry(directory: Path | str, bench_id: str, entry: dict) -> Path:
     else:
         data = {"schema": SCHEMA_VERSION, "id": bench_id, "entries": []}
     _validate_entry(entry, where=f"new entry for {bench_id}")
-    data["entries"] = (data["entries"] + [entry])[-MAX_ENTRIES:]
+    entries = data["entries"] + [entry]
+    point = _grid_point(entry)
+    same = [i for i, e in enumerate(entries) if _grid_point(e) == point]
+    dropped = set(same[:-MAX_ENTRIES])
+    data["entries"] = [e for i, e in enumerate(entries) if i not in dropped]
     path.write_text(json.dumps(data, indent=2) + "\n")
     return path
 
@@ -188,10 +200,13 @@ def validate_bench_file(path: Path | str) -> dict:
     entries = data.get("entries")
     if not isinstance(entries, list):
         raise ValueError(f"{path}: entries must be a list")
-    if len(entries) > MAX_ENTRIES:
-        raise ValueError(f"{path}: {len(entries)} entries > {MAX_ENTRIES}")
     for i, entry in enumerate(entries):
         _validate_entry(entry, where=f"{path} entry {i}")
+    for (n, workers), count in Counter(map(_grid_point, entries)).items():
+        if count > MAX_ENTRIES:
+            raise ValueError(
+                f"{path}: {count} entries at n={n}, workers={workers} > {MAX_ENTRIES}"
+            )
     return data
 
 

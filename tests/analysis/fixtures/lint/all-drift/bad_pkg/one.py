@@ -1,3 +1,4 @@
+# repro: module(repro.examplepkg.one)
 """Child module with a declared public surface."""
 
 __all__ = ["alpha", "beta"]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.cli import main
@@ -140,12 +142,48 @@ class TestCliRun:
             "run: unknown experiment 'E-NOPE'; try `python -m repro list`\n"
         )
 
+    def test_unknown_id_is_rejected_before_any_run(self, capsys):
+        assert main(["run", "E-F1", "E-NOPE"]) == 2
+        assert capsys.readouterr().out == (
+            "run: unknown experiment 'E-NOPE'; try `python -m repro list`\n"
+        )
+
     def test_seed_forwarded(self, capsys):
         assert main(["run", "E-F1", "--seed", "5"]) == 0
 
     def test_negative_seed_is_a_one_line_usage_error(self, capsys):
         assert main(["run", "E-L9", "--seed", "-1"]) == 2
         assert capsys.readouterr().out == "run: --seed must not be negative, got -1\n"
+
+
+def test_help_lists_the_verbs(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    verbs = re.search(r"\{([a-z,]+)\}", capsys.readouterr().out).group(1).split(",")
+    assert sorted(verbs) == sorted(
+        ["list", "run", "report", "chaos", "scenario", "sweep", "profile", "scale", "params"]
+    )
+
+
+@pytest.mark.parametrize(
+    "gone",
+    [
+        ["check"],
+        ["lint"],
+        ["flow"],
+        ["shard-check"],
+        ["proto-check"],
+        ["check", "--rules", "D"],
+        ["check", "--format=sarif"],
+        ["check", "--fix"],
+    ],
+)
+def test_removed_subcommands_and_flags_leave_no_alias(gone, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(gone)
+    assert exc.value.code == 2
+    assert f"invalid choice: '{gone[0]}'" in capsys.readouterr().err
 
 
 class TestCliProfile:

@@ -62,11 +62,32 @@ class TestAppendAndValidate:
     def test_trims_to_max_entries(self, tmp_path):
         for i in range(MAX_ENTRIES + 7):
             append_entry(
-                tmp_path, "b", make_entry(n=i, rounds=1, seconds_per_round=0.1)
+                tmp_path, "b", make_entry(n=8, rounds=1, seconds_per_round=i)
             )
         data = validate_bench_file(bench_path(tmp_path, "b"))
         assert len(data["entries"]) == MAX_ENTRIES
-        assert data["entries"][-1]["n"] == MAX_ENTRIES + 6  # newest kept
+        assert data["entries"][0]["seconds_per_round"] == 7  # oldest dropped
+        assert data["entries"][-1]["seconds_per_round"] == MAX_ENTRIES + 6
+
+    def test_trim_keeps_other_grid_points(self, tmp_path):
+        sharded = make_entry(n=512, rounds=1, seconds_per_round=3.6)
+        sharded["workers"] = 2
+        append_entry(tmp_path, "b", sharded)
+        for i in range(MAX_ENTRIES + 1):
+            append_entry(
+                tmp_path, "b", make_entry(n=512, rounds=1, seconds_per_round=i)
+            )
+        entries = validate_bench_file(bench_path(tmp_path, "b"))["entries"]
+        assert entries[0] == sharded
+        assert len(entries) == MAX_ENTRIES + 1
+
+    def test_over_full_grid_point_rejected(self, tmp_path):
+        path = bench_path(tmp_path, "b")
+        entry = make_entry(n=8, rounds=1, seconds_per_round=0.1)
+        entries = [entry] * (MAX_ENTRIES + 1)
+        path.write_text(json.dumps({"schema": SCHEMA_VERSION, "id": "b", "entries": entries}))
+        with pytest.raises(ValueError, match="at n=8, workers=1"):
+            validate_bench_file(path)
 
     def test_id_mismatch_rejected(self, tmp_path):
         append_entry(tmp_path, "a", make_entry(n=1, rounds=1, seconds_per_round=1))
