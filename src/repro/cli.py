@@ -10,31 +10,27 @@ Commands
     Run the whole suite in artefact order and write a markdown report.
 ``params N [--c C] [--r R] ...``
     Print the derived protocol parameters for a network size.
-``chaos [--full] [--seed S] [--drop ...] [--delay ...] [--stall ...]``
-    The E-CH fault-injection sweep (drop x delay x stall): each cell is a
-    generated scenario run by the scenario runner, reporting routing
-    success and first degradation per cell; axes are comma-separated
-    probability lists and default to the E-CH experiment's grid.
-``scenario --list | run NAME [NAME ...] | matrix``
+``scenario [NAME ...] [--list] [--seeds S,...] [--workers W] [--full] [--out PATH]``
     Named adversity scenarios (network conditions x churn x adversary).
-    ``--list`` prints the registry; ``run`` executes the named scenarios
-    and prints their recovery reports (time to first degradation,
+    ``--list`` prints the registry; otherwise the named scenarios (the
+    whole registry when none is named) run over the distinct ``--seeds``
+    and print their recovery reports (time to first degradation,
     degraded-round fraction, time to recover, routing-stretch p50/p95/p99)
-    with each cell's pass verdict, exiting non-zero when any cell fails;
-    ``matrix`` runs the whole registry, ``--full`` at full length (quick
-    runs stop 24 rounds past bootstrap).  ``--seeds S,S`` and ``--workers W``
-    fan the grid over a process pool — output is identical for any worker
-    count — and ``--out PATH`` writes the schema-validated JSON report.
+    with each cell's pass verdict, exiting non-zero when any cell fails.
+    Quick runs stop 24 rounds past bootstrap, ``--full`` runs at full
+    length.  ``--workers W`` fans the grid over a process pool — output is
+    identical for any worker count — and ``--out PATH`` writes the
+    schema-validated JSON report.  The E-CH drop x delay x stall grid runs
+    as ``run E-CH``.
 ``profile [--n N] [--rounds R] [--seed S] [--churn P]``
     Profile ``ProtocolParams.calibrated(N)`` (as every BENCH row): print the
     hot-path table (adversary / receive / compute / close seconds per
     round) and the compute phase's prepare / plan / act split.
-``sweep [E-ID ...] [--seeds S,S,...] [--workers W] [--full]``
-    Fan an (experiment x seed) grid over worker processes and print the
-    merged table; the output is bit-for-bit identical for any worker count.
 ``scale [--file PATH]``
     Print the recorded scaling curve (seconds per round and peak RSS per
-    network size) from ``benchmarks/results/BENCH_scaling.json``; refresh
+    network size) from ``benchmarks/results/BENCH_scaling.json``; rows
+    restored from older trees are tagged ``history`` and get no speedup;
+    refresh
     it with ``pytest benchmarks/bench_scaling.py --benchmark-only --full``
     under ``REPRO_BENCH_RECORD=1``.
 """
@@ -60,7 +56,7 @@ def _check_seed(seed: int | None) -> None:
 
 
 def _seeds(value: str) -> tuple[int, ...]:
-    """A ``--seeds`` comma-separated list of non-negative ints, at least one."""
+    """A ``--seeds`` comma-separated list of distinct non-negative ints, at least one."""
     try:
         seeds = tuple(int(s) for s in value.split(",") if s.strip())
     except ValueError:
@@ -69,6 +65,8 @@ def _seeds(value: str) -> tuple[int, ...]:
         raise _UsageError("--seeds must name at least one seed")
     if min(seeds) < 0:
         raise _UsageError(f"--seeds must not be negative, got {value!r}")
+    if len(set(seeds)) != len(seeds):
+        raise _UsageError(f"--seeds must be distinct, got {value!r}")
     return seeds
 
 
@@ -124,19 +122,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-def _parse_axis(value: str | None, name: str) -> list[float] | None:
-    """A comma-separated probability list, validated to [0, 1]."""
-    if value is None:
-        return None
-    try:
-        probs = [float(v) for v in value.split(",") if v.strip()]
-    except ValueError:
-        raise _UsageError(f"--{name} expects comma-separated floats, got {value!r}") from None
-    if not probs or any(not 0.0 <= p <= 1.0 for p in probs):
-        raise _UsageError(f"--{name} probabilities must lie in [0, 1], got {value!r}")
-    return probs
-
-
 def _cmd_scenario(args: argparse.Namespace) -> int:
     import json
 
@@ -153,30 +138,20 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
     )
     from repro.util.tables import format_table
 
-    if args.list or args.action is None:
-        if args.action is not None:
-            raise _UsageError("--list takes no action argument")
-        if not args.list:
-            raise _UsageError("use --list, run NAME [NAME ...], or matrix")
+    if args.list:
+        if args.names:
+            raise _UsageError("--list takes no scenario names")
         width = max(len(s.name) for s in all_scenarios())
         for s in all_scenarios():
             print(f"{s.name:>{width}}  {s.description}")
         return 0
-    if args.action == "matrix":
-        if args.names:
-            raise _UsageError("matrix runs the whole registry; drop the names")
-        names = tuple(sorted(SCENARIOS))
-    else:  # action == "run" (argparse restricts the choices)
-        if not args.names:
-            raise _UsageError("run needs at least one scenario name")
-        names = tuple(dict.fromkeys(args.names))
+    names = tuple(dict.fromkeys(args.names)) or tuple(sorted(SCENARIOS))
     unknown = [n for n in names if n not in SCENARIOS]
     if unknown:
         raise _UsageError(
             f"unknown scenarios {unknown}; try `python -m repro scenario --list`"
         )
-    _check_seed(args.seed)
-    seeds = (args.seed,) if args.seed is not None else _seeds(args.seeds)
+    seeds = _seeds(args.seeds)
     scenarios = {
         name: get_scenario(name) if args.full else shortened(get_scenario(name))
         for name in names
@@ -196,46 +171,6 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         print(f"{failed} of {len(cells)} cells failed their pass criterion")
         return 1
     return 0
-
-
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.experiments.e_chaos import run_chaos
-
-    drops = _parse_axis(args.drop, "drop")
-    delays = _parse_axis(args.delay, "delay")
-    stalls = _parse_axis(args.stall, "stall")
-    cells = None
-    if drops is not None or delays is not None or stalls is not None:
-        cells = [
-            (d, y, s)
-            for d in (drops or [0.0])
-            for y in (delays or [0.0])
-            for s in (stalls or [0.0])
-        ]
-    _check_seed(args.seed)
-    kwargs = {"quick": not args.full}
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    result = run_chaos(cells=cells, **kwargs)
-    print(result.to_table())
-    return 0 if result.passed else 1
-
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.experiments import all_experiments
-    from repro.experiments.sweep import DEFAULT_GRID, run_sweep
-
-    registry = all_experiments()
-    ids = tuple(args.ids) if args.ids else DEFAULT_GRID
-    unknown = [eid for eid in ids if eid not in registry]
-    if unknown:
-        raise _UsageError(f"unknown experiments {unknown}; try `python -m repro list`")
-    seeds = _seeds(args.seeds)
-    result = run_sweep(
-        ids, seeds, workers=args.workers, quick=not args.full
-    )
-    print(result.to_table())
-    return 0 if result.passed else 1
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
@@ -302,6 +237,11 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
+def _history(entry: dict) -> bool:
+    """Whether a BENCH row was restored from an older tree (label ``history...``)."""
+    return entry.get("label", "").startswith("history")
+
+
 def _cmd_scale(args: argparse.Namespace) -> int:
     from pathlib import Path
 
@@ -328,16 +268,14 @@ def _cmd_scale(args: argparse.Namespace) -> int:
         f"{'n':>6}  {'W':>3}  {'s/round':>9}  {'peak RSS':>9}  "
         f"{'speedup':>8}  {'exch MB/rd':>11}  recorded"
     )
-    base: float | None = None
     for n, workers in sorted(latest):
         entry = latest[(n, workers)]
         spr = entry["seconds_per_round"]
-        if base is None and workers == 1:
-            base = spr or None
         # Speedup of this row vs the serial (workers=1) row at the same n;
-        # the serial rows anchor at 1.00x.
+        # the serial rows anchor at 1.00x.  Rows restored from older trees
+        # ("history" labels) are not compared with anything.
         serial = latest.get((n, 1))
-        if serial is not None and spr:
+        if spr and serial is not None and not (_history(entry) or _history(serial)):
             speed = f"{serial['seconds_per_round'] / spr:>7.2f}x"
         else:
             speed = f"{'—':>8}"
@@ -349,15 +287,11 @@ def _cmd_scale(args: argparse.Namespace) -> int:
             exch = f"{((xch_pipe or 0) + (xch_shm or 0)) / 1e6:>10.2f}M"
         else:
             exch = f"{'—':>11}"
-        rel = (
-            f"  ({spr / base:.1f}x n={min(k[0] for k in latest)})"
-            if base and workers == 1
-            else ""
-        )
+        tag = "  history" if _history(entry) else ""
         rss_mb = entry["peak_rss_kb"] / 1024.0
         print(
             f"{n:>6}  {workers:>3}  {spr:>9.4f}  {rss_mb:>7.1f}MB  "
-            f"{speed}  {exch}  {entry['created']}{rel}"
+            f"{speed}  {exch}  {entry['created']}{tag}"
         )
     return 0
 
@@ -399,44 +333,21 @@ def main(argv: list[str] | None = None) -> int:
     p_rep.add_argument("--full", action="store_true")
     p_rep.add_argument("--out", default=None)
 
-    p_chaos = sub.add_parser(
-        "chaos", help="fault-injection sweep (drop x delay x stall)"
-    )
-    p_chaos.add_argument("--full", action="store_true", help="full-size sweep")
-    p_chaos.add_argument("--seed", type=int, default=None)
-    p_chaos.add_argument("--drop", default=None, metavar="P[,P...]")
-    p_chaos.add_argument("--delay", default=None, metavar="P[,P...]")
-    p_chaos.add_argument("--stall", default=None, metavar="P[,P...]")
-
     p_sc = sub.add_parser(
         "scenario", help="named adversity scenarios with recovery reports"
     )
     p_sc.add_argument(
-        "action",
-        nargs="?",
-        choices=["run", "matrix"],
-        default=None,
-        help="`run NAME...` for chosen scenarios, `matrix` for the registry",
+        "names", nargs="*", metavar="NAME", help="scenarios to run (default: all)"
     )
-    p_sc.add_argument("names", nargs="*", metavar="NAME")
     p_sc.add_argument(
         "--list", action="store_true", help="print the scenario registry and exit"
     )
-    p_sc.add_argument("--seed", type=int, default=None, help="single seed shorthand")
     p_sc.add_argument("--seeds", default="0", metavar="S[,S...]")
     p_sc.add_argument("--workers", type=int, default=1)
     p_sc.add_argument("--full", action="store_true", help="full-length runs")
     p_sc.add_argument(
         "--out", default=None, metavar="PATH", help="write the JSON recovery report"
     )
-
-    p_sw = sub.add_parser(
-        "sweep", help="parallel (experiment x seed) sweep, merged table"
-    )
-    p_sw.add_argument("ids", nargs="*", metavar="E-ID")
-    p_sw.add_argument("--seeds", default="0,1", metavar="S[,S...]")
-    p_sw.add_argument("--workers", type=int, default=1)
-    p_sw.add_argument("--full", action="store_true", help="full-size sweeps")
 
     p_prof = sub.add_parser(
         "profile", help="per-phase round profiler (hot-path table)"
@@ -479,10 +390,8 @@ def main(argv: list[str] | None = None) -> int:
         "run": _cmd_run,
         "report": _cmd_report,
         "params": _cmd_params,
-        "chaos": _cmd_chaos,
         "scenario": _cmd_scenario,
         "profile": _cmd_profile,
-        "sweep": _cmd_sweep,
         "scale": _cmd_scale,
     }
     try:

@@ -24,7 +24,6 @@ from repro.experiments import (  # noqa: F401  (imports register experiments)
     e_table1,
     e_topology,
     e_transfer,
-    sweep,
 )
 from repro.experiments.models import TABLE1_MODELS, AdversaryModel
 from repro.experiments.registry import (

@@ -21,8 +21,6 @@ demotions) rather than crashing.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.experiments.registry import ExperimentResult, register
 from repro.faults.plan import FaultPlan
 from repro.scenarios.report import ROW_HEADER, cell_row
@@ -77,14 +75,10 @@ def chaos_scenario(cell: Cell, n: int) -> Scenario:
 
 
 @register("E-CH")
-def run_chaos(
-    quick: bool = True,
-    seed: int = 11,
-    cells: Sequence[Cell] | None = None,
-) -> ExperimentResult:
+def run_chaos(quick: bool = True, seed: int = 11) -> ExperimentResult:
     """Chaos sweep — routing and maintenance under injected faults."""
     n = 40 if quick else 48
-    sweep = list(dict.fromkeys(cells if cells is not None else default_cells(quick)))
+    sweep = default_cells(quick)
     scenarios = [chaos_scenario(cell, n) for cell in sweep]
     records = {r["scenario"]: r for r in run_matrix(scenarios, (seed,))}
     rows = [[*cell, *cell_row(s, records[s.name])[2:]] for cell, s in zip(sweep, scenarios)]

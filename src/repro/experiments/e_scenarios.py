@@ -13,8 +13,6 @@ Both experiments share the runner's pass criterion,
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.experiments.registry import ExperimentResult, register
 from repro.scenarios.registry import SCENARIOS, get_scenario, shortened
 from repro.scenarios.report import ROW_HEADER, cell_row
@@ -28,15 +26,10 @@ QUICK_NAMES = ("calm", "loss30-delay50", "stall-storm")
 
 
 @register("E-SC")
-def run_scenarios_experiment(
-    quick: bool = True,
-    seed: int = 0,
-    names: Sequence[str] | None = None,
-) -> ExperimentResult:
+def run_scenarios_experiment(quick: bool = True, seed: int = 0) -> ExperimentResult:
     """Scenario matrix — named conditions x adversary x churn, with recovery metrics."""
-    subset = " (quick subset)" if names is None and quick else ""
-    if names is None:
-        names = QUICK_NAMES if quick else sorted(SCENARIOS)
+    subset = " (quick subset)" if quick else ""
+    names = QUICK_NAMES if quick else sorted(SCENARIOS)
     scenarios = {
         name: shortened(get_scenario(name)) if quick else get_scenario(name)
         for name in names

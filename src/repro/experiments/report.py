@@ -36,7 +36,6 @@ DEFAULT_ORDER = (
     "E-X4",
     "E-X5",
     "E-X6",
-    "E-SW",
 )
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import multiprocessing
 from typing import Any, Sequence
 
 import numpy as np
@@ -27,7 +28,6 @@ from repro.config import ProtocolParams
 from repro.core.runner import MaintenanceSimulation, OverlayAudit
 from repro.faults.health import HealthMonitor
 from repro.scenarios.spec import Scenario, build_adversary, build_params, materialize_plan
-from repro.util.pool import pool_map
 
 __all__ = ["PROBES_PER_WAVE", "cell_ok", "run_scenario_cell", "run_matrix"]
 
@@ -244,15 +244,27 @@ def run_matrix(
 ) -> list[dict[str, Any]]:
     """Run the ``scenarios x seeds`` grid; output is worker-count invariant.
 
-    Records are keyed by scenario name, so names must be distinct.
+    Records are keyed by ``(scenario name, seed)``, so names and seeds must
+    each be distinct: a repeated cell would count one run twice.  Cells fan
+    out over up to ``workers`` processes (inline at <= 1); ``Pool.map``
+    returns them in task order.
     """
     names = sorted(s.name for s in scenarios)
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate scenario names in grid: {names}")
+    if len(set(seeds)) != len(seeds):
+        raise ValueError(f"duplicate seeds in grid: {sorted(seeds)}")
     tasks = sorted(
         ((s, int(seed)) for s in scenarios for seed in seeds),
         key=lambda task: (task[0].name, task[1]),
     )
     if not tasks:
         raise ValueError("empty scenario grid")
-    return pool_map(run_scenario_cell, tasks, workers)
+    if workers <= 1:
+        return [run_scenario_cell(task) for task in tasks]
+    try:  # fork is cheap and inherits imports; spawn where it is missing
+        ctx = multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover - non-POSIX platforms
+        ctx = multiprocessing.get_context("spawn")
+    with ctx.Pool(processes=min(workers, len(tasks))) as pool:
+        return pool.map(run_scenario_cell, tasks)

@@ -129,6 +129,14 @@ class TestExperimentWiring:
         assert scenario.churn.kind == scenario.attack.kind == "none"
         assert scenario.rounds == 2 * 6 + 2 + 6  # lam = 6 at n=40
 
+    def test_near_equal_probabilities_are_distinct_cells(self):
+        # A 6-significant-digit name would give both cells one name, and the
+        # scenario runner rejects a grid with a repeated name.
+        assert (
+            chaos_scenario((0.1000001, 0, 0), 40).name
+            != chaos_scenario((0.1000002, 0, 0), 40).name
+        )
+
     def test_report_order_includes_chaos(self):
         from repro.experiments.report import DEFAULT_ORDER
 

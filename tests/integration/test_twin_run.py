@@ -57,7 +57,7 @@ def twin(argv: Callable[[str], list[str]], timeout: float) -> list[str]:
 
 def test_registry_fingerprints_match_across_processes(tmp_path):
     def matrix(seed: str) -> list[str]:
-        return ["-m", "repro", "scenario", "matrix", "--out", str(tmp_path / f"{seed}.json")]
+        return ["-m", "repro", "scenario", "--out", str(tmp_path / f"{seed}.json")]
 
     twin(matrix, timeout=600)
     reports = [json.loads((tmp_path / f"{seed}.json").read_text()) for seed in ("0", "1")]

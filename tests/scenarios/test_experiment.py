@@ -22,11 +22,6 @@ class TestESC:
         assert result.passed
         assert [row[0] for row in result.rows] == sorted(QUICK_NAMES)
 
-    def test_explicit_names(self):
-        result = run_scenarios_experiment(quick=True, seed=0, names=("calm",))
-        assert result.passed
-        assert len(result.rows) == 1
-
 
 def _record(**overrides):
     """A hand-built cell record that meets every threshold of every branch."""

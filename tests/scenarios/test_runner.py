@@ -147,6 +147,11 @@ class TestWorkerInvariance:
         with pytest.raises(ValueError, match="duplicate"):
             run_matrix((calm, replace(calm, n=24)), (0,))
 
+    def test_duplicate_seeds_rejected(self):
+        # A repeated seed would run one cell twice and count it twice in k/S.
+        with pytest.raises(ValueError, match="duplicate seeds"):
+            run_matrix((shortened(get_scenario("calm")),), (0, 0))
+
 
 class TestReportSchema:
     def test_valid_report_passes(self, calm_cell):

@@ -52,23 +52,40 @@ class TestCliScenario:
         assert "calm" in names
         assert "loss30-delay50" in names
 
-    def test_run_requires_names(self, capsys):
-        assert main(["scenario", "run"]) == 2
-        assert capsys.readouterr().out == "scenario: run needs at least one scenario name\n"
+    def test_no_names_runs_the_whole_registry(self, capsys, monkeypatch):
+        import repro.scenarios
+        from repro.scenarios import SCENARIOS
 
-    def test_no_action_errors(self, capsys):
-        assert main(["scenario"]) == 2
-        assert capsys.readouterr().out == "scenario: use --list, run NAME [NAME ...], or matrix\n"
+        grids = []
+
+        def fake_run_matrix(scenarios, seeds, *, workers):
+            grids.append(([s.name for s in scenarios], seeds, workers))
+            return []  # no cell runs
+
+        monkeypatch.setattr(repro.scenarios, "run_matrix", fake_run_matrix)
+        assert main(["scenario", "--seeds", "3,1", "--workers", "2"]) == 0
+        assert grids == [(sorted(SCENARIOS), (3, 1), 2)]
 
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["matrix", "calm"], "matrix runs the whole registry"),
-            (["matrix", "--seeds", ","], "--seeds must name at least one seed"),
-            (["run", "calm", "--seed", "-1"], "--seed must not be negative"),
-            (["--list", "run"], "--list takes no action argument"),
+            (["run", "calm"], "unknown scenarios ['run']"),
+            (["matrix"], "unknown scenarios ['matrix']"),
+            (["matrix", "calm"], "unknown scenarios ['matrix']"),
+            (["--seeds", ","], "--seeds must name at least one seed"),
+            (["calm", "--seeds", "-1"], "--seeds must not be negative"),
+            (["calm", "--seeds", "0,0"], "--seeds must be distinct, got '0,0'"),
+            (["--list", "run"], "--list takes no scenario names"),
         ],
-        ids=["matrix-with-names", "empty-seeds", "negative-seed", "list-with-action"],
+        ids=[
+            "run-action",
+            "matrix-action",
+            "matrix-with-names",
+            "empty-seeds",
+            "negative-seed",
+            "duplicate-seeds",
+            "list-with-action",
+        ],
     )
     def test_bad_input_is_a_one_line_usage_error(self, capsys, argv, message):
         assert main(["scenario", *argv]) == 2
@@ -76,7 +93,7 @@ class TestCliScenario:
         assert out.startswith(f"scenario: {message}") and out.count("\n") == 1
 
     def test_unknown_scenario(self, capsys):
-        assert main(["scenario", "run", "bogus"]) == 2
+        assert main(["scenario", "bogus"]) == 2
         assert capsys.readouterr().out == (
             "scenario: unknown scenarios ['bogus']; "
             "try `python -m repro scenario --list`\n"
@@ -84,7 +101,7 @@ class TestCliScenario:
 
     def test_run_writes_validated_report(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"
-        assert main(["scenario", "run", "calm", "--seed", "2", "--out", str(out_path)]) == 0
+        assert main(["scenario", "calm", "--seeds", "2", "--out", str(out_path)]) == 0
         out = capsys.readouterr().out
         assert "calm" in out
         import json
@@ -100,34 +117,10 @@ class TestCliScenario:
         from repro.scenarios import report
 
         monkeypatch.setattr(report, "cell_ok", lambda scenario, cell: False)
-        assert main(["scenario", "run", "calm", "--seed", "0"]) == 1
+        assert main(["scenario", "calm", "--seeds", "0"]) == 1
         out = capsys.readouterr().out
         assert out.splitlines()[2].endswith("| no")
         assert "1 of 1 cells failed" in out
-
-
-class TestCliChaos:
-    def test_near_equal_probabilities_are_distinct_cells(self, capsys):
-        # Both cells run under their own scenario name; a 6-significant-digit
-        # name would give them one and the grid would be rejected.
-        assert main(["chaos", "--drop", "0.1000001,0.1000002", "--seed", "0"]) == 0
-        out = capsys.readouterr().out
-        assert "verdict: PASS" in out
-        assert sum(line.startswith("0.1 ") for line in out.splitlines()) == 2
-
-    @pytest.mark.parametrize(
-        "argv, message",
-        [
-            (["--drop", "2"], "--drop probabilities must lie in [0, 1]"),
-            (["--delay", "x"], "--delay expects comma-separated floats"),
-            (["--seed", "-1", "--drop", "0.1"], "--seed must not be negative"),
-        ],
-        ids=["drop-above-one", "delay-not-float", "negative-seed"],
-    )
-    def test_bad_input_is_a_one_line_usage_error(self, capsys, argv, message):
-        assert main(["chaos", *argv]) == 2
-        out = capsys.readouterr().out
-        assert out.startswith(f"chaos: {message}") and out.count("\n") == 1
 
 
 class TestCliRun:
@@ -162,7 +155,7 @@ def test_help_lists_the_verbs(capsys):
     assert exc.value.code == 0
     verbs = re.search(r"\{([a-z,]+)\}", capsys.readouterr().out).group(1).split(",")
     assert sorted(verbs) == sorted(
-        ["list", "run", "report", "chaos", "scenario", "sweep", "profile", "scale", "params"]
+        ["list", "run", "report", "scenario", "profile", "scale", "params"]
     )
 
 
@@ -177,6 +170,8 @@ def test_help_lists_the_verbs(capsys):
         ["check", "--rules", "D"],
         ["check", "--format=sarif"],
         ["check", "--fix"],
+        ["sweep"],
+        ["chaos", "--drop", "0.3"],
     ],
 )
 def test_removed_subcommands_and_flags_leave_no_alias(gone, capsys):
@@ -221,6 +216,47 @@ class TestCliProfile:
         assert main(["profile", "--n", "24", *flags]) == 2
         out = capsys.readouterr().out
         assert out.startswith(f"profile: {message}") and out.count("\n") == 1
+
+
+class TestCliScale:
+    def test_history_rows_are_tagged_and_never_compared(self, capsys, tmp_path):
+        import json
+
+        from repro.util.benchrec import validate_bench_file
+
+        def row(n, workers, spr, label):
+            return {
+                "created": "2026-10-01T00:00:00Z",
+                "n": n,
+                "rounds": 2,
+                "seconds_per_round": spr,
+                "peak_rss_kb": 1024,
+                "label": label,
+                "workers": workers,
+            }
+
+        path = tmp_path / "BENCH_scaling.json"
+        entries = [
+            row(48, 1, 0.1, "history, restored from abc1234: full"),
+            row(48, 2, 0.4, "PR 99 after"),
+            row(128, 1, 0.2, "PR 99 after"),
+            row(128, 2, 0.8, "history, restored from abc1234: full"),
+            row(256, 1, 0.8, "PR 99 after"),
+            row(256, 2, 1.6, "PR 99 after"),
+        ]
+        path.write_text(json.dumps({"schema": 1, "id": "scaling", "entries": entries}))
+        validate_bench_file(path)
+        assert main(["scale", "--file", str(path)]) == 0
+        rows = {
+            (int(cols[0]), int(cols[1])): cols
+            for cols in (line.split() for line in capsys.readouterr().out.splitlines()[1:])
+        }
+        # n, W, s/round, RSS, speedup, exchange, recorded[, tag]
+        assert rows[(48, 1)][4:] == ["—", "—", "2026-10-01T00:00:00Z", "history"]
+        assert rows[(48, 2)][4:] == ["—", "—", "2026-10-01T00:00:00Z"]
+        assert rows[(128, 1)][4:] == ["1.00x", "—", "2026-10-01T00:00:00Z"]
+        assert rows[(128, 2)][4:] == ["—", "—", "2026-10-01T00:00:00Z", "history"]
+        assert rows[(256, 2)][4:] == ["0.50x", "—", "2026-10-01T00:00:00Z"]
 
 
 class TestReport:
