@@ -35,6 +35,8 @@ import math
 from dataclasses import dataclass
 
 from repro.config import ProtocolParams
+from repro.overlay.lds import LDSGraph
+from repro.overlay.positions import PositionIndex
 from repro.sim.engine import Engine, EngineServices, NodeContext, NodeProtocol
 from repro.util.intervals import wrap
 
@@ -310,13 +312,13 @@ class ConstructionNode(NodeProtocol):
 
 
 def build_initial_overlay_distributed(
-    params: ProtocolParams, *, verify: bool = True
+    params: ProtocolParams,
 ) -> tuple[dict[int, dict[int, float]], int]:
     """Run the construction end to end; returns ``(neighbourhoods, rounds)``.
 
-    With ``verify=True`` the result is audited against the ground-truth
-    :class:`LDSGraph`: every Definition-5 edge must be present (supersets are
-    fine — extra knowledge never hurts).  Raises ``RuntimeError`` on gaps.
+    The result is audited against the ground-truth :class:`LDSGraph`: every
+    Definition-5 edge must be present (supersets are fine — extra knowledge
+    never hurts).  Raises ``RuntimeError`` on gaps.
     """
     engine = Engine(params, lambda v, s: ConstructionNode(v, s))
     engine.seed_nodes(range(params.n))
@@ -342,16 +344,12 @@ def build_initial_overlay_distributed(
             raise RuntimeError(f"node {v} did not finalize")
         neighborhoods[v] = dict(node.known)
 
-    if verify:
-        from repro.overlay.lds import LDSGraph
-        from repro.overlay.positions import PositionIndex
-
-        truth = LDSGraph(PositionIndex(positions), params)
-        missing = truth.audit_claimed_adjacency(neighborhoods)
-        if missing:
-            raise RuntimeError(
-                f"construction left {sum(len(m) for m in missing.values())} "
-                f"Definition-5 edges missing at {len(missing)} nodes "
-                f"(e.g. {next(iter(missing.items()))})"
-            )
+    truth = LDSGraph(PositionIndex(positions), params)
+    missing = truth.audit_claimed_adjacency(neighborhoods)
+    if missing:
+        raise RuntimeError(
+            f"construction left {sum(len(m) for m in missing.values())} "
+            f"Definition-5 edges missing at {len(missing)} nodes "
+            f"(e.g. {next(iter(missing.items()))})"
+        )
     return neighborhoods, schedule.total_rounds

@@ -4,11 +4,13 @@
 into the synchronous engine, primes the bootstrap overlay, runs rounds under
 an adversary, and provides the audits the evaluation needs:
 
-* **overlay audit** — compares every established node's claimed neighbourhood
-  against the ground-truth Definition-5 edges over the true epoch positions
-  (edge coverage, membership, swarm goodness);
+* **overlay audit** — compares the claimed neighbourhoods of the current
+  epoch's established nodes against the ground-truth Definition-5 edges over
+  the true epoch positions (edge coverage, membership, swarm sizes); the
+  epoch, the edge gap and the swarm sizes come from :mod:`repro.overlay`;
 * **probe traffic** — end-to-end routed probes whose delivery rate is the
-  operational definition of "routable" (Definition 8);
+  operational definition of "routable" (Definition 8), read from one scan
+  of the alive nodes' deliveries (:meth:`MaintenanceSimulation.probe_arrivals`);
 * **health summary** — established fraction, demotions, congestion.
 """
 
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -25,7 +28,8 @@ from repro.core.bootstrap import prime_initial_overlay
 from repro.faults.health import HealthMonitor
 from repro.faults.plan import FaultPlan
 from repro.core.node import MaintenanceNode, Phase
-from repro.overlay.lds import LDSGraph
+from repro.overlay.lds import LDSGraph, current_epoch
+from repro.overlay.swarm import audit_goodness
 from repro.sim.engine import Engine, EngineServices
 from repro.sim.profile import PhaseProfiler
 
@@ -67,7 +71,11 @@ class ProbeReport:
 
 
 class MaintenanceSimulation:
-    """Run the full protocol of Section 5 and audit its invariants."""
+    """Run the full protocol of Section 5 and audit its invariants.
+
+    The audits are pure reads composed of :mod:`repro.overlay` functions;
+    none runs inside a round.
+    """
 
     def __init__(
         self,
@@ -185,21 +193,26 @@ class MaintenanceSimulation:
             ids.append(probe_id)
         return ids
 
-    def probe_report(self, probe_ids: list[object] | None = None) -> ProbeReport:
-        """Delivery statistics for the given probes (default: all ever sent)."""
-        wanted = set(self.probe_origins if probe_ids is None else probe_ids)
-        receivers: dict[object, int] = {p: 0 for p in wanted}
+    def probe_arrivals(self, probe_ids: Iterable[object] | None = None) -> dict[object, list[int]]:
+        """Delivery rounds of each probe (default: all ever sent), one entry
+        per delivery recorded at a currently alive node."""
+        wanted = self.probe_origins if probe_ids is None else probe_ids
+        arrivals: dict[object, list[int]] = {p: [] for p in wanted}
         for node in self.alive_nodes():
-            for payload, _round in node.delivered:
+            for payload, t in node.delivered:
                 if isinstance(payload, tuple) and payload[0] == "probe":
-                    pid = payload[1]
-                    if pid in receivers:
-                        receivers[pid] += 1
-        delivered = sum(1 for c in receivers.values() if c > 0)
-        counts = [c for c in receivers.values() if c > 0]
+                    rounds = arrivals.get(payload[1])
+                    if rounds is not None:
+                        rounds.append(t)
+        return arrivals
+
+    def probe_report(self, probe_ids: Iterable[object] | None = None) -> ProbeReport:
+        """Delivery statistics for the given probes (default: all ever sent)."""
+        arrivals = self.probe_arrivals(probe_ids)
+        counts = [len(rounds) for rounds in arrivals.values() if rounds]
         return ProbeReport(
-            launched=len(wanted),
-            delivered=delivered,
+            launched=len(arrivals),
+            delivered=len(counts),
             mean_receivers=float(np.mean(counts)) if counts else 0.0,
         )
 
@@ -208,26 +221,19 @@ class MaintenanceSimulation:
     # ------------------------------------------------------------------
 
     def audit_overlay(self) -> OverlayAudit:
-        """Check the current overlay against ground-truth Definition-5 edges."""
-        alive = sorted(self.engine.alive)
+        """Check the current overlay against ground-truth Definition-5 edges.
+
+        The audited epoch is :func:`~repro.overlay.lds.current_epoch` of the
+        established nodes; its members' claimed ``d_nbrs`` are compared with
+        :meth:`LDSGraph.audit_claimed_adjacency`, and swarm sizes are taken
+        by :func:`~repro.overlay.swarm.audit_goodness` at every member.
+        """
+        alive = len(self.engine.alive)
         established = self.established_nodes()
-        if not established:
-            return OverlayAudit(
-                epoch=-1,
-                members=0,
-                alive=len(alive),
-                established_fraction=0.0,
-                missing_edges=0,
-                required_edges=0,
-                min_swarm_size=0,
-                mean_swarm_size=0.0,
-            )
-        # The current epoch is the newest one a majority of nodes are in.
-        epochs = [n.epoch for n in established.values() if n.epoch is not None]
-        epoch = int(np.bincount(np.array(epochs)).argmax())
-        members = {
-            v: n for v, n in established.items() if n.epoch == epoch
-        }
+        epoch = current_epoch(n.epoch for n in established.values() if n.epoch is not None)
+        if epoch is None:
+            return OverlayAudit(-1, 0, alive, 0.0, 0, 0, 0, 0.0)
+        members = {v: n for v, n in established.items() if n.epoch == epoch}
         positions = {v: n.pos for v, n in members.items()}
         # Share the epoch cache's interned index (same elements — node
         # positions are hash-derived — without a re-sort).
@@ -235,27 +241,17 @@ class MaintenanceSimulation:
             epoch, frozenset(positions), positions
         )
         truth = LDSGraph(index, self.params)
-        missing = 0
-        required = 0
-        for v, node in members.items():
-            req = {int(w) for w in truth.neighbors(v)}
-            have = set(node.d_nbrs)
-            required += len(req)
-            missing += len(req - have)
-        # Swarm statistics over the true member positions.
-        sizes = [
-            truth.index.count_within(p, self.params.swarm_radius)
-            for p in list(positions.values())
-        ]
+        missing = truth.audit_claimed_adjacency({v: n.d_nbrs for v, n in members.items()})
+        swarms = audit_goodness(index, self.params, centers=index.sorted_positions)
         return OverlayAudit(
             epoch=epoch,
             members=len(members),
-            alive=len(alive),
-            established_fraction=len(established) / max(1, len(alive)),
-            missing_edges=missing,
-            required_edges=required,
-            min_swarm_size=int(min(sizes)) if sizes else 0,
-            mean_swarm_size=float(np.mean(sizes)) if sizes else 0.0,
+            alive=alive,
+            established_fraction=len(established) / max(1, alive),
+            missing_edges=sum(len(gap) for gap in missing.values()),
+            required_edges=truth.edge_count(),
+            min_swarm_size=swarms.min_size,
+            mean_swarm_size=swarms.mean_size,
         )
 
     def health_summary(self) -> dict[str, float]:

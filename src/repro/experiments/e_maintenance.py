@@ -23,6 +23,7 @@ from repro.adversary.oblivious import RandomChurnAdversary
 from repro.core.runner import MaintenanceSimulation
 from repro.experiments.registry import ExperimentResult, register
 from repro.overlay.positions import PositionIndex
+from repro.overlay.swarm import audit_goodness
 from repro.scenarios.runner import cell_ok, run_matrix, run_scenario_cell
 from repro.scenarios.spec import AdversarySpec, ChurnSpec, Scenario, build_params
 
@@ -75,18 +76,9 @@ def run_lemma17(quick: bool = True, seed: int = 7) -> ExperimentResult:
         }
         index = PositionIndex(members)
         sim.run(2)
-        survivors = sim.engine.trace.alive_at(sim.round - 1) or frozenset()
-        min_frac = 1.0
-        min_size = 10**9
-        for p in index.sorted_positions:
-            swarm = index.ids_within(float(p), params.swarm_radius)
-            size = swarm.size
-            good = sum(1 for w in swarm if int(w) in survivors)
-            min_size = min(min_size, size)
-            if size:
-                min_frac = min(min_frac, good / size)
-        min_overall = min(min_overall, min_frac)
-        rows.append([snapshot_round, len(members), min_size, min_frac])
+        swarms = audit_goodness(index, params, sim.engine.alive, centers=index.sorted_positions)
+        min_overall = min(min_overall, swarms.min_good_fraction)
+        rows.append([snapshot_round, len(members), swarms.min_size, swarms.min_good_fraction])
         sim.run(2)
     passed = min_overall >= params.goodness
     return ExperimentResult(

@@ -6,8 +6,9 @@ three invariants at the end of every engine round and records a
 :class:`DegradationEvent` for each violation instead of raising:
 
 * **swarm occupancy** — every sampled point of the ``[0, 1)`` ring has at
-  least one established node within the swarm radius (an empty swarm means
-  routed messages targeting that region are undeliverable);
+  least one current-epoch node within the swarm radius (an empty swarm means
+  routed messages targeting that region are undeliverable), counted by
+  :func:`~repro.overlay.swarm.swarm_sizes`;
 * **edge symmetry** — for established nodes of the same epoch, ``w in
   v.d_nbrs`` implies ``v in w.d_nbrs`` whenever ``v`` lies in one of ``w``'s
   Definition-5 arcs (a De Bruijn edge is owed back only where the geometry
@@ -20,9 +21,13 @@ The monitor is a :class:`~repro.sim.engine.RoundObserver` (attach it with
 ``Engine(..., observers=[monitor])`` or ``MaintenanceSimulation(...,
 health=monitor)``) and is duck-typed against the protocol: nodes exposing
 ``pos``, ``epoch`` and ``d_nbrs`` (i.e. :class:`repro.core.node.MaintenanceNode`)
-get the structural audits; any protocol gets the connectivity audit, which
+get the structural audits, over the epoch
+:func:`~repro.overlay.lds.current_epoch` picks (the one the end-of-run
+overlay audit inspects); any protocol gets the connectivity audit, which
 only needs the engine's graph trace.  All audits are pure reads — attaching
-a monitor never changes the run it observes.
+a monitor never changes the run it observes.  The run's summary is the
+monitor's properties (first and last degradation round, degraded-round
+fraction, time to recover, :meth:`HealthMonitor.counts_by_kind`).
 """
 
 from __future__ import annotations
@@ -34,7 +39,9 @@ import numpy as np
 
 from repro.analysis.connectivity import components
 from repro.config import ProtocolParams
-from repro.overlay.lds import arc_centers
+from repro.overlay.lds import arc_centers, current_epoch
+from repro.overlay.positions import PositionIndex
+from repro.overlay.swarm import swarm_sizes
 from repro.sim.engine import RoundObserver
 from repro.util.intervals import ring_distance_array
 
@@ -112,15 +119,6 @@ class HealthMonitor(RoundObserver):
             out[ev.kind] = out.get(ev.kind, 0) + 1
         return out
 
-    def summary(self) -> dict[str, object]:
-        return {
-            "events": len(self.events),
-            "first_degradation_round": self.first_degradation_round,
-            "degraded_round_fraction": self.degraded_round_fraction,
-            "time_to_recover": self.time_to_recover,
-            **{f"events_{k}": v for k, v in sorted(self.counts_by_kind().items())},
-        }
-
     # ------------------------------------------------------------------
     # The per-round audit (observer hooks)
     # ------------------------------------------------------------------
@@ -158,7 +156,9 @@ class HealthMonitor(RoundObserver):
     # ------------------------------------------------------------------
 
     def _overlay_snapshot(self, engine: Engine) -> dict[int, tuple[float, int, dict]]:
-        """``{id: (pos, epoch, d_nbrs)}`` of current-epoch established nodes."""
+        """``{id: (pos, epoch, d_nbrs)}`` of the alive nodes in the current
+        epoch (:func:`~repro.overlay.lds.current_epoch` of every alive node
+        with a position and an epoch)."""
         nodes: dict[int, tuple[float, int, dict]] = {}
         for v in engine.alive:
             proto = engine.protocol_of(v)
@@ -167,30 +167,16 @@ class HealthMonitor(RoundObserver):
             if pos is None or epoch is None:
                 continue
             nodes[v] = (float(pos), int(epoch), getattr(proto, "d_nbrs", {}))
-        if not nodes:
-            return {}
-        # Audit only the newest epoch a plurality of nodes agree on —
-        # stragglers mid-cutover are the demotion machinery's business.
-        epochs: dict[int, int] = {}
-        for _, e, _ in nodes.values():
-            epochs[e] = epochs.get(e, 0) + 1
-        current = max(epochs, key=lambda e: (epochs[e], e))
+        current = current_epoch(e for _, e, _ in nodes.values())
         return {v: ne for v, ne in nodes.items() if ne[1] == current}
 
     def _audit_swarm_occupancy(
         self, t: int, overlay: dict[int, tuple[float, int, dict]]
     ) -> list[DegradationEvent]:
-        radius = self.params.swarm_radius
-        positions = sorted(pos for pos, _, _ in overlay.values())
-        empty: list[float] = []
-        for i in range(self.SAMPLE_POINTS):
-            point = i / self.SAMPLE_POINTS
-            if not any(
-                min(abs(p - point), 1.0 - abs(p - point)) <= radius
-                for p in positions
-            ):
-                empty.append(point)
-        if not empty:
+        points = np.arange(self.SAMPLE_POINTS) / self.SAMPLE_POINTS
+        index = PositionIndex({v: pos for v, (pos, _, _) in overlay.items()})
+        empty = points[swarm_sizes(index, self.params, points) == 0]
+        if not empty.size:
             return []
         return [
             DegradationEvent(

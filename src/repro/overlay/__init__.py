@@ -12,12 +12,13 @@ from repro.overlay.lds import (
     LDSGraph,
     arc_centers,
     build_lds,
+    current_epoch,
     neighbor_arc_slots,
     required_neighbor_arcs,
 )
 from repro.overlay.ldg import LDGGraph
 from repro.overlay.positions import PositionIndex
-from repro.overlay.swarm import SwarmStats, audit_goodness, swarm_arc, swarm_members
+from repro.overlay.swarm import SwarmStats, audit_goodness, swarm_arc, swarm_members, swarm_sizes
 from repro.overlay.trajectory import (
     crossing_counts,
     max_step_error,
@@ -39,6 +40,7 @@ __all__ = [
     "chord_finger_arcs",
     "chord_trajectory",
     "crossing_counts",
+    "current_epoch",
     "estimate_lambda",
     "local_size_estimate",
     "median_size_estimate",
@@ -48,6 +50,7 @@ __all__ = [
     "required_neighbor_arcs",
     "swarm_arc",
     "swarm_members",
+    "swarm_sizes",
     "trajectories",
     "trajectory",
     "trajectory_bits",

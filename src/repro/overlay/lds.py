@@ -14,6 +14,7 @@ what makes swarm-to-swarm routing survive churn.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -27,6 +28,7 @@ __all__ = [
     "LDSGraph",
     "arc_centers",
     "build_lds",
+    "current_epoch",
     "neighbor_arc_slots",
     "required_neighbor_arcs",
 ]
@@ -44,6 +46,19 @@ def required_neighbor_arcs(p: float, params: ProtocolParams) -> tuple[Arc, Arc, 
         Arc(wrap(p / 2.0), params.debruijn_radius),
         Arc(wrap((p + 1.0) / 2.0), params.debruijn_radius),
     )
+
+
+def current_epoch(epochs: Iterable[int]) -> int | None:
+    """The epoch an overlay audit inspects: the most common of ``epochs``,
+    the newer one on a tie (``None`` when there are none).
+
+    Nodes mid-cutover still report the previous epoch; they are the
+    demotion machinery's business, not the audited overlay's.
+    """
+    counts = Counter(epochs)
+    if not counts:
+        return None
+    return max(counts, key=lambda e: (counts[e], e))
 
 
 def arc_centers(points: np.ndarray) -> np.ndarray:
@@ -284,20 +299,13 @@ class LDSGraph:
         """
         self.prime()
         missing: dict[int, set[int]] = {}
-        for v in self.node_ids:
-            v = int(v)
-            required = self.neighbors(v)
+        for v in self.node_ids.tolist():
             have = claimed.get(v, ())
-            if isinstance(have, np.ndarray):
-                have_arr = have.astype(np.int64, copy=False)
-            else:
-                have_arr = np.fromiter((int(w) for w in have), dtype=np.int64)
-            if have_arr.size:
-                gap = required[~np.isin(required, have_arr)]
-            else:
-                gap = required
-            if gap.size:
-                missing[v] = set(gap.tolist())
+            if not isinstance(have, (set, frozenset, dict)):
+                have = {int(w) for w in have}
+            gap = {w for w in self.neighbors(v).tolist() if w not in have}
+            if gap:
+                missing[v] = gap
         return missing
 
 

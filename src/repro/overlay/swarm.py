@@ -18,7 +18,7 @@ from repro.config import ProtocolParams
 from repro.overlay.positions import PositionIndex
 from repro.util.intervals import Arc
 
-__all__ = ["swarm_arc", "swarm_members", "SwarmStats", "audit_goodness"]
+__all__ = ["swarm_arc", "swarm_members", "swarm_sizes", "SwarmStats", "audit_goodness"]
 
 
 def swarm_arc(p: float, params: ProtocolParams) -> Arc:
@@ -31,6 +31,20 @@ def swarm_members(
 ) -> np.ndarray:
     """Ids of all nodes in ``S(p)`` under the given position snapshot."""
     return index.ids_within(p, params.swarm_radius)
+
+
+def swarm_sizes(index: PositionIndex, params: ProtocolParams, centers: np.ndarray) -> np.ndarray:
+    """``|S(p)|`` for every ``p`` in ``centers`` under the given snapshot.
+
+    Counts with :meth:`PositionIndex.count_within`, the exact ring-distance
+    test ``min(d, 1 - d) <= c*lam/n`` that :func:`swarm_members` slices by.
+    """
+    radius = params.swarm_radius
+    return np.fromiter(
+        (index.count_within(float(p), radius) for p in centers),
+        dtype=np.int64,
+        count=len(centers),
+    )
 
 
 @dataclass(frozen=True)
@@ -90,27 +104,19 @@ def audit_goodness(
     else:
         is_good = {int(i) for i in index.ids if int(i) in survives}
 
-    min_size = np.inf
-    max_size = 0
-    total = 0
+    sizes = swarm_sizes(index, params, centers)
     min_frac = 1.0
-    for p in centers:
-        members = swarm_members(index, float(p), params)
-        size = members.size
-        min_size = min(min_size, size)
-        max_size = max(max_size, size)
-        total += size
-        if is_good is not None and size > 0:
-            good = sum(1 for m in members if int(m) in is_good)
-            min_frac = min(min_frac, good / size)
+    if is_good is not None:
+        for p, size in zip(centers, sizes.tolist()):
+            if size:
+                members = swarm_members(index, float(p), params)
+                good = sum(1 for m in members if int(m) in is_good)
+                min_frac = min(min_frac, good / size)
     count = len(centers)
-    mean = total / count if count else 0.0
-    if min_size is np.inf:
-        min_size = 0
     return SwarmStats(
         count=count,
-        min_size=int(min_size),
-        max_size=int(max_size),
-        mean_size=float(mean),
+        min_size=int(sizes.min()) if count else 0,
+        max_size=int(sizes.max()) if count else 0,
+        mean_size=int(sizes.sum()) / count if count else 0.0,
         min_good_fraction=float(min_frac),
     )

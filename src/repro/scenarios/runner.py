@@ -127,13 +127,9 @@ def run_scenario_cell(task: tuple[Scenario, int]) -> dict[str, Any]:
 
         # First-delivery round per probe (a probe reaches a whole swarm; the
         # earliest receipt defines its latency).
-        deliveries: dict[object, int] = {}
-        for node in sim.alive_nodes():
-            for payload, t in node.delivered:
-                if isinstance(payload, tuple) and payload[0] == "probe":
-                    pid = payload[1]
-                    if pid in queued_at and (pid not in deliveries or t < deliveries[pid]):
-                        deliveries[pid] = t
+        deliveries = {
+            pid: min(rounds) for pid, rounds in sim.probe_arrivals(queued_at).items() if rounds
+        }
 
         # A probe enters the network with its origin's multicast, the odd
         # round after its launch; one whose origin left first was never sent.

@@ -512,13 +512,7 @@ class Engine:
             self._phase_end("compute", inboxes)
 
         edges, sent = self.network.close_send_phase()
-        self.trace.record(
-            t,
-            edges,
-            alive,
-            joins=tuple(j.new_id for j in decision.joins),
-            leaves=tuple(decision.leaves),
-        )
+        self.trace.record(t, edges)
         fault_stats = self.faults.round_stats() if self.faults is not None else None
         if observers:
             self._phase_end("close", inboxes)

@@ -27,11 +27,12 @@ pushes another point out of the file.
 from __future__ import annotations
 
 import json
-import os
 import resource
 from collections import Counter
 from datetime import datetime, timezone
 from pathlib import Path
+
+from repro.config import env_flag
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -61,7 +62,7 @@ def recording_enabled(label: str | None = None) -> bool:
     An entry is persisted only on explicit intent — the caller passed a
     descriptive ``label``, or the run was started with ``REPRO_BENCH_RECORD=1``.
     """
-    return label is not None or os.environ.get(RECORD_ENV) == "1"
+    return label is not None or env_flag(RECORD_ENV)
 
 #: Required per-entry fields and their types (``label``, ``workers`` and
 #: the per-round counters of :data:`_COUNTERS` are optional; ``workers`` is

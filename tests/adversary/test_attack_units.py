@@ -32,7 +32,7 @@ def make_world(params, t=20, edges_by_round=None):
         lc.add(i, joined_round=-100)
     edges_by_round = edges_by_round or {}
     for s in range(t):
-        tr.record(s, edges_by_round.get(s, []), lc.alive)
+        tr.record(s, edges_by_round.get(s, []))
     return tr, lc
 
 
@@ -61,10 +61,10 @@ class TestIsolateJoin:
         tr, lc = make_world(params)
         d1 = adv.decide(view_for(adv, params, tr, lc, 20))
         lc.add(adv.helper_id, 20)
-        tr.record(20, [], lc.alive)
+        tr.record(20, [])
         d2 = adv.decide(view_for(adv, params, tr, lc, 21))
         assert d2.churn_count == 0  # helper only 1 round old
-        tr.record(21, [], lc.alive)
+        tr.record(21, [])
         d3 = adv.decide(view_for(adv, params, tr, lc, 22))
         assert len(d3.joins) == 1
         assert d3.joins[0].bootstrap_id == adv.helper_id
@@ -75,12 +75,12 @@ class TestIsolateJoin:
         tr, lc = make_world(params)
         adv.decide(view_for(adv, params, tr, lc, 20))
         lc.add(adv.helper_id, 20)
-        tr.record(20, [], lc.alive)
-        tr.record(21, [], lc.alive)
+        tr.record(20, [])
+        tr.record(21, [])
         adv.decide(view_for(adv, params, tr, lc, 22))
         lc.add(adv.victim_id, 22)
         # Node 3 talks to the victim in round 22.
-        tr.record(22, [(3, adv.victim_id)], lc.alive)
+        tr.record(22, [(3, adv.victim_id)])
         d = adv.decide(view_for(adv, params, tr, lc, 23))
         assert 3 in d.leaves
         assert adv.victim_id not in d.leaves
@@ -102,7 +102,7 @@ class TestJoinChain:
         for j in d1.joins:
             lc.add(j.new_id, 20)
         old_head = adv.chain_head
-        tr.record(20, [], lc.alive)
+        tr.record(20, [])
         d2 = adv.decide(view_for(adv, params, tr, lc, 21))
         chain_joins = [j for j in d2.joins if j.new_id == adv.chain_head]
         assert chain_joins and chain_joins[0].bootstrap_id == old_head
@@ -116,7 +116,7 @@ class TestJoinChain:
                 lc.add(j.new_id, t)
             for v in d.leaves:
                 lc.remove(v, t)
-            tr.record(t, [], lc.alive)
+            tr.record(t, [])
         # All chain members except the last two are dead.
         for v in adv.chain[:-2]:
             assert v not in lc.alive

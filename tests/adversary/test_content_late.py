@@ -30,7 +30,7 @@ def make_view(params, t, budget=80):
     for i in range(params.n):
         lc.add(i, joined_round=-100)
     for s in range(t):
-        tr.record(s, [], lc.alive)
+        tr.record(s, [])
     return AdversaryView(
         t, tr, lc, topology_lateness=2, state_lateness=100, budget_remaining=budget
     )

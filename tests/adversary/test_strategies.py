@@ -23,7 +23,7 @@ def make_view(params, t=50, budget=None):
     for i in range(params.n):
         lc.add(i, joined_round=-100)
     for s in range(t):
-        tr.record(s, [], lc.alive)
+        tr.record(s, [])
     return AdversaryView(
         t,
         tr,

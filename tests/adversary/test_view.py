@@ -15,9 +15,9 @@ def world():
     lc = Lifecycle()
     for i in range(4):
         lc.add(i, joined_round=-10)
-    tr.record(0, [(0, 1)], frozenset({0, 1, 2, 3}))
-    tr.record(1, [(1, 2)], frozenset({0, 1, 2, 3}))
-    tr.record(2, [(2, 3)], frozenset({0, 1, 2, 3}))
+    tr.record(0, [(0, 1)])
+    tr.record(1, [(1, 2)])
+    tr.record(2, [(2, 3)])
     return tr, lc
 
 

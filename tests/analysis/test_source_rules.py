@@ -17,7 +17,7 @@ D3    unordered-iteration      no iteration over a bare set, frozenset or
                                ``dict.keys()`` in a fingerprint package
 D4    id-ordering              no ``id()`` in a fingerprint package
 D5    env-read                 no ``os.environ``/``os.getenv`` outside
-                               ``repro.config`` and ``repro.util.benchrec``
+                               ``repro.config``
 L1    adversary-import         ``repro.adversary`` imports ``repro.sim``/``core``/
                                ``overlay`` only under ``if TYPE_CHECKING:``
 L2    view-internals           adversary code touches no private attribute of
@@ -378,7 +378,7 @@ def id_ordering(mod):
 @rule("env-read")
 def env_read(mod):
     """D5: configuration comes from ``ProtocolParams``, not the environment."""
-    if mod.name in ("repro.config", "repro.util.benchrec"):
+    if mod.name == "repro.config":
         return
     for node in ast.walk(mod.tree):
         if isinstance(node, ast.ImportFrom):

@@ -43,7 +43,7 @@ class TestEndToEnd:
     @pytest.mark.parametrize("n", [32, 64, 96])
     def test_builds_definition5_superset(self, n):
         params = ProtocolParams(n=n, c=1.5, seed=4)
-        # verify=True raises on any missing Definition-5 edge.
+        # The construction raises on any missing Definition-5 edge.
         nbrs, rounds = build_initial_overlay_distributed(params)
         assert len(nbrs) == n
         assert rounds == construction_schedule(params).total_rounds

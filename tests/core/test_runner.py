@@ -9,6 +9,7 @@ from repro.adversary.base import Adversary, ChurnDecision, JoinRequest
 from repro.config import ProtocolParams
 from repro.core.bootstrap import prime_initial_overlay
 from repro.core.runner import MaintenanceSimulation, OverlayAudit, ProbeReport
+from repro.faults.health import HealthMonitor
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +58,23 @@ class TestAudits:
         assert audit.established_fraction == 0.0
         assert audit.edge_coverage == 1.0  # vacuous
 
+    def test_an_epoch_tie_goes_to_the_newer_epoch(self):
+        """Half the nodes moved on to the next epoch: the audit and the
+        health monitor both inspect the newer half."""
+        params = ProtocolParams.calibrated(24, seed=5, alpha=0.25, kappa=1.25)
+        monitor = HealthMonitor(params)
+        sim = MaintenanceSimulation(params, health=monitor)
+        nodes = sim.alive_nodes()
+        (old,) = {node.epoch for node in nodes}
+        moved = nodes[: len(nodes) // 2]
+        for node in moved:
+            node.epoch = old + 1
+            node.pos = sim.services.position_hash.position(node.id, old + 1)
+        audit = sim.audit_overlay()
+        assert (audit.epoch, audit.members) == (old + 1, len(moved))
+        snapshot = monitor._overlay_snapshot(sim.engine)
+        assert sorted(snapshot) == sorted(node.id for node in moved)
+
 
 class TestProbes:
     def test_probe_report_empty(self, warm_sim):
@@ -73,6 +91,11 @@ class TestProbes:
         assert report.launched == 3
         assert report.delivered == 3
         assert report.mean_receivers >= 1
+        arrivals = warm_sim.probe_arrivals(ids)
+        assert list(arrivals) == ids
+        assert sum(map(len, arrivals.values())) == 3 * report.mean_receivers
+        assert all(min(rounds) > warm_sim.round - 2 * warm_sim.params.dilation - 4
+                   for rounds in arrivals.values())
 
     def test_probe_ids_unique(self, warm_sim):
         rng = np.random.default_rng(6)

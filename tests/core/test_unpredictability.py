@@ -91,9 +91,9 @@ class TestViewIsStructurallyBlind:
         lc = Lifecycle()
         lc.add(0, -1)
         lc.add(1, -1)
-        tr.record(0, [(0, 1)], lc.alive)
-        tr.record(1, [], lc.alive)
-        tr.record(2, [], lc.alive)
+        tr.record(0, [(0, 1)])
+        tr.record(1, [])
+        tr.record(2, [])
         view = AdversaryView(3, tr, lc, topology_lateness=2, state_lateness=100)
         edges = view.edges_at(0)
         assert edges == [(0, 1)]

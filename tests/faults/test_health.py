@@ -227,19 +227,17 @@ class TestStructuralAudits:
 class TestSummaries:
     def test_summary_shape(self):
         monitor, _ = run_monitored(TwoIslandsProtocol, rounds=2)
-        s = monitor.summary()
-        assert s["events"] == 2
-        assert s["first_degradation_round"] == 0
-        assert s["events_disconnected"] == 2
+        assert len(monitor.events) == 2
+        assert monitor.first_degradation_round == 0
+        assert monitor.counts_by_kind() == {"disconnected": 2}
 
     def test_empty_summary(self):
         monitor, _ = run_monitored(RingProtocol, rounds=1)
-        assert monitor.summary() == {
-            "events": 0,
-            "first_degradation_round": None,
-            "degraded_round_fraction": 0.0,
-            "time_to_recover": None,
-        }
+        assert monitor.events == []
+        assert monitor.counts_by_kind() == {}
+        assert monitor.first_degradation_round is None
+        assert monitor.degraded_round_fraction == 0.0
+        assert monitor.time_to_recover is None
 
     def test_degraded_round_fraction(self):
         monitor, _ = run_monitored(TwoIslandsProtocol, rounds=4)
@@ -251,7 +249,7 @@ class TestSummaries:
     def test_time_to_recover_none_while_degraded(self):
         monitor, _ = run_monitored(TwoIslandsProtocol, rounds=3)
         # Every audited round is degraded, so the run never recovers.
-        assert monitor.summary()["time_to_recover"] is None
+        assert monitor.time_to_recover is None
 
     def test_time_to_recover_counts_clean_tail(self):
         params = ProtocolParams(n=16, seed=1, alpha=0.25)
@@ -259,7 +257,7 @@ class TestSummaries:
         eng = Engine(params, lambda v, s: RingProtocol(v, s), observers=[monitor])
         eng.seed_nodes(range(16))
         eng.run(4)
-        # Inject a synthetic event at round 1 and re-derive the summary.
+        # Inject a synthetic event at round 1 and re-derive the recovery time.
         from repro.faults.health import DegradationEvent
 
         monitor.events.append(
@@ -267,7 +265,7 @@ class TestSummaries:
                 round=1, kind="disconnected", severity="critical", detail="x"
             )
         )
-        assert monitor.summary()["time_to_recover"] == 2  # rounds 2..3 clean
+        assert monitor.time_to_recover == 2  # rounds 2..3 clean
 
     def test_empty_alive_set_skipped(self):
         params = ProtocolParams(n=8, seed=1, alpha=0.25)

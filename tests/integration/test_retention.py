@@ -132,10 +132,8 @@ def test_a_churned_trace_keeps_the_newest_rounds_only():
             t = sim.engine.round
             if sim.engine.reports[-1].decision.leaves:
                 churned.append(t - 1)
-            for store in (trace._edges, trace._alive, trace._joins, trace._leaves):
-                assert list(store) == list(range(max(0, t - depth), t))
-        assert trace.alive_at(t - 1) == frozenset(sim.engine.alive)
-        # Churn was recorded, and the rounds it was recorded in have left.
+            assert list(trace._edges) == list(range(max(0, t - depth), t))
+        # Churn happened, and the rounds it happened in have left the trace.
         old = [s for s in churned if s < t - depth]
         assert old
-        assert all(trace.leaves_at(s) == trace.joins_at(s) == () for s in old)
+        assert all(trace.edges_at(s) is None for s in old)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.config import ProtocolParams
-from repro.overlay.lds import LDSGraph, build_lds, required_neighbor_arcs
+from repro.overlay.lds import LDSGraph, build_lds, current_epoch, required_neighbor_arcs
 from repro.util.intervals import ring_distance, wrap
 
 
@@ -168,3 +168,16 @@ class TestAuditClaimedAdjacency:
         removed = claimed[v0].pop()
         report = lds.audit_claimed_adjacency(claimed)
         assert report == {v0: {removed}}
+
+
+class TestCurrentEpoch:
+    def test_most_common_epoch_wins(self):
+        assert current_epoch([3, 3, 4]) == 3
+        assert current_epoch(iter([7, 6, 6, 6, 7])) == 6
+
+    def test_a_tie_goes_to_the_newer_epoch(self):
+        assert current_epoch([3, 4]) == 4
+        assert current_epoch([5, 4, 4, 5]) == 5
+
+    def test_no_epochs(self):
+        assert current_epoch([]) is None

@@ -7,7 +7,7 @@ import pytest
 
 from repro.config import ProtocolParams
 from repro.overlay.positions import PositionIndex
-from repro.overlay.swarm import audit_goodness, swarm_arc, swarm_members
+from repro.overlay.swarm import audit_goodness, swarm_arc, swarm_members, swarm_sizes
 from repro.util.intervals import ring_distance
 
 
@@ -33,6 +33,26 @@ class TestSwarmMembers:
         arc = swarm_arc(0.3, small_params)
         assert arc.center == pytest.approx(0.3)
         assert arc.radius == pytest.approx(small_params.swarm_radius)
+
+
+class TestSwarmSizes:
+    def test_is_the_ring_distance_count(self, index, small_params):
+        """|S(p)| counts exactly the nodes with min(d, 1 - d) <= c*lam/n,
+        the test the health monitor's occupancy audit was written with."""
+        points = np.concatenate([np.arange(16) / 16, index.sorted_positions])
+        expected = [
+            sum(
+                min(abs(q - p), 1.0 - abs(q - p)) <= small_params.swarm_radius
+                for q in index.sorted_positions.tolist()
+            )
+            for p in points.tolist()
+        ]
+        assert swarm_sizes(index, small_params, points).tolist() == expected
+
+    def test_empty_index_and_no_centers(self, index, small_params):
+        empty = swarm_sizes(PositionIndex({}), small_params, np.array([0.0, 0.5]))
+        assert empty.tolist() == [0, 0]
+        assert swarm_sizes(index, small_params, np.array([])).size == 0
 
 
 class TestAuditGoodness:

@@ -173,11 +173,14 @@ class TestChurnSemantics:
         eng.run(2)
         assert eng.lifecycle.joined_round(16) == 1
 
-    def test_trace_records_churn(self):
+    def test_reports_and_lifecycle_record_churn(self):
         eng = make_engine(EchoProtocol, adversary=LeaveOneAdversary())
         eng.run(2)
-        assert eng.trace.leaves_at(1) == (1,)
-        assert eng.trace.joins_at(1) == (16,)
+        decision = eng.reports[1].decision
+        assert decision.leaves == frozenset({1})
+        assert [j.new_id for j in decision.joins] == [16]
+        assert eng.lifecycle.records[1].left_round == 1
+        assert eng.lifecycle.joined_round(16) == 1
 
 
 class LateChurnAdversary(LeaveOneAdversary):

@@ -13,27 +13,23 @@ from repro.sim.trace import GraphTrace
 class TestRecording:
     def test_basic(self):
         tr = GraphTrace()
-        tr.record(0, [(1, 2)], frozenset({1, 2}))
+        tr.record(0, [(1, 2)])
         assert tr.edges_at(0) == [(1, 2)]
-        assert tr.alive_at(0) == frozenset({1, 2})
 
     def test_consecutive_rounds_enforced(self):
         tr = GraphTrace()
-        tr.record(0, [], frozenset())
+        tr.record(0, [])
         with pytest.raises(ValueError):
-            tr.record(2, [], frozenset())
+            tr.record(2, [])
 
     def test_ring_buffer_eviction(self):
         tr = GraphTrace(edge_depth=2)
         for t in range(4):
-            tr.record(t, [(t, t + 1)], frozenset({t}))
+            tr.record(t, [(t, t + 1)])
         assert tr.edges_at(0) is None
         assert tr.edges_at(1) is None
         assert tr.edges_at(2) == [(2, 3)]
         assert tr.edges_at(3) == [(3, 4)]
-        # Alive sets share the window.
-        assert tr.alive_at(1) is None
-        assert tr.alive_at(2) == frozenset({2})
 
     def test_bad_depth(self):
         with pytest.raises(ValueError):
@@ -43,14 +39,14 @@ class TestRecording:
         """One default depth; a hand-written pair list is stored as an EdgeLog."""
         tr = GraphTrace()
         assert tr.edge_depth == 8
-        tr.record(0, [(1, 2), (1, 2)], frozenset({1, 2}))
+        tr.record(0, [(1, 2), (1, 2)])
         log = tr.edges_at(0)
         assert isinstance(log, EdgeLog) and log == [(1, 2), (1, 2)]
         own = EdgeLog.from_pairs([(3, 4)])
-        tr.record(1, own, frozenset({3, 4}))
+        tr.record(1, own)
         assert tr.edges_at(1) == own  # a per-copy log is reduced on record
         kept = own.reduced()
-        tr.record(2, kept, frozenset({3, 4}))
+        tr.record(2, kept)
         assert tr.edges_at(2) is kept  # an already-reduced one is stored as is
 
     def test_retained_rounds_are_reduced(self):
@@ -58,8 +54,8 @@ class TestRecording:
         whether the round came as a pair list or as a per-copy log."""
         tr = GraphTrace()
         pairs = [(1, 2), (3, 1), (1, 2), (1, 2), (3, 1), (2, 2)]
-        tr.record(0, pairs, frozenset({1, 2, 3}))
-        tr.record(1, EdgeLog.from_pairs(pairs), frozenset({1, 2, 3}))
+        tr.record(0, pairs)
+        tr.record(1, EdgeLog.from_pairs(pairs))
         for t in (0, 1):
             log = tr.edges_at(t)
             srcs, dsts = log.columns()
@@ -67,38 +63,19 @@ class TestRecording:
             assert log.counts.tolist() == [3, 2, 1]
             assert len(log) == 6 and sorted(log) == sorted(pairs)
 
-    def test_joins_leaves(self):
-        tr = GraphTrace()
-        tr.record(0, [], frozenset({1}), joins=(1,), leaves=(9,))
-        assert tr.joins_at(0) == (1,)
-        assert tr.leaves_at(0) == (9,)
-        assert tr.joins_at(5) == ()
-
 
 class TestQueries:
-    def test_survivors(self):
-        tr = GraphTrace()
-        tr.record(0, [], frozenset({1, 2, 3}))
-        tr.record(1, [], frozenset({2, 3, 4}))
-        assert tr.survivors(0, 1) == frozenset({2, 3})
-
-    def test_survivors_missing_round(self):
-        tr = GraphTrace()
-        tr.record(0, [], frozenset())
-        with pytest.raises(KeyError):
-            tr.survivors(0, 5)
-
     def test_contacts_and_out_neighbors(self):
         tr = GraphTrace()
-        tr.record(0, [(1, 2), (3, 1), (2, 3)], frozenset({1, 2, 3}))
+        tr.record(0, [(1, 2), (3, 1), (2, 3)])
         assert tr.out_neighbors_at(0, 1) == {2}
         assert tr.contacts_of(0, 1) == {2, 3}
         assert tr.contacts_of(0, 9) == set()
 
     def test_queries_on_evicted_round_empty(self):
         tr = GraphTrace(edge_depth=1)
-        tr.record(0, [(1, 2)], frozenset({1, 2}))
-        tr.record(1, [], frozenset({1, 2}))
+        tr.record(0, [(1, 2)])
+        tr.record(1, [])
         assert tr.out_neighbors_at(0, 1) == set()
         assert tr.contacts_of(0, 1) == set()
 
