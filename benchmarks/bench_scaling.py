@@ -34,9 +34,10 @@ copies/round at n=24), so a faulted round is to be compared with a clean
 one *per message*, not per round.
 
 ``test_monitored_round_cost`` times it with the two readers of the graph
-trace attached — a :class:`HealthMonitor` and a ``DegreeTargetAdversary`` —
-and records ``BENCH_scaling_health.json``: what every monitored, chaos,
-scenario and topology-reading-adversary run pays on top of a plain round.
+trace attached — the :class:`~repro.sim.audit.Auditor` (contract clauses
+and degradation audits) and a ``DegreeTargetAdversary`` — and records
+``BENCH_scaling_health.json``: what every audited, chaos, scenario and
+topology-reading-adversary run pays on top of a plain round.
 
 ``test_churned_round_cost`` times it under random churn at the pace of the
 e2e ``churn-n96`` workload — a budget of ``n/4`` events per 8-round window,
@@ -59,8 +60,8 @@ from repro.adversary.oblivious import RandomChurnAdversary
 from repro.adversary.swarm_wipe import DegreeTargetAdversary
 from repro.config import ProtocolParams
 from repro.core.runner import MaintenanceSimulation
-from repro.faults.health import HealthMonitor
 from repro.faults.plan import FaultPlan, MessageFaults, NodeStall
+from repro.sim.audit import Auditor
 from repro.util.benchrec import peak_rss_kb
 
 SIZES = (48, 128, 256, 512, 1024)
@@ -190,15 +191,15 @@ def test_faulted_round_cost(benchmark, quick, record_bench):
 
 def test_monitored_round_cost(benchmark, quick, record_bench):
     """Seconds per steady-state round with both readers of ``E_t`` attached:
-    a :class:`HealthMonitor` (connectivity audit over two rounds of edges)
-    and a topology-reading adversary (``degree_table`` every round)."""
+    the :class:`Auditor` (its connectivity audit reads two rounds of edges,
+    its contract clauses every send and node) and a topology-reading
+    adversary (``degree_table`` every round)."""
     n = 128 if quick else 256
     params = ProtocolParams.calibrated(n, seed=1)
     adversary = DegreeTargetAdversary(params, seed=2, top=6, topology_lateness=2)
-    monitor = HealthMonitor(params)
-    with MaintenanceSimulation(
-        params, adversary, strict_budget=False, health=monitor
-    ) as sim:
+    monitor = Auditor()
+    with MaintenanceSimulation(params, adversary, strict_budget=False) as sim:
+        sim.engine.attach(monitor)
         # Steady state, and past the adversary's quiet bootstrap phase so
         # every timed round pays for both readers.
         sim.run(max(2 * (params.lam + 3), adversary.active_from))
@@ -219,6 +220,7 @@ def test_monitored_round_cost(benchmark, quick, record_bench):
             msgs_per_round=sum(r.metrics.total_sent for r in timed) // len(timed),
         )
         assert monitor.rounds_observed == sim.round  # the audit ran every round
+        assert monitor.violations == []
         assert any(r.decision.leaves for r in timed)  # the adversary is reading
 
 

@@ -25,7 +25,6 @@ import numpy as np
 from repro.adversary.base import Adversary
 from repro.config import ProtocolParams
 from repro.core.bootstrap import prime_initial_overlay
-from repro.faults.health import HealthMonitor
 from repro.faults.plan import FaultPlan
 from repro.core.node import MaintenanceNode, Phase
 from repro.overlay.lds import LDSGraph, current_epoch
@@ -86,19 +85,17 @@ class MaintenanceSimulation:
         distributed_bootstrap: bool = False,
         node_cls: type[MaintenanceNode] = MaintenanceNode,
         faults: FaultPlan | None = None,
-        health: HealthMonitor | None = None,
         profiler: PhaseProfiler | None = None,
         workers: int = 1,
     ) -> None:
         self.params = params
-        self.health = health
         self.engine = Engine(
             params,
             lambda v, services: node_cls(v, services),
             adversary=adversary,
             strict_budget=strict_budget,
             faults=faults,
-            observers=[o for o in (profiler, health) if o is not None],
+            observers=[profiler] if profiler is not None else [],
             workers=workers,
         )
         self.engine.seed_nodes(range(params.n))

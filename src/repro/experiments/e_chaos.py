@@ -9,14 +9,15 @@ churn budget) against the two operational guarantees —
 * **routing success** — end-to-end probe delivery rate (Theorem 14's
   routability criterion), and
 * **maintenance survival** — established fraction, demotions, and the
-  :class:`~repro.faults.health.HealthMonitor`'s first degradation (when
+  first degradation the :class:`~repro.sim.audit.Auditor` records (when
   swarm occupancy, edge symmetry, or connectivity first broke).
 
 Each grid cell is a generated :class:`~repro.scenarios.spec.Scenario` with
 no churn and no attack, run and judged by the scenario runner.  Expected
 shape: the fault-free cell reproduces the paper's guarantees exactly, and
-faults bend the overlay gracefully — the run *reports* the collapse (events,
-demotions) rather than crashing.
+faults bend the overlay gracefully — the run *reports* the collapse as
+degradations (events, demotions) rather than crashing, and never as a
+contract violation, which fails the cell.
 """
 
 from __future__ import annotations

@@ -76,7 +76,7 @@ def run_lemma17(quick: bool = True, seed: int = 7) -> ExperimentResult:
         }
         index = PositionIndex(members)
         sim.run(2)
-        swarms = audit_goodness(index, params, sim.engine.alive, centers=index.sorted_positions)
+        swarms = audit_goodness(index, params, sim.engine.alive)
         min_overall = min(min_overall, swarms.min_good_fraction)
         rows.append([snapshot_round, len(members), swarms.min_size, swarms.min_good_fraction])
         sim.run(2)

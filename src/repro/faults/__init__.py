@@ -1,4 +1,4 @@
-"""Deterministic fault injection and health monitoring.
+"""Deterministic fault injection.
 
 The paper assumes a perfectly reliable synchronous network; this package
 removes that assumption in a controlled, reproducible way:
@@ -6,16 +6,14 @@ removes that assumption in a controlled, reproducible way:
 * :mod:`repro.faults.plan` — declarative :class:`FaultPlan` (message drops /
   delays / duplicates, node stalls, ring partitions) with activity windows;
 * :mod:`repro.faults.injector` — :class:`FaultInjector`, the keyed-PRF
-  oracle the network and engine consult (same seed + plan = same schedule);
-* :mod:`repro.faults.health` — :class:`HealthMonitor`, per-round overlay
-  invariant audits emitting structured :class:`DegradationEvent`s.
+  oracle the network and engine consult (same seed + plan = same schedule).
 
-Wire a plan and a monitor into a run with
-``Engine(..., faults=plan, observers=[monitor])`` or
-``MaintenanceSimulation(..., faults=plan, health=monitor)``.
+Wire a plan into a run with ``Engine(..., faults=plan)`` or
+``MaintenanceSimulation(..., faults=plan)``; what the faults do to the
+overlay is recorded by :class:`repro.sim.audit.Auditor` as degradation
+verdicts, attached with ``engine.attach(Auditor())``.
 """
 
-from repro.faults.health import DegradationEvent, HealthMonitor
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import (
     AsymmetricPartition,
@@ -29,10 +27,8 @@ from repro.faults.plan import (
 
 __all__ = [
     "AsymmetricPartition",
-    "DegradationEvent",
     "FaultInjector",
     "FaultPlan",
-    "HealthMonitor",
     "LatencyMatrix",
     "MessageFaults",
     "NodeStall",

@@ -51,9 +51,9 @@ def swarm_sizes(index: PositionIndex, params: ProtocolParams, centers: np.ndarra
 class SwarmStats:
     """Aggregate swarm statistics over a position snapshot.
 
-    ``min_size``/``max_size`` are taken over the swarms of *every node
-    position* (a standard epsilon-net argument: if every node-centred swarm is
-    large enough, so is every point-centred swarm up to one radius of slack).
+    ``min_size``/``max_size`` are taken over the swarms at the evaluated
+    centers; by default (see :func:`audit_goodness`) those attain the exact
+    extremes of ``|S(p)|`` over every ``p in [0, 1)``.
     ``min_good_fraction`` additionally needs a survivor predicate.
     """
 
@@ -83,19 +83,23 @@ def audit_goodness(
         later (Definition 8 requires ``|S_t(p) ∩ V_{t+2}| >= 3/4 |S_t(p)|``).
         ``None`` means "everyone survives".
     centers:
-        Points at which to evaluate swarms; defaults to every node position
-        plus the midpoints between ring-adjacent nodes (a finite set that
-        witnesses the extremes over all ``p in [0, 1)``: swarm membership only
-        changes when ``p`` crosses a point at distance exactly ``c*lam/n``
-        from some node, and between consecutive breakpoints the swarm is
-        constant — node positions and adjacent midpoints hit every such cell).
+        Points at which to evaluate swarms; defaults to every breakpoint
+        ``q ± c*lam/n`` (mod 1) of every node position ``q`` plus the midpoint
+        between each pair of ring-adjacent breakpoints.  Swarm membership
+        changes only where ``p`` crosses a breakpoint, so ``S(p)`` is constant
+        on each open cell between adjacent breakpoints (its midpoint witnesses
+        it) and the breakpoints witness the closed cell ends: the default set
+        attains the exact minimum and maximum over all ``p in [0, 1)``.  Node
+        positions alone, or with their midpoints, miss cells.
     """
     pos = index.sorted_positions
     if centers is None:
         if pos.size == 0:
             return SwarmStats(0, 0, 0, 0.0, 1.0)
-        mids = (pos + np.diff(np.concatenate([pos, [pos[0] + 1.0]])) / 2.0) % 1.0
-        centers = np.concatenate([pos, mids])
+        radius = params.swarm_radius
+        breaks = np.sort(np.concatenate([pos - radius, pos + radius]) % 1.0)
+        mids = (breaks + np.diff(breaks, append=breaks[0] + 1.0) / 2.0) % 1.0
+        centers = np.concatenate([breaks, mids])
 
     if survives is None:
         is_good = None

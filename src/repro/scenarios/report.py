@@ -17,7 +17,7 @@ from repro.scenarios.spec import Scenario
 
 __all__ = ["ROW_HEADER", "SCHEMA", "cell_row", "scenario_report", "validate_scenario_report"]
 
-SCHEMA = "repro/scenario-report/v2"
+SCHEMA = "repro/scenario-report/v3"
 
 #: Required top-level fields of every cell record.
 _CELL_FIELDS = (
@@ -28,6 +28,7 @@ _CELL_FIELDS = (
     "fault_window",
     "probes",
     "stretch",
+    "violations",
     "recovery",
     "established_fraction",
     "edge_coverage",
@@ -128,6 +129,7 @@ def validate_scenario_report(doc: Mapping[str, Any]) -> None:
             if not isinstance(value, (int, float)) or not 0.0 <= float(value) <= 1.0:
                 raise ValueError(f"{where}.{name} must lie in [0, 1]")
         counts = {
+            "violations": cell["violations"],
             "probes.origin_left": cell["probes"]["origin_left"],
             "demotions": cell["demotions"],
             "peak_congestion": cell["peak_congestion"],

@@ -1,12 +1,12 @@
 """Scenario execution — one cell per ``(scenario, seed)``, pool-parallel.
 
 A cell builds the scenario's simulation (plan shifted past bootstrap, churn
-and attack composed into one adversary, a :class:`HealthMonitor` attached),
-runs it round by round, launches up to two probe waves and condenses the
-outcome into a plain-data record: routing stretch percentiles, the recovery
-metrics (time to first degradation, degraded-round fraction, time to
-recover), the audit's edge coverage, the node counters of Lemma 22 and a
-fingerprint digest of everything observable.
+and attack composed into one adversary, an :class:`~repro.sim.audit.Auditor`
+attached), runs it round by round, launches up to two probe waves and
+condenses the outcome into a plain-data record: routing stretch percentiles,
+the contract violations, the recovery metrics (time to first degradation,
+degraded-round fraction, time to recover), the audit's edge coverage, the
+node counters of Lemma 22 and a fingerprint digest of everything observable.
 
 Cells take :class:`Scenario` objects — registry entries and generated grids
 (E-CH, E-T14) alike — and :func:`cell_ok` is their one pass criterion.  The
@@ -26,8 +26,8 @@ import numpy as np
 
 from repro.config import ProtocolParams
 from repro.core.runner import MaintenanceSimulation, OverlayAudit
-from repro.faults.health import HealthMonitor
 from repro.scenarios.spec import Scenario, build_adversary, build_params, materialize_plan
+from repro.sim.audit import Auditor
 
 __all__ = ["PROBES_PER_WAVE", "cell_ok", "run_scenario_cell", "run_matrix"]
 
@@ -63,7 +63,9 @@ def _probe_waves(
     return [first, second] if lands else [first]
 
 
-def _fingerprint(sim: MaintenanceSimulation, audit: OverlayAudit, deliveries: dict) -> str:
+def _fingerprint(
+    sim: MaintenanceSimulation, auditor: Auditor, audit: OverlayAudit, deliveries: dict
+) -> str:
     """Digest of everything observable about the run (simfp's contract)."""
     rounds = []
     for report in sim.engine.reports:
@@ -82,10 +84,9 @@ def _fingerprint(sim: MaintenanceSimulation, audit: OverlayAudit, deliveries: di
                 tuple(sorted((j.new_id, j.bootstrap_id) for j in report.decision.joins)),
             )
         )
-    events = tuple((e.round, e.kind, e.severity) for e in (sim.health.events if sim.health else ()))
     parts = (
         tuple(rounds),
-        events,
+        tuple((v.round, v.kind, v.severity) for v in auditor.verdicts),
         (audit.epoch, audit.members, audit.alive, audit.missing_edges, audit.required_edges),
         tuple(sorted((repr(pid), d) for pid, d in deliveries.items())),
     )
@@ -98,14 +99,14 @@ def run_scenario_cell(task: tuple[Scenario, int]) -> dict[str, Any]:
     params = build_params(scenario.n, seed)
     plan = materialize_plan(scenario, params, seed)
     adversary = build_adversary(scenario, params, seed)
-    monitor = HealthMonitor(params)
     sim = MaintenanceSimulation(
         params,
         adversary,
         strict_budget=False,  # composed decisions may overspend; reject, don't raise
         faults=None if plan.is_trivial else plan,
-        health=monitor,
     )
+    auditor = Auditor()
+    sim.engine.attach(auditor)
     total = params.bootstrap_rounds + scenario.rounds
     window_open, window_close = plan.fault_window()
     waves = _probe_waves(scenario, params, total, window_close)
@@ -147,8 +148,8 @@ def run_scenario_cell(task: tuple[Scenario, int]) -> dict[str, Any]:
             {f"p{p}": _percentile(stretches, p) for p in (50, 95, 99)} if stretches else None
         )
 
-        first = monitor.first_degradation_round
-        last = monitor.last_degradation_round
+        first = auditor.first_degradation_round
+        last = auditor.last_degradation_round
         if window_close is None or last is None:
             after_close = None
         else:
@@ -159,11 +160,11 @@ def run_scenario_cell(task: tuple[Scenario, int]) -> dict[str, Any]:
             "time_to_first_degradation": None
             if first is None or window_open is None
             else first - window_open,
-            "degraded_round_fraction": monitor.degraded_round_fraction,
-            "time_to_recover": monitor.time_to_recover,
+            "degraded_round_fraction": auditor.degraded_round_fraction,
+            "time_to_recover": auditor.time_to_recover,
             "recovery_rounds_after_close": after_close,
-            "events": len(monitor.events),
-            "events_by_kind": monitor.counts_by_kind(),
+            "events": len(auditor.degradations),
+            "events_by_kind": auditor.counts_by_kind(),
         }
 
         audit = sim.audit_overlay()
@@ -184,6 +185,7 @@ def run_scenario_cell(task: tuple[Scenario, int]) -> dict[str, Any]:
                 "delivery_rate": len(deliveries) / sent if sent else None,
             },
             "stretch": stretch,
+            "violations": len(auditor.violations),
             "recovery": recovery,
             "established_fraction": audit.established_fraction,
             "edge_coverage": audit.edge_coverage,
@@ -197,7 +199,7 @@ def run_scenario_cell(task: tuple[Scenario, int]) -> dict[str, Any]:
             },
             "faults_injected": totals.injected,
             "churn_events": churned,
-            "fingerprint": _fingerprint(sim, audit, deliveries),
+            "fingerprint": _fingerprint(sim, auditor, audit, deliveries),
             "plan": plan.to_json(),
         }
 
@@ -205,12 +207,15 @@ def run_scenario_cell(task: tuple[Scenario, int]) -> dict[str, Any]:
 def cell_ok(scenario: Scenario, cell: dict[str, Any]) -> bool:
     """The pass criterion of a cell record of ``scenario``.
 
-    On a reliable network (trivial plan) churn and attacks stay inside
-    Theorem 14's envelope, so the cell must meet the paper's thresholds,
-    Lemma 22's included; with no churn or attack either it must also stay
-    quiet.  With environmental faults it must show they fired — how the
-    overlay fares is the measurement, not the criterion.
+    A cell that broke a clause of the protocol contract fails, whatever its
+    adversity.  On a reliable network (trivial plan) churn and attacks stay
+    inside Theorem 14's envelope, so the cell must meet the paper's
+    thresholds, Lemma 22's included; with no churn or attack either it must
+    also stay quiet.  With environmental faults it must show they fired —
+    how the overlay fares is the measurement, not the criterion.
     """
+    if cell["violations"]:
+        return False
     fired = bool(cell["faults_injected"]) or bool(cell["churn_events"])
     if not scenario.plan.is_trivial:
         return fired

@@ -16,9 +16,10 @@ The engine records the graph trace (what the ``a``-late adversary sees),
 collects congestion metrics, and hands each node only its own context — no
 protocol can peek at global state.
 
-Anything that reads a run — the profiler, the health monitor, a contract
-checker — attaches as a :class:`RoundObserver` and is called at those phase
-boundaries.  A run with no observer attached executes no observer code.
+Anything that reads a run — the profiler, the auditor
+(:mod:`repro.sim.audit`) — attaches as a :class:`RoundObserver` and is
+called at those phase boundaries.  A run with no observer attached executes
+no observer code.
 """
 
 from __future__ import annotations
@@ -289,7 +290,7 @@ class Engine:
         self.fault_plan = faults
         self.faults: FaultInjector | None = None
         if faults is not None:
-            # Imported here: repro.faults.health subclasses RoundObserver.
+            # Imported here: repro.faults.injector imports repro.sim.metrics.
             from repro.faults.injector import FaultInjector
 
             self.faults = FaultInjector(faults, position_hash=position_hash)

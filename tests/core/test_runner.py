@@ -9,7 +9,7 @@ from repro.adversary.base import Adversary, ChurnDecision, JoinRequest
 from repro.config import ProtocolParams
 from repro.core.bootstrap import prime_initial_overlay
 from repro.core.runner import MaintenanceSimulation, OverlayAudit, ProbeReport
-from repro.faults.health import HealthMonitor
+from repro.sim.audit import Auditor
 
 
 @pytest.fixture(scope="module")
@@ -60,10 +60,11 @@ class TestAudits:
 
     def test_an_epoch_tie_goes_to_the_newer_epoch(self):
         """Half the nodes moved on to the next epoch: the audit and the
-        health monitor both inspect the newer half."""
+        auditor both inspect the newer half."""
         params = ProtocolParams.calibrated(24, seed=5, alpha=0.25, kappa=1.25)
-        monitor = HealthMonitor(params)
-        sim = MaintenanceSimulation(params, health=monitor)
+        monitor = Auditor()
+        sim = MaintenanceSimulation(params)
+        sim.engine.attach(monitor)
         nodes = sim.alive_nodes()
         (old,) = {node.epoch for node in nodes}
         moved = nodes[: len(nodes) // 2]

@@ -7,8 +7,8 @@ from repro.core.runner import MaintenanceSimulation
 from repro.experiments.e_chaos import chaos_scenario, default_cells
 from repro.experiments.registry import all_experiments
 from repro.faults.plan import FaultPlan
-from repro.faults.health import HealthMonitor
 from repro.scenarios.runner import cell_ok, run_scenario_cell
+from repro.sim.audit import Auditor
 from repro.sim.engine import Engine, NodeContext, NodeProtocol
 
 
@@ -70,11 +70,12 @@ class TestDeterministicReproducibility:
         plan = FaultPlan.simple(
             seed=9, drop_p=0.3, delay_p=0.3, stall_p=0.15, start=4
         )
-        monitor = HealthMonitor(params)
-        sim = MaintenanceSimulation(params, faults=plan, health=monitor)
+        monitor = Auditor()
+        sim = MaintenanceSimulation(params, faults=plan)
+        sim.engine.attach(monitor)
         sim.run(16)
         fault_series = [m.faults for m in sim.engine.metrics.history]
-        return fault_series, list(monitor.events), sim.engine.metrics.fault_totals()
+        return fault_series, list(monitor.verdicts), sim.engine.metrics.fault_totals()
 
     def test_two_runs_identical(self):
         series_a, events_a, totals_a = self.run_once()

@@ -16,12 +16,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.faults.health import HealthMonitor
 from repro.routing.messages import RoutedMessage
+from repro.sim.audit import Auditor
 from repro.sim.hopplane import FrozenHopRound
 from repro.sim.profile import PhaseProfiler
 
-from .contract import ContractMonitor
 from .simfp import SCENARIOS, run_scenario
 
 #: Captured from the seed implementation (before the epoch cache and hop
@@ -42,18 +41,17 @@ def test_optimized_matches_golden(scenario):
 
 
 def test_attached_observers_leave_the_run_unchanged():
-    """A profiler, a health monitor and the contract checker on one run:
-    its fingerprint is the detached run's, and each saw every round."""
-    profiler, watched = PhaseProfiler(), []
+    """A profiler and the auditor on one run: its fingerprint is the
+    detached run's, both saw every round, and the run broke no clause."""
+    profiler, auditor = PhaseProfiler(), Auditor()
 
     def attach(sim):
-        watched[:] = HealthMonitor(sim.params), ContractMonitor(sim)
-        sim.engine.attach(watched[0])
+        sim.engine.attach(auditor)
 
     assert run_scenario("churn_faults", attach, profiler=profiler) == GOLDEN["churn_faults"]
-    (health, contract), rounds = watched, SCENARIOS["churn_faults"][1]
-    assert profiler.rounds == health.rounds_observed == contract.rounds == rounds
-    assert contract.violations == []
+    rounds = SCENARIOS["churn_faults"][1]
+    assert profiler.rounds == auditor.rounds_observed == rounds
+    assert auditor.violations == []
 
 
 @pytest.mark.parametrize(

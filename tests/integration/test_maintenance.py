@@ -181,3 +181,23 @@ class TestFailureInjection:
         sim.run(12)
         assert len(sim.engine.alive) == params.n
         assert all(r.rejected is not None for r in sim.engine.reports[5:])
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 13")
+def test_each_probe_reaches_each_node_once():
+    """PROTOCOL.md's A_ROUTING: the whole target swarm holds a probe at
+    R+2λ+2, once.  Today a holder inside the target window tests the final
+    on the even round and again on the odd one: on this clean n=64 run 69
+    of 95 (probe, node) pairs are recorded twice, at rounds 36 and 37."""
+    params = ProtocolParams.calibrated(64, seed=1)
+    with MaintenanceSimulation(params) as sim:
+        sim.run(2 * (params.lam + 3))
+        sim.send_probes(6, np.random.default_rng(0))
+        sim.run(params.dilation + 4)
+        pairs = [
+            (payload[1], node.id)
+            for node in sim.alive_nodes()
+            for payload, _ in node.delivered
+            if isinstance(payload, tuple) and payload[0] == "probe"
+        ]
+    assert pairs and len(pairs) == len(set(pairs))

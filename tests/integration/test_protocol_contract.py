@@ -1,4 +1,8 @@
-"""The protocol contract (see ``contract.py``) and the spec it reads.
+"""The protocol contract: ``protocol-spec.json`` held to the code.
+
+The live clauses are :class:`repro.sim.audit.Auditor`'s violations; the
+ones no single run can check are here: :func:`declaration_drift`,
+:func:`uncovered` (over several runs) and :func:`contract_markdown`.
 
 The code's message declarations match the committed spec.  A steady, a
 churned, a faulted and a DHT n=24 ``MaintenanceSimulation`` keep every
@@ -17,13 +21,17 @@ adversary keeps the wall.
 
 from __future__ import annotations
 
+import dataclasses
+import importlib
 import json
+import pkgutil
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+import repro
 import repro.core.messages as messages_mod
 import repro.core.node as node_mod
 from repro.adversary import (
@@ -41,16 +49,119 @@ from repro.config import ProtocolParams
 from repro.core.dht import DHTNode
 from repro.core.runner import MaintenanceSimulation
 from repro.faults.plan import FaultPlan, MessageFaults, NodeStall
-
-from .contract import (
+from repro.sim.audit import (
+    LIFECYCLE_PHASES,
     SPEC_PATH,
-    ContractMonitor,
-    ContractViolation,
+    Auditor,
+    ProtocolSpec,
+    SpecError,
     adversary_reach,
-    declaration_drift,
-    uncovered,
+    load_spec,
 )
-from .spec import PHASES, ProtocolSpec, SpecError, contract_markdown, load_spec
+
+
+class ContractViolation(AssertionError):
+    """A live round broke a clause of the protocol contract."""
+
+
+def run_audited(
+    sim: MaintenanceSimulation,
+    rounds: int,
+    auditor: Auditor | None = None,
+    spec: ProtocolSpec | None = None,
+) -> Auditor:
+    """Run ``rounds`` rounds of ``sim`` under ``auditor`` (default: a new one
+    on ``spec``, attached here); raise :class:`ContractViolation` after the
+    first round that broke a clause."""
+    if auditor is None:
+        auditor = Auditor(spec)
+        sim.engine.attach(auditor)
+    for _ in range(rounds):
+        sim.engine.run_round()
+        violations = auditor.violations
+        if violations:
+            raise ContractViolation("\n".join(f"round {v.round}: {v.detail}" for v in violations))
+    return auditor
+
+
+def uncovered(spec: ProtocolSpec, sent: Counter[str], launched: Counter[str]) -> list[str]:
+    """The spec's node-to-node message types that ``sent`` never saw, then
+    its payload tags that ``launched`` never saw."""
+    return [m.name for m in spec.messages if m.kind == "message" and not sent[m.name]] + [
+        p.tag for p in spec.payloads if not launched[p.tag]
+    ]
+
+
+def _classes(module: str) -> list[type]:
+    """The classes ``module`` defines (not the ones it imports)."""
+    found = vars(importlib.import_module(module)).values()
+    return [obj for obj in found if isinstance(obj, type) and obj.__module__ == module]
+
+
+def declaration_drift(spec: ProtocolSpec) -> list[str]:
+    """Where the code's message declarations and the spec disagree."""
+    registry = {
+        cls.__name__: cls
+        for info in pkgutil.walk_packages(repro.__path__, "repro.")
+        if info.name != "repro.__main__"  # importing it runs the CLI
+        for cls in _classes(info.name)
+        if "__protocol__" in vars(cls)
+    }
+    drift = [
+        f"`{cls.__module__}.{name}` is marked __protocol__ but the spec does not cover it"
+        for name, cls in registry.items()
+        if spec.message(name) is None
+    ]
+    for entry in spec.messages:
+        cls = registry.get(entry.name)
+        if cls is None:
+            drift.append(f"spec message `{entry.name}` has no __protocol__ class [{entry.anchor}]")
+            continue
+        fields = tuple(f.name for f in dataclasses.fields(cls))
+        if fields != entry.fields:
+            drift.append(
+                f"`{entry.name}` fields {list(fields)} differ from the spec's "
+                f"{list(entry.fields)} [{entry.anchor}]"
+            )
+    for module in spec.message_modules:
+        drift += [
+            f"dataclass `{module}.{cls.__name__}` lacks the __protocol__ marker"
+            for cls in _classes(module)
+            if dataclasses.is_dataclass(cls) and "__protocol__" not in vars(cls)
+        ]
+    return drift
+
+
+def _cell(phases: tuple[str, ...]) -> str:
+    return "any" if tuple(phases) == LIFECYCLE_PHASES else ", ".join(phases) or "—"
+
+
+def contract_markdown(spec: ProtocolSpec) -> str:
+    """The "message contract" table embedded in docs/PROTOCOL.md.
+
+    Generated from the spec so docs cannot drift silently: a test renders
+    this from the shipped ``protocol-spec.json`` and asserts PROTOCOL.md
+    contains it verbatim.
+    """
+    lines = [
+        "| message | kind | fields | producer phases | consumer phases | anchor |",
+        "|---|---|---|---|---|---|",
+    ]
+    for m in spec.messages:
+        lines.append(
+            f"| `{m.name}` | {m.kind} | "
+            + ", ".join(f"`{f}`" for f in m.fields)
+            + f" | {_cell(m.producer_phases)}"
+            + f" | {_cell(m.consumer_phases) if m.dispatched else '—'}"
+            + f" | {m.anchor} |"
+        )
+    for p in spec.payloads:
+        lines.append(
+            f"| payload `(\"{p.tag}\", …)` | routed | — "
+            f"| {_cell(p.producer_phases)} | target swarm | {p.anchor} |"
+        )
+    return "\n".join(lines)
+
 
 PARAMS = ProtocolParams.calibrated(24, seed=5, alpha=0.25, kappa=1.25)
 #: Past the first cutover, 2(lam + 2), and one join wave (2 lam + 2) beyond.
@@ -58,7 +169,7 @@ ROUNDS = 2 * (PARAMS.lam + 2) + 2 * PARAMS.lam + 2
 #: The round right after the first cutover round.
 AFTER_CUTOVER = 2 * (PARAMS.lam + 2) + 1
 CELLS = ("steady", "churned", "faulted", "dht")
-REPO_ROOT = SPEC_PATH.parent
+REPO_ROOT = SPEC_PATH.parents[2]
 
 
 def _sim(cell: str) -> MaintenanceSimulation:
@@ -89,39 +200,41 @@ def _spec(edit) -> ProtocolSpec:
 
 @pytest.fixture(scope="module")
 def runs():
-    """Each cell's monitor after :data:`ROUNDS` rounds, and what it raised."""
+    """Each cell's simulation and auditor after :data:`ROUNDS` rounds, and
+    what the run raised."""
     out = {}
     for cell in CELLS:
         with _sim(cell) as sim:
-            monitor = ContractMonitor(sim)
+            auditor = Auditor()
+            sim.engine.attach(auditor)
             try:
-                monitor.run(ROUNDS)
-                out[cell] = (monitor, None)
+                run_audited(sim, ROUNDS, auditor)
+                out[cell] = (sim, auditor, None)
             except ContractViolation as exc:
-                out[cell] = (monitor, exc)
+                out[cell] = (sim, auditor, exc)
     return out
 
 
 @pytest.mark.parametrize("cell", CELLS)
 def test_live_cell_keeps_the_contract(runs, cell):
-    monitor, error = runs[cell]
+    _, auditor, error = runs[cell]
     assert error is None, str(error)
-    assert monitor.launched["join"] and monitor.launched["token"]
+    assert auditor.launched["join"] and auditor.launched["token"]
 
 
 def _coverage(runs) -> tuple[Counter, Counter]:
     """Copies sent per type and launches per tag, over every cell."""
-    monitors = [monitor for monitor, _ in runs.values()]
-    sent = sum((m.sent for m in monitors), Counter())
-    return sent, sum((m.launched for m in monitors), Counter())
+    auditors = [auditor for _, auditor, _ in runs.values()]
+    sent = sum((a.sent for a in auditors), Counter())
+    return sent, sum((a.launched for a in auditors), Counter())
 
 
 def test_cells_send_every_spec_message(runs):
     assert uncovered(load_spec(SPEC_PATH), *_coverage(runs)) == []
-    assert runs["steady"][0].launched["probe"]
-    assert runs["dht"][0].sent["DhtResponse"] and runs["dht"][0].sent["StashTransfer"]
+    assert runs["steady"][1].launched["probe"]
+    assert runs["dht"][1].sent["DhtResponse"] and runs["dht"][1].sent["StashTransfer"]
     # The epoch clause saw demotions (to None) as well as cutovers.
-    assert sum(m.sim.node(v).demotions for m, _ in runs.values() for v in m.sim.engine.alive)
+    assert sum(sim.node(v).demotions for sim, _, _ in runs.values() for v in sim.engine.alive)
 
 
 def test_spec_message_that_nothing_sends_fails_coverage(runs):
@@ -140,7 +253,7 @@ def test_launched_tag_missing_from_the_spec_fails():
     spec = _spec(lambda raw: raw["payloads"].pop("probe"))
     missing = "'probe' is not in the spec"
     with _sim("steady") as sim, pytest.raises(ContractViolation, match=missing):
-        ContractMonitor(sim, spec).run(ROUNDS)
+        run_audited(sim, ROUNDS, spec=spec)
 
 
 # ----------------------------------------------------------------------
@@ -192,7 +305,7 @@ def test_narrowed_token_producer_phases_fail():
     spec = _spec(lambda raw: raw["messages"]["TokenMsg"].update(producer_phases=["new"]))
     narrowed = "sent `TokenMsg` in phase established"
     with _sim("churned") as sim, pytest.raises(ContractViolation, match=narrowed):
-        ContractMonitor(sim, spec).run(ROUNDS)
+        run_audited(sim, ROUNDS, spec=spec)
 
 
 def test_hop_row_past_final_step_fails(monkeypatch):
@@ -204,18 +317,17 @@ def test_hop_row_past_final_step_fails(monkeypatch):
     monkeypatch.setattr(node_mod, "launch_chunks", overshooting)
     overshot = "at step 7 with final_step 6"
     with _sim("steady") as sim, pytest.raises(ContractViolation, match=overshot):
-        ContractMonitor(sim).run(2)
+        run_audited(sim, 2)
 
 
 def test_decreasing_epoch_fails():
     with _sim("steady") as sim:
-        monitor = ContractMonitor(sim)
-        monitor.run(AFTER_CUTOVER)
+        auditor = run_audited(sim, AFTER_CUTOVER)
         node = sim.node(0)
         assert node.epoch == 7
         node.epoch = 6
         with pytest.raises(ContractViolation, match="epoch 7 -> 6; an epoch changes only"):
-            monitor.run(1)
+            run_audited(sim, 1, auditor)
 
 
 def test_cutover_that_neither_installs_nor_demotes_fails(monkeypatch):
@@ -229,7 +341,7 @@ def test_cutover_that_neither_installs_nor_demotes_fails(monkeypatch):
     with _sim("steady") as sim, pytest.raises(
         ContractViolation, match="node 0 is established in epoch 0 .* must cut over or demote"
     ):
-        ContractMonitor(sim).run(AFTER_CUTOVER)
+        run_audited(sim, AFTER_CUTOVER)
 
 
 def test_phase_change_after_prepare_fails(monkeypatch):
@@ -243,13 +355,13 @@ def test_phase_change_after_prepare_fails(monkeypatch):
     monkeypatch.setattr(node_mod.MaintenanceNode, "_act", demoting)
     changed = "round 3: node 0 phase established -> fresh after the prepare stage"
     with _sim("steady") as sim, pytest.raises(ContractViolation, match=changed):
-        ContractMonitor(sim).run(4)
+        run_audited(sim, 4)
 
 
 def test_longer_token_ttl_fails(monkeypatch):
     monkeypatch.setattr(node_mod, "TOKEN_TTL", 5)
     with _sim("steady") as sim, pytest.raises(ContractViolation, match="pools token of"):
-        ContractMonitor(sim).run(ROUNDS)
+        run_audited(sim, ROUNDS)
 
 
 # ----------------------------------------------------------------------
@@ -276,30 +388,28 @@ def _hand(adversary, payload) -> None:
 def test_stored_views_keep_the_wall():
     adversary = Hoarder()
     with MaintenanceSimulation(PARAMS, adversary) as sim:
-        ContractMonitor(sim).run(4)
+        run_audited(sim, 4)
     assert len(adversary.kept) == 4
 
 
 def test_alias_leak_is_flagged_at_the_next_round_end():
     adversary = Hoarder()
     with MaintenanceSimulation(PARAMS, adversary) as sim:
-        monitor = ContractMonitor(sim)
-        monitor.run(2)
+        auditor = run_audited(sim, 2)
         snap = sim.engine.trace
         adversary.snap = snap
         leak = r"round 2: .* adversary\.snap -> engine\.trace"
         with pytest.raises(ContractViolation, match=leak):
-            monitor.run(1)
+            run_audited(sim, 1, auditor)
 
 
 def test_helper_leak_is_flagged_at_the_next_round_end():
     adversary = Hoarder()
     with MaintenanceSimulation(PARAMS, adversary) as sim:
-        monitor = ContractMonitor(sim)
-        monitor.run(2)
+        auditor = run_audited(sim, 2)
         _hand(adversary, sim.engine.network)
         with pytest.raises(ContractViolation, match=r"adversary\.kept\[2\] -> engine\.network"):
-            monitor.run(1)
+            run_audited(sim, 1, auditor)
 
 
 @pytest.mark.parametrize(
@@ -351,9 +461,7 @@ def test_every_shipped_adversary_keeps_the_wall(kind):
     params = ProtocolParams.calibrated(24, seed=5, alpha=0.25, kappa=1.25)
     with MaintenanceSimulation(params, strict_budget=False) as sim:
         sim.engine.adversary = _shipped(kind, params, sim.services.position_hash)
-        for _ in range(40):
-            sim.engine.run_round()
-            assert adversary_reach(sim.engine) == []
+        run_audited(sim, 40)  # the wall clause, with every other clause, each round
         # Every attack but the content-late one (which waits for readable
         # JOIN payloads) has spent budget by then.
         churned = sum(r.decision.churn_count for r in sim.engine.reports)
@@ -390,7 +498,7 @@ def test_minimal_spec_defaults():
     spec = ProtocolSpec.from_dict(MINIMAL)
     (ping,) = spec.messages
     assert ping.kind == "message" and ping.dispatched
-    assert ping.producer_phases == ping.consumer_phases == PHASES  # null -> all phases
+    assert ping.producer_phases == ping.consumer_phases == LIFECYCLE_PHASES  # null -> all
     assert spec.message("Ping") is ping and spec.message("Nope") is None
     assert spec.payloads == spec.message_modules == ()
 

@@ -154,13 +154,14 @@ def test_exchange_stats_lifecycle() -> None:
     assert retained.rounds >= 6  # snapshot survives worker teardown
 
 
-def test_health_monitoring_rejects_sharding() -> None:
-    """HealthMonitor would force a gather per round; the combination is an
+def test_auditor_rejects_sharding() -> None:
+    """The auditor would force a gather per round; the combination is an
     explicit error rather than a silent 10x slowdown."""
     from repro.config import ProtocolParams
     from repro.core.runner import MaintenanceSimulation
-    from repro.faults.health import HealthMonitor
+    from repro.sim.audit import Auditor
 
     params = ProtocolParams.calibrated(16, seed=1)
-    with pytest.raises(ValueError, match="workers=1"):
-        MaintenanceSimulation(params, health=HealthMonitor(params), workers=2)
+    with MaintenanceSimulation(params, workers=2) as sim:
+        with pytest.raises(ValueError, match="workers=1"):
+            sim.engine.attach(Auditor())

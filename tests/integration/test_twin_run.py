@@ -20,6 +20,7 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -29,10 +30,9 @@ from repro.adversary import RandomChurnAdversary
 from repro.config import ProtocolParams
 from repro.core.runner import MaintenanceSimulation
 
-from .contract import SPEC_PATH
 from .simfp import round_snapshot, sim_fingerprint
 
-REPO_ROOT = SPEC_PATH.parent
+REPO_ROOT = Path(__file__).resolve().parents[2]
 PYTHONPATH = os.pathsep.join([str(REPO_ROOT / "src"), str(REPO_ROOT)])
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from repro.config import ProtocolParams
 from repro.overlay.positions import PositionIndex
@@ -99,3 +100,23 @@ class TestAuditGoodness:
         ]
         assert stats.min_size <= min(probe_sizes)
         assert stats.max_size >= max(probe_sizes)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        positions=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=64),
+        n=st.sampled_from([40, 128]),
+    )
+    @example(positions=[0.0, 0.15], n=128)  # 0 + r == 0.15 - r: a closed cell of one point
+    def test_default_centers_attain_the_exact_extremes(self, positions, n):
+        """Against an independent oracle: a fine grid, every breakpoint and
+        the points just either side of it, counted by brute force."""
+        params = ProtocolParams.calibrated(n)
+        pos, radius, eps = np.array(positions), params.swarm_radius, 1e-10
+        breaks = np.unique(np.concatenate([pos - radius, pos + radius]) % 1.0)
+        assume(np.diff(breaks, append=breaks[0] + 1.0).min() > 1e-8)
+        grid = np.arange(2048) / 2048
+        points = np.concatenate([grid, breaks, (breaks - eps) % 1, (breaks + eps) % 1])
+        gap = np.abs(points[:, None] - pos[None, :])
+        sizes = (np.minimum(gap, 1.0 - gap) <= radius).sum(axis=1)
+        stats = audit_goodness(PositionIndex(dict(enumerate(positions))), params)
+        assert (stats.min_size, stats.max_size) == (sizes.min(), sizes.max())

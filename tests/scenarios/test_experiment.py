@@ -32,6 +32,7 @@ def _record(**overrides):
         "connects": {"max_in_round": 2, "received": 100, "dropped": 0, "bound": 6},
         "established_fraction": 1.0,
         "recovery": {"events": 0},
+        "violations": 0,
         "faults_injected": 0,
         "churn_events": 0,
     }
@@ -63,6 +64,7 @@ BREACHES = [
     ({"recovery": {"events": 1}}, False, True),
     ({"churn_events": 2}, False, True),
     ({"faults_injected": 1}, False, True),
+    ({"violations": 1}, False, False),
 ]
 
 
@@ -74,7 +76,8 @@ class TestCellCriterion:
         record = _record(**breach)
         assert cell_ok(QUIET, record) is quiet_ok
         assert cell_ok(CHURNED, record) is churned_ok
-        assert cell_ok(LOSSY, record) is bool(record["faults_injected"] or record["churn_events"])
+        fired = record["faults_injected"] or record["churn_events"]
+        assert cell_ok(LOSSY, record) is bool(fired and not record["violations"])
 
     def test_quiet_cell_is_judged_by_the_paper_thresholds(self):
         quiet = replace(QUIET, rounds=24)

@@ -37,6 +37,7 @@ class TestCalmCell:
         assert calm_cell["probes"]["delivery_rate"] == 1.0
         assert calm_cell["established_fraction"] >= 0.95
         assert calm_cell["recovery"]["events"] == 0
+        assert calm_cell["violations"] == 0
         assert calm_cell["faults_injected"] == 0
         assert calm_cell["churn_events"] == 0
 
@@ -190,6 +191,7 @@ class TestReportSchema:
             (("connects", "bound"), None, "connects.bound"),
             (("connects", "dropped"), 10**6, "dropped exceeds"),
             (("probes", "origin_left"), -1, "origin_left"),
+            (("violations",), 0.0, "violations"),
         ],
     )
     def test_v2_fields_range_checked(self, calm_cell, path, value, match):

@@ -1,4 +1,5 @@
-"""Tests for the HealthMonitor's invariant audits, using toy protocols."""
+"""The auditor's degradation audits and their summaries, on toy protocols
+(no lifecycle, so no contract clause fires: see test_protocol_contract.py)."""
 
 from __future__ import annotations
 
@@ -7,9 +8,9 @@ import pytest
 from repro.analysis.connectivity import components
 from repro.config import ProtocolParams
 from repro.core.runner import MaintenanceSimulation
-from repro.faults.health import DegradationEvent, HealthMonitor
 from repro.scenarios.registry import get_scenario
 from repro.scenarios.spec import build_adversary, build_params, materialize_plan
+from repro.sim.audit import Auditor, Verdict
 from repro.sim.engine import Engine, NodeContext, NodeProtocol
 
 
@@ -72,40 +73,41 @@ class OverlayStub(NodeProtocol):
 
 def run_monitored(protocol_cls, rounds=3, n=16):
     params = ProtocolParams(n=n, seed=1, alpha=0.25)
-    monitor = HealthMonitor(params)
+    monitor = Auditor()
     eng = Engine(params, lambda v, s: protocol_cls(v, s), observers=[monitor])
     eng.seed_nodes(range(n))
     reports = eng.run(rounds)
+    assert monitor.violations == []
     return monitor, reports
 
 
 class TestConnectivityAudit:
     def test_connected_graph_no_events(self):
         monitor, _ = run_monitored(RingProtocol)
-        assert monitor.events == []
+        assert monitor.verdicts == []
         assert monitor.first_degradation_round is None
 
     def test_split_graph_reports_disconnected(self):
         monitor, reports = run_monitored(TwoIslandsProtocol)
-        kinds = {e.kind for e in monitor.events}
+        kinds = {e.kind for e in monitor.verdicts}
         assert kinds == {"disconnected"}
-        assert all(e.severity == "critical" for e in monitor.events)
+        assert all(e.severity == "critical" for e in monitor.verdicts)
         assert monitor.first_degradation_round == 0
-        # An event carries the round whose end raised it.
-        assert monitor.events[0].round == reports[0].round
+        # A verdict carries the round whose end raised it.
+        assert monitor.verdicts[0].round == reports[0].round
 
     def test_silent_window_is_not_a_partition(self):
         monitor, _ = run_monitored(SilentProtocol)
-        assert monitor.events == []
+        assert monitor.verdicts == []
 
 
-def reference_connectivity(engine: Engine, t: int) -> list[DegradationEvent]:
+def reference_connectivity(engine: Engine, t: int) -> list[Verdict]:
     """The connectivity audit as a walk over every copy of two rounds — the
     oracle the column queries of ``_audit_connectivity`` must reproduce."""
     mature = {
         v
         for v in engine.alive
-        if t - engine.lifecycle.joined_round(v) >= HealthMonitor.MATURITY_AGE
+        if t - engine.lifecycle.joined_round(v) >= Auditor.MATURITY_AGE
     }
     if len(mature) < 2:
         return []
@@ -120,17 +122,11 @@ def reference_connectivity(engine: Engine, t: int) -> list[DegradationEvent]:
     if not any_edges or len(comps) <= 1:
         return []
     sizes = sorted((len(c) for c in comps), reverse=True)
-    return [
-        DegradationEvent(
-            round=t,
-            kind="disconnected",
-            severity="critical",
-            detail=(
-                f"communication graph split into {len(comps)} components "
-                f"(sizes {sizes[:5]}{'...' if len(sizes) > 5 else ''})"
-            ),
-        )
-    ]
+    detail = (
+        f"communication graph split into {len(comps)} components "
+        f"(sizes {sizes[:5]}{'...' if len(sizes) > 5 else ''})"
+    )
+    return [Verdict(t, "disconnected", "critical", detail)]
 
 
 class TestConnectivityOracle:
@@ -140,7 +136,7 @@ class TestConnectivityOracle:
     )
     def test_toy_protocols_match_the_per_copy_reference(self, protocol_cls, degraded):
         params = ProtocolParams(n=16, seed=1, alpha=0.25)
-        monitor = HealthMonitor(params)
+        monitor = Auditor()
         eng = Engine(params, lambda v, s: protocol_cls(v, s))
         eng.seed_nodes(range(16))
         for t in range(3):
@@ -155,7 +151,7 @@ class TestConnectivityOracle:
         copy keeps its edge — so the masked pair set is compared as well."""
         scenario = get_scenario("churn-loss")
         params = build_params(scenario.n, 3)
-        monitor = HealthMonitor(params)
+        monitor = Auditor()
         with MaintenanceSimulation(
             params,
             build_adversary(scenario, params, 3),
@@ -189,34 +185,34 @@ class TestStructuralAudits:
 
     def test_healthy_overlay_no_events(self):
         monitor, _ = run_monitored(OverlayStub, rounds=2)
-        assert monitor.events == []
+        assert monitor.verdicts == []
 
     def test_one_sided_edge_reports_asymmetry(self):
         OverlayStub.broken_symmetry = True
         monitor, _ = run_monitored(OverlayStub, rounds=1)
         kinds = monitor.counts_by_kind()
         assert kinds.get("asymmetric-list") == 1
-        assert monitor.events[0].severity == "warn"
+        assert monitor.verdicts[0].severity == "warn"
 
     def test_one_way_debruijn_edge_is_not_owed_back(self):
         """At n=128, node n/2 sits in node 0's De Bruijn arc around 1/2, but
         0 lies in none of node n/2's arcs: that edge is owed one way only."""
         OverlayStub.broken_symmetry = True
         monitor, _ = run_monitored(OverlayStub, rounds=1, n=128)
-        assert monitor.events == []
+        assert monitor.verdicts == []
 
     def test_collapsed_positions_report_empty_swarms(self):
         OverlayStub.collapse_positions = True
         monitor, _ = run_monitored(OverlayStub, rounds=1)
         assert "empty-swarm" in monitor.counts_by_kind()
-        assert any(e.severity == "critical" for e in monitor.events)
+        assert any(e.severity == "critical" for e in monitor.verdicts)
 
     def test_observing_never_perturbs_the_run(self):
         params = ProtocolParams(n=16, seed=1, alpha=0.25)
         plain = Engine(params, lambda v, s: RingProtocol(v, s))
         plain.seed_nodes(range(16))
         watched = Engine(
-            params, lambda v, s: RingProtocol(v, s), observers=[HealthMonitor(params)]
+            params, lambda v, s: RingProtocol(v, s), observers=[Auditor()]
         )
         watched.seed_nodes(range(16))
         m0 = [r.metrics for r in plain.run(4)]
@@ -227,13 +223,13 @@ class TestStructuralAudits:
 class TestSummaries:
     def test_summary_shape(self):
         monitor, _ = run_monitored(TwoIslandsProtocol, rounds=2)
-        assert len(monitor.events) == 2
+        assert len(monitor.verdicts) == len(monitor.degradations) == 2
         assert monitor.first_degradation_round == 0
         assert monitor.counts_by_kind() == {"disconnected": 2}
 
     def test_empty_summary(self):
         monitor, _ = run_monitored(RingProtocol, rounds=1)
-        assert monitor.events == []
+        assert monitor.verdicts == []
         assert monitor.counts_by_kind() == {}
         assert monitor.first_degradation_round is None
         assert monitor.degraded_round_fraction == 0.0
@@ -253,25 +249,25 @@ class TestSummaries:
 
     def test_time_to_recover_counts_clean_tail(self):
         params = ProtocolParams(n=16, seed=1, alpha=0.25)
-        monitor = HealthMonitor(params)
+        monitor = Auditor()
         eng = Engine(params, lambda v, s: RingProtocol(v, s), observers=[monitor])
         eng.seed_nodes(range(16))
         eng.run(4)
-        # Inject a synthetic event at round 1 and re-derive the recovery time.
-        from repro.faults.health import DegradationEvent
-
-        monitor.events.append(
-            DegradationEvent(
-                round=1, kind="disconnected", severity="critical", detail="x"
-            )
+        # Inject a synthetic degradation at round 1 and re-derive the
+        # recovery time; a violation is no degradation and moves nothing.
+        monitor.verdicts.append(
+            Verdict(round=1, kind="disconnected", severity="critical", detail="x")
         )
+        monitor.verdicts.append(Verdict(round=2, kind="wall", severity="violation", detail="y"))
         assert monitor.time_to_recover == 2  # rounds 2..3 clean
+        assert monitor.counts_by_kind() == {"disconnected": 1}
+        assert [v.kind for v in monitor.violations] == ["wall"]
 
     def test_empty_alive_set_skipped(self):
         params = ProtocolParams(n=8, seed=1, alpha=0.25)
-        monitor = HealthMonitor(params)
+        monitor = Auditor()
         eng = Engine(params, lambda v, s: RingProtocol(v, s), observers=[monitor])
         eng.run(2)  # no nodes seeded: alive set is empty every round
-        assert monitor.events == []
+        assert monitor.verdicts == []
         assert monitor.rounds_observed == 0
         assert monitor.degraded_round_fraction == 0.0
