@@ -1,6 +1,12 @@
 """Adversaries: the (a,b)-late view, churn budget, and attack strategies."""
 
-from repro.adversary.base import Adversary, ChurnDecision, JoinRequest, NullAdversary
+from repro.adversary.base import (
+    Adversary,
+    ChurnDecision,
+    JoinRequest,
+    NullAdversary,
+    kill_and_replace,
+)
 from repro.adversary.budget import ChurnLedger, ChurnViolation
 from repro.adversary.composed import ComposedAdversary
 from repro.adversary.content_late import ContentLateAdversary
@@ -26,5 +32,6 @@ __all__ = [
     "LatenessViolation",
     "NullAdversary",
     "RandomChurnAdversary",
+    "kill_and_replace",
     "paced_schedule",
 ]

@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Collection
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
+    import numpy as np
+
     from repro.adversary.view import AdversaryView
 
-__all__ = ["JoinRequest", "ChurnDecision", "Adversary", "NullAdversary"]
+__all__ = ["JoinRequest", "ChurnDecision", "Adversary", "NullAdversary", "kill_and_replace"]
 
 
 @dataclass(frozen=True)
@@ -83,3 +85,25 @@ class NullAdversary(Adversary):
 
     def decide(self, view: "AdversaryView") -> ChurnDecision:
         return ChurnDecision.none()
+
+
+def kill_and_replace(
+    view: "AdversaryView",
+    rng: "np.random.Generator",
+    kills: Collection[int],
+    exclude: Collection[int] | None = None,
+) -> ChurnDecision:
+    """``kills`` leave and as many fresh nodes join, one per bootstrap.
+
+    The bootstraps are distinct (a join fan-in of 1), at least 2 rounds old
+    and outside ``exclude`` (default: ``kills``); one ``rng.choice`` draws
+    them from the eligible ids in ascending order, and the new ids count up
+    from ``view.fresh_id()``.  Too few bootstraps means no decision at all.
+    """
+    boots = sorted(view.eligible_bootstraps() - set(kills if exclude is None else exclude))
+    if len(boots) < len(kills):
+        return ChurnDecision.none()
+    picked = rng.choice(boots, size=len(kills), replace=False)
+    base = view.fresh_id()
+    joins = tuple(JoinRequest(base + i, int(w)) for i, w in enumerate(picked))
+    return ChurnDecision(leaves=frozenset(kills), joins=joins)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.adversary.base import Adversary, ChurnDecision, JoinRequest
+from repro.adversary.base import Adversary, ChurnDecision, kill_and_replace
 from repro.adversary.view import AdversaryView
 from repro.config import ProtocolParams
 from repro.util.rngs import PositionHash
@@ -94,13 +94,9 @@ class ContentLateAdversary(Adversary):
             <= self.params.swarm_radius
         ]
         budget = view.budget_remaining or 0
-        boots = sorted(view.eligible_bootstraps() - set(members))
-        kill_count = min(len(members), budget // 2, len(boots))
+        spare = len(view.eligible_bootstraps() - set(members))
+        kill_count = min(len(members), budget // 2, spare)
         if kill_count < max(2, len(members) // 2):
             return ChurnDecision.none()  # not enough budget to matter yet
-        kills = frozenset(sorted(members)[:kill_count])
-        picked = self.rng.choice(boots, size=kill_count, replace=False)
-        base = view.fresh_id()
-        joins = tuple(JoinRequest(base + i, int(w)) for i, w in enumerate(picked))
         self.wipes.append((t, e, kill_count))
-        return ChurnDecision(leaves=kills, joins=joins)
+        return kill_and_replace(view, self.rng, sorted(members)[:kill_count], exclude=members)

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from repro.adversary.base import Adversary, ChurnDecision, JoinRequest
+from repro.adversary.base import Adversary, ChurnDecision, kill_and_replace
 from repro.adversary.view import AdversaryView
 from repro.config import ProtocolParams
 
@@ -68,19 +68,8 @@ class RandomChurnAdversary(Adversary):
         if view.budget_remaining is not None and view.budget_remaining < 2 * self.pairs:
             return ChurnDecision.none()
         eligible_leave = sorted(view.alive)
-        eligible_boot = sorted(view.eligible_bootstraps())
-        if len(eligible_leave) <= self.pairs or not eligible_boot:
+        if len(eligible_leave) <= self.pairs or not view.eligible_bootstraps():
             return ChurnDecision.none()
         self._fired_at = t
         victims = self.rng.choice(eligible_leave, size=self.pairs, replace=False)
-        leaves = frozenset(int(v) for v in victims)
-        joins = []
-        next_id = view.fresh_id()
-        boots = [w for w in eligible_boot if w not in leaves]
-        if len(boots) < self.pairs:
-            return ChurnDecision.none()
-        # Distinct bootstraps keep the per-node join fan-in at 1.
-        picked = self.rng.choice(boots, size=self.pairs, replace=False)
-        for i, w in enumerate(picked):
-            joins.append(JoinRequest(next_id + i, int(w)))
-        return ChurnDecision(leaves=leaves, joins=tuple(joins))
+        return kill_and_replace(view, self.rng, frozenset(int(v) for v in victims))

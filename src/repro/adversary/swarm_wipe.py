@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.adversary.base import Adversary, ChurnDecision, JoinRequest
+from repro.adversary.base import Adversary, ChurnDecision, kill_and_replace
 from repro.adversary.view import AdversaryView
 from repro.config import ProtocolParams
 
@@ -57,20 +57,13 @@ class _PairedKillAdversary(Adversary):
         kill_count = min(len(victims), budget // 2)
         if kill_count == 0:
             return ChurnDecision.none()
-        kills = set(sorted(victims)[:kill_count])
-        boots = sorted(view.eligible_bootstraps() - kills)
-        if len(boots) < kill_count:
-            return ChurnDecision.none()
-        picked = self.rng.choice(boots, size=kill_count, replace=False)
-        base = view.fresh_id()
-        joins = tuple(JoinRequest(base + i, int(w)) for i, w in enumerate(picked))
-        return ChurnDecision(leaves=frozenset(kills), joins=joins)
+        return kill_and_replace(view, self.rng, sorted(victims)[:kill_count])
 
 
 class ContactTraceAdversary(_PairedKillAdversary):
     """Churn out everyone seen talking to the victim ``a`` rounds ago."""
 
-    def __init__(self, params: ProtocolParams, victim: int, seed: int = 0, **kw) -> None:
+    def __init__(self, params: ProtocolParams, victim: int = 0, seed: int = 0, **kw) -> None:
         super().__init__(params, seed, **kw)
         self.victim = victim
 

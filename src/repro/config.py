@@ -51,9 +51,10 @@ class ProtocolParams:
     """All constants of the model and algorithms; see module docstring.
 
     The defaults follow Section 5: ``alpha = 1/16``, ``kappa = 1 + 1/16``.
-    ``delta`` and ``tau`` default to ``Theta(log n)`` scalings calibrated by
-    the ablation experiment (E-AB in DESIGN.md); pass explicit values to
-    override.
+    ``delta`` and ``tau`` default to the ``Theta(log n)`` scalings of
+    :attr:`delta_eff` and :attr:`tau_eff`, fixed conventions that no
+    experiment calibrates (E-AB sweeps only ``r`` and ``c``; one law for
+    them is open, ROADMAP item 19); pass explicit values to override.
     """
 
     n: int
@@ -93,7 +94,9 @@ class ProtocolParams:
     @classmethod
     def calibrated(cls, n: int, *, seed: int = 0, **overrides: Any) -> "ProtocolParams":
         """The small-``n`` constants of every experiment, scenario, example and
-        benchmark (set by the E-AB sweeps); ``overrides`` replace any field."""
+        benchmark; ``overrides`` replace any field.  ``c`` and ``r`` are the
+        values the E-AB sweeps support; ``delta = 3`` and ``tau = 8`` are
+        fixed constants at every ``n``, awaiting one law (ROADMAP item 19)."""
         fields: dict[str, Any] = dict(c=1.2, r=2, delta=3, tau=8, seed=seed)
         fields.update(overrides)
         return cls(n=n, **fields)

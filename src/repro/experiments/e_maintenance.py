@@ -25,15 +25,15 @@ from repro.experiments.registry import ExperimentResult, register
 from repro.overlay.positions import PositionIndex
 from repro.overlay.swarm import audit_goodness
 from repro.scenarios.runner import cell_ok, run_matrix, run_scenario_cell
-from repro.scenarios.spec import AdversarySpec, ChurnSpec, Scenario, build_params
+from repro.scenarios.spec import AdversarySpec, Scenario, build_params
 
 __all__ = ["run_lemma17", "run_lemma22", "run_theorem14", "theorem14_scenario"]
 
-#: E-T14's budget-maximal 2-late strategies as (churn, attack) axes.
-ADVERSARIES: dict[str, tuple[ChurnSpec, AdversarySpec]] = {
-    "random": (ChurnSpec("random"), AdversarySpec()),
-    "contact-trace": (ChurnSpec(), AdversarySpec("contact-trace", victim=0)),
-    "degree-target": (ChurnSpec(), AdversarySpec("degree-target", top=6)),
+#: E-T14's budget-maximal 2-late strategies.
+ADVERSARIES: dict[str, AdversarySpec] = {
+    "random": AdversarySpec("random"),
+    "contact-trace": AdversarySpec("contact-trace", victim=0),
+    "degree-target": AdversarySpec("degree-target", top=6),
 }
 
 
@@ -43,12 +43,10 @@ def theorem14_scenario(kind: str, n: int) -> Scenario:
     It runs three dilations plus 12 rounds past bootstrap (73 rounds in all
     at n=40), room for both probe waves to land.
     """
-    churn, attack = ADVERSARIES[kind]
     return Scenario(
         name=f"t14-{kind}-n{n}",
         description=f"E-T14 cell: {kind} adversary at n={n}",
-        churn=churn,
-        attack=attack,
+        adversaries=(ADVERSARIES[kind],),
         rounds=3 * build_params(n, 0).dilation + 12,
         n=n,
     )

@@ -1,11 +1,12 @@
-"""Named adversity scenarios: conditions x churn x adversary, reproducibly.
+"""Named adversity scenarios: network conditions x adversaries, reproducibly.
 
 The scenario subsystem turns "how does the overlay degrade and recover
 under loss-30%+delay-50 while the adversary cuts the ring?" into one named,
 frozen, JSON-serializable experiment:
 
-* :mod:`repro.scenarios.spec` — the :class:`Scenario` dataclass and its
-  builders (params, materialized plan, composed adversary);
+* :mod:`repro.scenarios.spec` — the :class:`Scenario` dataclass (a fault
+  plan, a list of registered adversaries, a duration) and its builders
+  (params, materialized plan, composed adversary);
 * :mod:`repro.scenarios.registry` — the named matrix (``calm`` through
   ``churn-loss``) and its quick-run cut;
 * :mod:`repro.scenarios.runner` — pool-parallel, worker-count-invariant
@@ -25,8 +26,8 @@ from repro.scenarios.report import (
 )
 from repro.scenarios.runner import PROBES_PER_WAVE, cell_ok, run_matrix, run_scenario_cell
 from repro.scenarios.spec import (
+    ADVERSARY_KINDS,
     AdversarySpec,
-    ChurnSpec,
     Scenario,
     build_adversary,
     build_params,
@@ -38,8 +39,8 @@ __all__ = [
     "ROW_HEADER",
     "SCENARIOS",
     "SCHEMA",
+    "ADVERSARY_KINDS",
     "AdversarySpec",
-    "ChurnSpec",
     "Scenario",
     "all_scenarios",
     "build_adversary",

@@ -1,11 +1,12 @@
 """The named scenario matrix.
 
-Each entry composes network conditions, churn and a targeted attack into a
-:class:`~repro.scenarios.spec.Scenario`.  Windows are relative to round 0 =
-end of bootstrap; durations leave a recovery tail after the fault windows
-close so time-to-recover is measurable.  The registry is data, not code —
+Each entry composes network conditions and a list of adversaries (background
+churn, a targeted attack) into a :class:`~repro.scenarios.spec.Scenario`.
+Windows are relative to round 0 = end of bootstrap; durations leave a
+recovery tail after the fault windows close so time-to-recover is
+measurable.  The registry is data, not code —
 ``repro scenario --list`` prints it, the E-SC experiment samples it, and
-scenario records embed the exact JSON of the entry they ran.
+scenario records embed the exact fault-plan JSON of the run.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from repro.faults.plan import (
     RateCap,
     RingPartition,
 )
-from repro.scenarios.spec import AdversarySpec, ChurnSpec, Scenario
+from repro.scenarios.spec import AdversarySpec, Scenario
 
 __all__ = ["SCENARIOS", "get_scenario", "all_scenarios", "shortened"]
 
@@ -61,13 +62,13 @@ _ENTRIES = (
         name="flash-crowd",
         description="Full-budget churn while every uplink is rate-capped.",
         plan=FaultPlan(ratecaps=(RateCap(limit=12, defer_rounds=1, start=4, end=24),)),
-        churn=ChurnSpec(kind="random", intensity=1.0),
+        adversaries=(AdversarySpec("random", intensity=1.0),),
     ),
     Scenario(
         name="ring-cut-adversary",
         description="A quarter-ring partition while the adversary kills hubs.",
         plan=FaultPlan(partitions=(RingPartition(lo=0.25, hi=0.5, start=6, end=14),)),
-        attack=AdversarySpec(kind="degree-target", top=4),
+        adversaries=(AdversarySpec("degree-target", top=4),),
     ),
     Scenario(
         name="rolling-partition",
@@ -103,7 +104,7 @@ _ENTRIES = (
         name="churn-loss",
         description="Sustained random churn at 80% budget under 20% loss.",
         plan=FaultPlan(messages=(MessageFaults(drop_p=0.20, start=2, end=26),)),
-        churn=ChurnSpec(kind="random", intensity=0.8),
+        adversaries=(AdversarySpec("random", intensity=0.8),),
     ),
 )
 

@@ -1,7 +1,7 @@
 """Scenario execution — one cell per ``(scenario, seed)``, pool-parallel.
 
-A cell builds the scenario's simulation (plan shifted past bootstrap, churn
-and attack composed into one adversary, an :class:`~repro.sim.audit.Auditor`
+A cell builds the scenario's simulation (plan shifted past bootstrap, the
+adversary list composed into one adversary, an :class:`~repro.sim.audit.Auditor`
 attached), runs it round by round, launches up to two probe waves and
 condenses the outcome into a plain-data record: routing stretch percentiles,
 the contract violations, the recovery metrics (time to first degradation,
@@ -43,8 +43,7 @@ def _percentile(values: list[float], p: float) -> float:
 
 
 def _adverse(scenario: Scenario) -> bool:
-    kinds = (scenario.churn.kind, scenario.attack.kind)
-    return not scenario.plan.is_trivial or kinds != ("none", "none")
+    return not scenario.plan.is_trivial or bool(scenario.adversaries)
 
 
 def _probe_waves(

@@ -1,9 +1,9 @@
 """Scenario specifications — named adversity, frozen as data.
 
-A :class:`Scenario` composes the three independent stress axes of a run —
-an environmental :class:`~repro.faults.plan.FaultPlan`, a background churn
-schedule (:class:`ChurnSpec`) and a targeted attack (:class:`AdversarySpec`)
-— plus a duration, into one frozen, JSON-serializable record.  Scenarios
+A :class:`Scenario` composes the independent stress axes of a run — an
+environmental :class:`~repro.faults.plan.FaultPlan` and a list of registered
+adversaries (:class:`AdversarySpec`: background churn, targeted attacks) —
+plus a duration, into one frozen, JSON-serializable record.  Scenarios
 are *templates*: their fault windows are expressed relative to round 0 =
 "end of bootstrap" (``ProtocolParams.bootstrap_rounds`` depends only on
 ``n``, so the anchor is known before the run), and :func:`materialize_plan`
@@ -15,7 +15,7 @@ the identical run, bit for bit, on any worker count.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping, NamedTuple
 
 from repro.adversary.base import Adversary
 from repro.adversary.composed import ComposedAdversary
@@ -25,7 +25,7 @@ from repro.config import ProtocolParams
 from repro.faults.plan import FaultPlan
 
 __all__ = [
-    "ChurnSpec",
+    "ADVERSARY_KINDS",
     "AdversarySpec",
     "Scenario",
     "build_params",
@@ -33,69 +33,64 @@ __all__ = [
     "build_adversary",
 ]
 
-#: Valid background-churn kinds.
-CHURN_KINDS = ("none", "random")
 
-#: Valid targeted-attack kinds.
-ATTACK_KINDS = ("none", "degree-target", "contact-trace")
+class _Kind(NamedTuple):
+    """A registered adversary: its class, its seed offset from the run seed,
+    and the only keywords a spec may set (the class defaults fill the rest)."""
 
-
-@dataclass(frozen=True)
-class ChurnSpec:
-    """Background churn workload: uniform random leave+join pairs."""
-
-    kind: str = "none"
-    intensity: float = 1.0  # fraction of the churn budget to use
-
-    def __post_init__(self) -> None:
-        if self.kind not in CHURN_KINDS:
-            raise ValueError(f"churn kind must be one of {CHURN_KINDS}, got {self.kind!r}")
-        if not 0.0 < self.intensity <= 1.0:
-            raise ValueError(f"intensity must be in (0, 1], got {self.intensity}")
-
-    def to_json(self) -> dict[str, Any]:
-        return {"kind": self.kind, "intensity": self.intensity}
-
-    @staticmethod
-    def from_json(doc: Mapping[str, Any]) -> "ChurnSpec":
-        unknown = set(doc) - {"kind", "intensity"}
-        if unknown:
-            raise ValueError(f"churn spec has unknown fields {sorted(unknown)}")
-        return ChurnSpec(**dict(doc))
+    cls: Callable[..., Adversary]
+    seed_offset: int
+    keywords: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+#: The adversaries a scenario may name.
+ADVERSARY_KINDS: dict[str, _Kind] = {
+    "random": _Kind(RandomChurnAdversary, 1, ("intensity",)),
+    "degree-target": _Kind(DegreeTargetAdversary, 2, ("top",)),
+    "contact-trace": _Kind(ContactTraceAdversary, 2, ("victim",)),
+}
+
+#: Each settable keyword's valid range: (test, what it says).
+_RANGES: dict[str, tuple[Callable[[Any], bool], str]] = {
+    "intensity": (lambda x: 0.0 < x <= 1.0, "in (0, 1]"),  # fraction of the churn budget
+    "top": (lambda x: x >= 1, ">= 1"),  # degree-target: how many hubs to chase
+    "victim": (lambda x: x >= 0, ">= 0"),  # contact-trace: the traced node
+}
+
+
+@dataclass(frozen=True, init=False)
 class AdversarySpec:
-    """Targeted attack choice (the strategies of :mod:`repro.adversary`)."""
+    """One registered adversary: a kind of :data:`ADVERSARY_KINDS` plus the
+    keywords it sets, e.g. ``AdversarySpec("degree-target", top=4)``."""
 
-    kind: str = "none"
-    top: int = 8  # degree-target: how many hubs to chase
-    victim: int = 0  # contact-trace: the traced node
+    kind: str
+    keywords: tuple[tuple[str, Any], ...]
 
-    def __post_init__(self) -> None:
-        if self.kind not in ATTACK_KINDS:
-            raise ValueError(
-                f"attack kind must be one of {ATTACK_KINDS}, got {self.kind!r}"
-            )
-        if self.top < 1:
-            raise ValueError(f"top must be >= 1, got {self.top}")
-        if self.victim < 0:
-            raise ValueError(f"victim must be >= 0, got {self.victim}")
+    def __init__(self, kind: str, **keywords: Any) -> None:
+        row = ADVERSARY_KINDS.get(kind)
+        if row is None:
+            raise ValueError(f"unknown adversary kind {kind!r}, known: {sorted(ADVERSARY_KINDS)}")
+        for key, value in keywords.items():
+            if key not in row.keywords:
+                raise ValueError(f"{kind} adversary takes only {row.keywords}, got {key!r}")
+            valid, expected = _RANGES[key]
+            if not valid(value):
+                raise ValueError(f"{key} must be {expected}, got {value!r}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "keywords", tuple(sorted(keywords.items())))
 
     def to_json(self) -> dict[str, Any]:
-        return {"kind": self.kind, "top": self.top, "victim": self.victim}
+        return {"kind": self.kind, **dict(self.keywords)}
 
     @staticmethod
     def from_json(doc: Mapping[str, Any]) -> "AdversarySpec":
-        unknown = set(doc) - {"kind", "top", "victim"}
-        if unknown:
-            raise ValueError(f"adversary spec has unknown fields {sorted(unknown)}")
-        return AdversarySpec(**dict(doc))
+        keywords = dict(doc)
+        return AdversarySpec(keywords.pop("kind", None), **keywords)
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """One named adversity template: environment x churn x attack x duration.
+    """One named adversity template: environment x adversaries x duration.
 
     ``plan`` windows are relative (round 0 = end of bootstrap); ``rounds``
     counts post-bootstrap rounds.  ``n`` sizes the network — every derived
@@ -105,8 +100,7 @@ class Scenario:
     name: str
     description: str
     plan: FaultPlan = FaultPlan.none()
-    churn: ChurnSpec = ChurnSpec()
-    attack: AdversarySpec = AdversarySpec()
+    adversaries: tuple[AdversarySpec, ...] = ()
     rounds: int = 36
     n: int = 40
 
@@ -123,15 +117,14 @@ class Scenario:
             "name": self.name,
             "description": self.description,
             "plan": self.plan.to_json(),
-            "churn": self.churn.to_json(),
-            "attack": self.attack.to_json(),
+            "adversaries": [spec.to_json() for spec in self.adversaries],
             "rounds": self.rounds,
             "n": self.n,
         }
 
     @staticmethod
     def from_json(doc: Mapping[str, Any]) -> "Scenario":
-        known = {"name", "description", "plan", "churn", "attack", "rounds", "n"}
+        known = {"name", "description", "plan", "adversaries", "rounds", "n"}
         unknown = set(doc) - known
         if unknown:
             raise ValueError(f"scenario has unknown fields {sorted(unknown)}")
@@ -139,8 +132,7 @@ class Scenario:
             name=str(doc["name"]),
             description=str(doc.get("description", "")),
             plan=FaultPlan.from_json(doc.get("plan", {})),
-            churn=ChurnSpec.from_json(doc.get("churn", {})),
-            attack=AdversarySpec.from_json(doc.get("attack", {})),
+            adversaries=tuple(map(AdversarySpec.from_json, doc.get("adversaries", ()))),
             rounds=int(doc.get("rounds", 36)),
             n=int(doc.get("n", 40)),
         )
@@ -167,20 +159,11 @@ def materialize_plan(
 def build_adversary(
     scenario: Scenario, params: ProtocolParams, seed: int
 ) -> Adversary | None:
-    """The scenario's churn + attack, composed into one engine adversary."""
-    children: list[Adversary] = []
-    if scenario.churn.kind == "random":
-        children.append(
-            RandomChurnAdversary(params, seed=seed + 1, intensity=scenario.churn.intensity)
-        )
-    if scenario.attack.kind == "degree-target":
-        children.append(DegreeTargetAdversary(params, seed=seed + 2, top=scenario.attack.top))
-    elif scenario.attack.kind == "contact-trace":
-        children.append(
-            ContactTraceAdversary(params, victim=scenario.attack.victim, seed=seed + 2)
-        )
+    """The scenario's adversaries as one engine adversary, composed in list order."""
+    children = []
+    for spec in scenario.adversaries:
+        row = ADVERSARY_KINDS[spec.kind]
+        children.append(row.cls(params, seed=seed + row.seed_offset, **dict(spec.keywords)))
     if not children:
         return None
-    if len(children) == 1:
-        return children[0]
-    return ComposedAdversary(*children)
+    return children[0] if len(children) == 1 else ComposedAdversary(*children)

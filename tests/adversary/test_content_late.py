@@ -43,6 +43,12 @@ def make_adv(params, b):
     )
 
 
+def swarm_members(adv, params, e):
+    """The nodes of the target point's swarm in ``D_e``."""
+    gaps = {v: abs(adv._hash.position(v, e) - adv.target_point) for v in range(params.n)}
+    return {v for v, gap in gaps.items() if min(gap, 1 - gap) <= params.swarm_radius}
+
+
 class TestReadableEpochs:
     def test_newest_readable_epoch_formula(self, params):
         lam = params.lam
@@ -87,11 +93,7 @@ class TestDecisions:
         adv = make_adv(params, b=2 * lam)
         t = 60
         d = adv.decide(make_view(params, t))
-        e = adv.wipes[-1][1]
-        for v in d.leaves:
-            p = adv._hash.position(v, e)
-            gap = abs(p - adv.target_point)
-            assert min(gap, 1 - gap) <= params.swarm_radius
+        assert d.leaves <= swarm_members(adv, params, adv.wipes[-1][1])
 
     def test_respects_budget(self, params):
         lam = params.lam
@@ -104,3 +106,13 @@ class TestDecisions:
         adv = make_adv(params, b=2 * lam)
         d = adv.decide(make_view(params, t=60))
         assert len(d.joins) == len(d.leaves)
+
+    def test_replacements_join_outside_the_swarm(self, params):
+        """A short supply of bootstraps spares part of the swarm; no
+        replacement joins through a swarm member, spared ones included."""
+        lam = params.lam
+        adv = make_adv(params, b=2 * lam)
+        d = adv.decide(make_view(params, t=60))
+        members = swarm_members(adv, params, adv.wipes[-1][1])
+        assert d.leaves < members
+        assert not {j.bootstrap_id for j in d.joins} & members

@@ -127,7 +127,7 @@ class TestExperimentWiring:
         # of a dilation plus 6 rounds past bootstrap.
         scenario = chaos_scenario((0.15, 0.0, 0.0), n=40)
         assert scenario.name == "chaos-d0.15-y0-s0"
-        assert scenario.churn.kind == scenario.attack.kind == "none"
+        assert scenario.adversaries == ()
         assert scenario.rounds == 2 * 6 + 2 + 6  # lam = 6 at n=40
 
     def test_near_equal_probabilities_are_distinct_cells(self):

@@ -10,7 +10,7 @@ from repro.experiments import get_experiment
 from repro.experiments.e_scenarios import QUICK_NAMES, run_scenarios_experiment
 from repro.faults.plan import FaultPlan
 from repro.scenarios.runner import cell_ok, run_scenario_cell
-from repro.scenarios.spec import ChurnSpec, Scenario
+from repro.scenarios.spec import AdversarySpec, Scenario
 
 
 class TestESC:
@@ -45,7 +45,7 @@ def _record(**overrides):
 
 
 QUIET = Scenario(name="quiet", description="no adversity, not named calm", n=24)
-CHURNED = Scenario(name="churned", description="d", churn=ChurnSpec("random"), n=24)
+CHURNED = Scenario(name="churned", description="d", adversaries=(AdversarySpec("random"),), n=24)
 LOSSY = Scenario(name="lossy", description="d", plan=FaultPlan.simple(drop_p=0.2), n=24)
 
 #: One threshold breached at a time: (breach, quiet verdict, churned verdict).

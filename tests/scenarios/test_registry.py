@@ -18,8 +18,7 @@ class TestRegistry:
     def test_calm_is_the_baseline(self):
         calm = get_scenario("calm")
         assert calm.plan.is_trivial
-        assert calm.churn.kind == "none"
-        assert calm.attack.kind == "none"
+        assert calm.adversaries == ()
 
     def test_every_scenario_round_trips_through_json(self):
         for s in all_scenarios():

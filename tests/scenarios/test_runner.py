@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +12,7 @@ from repro.experiments.e_chaos import chaos_scenario
 from repro.scenarios.registry import get_scenario, shortened
 from repro.scenarios.report import SCHEMA, scenario_report, validate_scenario_report
 from repro.scenarios.runner import _percentile, _probe_waves, run_matrix, run_scenario_cell
-from repro.scenarios.spec import ChurnSpec, Scenario, build_params
+from repro.scenarios.spec import AdversarySpec, Scenario, build_params
 
 
 def cell(name, seed=0):
@@ -22,6 +23,11 @@ def cell(name, seed=0):
 @pytest.fixture(scope="module")
 def calm_cell():
     return cell("calm")
+
+
+@pytest.fixture(scope="module")
+def storm_cell():
+    return cell("stall-storm")
 
 
 class TestPercentile:
@@ -76,6 +82,9 @@ class TestPinnedFingerprints:
     def test_flash_crowd(self):
         assert cell("flash-crowd")["fingerprint"] == "c788c416eec1dfb5c8397879d6226b7d"
 
+    def test_ring_cut_adversary(self):
+        assert cell("ring-cut-adversary")["fingerprint"] == "12ed0adfb238c176b0858bb247e7edd5"
+
 
 class TestProbeWaves:
     """At n=40: bootstrap 19 rounds, dilation 14."""
@@ -93,7 +102,9 @@ class TestProbeWaves:
         assert _probe_waves(calm, self.params, 100, close=None) == [21]
 
     def test_adversity_without_a_close_waits_a_dilation(self):
-        churned = Scenario(name="c", description="d", churn=ChurnSpec("random"))
+        churned = Scenario(
+            name="c", description="d", adversaries=(AdversarySpec("random"),)
+        )
         assert _probe_waves(churned, self.params, 60, close=None) == [21, 37]
         assert _probe_waves(churned, self.params, 52, close=None) == [21, 37]
         assert _probe_waves(churned, self.params, 51, close=None) == [21]
@@ -103,7 +114,7 @@ class TestProbeWaves:
         churned = Scenario(
             name="churned",
             description="d",
-            churn=ChurnSpec("random"),
+            adversaries=(AdversarySpec("random"),),
             rounds=2 * params.dilation + 6,
             n=24,
         )
@@ -115,14 +126,13 @@ class TestProbeWaves:
 
 
 class TestFaultyCell:
-    def test_fault_window_and_metrics(self):
-        storm = cell("stall-storm")
-        open_, close = storm["fault_window"]
+    def test_fault_window_and_metrics(self, storm_cell):
+        open_, close = storm_cell["fault_window"]
         assert open_ is not None and close is not None and close > open_
-        assert storm["faults_injected"] > 0
+        assert storm_cell["faults_injected"] > 0
 
-    def test_seed_changes_schedule(self):
-        assert cell("stall-storm", 0)["fingerprint"] != cell("stall-storm", 1)["fingerprint"]
+    def test_seed_changes_schedule(self, storm_cell):
+        assert storm_cell["fingerprint"] != cell("stall-storm", 1)["fingerprint"]
 
 
 class TestWorkerInvariance:
@@ -159,6 +169,16 @@ class TestReportSchema:
         report = scenario_report([calm_cell])
         validate_scenario_report(report)
         json.dumps(report)
+
+    def test_experiments_md_sample_is_a_real_cell(self, storm_cell):
+        """EXPERIMENTS.md's sample cell validates and is the stall-storm
+        quick seed-0 cell it claims to be."""
+        text = (Path(__file__).resolve().parents[2] / "EXPERIMENTS.md").read_text()
+        block = text.split("```json\n", 1)[1].split("```", 1)[0]
+        sample = json.loads(block)
+        validate_scenario_report(scenario_report([sample]))
+        assert SCHEMA in text
+        assert sample == json.loads(json.dumps(storm_cell))
 
     def test_wrong_schema_tag(self, calm_cell):
         report = scenario_report([calm_cell])
