@@ -27,9 +27,10 @@ def main() -> None:
 
     print("=== Figure 1, in ASCII: one LDS node's neighbourhood arcs ===")
     print(render_node_anatomy(graph, v, width=72))
+    listed = graph.index.ids_within(graph.index.position(v), params.list_radius)
     print(
         f"\n  degree of node {v}: {graph.degree(v)} "
-        f"({len(graph.list_neighbors(v))} list + {len(graph.db_neighbors(v))} De Bruijn)"
+        f"({listed.size - 1} in its list arc, the rest in its De Bruijn arcs only)"
     )
 
     print("\n=== The Chord-swarm transfer: same node, finger arcs ===")

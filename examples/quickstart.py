@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.config import ProtocolParams
-from repro.overlay.lds import LDSGraph
+from repro.overlay.lds import LDSGraph, required_neighbor_arcs
 from repro.routing.series import SeriesRouter
 
 
@@ -35,11 +35,13 @@ def main() -> None:
     print(f"  nodes: {len(graph)}, edges: {graph.edge_count()}")
     print(f"  degree min/mean/max: {dmin}/{dmean:.1f}/{dmax}  (Theta(log n))")
     v = int(graph.node_ids[0])
-    print(f"  node {v} @ {graph.index.position(v):.4f}")
-    print(f"    list neighbours: {len(graph.list_neighbors(v))}")
-    print(f"    De Bruijn neighbours: {len(graph.db_neighbors(v))}")
-    ok = graph.check_swarm_property(rng.random(10))
-    print(f"  swarm property (Lemma 6) holds at 10 random points: {ok}")
+    p = graph.index.position(v)
+    print(f"  node {v} @ {p:.4f}: {graph.degree(v)} neighbours, in the arcs")
+    for name, arc in zip(("list", "De Bruijn p/2", "De Bruijn (p+1)/2"),
+                         required_neighbor_arcs(p, params)):
+        print(f"    {name:>17}: {graph.index.ids_in_arc(arc).size} nodes")
+    bad = graph.swarm_violations(rng.random(10))
+    print(f"  swarm property (Lemma 6) holds at 10 random points: {bad == 0}")
 
     # ------------------------------------------------------------------
     # 2. Routing on a reconfiguring routable series.

@@ -346,8 +346,8 @@ class HopPlan:
         # whether the delivery can touch the holder at all — a record-class
         # row always does, a rank-tested token only at the matching rank,
         # and on even rounds neither unless the holder sits in the target
-        # swarm.  Both predicates are rng-free and bit-identical to the
-        # scalar checks inside ``_deliver``.
+        # swarm.  Both predicates are rng-free; ``hit`` is A_SAMPLING's rank
+        # rule on the maintained path, and ``_deliver`` sees only its rows.
         fi = np.flatnonzero(fin)
         frow = arow[fi]
         fnode = anode[fi]

@@ -30,8 +30,10 @@ routed ``JOIN`` carrying the position for epoch ``s + lam + 2``:
   hops (forwarding outputs) are handed over to the next overlay's swarms
   using ``H``; initial multicasts of newly launched messages; matchmaking
   CreateBatches; final deliveries (hops at step ``lam+1``) are consumed —
-  probes are recorded, tokens pass the A_SAMPLING rank test and are then
-  kept or forwarded to a random slot-registered fresh node.
+  probes are recorded, and a token reaches only the member of its target
+  swarm at its sample rank (A_SAMPLING's rank rule, applied once, by the
+  forwarding plan: :class:`~repro.core.forwarding.HopPlan`), which keeps it
+  or forwards it to a random slot-registered fresh node.
 
 **Stages.**  A round runs over all of the engine's nodes at once
 (:meth:`MaintenanceNode.on_rounds`; ``on_round`` is the batch of one):
@@ -802,12 +804,8 @@ class MaintenanceNode(NodeProtocol):
             self.delivered.append((payload, ctx.round))
             return
         if tag == "token":
-            # A_SAMPLING rank rule: only the node at rank Delta accepts.
-            if msg.sample_rank is None:
-                return
-            rank = self._my_rank(msg.target)
-            if rank is None or rank != msg.sample_rank:
-                return
+            # Only the swarm member at rank Delta gets here: the A_SAMPLING
+            # rank rule is the forwarding plan's ``hit`` test.
             self.sampled_tokens_seen += 1
             owner = payload[1]
             # Step 3 of token distribution: keep or forward to a random slot.
@@ -823,8 +821,3 @@ class MaintenanceNode(NodeProtocol):
             return
         # Unknown payloads are recorded for diagnosis.
         self.delivered.append((payload, ctx.round))
-
-    def _my_rank(self, point: float) -> int | None:
-        # O(1) via the index's lazy slot map — same value as the documented
-        # ``ids_within_list(point, rho).index(self.id)`` rank rule.
-        return self._d_members().rank_within(point, self._swarm_radius, self.id)

@@ -51,19 +51,8 @@ def run_estimation(quick: bool = True, seed: int = 17) -> ExperimentResult:
         # it — the slack column is the protocol answer.
         def swarm_property(params_used) -> bool:
             graph = LDSGraph(index, params_used)
-            for p in rng.random(10 if quick else 25):
-                members = index.ids_within(float(p), base.swarm_radius)
-                for branch in (0, 1):
-                    q = (float(p) + branch) / 2.0
-                    target = set(
-                        int(w) for w in index.ids_within(q % 1.0, base.swarm_radius)
-                    )
-                    for v in members:
-                        nbrs = set(int(w) for w in graph.neighbors(int(v)))
-                        nbrs.add(int(v))
-                        if not target <= nbrs:
-                            return False
-            return True
+            points = rng.random(10 if quick else 25)
+            return graph.swarm_violations(points, base.swarm_radius) == 0
 
         no_slack_ok = swarm_property(params_from_estimate(base, est, safety=1.0))
         slack_ok = swarm_property(derived)

@@ -17,28 +17,9 @@ from repro.config import ProtocolParams
 from repro.experiments.registry import ExperimentResult, register
 from repro.overlay.lds import LDSGraph
 from repro.overlay.trajectory import crossing_counts
-from repro.util.intervals import Arc, wrap
+from repro.util.intervals import Arc
 
 __all__ = ["run_lemma6", "run_lemma12"]
-
-
-def _violations(graph: LDSGraph, points: np.ndarray, db_scale: float) -> int:
-    """Count swarm-property violations with the DB radius scaled."""
-    params = graph.params
-    scaled = params.with_updates(c=params.c * db_scale)
-    edges = graph if db_scale == 1.0 else LDSGraph(graph.index, scaled)
-    bad = 0
-    for p in points:
-        members = graph.swarm(float(p))
-        for branch in (0, 1):
-            target = set(int(w) for w in graph.swarm(wrap((float(p) + branch) / 2.0)))
-            for v in members:
-                nbrs = set(int(w) for w in edges.neighbors(int(v)))
-                nbrs.add(int(v))
-                if not target <= nbrs:
-                    bad += 1
-                    break
-    return bad
 
 
 @register("E-L6")
@@ -52,13 +33,17 @@ def run_lemma6(quick: bool = True, seed: int = 0) -> ExperimentResult:
     rng = np.random.default_rng(seed)
     for n in sizes:
         params = ProtocolParams(n=n, seed=seed)
+        # Edges at a quarter of Definition 5's radii, held to the true swarms.
+        shrunk = params.with_updates(c=params.c * 0.25)
         good_bad = 0
         shrunk_bad = 0
         for i in range(instances):
             graph = LDSGraph.random(params, rng)
             points = rng.random(points_per)
-            good_bad += _violations(graph, points, 1.0)
-            shrunk_bad += _violations(graph, points, 0.25)
+            good_bad += graph.swarm_violations(points)
+            shrunk_bad += LDSGraph(graph.index, shrunk).swarm_violations(
+                points, params.swarm_radius
+            )
         passed = passed and good_bad == 0 and shrunk_bad > 0
         rows.append([n, instances, instances * points_per, good_bad, shrunk_bad])
     return ExperimentResult(

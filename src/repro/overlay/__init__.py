@@ -18,7 +18,14 @@ from repro.overlay.lds import (
 )
 from repro.overlay.ldg import LDGGraph
 from repro.overlay.positions import PositionIndex
-from repro.overlay.swarm import SwarmStats, audit_goodness, swarm_arc, swarm_members, swarm_sizes
+from repro.overlay.swarm import (
+    SwarmStats,
+    audit_goodness,
+    swarm_arc,
+    swarm_members,
+    swarm_sizes,
+    swarm_violations,
+)
 from repro.overlay.trajectory import (
     crossing_counts,
     max_step_error,
@@ -51,6 +58,7 @@ __all__ = [
     "swarm_arc",
     "swarm_members",
     "swarm_sizes",
+    "swarm_violations",
     "trajectories",
     "trajectory",
     "trajectory_bits",

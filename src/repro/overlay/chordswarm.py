@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.config import ProtocolParams
 from repro.overlay.positions import PositionIndex
-from repro.overlay.swarm import swarm_members
+from repro.overlay.swarm import swarm_members, swarm_violations
 from repro.util.bits import address_of, point_of
 from repro.util.intervals import Arc, wrap
 
@@ -101,11 +101,6 @@ class ChordSwarmGraph:
     # Neighbourhoods
     # ------------------------------------------------------------------
 
-    def list_neighbors(self, v: int) -> np.ndarray:
-        p = self.index.position(v)
-        ids = self.index.ids_within(p, self.params.list_radius)
-        return ids[ids != v]
-
     def finger_neighbors(self, v: int) -> np.ndarray:
         p = self.index.position(v)
         parts = [
@@ -115,9 +110,11 @@ class ChordSwarmGraph:
         return merged[merged != v]
 
     def neighbors(self, v: int) -> np.ndarray:
+        """The list arc around ``v`` plus its finger arcs, as sorted ids."""
         cached = self._neighbors.get(v)
         if cached is None:
-            cached = np.union1d(self.list_neighbors(v), self.finger_neighbors(v))
+            listed = self.index.ids_within(self.index.position(v), self.params.list_radius)
+            cached = np.union1d(listed[listed != v], self.finger_neighbors(v))
             self._neighbors[v] = cached
         return cached
 
@@ -139,14 +136,14 @@ class ChordSwarmGraph:
 
     def check_finger_property(self, points: np.ndarray) -> bool:
         """The Chord analogue of Lemma 6: S(p) is adjacent to S(p + 2^-i)."""
-        params = self.params
-        for p in points:
-            members = self.swarm(float(p))
-            for i in range(1, params.lam + 1):
-                target = set(int(w) for w in self.swarm(wrap(float(p) + 2.0**-i)))
-                for v in members:
-                    nbrs = set(int(w) for w in self.neighbors(int(v)))
-                    nbrs.add(int(v))
-                    if not target <= nbrs:
-                        return False
-        return True
+        lam = self.params.lam
+        return (
+            swarm_violations(
+                self.index,
+                self.neighbors,
+                points,
+                lambda p: (wrap(p + 2.0**-i) for i in range(1, lam + 1)),
+                self.params.swarm_radius,
+            )
+            == 0
+        )

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.config import ProtocolParams
 from repro.overlay.positions import PositionIndex
-from repro.overlay.swarm import swarm_members
+from repro.overlay.swarm import swarm_members, swarm_violations
 from repro.util.intervals import Arc, wrap, wrap_array
 
 __all__ = [
@@ -88,7 +88,7 @@ def neighbor_arc_slots(
     ``p/2`` and ``(p+1)/2`` — the :func:`required_neighbor_arcs` order —
     each arc in ring order from its counter-clockwise end, every slot once at
     its first occurrence; ``owner`` is ascending.  Slot for slot, point ``i``
-    lists ``dict.fromkeys`` of the three ``ids_within_list`` windows.  Every
+    lists ``dict.fromkeys`` of the three ``ids_within`` windows.  Every
     arc is a ring segment ``(start, length)``; the segments expand to one
     flat slot column.
     """
@@ -122,20 +122,16 @@ class LDSGraph:
     """An LDS snapshot: positions plus the implied edge sets.
 
     Edges are directed "knows the id of" relations per the paper's model;
-    list edges are symmetric by construction, De Bruijn edges are not.
-    Neighbour sets are computed lazily and cached; :meth:`prime` fills every
-    node's cache in one vectorised sorted-array sweep (two batched
-    ``searchsorted`` calls per radius instead of two per node) — audits and
-    whole-graph statistics use it so no per-node binary searches remain.
+    list edges are symmetric by construction, De Bruijn edges are not.  The
+    graph is a view over one :func:`neighbor_arc_slots` pass over its index,
+    made on first use: a CSR whose row ``i`` holds the sorted ids of the
+    node in sorted slot ``i``'s three Definition-5 arcs, minus the node.
     """
 
     def __init__(self, index: PositionIndex, params: ProtocolParams) -> None:
         self.index = index
         self.params = params
-        self._neighbors: dict[int, np.ndarray] = {}
-        self._list_neighbors: dict[int, np.ndarray] = {}
-        self._db_neighbors: dict[int, np.ndarray] = {}
-        self._primed = False
+        self._csr: tuple[np.ndarray, np.ndarray] | None = None
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -161,82 +157,35 @@ class LDSGraph:
     # Neighbourhoods
     # ------------------------------------------------------------------
 
-    def list_neighbors(self, v: int) -> np.ndarray:
-        """Ids within the list radius of ``v`` (excluding ``v`` itself)."""
-        cached = self._list_neighbors.get(v)
-        if cached is None:
-            p = self.index.position(v)
-            ids = self.index.ids_within(p, self.params.list_radius)
-            cached = ids[ids != v]
-            self._list_neighbors[v] = cached
-        return cached
-
-    def db_neighbors(self, v: int) -> np.ndarray:
-        """Ids within the De Bruijn radius of ``v/2`` or ``(v+1)/2``."""
-        cached = self._db_neighbors.get(v)
-        if cached is None:
-            p = self.index.position(v)
-            rho = self.params.debruijn_radius
-            a = self.index.ids_within(wrap(p / 2.0), rho)
-            b = self.index.ids_within(wrap((p + 1.0) / 2.0), rho)
-            merged = np.union1d(a, b)
-            cached = merged[merged != v]
-            self._db_neighbors[v] = cached
-        return cached
+    def _adjacency(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(indptr, ids)``: the neighbour CSR, rows in sorted-slot order."""
+        csr = self._csr
+        if csr is None:
+            index = self.index
+            n = len(index)
+            pos = index.sorted_positions
+            radii = (self.params.list_radius, self.params.debruijn_radius)
+            # The kernel's scratch is points x n entries: a large ring goes
+            # in blocks of points (one block up to n = 2048).
+            block = max(1, (1 << 22) // max(n, 1))
+            starts = range(0, max(n, 1), block)
+            parts = [neighbor_arc_slots(index, pos[lo : lo + block], *radii) for lo in starts]
+            owner = np.concatenate([o + lo for (o, _), lo in zip(parts, starts)])
+            slot = np.concatenate([s for _, s in parts])
+            other = slot != owner  # a node's own slot is in its list arc
+            owner = owner[other]
+            ids = index.ids[slot[other]]
+            ids = ids[np.lexsort((ids, owner))]  # owner is already ascending
+            indptr = np.zeros(len(index) + 1, dtype=np.intp)
+            np.cumsum(np.bincount(owner, minlength=len(index)), out=indptr[1:])
+            csr = self._csr = (indptr, ids)
+        return csr
 
     def neighbors(self, v: int) -> np.ndarray:
-        """All out-neighbours of ``v`` (list plus De Bruijn, deduplicated)."""
-        cached = self._neighbors.get(v)
-        if cached is None:
-            cached = np.union1d(self.list_neighbors(v), self.db_neighbors(v))
-            self._neighbors[v] = cached
-        return cached
-
-    def _window(self, a: int, b: int, wrapped: bool) -> np.ndarray:
-        ids = self.index.ids
-        if not wrapped:
-            return ids[a:b]
-        return np.concatenate([ids[a:], ids[:b]])
-
-    def prime(self) -> None:
-        """Bulk warm-up: fill all three neighbour caches in one sweep."""
-        if self._primed:
-            return
-        self._primed = True
-        index = self.index
-        ids = index.ids
-        pos = index.sorted_positions
-        n = ids.size
-        if n == 0:
-            return
-        params = self.params
-        rho_l = params.list_radius
-        rho_db = params.debruijn_radius
-        full = ids  # position order, as ids_within returns for radius >= 0.5
-        if rho_l < 0.5:
-            la, lb, lw = index.bounds_many(pos, rho_l)
-        if rho_db < 0.5:
-            centers = arc_centers(pos)
-            d0a, d0b, d0w = index.bounds_many(centers[:, 1], rho_db)
-            d1a, d1b, d1w = index.bounds_many(centers[:, 2], rho_db)
-        list_cache = self._list_neighbors
-        db_cache = self._db_neighbors
-        nbr_cache = self._neighbors
-        for i in range(n):
-            v = int(ids[i])
-            lst = full if rho_l >= 0.5 else self._window(la[i], lb[i], lw[i])
-            lst = lst[lst != v]
-            if rho_db >= 0.5:
-                merged = np.union1d(full, full)
-            else:
-                merged = np.union1d(
-                    self._window(d0a[i], d0b[i], d0w[i]),
-                    self._window(d1a[i], d1b[i], d1w[i]),
-                )
-            db = merged[merged != v]
-            list_cache[v] = lst
-            db_cache[v] = db
-            nbr_cache[v] = np.union1d(lst, db)
+        """All out-neighbours of ``v`` (list plus De Bruijn), as sorted ids."""
+        indptr, ids = self._adjacency()
+        i = self.index.slot_map[v]
+        return ids[indptr[i] : indptr[i + 1]]
 
     def swarm(self, p: float) -> np.ndarray:
         """Ids of ``S(p)`` in this snapshot."""
@@ -246,47 +195,37 @@ class LDSGraph:
         return int(self.neighbors(v).size)
 
     def degree_stats(self) -> tuple[int, float, int]:
-        """(min, mean, max) out-degree over all nodes (primes the caches)."""
+        """(min, mean, max) out-degree over all nodes."""
         if len(self.index) == 0:
             return (0, 0.0, 0)
-        self.prime()
-        degs = np.fromiter(
-            (nbrs.size for nbrs in self._neighbors.values()),
-            dtype=np.int64,
-            count=len(self._neighbors),
-        )
+        degs = np.diff(self._adjacency()[0])
         return (int(degs.min()), float(np.mean(degs)), int(degs.max()))
 
     def edge_count(self) -> int:
-        """Number of directed edges (primes the caches)."""
-        self.prime()
-        return int(sum(nbrs.size for nbrs in self._neighbors.values()))
+        """Number of directed edges."""
+        return int(self._adjacency()[0][-1])
 
     # ------------------------------------------------------------------
     # Audits
     # ------------------------------------------------------------------
 
-    def check_swarm_property(self, points: Iterable[float]) -> bool:
-        """Empirically verify Lemma 6 at the given points.
+    def swarm_violations(self, points: Iterable[float], swarm_radius: float | None = None) -> int:
+        """Lemma 6 at the given points: how many (point, branch) pairs fail.
 
-        For each point ``p``: every node of ``S(p)`` must have an edge to
-        every node of ``S(p/2)`` and of ``S((p+1)/2)`` (itself counting as
-        trivially reached).  Membership tests run as one ``np.isin`` per
-        node instead of rebuilding Python sets.
+        For each point ``p`` and branch ``q`` in ``(p/2, (p+1)/2)``, every
+        node of ``S(p)`` must have an edge to every node of ``S(q)`` (itself
+        counting as trivially reached).  Swarms take ``swarm_radius``
+        (default: this graph's own), so edges drawn at other radii can be
+        held to the true swarms.  Zero means the Swarm Property holds.
         """
-        self.prime()
-        for p in points:
-            members = self.swarm(p)
-            for branch in (0, 1):
-                target = self.swarm(wrap((p + branch) / 2.0))
-                if target.size == 0:
-                    continue
-                for v in members:
-                    v = int(v)
-                    covered = np.isin(target, self.neighbors(v)) | (target == v)
-                    if not covered.all():
-                        return False
-        return True
+        radius = self.params.swarm_radius if swarm_radius is None else swarm_radius
+        return swarm_violations(
+            self.index,
+            self.neighbors,
+            points,
+            lambda p: (wrap(p / 2.0), wrap((p + 1.0) / 2.0)),
+            radius,
+        )
 
     def audit_claimed_adjacency(
         self, claimed: Mapping[int, AbstractSetLike]
@@ -297,13 +236,14 @@ class LDSGraph:
         everywhere means the claimed overlay covers the LDS).  Used to audit
         overlays built by the maintenance algorithm against ground truth.
         """
-        self.prime()
+        indptr, ids = self._adjacency()
+        rows = np.split(ids, indptr[1:-1])
         missing: dict[int, set[int]] = {}
-        for v in self.node_ids.tolist():
+        for v, required in zip(self.index.ids_list, rows):
             have = claimed.get(v, ())
             if not isinstance(have, (set, frozenset, dict)):
                 have = {int(w) for w in have}
-            gap = {w for w in self.neighbors(v).tolist() if w not in have}
+            gap = {w for w in required.tolist() if w not in have}
             if gap:
                 missing[v] = gap
         return missing

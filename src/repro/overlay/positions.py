@@ -8,10 +8,13 @@ vectorised idiom recommended by the HPC guides (no Python-level scans).
 All range queries funnel through one piece of window arithmetic — the arc
 endpoints of :meth:`_bounds` (scalar) and :func:`_arc_ends_many` (arrays,
 behind :meth:`arcs_many` and :meth:`bounds_many`) — so the endpoint and
-float-wrap semantics cannot drift apart between ``ids_within``,
-``count_within`` and the arc variants.  The endpoints are exact: a point is
-inside the window iff ``ring_distance(p, center) <= radius`` as computed in
-floats.  ``center ± radius`` rounds, and where it wraps past 1 it rounds at
+float-wrap semantics cannot drift apart between ``ids_within``, the arc
+variants and the batched window users, each the one home of its rule: swarm
+counts (:func:`~repro.overlay.swarm.swarm_sizes`), the LDS neighbourhoods
+(:func:`~repro.overlay.lds.neighbor_arc_slots`) and A_SAMPLING's rank test
+(:class:`~repro.core.forwarding.HopPlan`).  The endpoints are exact: a point
+is inside the window iff ``ring_distance(p, center) <= radius`` as computed
+in floats.  ``center ± radius`` rounds, and where it wraps past 1 it rounds at
 the magnitude of 1 — ``ids_within([0.25], 1 - 2**-53, 0.25)`` used to return
 the point at distance ``0.25 + 2**-53`` — so each rounded endpoint is
 started from the closed form of the predicate's boundary where that is
@@ -235,22 +238,19 @@ class PositionIndex:
             self._by_id = by_id
         return by_id
 
-    def _slots(self) -> dict[int, int]:
-        """The lazy id -> sorted-array-slot dict (for O(1) rank queries)."""
+    @property
+    def slot_map(self) -> dict[int, int]:
+        """The lazy id -> sorted-array-slot dict (do not mutate).
+
+        Slot ``i`` means ``ids_list[i]``: a member's rank in a window that
+        starts at slot ``a`` is its slot minus ``a`` (wrap-adjusted) —
+        A_SAMPLING's rank rule, as the forwarding plan applies it.
+        """
         slots = self._slot_by_id
         if slots is None:
             slots = {v: i for i, v in enumerate(self.ids_list)}
             self._slot_by_id = slots
         return slots
-
-    @property
-    def slot_map(self) -> dict[int, int]:
-        """The lazy id -> sorted-array-slot dict (do not mutate).
-
-        Slot ``i`` means ``ids_list[i]``; hot paths use it to excise one
-        known member from a window slice without scanning for it.
-        """
-        return self._slots()
 
     @property
     def ids(self) -> np.ndarray:
@@ -264,12 +264,8 @@ class PositionIndex:
 
     @property
     def ids_list(self) -> list[int]:
-        """Node ids sorted by position, as a cached plain-``int`` list.
-
-        Batched hot paths slice this list directly (list slices beat ndarray
-        slice + ``tolist`` for the tiny windows a swarm lookup returns).
-        Do not mutate.
-        """
+        """Node ids sorted by position, as a cached plain-``int`` list (do
+        not mutate): Python-level walks over the whole index use it."""
         cached = self._ids_list
         if cached is None:
             cached = self._ids.tolist()
@@ -390,59 +386,6 @@ class PositionIndex:
         if not wrapped:
             return ids[a:b]
         return np.concatenate([ids[a:], ids[:b]])
-
-    def ids_within_list(self, center: float, radius: float) -> list[int]:
-        """:meth:`ids_within` as a plain-``int`` list (shared, do not mutate).
-
-        Slices the cached :attr:`ids_list` — for the tiny windows swarm
-        queries return, list slicing plus C-level ``list.index`` beats the
-        ndarray round-trip.  Same content and order as :meth:`ids_within`.
-        """
-        ids = self.ids_list
-        if radius >= 0.5:
-            return ids
-        a, b, wrapped = self._bounds(center, radius)
-        if not wrapped:
-            return ids[a:b]
-        return ids[a:] + ids[:b]
-
-    def count_within(self, center: float, radius: float) -> int:
-        """Number of nodes within distance ``radius`` of ``center``.
-
-        Shares :meth:`_bounds` with :meth:`ids_within` (including the
-        ``lo >= 1.0`` float-wrap guard) so count and ids can never disagree
-        at arc boundaries.
-        """
-        if radius >= 0.5:
-            return self._ids.size
-        a, b, wrapped = self._bounds(center, radius)
-        if not wrapped:
-            return int(b - a)
-        return int(self._ids.size - a + b)
-
-    def rank_within(self, center: float, radius: float, node_id: int) -> int | None:
-        """Rank of ``node_id`` in the arc's position ordering, or ``None``.
-
-        Equivalent to ``ids_within_list(center, radius).index(node_id)``
-        (``None`` when absent) but O(1) after the lazy slot map exists: the
-        window is a contiguous run of the sorted array, so a member's rank
-        is its sorted slot minus the window start (wrap-adjusted).  The
-        A_SAMPLING delivery rule calls this once per arriving token.
-        """
-        slot = self._slots().get(node_id)
-        if slot is None:
-            return None
-        n = self._ids.size
-        if radius >= 0.5:
-            return slot
-        a, b, wrapped = self._bounds(center, radius)
-        if not wrapped:
-            return slot - a if a <= slot < b else None
-        if slot >= a:
-            return slot - a
-        if slot < b:
-            return n - a + slot
-        return None
 
     def ids_in_arc(self, arc: Arc) -> np.ndarray:
         """Ids inside the arc ordered by ring position starting at the arc's

@@ -10,7 +10,7 @@ of its members survive into the next round (Definition 8).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, Callable
+from typing import AbstractSet, Callable, Iterable
 
 import numpy as np
 
@@ -18,7 +18,14 @@ from repro.config import ProtocolParams
 from repro.overlay.positions import PositionIndex
 from repro.util.intervals import Arc
 
-__all__ = ["swarm_arc", "swarm_members", "swarm_sizes", "SwarmStats", "audit_goodness"]
+__all__ = [
+    "swarm_arc",
+    "swarm_members",
+    "swarm_sizes",
+    "swarm_violations",
+    "SwarmStats",
+    "audit_goodness",
+]
 
 
 def swarm_arc(p: float, params: ProtocolParams) -> Arc:
@@ -33,18 +40,64 @@ def swarm_members(
     return index.ids_within(p, params.swarm_radius)
 
 
+def _window_counts(
+    index: PositionIndex, radius: float, centers: np.ndarray, weights: np.ndarray | None = None
+) -> np.ndarray:
+    """How many nodes lie within ``radius`` of each center or, given
+    ``weights`` (one row per sorted slot), the sum of their rows: one
+    :meth:`PositionIndex.bounds_many` pass over prefix sums.  The bounds are
+    ``ids_within``'s, so a count and the ids it counts never disagree at an
+    arc boundary."""
+    n = len(index)
+    if weights is None:
+        prefix = np.arange(n + 1, dtype=np.int64)
+    else:
+        prefix = np.zeros((n + 1, *weights.shape[1:]), dtype=np.int64)
+        np.cumsum(weights, axis=0, out=prefix[1:])
+    centers = np.asarray(centers, dtype=np.float64)
+    if radius >= 0.5:  # every window is the whole ring
+        return np.repeat(prefix[-1:], centers.size, axis=0)
+    a, b, wrapped = index.bounds_many(centers, radius)
+    counts = prefix[b] - prefix[a]
+    counts[wrapped] += prefix[-1]  # [a, n) plus [0, b)
+    return counts
+
+
 def swarm_sizes(index: PositionIndex, params: ProtocolParams, centers: np.ndarray) -> np.ndarray:
     """``|S(p)|`` for every ``p`` in ``centers`` under the given snapshot.
 
-    Counts with :meth:`PositionIndex.count_within`, the exact ring-distance
-    test ``min(d, 1 - d) <= c*lam/n`` that :func:`swarm_members` slices by.
+    The exact ring-distance test ``min(d, 1 - d) <= c*lam/n`` that
+    :func:`swarm_members` slices by, counted in one batched pass.
     """
-    radius = params.swarm_radius
-    return np.fromiter(
-        (index.count_within(float(p), radius) for p in centers),
-        dtype=np.int64,
-        count=len(centers),
-    )
+    return _window_counts(index, params.swarm_radius, centers)
+
+
+def swarm_violations(
+    index: PositionIndex,
+    neighbors: Callable[[int], np.ndarray],
+    points: Iterable[float],
+    branches: Callable[[float], Iterable[float]],
+    radius: float,
+) -> int:
+    """The swarm-property check (Lemma 6 and its Chord analogue), for any
+    overlay: how many (point, branch) pairs fail it.
+
+    A pair ``(p, q)``, for each ``q`` in ``branches(p)``, fails when some
+    member ``v`` of ``S(p)`` lacks an edge to a node of ``S(q)`` other than
+    itself; both swarms have radius ``radius``.  ``neighbors(v)`` returns
+    ``v``'s out-neighbours as a sorted id array.
+    """
+    bad = 0
+    for p in points:
+        members = index.ids_within(float(p), radius).tolist()
+        for q in branches(float(p)):
+            target = index.ids_within(q, radius)
+            for v in members:
+                missing = np.setdiff1d(target, neighbors(v), assume_unique=True)
+                if missing.size > (v in missing):
+                    bad += 1
+                    break
+    return bad
 
 
 @dataclass(frozen=True)
@@ -101,21 +154,18 @@ def audit_goodness(
         mids = (breaks + np.diff(breaks, append=breaks[0] + 1.0) / 2.0) % 1.0
         centers = np.concatenate([breaks, mids])
 
-    if survives is None:
-        is_good = None
-    elif callable(survives):
-        is_good = {int(i) for i in index.ids if survives(int(i))}
-    else:
-        is_good = {int(i) for i in index.ids if int(i) in survives}
-
-    sizes = swarm_sizes(index, params, centers)
     min_frac = 1.0
-    if is_good is not None:
-        for p, size in zip(centers, sizes.tolist()):
-            if size:
-                members = swarm_members(index, float(p), params)
-                good = sum(1 for m in members if int(m) in is_good)
-                min_frac = min(min_frac, good / size)
+    if survives is None:
+        sizes = swarm_sizes(index, params, centers)
+    else:
+        # Per sorted slot: (1, survives?) -- sizes and good counts in one pass.
+        test = survives if callable(survives) else survives.__contains__
+        slots = np.ones((len(index), 2), dtype=np.int64)
+        slots[:, 1] = np.fromiter((bool(test(v)) for v in index.ids_list), dtype=bool)
+        sizes, good = _window_counts(index, params.swarm_radius, centers, slots).T
+        held = sizes > 0
+        if held.any():
+            min_frac = float(np.min(good[held] / sizes[held]))
     count = len(centers)
     return SwarmStats(
         count=count,

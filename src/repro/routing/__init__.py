@@ -7,7 +7,7 @@ from repro.routing.messages import (
     launch_key,
     make_routed_message,
 )
-from repro.routing.sampling import draw_sample_rank, rank_in_swarm, sampling_recipient
+from repro.routing.sampling import draw_sample_rank, sampling_recipient
 from repro.routing.series import RoutingOutcome, SeriesRouter
 
 __all__ = [
@@ -20,6 +20,5 @@ __all__ = [
     "draw_sample_rank",
     "launch_key",
     "make_routed_message",
-    "rank_in_swarm",
     "sampling_recipient",
 ]

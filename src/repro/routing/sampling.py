@@ -15,6 +15,11 @@ message with the same probability ``E[|arc|]/R / ...`` — identical across
 nodes.  The discard probability is ``1 - E[|S(p)|]/R ≈ 1/2``.  (If a swarm
 ever exceeds ``R`` members — probability ``1/n^k`` — its tail ranks are
 unreachable; this is the usual w.h.p. slack.)
+
+The maintained protocol applies the rank rule in one place: the forwarding
+plan's ``hit`` test (:class:`repro.core.forwarding.HopPlan`) hands a final
+token copy to its holder only when the holder's rank in the window is
+``Delta``.  :func:`sampling_recipient` is the same rule for one window.
 """
 
 from __future__ import annotations
@@ -25,36 +30,12 @@ from repro.config import ProtocolParams
 from repro.overlay.positions import PositionIndex
 from repro.util.intervals import Arc
 
-__all__ = ["draw_sample_rank", "rank_in_swarm", "sampling_recipient"]
+__all__ = ["draw_sample_rank", "sampling_recipient"]
 
 
 def draw_sample_rank(rng: np.random.Generator, params: ProtocolParams) -> int:
     """A uniform rank offset ``Delta in [0, sampling_rank_range)``."""
     return int(rng.integers(0, params.sampling_rank_range))
-
-
-def rank_in_swarm(
-    index: PositionIndex,
-    p: float,
-    node_id: int,
-    params: ProtocolParams,
-    *,
-    radius: float | None = None,
-) -> int | None:
-    """Rank of ``node_id`` within ``S(p)`` (0-based, clockwise from arc start).
-
-    Returns ``None`` if the node is not in the swarm.  Ranks are computed over
-    the overlay's full membership (a node cannot know which neighbours were
-    churned this very round), which is exactly what preserves uniformity.
-    ``radius`` lets hot callers pass a precomputed swarm radius (the derived
-    ``params.swarm_radius`` recomputes ``lam`` on every access).
-    """
-    rho = params.swarm_radius if radius is None else radius
-    ordered = index.ids_within_list(p, rho)
-    try:
-        return ordered.index(node_id)
-    except ValueError:
-        return None
 
 
 def sampling_recipient(

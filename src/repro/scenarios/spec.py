@@ -159,11 +159,17 @@ def materialize_plan(
 def build_adversary(
     scenario: Scenario, params: ProtocolParams, seed: int
 ) -> Adversary | None:
-    """The scenario's adversaries as one engine adversary, composed in list order."""
+    """The scenario's adversaries as one engine adversary, composed in list order.
+
+    The spec at list position ``i`` is seeded ``seed + seed_offset + i * 2**32``:
+    two specs of one kind draw different streams, and every seed stays clear
+    of the small offsets other parts of a run add to ``seed``.
+    """
     children = []
-    for spec in scenario.adversaries:
+    for i, spec in enumerate(scenario.adversaries):
         row = ADVERSARY_KINDS[spec.kind]
-        children.append(row.cls(params, seed=seed + row.seed_offset, **dict(spec.keywords)))
+        child_seed = seed + row.seed_offset + (i << 32)
+        children.append(row.cls(params, seed=child_seed, **dict(spec.keywords)))
     if not children:
         return None
     return children[0] if len(children) == 1 else ComposedAdversary(*children)

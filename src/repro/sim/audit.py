@@ -36,7 +36,10 @@ Clauses are duck-typed: the node clauses of the contract run on nodes with
 a lifecycle ``phase`` (:class:`repro.core.node.MaintenanceNode`), the swarm
 and symmetry audits on nodes with ``pos``/``epoch``/``d_nbrs`` in the epoch
 :func:`~repro.overlay.lds.current_epoch` picks; every protocol gets the
-step, wall and connectivity checks.  All are pure reads.  The recovery
+step, wall and connectivity checks.  An overlay protocol (one whose nodes
+carry ``pos`` and ``epoch``) with alive nodes but none holding both has an
+empty swarm at every sampled point; a protocol without positions (gossip)
+has no swarms to audit.  All are pure reads.  The recovery
 summary (first/last degradation round, degraded-round fraction, time to
 recover, :meth:`Auditor.counts_by_kind`) is a view over the degradations.
 """
@@ -532,7 +535,7 @@ class Auditor(RoundObserver):
         self.rounds_observed += 1
         self._last_observed_round = t
         overlay = self._overlay_snapshot(engine)
-        if overlay:
+        if overlay is not None:
             self.verdicts += self._audit_swarm_occupancy(t, overlay)
             self.verdicts += self._audit_list_symmetry(t, overlay)
         self.verdicts += self._audit_connectivity(engine, t)
@@ -578,18 +581,24 @@ class Auditor(RoundObserver):
 
     # Degradation audits ------------------------------------------------
 
-    def _overlay_snapshot(self, engine: Engine) -> dict[int, tuple[float, int, dict]]:
+    def _overlay_snapshot(self, engine: Engine) -> dict[int, tuple[float, int, dict]] | None:
         """``{id: (pos, epoch, d_nbrs)}`` of the alive nodes in the current
         epoch (:func:`~repro.overlay.lds.current_epoch` of every alive node
-        with a position and an epoch)."""
+        with a position and an epoch); ``None`` when no alive node runs an
+        overlay protocol."""
         nodes: dict[int, tuple[float, int, dict]] = {}
+        overlay_protocol = False
         for v in engine.alive:
             proto = engine.protocol_of(v)
-            pos = getattr(proto, "pos", None)
-            epoch = getattr(proto, "epoch", None)
+            if not (hasattr(proto, "pos") and hasattr(proto, "epoch")):
+                continue
+            overlay_protocol = True
+            pos, epoch = proto.pos, proto.epoch
             if pos is None or epoch is None:
                 continue
             nodes[v] = (float(pos), int(epoch), getattr(proto, "d_nbrs", {}))
+        if not overlay_protocol:
+            return None
         current = current_epoch(e for _, e, _ in nodes.values())
         return {v: ne for v, ne in nodes.items() if ne[1] == current}
 

@@ -6,7 +6,7 @@ epoch slab into the bound against any position-sorted subset of it — the
 identity the kernel's shared per-row ring arithmetic rests on; the oracle is
 ``PositionIndex.bounds_many`` on the subset.  And a whole :class:`HopPlan`
 equals the protocol text one row at a time: windows from
-``ids_within_list``, the holder's rank from scalar ``rank_within``, delivery
+``ids_within``, the holder's rank as its ``.index`` in the window, delivery
 events from the in-swarm / rank-match tests, picks as
 ``window[floor(u * size)]`` — for indexes carved from a live slab and for
 private ones alike.
@@ -285,9 +285,8 @@ def test_plan_equals_the_protocol_text_row_by_row(case):
                 continue
             row = delivery.msgs.index(msg)
             if final:
-                window = fin_index.ids_within_list(msg.target, rho)
-                rank = fin_index.rank_within(msg.target, rho, v)
-                assert rank == (window.index(v) if v in window else None)
+                window = fin_index.ids_within(msg.target, rho).tolist()
+                rank = window.index(v) if v in window else None
                 gap = abs(pos - msg.target)
                 inside = min(gap, 1.0 - gap) <= rho
                 ranked = msg.sample_rank is not None
@@ -296,7 +295,7 @@ def test_plan_equals_the_protocol_text_row_by_row(case):
                 if even and [w for w in window if w != v]:
                     want_sends.append((msg, [w for w in window if w != v]))
             else:
-                window = mid_index.ids_within_list(msg.trajectory[1], rho)
+                window = mid_index.ids_within(msg.trajectory[1], rho).tolist()
                 if window:
                     picks = [window[int(x * len(window))] for x in u[used:used + r]]
                     want_sends.append((msg, picks))

@@ -79,13 +79,13 @@ def reference(node, rng, hops, even, hop_index=None):
         if is_final:
             # Delivery first: a rank-matching token draws once (no slot is
             # filled, so the token is kept whatever the coin says).
-            window = index.ids_within_list(msg.target, rho)
+            window = index.ids_within(msg.target, rho).tolist()
             if msg.sample_rank is not None and node.id in window:
                 if window.index(node.id) == msg.sample_rank:
                     rng.random()
             receivers = [w for w in window if w != node.id] if even else []
         else:
-            window = hop_index.ids_within_list(msg.trajectory[out_step], rho)
+            window = hop_index.ids_within(msg.trajectory[out_step], rho).tolist()
             receivers = [
                 window[int(rng.random() * len(window))] for _ in range(r) if window
             ]
@@ -189,7 +189,7 @@ class TestEvenFiling:
         services = make_services(params)
         probe = MaintenanceNode(ME, services)
         probe.prime(epoch=5, pos=0.5, neighbors=RING)
-        rank = probe._d_members().ids_within_list(0.5, params.swarm_radius).index(ME)
+        rank = probe._d_members().ids_within(0.5, params.swarm_radius).tolist().index(ME)
         token = final(9, 0.5, rank=rank, payload=("token", 77))
         miss = final(8, 0.5, rank=rank + 1, payload=("token", 78))
         hops = [
@@ -223,7 +223,7 @@ class TestOddFiling:
         services = make_services(params)
         probe = MaintenanceNode(ME, services)
         probe.prime(epoch=5, pos=0.5, neighbors=RING)
-        rank = probe._d_members().ids_within_list(0.5, params.swarm_radius).index(ME)
+        rank = probe._d_members().ids_within(0.5, params.swarm_radius).tolist().index(ME)
         token = final(9, 0.5, rank=rank, payload=("token", 77))
         hops = [(mid(0, 0.3), 1), (token, 1), (mid(1, 0.7), 1), (mid(2, 0.1), 1)]
         filed, expected = run(params, 0.5, RING, hops, t=11)
@@ -280,7 +280,7 @@ def build_nodes(params, epoch):
 
 def rank_of(params, v, point, epoch):
     _, nodes = build_nodes(params, epoch)
-    window = nodes[v]._d_members().ids_within_list(point, params.swarm_radius)
+    window = nodes[v]._d_members().ids_within(point, params.swarm_radius).tolist()
     return window.index(v)
 
 

@@ -2,7 +2,7 @@
 
 The oracle is the per-node rule of Listing 3 line 10 as docs/PROTOCOL.md
 states it: drop repeated ``(node, epoch)`` keys keeping the first arrival;
-for each record take scalar ``ids_within_list`` over its three
+for each record take scalar ``ids_within`` over its three
 ``required_neighbor_arcs`` in the holder's ``D``, ``dict.fromkeys`` over
 them, the holder left out; receivers in first-touch order, each with its
 records in arrival order.  :class:`JoinPlan` is held to it for indexes
@@ -48,7 +48,7 @@ def oracle(index, me, join_recs, radii):
     sends: dict[int, list[JoinRecord]] = {}
     for rec in kept.values():
         arcs = required_neighbor_arcs(rec.pos, radii)
-        window = [w for arc in arcs for w in index.ids_within_list(arc.center, arc.radius)]
+        window = [w for arc in arcs for w in index.ids_within(arc.center, arc.radius).tolist()]
         for w in dict.fromkeys(window):
             if w != me:
                 sends.setdefault(w, []).append(rec)

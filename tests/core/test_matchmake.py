@@ -51,9 +51,9 @@ def oracle_batch(index: PositionIndex, target: int, p: float, r_list: float, r_d
     """``(ids, positions)`` a batch of ``index`` introduces to ``target`` (at
     ``p``), arc by arc, scalar window by window."""
     ids = (
-        index.ids_within_list(p, r_list)
-        + index.ids_within_list(wrap(p / 2.0), r_db)
-        + index.ids_within_list(wrap((p + 1.0) / 2.0), r_db)
+        index.ids_within(p, r_list).tolist()
+        + index.ids_within(wrap(p / 2.0), r_db).tolist()
+        + index.ids_within(wrap((p + 1.0) / 2.0), r_db).tolist()
     )
     ids = [w for w in dict.fromkeys(ids) if w != target]
     return ids, [index.position(w) for w in ids]

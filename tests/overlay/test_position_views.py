@@ -121,6 +121,10 @@ class TestWithAdded:
 
 
 class TestRankWithin:
+    """A member's rank in a window is its sorted slot (``slot_map``) minus
+    the window's start, wrap-adjusted — the forwarding plan's form of the
+    documented ``ids_within(...).tolist().index(v)`` rank rule."""
+
     @given(
         st.lists(
             st.floats(min_value=0.0, max_value=0.999999),
@@ -133,14 +137,17 @@ class TestRankWithin:
     )
     def test_matches_list_index(self, points, center, radius):
         index = PositionIndex({v: p for v, p in enumerate(points)})
-        window = index.ids_within_list(center, radius)
-        for v in range(len(points)):
-            rank = index.rank_within(center, radius, v)
+        window = index.ids_within(center, radius).tolist()
+        n = len(points)
+        if radius >= 0.5:  # the whole ring, from slot 0
+            a, size = 0, n
+        else:
+            lo, hi, wrapped = (int(x[0]) for x in index.bounds_many(np.array([center]), radius))
+            a, size = lo, (n - lo + hi if wrapped else hi - lo)
+        assert size == len(window)
+        for v in range(n):
+            rank = (index.slot_map[v] - a) % n
             if v in window:
                 assert rank == window.index(v)
             else:
-                assert rank is None
-
-    def test_unknown_id_is_none(self):
-        index = make_index(n=4)
-        assert index.rank_within(0.5, 0.3, 999) is None
+                assert rank >= size

@@ -1,19 +1,23 @@
 """Equivalence tests for the vectorised hot paths.
 
-The batched query paths (``bounds_many``, ``ids_within_list``, ``prime``,
-``restricted`` via masked arrays) must return byte-identical results to the
-scalar reference paths they replaced — routing correctness and the
-bit-for-bit reproducibility guarantee both depend on it.
+The batched query paths (``bounds_many``, the prefix-count window sizes
+behind ``swarm_sizes``, the LDS neighbour CSR, ``restricted`` via masked
+arrays) must return byte-identical results to the scalar reference paths —
+routing correctness and the bit-for-bit reproducibility guarantee both
+depend on it.
 """
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.config import ProtocolParams
-from repro.overlay.lds import LDSGraph, build_lds
+from repro.overlay.lds import LDSGraph, build_lds, required_neighbor_arcs
 from repro.overlay.positions import PositionIndex
+from repro.overlay.swarm import _window_counts
 from repro.util.intervals import Arc, ring_distance
 
 unit = st.floats(min_value=0.0, max_value=1.0, exclude_max=True, allow_nan=False)
@@ -28,6 +32,11 @@ def brute_within(points, center, radius):
     return [i for i, p in enumerate(points) if ring_distance(p, center) <= radius]
 
 
+def window_count(idx, center, radius):
+    """The batched window count at one center."""
+    return int(_window_counts(idx, radius, np.array([center]))[0])
+
+
 class TestFloatWrapGuard:
     """Regression: a tiny negative ``center - radius`` wraps to exactly 1.0
     under ``%``, which must be clamped to 0.0 in every bounds path."""
@@ -39,8 +48,7 @@ class TestFloatWrapGuard:
         idx = make_index([0.0, 0.3, 0.7])
         ids = idx.ids_within(center, radius)
         assert ids.tolist() == [0]
-        assert idx.count_within(center, radius) == 1
-        assert idx.ids_within_list(center, radius) == [0]
+        assert window_count(idx, center, radius) == 1
 
     def test_batched_guard_matches_scalar(self):
         idx = make_index([0.0, 0.2, 0.5, 0.8])
@@ -64,8 +72,7 @@ class TestFloatWrapGuard:
         want = brute_within(points, center, radius)
         assert 0 not in want and want  # 0.25 is outside, some below it inside
         assert sorted(idx.ids_within(center, radius).tolist()) == want
-        assert sorted(idx.ids_within_list(center, radius)) == want
-        assert idx.count_within(center, radius) == len(want)
+        assert window_count(idx, center, radius) == len(want)
         a, b, wrapped = idx.bounds_many(np.array([center]), radius)
         assert (int(a[0]), int(b[0]), bool(wrapped[0])) == idx._bounds(center, radius)
         mirrored = [1.0 - p for p in points[1:]]  # the same case counter-clockwise
@@ -78,38 +85,37 @@ class TestFloatWrapGuard:
     def test_count_never_disagrees_with_ids(self, points, center):
         idx = make_index(points)
         for radius in (0.0, 1e-18, 2e-18, 1e-9, 0.1, 0.5, 0.6):
-            assert idx.count_within(center, radius) == idx.ids_within(
+            assert window_count(idx, center, radius) == idx.ids_within(
                 center, radius
             ).size
 
 
 class TestArcVariantEquivalence:
-    """``ids_within``, ``ids_within_list`` and ``ids_in_arc`` must agree
-    element-for-element, in order."""
+    """``ids_within`` and ``ids_in_arc`` must agree element-for-element, in
+    order, and the window count with both."""
 
     def assert_all_agree(self, idx, center, radius):
         ids = idx.ids_within(center, radius)
-        assert idx.ids_within_list(center, radius) == ids.tolist()
         np.testing.assert_array_equal(idx.ids_in_arc(Arc(center, radius)), ids)
-        assert idx.count_within(center, radius) == ids.size
+        assert window_count(idx, center, radius) == ids.size
 
     def test_wrapped_arc(self):
         idx = make_index([0.05, 0.3, 0.6, 0.95])
         self.assert_all_agree(idx, 0.0, 0.1)
-        assert idx.ids_within_list(0.0, 0.1) == [3, 0]  # position order
+        assert idx.ids_within(0.0, 0.1).tolist() == [3, 0]  # position order
 
     def test_full_ring_radius(self):
         idx = make_index([0.4, 0.1, 0.8])
         for radius in (0.5, 0.6, 1.0):
             self.assert_all_agree(idx, 0.25, radius)
-            assert idx.count_within(0.25, radius) == 3
+            assert window_count(idx, 0.25, radius) == 3
 
     def test_empty_index(self):
         idx = PositionIndex({})
         self.assert_all_agree(idx, 0.3, 0.2)
         self.assert_all_agree(idx, 0.3, 0.5)
-        assert idx.ids_within_list(0.3, 0.2) == []
-        assert idx.ids_within_list(0.3, 0.5) == []
+        assert idx.ids_within(0.3, 0.2).tolist() == []
+        assert idx.ids_within(0.3, 0.5).tolist() == []
 
     @given(st.lists(unit, min_size=0, max_size=40), unit, radii)
     def test_variants_agree_and_match_bruteforce(self, points, center, radius):
@@ -180,46 +186,47 @@ class TestRestricted:
         np.testing.assert_array_equal(
             got.ids_within(0.95, 0.2), want.ids_within(0.95, 0.2)
         )
-        assert got.ids_within_list(0.95, 0.2) == want.ids_within_list(0.95, 0.2)
 
 
 class TestPrimedLDS:
-    """``prime()`` must fill the caches with exactly what the lazy per-node
-    queries compute, and the one-pass statistics must match naive sums."""
+    """The neighbour CSR (one ``neighbor_arc_slots`` pass, made on first use)
+    must hold exactly the scalar Definition-5 neighbourhoods, and the
+    one-pass statistics must match naive sums."""
 
-    def build_pair(self, seed, n=48):
+    @staticmethod
+    def scalar_neighbors(graph, v):
+        """Definition 5 one node at a time: the three arcs' ``ids_within``
+        windows, merged and sorted, ``v`` left out."""
+        arcs = required_neighbor_arcs(graph.index.position(v), graph.params)
+        windows = [graph.index.ids_within(a.center, a.radius) for a in arcs]
+        merged = np.union1d(np.union1d(*windows[:2]), windows[2])
+        return merged[merged != v]
+
+    def build(self, seed, n=48):
         params = ProtocolParams(n=n, seed=seed)
         rng = np.random.default_rng(seed)
-        positions = {i: float(p) for i, p in enumerate(rng.random(n))}
-        return build_lds(positions, params), build_lds(positions, params)
+        return build_lds({i: float(p) for i, p in enumerate(rng.random(n))}, params)
 
     def test_prime_matches_lazy(self):
         for seed in (1, 2, 3):
-            primed, lazy = self.build_pair(seed)
-            primed.prime()
-            for v in lazy.node_ids.tolist():
+            graph = self.build(seed)
+            for v in graph.node_ids.tolist():
                 np.testing.assert_array_equal(
-                    primed.list_neighbors(v), lazy.list_neighbors(v)
-                )
-                np.testing.assert_array_equal(
-                    primed.db_neighbors(v), lazy.db_neighbors(v)
-                )
-                np.testing.assert_array_equal(
-                    primed.neighbors(v), lazy.neighbors(v)
+                    graph.neighbors(v), self.scalar_neighbors(graph, v)
                 )
 
     def test_prime_is_idempotent(self):
-        primed, _ = self.build_pair(5)
-        primed.prime()
-        before = {v: primed.neighbors(v).tolist() for v in primed.node_ids.tolist()}
-        primed.prime()
-        after = {v: primed.neighbors(v).tolist() for v in primed.node_ids.tolist()}
+        graph = self.build(5)
+        before = {v: graph.neighbors(v).tolist() for v in graph.node_ids.tolist()}
+        stats = (graph.degree_stats(), graph.edge_count())
+        after = {v: graph.neighbors(v).tolist() for v in graph.node_ids.tolist()}
         assert before == after
+        assert stats == (graph.degree_stats(), graph.edge_count())
 
     def test_degree_stats_and_edge_count_consistent(self):
-        graph, lazy = self.build_pair(9)
+        graph = self.build(9)
         lo, mean, hi = graph.degree_stats()
-        degrees = [lazy.degree(v) for v in lazy.node_ids.tolist()]
+        degrees = [self.scalar_neighbors(graph, v).size for v in graph.node_ids.tolist()]
         assert (lo, hi) == (min(degrees), max(degrees))
         assert mean == float(np.mean(degrees))
         assert graph.edge_count() == sum(degrees)
@@ -227,40 +234,39 @@ class TestPrimedLDS:
     def test_empty_graph(self):
         params = ProtocolParams(n=16, seed=1)
         graph = LDSGraph(PositionIndex({}), params)
-        graph.prime()
         assert graph.degree_stats() == (0, 0.0, 0)
         assert graph.edge_count() == 0
 
     def test_prime_wraps_the_top_position(self):
         """At ``p = 1 − 2⁻⁵³`` the De Bruijn centre ``(p + 1) / 2`` is
         ``1.0``, which ``wrap`` maps to ``0.0``; unwrapped, the arc's upper
-        end lands past the radius and takes in a node at that boundary."""
+        end lands past the radius and takes in a node at that boundary.  A
+        vanishing list radius leaves the De Bruijn arcs alone in view."""
         params = ProtocolParams(n=48, c=1.2, seed=1)
         rho = params.debruijn_radius
         boundary = (1.0 + rho) % 1.0  # the unwrapped arc's upper end
         assert boundary > rho
         positions = {0: 1.0 - 2.0**-53, 1: boundary, 2: rho, 3: 0.5, 4: 0.9}
-        primed = build_lds(positions, params)
-        lazy = build_lds(positions, params)
-        primed.prime()
-        assert 1 not in lazy.db_neighbors(0).tolist()
+        db_only = SimpleNamespace(list_radius=0.0, debruijn_radius=rho)
+        graph = LDSGraph(PositionIndex(positions), db_only)
+        assert graph.neighbors(0).tolist() == [2, 3, 4]  # not 1
         for v in positions:
-            np.testing.assert_array_equal(primed.db_neighbors(v), lazy.db_neighbors(v))
-            np.testing.assert_array_equal(primed.neighbors(v), lazy.neighbors(v))
+            np.testing.assert_array_equal(
+                graph.neighbors(v), self.scalar_neighbors(graph, v)
+            )
+
+    def test_large_ring_builds_in_blocks(self):
+        """Past n = 2048 the CSR is built from several kernel passes."""
+        graph = self.build(4, n=2100)
+        for v in range(0, 2100, 97):
+            np.testing.assert_array_equal(graph.neighbors(v), self.scalar_neighbors(graph, v))
+        degrees = [self.scalar_neighbors(graph, v).size for v in range(2100)]
+        assert graph.edge_count() == sum(degrees)
 
     @settings(deadline=None, max_examples=20)
     @given(st.lists(unit, min_size=1, max_size=24, unique=True), st.integers(1, 10**6))
     def test_prime_matches_lazy_fuzzed(self, points, seed):
         params = ProtocolParams(n=max(16, len(points)), seed=seed)
-        positions = {i: p for i, p in enumerate(points)}
-        primed = build_lds(positions, params)
-        lazy = build_lds(positions, params)
-        primed.prime()
-        for v in positions:
-            np.testing.assert_array_equal(primed.neighbors(v), lazy.neighbors(v))
-            np.testing.assert_array_equal(
-                primed.list_neighbors(v), lazy.list_neighbors(v)
-            )
-            np.testing.assert_array_equal(
-                primed.db_neighbors(v), lazy.db_neighbors(v)
-            )
+        graph = build_lds({i: p for i, p in enumerate(points)}, params)
+        for v in range(len(points)):
+            np.testing.assert_array_equal(graph.neighbors(v), self.scalar_neighbors(graph, v))

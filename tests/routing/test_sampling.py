@@ -7,7 +7,7 @@ import pytest
 
 from repro.config import ProtocolParams
 from repro.overlay.positions import PositionIndex
-from repro.routing.sampling import draw_sample_rank, rank_in_swarm, sampling_recipient
+from repro.routing.sampling import draw_sample_rank, sampling_recipient
 from repro.routing.series import SeriesRouter
 
 
@@ -22,26 +22,28 @@ def index(rng, params) -> PositionIndex:
 
 
 class TestRankRule:
+    """A node's rank in ``S(p)`` is its ``.index`` in ``ids_within(p, rho)``."""
+
     def test_rank_range(self, index, params):
         p = 0.4
-        members = index.ids_within(p, params.swarm_radius)
-        ranks = [rank_in_swarm(index, p, int(v), params) for v in members]
-        assert sorted(ranks) == list(range(len(members)))
+        members = index.ids_within(p, params.swarm_radius).tolist()
+        recipients = [sampling_recipient(index, p, d, params) for d in range(len(members))]
+        assert recipients == members
 
     def test_rank_none_outside_swarm(self, index, params):
         p = 0.4
-        outside = [
-            int(v) for v in index.ids
-            if int(v) not in set(int(x) for x in index.ids_within(p, params.swarm_radius))
-        ]
-        assert rank_in_swarm(index, p, outside[0], params) is None
+        members = set(index.ids_within(p, params.swarm_radius).tolist())
+        outside = [v for v in index.ids_list if v not in members]
+        assert outside
+        reached = {sampling_recipient(index, p, d, params) for d in range(params.n)}
+        assert reached - {None} == members
 
     def test_recipient_matches_rank(self, index, params):
         p = 0.4
-        members = index.ids_within(p, params.swarm_radius)
+        members = index.ids_within(p, params.swarm_radius).tolist()
         for delta in range(len(members)):
             w = sampling_recipient(index, p, delta, params)
-            assert rank_in_swarm(index, p, w, params) == delta
+            assert members.index(w) == delta
 
     def test_recipient_none_for_large_delta(self, index, params):
         w = sampling_recipient(index, 0.4, 10_000, params)

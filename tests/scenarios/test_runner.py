@@ -26,6 +26,11 @@ def calm_cell():
 
 
 @pytest.fixture(scope="module")
+def flash_cell():
+    return cell("flash-crowd")
+
+
+@pytest.fixture(scope="module")
 def storm_cell():
     return cell("stall-storm")
 
@@ -79,11 +84,21 @@ class TestPinnedFingerprints:
     def test_calm(self, calm_cell):
         assert calm_cell["fingerprint"] == "b913aaf48222f74b9ea55892561a5b23"
 
-    def test_flash_crowd(self):
-        assert cell("flash-crowd")["fingerprint"] == "c788c416eec1dfb5c8397879d6226b7d"
+    def test_flash_crowd(self, flash_cell):
+        assert flash_cell["fingerprint"] == "c60fb4f989f08c391f8bcdbeee168596"
 
     def test_ring_cut_adversary(self):
         assert cell("ring-cut-adversary")["fingerprint"] == "12ed0adfb238c176b0858bb247e7edd5"
+
+
+class TestCollapsedCell:
+    def test_flash_crowd_collapse_is_a_degradation(self, flash_cell, calm_cell):
+        """The quick flash-crowd cell loses its whole overlay (no node keeps
+        both a position and an epoch); the auditor says so, calm stays clean."""
+        assert flash_cell["established_fraction"] == 0
+        assert flash_cell["recovery"]["events"] > 0
+        assert flash_cell["recovery"]["events_by_kind"]["empty-swarm"] > 0
+        assert calm_cell["recovery"]["events"] == 0
 
 
 class TestProbeWaves:

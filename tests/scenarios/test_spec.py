@@ -193,3 +193,12 @@ class TestBuilders:
             built = build_adversary(sc, params, 10)
             reference = cls(params, seed=10 + offset)
             assert built.rng.bit_generator.state == reference.rng.bit_generator.state
+
+    def test_same_kind_specs_draw_different_streams(self):
+        """Each list position gets its own seed; position 0 keeps seed+offset."""
+        params = build_params(40, 0)
+        sc = self.scenario(adversaries=(AdversarySpec("random"), AdversarySpec("random")))
+        first, second = build_adversary(sc, params, 10).children
+        reference = RandomChurnAdversary(params, seed=11)
+        assert first.rng.bit_generator.state == reference.rng.bit_generator.state
+        assert first.rng.random(8).tolist() != second.rng.random(8).tolist()

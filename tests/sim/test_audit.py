@@ -56,11 +56,14 @@ class OverlayStub(NodeProtocol):
 
     broken_symmetry = False
     collapse_positions = False
+    unplaced = False  # no node holds a position yet
 
     def __init__(self, node_id: int, services) -> None:
         self.node_id = node_id
         n = services.params.n
         self.pos = 0.0 if self.collapse_positions else node_id / n
+        if self.unplaced:
+            self.pos = None
         self.epoch = 0
         left, right = (node_id - 1) % n, (node_id + 1) % n
         self.d_nbrs = {left: None, right: None}
@@ -180,6 +183,7 @@ class TestStructuralAudits:
     def setup_method(self):
         OverlayStub.broken_symmetry = False
         OverlayStub.collapse_positions = False
+        OverlayStub.unplaced = False
 
     teardown_method = setup_method
 
@@ -206,6 +210,17 @@ class TestStructuralAudits:
         monitor, _ = run_monitored(OverlayStub, rounds=1)
         assert "empty-swarm" in monitor.counts_by_kind()
         assert any(e.severity == "critical" for e in monitor.verdicts)
+
+    def test_overlay_without_positions_reports_every_swarm_empty(self):
+        """Alive overlay nodes, none holding both a position and an epoch:
+        every sampled point's swarm is empty (a positionless protocol, like
+        RingProtocol above, has no swarms to audit)."""
+        OverlayStub.unplaced = True
+        monitor, _ = run_monitored(OverlayStub, rounds=1)
+        [verdict] = monitor.verdicts
+        assert (verdict.kind, verdict.severity) == ("empty-swarm", "critical")
+        points = Auditor.SAMPLE_POINTS
+        assert verdict.detail.startswith(f"{points}/{points} sampled points")
 
     def test_observing_never_perturbs_the_run(self):
         params = ProtocolParams(n=16, seed=1, alpha=0.25)
